@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke
 
 check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build
 
@@ -103,14 +103,22 @@ bench-build:
 
 # Regression guard: rerun the scale suite into a fresh JSON and fail if any
 # gated metric regressed against the committed BENCH_scale.json baseline —
-# 25% on ns/op (wall-time noise margin) and 1% on vus/op (virtual makespans
-# are deterministic; any drift is a real routing/search change). Run on
-# hardware comparable to the baseline's recorded cpu: field — the ns/op
-# threshold absorbs noise, not machine changes.
+# 25% on ns/op (wall-time noise margin), 1% on vus/op (virtual makespans
+# are deterministic; any drift is a real routing/search change) and 10% on
+# allocs/op (deterministic to a few percent; benchjson's -gates default).
+# Run on hardware comparable to the baseline's recorded cpu: field — the
+# ns/op threshold absorbs noise, not machine changes.
 bench-compare:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=0.5s ./internal/bench/scale \
 		| $(GO) run ./cmd/benchjson -suite scale -out /tmp/BENCH_scale.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_scale.json /tmp/BENCH_scale.new.json
+
+# The end-to-end benchmark exactly as the pipeline runs it (BENCHMARK.json,
+# benchmark/README.md), one workload at a time:
+#
+#	make benchmark W=serve-hit
+benchmark:
+	sh benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
 
 # Compile every example and command entry point; catches facade drift that
 # package tests cannot see.

@@ -44,6 +44,7 @@ import (
 	"io"
 
 	"appfit/internal/buffer"
+	"appfit/internal/cluster"
 	"appfit/internal/core"
 	"appfit/internal/dist"
 	"appfit/internal/fault"
@@ -350,6 +351,14 @@ type (
 	SweepOptions = sweep.Options
 	// SweepRequest is one simulation to run: a job on a cluster config.
 	SweepRequest = sweep.Request
+	// SimJob, SimTask and SimConfig spell a request's two halves: the task
+	// DAG the virtual cluster runs and the machine it runs on.
+	SimJob    = cluster.Job
+	SimTask   = cluster.Task
+	SimConfig = cluster.Config
+	// PreparedJob is an immutable job whose task list was hashed once
+	// (PrepareJob); its Request(cfg) derives a cache key in O(config).
+	PreparedJob = sweep.Prepared
 	// SweepResponse is one request's result, error and stage timings.
 	SweepResponse = sweep.Response
 	// SweepMetrics is the flat per-request timing record (queue wait,
@@ -368,6 +377,12 @@ var ErrSweepRequest = sweep.ErrRequest
 // NewSweep starts a sweep engine. The zero SweepOptions means one worker
 // per CPU and the default cache size.
 func NewSweep(opts SweepOptions) *Sweep { return sweep.New(opts) }
+
+// PrepareJob hashes job's task list once, so the requests a sweep builds
+// from the result — the same job under many configs — each cost a few
+// hundred bytes of hashing instead of the whole DAG. The job's Tasks must
+// not be mutated afterwards.
+func PrepareJob(job SimJob) *PreparedJob { return sweep.Prepare(job) }
 
 // WriteSweepMetricsCSV writes per-request stage timings as CSV, one row
 // per request; SweepBatchMetrics collects them from a batch's responses.

@@ -14,16 +14,19 @@
 //	go run ./cmd/benchjson -compare BENCH_scale.json BENCH_scale.new.json
 //
 // Gated units and their thresholds come from -gates, default
-// "ns/op=25,vus/op=1,p99/op=25,+req/s=25": wall time absorbs scheduler
-// noise with a wide margin, while vus/op — the Sim transport's virtual
-// link-occupancy makespan, the headline metric of the topology and
+// "ns/op=25,vus/op=1,p99/op=25,+req/s=25,allocs/op=10": wall time absorbs
+// scheduler noise with a wide margin, while vus/op — the Sim transport's
+// virtual link-occupancy makespan, the headline metric of the topology and
 // placement work — is deterministic for a fixed algorithm, so even a
-// small regression there is a real routing change, not noise. p99/op is
-// the appfit service's tail latency in ns, gated like ns/op. A unit
-// prefixed with "+" is higher-is-better (req/s, the service's sustained
-// throughput): there a regression is the value *dropping* beyond the
-// threshold, not rising. Units not listed (B/op, allocs/op, custom
-// counters) are recorded but never gate. Units named by -info (default
+// small regression there is a real routing change, not noise. allocs/op
+// repeats to within a few percent on a fixed code path, so 10% is a real
+// change too (a cache hit that starts touching its task list again shows
+// here first). p99/op is the appfit service's tail latency in ns, gated
+// like ns/op. A unit prefixed with "+" is higher-is-better (req/s, the
+// service's sustained throughput): there a regression is the value
+// *dropping* beyond the
+// threshold, not rising. Units not listed (B/op, custom counters) are
+// recorded but never gate. Units named by -info (default
 // "hit%", the sweep engine's cache hit rate) are additionally printed in
 // the comparison so their drift stays visible, but they never gate
 // either — a hit rate is a property of the request mix, not a cost.
@@ -68,7 +71,7 @@ func main() {
 	suite := flag.String("suite", "scale", "suite name recorded in the JSON")
 	out := flag.String("out", "", "output file (default stdout only)")
 	compare := flag.Bool("compare", false, "compare two baseline files (old new) instead of parsing stdin")
-	gatesFlag := flag.String("gates", "ns/op=25,vus/op=1,p99/op=25,+req/s=25", "with -compare: gated units and their regression thresholds in percent, as unit=pct[,unit=pct...]; a + prefix marks the unit higher-is-better")
+	gatesFlag := flag.String("gates", "ns/op=25,vus/op=1,p99/op=25,+req/s=25,allocs/op=10", "with -compare: gated units and their regression thresholds in percent, as unit=pct[,unit=pct...]; a + prefix marks the unit higher-is-better")
 	infoFlag := flag.String("info", "hit%", "with -compare: comma-separated units printed for information but never gated")
 	flag.Parse()
 

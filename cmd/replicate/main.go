@@ -72,14 +72,14 @@ func main() {
 	cm := workload.DefaultCostModel()
 	var reqs []sweep.Request
 	for _, nodes := range nodeCounts {
-		job := w.BuildJob(scale, nodes, cm)
+		p := sweep.Prepare(w.BuildJob(scale, nodes, cm))
 		cfg := cluster.Config{Nodes: nodes, CoresPerNode: *cores}
 		if *rate > 0 {
 			cfg.Injector = fault.NewFixedRate(*seed, *rate/2, *rate/2)
 		}
 		cfgR := cfg
-		cfgR.Replicated = cluster.All(len(job.Tasks))
-		reqs = append(reqs, sweep.Request{Job: job, Config: cfg}, sweep.Request{Job: job, Config: cfgR})
+		cfgR.Replicated = p.AllReplicated()
+		reqs = append(reqs, p.Request(cfg), p.Request(cfgR))
 	}
 
 	eng := sweep.New(sweep.Options{Workers: *parallel, CacheEntries: *cacheEntries})

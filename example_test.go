@@ -1,6 +1,7 @@
 package appfit_test
 
 import (
+	"context"
 	"fmt"
 
 	"appfit"
@@ -167,4 +168,37 @@ func ExampleNewWorld_pingpong() {
 	// Output:
 	// converged: 25 25
 	// replicated 8 of 8 compute tasks, messages sent: 8
+}
+
+// ExamplePrepareJob sweeps one job over four machine configurations. The
+// job is prepared once, so each request's cache key costs a hash of its
+// config, not of the task list — and resubmitting the batch is answered
+// entirely from the engine's cache.
+func ExamplePrepareJob() {
+	p := appfit.PrepareJob(appfit.SimJob{Name: "fork", Tasks: []appfit.SimTask{
+		{Label: "a", Cost: 100},
+		{Label: "b", Cost: 300, Deps: []int{0}},
+		{Label: "c", Cost: 300, Deps: []int{0}},
+	}})
+	var reqs []appfit.SweepRequest
+	for cores := 1; cores <= 2; cores++ {
+		reqs = append(reqs,
+			p.Request(appfit.SimConfig{CoresPerNode: cores}),
+			p.Request(appfit.SimConfig{CoresPerNode: cores, Replicated: p.AllReplicated()}))
+	}
+	eng := appfit.NewSweep(appfit.SweepOptions{})
+	for pass := 0; pass < 2; pass++ {
+		resps, err := eng.RunBatch(context.Background(), reqs)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		for _, r := range resps {
+			fmt.Print(int64(r.Result.Makespan), " ")
+		}
+		fmt.Println("hits:", eng.Stats().Hits)
+	}
+	// Output:
+	// 700 1400 400 700 hits: 0
+	// 700 1400 400 700 hits: 4
 }

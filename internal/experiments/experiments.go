@@ -244,18 +244,15 @@ func Fig4Requests(scale workload.Scale, ws []workload.Workload) []sweep.Request 
 		if w.Distributed() {
 			nodes = 64
 		}
-		job := w.BuildJob(scale, nodes, cm)
+		p := sweep.Prepare(w.BuildJob(scale, nodes, cm))
 		cfg := cluster.Config{Nodes: nodes, CoresPerNode: 16}
 		cfgAll := cfg
 		cfgAll.ReplicaCores = 16
-		cfgAll.Replicated = cluster.All(len(job.Tasks))
+		cfgAll.Replicated = p.AllReplicated()
 		cfgSel := cfg
 		cfgSel.ReplicaCores = 16
-		cfgSel.Replicated = SelectAppFIT(job, 10)
-		reqs = append(reqs,
-			sweep.Request{Job: job, Config: cfg},
-			sweep.Request{Job: job, Config: cfgAll},
-			sweep.Request{Job: job, Config: cfgSel})
+		cfgSel.Replicated = SelectAppFIT(p.Job(), 10)
+		reqs = append(reqs, p.Request(cfg), p.Request(cfgAll), p.Request(cfgSel))
 	}
 	return reqs
 }
@@ -338,17 +335,17 @@ func Fig5(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, erro
 	ws := bench.SharedMemory()
 	var reqs []sweep.Request
 	for _, w := range ws {
-		job := w.BuildJob(scale, 1, cm)
+		p := sweep.Prepare(w.BuildJob(scale, 1, cm))
 		for _, rate := range rates {
 			for _, c := range cores {
 				cfg := cluster.Config{
 					Nodes: 1, CoresPerNode: c, ReplicaCores: c,
-					Replicated: cluster.All(len(job.Tasks)),
+					Replicated: p.AllReplicated(),
 				}
 				if rate > 0 {
 					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
 				}
-				reqs = append(reqs, sweep.Request{Job: job, Config: cfg})
+				reqs = append(reqs, p.Request(cfg))
 			}
 		}
 	}
@@ -391,17 +388,21 @@ func Fig6(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, erro
 	ws := bench.DistributedSet()
 	var reqs []sweep.Request
 	for _, w := range ws {
+		// One DAG per node count, built and hashed once for all three rates.
+		jobs := make([]*sweep.Prepared, len(nodeCounts))
+		for ni, nodes := range nodeCounts {
+			jobs[ni] = sweep.Prepare(w.BuildJob(scale, nodes, cm))
+		}
 		for _, rate := range rates {
-			for _, nodes := range nodeCounts {
-				job := w.BuildJob(scale, nodes, cm)
+			for ni, nodes := range nodeCounts {
 				cfg := cluster.Config{
 					Nodes: nodes, CoresPerNode: 16, ReplicaCores: 16,
-					Replicated: cluster.All(len(job.Tasks)),
+					Replicated: jobs[ni].AllReplicated(),
 				}
 				if rate > 0 {
 					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
 				}
-				reqs = append(reqs, sweep.Request{Job: job, Config: cfg})
+				reqs = append(reqs, jobs[ni].Request(cfg))
 			}
 		}
 	}
@@ -540,15 +541,13 @@ func SpareCoreSweep(eng *sweep.Engine, benchName string, scale workload.Scale) (
 	if err != nil {
 		return "", err
 	}
-	job := w.BuildJob(scale, 1, workload.DefaultCostModel())
+	p := sweep.Prepare(w.BuildJob(scale, 1, workload.DefaultCostModel()))
 	cores := []int{2, 4, 8, 16, 32}
 	var reqs []sweep.Request
 	for _, c := range cores {
 		reqs = append(reqs,
-			sweep.Request{Job: job, Config: cluster.Config{Nodes: 1, CoresPerNode: c}},
-			sweep.Request{Job: job, Config: cluster.Config{
-				Nodes: 1, CoresPerNode: c, Replicated: cluster.All(len(job.Tasks)),
-			}})
+			p.Request(cluster.Config{Nodes: 1, CoresPerNode: c}),
+			p.Request(cluster.Config{Nodes: 1, CoresPerNode: c, Replicated: p.AllReplicated()}))
 	}
 	resps, err := eng.RunBatch(context.Background(), reqs)
 	if err != nil {

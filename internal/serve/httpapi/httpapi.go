@@ -54,48 +54,44 @@ type JobSpec struct {
 	Replicate bool `json:"replicate,omitempty"`
 }
 
-// jobCache memoizes built jobs by (bench, scale, nodes): a JobSpec's job
+// jobCache memoizes prepared jobs by (bench, scale, nodes): a JobSpec's job
 // is fully determined by those three fields (seed, rate and cores shape
 // only the cluster.Config), and the builders are deterministic, so
-// rebuilding a several-thousand-task DAG per request would just burn the
-// serving CPU — at stream/small a build costs more than the simulation it
-// feeds. Jobs are shared, never mutated: the engine hashes and simulates
-// them read-only, exactly as the sweep drivers already share one job
-// across a whole replication sweep.
+// rebuilding and re-hashing a several-thousand-task DAG per request would
+// just burn the serving CPU — at stream/small a build costs more than the
+// simulation it feeds. A sweep.Prepared is immutable and shared: every
+// request for the job derives its cache key from the one stored digest.
 var jobCache struct {
 	sync.Mutex
-	m map[jobKey]cluster.Job
+	m map[jobKey]*sweep.Prepared
 }
 
 type jobKey struct {
 	bench string
-	scale string
+	scale workload.Scale
 	nodes int
 }
 
-func builtJob(benchName string, scale workload.Scale, scaleName string, nodes int) (cluster.Job, error) {
-	key := jobKey{bench: benchName, scale: scaleName, nodes: nodes}
+func builtJob(benchName string, scale workload.Scale, nodes int) (*sweep.Prepared, error) {
+	key := jobKey{bench: benchName, scale: scale, nodes: nodes}
 	jobCache.Lock()
 	defer jobCache.Unlock()
-	if job, ok := jobCache.m[key]; ok {
-		return job, nil
+	if p, ok := jobCache.m[key]; ok {
+		return p, nil
 	}
 	w, err := bench.ByName(benchName)
 	if err != nil {
-		return cluster.Job{}, err
-	}
-	job := w.BuildJob(scale, nodes, workload.DefaultCostModel())
-	if jobCache.m == nil {
-		jobCache.m = make(map[jobKey]cluster.Job)
+		return nil, err
 	}
 	// The key space is tiny (registered benches × three scales × node
 	// counts), but a cap keeps a client sweeping nodes from growing the
 	// map without bound.
-	if len(jobCache.m) >= 256 {
-		jobCache.m = make(map[jobKey]cluster.Job)
+	if jobCache.m == nil || len(jobCache.m) >= 256 {
+		jobCache.m = make(map[jobKey]*sweep.Prepared)
 	}
-	jobCache.m[key] = job
-	return job, nil
+	p := sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
+	jobCache.m[key] = p
+	return p, nil
 }
 
 // ErrSpec is the sentinel wrapped by every JobSpec rejection (unknown
@@ -131,7 +127,7 @@ func (s JobSpec) Request() (sweep.Request, error) {
 	if s.Rate < 0 || s.Rate >= 1 {
 		return sweep.Request{}, fmt.Errorf("httpapi: fault rate %g outside [0, 1): %w", s.Rate, ErrSpec)
 	}
-	job, err := builtJob(s.Bench, scale, s.Scale, nodes)
+	p, err := builtJob(s.Bench, scale, nodes)
 	if err != nil {
 		return sweep.Request{}, err
 	}
@@ -144,9 +140,9 @@ func (s JobSpec) Request() (sweep.Request, error) {
 		cfg.Injector = fault.NewFixedRate(seed, s.Rate/2, s.Rate/2)
 	}
 	if s.Replicate {
-		cfg.Replicated = cluster.All(len(job.Tasks))
+		cfg.Replicated = p.AllReplicated()
 	}
-	return sweep.Request{Job: job, Config: cfg}, nil
+	return p.Request(cfg), nil
 }
 
 // SubmitRequest is the POST /submit body.
@@ -205,7 +201,7 @@ func NewHandler(s *serve.Server) http.Handler {
 			reqs[i] = sr
 		}
 		resps, err := s.Submit(r.Context(), req.Tenant, reqs)
-		if ae := (*serve.AdmissionError)(nil); asAdmission(err, &ae) {
+		if ae := asAdmission(err); ae != nil {
 			writeError(w, admissionStatus(ae), ErrorResponse{Error: ae.Error(), Tenant: ae.Tenant, Reason: ae.Reason})
 			return
 		}
@@ -234,16 +230,11 @@ func NewHandler(s *serve.Server) http.Handler {
 	return mux
 }
 
-// asAdmission reports whether err is an *serve.AdmissionError, storing it.
-func asAdmission(err error, out **serve.AdmissionError) bool {
-	if err == nil {
-		return false
-	}
-	ae, ok := err.(*serve.AdmissionError)
-	if ok {
-		*out = ae
-	}
-	return ok
+// asAdmission returns the *serve.AdmissionError err is or wraps, else nil.
+func asAdmission(err error) *serve.AdmissionError {
+	var ae *serve.AdmissionError
+	errors.As(err, &ae)
+	return ae
 }
 
 // admissionStatus maps a rejection reason to its HTTP status.

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,5 +227,28 @@ func TestJobMemoized(t *testing.T) {
 	}
 	if &a.Job.Tasks[0] == &c.Job.Tasks[0] {
 		t.Fatal("different node count must build a distinct job")
+	}
+	// The cache keys on the resolved scale: "" means tiny, one entry.
+	d, err := JobSpec{Bench: "stream"}.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Job.Tasks[0] != &d.Job.Tasks[0] {
+		t.Fatal(`scale "" and "tiny" must share one memoized job`)
+	}
+	// Replicated requests of one job share its read-only all-true vector.
+	specA.Replicate, specB.Replicate = true, true
+	a, _ = specA.Request()
+	b, _ = specB.Request()
+	if len(a.Config.Replicated) != len(a.Job.Tasks) || &a.Config.Replicated[0] != &b.Config.Replicated[0] {
+		t.Fatal("replicated requests must share the prepared job's Replicated vector")
+	}
+}
+
+// TestWrappedAdmissionErrorStillRejects: a rejection that reaches the
+// handler wrapped must map to its status, not fall through to a 200.
+func TestWrappedAdmissionErrorStillRejects(t *testing.T) {
+	if ae := asAdmission(fmt.Errorf("submit: %w", &serve.AdmissionError{Reason: serve.ReasonDraining})); ae == nil || admissionStatus(ae) != http.StatusServiceUnavailable {
+		t.Fatalf("wrapped admission error not recognised: %v", ae)
 	}
 }

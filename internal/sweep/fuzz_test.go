@@ -12,7 +12,8 @@ import (
 // bytes and checks the key doc's canonicality promises hold for arbitrary
 // structures, not just the hand-picked cases in key_test.go:
 //
-//  1. stability — the same request keys identically on repeated calls;
+//  1. stability — the same request keys identically on repeated calls,
+//     and identically again when it comes from a Prepared job;
 //  2. spelling collapse — OutBytes 0 vs explicit ArgBytes, nil DepBytes
 //     vs all-zero DepBytes, permuted dependency-edge order, and nil vs
 //     all-false vs trailing-false Replicated all digest identically;
@@ -30,6 +31,9 @@ func FuzzSweepKeyCanonical(f *testing.F) {
 		}
 		if again, _ := RunKey(job, cfg); again != key {
 			t.Fatalf("RunKey unstable: %x then %x", key, again)
+		}
+		if prepared, _ := Prepare(job).Request(cfg).key(); prepared != key {
+			t.Fatalf("prepared request keyed %x, RunKey %x", prepared, key)
 		}
 
 		// Respell OutBytes explicitly, DepBytes as explicit zeros, and

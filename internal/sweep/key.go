@@ -21,9 +21,9 @@
 //     Entries view is sorted by (src, dst, size), so map iteration order
 //     can never change a key;
 //   - the task list — the dominant section by bytes — hashes to its own
-//     32-byte digest which is spliced into the request stream, so batch
-//     submission can compute it once per shared job (runKeyMemo) and a
-//     warm cache probe costs O(config), not O(tasks), per request.
+//     32-byte digest which is spliced into the request stream, so a
+//     Prepared job computes it once and a warm cache probe costs
+//     O(config), not O(tasks), per request.
 //
 // Injectors must implement fault.Keyer to be digestible; a config carrying
 // any other injector is uncacheable and reported as such (the engine still
@@ -31,10 +31,12 @@
 package sweep
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
-	"sort"
+	"slices"
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
@@ -57,52 +59,79 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// Prepared is an immutable job whose task-section digest was computed
+// once, by Prepare: every Request it hands out derives its key in
+// O(config). Safe for concurrent use.
+type Prepared struct {
+	job    cluster.Job
+	digest [sha256.Size]byte
+	all    []bool
+}
+
+// Prepare hashes job's task list once. The caller gives up write access:
+// job.Tasks (and the slices it references) must never be mutated afterwards,
+// or requests would keep the digest of the old content.
+func Prepare(job cluster.Job) *Prepared {
+	return &Prepared{job: job, digest: tasksDigest(job.Tasks), all: cluster.All(len(job.Tasks))}
+}
+
+// Job returns the prepared job; its Tasks are shared and read-only.
+func (p *Prepared) Job() cluster.Job { return p.job }
+
+// AllReplicated returns the complete-replication Config.Replicated vector,
+// one shared read-only slice (the simulator and the key only read it).
+func (p *Prepared) AllReplicated() []bool { return p.all }
+
+// Request pairs the job with cfg, carrying the digest along.
+func (p *Prepared) Request(cfg cluster.Config) Request {
+	return Request{Job: p.job, Config: cfg, prep: p}
+}
+
 // RunKey returns the content-addressed cache key of one (job, cfg)
 // simulation request, or ok=false when the request is uncacheable (its
 // injector does not implement fault.Keyer).
 func RunKey(job cluster.Job, cfg cluster.Config) (key [32]byte, ok bool) {
-	return runKeyMemo(job, cfg, nil)
+	return Request{Job: job, Config: cfg}.key()
 }
 
-// jobIdent identifies a task list by slice identity (backing array +
-// length). Within one batch, identical identity implies identical content:
-// the batch's requests are immutable from submit to completion (mutating
-// them mid-batch is a data race), so a memo keyed by identity can reuse
-// the task-section digest across the requests that share a job value —
-// the canonical sweep shape (fig-4 runs the same job under 3 configs).
-// The memo never outlives its batch, so identity can never go stale.
-type jobIdent struct {
-	ptr *cluster.Task
-	n   int
+// flushAt is the fill at which the encoders hand their buffer to the
+// hasher, so an encoding of any length streams through one small buffer.
+const flushAt = 512
+
+func flush(h hash.Hash, b []byte) []byte {
+	h.Write(b)
+	return b[:0]
 }
 
-// runKeyMemo derives one request's key, reusing task-section digests from
-// memo (by slice identity) when non-nil. Hashing the task section is the
-// dominant cost of a cache probe; everything else is O(config).
-func runKeyMemo(job cluster.Job, cfg cluster.Config, memo map[jobIdent][sha256.Size]byte) (key [32]byte, ok bool) {
-	cfg = cfg.Normalized()
+// digestOf returns the task-section digest of tasks: the stored one while
+// tasks is still the slice Prepare hashed (same backing array and length),
+// else — p nil, or a request re-pointed at other tasks — a hash by value,
+// so a stale digest can never surface as another job's key.
+func (p *Prepared) digestOf(tasks []cluster.Task) [sha256.Size]byte {
+	if p != nil && len(tasks) == len(p.job.Tasks) && (len(tasks) == 0 || &tasks[0] == &p.job.Tasks[0]) {
+		return p.digest
+	}
+	return tasksDigest(tasks)
+}
+
+// key derives the request's key: the one encoder, prepared or not.
+func (r Request) key() (key [32]byte, ok bool) {
+	cfg := r.Config.Normalized()
 	keyer, ok := cfg.Injector.(fault.Keyer)
 	if !ok {
 		return key, false
 	}
-	var id jobIdent
-	if len(job.Tasks) > 0 {
-		id = jobIdent{&job.Tasks[0], len(job.Tasks)}
-	}
-	td, found := memo[id]
-	if !found {
-		td = tasksDigest(job.Tasks)
-		if memo != nil {
-			memo[id] = td
-		}
-	}
-	b := make([]byte, 0, 512)
+	td := r.prep.digestOf(r.Job.Tasks)
+	h := sha256.New()
+	b := make([]byte, 0, flushAt+256)
 	b = append(b, 'R', '1', 'J') // request kind + encoding version
-	b = appendString(b, job.Name)
-	b = appendI64(b, job.InputBytes)
+	b = appendString(b, r.Job.Name)
+	b = appendI64(b, r.Job.InputBytes)
 	b = append(b, td[:]...)
-	b = appendConfig(b, cfg, keyer)
-	return sha256.Sum256(b), true
+	b = appendConfig(h, b, cfg, keyer)
+	h.Write(b)
+	h.Sum(key[:0])
+	return key, true
 }
 
 // OptimizeKey returns the content-addressed cache key of one placement
@@ -119,10 +148,12 @@ func OptimizeKey(p *place.Profile, start *simnet.Topology, opts place.Options) [
 
 // tasksDigest hashes the canonical encoding of the task list. The section
 // digests separately from the rest of the request (its 32-byte digest is
-// spliced into the request stream) so batch submission can compute it once
-// per shared job instead of once per request.
-func tasksDigest(tasks []cluster.Task) [sha256.Size]byte {
-	b := make([]byte, 0, 64+40*len(tasks))
+// spliced into the request stream) so a Prepared job computes it once
+// instead of once per request.
+func tasksDigest(tasks []cluster.Task) (d [sha256.Size]byte) {
+	h := sha256.New()
+	b := make([]byte, 0, flushAt+256)
+	var edges [][2]int64 // one task's edges, reused across tasks
 	b = appendU64(b, uint64(len(tasks)))
 	for i := range tasks {
 		t := &tasks[i]
@@ -139,30 +170,36 @@ func tasksDigest(tasks []cluster.Task) [sha256.Size]byte {
 		// predecessors regardless of edge order, so encode edges sorted by
 		// (dep, bytes) and permuted spellings digest identically.
 		b = appendU64(b, uint64(len(t.Deps)))
-		edges := make([][2]int64, len(t.Deps))
+		edges = edges[:0]
 		for k, d := range t.Deps {
-			edges[k][0] = int64(d)
+			e := [2]int64{int64(d), 0}
 			if t.DepBytes != nil {
-				edges[k][1] = t.DepBytes[k]
+				e[1] = t.DepBytes[k]
 			}
+			edges = append(edges, e)
 		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i][0] != edges[j][0] {
-				return edges[i][0] < edges[j][0]
-			}
-			return edges[i][1] < edges[j][1]
-		})
+		slices.SortFunc(edges, cmpEdge)
 		for _, e := range edges {
 			b = appendI64(b, e[0])
 			b = appendI64(b, e[1])
 		}
+		if len(b) >= flushAt {
+			b = flush(h, b)
+		}
 	}
-	return sha256.Sum256(b)
+	h.Write(b)
+	h.Sum(d[:0])
+	return d
 }
 
-// appendConfig encodes a normalized config. The injector is encoded through
-// its Keyer; the caller has already checked the assertion.
-func appendConfig(b []byte, cfg cluster.Config, keyer fault.Keyer) []byte {
+func cmpEdge(a, b [2]int64) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// appendConfig encodes a normalized config, flushing to h as the
+// Replicated section fills b. The injector is encoded through its Keyer;
+// the caller has already checked the assertion.
+func appendConfig(h hash.Hash, b []byte, cfg cluster.Config, keyer fault.Keyer) []byte {
 	b = append(b, 'C')
 	b = appendI64(b, int64(cfg.Nodes))
 	b = appendI64(b, int64(cfg.CoresPerNode))
@@ -183,6 +220,9 @@ func appendConfig(b []byte, cfg cluster.Config, keyer fault.Keyer) []byte {
 	for i, r := range cfg.Replicated {
 		if r {
 			b = appendU64(b, uint64(i))
+			if len(b) >= flushAt {
+				b = flush(h, b)
+			}
 		}
 	}
 	b = keyer.AppendKey(b)

@@ -25,7 +25,7 @@ func TestEngineConcurrentCallersStress(t *testing.T) {
 		Replicated: cluster.All(len(job.Tasks)),
 		Injector:   fault.NewFixedRate(7, 1e-2, 1e-2),
 	}
-	base = append(base, Request{job, cfg})
+	base = append(base, Request{Job: job, Config: cfg})
 
 	want := make([]cluster.Result, len(base))
 	for i, r := range base {

@@ -26,6 +26,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -69,10 +70,13 @@ func (e *RequestError) Unwrap() error { return e.Err }
 // Is reports true for the package sentinel.
 func (e *RequestError) Is(target error) bool { return target == ErrRequest }
 
-// Request is one cluster simulation of a sweep batch.
+// Request is one cluster simulation of a sweep batch. A bare literal hashes
+// its job by value on every submission; (*Prepared).Request hashes it once.
 type Request struct {
 	Job    cluster.Job
 	Config cluster.Config
+	// prep is the Prepared the request came from, nil for a bare literal.
+	prep *Prepared
 }
 
 // Response is one request's outcome: the simulation result (bitwise what a
@@ -267,20 +271,12 @@ func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (
 	return c.val, c.err, false, false
 }
 
-// preKey is a request key derived at batch submission (with the batch's
-// task-digest memo) and handed to the worker that runs the request.
-type preKey struct {
-	key [32]byte
-	ok  bool
-}
-
 // runOne executes one request through the cache/singleflight path, filling
-// the per-stage metrics. enqueued is when the request entered the engine;
-// pre carries a batch-precomputed key (nil for single Run calls). A ctx
-// already expired at pickup fails the request without simulating — a
+// the per-stage metrics. enqueued is when the request entered the engine. A
+// ctx already expired at pickup fails the request without simulating — a
 // cancelled request stops waiting in the queue instead of running to
 // completion.
-func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time.Time, pre *preKey) Response {
+func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time.Time) Response {
 	e.requests.Add(1)
 	started := e.now()
 	m := Metrics{Index: idx, Name: req.Job.Name, QueueWait: started.Sub(enqueued)}
@@ -291,16 +287,12 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 			Nodes: cfg.Nodes, Cores: cfg.CoresPerNode, Err: err}, Metrics: m}
 	}
 
-	var key [32]byte
-	var cacheable bool
-	if pre != nil {
-		key, cacheable = pre.key, pre.ok
-	} else {
-		key, cacheable = RunKey(req.Job, req.Config)
-	}
+	key, cacheable := req.key()
 	m.CacheLookup = e.now().Sub(started)
 	if cacheable {
-		m.Key = fmt.Sprintf("%x", key[:8])
+		var hx [16]byte
+		hex.Encode(hx[:], key[:8])
+		m.Key = string(hx[:])
 	}
 
 	var res cluster.Result
@@ -347,7 +339,7 @@ func cloneResult(r cluster.Result) cluster.Result {
 // Run executes one request (through the cache and coalescing) and blocks
 // for its result.
 func (e *Engine) Run(job cluster.Job, cfg cluster.Config) (cluster.Result, error) {
-	resp := e.runOne(context.Background(), 0, Request{Job: job, Config: cfg}, e.now(), nil)
+	resp := e.runOne(context.Background(), 0, Request{Job: job, Config: cfg}, e.now())
 	return resp.Result, resp.Err
 }
 
@@ -358,7 +350,7 @@ func (e *Engine) Run(job cluster.Job, cfg cluster.Config) (cluster.Result, error
 // the service layer (internal/serve) dispatches through, so every queued
 // request it drops on cancellation carries its own deadline.
 func (e *Engine) RunRequest(ctx context.Context, req Request) Response {
-	return e.runOne(ctx, 0, req, e.now(), nil)
+	return e.runOne(ctx, 0, req, e.now())
 }
 
 // RunBatch executes a batch across the worker pool and returns one
@@ -372,20 +364,16 @@ func (e *Engine) RunRequest(ctx context.Context, req Request) Response {
 // up (or still waiting on a coalesced twin) fail with ctx.Err() wrapped in
 // their RequestError, while simulations already executing run to
 // completion — their results stay valid and cached.
+//
+// Workers derive each request's key themselves: O(config) for a Prepared
+// job, which is what every in-repo caller submits. Requests sharing a bare
+// job re-hash its tasks once per request.
 func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]Response, error) {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
 		return out, nil
 	}
 	enqueued := e.now()
-	// Derive every key up front with a shared task-digest memo: requests
-	// that carry the same job value (by slice identity) hash its task
-	// section once for the whole batch.
-	keys := make([]preKey, len(reqs))
-	memo := make(map[jobIdent][32]byte, len(reqs))
-	for i := range reqs {
-		keys[i].key, keys[i].ok = runKeyMemo(reqs[i].Job, reqs[i].Config, memo)
-	}
 	workers := e.opts.Workers
 	if workers > len(reqs) {
 		workers = len(reqs)
@@ -397,7 +385,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]Response, erro
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = e.runOne(ctx, i, reqs[i], enqueued, &keys[i])
+				out[i] = e.runOne(ctx, i, reqs[i], enqueued)
 			}
 		}()
 	}

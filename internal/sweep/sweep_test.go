@@ -27,19 +27,22 @@ func testJob(t testing.TB, name string, nodes int) cluster.Job {
 }
 
 // fig4Requests is a small fig-4-class batch: per benchmark a fault-free
-// base run, a complete-replication run and a faulty replicated run.
+// base run, a complete-replication run and a faulty replicated run. The
+// batch mixes the two request spellings — the base run is a bare literal,
+// the other two come from one Prepared — so every engine test exercises
+// both key derivations side by side.
 func fig4Requests(t testing.TB, names []string) []Request {
 	t.Helper()
 	var reqs []Request
 	for _, name := range names {
-		job := testJob(t, name, 1)
+		p := Prepare(testJob(t, name, 1))
 		base := cluster.Config{Nodes: 1, CoresPerNode: 16}
 		repl := base
 		repl.ReplicaCores = 16
-		repl.Replicated = cluster.All(len(job.Tasks))
+		repl.Replicated = p.AllReplicated()
 		faulty := repl
 		faulty.Injector = fault.NewFixedRate(42, 5e-3, 5e-3)
-		reqs = append(reqs, Request{job, base}, Request{job, repl}, Request{job, faulty})
+		reqs = append(reqs, Request{Job: p.Job(), Config: base}, p.Request(repl), p.Request(faulty))
 	}
 	return reqs
 }
@@ -173,8 +176,8 @@ func TestBatchErrorNamesRequest(t *testing.T) {
 	good := testJob(t, "stream", 1)
 	bad := cluster.Job{Name: "broken", Tasks: []cluster.Task{{Node: 7, Cost: 1}}}
 	reqs := []Request{
-		{good, cluster.Config{Nodes: 1, CoresPerNode: 4}},
-		{bad, cluster.Config{Nodes: 1, CoresPerNode: 4}},
+		{Job: good, Config: cluster.Config{Nodes: 1, CoresPerNode: 4}},
+		{Job: bad, Config: cluster.Config{Nodes: 1, CoresPerNode: 4}},
 	}
 	eng := New(Options{Workers: 2})
 	resps, err := eng.RunBatch(context.Background(), reqs)
