@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke loc
 
 check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build
 
@@ -119,6 +119,12 @@ bench-compare:
 #	make benchmark W=serve-hit
 benchmark:
 	sh benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
+
+# Code-line ledger: non-test .go lines that are neither blank nor //-only,
+# per package and in total — the unit the size claims in ROADMAP.md and
+# CHANGES.md are made in.
+loc:
+	sh scripts/loc.sh
 
 # Compile every example and command entry point; catches facade drift that
 # package tests cannot see.

@@ -18,9 +18,9 @@
 // of in-process ranks and communicate through communicators: World.Comm is
 // the world communicator, Comm.Split derives isolated sub-groups with
 // densely re-numbered ranks (MPI_Comm_split style), and all point-to-point
-// operations and collectives — Barrier, Broadcast, Allgather, Allreduce,
-// ReduceScatter — are Comm-scoped, so two groups can never cross-match each
-// other's traffic even with identical tags.
+// operations and collectives — Barrier, Broadcast, Allgather(v),
+// ReduceScatterv, Allreduce — are Comm-scoped, so two groups can never
+// cross-match each other's traffic even with identical tags.
 //
 // Quick start:
 //
@@ -41,8 +41,6 @@
 package appfit
 
 import (
-	"io"
-
 	"appfit/internal/buffer"
 	"appfit/internal/cluster"
 	"appfit/internal/core"
@@ -51,10 +49,8 @@ import (
 	"appfit/internal/fit"
 	"appfit/internal/place"
 	"appfit/internal/rt"
-	"appfit/internal/serve"
 	"appfit/internal/simnet"
 	"appfit/internal/sweep"
-	"appfit/internal/trace"
 	"appfit/internal/vote"
 )
 
@@ -134,28 +130,19 @@ type (
 	ReplicateNone = core.ReplicateNone
 )
 
-// Rates are node-level failure rates in FIT; Task is a per-task estimate.
-type (
-	Rates   = fit.Rates
-	FITTask = fit.Task
-)
+// Rates are node-level failure rates in FIT.
+type Rates = fit.Rates
 
 // Roadrunner returns the neutron-beam-derived rates the paper anchors to
 // (Michalak et al.: crash 2.22×10³ FIT per 32 GB).
 func Roadrunner() Rates { return fit.Roadrunner() }
 
 // Injector supplies fault outcomes for execution attempts. NewSeededInjector
-// injects at the estimated per-task rates (deterministically from a seed);
-// NewFixedRateInjector uses constant per-execution probabilities.
+// injects at the estimated per-task rates (deterministically from a seed).
 type Injector = fault.Injector
 
 // NewSeededInjector returns a deterministic FIT-driven injector.
 func NewSeededInjector(seed uint64) *fault.Seeded { return fault.NewSeeded(seed) }
-
-// NewFixedRateInjector returns an injector with constant probabilities.
-func NewFixedRateInjector(seed uint64, pDUE, pSDC float64) *fault.FixedRate {
-	return fault.NewFixedRate(seed, pDUE, pSDC)
-}
 
 // Comparator checks replica agreement; Bitwise is the paper's default.
 type (
@@ -163,12 +150,6 @@ type (
 	Bitwise    = vote.Bitwise
 	Checksum   = vote.Checksum
 )
-
-// Tracer records per-task events; attach via Config.Tracer.
-type Tracer = trace.Tracer
-
-// NewTracer returns an empty Tracer.
-func NewTracer() *Tracer { return trace.New() }
 
 // World is the distributed substrate (the OmpSs+MPI hybrid model, §III):
 // in-process ranks, each with its own Runtime, exchanging messages through
@@ -187,11 +168,7 @@ func NewWorld(cfg WorldConfig) *World { return dist.NewWorld(cfg) }
 // matching context.
 type Comm = dist.Comm
 
-// CommRank is one member's view of a communicator: comm-local rank plus
-// the underlying world rank; point-to-point Send/Recv live here.
-type CommRank = dist.CommRank
-
-// ReduceOp combines src into dst element-wise in Allreduce/ReduceScatter;
+// ReduceOp combines src into dst element-wise in Allreduce/ReduceScatterv;
 // it must be deterministic in its arguments.
 type ReduceOp = dist.ReduceOp
 
@@ -255,88 +232,19 @@ func MarenostrumTopology(ranks, perNode int) (*Topology, error) {
 // interconnect and reports the link-occupancy makespan via Now().
 type SimTransport = dist.Sim
 
-// NewSimTransport returns a flat virtual-fabric transport (every rank its
-// own node, every link priced by cfg). An invalid cfg — zero/negative
-// bandwidth, negative or non-finite latency — panics with a wrapped
-// ErrNetConfig: it is a programmer error, like scheduling a simulation
-// event in the past. Check cfg.Validate() first when the model comes from
-// configuration; the Topology constructors validate for you.
-func NewSimTransport(cfg NetConfig) *SimTransport { return dist.NewSim(cfg) }
-
 // NewSimTopologyTransport returns a placement-aware virtual-fabric
 // transport: node-mate messages are priced by the topology's intra model,
 // node-crossing ones by the inter model, serialized per physical cable.
 func NewSimTopologyTransport(topo *Topology) *SimTransport { return dist.NewSimTopology(topo) }
 
-// Named errors of the topology layer: malformed link cost models and
-// placements (simnet constructors), and a World topology that does not
-// cover the World's ranks.
-var (
-	ErrNetConfig     = simnet.ErrConfig
-	ErrNetTopology   = simnet.ErrTopology
-	ErrWorldTopology = dist.ErrTopology
-)
-
-// The placement-optimization pipeline (internal/place, DESIGN.md §9):
-// capture a Profile of rank-pair traffic — record a live SimTransport
-// (SimTransport.Record) or derive one statically — evaluate it under any
-// candidate Topology, and search assignments against the meter's makespan.
-// PlaceEval.Makespan is bitwise the makespan a live run of the profiled
-// traffic would report on that topology.
-type (
-	// Profile is a directed rank-pair traffic matrix.
-	Profile = place.Profile
-	// PlaceOptions shapes the optimizer's machine and search budget.
-	PlaceOptions = place.Options
-	// PlaceEval is one candidate placement's price (makespan, wire bytes).
-	PlaceEval = place.Eval
-	// PlaceResult is an optimization outcome: best topology, its price,
-	// the input placement's price, and the evaluated trajectory.
-	PlaceResult = place.Result
-	// PlaceScorer prices individual swap/relocate moves incrementally —
-	// O(moved ranks' traffic degree) per candidate instead of a full
-	// profile replay — with Eval bitwise equal to EvaluatePlacement of the
-	// same assignment. The optimizer runs on it internally; it is exported
-	// for callers building their own searches (DESIGN.md §10).
-	PlaceScorer = place.Scorer
-)
+// Profile is a directed rank-pair traffic matrix, the input of the
+// placement optimizer (internal/place, DESIGN.md §9): attach one to a live
+// SimTransport with SimTransport.Record to capture who sent how much to
+// whom.
+type Profile = place.Profile
 
 // NewProfile returns an empty traffic profile over ranks ranks.
 func NewProfile(ranks int) *Profile { return place.NewProfile(ranks) }
-
-// EvaluatePlacement prices a traffic profile under a candidate topology by
-// replaying it through a fresh placement meter.
-func EvaluatePlacement(p *Profile, topo *Topology) (PlaceEval, error) {
-	return place.Evaluate(p, topo)
-}
-
-// OptimizePlacement searches rank→node assignments of profile p against
-// the meter's makespan: a greedy co-location seed refined by seeded local
-// search over delta-priced moves, never evaluating worse than the input
-// placement start when the machine is derived from it. start may be nil
-// to search from scratch (then opts.PerNode is required). Set
-// opts.Anneal for simulated annealing instead of the default hill climb
-// — same budget, same determinism per seed, better at escaping local
-// minima on irregular traffic.
-func OptimizePlacement(p *Profile, start *Topology, opts PlaceOptions) (PlaceResult, error) {
-	return place.Optimize(p, start, opts)
-}
-
-// NewPlaceScorer builds an incremental evaluator for profile p starting
-// at the given rank→node assignment, with links priced by intra/inter.
-// Construction replays the profile once; every move after that is priced
-// by delta.
-func NewPlaceScorer(p *Profile, assign []int, intra, inter NetConfig) (*PlaceScorer, error) {
-	return place.NewScorer(p, assign, intra, inter)
-}
-
-// Named errors of the placement optimizer.
-var (
-	ErrPlaceProfile  = place.ErrProfile
-	ErrPlaceRanks    = place.ErrRanks
-	ErrPlaceOptions  = place.ErrOptions
-	ErrPlaceCapacity = place.ErrCapacity
-)
 
 // The parallel sweep engine (internal/sweep, DESIGN.md §11): batches of
 // cluster simulations execute concurrently on a worker pool, identical
@@ -364,15 +272,7 @@ type (
 	// SweepMetrics is the flat per-request timing record (queue wait,
 	// cache lookup, simulation, total) behind SweepResponse.Metrics.
 	SweepMetrics = sweep.Metrics
-	// SweepStats are the engine's cumulative cache/coalescing counters.
-	SweepStats = sweep.Stats
-	// SweepRequestError names the request behind a failed sweep run; it
-	// wraps ErrSweepRequest.
-	SweepRequestError = sweep.RequestError
 )
-
-// ErrSweepRequest is the sentinel every failed sweep request wraps.
-var ErrSweepRequest = sweep.ErrRequest
 
 // NewSweep starts a sweep engine. The zero SweepOptions means one worker
 // per CPU and the default cache size.
@@ -383,66 +283,3 @@ func NewSweep(opts SweepOptions) *Sweep { return sweep.New(opts) }
 // hundred bytes of hashing instead of the whole DAG. The job's Tasks must
 // not be mutated afterwards.
 func PrepareJob(job SimJob) *PreparedJob { return sweep.Prepare(job) }
-
-// WriteSweepMetricsCSV writes per-request stage timings as CSV, one row
-// per request; SweepBatchMetrics collects them from a batch's responses.
-func WriteSweepMetricsCSV(w io.Writer, ms []SweepMetrics) error {
-	return sweep.WriteMetricsCSV(w, ms)
-}
-
-// SweepBatchMetrics extracts the per-request metrics of a batch in order.
-func SweepBatchMetrics(resps []SweepResponse) []SweepMetrics {
-	return sweep.BatchMetrics(resps)
-}
-
-// The multi-tenant service layer (internal/serve, DESIGN.md §12): a Serve
-// wraps one sweep engine behind per-tenant bounded queues drained by
-// deficit-round-robin at configured weights, with admission control (queue
-// caps + token-bucket rate limits) that rejects fast with ErrServeAdmission
-// instead of queueing unbounded work, and a graceful drain for shutdown.
-// cmd/appfitd serves this over HTTP/JSON; cmd/appfit-load drives it.
-type (
-	// Serve is the multi-tenant server; one instance serves any number of
-	// submitting goroutines.
-	Serve = serve.Server
-	// ServeOptions names the tenants and sizes the worker pool, DRR
-	// quantum and engine.
-	ServeOptions = serve.Options
-	// ServeTenant is one tenant's admission and scheduling config: name,
-	// DRR weight, queue cap, token-bucket rate/burst.
-	ServeTenant = serve.TenantConfig
-	// ServeResponse is one request's outcome with its service metrics.
-	ServeResponse = serve.Response
-	// ServeMetrics is the flat per-request service record: tenant,
-	// admission wait, queue wait, then the engine's stage timings.
-	ServeMetrics = serve.Metrics
-	// ServeStats is the server's accounting snapshot (admitted, rejected,
-	// completed, failed, queued, inflight — per tenant and total).
-	ServeStats = serve.Stats
-	// ServeAdmissionError is a rejection's detail: tenant, reason and the
-	// size of the bounced batch. It wraps ErrServeAdmission.
-	ServeAdmissionError = serve.AdmissionError
-)
-
-// ErrServeAdmission is the sentinel every admission rejection wraps.
-var ErrServeAdmission = serve.ErrAdmission
-
-// NewServe starts a multi-tenant server over opts.Engine (or a fresh
-// engine when nil). At least one tenant is required.
-func NewServe(opts ServeOptions) (*Serve, error) { return serve.New(opts) }
-
-// ParseServeTenants parses a "name=weight[/rate[/burst[/cap]]],..." tenant
-// spec, the format cmd/appfitd's -tenants flag uses.
-func ParseServeTenants(spec string) ([]ServeTenant, error) { return serve.ParseTenants(spec) }
-
-// WriteServeMetricsCSV writes tenant-labeled per-request service metrics
-// as CSV, one row per request; ServeBatchMetrics collects them from a
-// batch's responses.
-func WriteServeMetricsCSV(w io.Writer, ms []ServeMetrics) error {
-	return serve.WriteMetricsCSV(w, ms)
-}
-
-// ServeBatchMetrics extracts the service metrics of a batch in order.
-func ServeBatchMetrics(resps []ServeResponse) []ServeMetrics {
-	return serve.BatchMetrics(resps)
-}

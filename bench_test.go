@@ -204,8 +204,9 @@ func BenchmarkAblationVoters(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStaleness compares App_FIT's completion-time FIT
-// accounting against the strict decision-time variant (§IV-B design choice).
+// BenchmarkAblationStaleness prices App_FIT's decision-time reservation
+// (Decide reserves, Observe settles — §IV-B's contract at any worker
+// count) over a sequential pass.
 func BenchmarkAblationStaleness(b *testing.B) {
 	tasks := make([]fit.Task, 5000)
 	total := 0.0
@@ -216,14 +217,6 @@ func BenchmarkAblationStaleness(b *testing.B) {
 	b.Run("app_fit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := core.NewAppFIT(total/10, len(tasks))
-			for _, t := range tasks {
-				s.Observe(t, s.Decide(t))
-			}
-		}
-	})
-	b.Run("strict", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := core.NewAppFITStrict(total/10, len(tasks))
 			for _, t := range tasks {
 				s.Observe(t, s.Decide(t))
 			}

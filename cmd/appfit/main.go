@@ -5,7 +5,7 @@
 //
 //	appfit -bench cholesky -scale small -policy app_fit -rate-scale 10 -workers 4
 //
-// Policies: app_fit, app_fit_strict, all, none, random. With app_fit the
+// Policies: app_fit, all, none, random. With app_fit the
 // threshold defaults to the application's estimated FIT at today's (1×)
 // rates, preserving current reliability under the scaled error rates.
 package main
@@ -27,7 +27,7 @@ import (
 func main() {
 	benchName := flag.String("bench", "cholesky", "benchmark name (see cmd/experiments table1)")
 	scaleFlag := flag.String("scale", "small", "tiny, small or medium")
-	policy := flag.String("policy", "app_fit", "app_fit, app_fit_strict, all, none or random")
+	policy := flag.String("policy", "app_fit", "app_fit, all, none or random")
 	rateScale := flag.Float64("rate-scale", 10, "error-rate multiplier (10 = pessimistic exascale)")
 	threshold := flag.Float64("threshold", 0, "FIT threshold (0 = application FIT at 1x rates)")
 	randomP := flag.Float64("p", 0.5, "probability for the random policy")
@@ -94,8 +94,6 @@ func main() {
 	switch *policy {
 	case "app_fit":
 		sel = core.NewAppFIT(thr, n)
-	case "app_fit_strict":
-		sel = core.NewAppFITStrict(thr, n)
 	case "all":
 		sel = core.ReplicateAll{}
 	case "none":

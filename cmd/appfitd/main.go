@@ -107,10 +107,10 @@ func main() {
 	os.Exit(code)
 }
 
-// defaultCap mirrors the serve-side queue-cap default for the banner.
+// defaultCap is the queue cap serve will apply, for the banner.
 func defaultCap(c int) int {
 	if c <= 0 {
-		return 1024
+		return serve.DefaultQueueCap
 	}
 	return c
 }

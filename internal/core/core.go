@@ -38,11 +38,18 @@ type Selector interface {
 //
 //	current_fit + (λF(T)+λSDC(T)) > (threshold/N) × (i+1)
 //
-// where current_fit is the accumulated FIT of finished unreplicated tasks
-// and i is the number of decisions made so far. If the condition holds the
-// task is replicated (its failures are detected and recovered, so it
-// contributes no unprotected FIT); otherwise it runs unreplicated and its
-// FIT is added to current_fit when it finishes.
+// where i is the number of decisions made so far and current_fit is the
+// FIT of every task so far admitted to run unreplicated — finished ones and
+// those still in flight. If the condition holds the task is replicated (its
+// failures are detected and recovered, so it contributes no unprotected
+// FIT); otherwise it runs unreplicated and its FIT is reserved against the
+// budget at once, then settled into the finished total when Observe reports
+// it done. Reserving at decision time is what makes the contract hold with
+// any number of workers: charged only at completion, W workers could each
+// admit a task against the same budget and overshoot it by up to
+// (W−1)·max-task-FIT. Run sequentially — every Decide followed by its
+// Observe — the reservation is (0 + t) − t = 0 exactly and the decisions are
+// those of the completion-charged rule, bit for bit.
 //
 // Per §IV-B the heuristic only ever adds tasks to the replicated set — a
 // decision is never revoked, so protection already paid for is never lost.
@@ -51,6 +58,7 @@ type AppFIT struct {
 	threshold float64
 	n         int
 	current   float64 // FIT of finished unreplicated tasks
+	inflight  float64 // FIT reserved by admitted unreplicated tasks not yet observed
 	decided   int     // i: decisions made so far
 	replicas  int     // tasks chosen for replication
 	maxExcess float64 // worst observed current_fit − prorated budget (≤0 if never exceeded)
@@ -70,27 +78,30 @@ func NewAppFIT(threshold float64, totalTasks int) *AppFIT {
 // Name implements Selector.
 func (a *AppFIT) Name() string { return "app_fit" }
 
-// Decide implements Selector (Equation 1, checked atomically).
+// Decide implements Selector (Equation 1, checked atomically; an admitted
+// task's FIT is reserved until Observe).
 func (a *AppFIT) Decide(t fit.Task) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	i := a.decided
 	a.decided++
 	budget := a.threshold / float64(a.n) * float64(i+1)
-	if a.current+t.Total() > budget {
+	if a.current+a.inflight+t.Total() > budget {
 		a.replicas++
 		return true
 	}
+	a.inflight += t.Total()
 	return false
 }
 
-// Observe implements Selector: the FIT of an unreplicated task is added to
-// current_fit when the task finishes (§IV-B).
+// Observe implements Selector: the reserved FIT of an unreplicated task
+// moves to current_fit when the task finishes.
 func (a *AppFIT) Observe(t fit.Task, replicated bool) {
 	if replicated {
 		return
 	}
 	a.mu.Lock()
+	a.inflight -= t.Total()
 	a.current += t.Total()
 	// Track the worst excess over the prorated budget at this point; the
 	// runtime uses it to verify the threshold contract.
@@ -101,7 +112,7 @@ func (a *AppFIT) Observe(t fit.Task, replicated bool) {
 	a.mu.Unlock()
 }
 
-// CurrentFIT returns the accumulated unprotected FIT so far.
+// CurrentFIT returns the unprotected FIT accumulated by finished tasks.
 func (a *AppFIT) CurrentFIT() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -125,72 +136,13 @@ func (a *AppFIT) Replicated() int {
 // Threshold returns the configured threshold.
 func (a *AppFIT) Threshold() float64 { return a.threshold }
 
-// MaxExcess returns the worst observed overshoot of current_fit above the
-// prorated budget (≤ 0 means the contract held at every completion). A small
-// positive transient is possible because, as in the paper's design,
-// current_fit is only updated when a task *finishes*: concurrently running
-// unreplicated tasks are invisible to each other's decisions. AppFITStrict
-// removes that window.
+// MaxExcess returns the worst overshoot of current_fit above the prorated
+// budget observed at any completion; ≤ 0 means the contract held, which the
+// reservation in Decide guarantees at any worker count.
 func (a *AppFIT) MaxExcess() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.maxExcess
-}
-
-// AppFITStrict is the ablation variant that charges an unreplicated task's
-// FIT at decision time instead of completion time, closing the in-flight
-// window at the cost of slightly more replication. DESIGN.md §4 lists the
-// comparison as an ablation experiment.
-type AppFITStrict struct {
-	mu        sync.Mutex
-	threshold float64
-	n         int
-	current   float64
-	decided   int
-	replicas  int
-}
-
-// NewAppFITStrict returns the strict variant.
-func NewAppFITStrict(threshold float64, totalTasks int) *AppFITStrict {
-	if totalTasks < 1 {
-		totalTasks = 1
-	}
-	return &AppFITStrict{threshold: threshold, n: totalTasks}
-}
-
-// Name implements Selector.
-func (a *AppFITStrict) Name() string { return "app_fit_strict" }
-
-// Decide implements Selector.
-func (a *AppFITStrict) Decide(t fit.Task) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	i := a.decided
-	a.decided++
-	budget := a.threshold / float64(a.n) * float64(i+1)
-	if a.current+t.Total() > budget {
-		a.replicas++
-		return true
-	}
-	a.current += t.Total() // charged immediately
-	return false
-}
-
-// Observe implements Selector (no-op: charging happened in Decide).
-func (a *AppFITStrict) Observe(t fit.Task, replicated bool) {}
-
-// CurrentFIT returns the accumulated unprotected FIT.
-func (a *AppFITStrict) CurrentFIT() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.current
-}
-
-// Replicated returns the number of tasks chosen for replication.
-func (a *AppFITStrict) Replicated() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.replicas
 }
 
 // ReplicateAll replicates every task: the paper's "complete task

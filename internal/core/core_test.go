@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -198,12 +200,12 @@ func TestAppFITConcurrentDecisionsSafe(t *testing.T) {
 	}
 }
 
-func TestAppFITStrictContractUnderConcurrency(t *testing.T) {
-	// The strict variant charges at decision time, so even with concurrent
-	// deciders the invariant holds at every instant.
+func TestAppFITContractUnderConcurrency(t *testing.T) {
+	// An admitted task's FIT is reserved at decision time, so even with
+	// concurrent deciders the invariant holds at every instant.
 	const n = 2000
 	total := float64(n) * 1.0
-	a := NewAppFITStrict(total/10, n)
+	a := NewAppFIT(total/10, n)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -216,15 +218,38 @@ func TestAppFITStrictContractUnderConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if a.CurrentFIT() > total/10+1e-9 {
-		t.Fatalf("strict variant exceeded threshold: %g > %g", a.CurrentFIT(), total/10)
+	if a.CurrentFIT() > total/10+1e-9 || a.MaxExcess() > 1e-9 {
+		t.Fatalf("threshold %g exceeded: final %g, worst excess %g", total/10, a.CurrentFIT(), a.MaxExcess())
 	}
-	if a.Name() != "app_fit_strict" {
-		t.Fatal("bad name")
+}
+
+// completionCharged is the rule AppFIT replaced, kept here as a reference:
+// Equation 1 against the FIT of *finished* unreplicated tasks only, so
+// tasks in flight are invisible to each other's decisions.
+type completionCharged struct {
+	threshold float64
+	n         int
+	current   float64
+	decided   int
+}
+
+func (c *completionCharged) Name() string { return "completion_charged" }
+
+func (c *completionCharged) Decide(t fit.Task) bool {
+	c.decided++
+	return c.current+t.Total() > c.threshold/float64(c.n)*float64(c.decided)
+}
+
+func (c *completionCharged) Observe(t fit.Task, replicated bool) {
+	if !replicated {
+		c.current += t.Total()
 	}
 }
 
 func TestStrictReplicatesAtLeastAsMuchAsBase(t *testing.T) {
+	// Under sequential execution the reservation is made and settled
+	// between two decisions, so AppFIT and the completion-charged reference
+	// decide identically, task by task.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 100 + r.Intn(100)
@@ -235,20 +260,104 @@ func TestStrictReplicatesAtLeastAsMuchAsBase(t *testing.T) {
 			total += tasks[i].Total()
 		}
 		thr := total / 8
-		base := NewAppFIT(thr, n)
-		strict := NewAppFITStrict(thr, n)
-		runSequential(base, tasks)
-		bs := 0
-		for _, d := range runSequential(strict, tasks) {
-			if d {
-				bs++
+		base := runSequential(&completionCharged{threshold: thr, n: n}, tasks)
+		for i, d := range runSequential(NewAppFIT(thr, n), tasks) {
+			if d != base[i] {
+				return false
 			}
 		}
-		// Under sequential execution the two are identical.
-		return bs == base.Replicated()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// interleaving is a random schedule of W workers over one task list: each
+// step either starts the next task on an idle worker (Decide) or finishes
+// a running one (Observe), in any order the seed picks.
+type interleaving struct {
+	Seed    uint64
+	Workers int
+}
+
+func (interleaving) Generate(r *rand.Rand, _ int) reflect.Value {
+	return reflect.ValueOf(interleaving{Seed: r.Uint64(), Workers: 1 + r.Intn(8)})
+}
+
+// play runs sel under the interleaving and returns the worst amount by
+// which the FIT admitted to run unreplicated — finished or still in flight
+// — exceeded the prorated budget right after any decision, plus the largest
+// single task FIT.
+func (il interleaving) play(sel func(thr float64, n int) Selector) (worst, maxTask float64) {
+	r := xrand.New(il.Seed)
+	n := 50 + r.Intn(150)
+	tasks := make([]fit.Task, n)
+	total := 0.0
+	for i := range tasks {
+		tasks[i] = fit.Task{ID: uint64(i + 1), DUE: r.ExpFloat64()}
+		total += tasks[i].Total()
+		maxTask = math.Max(maxTask, tasks[i].Total())
+	}
+	thr := total / (1 + 9*r.Float64())
+	s := sel(thr, n)
+	type running struct {
+		t   fit.Task
+		rep bool
+	}
+	var inFlight []running
+	admitted, next := 0.0, 0
+	for next < n || len(inFlight) > 0 {
+		if next < n && len(inFlight) < il.Workers && (len(inFlight) == 0 || r.Intn(2) == 0) {
+			tk := tasks[next]
+			next++
+			rep := s.Decide(tk)
+			inFlight = append(inFlight, running{tk, rep})
+			if !rep {
+				admitted += tk.Total()
+			}
+			worst = math.Max(worst, admitted-thr/float64(n)*float64(next))
+			continue
+		}
+		k := r.Intn(len(inFlight))
+		s.Observe(inFlight[k].t, inFlight[k].rep)
+		inFlight = append(inFlight[:k], inFlight[k+1:]...)
+	}
+	return worst, maxTask
+}
+
+func TestAppFITContractUnderAnyInterleaving(t *testing.T) {
+	// Property: whatever the order of Decide and Observe calls with up to W
+	// tasks in flight, the unprotected FIT admitted so far never exceeds
+	// the prorated budget — and so never the threshold.
+	f := func(il interleaving) bool {
+		worst, _ := il.play(func(thr float64, n int) Selector { return NewAppFIT(thr, n) })
+		return worst <= 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCompletionChargedOvershootsInFlight(t *testing.T) {
+	// What the reservation removes: charged at completion, W workers admit
+	// against the same budget, overshooting by up to (W−1)·max-task-FIT —
+	// never more, and on some schedule by a visible amount.
+	sawOvershoot := false
+	f := func(il interleaving) bool {
+		worst, maxTask := il.play(func(thr float64, n int) Selector {
+			return &completionCharged{threshold: thr, n: n}
+		})
+		if worst > 1e-9 {
+			sawOvershoot = true
+		}
+		return worst <= float64(il.Workers-1)*maxTask+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if !sawOvershoot {
+		t.Fatal("the completion-charged reference never overshot: the property above is vacuous")
 	}
 }
 

@@ -88,18 +88,20 @@ func TestRevocableAccessors(t *testing.T) {
 
 func TestRevocableZeroSlackBehavesLikeStrict(t *testing.T) {
 	// With Slack larger than any headroom, no revocations happen and the
-	// decisions match the strict accounting variant exactly.
+	// decisions match AppFIT's exactly: both charge an admitted task at
+	// decision time (AppFIT's reservation stands until Observe, which this
+	// loop never calls).
 	const n = 500
 	tasks := uniformTasks(n, 1.0)
 	thr := float64(n) / 10
 	rev := NewAppFITRevocable(thr, n)
 	rev.Slack = 1e18
-	strict := NewAppFITStrict(thr, n)
+	strict := NewAppFIT(thr, n)
 	for _, tk := range tasks {
 		dr := rev.Decide(tk)
 		ds := strict.Decide(tk)
 		if dr != ds {
-			t.Fatalf("task %d: revocable(no-slack) %v != strict %v", tk.ID, dr, ds)
+			t.Fatalf("task %d: revocable(no-slack) %v != app_fit %v", tk.ID, dr, ds)
 		}
 	}
 	if c, _ := rev.Revoked(); c != 0 {

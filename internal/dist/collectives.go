@@ -4,13 +4,24 @@
 // unrelated computation and orders itself against related computation
 // purely through region accesses — there is no world-wide synchronous call.
 //
+// Every collective has one argument check and one statement of each
+// schedule it can run; the exported *Flat/*Hier/Allreduce* variants
+// validate and then run the schedule they name, and the plain names
+// (Broadcast, Allgather, Allgatherv, ReduceScatterv, Allreduce) pick the
+// variant from the communicator's placement — for Allreduce, through plan.
+// The schedules are the classic ones of Thakur, Rabenseifner & Gropp
+// (Optimization of Collective Communication Operations in MPICH, IJHPCA
+// 2005): binomial tree, ring, recursive doubling, recursive vector halving.
+// This file holds the message plumbing they share (lane), the flat
+// schedules and the Allreduce selection; hier.go holds the leader-based
+// shapes and vector.go the counts/displacements collectives.
+//
 // Two ordering mechanisms are at work:
 //
-//   - data-carrying collectives (Broadcast, Allgather, Allreduce,
-//     ReduceScatter) chain through the user's region itself: a tree rank's
-//     forwarding sends read the region its receive wrote — and a ring
-//     rank forwards the block its previous-step receive delivered — so the
-//     dataflow tracker orders them;
+//   - data-carrying collectives chain through the user's region itself: a
+//     tree rank's forwarding sends read the region its receive wrote — and a
+//     ring rank forwards the block its previous-step receive delivered — so
+//     the dataflow tracker orders them;
 //   - Barrier has no payload, so its rounds serialize through an Inout
 //     access on a reserved per-member token region (Comm.tokArg) instead;
 //     the same token orders back-to-back collectives of one communicator on
@@ -23,22 +34,16 @@
 // context id keeps even identical plumbing of two communicators apart. Two
 // same-tag same-root collectives outstanding at once on one communicator
 // stay FIFO-consistent because the token serializes each member's plumbing
-// in submission order.
-//
-// Reduction algorithm selection: Allreduce picks between two algorithms by
-// vector length. Short vectors use the gather+broadcast tree rooted at
-// member 0 (AllreduceGather) — 2(n−1) messages and a single deterministic
-// fold, valid for any ReduceOp. Long vectors (≥ TreeAllreduceCrossover
-// elements) use recursive doubling (AllreduceTree): ⌈log2 n⌉ exchange
-// rounds with every member folding in parallel, so no member ever holds
-// more than one extra vector and the root hotspot disappears — at the price
-// of requiring a commutative op (the builtin OpSum/OpMin/OpMax all are).
+// in submission order — which is why every schedule below keeps each
+// member's own submissions in a fixed order, whatever order the members
+// are visited in.
 package dist
 
 import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"strconv"
 
 	"appfit/internal/buffer"
 	"appfit/internal/rt"
@@ -48,12 +53,35 @@ import (
 // region names must not start with it.
 const collKey = "\x00dist"
 
-// Subchannel values for tree pre/post fold traffic, outside the range the
-// doubling rounds (Sub = round index) can reach.
+// Subchannel values for the fold-in traffic of members beyond the largest
+// power of two, outside the range the doubling rounds (Sub = round index)
+// can reach.
 const (
 	subTreePre  = 1 << 20
 	subTreePost = 1<<20 + 1
 )
+
+// mod is a modulo n in [0, n), for ring neighbours left of member 0.
+func mod(a, n int) int { return (a%n + n) % n }
+
+// pick returns all[idx[0]], all[idx[1]], …: one group's share of a
+// per-member slice, in group order.
+func pick[T any](all []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = all[i]
+	}
+	return out
+}
+
+// anyBufs widens typed buffers to the interface slice Broadcast takes.
+func anyBufs(v []buffer.F64) []buffer.Buffer {
+	out := make([]buffer.Buffer, len(v))
+	for i, b := range v {
+		out[i] = b
+	}
+	return out
+}
 
 // checkMembers records a World error and reports false when a collective's
 // per-member argument slice does not have exactly one entry per member.
@@ -64,6 +92,66 @@ func (c *Comm) checkMembers(op string, got int) bool {
 		return false
 	}
 	return true
+}
+
+// checkVectors is checkMembers for per-member vectors that must all have
+// member 0's length (Allreduce operands, Allgatherv's shared vector).
+func (c *Comm) checkVectors(op string, bufs []buffer.F64) bool {
+	if !c.checkMembers(op, len(bufs)) {
+		return false
+	}
+	for i, b := range bufs {
+		if len(b) != len(bufs[0]) {
+			c.w.addErr(fmt.Errorf("dist: %s member %d buffer has %d elements, member 0 has %d: %w",
+				op, i, len(b), len(bufs[0]), ErrCollectiveArgs))
+			return false
+		}
+	}
+	return true
+}
+
+// lane is the message channel of one collective call on one communicator:
+// every message it moves shares the Match class and tag and differs only in
+// subchannel and endpoints (comm ranks). All collective traffic except the
+// payload-free Barrier goes through its four methods, so what a message
+// looks like — Match, token gating, label — is stated once.
+type lane struct {
+	c     *Comm
+	class Class
+	tag   int
+	label string
+}
+
+func (c *Comm) lane(class Class, tag int, label string) lane {
+	return lane{c: c, class: class, tag: tag, label: label}
+}
+
+func (l lane) match(sub, from, to int) Match {
+	return Match{Ctx: l.c.ctx, Src: l.c.worldID(from), Dst: l.c.worldID(to), Class: l.class, Tag: l.tag, Sub: sub}
+}
+
+// send submits member from's send of src to member to.
+func (l lane) send(sub, from, to int, src rt.Arg) {
+	l.c.members[from].commSend(l.label+">"+strconv.Itoa(to), l.match(sub, from, to), 0, src, l.c.tokArg(from))
+}
+
+// recv submits member to's receive into dst of member from's message.
+func (l lane) recv(sub, from, to int, dst rt.Arg) {
+	l.c.members[to].commRecv(l.label+"<"+strconv.Itoa(from), l.match(sub, from, to), 0, dst, l.c.tokArg(to))
+}
+
+// transfer submits both ends of one message: from's send of src, to's
+// receive into dst.
+func (l lane) transfer(sub, from, to int, src, dst rt.Arg) {
+	l.send(sub, from, to, src)
+	l.recv(sub, from, to, dst)
+}
+
+// sendrecv submits member i's side of one exchange step, send first
+// (MPI_Sendrecv): src goes to member to, dst is filled by member from.
+func (l lane) sendrecv(sub, i, to, from int, src, dst rt.Arg) {
+	l.send(sub, i, to, src)
+	l.recv(sub, from, i, dst)
 }
 
 // barrierRounds is the number of dissemination rounds for n ranks.
@@ -88,21 +176,16 @@ func (cr *CommRank) Barrier(tag int, args ...rt.Arg) {
 	}
 	c := cr.c
 	n := len(c.members)
-	if n == 1 {
-		return
-	}
 	r := c.members[cr.id]
+	l := c.lane(ClassBarrier, tag, "barrier")
 	gate := make([]rt.Arg, 0, len(args)+1)
 	gate = append(gate, args...)
 	gate = append(gate, c.tokArg(cr.id))
 	for k := 0; k < barrierRounds(n); k++ {
-		step := 1 << k
-		to := (cr.id + step) % n
-		from := ((cr.id-step)%n + n) % n
-		r.commSend(fmt.Sprintf("barrier:%d/%d", tag, k),
-			Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(to), Class: ClassBarrier, Tag: tag, Sub: k}, -1, gate...)
-		r.commRecv(fmt.Sprintf("barrier:%d/%d", tag, k),
-			Match{Ctx: c.ctx, Src: c.worldID(from), Dst: r.id, Class: ClassBarrier, Tag: tag, Sub: k}, -1, gate...)
+		to, from := (cr.id+1<<k)%n, mod(cr.id-1<<k, n)
+		label := fmt.Sprintf("barrier:%d/%d", tag, k)
+		r.commSend(label, l.match(k, cr.id, to), -1, gate...)
+		r.commRecv(label, l.match(k, from, cr.id), -1, gate...)
 	}
 }
 
@@ -115,88 +198,114 @@ func (c *Comm) Barrier(tag int) {
 }
 
 // Broadcast replicates root's buffer into every member's buffer for region
-// name. On a communicator whose topology is non-flat (see Hierarchical) it
-// runs the hierarchical algorithm (BroadcastHier); otherwise the binomial
-// tree (BroadcastFlat). Both move bitwise-identical payloads; only the
-// routing — and therefore the fabric cost — differs.
+// name: bufs[i] is comm rank i's buffer, and all must match root's type and
+// length. On a communicator whose topology is non-flat (see Hierarchical)
+// it runs BroadcastHier, otherwise BroadcastFlat. Both move
+// bitwise-identical payloads in n−1 messages; only the routing — and
+// therefore the fabric cost — differs. An out-of-range root or a bufs
+// slice of the wrong length records a World error and submits nothing.
 func (c *Comm) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
-	if c.hier {
-		c.BroadcastHier(root, tag, name, bufs)
-		return
-	}
-	c.BroadcastFlat(root, tag, name, bufs)
+	c.broadcast(c.hier, root, tag, name, bufs)
 }
 
-// BroadcastFlat replicates root's buffer into every member's buffer for
-// region name through a binomial tree of dependency-gated transfers:
-// relative rank j receives from j − 2^⌊log2 j⌋ and forwards to every
-// j + 2^k with 2^k > j. bufs[i] is comm rank i's buffer; all must match
-// root's type and length. Intermediate members forward only after their
-// receive wrote the region, so the whole tree is ordered by the dataflow
-// tracker alone. An out-of-range root or a bufs slice of the wrong length
-// records a World error and submits nothing.
+// BroadcastFlat is Broadcast through one binomial tree over the whole
+// communicator, whatever its placement.
 func (c *Comm) BroadcastFlat(root, tag int, name string, bufs []buffer.Buffer) {
-	n := len(c.members)
+	c.broadcast(false, root, tag, name, bufs)
+}
+
+// broadcast validates a Broadcast call and runs the chosen shape.
+func (c *Comm) broadcast(hier bool, root, tag int, name string, bufs []buffer.Buffer) {
 	if !c.checkMembers("Broadcast", len(bufs)) {
 		return
 	}
-	if root < 0 || root >= n {
+	if n := len(c.members); root < 0 || root >= n {
 		c.w.addErr(fmt.Errorf("dist: Broadcast root %d of %d members: %w", root, n, ErrRankOutOfRange))
 		return
 	}
-	if n == 1 {
+	if hier {
+		c.bcastHier(root, tag, name, bufs)
 		return
 	}
-	for i := 0; i < n; i++ {
-		rel := ((i-root)%n + n) % n
-		r := c.members[i]
-		if rel != 0 {
-			parentRel := rel - 1<<(bits.Len(uint(rel))-1)
-			parent := (parentRel + root) % n
-			r.commRecv(fmt.Sprintf("bcast:%s<%d", name, parent),
-				Match{Ctx: c.ctx, Src: c.worldID(parent), Dst: r.id, Class: ClassBcast, Tag: tag, Sub: root},
-				0, rt.Out(name, bufs[i]), c.tokArg(i))
-		}
+	c.bcast(root, tag, name, bufs)
+}
+
+// bcast is the binomial-tree schedule: relative rank j (comm rank minus
+// root, mod n) receives from j − 2^⌊log2 j⌋ and forwards to every j + 2^k
+// with 2^k > j. Parents are visited before their children, so a member's
+// receive is submitted ahead of its forwarding sends, which read the region
+// that receive wrote — the whole tree is ordered by the dataflow tracker
+// alone. Plumbing travels in ClassBcast with the root as the subchannel.
+// A one-member communicator submits nothing.
+func (c *Comm) bcast(root, tag int, name string, bufs []buffer.Buffer) {
+	n := len(c.members)
+	l := c.lane(ClassBcast, tag, "bcast:"+name)
+	for rel := 0; rel < n; rel++ {
+		i := (rel + root) % n
 		for k := bits.Len(uint(rel)); rel+1<<k < n; k++ {
 			child := (rel + 1<<k + root) % n
-			r.commSend(fmt.Sprintf("bcast:%s>%d", name, child),
-				Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(child), Class: ClassBcast, Tag: tag, Sub: root},
-				0, rt.In(name, bufs[i]), c.tokArg(i))
+			l.transfer(root, i, child, rt.In(name, bufs[i]), rt.Out(name, bufs[child]))
+		}
+	}
+}
+
+// blocks names the per-member buffers of a gather: key(j) is block j's
+// region on every member, at(i, j) member i's buffer for it.
+type blocks struct {
+	key func(j int) string
+	at  func(i, j int) buffer.Buffer
+}
+
+// column returns block j's buffer on each of the given members.
+func (b blocks) column(members []int, j int) []buffer.Buffer {
+	out := make([]buffer.Buffer, len(members))
+	for k, i := range members {
+		out[k] = b.at(i, j)
+	}
+	return out
+}
+
+// ring is the allgather ring schedule: in step s of n−1, each member
+// forwards to its right neighbor (comm rank order) the block it received in
+// step s−1 (its own block in step 0) and receives one from its left
+// neighbor — n(n−1) messages total, every one over a ring link, with no
+// root hotspot. The forwarding send of step s reads the region the receive
+// of step s−1 wrote, so the ring pipelines with computation member by
+// member. The ring step is the subchannel, so a step-s frame can never
+// match a step-s′ receive even when an eager sender runs two forwards
+// back-to-back.
+func (l lane) ring(b blocks) {
+	n := len(l.c.members)
+	for step := 0; step < n-1; step++ {
+		for i := 0; i < n; i++ {
+			fwd, inc := mod(i-step, n), mod(i-step-1, n)
+			l.sendrecv(step, i, (i+1)%n, mod(i-1, n),
+				rt.In(b.key(fwd), b.at(i, fwd)), rt.Out(b.key(inc), b.at(i, inc)))
 		}
 	}
 }
 
 // Allgather leaves every member holding every member's block for the named
-// regions. On a communicator whose topology is non-flat (see Hierarchical)
-// it runs the hierarchical algorithm (AllgatherHier); otherwise the ring
-// (AllgatherFlat). Both move bitwise-identical payloads; only the routing —
-// and therefore the fabric cost — differs.
+// regions. bufs[i][j] is comm rank i's buffer for block j; comm rank i's
+// own bufs[i][i] is the source and all must match it in type and length.
+// name(j) is block j's region key on every member, so compute reading
+// name(j) is gated on the step that delivers block j. On a communicator
+// whose topology is non-flat (see Hierarchical) it runs AllgatherHier,
+// otherwise AllgatherFlat. Both move bitwise-identical payloads in n(n−1)
+// messages; only the routing — and therefore the fabric cost — differs.
 func (c *Comm) Allgather(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	if c.hier {
-		c.AllgatherHier(tag, name, bufs)
-		return
-	}
-	c.AllgatherFlat(tag, name, bufs)
+	c.allgather(c.hier, tag, name, bufs)
 }
 
-// AllgatherFlat leaves every member holding every member's block for the
-// named regions, via the ring algorithm: in step s of n−1, each member forwards
-// to its right neighbor (comm rank order) the block it received in step s−1
-// (its own block in step 0) and receives one from its left neighbor —
-// n(n−1) messages total, every one over a ring link, with no root hotspot.
-// bufs[i][j] is comm rank i's buffer for block j; comm rank i's own
-// bufs[i][i] is the source and all must match it in type and length.
-// name(j) is block j's region key on every member, so the forwarding send
-// of step s is dataflow-gated on the receive of step s−1, and compute
-// reading name(j) is gated on the step that delivers block j — the ring
-// pipelines with computation member by member.
-//
-// Plumbing travels in ClassGather — its own Match class, so it can never
-// collide with a same-tag Broadcast — with the ring step as the subchannel,
-// so a step-s frame can never match a step-s′ receive even when an eager
-// sender runs two forwards back-to-back.
+// AllgatherFlat is Allgather through one ring over the whole communicator
+// (see ring), whatever its placement. Plumbing travels in ClassGather — its
+// own Match class, so it can never collide with a same-tag Broadcast.
 func (c *Comm) AllgatherFlat(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	n := len(c.members)
+	c.allgather(false, tag, name, bufs)
+}
+
+// allgather validates an Allgather call and runs the chosen shape.
+func (c *Comm) allgather(hier bool, tag int, name func(j int) string, bufs [][]buffer.Buffer) {
 	if !c.checkMembers("Allgather", len(bufs)) {
 		return
 	}
@@ -205,22 +314,12 @@ func (c *Comm) AllgatherFlat(tag int, name func(j int) string, bufs [][]buffer.B
 			return
 		}
 	}
-	if n == 1 {
+	b := blocks{key: name, at: func(i, j int) buffer.Buffer { return bufs[i][j] }}
+	if hier {
+		c.allgatherHier(tag, b)
 		return
 	}
-	for step := 0; step < n-1; step++ {
-		for i, r := range c.members {
-			fwd := ((i-step)%n + n) % n   // block forwarded right this step
-			inc := ((i-step-1)%n + n) % n // block arriving from the left
-			right, left := (i+1)%n, ((i-1)%n+n)%n
-			r.commSend(fmt.Sprintf("allgather:%s>%d", name(fwd), right),
-				Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(right), Class: ClassGather, Tag: tag, Sub: step},
-				0, rt.In(name(fwd), bufs[i][fwd]), c.tokArg(i))
-			r.commRecv(fmt.Sprintf("allgather:%s<%d", name(inc), left),
-				Match{Ctx: c.ctx, Src: c.worldID(left), Dst: r.id, Class: ClassGather, Tag: tag, Sub: step},
-				0, rt.Out(name(inc), bufs[i][inc]), c.tokArg(i))
-		}
-	}
+	c.lane(ClassGather, tag, "allgather").ring(b)
 }
 
 // ReduceOp combines src into dst element-wise (len(dst) == len(src)). The
@@ -256,11 +355,20 @@ var (
 	}
 )
 
+// builtinCommutative reports whether op is one of the predefined operators,
+// the only ones the runtime knows to be commutative. ReduceOp is a func
+// type, so identity — not behavior — is compared.
+func builtinCommutative(op ReduceOp) bool {
+	p := reflect.ValueOf(op).Pointer()
+	return p == reflect.ValueOf(OpSum).Pointer() ||
+		p == reflect.ValueOf(OpMin).Pointer() ||
+		p == reflect.ValueOf(OpMax).Pointer()
+}
+
 // Allreduce algorithm-selection crossovers, in per-member payload BYTES —
 // not element counts, so the selection stays right whatever the element
-// width and, crucially, when the hierarchical leader phase re-dispatches on
-// non-uniform leader vectors: the leaders' Allreduce sees the same
-// byte-based rule the flat path does.
+// width and when the hierarchical leader phase re-plans on the leaders'
+// vectors.
 const (
 	// TreeAllreduceCrossoverBytes is where Allreduce leaves the
 	// gather+broadcast algorithm for the recursive-doubling tree. Below it,
@@ -277,71 +385,51 @@ const (
 	RabenseifnerCrossoverBytes = 64 << 10
 )
 
-// TreeAllreduceCrossover is TreeAllreduceCrossoverBytes in float64 elements.
-//
-// Deprecated: selection is byte-based; compare payload bytes against
-// TreeAllreduceCrossoverBytes instead.
-const TreeAllreduceCrossover = TreeAllreduceCrossoverBytes / 8
+// allreduceAlg names an Allreduce schedule.
+type allreduceAlg uint8
 
-// allreducePayloadBytes is the per-member payload the auto-selection
-// compares against the crossovers: the smallest member buffer, so a ragged
-// argument slice can never over-select an algorithm some member's vector is
-// too short for.
-func allreducePayloadBytes(bufs []buffer.F64) int64 {
-	min := bufs[0].SizeBytes()
-	for _, b := range bufs[1:] {
-		if s := b.SizeBytes(); s < min {
-			min = s
-		}
+const (
+	algAuto allreduceAlg = iota // whatever plan selects
+	algGather
+	algTree
+	algRabenseifner
+	algHier
+)
+
+// plan is the Allreduce selection, the only place an algorithm is chosen:
+// Comm.Allreduce and the hierarchical leader phase both consult it. A
+// custom op — whose commutativity the runtime cannot see — always takes the
+// gather, which folds in strict comm-rank order and is valid for any
+// deterministic op, placed or not; every other schedule groups or reorders
+// operands. A builtin (commutative) op goes hierarchical on a placed
+// communicator, and otherwise by per-member payload bytes: gather below
+// TreeAllreduceCrossoverBytes (and always for one or two members), the
+// recursive-doubling tree up to RabenseifnerCrossoverBytes, Rabenseifner
+// past it.
+func plan(op ReduceOp, bytes int64, members int, hierarchical bool) allreduceAlg {
+	switch {
+	case !builtinCommutative(op):
+		return algGather
+	case hierarchical:
+		return algHier
+	case members <= 2 || bytes < TreeAllreduceCrossoverBytes:
+		return algGather
+	case bytes < RabenseifnerCrossoverBytes:
+		return algTree
 	}
-	return min
+	return algRabenseifner
 }
 
 // Allreduce leaves op's reduction of every member's float64 buffer for
-// region name in all of them. On a communicator whose topology is non-flat
-// (see Hierarchical) it runs the hierarchical algorithm (AllreduceHier):
-// node-local fold → leader exchange → node-local fan-out, so full vectors
-// cross the wire once per node instead of once per member — and the leader
-// exchange re-enters this selection, so large leader vectors take the
-// Rabenseifner path automatically. Otherwise it selects the flat algorithm
-// by per-member payload bytes: below TreeAllreduceCrossoverBytes the
-// gather+broadcast (AllreduceGather), from there to
-// RabenseifnerCrossoverBytes the recursive-doubling tree (AllreduceTree),
-// and past that Rabenseifner's bandwidth-optimal reduce-scatter + allgather
-// (AllreduceRabenseifner). The hierarchical fold (which groups and reorders
-// operands by node), the tree and Rabenseifner all require a commutative
-// op, so auto-selection dispatches to them only for the builtin
-// OpSum/OpMin/OpMax; a custom op — whose commutativity the runtime cannot
-// see — always takes the gather path, which folds in strict comm-rank order
-// and is valid for any deterministic op, placed or not. Call AllreduceHier,
-// AllreduceTree or AllreduceRabenseifner explicitly for a custom op you
-// know is commutative.
+// region name in all of them, by the algorithm plan selects: AllreduceHier
+// on a placed communicator (whose leader exchange re-plans, so large leader
+// vectors take Rabenseifner automatically), else AllreduceGather,
+// AllreduceTree or AllreduceRabenseifner by payload size. All buffers must
+// have one length; a mismatch records ErrCollectiveArgs and submits
+// nothing. Call a named variant explicitly for a custom op you know is
+// commutative.
 func (c *Comm) Allreduce(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	if c.hier && builtinCommutative(op) {
-		c.AllreduceHier(tag, name, bufs, op)
-		return
-	}
-	if len(bufs) > 0 && c.Size() > 2 && builtinCommutative(op) {
-		switch bytes := allreducePayloadBytes(bufs); {
-		case bytes >= RabenseifnerCrossoverBytes:
-			c.AllreduceRabenseifner(tag, name, bufs, op)
-			return
-		case bytes >= TreeAllreduceCrossoverBytes:
-			c.AllreduceTree(tag, name, bufs, op)
-			return
-		}
-	}
-	c.AllreduceGather(tag, name, bufs, op)
-}
-
-// builtinCommutative reports whether op is one of the predefined operators,
-// the only ones the runtime knows to be commutative. ReduceOp is a func
-// type, so identity — not behavior — is compared.
-func builtinCommutative(op ReduceOp) bool {
-	p := reflect.ValueOf(op).Pointer()
-	return p == reflect.ValueOf(OpSum).Pointer() ||
-		p == reflect.ValueOf(OpMin).Pointer() ||
-		p == reflect.ValueOf(OpMax).Pointer()
+	c.allreduce(algAuto, tag, name, bufs, op)
 }
 
 // AllreduceSum is Allreduce with OpSum.
@@ -354,225 +442,133 @@ func (c *Comm) AllreduceSum(tag int, name string, bufs []buffer.F64) {
 // order with an ordinary compute task — deterministic in its arguments, so
 // the member's selector may replicate and the injector may corrupt it like
 // any computation — and the result is broadcast back down the binomial
-// tree. Valid for any deterministic op, commutative or not.
+// tree. 2(n−1) messages. Valid for any deterministic op, commutative or not.
 func (c *Comm) AllreduceGather(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if !c.checkMembers("AllreduceGather", len(bufs)) {
-		return
-	}
-	if n == 1 {
-		return
-	}
-	c.reduceAtZero(tag, name, bufs, op)
-	bb := make([]buffer.Buffer, n)
-	for i, b := range bufs {
-		bb[i] = b
-	}
-	c.BroadcastFlat(0, tag, name, bb)
+	c.allreduce(algGather, tag, name, bufs, op)
 }
 
-// reduceAtZero is the gather half of AllreduceGather: members 1..n−1 send
-// their buffers to member 0, which folds them into its own buffer in comm
-// rank order with an ordinary compute task. Callers have validated bufs.
-func (c *Comm) reduceAtZero(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if n == 1 {
+// AllreduceTree is the recursive-doubling Allreduce: ⌈log2 p⌉ rounds among
+// the largest power-of-two group p ≤ n — in round k member i exchanges its
+// full vector with member i xor 2^k and both fold the incoming copy — with
+// the other n−p members folded in before and served after (see
+// pow2.bracket). Every fold is an ordinary compute task (replicable,
+// corruptible); the exchanges chain through the user's region, so round k's
+// send reads the vector round k−1's fold wrote. Because members fold in
+// different orders, op must be commutative for all members to converge on
+// bitwise-identical results (IEEE float addition, min and max are). Message
+// count: p·log2(p) + 2(n−p) full vectors.
+func (c *Comm) AllreduceTree(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	c.allreduce(algTree, tag, name, bufs, op)
+}
+
+// allreduce validates an Allreduce call once — one buffer per member, all
+// of one length — resolves algAuto through plan, and runs the schedule.
+func (c *Comm) allreduce(alg allreduceAlg, tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	if !c.checkVectors("Allreduce", bufs) || len(c.members) == 1 {
 		return
 	}
-	root := c.members[0]
-	redArgs := []rt.Arg{rt.Inout(name, bufs[0])}
-	for i := 1; i < n; i++ {
-		c.members[i].commSend(fmt.Sprintf("reduce:%s>0", name),
-			Match{Ctx: c.ctx, Src: c.worldID(i), Dst: root.id, Class: ClassReduce, Tag: tag},
-			0, rt.In(name, bufs[i]), c.tokArg(i))
-		tmp := c.w.stageF64(len(bufs[0]))
-		tmpKey := fmt.Sprintf("%s:ar:%d:%d:%d", collKey, c.ctx, tag, i)
-		root.commRecv(fmt.Sprintf("reduce:%s<%d", name, i),
-			Match{Ctx: c.ctx, Src: c.worldID(i), Dst: root.id, Class: ClassReduce, Tag: tag},
-			0, rt.Out(tmpKey, tmp), c.tokArg(0))
-		redArgs = append(redArgs, rt.In(tmpKey, tmp))
+	if alg == algAuto {
+		alg = plan(op, bufs[0].SizeBytes(), len(c.members), c.hier)
 	}
-	root.rt.Submit("allreduce", func(ctx *rt.Ctx) {
+	switch alg {
+	case algGather:
+		c.reduceAtZero(tag, name, bufs, op)
+		c.bcast(0, tag, name, anyBufs(bufs))
+	case algTree:
+		c.allreduceTree(tag, name, bufs, op)
+	case algRabenseifner:
+		c.allreduceRabenseifner(tag, name, bufs, op)
+	case algHier:
+		c.allreduceHier(tag, name, bufs, op)
+	}
+}
+
+// gatherAtZero ships members 1..n−1's vectors for region name to member 0,
+// each into its own staged buffer under region keyPrefix+i, and returns
+// those as read arguments in comm-rank order for the fold that follows.
+func (l lane) gatherAtZero(sub int, name string, bufs []buffer.F64, keyPrefix string) []rt.Arg {
+	var got []rt.Arg
+	for i := 1; i < len(bufs); i++ {
+		tmp := rt.Out(keyPrefix+strconv.Itoa(i), l.c.w.stageF64(len(bufs[0])))
+		l.transfer(sub, i, 0, rt.In(name, bufs[i]), tmp)
+		got = append(got, rt.In(tmp.Key, tmp.Buf))
+	}
+	return got
+}
+
+// reduceAtZero is the gather half of AllreduceGather (and the node-local
+// phase of AllreduceHier): member 0 folds every other member's vector into
+// its own buffer in comm rank order with an ordinary compute task.
+func (c *Comm) reduceAtZero(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	if len(c.members) == 1 {
+		return
+	}
+	got := c.lane(ClassReduce, tag, "reduce:"+name).
+		gatherAtZero(0, name, bufs, fmt.Sprintf("%s:ar:%d:%d:", collKey, c.ctx, tag))
+	c.members[0].rt.Submit("allreduce", func(ctx *rt.Ctx) {
 		dst := ctx.F64(0)
 		for a := 1; a < ctx.NArgs(); a++ {
 			op(dst, ctx.F64(a))
 		}
-	}, redArgs...)
+	}, append([]rt.Arg{rt.Inout(name, bufs[0])}, got...)...)
 }
 
-// AllreduceTree is the recursive-halving/doubling Allreduce for long
-// vectors. Members beyond the largest power of two p ≤ n first fold their
-// vectors into members 0..n−p−1 (pre phase); members 0..p−1 then run
-// ⌈log2 p⌉ doubling rounds — in round k member i exchanges its full vector
-// with member i xor 2^k and both fold the incoming copy — and finally the
-// folded result is shipped back to the extra members (post phase). Every
-// fold is an ordinary compute task (replicable, corruptible); the exchanges
-// are comm tasks chained through the user's region, so round k's send reads
-// the vector round k−1's fold wrote and the whole cascade is ordered by the
-// dataflow tracker.
-//
-// Because members fold in different orders, op must be commutative for all
-// members to converge on bitwise-identical results (IEEE float addition,
-// min and max are). Message count: p·log2(p) + 2(n−p) full vectors.
-func (c *Comm) AllreduceTree(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if !c.checkMembers("AllreduceTree", len(bufs)) {
-		return
+// pow2 is what the two power-of-two Allreduce schedules (the doubling tree
+// and Rabenseifner) share: a lane, the staging keys of their receives, and
+// the fold task that consumes a receive.
+type pow2 struct {
+	lane
+	kind string // "tree" or "rab": staging-key infix and fold-task label
+	name string
+	bufs []buffer.F64
+	op   ReduceOp
+}
+
+// stage leases an n-element receive buffer under the schedule's staging key
+// for phase/k.
+func (p *pow2) stage(phase string, k, n int) rt.Arg {
+	return rt.Out(fmt.Sprintf("%s:%s:%d:%d:%s%d", collKey, p.kind, p.c.ctx, p.tag, phase, k), p.c.w.stageF64(n))
+}
+
+// fold submits member i's fold of a staged receive into [lo, hi) of its
+// vector — an ordinary compute task.
+func (p *pow2) fold(i, lo, hi int, tmp rt.Arg) {
+	op := p.op
+	p.c.members[i].rt.Submit(p.kind+"red", func(ctx *rt.Ctx) {
+		op(ctx.F64(0)[lo:hi], ctx.F64(1))
+	}, rt.Inout(p.name, p.bufs[i]), rt.In(tmp.Key, tmp.Buf))
+}
+
+// bracket runs rounds among members 0..p−1, p the largest power of two ≤ n,
+// on a communicator of any size: each extra member p+j first folds its
+// full vector into member j, and after the rounds member j ships the
+// finished vector back to it.
+func (p *pow2) bracket(rounds func(p int)) {
+	n, V := len(p.bufs), len(p.bufs[0])
+	pw := 1 << (bits.Len(uint(n)) - 1)
+	for j := 0; j+pw < n; j++ {
+		tmp := p.stage("pre", j, V)
+		p.transfer(subTreePre, pw+j, j, rt.In(p.name, p.bufs[pw+j]), tmp)
+		p.fold(j, 0, V, tmp)
 	}
-	if n == 1 {
-		return
-	}
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	key := func(kind string, k int) string {
-		return fmt.Sprintf("%s:tree:%d:%d:%s%d", collKey, c.ctx, tag, kind, k)
-	}
-	fold := func(i int, tmpKey string, tmp buffer.F64) {
-		c.members[i].rt.Submit("treered", func(ctx *rt.Ctx) {
-			op(ctx.F64(0), ctx.F64(1))
-		}, rt.Inout(name, bufs[i]), rt.In(tmpKey, tmp))
-	}
-	// Pre phase: extra member p+j folds into member j.
-	for j := 0; j+p < n; j++ {
-		e := p + j
-		m := Match{Ctx: c.ctx, Src: c.worldID(e), Dst: c.worldID(j), Class: ClassTree, Tag: tag, Sub: subTreePre}
-		c.members[e].commSend(fmt.Sprintf("treepre:%s>%d", name, j), m,
-			0, rt.In(name, bufs[e]), c.tokArg(e))
-		tmp := c.w.stageF64(len(bufs[j]))
-		tk := key("pre", j)
-		c.members[j].commRecv(fmt.Sprintf("treepre:%s<%d", name, e), m,
-			0, rt.Out(tk, tmp), c.tokArg(j))
-		fold(j, tk, tmp)
-	}
-	// Doubling rounds among members 0..p-1.
-	for k, step := 0, 1; step < p; k, step = k+1, step*2 {
-		for i := 0; i < p; i++ {
-			partner := i ^ step
-			c.members[i].commSend(fmt.Sprintf("tree:%s>%d/%d", name, partner, k),
-				Match{Ctx: c.ctx, Src: c.worldID(i), Dst: c.worldID(partner), Class: ClassTree, Tag: tag, Sub: k},
-				0, rt.In(name, bufs[i]), c.tokArg(i))
-			tmp := c.w.stageF64(len(bufs[i]))
-			tk := key("rnd", k)
-			c.members[i].commRecv(fmt.Sprintf("tree:%s<%d/%d", name, partner, k),
-				Match{Ctx: c.ctx, Src: c.worldID(partner), Dst: c.worldID(i), Class: ClassTree, Tag: tag, Sub: k},
-				0, rt.Out(tk, tmp), c.tokArg(i))
-			fold(i, tk, tmp)
-		}
-	}
-	// Post phase: member j ships the folded result back to extra p+j.
-	for j := 0; j+p < n; j++ {
-		e := p + j
-		m := Match{Ctx: c.ctx, Src: c.worldID(j), Dst: c.worldID(e), Class: ClassTree, Tag: tag, Sub: subTreePost}
-		c.members[j].commSend(fmt.Sprintf("treepost:%s>%d", name, e), m,
-			0, rt.In(name, bufs[j]), c.tokArg(j))
-		c.members[e].commRecv(fmt.Sprintf("treepost:%s<%d", name, j), m,
-			0, rt.Out(name, bufs[e]), c.tokArg(e))
+	rounds(pw)
+	for j := 0; j+pw < n; j++ {
+		p.transfer(subTreePost, j, pw+j, rt.In(p.name, p.bufs[j]), rt.Out(p.name, p.bufs[pw+j]))
 	}
 }
 
-// ReduceScatter reduces every member's n·L-element input vector for region
-// in (n blocks of L elements, block j destined for comm rank j) and leaves
-// member i holding the fully reduced block i in outs[i] under region out —
-// the ring algorithm: block k's partial starts at member k+1 with just that
-// member's contribution and travels the ring for n−1 steps, each holder
-// folding in its own contribution, arriving complete at member k. n(n−1)
-// messages of L elements, all over ring links; every fold is an ordinary
-// compute task (replicable, corruptible). Contributions accumulate in ring
-// order — member k+1 first, then k+2, …, member k last — which a serial
-// reference must replay for bitwise comparison. bufs[i] must have n·L
-// elements and every outs[i] L elements, with L = len(outs[0]); a mismatch
-// records a World error and submits nothing.
-func (c *Comm) ReduceScatter(tag int, in, out string, bufs, outs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if !c.checkMembers("ReduceScatter", len(bufs)) || !c.checkMembers("ReduceScatter", len(outs)) {
-		return
-	}
-	L := len(outs[0])
-	for i := 0; i < n; i++ {
-		if len(outs[i]) != L || len(bufs[i]) != n*L {
-			c.w.addErr(fmt.Errorf("dist: ReduceScatter member %d: input %d, output %d elements, want %d and %d: %w",
-				i, len(bufs[i]), len(outs[i]), n*L, L, ErrCollectiveArgs))
-			return
-		}
-	}
-	if n == 1 {
-		c.members[0].rt.Submit("rsout", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0))
-		}, rt.In(in, bufs[0]), rt.Out(out, outs[0]))
-		return
-	}
-	for i := 0; i < n; i++ {
-		r := c.members[i]
-		acc := c.w.stageF64(L)
-		aKey := fmt.Sprintf("%s:rs:%d:%d:acc", collKey, c.ctx, tag)
-		b0 := (i - 1 + n) % n
-		r.rt.Submit("rsinit", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0)[b0*L:(b0+1)*L])
-		}, rt.In(in, bufs[i]), rt.Out(aKey, acc))
-		for s := 0; s < n-1; s++ {
-			right, left := (i+1)%n, (i-1+n)%n
-			r.commSend(fmt.Sprintf("rs:%s>%d/%d", in, right, s),
-				Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(right), Class: ClassRedScat, Tag: tag, Sub: s},
-				0, rt.In(aKey, acc), c.tokArg(i))
-			tmp := c.w.stageF64(L)
-			tKey := fmt.Sprintf("%s:rs:%d:%d:t%d", collKey, c.ctx, tag, s)
-			r.commRecv(fmt.Sprintf("rs:%s<%d/%d", in, left, s),
-				Match{Ctx: c.ctx, Src: c.worldID(left), Dst: r.id, Class: ClassRedScat, Tag: tag, Sub: s},
-				0, rt.Out(tKey, tmp), c.tokArg(i))
-			// The arriving partial holds blk's contributions in ring order;
-			// fold in this member's own, continuing the order.
-			blk := ((i-s-2)%n + n) % n
-			dst := rt.Out(aKey, acc)
-			if s == n-2 {
-				dst = rt.Out(out, outs[i]) // blk == i: the block this member keeps
+// allreduceTree is AllreduceTree's schedule. Plumbing travels in ClassTree
+// with the round index as the subchannel.
+func (c *Comm) allreduceTree(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	V := len(bufs[0])
+	t := &pow2{lane: c.lane(ClassTree, tag, "tree:"+name), kind: "tree", name: name, bufs: bufs, op: op}
+	t.bracket(func(p int) {
+		for k, step := 0, 1; step < p; k, step = k+1, step*2 {
+			for i := 0; i < p; i++ {
+				tmp := t.stage("rnd", k, V)
+				t.sendrecv(k, i, i^step, i^step, rt.In(name, bufs[i]), tmp)
+				t.fold(i, 0, V, tmp)
 			}
-			r.rt.Submit("rsred", func(ctx *rt.Ctx) {
-				d := ctx.F64(2)
-				copy(d, ctx.F64(1))
-				op(d, ctx.F64(0)[blk*L:(blk+1)*L])
-			}, rt.In(in, bufs[i]), rt.In(tKey, tmp), dst)
 		}
-	}
-}
-
-// ---- deprecated flat wrappers ----
-
-// Barrier submits a barrier over all ranks on the world communicator.
-//
-// Deprecated: use World.Comm().Barrier.
-func (w *World) Barrier(tag int) { w.world.Barrier(tag) }
-
-// Barrier submits this rank's side of a world-communicator barrier.
-//
-// Deprecated: use World.Comm().Rank(i).Barrier.
-func (r *Rank) Barrier(tag int, args ...rt.Arg) { r.w.world.Rank(r.id).Barrier(tag, args...) }
-
-// Broadcast replicates root's buffer on the world communicator.
-//
-// Deprecated: use World.Comm().Broadcast.
-func (w *World) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
-	w.world.Broadcast(root, tag, name, bufs)
-}
-
-// Allgather runs the ring allgather on the world communicator.
-//
-// Deprecated: use World.Comm().Allgather.
-func (w *World) Allgather(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	w.world.Allgather(tag, name, bufs)
-}
-
-// Allreduce reduces on the world communicator.
-//
-// Deprecated: use World.Comm().Allreduce.
-func (w *World) Allreduce(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	w.world.Allreduce(tag, name, bufs, op)
-}
-
-// AllreduceSum is Allreduce with OpSum on the world communicator.
-//
-// Deprecated: use World.Comm().AllreduceSum.
-func (w *World) AllreduceSum(tag int, name string, bufs []buffer.F64) {
-	w.world.AllreduceSum(tag, name, bufs)
+	})
 }

@@ -1,11 +1,9 @@
 // Comm is the communicator layer: the sole public handle for communication
 // on a World, the in-process equivalent of an MPI communicator. Every
-// point-to-point operation and every collective is scoped to a Comm; the
-// flat Rank.Send/Recv methods survive only as deprecated wrappers over the
-// world communicator.
+// point-to-point operation and every collective is scoped to a Comm.
 //
-// A Comm is an ordered group of World ranks with two properties the flat
-// API could not give:
+// A Comm is an ordered group of World ranks with two properties world rank
+// ids alone could not give:
 //
 //   - dense private numbering: member i of a Comm is addressed as comm rank
 //     i (0..Size()-1), however its members are scattered over the World —
@@ -50,7 +48,8 @@ var (
 	// would leave the new communicator's rank order ambiguous.
 	ErrSplitKey = errors.New("dist: Split: duplicate key within a color")
 	// ErrCollectiveArgs reports a collective whose per-member buffer slices
-	// do not match the communicator size.
+	// do not match the communicator size, or whose buffers differ in length
+	// where the collective needs one length.
 	ErrCollectiveArgs = errors.New("dist: collective buffers do not match the communicator size")
 	// ErrTopology reports a World Config whose topology places fewer ranks
 	// than the World holds.
@@ -61,8 +60,8 @@ var (
 // context. World.Comm returns the world communicator spanning every rank;
 // Split derives sub-communicators. Address members with Rank, which yields
 // the per-member handle all point-to-point operations live on; collectives
-// (Barrier, Broadcast, Allgather, Allreduce, ReduceScatter) are Comm
-// methods that submit every member's side at once.
+// (Barrier, Broadcast, Allgather, Allgatherv, ReduceScatterv, Allreduce) are
+// Comm methods that submit every member's side at once.
 type Comm struct {
 	w       *World
 	ctx     uint64

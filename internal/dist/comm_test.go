@@ -216,7 +216,17 @@ func treeReference(init [][]float64, op ReduceOp) [][]float64 {
 	return v
 }
 
-// reduceScatterReference replays ReduceScatter's ring accumulation order:
+// uniformCounts is the equal-blocks ReduceScatterv layout: n counts of L.
+func uniformCounts(n, L int) []int {
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = L
+	}
+	return counts
+}
+
+// reduceScatterReference replays the ReduceScatterv ring's accumulation
+// order for equal blocks:
 // block k starts at member k+1 and folds contributions in ring order,
 // ending at member k.
 func reduceScatterReference(bufs [][]float64, L int, op ReduceOp) [][]float64 {
@@ -274,7 +284,7 @@ func TestReduceScatterRing(t *testing.T) {
 		bufs[i] = append(buffer.F64(nil), raw[i]...)
 		outs[i] = buffer.NewF64(L)
 	}
-	w.Comm().ReduceScatter(0, "in", "out", bufs, outs, OpSum)
+	w.Comm().ReduceScatterv(0, "in", "out", bufs, outs, uniformCounts(n, L), OpSum)
 	if err := w.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +305,7 @@ func TestReduceScatterSingleMember(t *testing.T) {
 	w := NewWorld(Config{Ranks: 1})
 	in := buffer.F64{1, 2}
 	out := buffer.NewF64(2)
-	w.Comm().ReduceScatter(0, "in", "out", []buffer.F64{in}, []buffer.F64{out}, OpSum)
+	w.Comm().ReduceScatterv(0, "in", "out", []buffer.F64{in}, []buffer.F64{out}, []int{2}, OpSum)
 	if err := w.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +324,7 @@ func TestAllreduceAutoSelectsByLength(t *testing.T) {
 		want uint64
 	}{
 		{"short-gather", 4, 2 * 3},
-		{"long-tree", TreeAllreduceCrossover, 4 * 2},
+		{"long-tree", TreeAllreduceCrossoverBytes / 8, 4 * 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,7 +360,7 @@ func TestAllreduceCustomOpNeverAutoTrees(t *testing.T) {
 	w := NewWorld(Config{Ranks: n})
 	bufs := make([]buffer.F64, n)
 	for i := range bufs {
-		bufs[i] = buffer.NewF64(TreeAllreduceCrossover)
+		bufs[i] = buffer.NewF64(TreeAllreduceCrossoverBytes / 8)
 		bufs[i][0] = float64(i + 1)
 	}
 	product := func(dst, src []float64) {
@@ -387,9 +397,9 @@ func TestCollectiveArgsMismatchRecorded(t *testing.T) {
 		{buffer.NewF64(1), buffer.NewF64(1), buffer.NewF64(1)},
 	}
 	c.Allgather(0, func(j int) string { return "g" }, short)
-	c.ReduceScatter(0, "in", "out",
+	c.ReduceScatterv(0, "in", "out",
 		[]buffer.F64{buffer.NewF64(3), buffer.NewF64(3), buffer.NewF64(3)},
-		[]buffer.F64{buffer.NewF64(1), buffer.NewF64(2), buffer.NewF64(1)}, OpSum)
+		[]buffer.F64{buffer.NewF64(1), buffer.NewF64(2), buffer.NewF64(1)}, uniformCounts(3, 1), OpSum)
 	err := w.Shutdown()
 	if !errors.Is(err, ErrCollectiveArgs) {
 		t.Fatalf("Shutdown = %v, want ErrCollectiveArgs", err)
@@ -400,7 +410,7 @@ func TestCollectiveArgsMismatchRecorded(t *testing.T) {
 }
 
 func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
-	// The satellite gate: ReduceScatter and tree Allreduce under complete
+	// The satellite gate: ReduceScatterv and tree Allreduce under complete
 	// replication with injected SDC/DUE must match the serial reference
 	// replay bitwise — every fold is an ordinary compute task, so the
 	// replication engine detects and repairs every injected fault.
@@ -425,7 +435,7 @@ func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
 			bufs[i] = append(buffer.F64(nil), raw[i]...)
 			outs[i] = buffer.NewF64(L)
 		}
-		w.Comm().ReduceScatter(0, "in", "out", bufs, outs, OpSum)
+		w.Comm().ReduceScatterv(0, "in", "out", bufs, outs, uniformCounts(n, L), OpSum)
 		if err := w.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
@@ -462,27 +472,4 @@ func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestDeprecatedFlatWrappersDelegate(t *testing.T) {
-	// The flat Rank.Send/Recv and World collectives are wrappers over the
-	// world communicator: they must interoperate with comm-scoped calls on
-	// the same mailboxes.
-	w := NewWorld(Config{Ranks: 2})
-	src := buffer.F64{5}
-	dst := buffer.NewF64(1)
-	w.Rank(0).Send(1, 0, "s", src)        // deprecated flat send...
-	w.Comm().Rank(1).Recv(0, 0, "d", dst) // ...matched by a comm-scoped recv
-	red := []buffer.F64{{1}, {2}}
-	w.AllreduceSum(1, "r", red)
-	w.Barrier(2)
-	if err := w.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 5 {
-		t.Fatalf("flat send did not reach comm recv: %v", dst[0])
-	}
-	if red[0][0] != 3 || red[1][0] != 3 {
-		t.Fatalf("deprecated AllreduceSum = %v, %v, want 3, 3", red[0][0], red[1][0])
-	}
 }

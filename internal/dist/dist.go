@@ -24,10 +24,12 @@
 //
 // On top of point-to-point, communicators provide dependency-gated
 // collectives — Barrier (dissemination), Broadcast (binomial tree),
-// Allgather (ring), Allreduce (gather+broadcast or recursive-doubling tree,
-// auto-selected by vector length) and ReduceScatter (ring) — built from the
-// same comm-task primitive, so they overlap with computation under exactly
-// the dataflow rules the paper's hybrid applications rely on.
+// Allgather/Allgatherv (ring), ReduceScatterv (ring) and Allreduce
+// (gather+broadcast, recursive-doubling tree or Rabenseifner, selected by
+// payload bytes), each with a leader-based hierarchical shape on placed
+// Worlds — built from the same comm-task primitive, so they overlap with
+// computation under exactly the dataflow rules the paper's hybrid
+// applications rely on.
 package dist
 
 import (
@@ -328,26 +330,6 @@ func (r *Rank) Runtime() *rt.Runtime { return r.rt }
 
 // Stats returns the rank's runtime counters.
 func (r *Rank) Stats() rt.Stats { return r.rt.Stats() }
-
-// Send ships a snapshot of buf to partner under tag on the world
-// communicator.
-//
-// Deprecated: use World.Comm().Rank(i).Send — communication is
-// communicator-scoped; this thin wrapper delegates to the world
-// communicator and exists for transition only.
-func (r *Rank) Send(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	return r.w.world.Rank(r.id).Send(partner, tag, name, buf)
-}
-
-// Recv blocks until the matching message from partner under tag arrives on
-// the world communicator and copies it into buf.
-//
-// Deprecated: use World.Comm().Rank(i).Recv — communication is
-// communicator-scoped; this thin wrapper delegates to the world
-// communicator and exists for transition only.
-func (r *Rank) Recv(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	return r.w.world.Rank(r.id).Recv(partner, tag, name, buf)
-}
 
 // commSend submits a comm task that, when its dependencies resolve, seals a
 // clone of args[payload] (an empty frame if payload < 0) and hands it to the

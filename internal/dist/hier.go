@@ -6,7 +6,7 @@
 // run the cheap intra-node phase over shared memory, and let exactly one
 // leader per node cross the wire — so a full payload crosses each
 // node-pair cable once per node, not once per rank. All three phases are
-// built from the flat collectives on the cached node-local and leaders
+// the flat schedules run on the cached node-local and leaders
 // sub-communicators (topology.go), so every phase inherits the dataflow
 // gating, fault model and context isolation already proven for them, and
 // phases chain through the user's regions themselves: a leader's wire send
@@ -18,139 +18,110 @@
 // ((node 0's members) ⊕ (node 1's members) ⊕ …), which both re-associates
 // and (under a non-contiguous placement) reorders operands relative to the
 // flat gather's strict comm-rank-order left fold. op must therefore be
-// commutative, like AllreduceTree's: the Allreduce dispatcher auto-selects
-// the hierarchical fold only for the builtin OpSum/OpMin/OpMax, and a
-// custom op takes the rank-order gather path even on a placed
-// communicator. Bitwise equality with the flat algorithms additionally
-// needs associativity under the data in play: OpMin/OpMax always have it,
-// and OpSum whenever sums stay exactly representable (e.g. integer-valued
-// float64s below 2⁵³, the property the quick-check test in hier_test.go
-// pins down). Replication and fault injection apply to the fold tasks
-// exactly as in the flat algorithms; comm tasks are never replicated.
+// commutative, like AllreduceTree's: plan selects the hierarchical fold
+// only for the builtin OpSum/OpMin/OpMax, and a custom op takes the
+// rank-order gather path even on a placed communicator. Bitwise equality
+// with the flat algorithms additionally needs associativity under the data
+// in play: OpMin/OpMax always have it, and OpSum whenever sums stay exactly
+// representable (e.g. integer-valued float64s below 2⁵³, the property the
+// quick-check test in hier_test.go pins down). Replication and fault
+// injection apply to the fold tasks exactly as in the flat algorithms; comm
+// tasks are never replicated.
 package dist
 
 import (
-	"fmt"
+	"slices"
 
 	"appfit/internal/buffer"
 )
 
-// BroadcastHier replicates root's buffer into every member's buffer for
-// region name in three placement-aware phases: root's node runs a local
-// binomial tree rooted at root itself (so root's node-mates — its leader
-// included — get the payload over shared memory, with no separate
-// root→leader hop and no member ever receiving data it already holds),
-// the leaders broadcast it across nodes through a tree whose every edge is
-// a node-pair cable, and the other leaders fan it out inside their nodes.
-// Exactly n−1 messages, like the flat tree — only their placement differs.
-// Argument validation matches BroadcastFlat.
-func (c *Comm) BroadcastHier(root, tag int, name string, bufs []buffer.Buffer) {
-	n := len(c.members)
-	if !c.checkMembers("BroadcastHier", len(bufs)) {
-		return
-	}
-	if root < 0 || root >= n {
-		c.w.addErr(fmt.Errorf("dist: BroadcastHier root %d of %d members: %w", root, n, ErrRankOutOfRange))
-		return
-	}
-	if n == 1 {
-		return
+// decomp returns the node decomposition a hierarchical schedule runs on, or
+// nil when there is nothing to run: a one-member communicator (for which no
+// contexts are minted) or a failed split, which is recorded.
+func (c *Comm) decomp() *nodeDecomp {
+	if len(c.members) == 1 {
+		return nil
 	}
 	d, err := c.nodeComms()
 	if err != nil {
 		c.w.addErr(err)
+		return nil
+	}
+	return d
+}
+
+// BroadcastHier is Broadcast in three placement-aware phases: root's node
+// runs a local binomial tree rooted at root itself (so root's node-mates —
+// its leader included — get the payload over shared memory, with no
+// separate root→leader hop and no member ever receiving data it already
+// holds), the leaders broadcast it across nodes through a tree whose every
+// edge is a node-pair cable, and the other leaders fan it out inside their
+// nodes. Exactly n−1 messages, like the flat tree — only their placement
+// differs.
+func (c *Comm) BroadcastHier(root, tag int, name string, bufs []buffer.Buffer) {
+	c.broadcast(true, root, tag, name, bufs)
+}
+
+// bcastHier is BroadcastHier's schedule.
+func (c *Comm) bcastHier(root, tag int, name string, bufs []buffer.Buffer) {
+	d := c.decomp()
+	if d == nil {
 		return
 	}
 	g0 := d.groupOf[root]
-	fanOut := func(g int, localRoot int) {
-		grp := d.groups[g]
-		if len(grp) == 1 {
-			return
-		}
-		gb := make([]buffer.Buffer, len(grp))
-		for il, pi := range grp {
-			gb[il] = bufs[pi]
-		}
-		d.locals[grp[0]].BroadcastFlat(localRoot, tag, name, gb)
-	}
 	// Root's node first, rooted at root's local rank: its leader receives
 	// over the memory bus before (dataflow-gated) shipping across the wire.
-	rootLocal := 0
-	for il, pi := range d.groups[g0] {
-		if pi == root {
-			rootLocal = il
-		}
-	}
-	fanOut(g0, rootLocal)
-	lb := make([]buffer.Buffer, len(d.groups))
+	d.locals[root].bcast(slices.Index(d.groups[g0], root), tag, name, pick(bufs, d.groups[g0]))
+	d.leaders.bcast(g0, tag, name, pick(bufs, d.heads))
 	for g, grp := range d.groups {
-		lb[g] = bufs[grp[0]]
-	}
-	d.leaders.BroadcastFlat(g0, tag, name, lb)
-	for g := range d.groups {
 		if g != g0 {
-			fanOut(g, 0)
+			d.locals[grp[0]].bcast(0, tag, name, pick(bufs, grp))
 		}
 	}
 }
 
-// AllgatherHier leaves every member holding every member's block for the
-// named regions in three placement-aware phases: a ring allgather inside
-// each node (members of one node trade their blocks over shared memory),
-// each leader broadcasting each of its node's blocks to the other leaders
-// (the only messages that cross the wire — each block crosses each cable
-// once, not once per consuming rank), and each leader fanning the foreign
-// blocks out inside its node. The total message count equals the flat
-// ring's n(n−1); only the placement of those messages changes. Argument
-// validation matches AllgatherFlat.
+// AllgatherHier is Allgather in three placement-aware phases: a ring
+// allgather inside each node (members of one node trade their blocks over
+// shared memory), each leader broadcasting each of its node's blocks to the
+// other leaders (the only messages that cross the wire — each block crosses
+// each cable once, not once per consuming rank), and each leader fanning
+// the foreign blocks out inside its node. The total message count equals
+// the flat ring's n(n−1); only the placement of those messages changes.
 func (c *Comm) AllgatherHier(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	n := len(c.members)
-	if !c.checkMembers("AllgatherHier", len(bufs)) {
-		return
-	}
-	for i := range bufs {
-		if !c.checkMembers(fmt.Sprintf("AllgatherHier member %d blocks", i), len(bufs[i])) {
-			return
-		}
-	}
-	if n == 1 {
-		return
-	}
-	d, err := c.nodeComms()
-	if err != nil {
-		c.w.addErr(err)
+	c.allgather(true, tag, name, bufs)
+}
+
+// allgatherHier is AllgatherHier's schedule.
+func (c *Comm) allgatherHier(tag int, b blocks) {
+	d := c.decomp()
+	if d == nil {
 		return
 	}
 	// Phase 1 — node-local rings: after it, every member holds every block
 	// of its own node.
 	for _, grp := range d.groups {
-		if len(grp) == 1 {
-			continue
-		}
-		grp := grp
-		lbufs := make([][]buffer.Buffer, len(grp))
-		for il, pi := range grp {
-			lbufs[il] = make([]buffer.Buffer, len(grp))
-			for jl, pj := range grp {
-				lbufs[il][jl] = bufs[pi][pj]
-			}
-		}
-		d.locals[grp[0]].AllgatherFlat(tag, func(jl int) string { return name(grp[jl]) }, lbufs)
+		d.locals[grp[0]].lane(ClassGather, tag, "allgather").ring(blocks{
+			key: func(jl int) string { return b.key(grp[jl]) },
+			at:  func(il, jl int) buffer.Buffer { return b.at(grp[il], grp[jl]) },
+		})
 	}
-	// Phase 2 — leader exchange: leader g broadcasts each of its node's
-	// blocks to the other leaders. The leader's send of block pj is
-	// dataflow-gated on the phase-1 receive that wrote region name(pj).
+	d.exchange(tag, b)
+}
+
+// exchange runs the two phases AllgatherHier and AllgathervHier share once
+// every member holds its own node's blocks. Leader exchange: leader g
+// broadcasts each of its node's blocks to the other leaders, its send of
+// block j dataflow-gated on the node-local receive that wrote region
+// key(j). Then the node-local fan-out of every foreign block, gated on the
+// leader-phase receive that delivered it. (The node-local phase before it
+// differs per collective — a ring of equal blocks, a broadcast per ragged
+// segment — and merging those would change which messages flow.)
+func (d *nodeDecomp) exchange(tag int, b blocks) {
 	for g, grp := range d.groups {
 		for _, pj := range grp {
-			lb := make([]buffer.Buffer, len(d.groups))
-			for h, hgrp := range d.groups {
-				lb[h] = bufs[hgrp[0]][pj]
-			}
-			d.leaders.BroadcastFlat(g, tag, name(pj), lb)
+			d.leaders.bcast(g, tag, b.key(pj), b.column(d.heads, pj))
 		}
 	}
-	// Phase 3 — node-local fan-out of every foreign block, gated on the
-	// phase-2 receive that delivered it to the leader.
 	for g, grp := range d.groups {
 		if len(grp) == 1 {
 			continue
@@ -160,62 +131,36 @@ func (c *Comm) AllgatherHier(tag int, name func(j int) string, bufs [][]buffer.B
 				continue
 			}
 			for _, pj := range hgrp {
-				gb := make([]buffer.Buffer, len(grp))
-				for il, pi := range grp {
-					gb[il] = bufs[pi][pj]
-				}
-				d.locals[grp[0]].BroadcastFlat(0, tag, name(pj), gb)
+				d.locals[grp[0]].bcast(0, tag, b.key(pj), b.column(grp, pj))
 			}
 		}
 	}
 }
 
-// AllreduceHier leaves op's reduction of every member's buffer for region
-// name in all of them, in three placement-aware phases: each node folds its
-// members' vectors into its leader over shared memory (comm-rank order
-// within the node), the leaders allreduce their per-node partials (flat
-// algorithms — the leaders group is one rank per node), and each leader
-// broadcasts the result inside its node. Full vectors cross each cable once
-// per node instead of once per member. op must be commutative (operands are
-// grouped and reordered by node); see the package comment for when the
-// result is bitwise-equal to the flat algorithms. Argument validation
-// matches AllreduceGather.
+// AllreduceHier is Allreduce in three placement-aware phases: each node
+// folds its members' vectors into its leader over shared memory (comm-rank
+// order within the node), the leaders allreduce their per-node partials —
+// by whichever flat algorithm plan selects for their vectors; the leaders
+// group is one rank per node — and each leader broadcasts the result inside
+// its node. Full vectors cross each cable once per node instead of once per
+// member. op must be commutative (operands are grouped and reordered by
+// node); see the package comment for when the result is bitwise-equal to
+// the flat algorithms.
 func (c *Comm) AllreduceHier(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if !c.checkMembers("AllreduceHier", len(bufs)) {
-		return
-	}
-	if n == 1 {
-		return
-	}
-	d, err := c.nodeComms()
-	if err != nil {
-		c.w.addErr(err)
+	c.allreduce(algHier, tag, name, bufs, op)
+}
+
+// allreduceHier is AllreduceHier's schedule.
+func (c *Comm) allreduceHier(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	d := c.decomp()
+	if d == nil {
 		return
 	}
 	for _, grp := range d.groups {
-		if len(grp) == 1 {
-			continue
-		}
-		lbufs := make([]buffer.F64, len(grp))
-		for il, pi := range grp {
-			lbufs[il] = bufs[pi]
-		}
-		d.locals[grp[0]].reduceAtZero(tag, name, lbufs, op)
+		d.locals[grp[0]].reduceAtZero(tag, name, pick(bufs, grp), op)
 	}
-	lb := make([]buffer.F64, len(d.groups))
-	for g, grp := range d.groups {
-		lb[g] = bufs[grp[0]]
-	}
-	d.leaders.Allreduce(tag, name, lb, op)
+	d.leaders.allreduce(algAuto, tag, name, pick(bufs, d.heads), op)
 	for _, grp := range d.groups {
-		if len(grp) == 1 {
-			continue
-		}
-		gb := make([]buffer.Buffer, len(grp))
-		for il, pi := range grp {
-			gb[il] = bufs[pi]
-		}
-		d.locals[grp[0]].BroadcastFlat(0, tag, name, gb)
+		d.locals[grp[0]].bcast(0, tag, name, anyBufs(pick(bufs, grp)))
 	}
 }

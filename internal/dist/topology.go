@@ -19,6 +19,8 @@ type nodeDecomp struct {
 	// ascending node-id order; within a group members keep parent order, so
 	// groups[g][0] — the node leader — is the group's lowest parent rank.
 	groups [][]int
+	// heads lists each group's leader, groups[g][0], by group index.
+	heads []int
 	// groupOf maps a parent comm rank to its index in groups.
 	groupOf []int
 	// locals[i] is parent member i's node-local communicator: members of
@@ -111,6 +113,7 @@ func (c *Comm) splitByNode() (*nodeDecomp, error) {
 	for g, nd := range nodes {
 		grp := byNode[nd]
 		d.groups = append(d.groups, grp)
+		d.heads = append(d.heads, grp[0])
 		for _, pi := range grp {
 			d.groupOf[pi] = g
 		}

@@ -33,8 +33,9 @@ const (
 	ClassReduce
 	// ClassGather is allgather-ring traffic.
 	ClassGather
-	// ClassRedScat is ring reduce-scatter traffic.
-	ClassRedScat
+	// (5 was the uniform ring reduce-scatter's class; the slot stays so the
+	// classes after it keep their values.)
+	_
 	// ClassTree is recursive-doubling tree-allreduce traffic.
 	ClassTree
 	// ClassGatherv is non-uniform allgather (Allgatherv) traffic.

@@ -1,7 +1,7 @@
 // Non-uniform ("v") vector collectives and the Rabenseifner allreduce.
 //
-// The uniform collectives in collectives.go assume every member contributes
-// an equal-length block. The task-graph kernels the dist layer exists for
+// Broadcast, Allgather and Allreduce in collectives.go assume every member
+// contributes an equal-length block. The task-graph kernels the dist layer exists for
 // (2D block-cyclic cholesky and friends) do not: a member owns whatever
 // tiles the cyclic layout assigned it, so the natural collective exchanges
 // per-member *segments* of one shared vector — MPI's Allgatherv and
@@ -21,17 +21,18 @@
 // integer-valued float64 data (see hier.go's package comment for the exact
 // associativity conditions).
 //
-// The hierarchical variants follow PR 4's leader pattern: node-local phase
-// over shared memory, one leader per node on the wire, node-local fan-out —
-// auto-selected whenever the communicator is Hierarchical(), with message
-// counts pinned by tests (Allgatherv moves exactly the flat ring's n(n−1)
-// messages, only placed better).
+// The hierarchical variants follow hier.go's leader pattern: node-local
+// phase over shared memory, one leader per node on the wire, node-local
+// fan-out — auto-selected whenever the communicator is Hierarchical(), with
+// message counts pinned by tests (Allgatherv moves exactly the flat ring's
+// n(n−1) messages, only placed better).
 package dist
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"appfit/internal/buffer"
 	"appfit/internal/rt"
@@ -93,146 +94,63 @@ func (c *Comm) checkVector(op string, total int, counts, displs []int) bool {
 	return true
 }
 
-// seg returns segment j of vec under the (counts, displs) layout.
-func seg(vec buffer.F64, counts, displs []int, j int) buffer.F64 {
-	return vec[displs[j] : displs[j]+counts[j]]
-}
-
 // Allgatherv leaves every member holding every member's segment of the
 // vector for region name: member j contributes bufs[j][displs[j] :
 // displs[j]+counts[j]], and after the collective every member's buffer holds
 // all n segments (elements outside every segment are untouched). All buffers
 // must have equal length. On a communicator whose topology is non-flat (see
-// Hierarchical) it runs the hierarchical algorithm (AllgathervHier);
-// otherwise the ring (AllgathervFlat). Both move bitwise-identical payloads;
-// only the routing differs.
+// Hierarchical) it runs AllgathervHier, otherwise AllgathervFlat. Both move
+// bitwise-identical payloads in n(n−1) messages; only the routing differs.
 func (c *Comm) Allgatherv(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	if c.hier {
-		c.AllgathervHier(tag, name, bufs, counts, displs)
-		return
-	}
-	c.AllgathervFlat(tag, name, bufs, counts, displs)
+	c.allgatherv(c.hier, tag, name, bufs, counts, displs)
 }
 
-// AllgathervFlat is the ring Allgatherv: in step s of n−1, member i forwards
-// to its right neighbor the segment it received in step s−1 (its own in step
-// 0) and receives one from its left neighbor — n(n−1) messages, every one
-// over a ring link, sized by the segment it carries. All of a member's
-// plumbing shares the single region name, so the dataflow tracker serializes
-// its steps (a step's forward reads the region the previous step's receive
-// wrote) and compute reading name is gated behind the whole exchange.
-// Plumbing travels in ClassGatherv with the ring step as the subchannel.
+// AllgathervFlat is Allgatherv through one ring over the whole communicator
+// (see ring), each message sized by the segment it carries. All of a
+// member's plumbing shares the single region name, so the dataflow tracker
+// serializes its steps and compute reading name is gated behind the whole
+// exchange. Plumbing travels in ClassGatherv.
 func (c *Comm) AllgathervFlat(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	n := len(c.members)
-	if !c.checkMembers("Allgatherv", len(bufs)) {
-		return
-	}
-	total := len(bufs[0])
-	for i, b := range bufs {
-		if len(b) != total {
-			c.w.addErr(fmt.Errorf("dist: Allgatherv member %d buffer has %d elements, member 0 has %d: %w",
-				i, len(b), total, ErrCollectiveArgs))
-			return
-		}
-	}
-	if !c.checkVector("Allgatherv", total, counts, displs) {
-		return
-	}
-	if n == 1 {
-		return
-	}
-	for step := 0; step < n-1; step++ {
-		for i, r := range c.members {
-			fwd := ((i-step)%n + n) % n   // segment forwarded right this step
-			inc := ((i-step-1)%n + n) % n // segment arriving from the left
-			right, left := (i+1)%n, ((i-1)%n+n)%n
-			r.commSend(fmt.Sprintf("allgatherv:%s[%d]>%d", name, fwd, right),
-				Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(right), Class: ClassGatherv, Tag: tag, Sub: step},
-				0, rt.In(name, seg(bufs[i], counts, displs, fwd)), c.tokArg(i))
-			r.commRecv(fmt.Sprintf("allgatherv:%s[%d]<%d", name, inc, left),
-				Match{Ctx: c.ctx, Src: c.worldID(left), Dst: r.id, Class: ClassGatherv, Tag: tag, Sub: step},
-				0, rt.Out(name, seg(bufs[i], counts, displs, inc)), c.tokArg(i))
-		}
-	}
+	c.allgatherv(false, tag, name, bufs, counts, displs)
 }
 
-// AllgathervHier is the topology-aware Allgatherv, in the three leader
-// phases of AllgatherHier: members of one node trade their segments over
-// shared memory (a local broadcast per segment, rooted at its owner), each
-// leader broadcasts its node's segments to the other leaders — the only
-// messages that cross the wire; each segment crosses each cable once, not
-// once per consuming rank — and leaders fan the foreign segments out inside
-// their nodes. Message count is exactly the flat ring's n(n−1); only the
-// placement changes. Validation matches AllgathervFlat.
+// AllgathervHier is Allgatherv in the three leader phases of AllgatherHier:
+// members of one node trade their segments over shared memory (a local
+// broadcast per segment, rooted at its owner), each leader broadcasts its
+// node's segments to the other leaders — the only messages that cross the
+// wire; each segment crosses each cable once, not once per consuming rank —
+// and leaders fan the foreign segments out inside their nodes. Message
+// count is exactly the flat ring's n(n−1); only the placement changes.
 func (c *Comm) AllgathervHier(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	n := len(c.members)
-	if !c.checkMembers("AllgathervHier", len(bufs)) {
+	c.allgatherv(true, tag, name, bufs, counts, displs)
+}
+
+// allgatherv validates an Allgatherv call and runs the chosen shape.
+func (c *Comm) allgatherv(hier bool, tag int, name string, bufs []buffer.F64, counts, displs []int) {
+	if !c.checkVectors("Allgatherv", bufs) || !c.checkVector("Allgatherv", len(bufs[0]), counts, displs) {
 		return
 	}
-	total := len(bufs[0])
-	for i, b := range bufs {
-		if len(b) != total {
-			c.w.addErr(fmt.Errorf("dist: AllgathervHier member %d buffer has %d elements, member 0 has %d: %w",
-				i, len(b), total, ErrCollectiveArgs))
-			return
-		}
+	b := blocks{
+		key: func(int) string { return name },
+		at:  func(i, j int) buffer.Buffer { return bufs[i][displs[j] : displs[j]+counts[j]] },
 	}
-	if !c.checkVector("AllgathervHier", total, counts, displs) {
+	if !hier {
+		c.lane(ClassGatherv, tag, "allgatherv:"+name).ring(b)
 		return
 	}
-	if n == 1 {
-		return
-	}
-	d, err := c.nodeComms()
-	if err != nil {
-		c.w.addErr(err)
+	d := c.decomp()
+	if d == nil {
 		return
 	}
 	// Phase 1 — inside each node, every member's segment reaches its
 	// node-mates over shared memory: one local broadcast per segment, rooted
 	// at the owner's local rank.
 	for _, grp := range d.groups {
-		if len(grp) == 1 {
-			continue
-		}
 		for jl, pj := range grp {
-			gb := make([]buffer.Buffer, len(grp))
-			for il, pi := range grp {
-				gb[il] = seg(bufs[pi], counts, displs, pj)
-			}
-			d.locals[grp[0]].BroadcastFlat(jl, tag, name, gb)
+			d.locals[pj].bcast(jl, tag, name, b.column(grp, pj))
 		}
 	}
-	// Phase 2 — leader exchange: leader g broadcasts each of its node's
-	// segments across the wire, dataflow-gated on the phase-1 receive that
-	// wrote region name on it.
-	for g, grp := range d.groups {
-		for _, pj := range grp {
-			lb := make([]buffer.Buffer, len(d.groups))
-			for h, hgrp := range d.groups {
-				lb[h] = seg(bufs[hgrp[0]], counts, displs, pj)
-			}
-			d.leaders.BroadcastFlat(g, tag, name, lb)
-		}
-	}
-	// Phase 3 — node-local fan-out of every foreign segment.
-	for g, grp := range d.groups {
-		if len(grp) == 1 {
-			continue
-		}
-		for h, hgrp := range d.groups {
-			if h == g {
-				continue
-			}
-			for _, pj := range hgrp {
-				gb := make([]buffer.Buffer, len(grp))
-				for il, pi := range grp {
-					gb[il] = seg(bufs[pi], counts, displs, pj)
-				}
-				d.locals[grp[0]].BroadcastFlat(0, tag, name, gb)
-			}
-		}
-	}
+	d.exchange(tag, b)
 }
 
 // ReduceScatterv reduces every member's input vector for region in
@@ -241,16 +159,40 @@ func (c *Comm) AllgathervHier(tag int, name string, bufs []buffer.F64, counts, d
 // displacement sum(counts[:i]) in outs[i] under region out — MPI's
 // Reduce_scatter, whose recvcounts alone fix the layout. Every bufs[i] must
 // hold sum(counts) elements and every outs[i] exactly counts[i]; inputs are
-// left untouched. On a communicator whose topology is non-flat it runs the
-// hierarchical algorithm (ReduceScattervHier) when op is a builtin
-// (commutative) operator; otherwise the flat ring (ReduceScattervFlat),
-// whose strict ring-order fold is valid for any deterministic op.
+// left untouched. On a communicator whose topology is non-flat it runs
+// ReduceScattervHier when op is a builtin (commutative) operator; otherwise
+// ReduceScattervFlat, whose strict ring-order fold is valid for any
+// deterministic op.
 func (c *Comm) ReduceScatterv(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
-	if c.hier && builtinCommutative(op) {
-		c.ReduceScattervHier(tag, in, out, bufs, outs, counts, op)
-		return
-	}
-	c.ReduceScattervFlat(tag, in, out, bufs, outs, counts, op)
+	c.reduceScatterv(c.hier && builtinCommutative(op), tag, in, out, bufs, outs, counts, op)
+}
+
+// ReduceScattervFlat is the ring ReduceScatterv: segment k's partial starts
+// at member k+1 with just that member's contribution and travels the ring
+// for n−1 steps, each holder folding in its own contribution, arriving
+// complete at member k — n(n−1) messages, each sized by the segment it
+// carries. Contributions accumulate in ring order (member k+1 first, member
+// k last), which a serial reference must replay for bitwise comparison;
+// valid for any deterministic op. Folds are ordinary compute tasks
+// (replicable, corruptible). Plumbing travels in ClassRedScatv with the
+// ring step as the subchannel.
+func (c *Comm) ReduceScattervFlat(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
+	c.reduceScatterv(false, tag, in, out, bufs, outs, counts, op)
+}
+
+// ReduceScattervHier is the topology-aware ReduceScatterv: each node folds
+// its members' full input vectors into a staged vector at its leader over
+// shared memory (node-local comm-rank order), each segment's per-node
+// partials then travel the *leader* ring — starting at the owner's
+// successor leader and arriving fully reduced at the owner's leader, so a
+// segment crosses G−1 cables instead of n−1 — and leaders deliver the
+// finished segments to their node-mates. Operands group and reorder by
+// node, so op must be commutative; ReduceScatterv selects this path only
+// for the builtin operators. Inputs are left untouched, like the flat
+// ring's. See hier.go's package comment for when results are bitwise-equal
+// to the flat algorithms.
+func (c *Comm) ReduceScattervHier(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
+	c.reduceScatterv(true, tag, in, out, bufs, outs, counts, op)
 }
 
 // vecDispls derives the dense displacement vector (prefix sums) and total
@@ -264,154 +206,128 @@ func vecDispls(counts []int) (displs []int, total int) {
 	return displs, total
 }
 
-// checkReduceScatterv validates a ReduceScatterv call and returns the
-// derived displacements and total; ok is false after recording the error.
-func (c *Comm) checkReduceScatterv(op string, bufs, outs []buffer.F64, counts []int) (displs []int, total int, ok bool) {
+// rsv is one validated ReduceScatterv call: its arguments, the derived
+// displacements, and the two compute tasks both shapes are built from.
+type rsv struct {
+	c          *Comm
+	tag        int
+	in, out    string
+	bufs, outs []buffer.F64
+	counts     []int
+	displs     []int
+	total      int
+	op         ReduceOp
+	prefix     string // of every staging region key of this call
+}
+
+// reduceScatterv validates a ReduceScatterv call and runs the chosen shape.
+func (c *Comm) reduceScatterv(hier bool, tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
+	const name = "ReduceScatterv"
 	n := len(c.members)
-	if !c.checkMembers(op, len(bufs)) || !c.checkMembers(op, len(outs)) {
-		return nil, 0, false
+	if !c.checkMembers(name, len(bufs)) || !c.checkMembers(name, len(outs)) {
+		return
 	}
 	if len(counts) != n {
-		c.w.addErr(fmt.Errorf("dist: %s: %d counts on a %d-member communicator: %w",
-			op, len(counts), n, ErrVectorArgs))
-		return nil, 0, false
+		c.w.addErr(fmt.Errorf("dist: %s: %d counts on a %d-member communicator: %w", name, len(counts), n, ErrVectorArgs))
+		return
 	}
 	for i, cnt := range counts {
 		if cnt < 0 {
-			c.w.addErr(fmt.Errorf("dist: %s: member %d has count %d: %w", op, i, cnt, ErrVectorArgs))
-			return nil, 0, false
+			c.w.addErr(fmt.Errorf("dist: %s: member %d has count %d: %w", name, i, cnt, ErrVectorArgs))
+			return
 		}
 	}
-	displs, total = vecDispls(counts)
+	displs, total := vecDispls(counts)
 	for i := 0; i < n; i++ {
 		if len(bufs[i]) != total || len(outs[i]) != counts[i] {
 			c.w.addErr(fmt.Errorf("dist: %s member %d: input %d, output %d elements, want %d and %d: %w",
-				op, i, len(bufs[i]), len(outs[i]), total, counts[i], ErrVectorArgs))
-			return nil, 0, false
+				name, i, len(bufs[i]), len(outs[i]), total, counts[i], ErrVectorArgs))
+			return
 		}
 	}
-	return displs, total, true
+	r := &rsv{c: c, tag: tag, in: in, out: out, bufs: bufs, outs: outs, counts: counts, displs: displs,
+		total: total, op: op, prefix: fmt.Sprintf("%s:rsv:%d:%d:", collKey, c.ctx, tag)}
+	if hier {
+		if d := c.decomp(); d != nil {
+			r.leaderRings(d)
+			return
+		}
+	}
+	r.ring()
 }
 
-// ReduceScattervFlat is the ring ReduceScatterv: segment k's partial starts
-// at member k+1 with just that member's contribution and travels the ring
-// for n−1 steps, each holder folding in its own contribution, arriving
-// complete at member k — n(n−1) messages, each sized by the segment it
-// carries. Contributions accumulate in ring order (member k+1 first, member
-// k last), which a serial reference must replay for bitwise comparison;
-// valid for any deterministic op. Folds are ordinary compute tasks
-// (replicable, corruptible). Plumbing travels in ClassRedScatv with the
-// ring step as the subchannel.
-func (c *Comm) ReduceScattervFlat(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
-	n := len(c.members)
-	displs, _, ok := c.checkReduceScatterv("ReduceScatterv", bufs, outs, counts)
-	if !ok {
-		return
-	}
-	if n == 1 {
-		c.members[0].rt.Submit("rsvout", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0)[displs[0]:displs[0]+counts[0]])
-		}, rt.In(in, bufs[0]), rt.Out(out, outs[0]))
-		return
-	}
-	aKey := fmt.Sprintf("%s:rsv:%d:%d:acc", collKey, c.ctx, tag)
+// stage leases an n-element buffer under this call's staging region kind.
+func (r *rsv) stage(kind string, n int) rt.Arg { return rt.Out(r.prefix+kind, r.c.w.stageF64(n)) }
+
+// seed submits member i's copy of segment j of src — its own input, or a
+// node's staged partial — into dst: the partial a ring starts from.
+func (r *rsv) seed(i int, src rt.Arg, j int, dst rt.Arg) {
+	lo, hi := r.displs[j], r.displs[j]+r.counts[j]
+	r.c.members[i].rt.Submit("rsvinit", func(ctx *rt.Ctx) {
+		copy(ctx.F64(1), ctx.F64(0)[lo:hi])
+	}, src, dst)
+}
+
+// fold submits member i's ring-step fold for segment j: dst becomes the
+// arrived partial with this holder's own contribution (segment j of own)
+// folded in last, continuing the ring order. An ordinary compute task.
+func (r *rsv) fold(i int, own rt.Arg, j int, arrived, dst rt.Arg) {
+	lo, hi, op := r.displs[j], r.displs[j]+r.counts[j], r.op
+	r.c.members[i].rt.Submit("rsvred", func(ctx *rt.Ctx) {
+		d := ctx.F64(2)
+		copy(d, ctx.F64(1))
+		op(d, ctx.F64(0)[lo:hi])
+	}, own, rt.In(arrived.Key, arrived.Buf), dst)
+}
+
+// ring is ReduceScattervFlat's schedule. Segment lengths differ per step,
+// so the traveling partial gets a fresh buffer each fold — all under the
+// one acc region, which chains the steps. A lone member's first partial is
+// already its result.
+func (r *rsv) ring() {
+	n := len(r.c.members)
+	l := r.c.lane(ClassRedScatv, r.tag, "rsv:"+r.in)
 	for i := 0; i < n; i++ {
-		r := c.members[i]
-		b0 := (i - 1 + n) % n
-		acc := c.w.stageF64(counts[b0])
-		r.rt.Submit("rsvinit", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0)[displs[b0]:displs[b0]+counts[b0]])
-		}, rt.In(in, bufs[i]), rt.Out(aKey, acc))
+		own := rt.In(r.in, r.bufs[i])
+		acc := rt.Out(r.out, r.outs[i])
+		if n > 1 {
+			acc = r.stage("acc", r.counts[mod(i-1, n)])
+		}
+		r.seed(i, own, mod(i-1, n), acc)
 		for s := 0; s < n-1; s++ {
-			right, left := (i+1)%n, (i-1+n)%n
-			r.commSend(fmt.Sprintf("rsv:%s>%d/%d", in, right, s),
-				Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(right), Class: ClassRedScatv, Tag: tag, Sub: s},
-				0, rt.In(aKey, acc), c.tokArg(i))
-			blk := ((i-s-2)%n + n) % n
-			tmp := c.w.stageF64(counts[blk])
-			tKey := fmt.Sprintf("%s:rsv:%d:%d:t%d", collKey, c.ctx, tag, s)
-			r.commRecv(fmt.Sprintf("rsv:%s<%d/%d", in, left, s),
-				Match{Ctx: c.ctx, Src: c.worldID(left), Dst: r.id, Class: ClassRedScatv, Tag: tag, Sub: s},
-				0, rt.Out(tKey, tmp), c.tokArg(i))
-			// The arriving partial holds blk's contributions in ring order;
-			// fold in this member's own, continuing the order. Segment
-			// lengths differ per step, so the traveling partial gets a fresh
-			// buffer each fold — all under the one aKey region, which chains
-			// the steps.
-			dst := rt.Out(out, outs[i]) // blk == i on the last step
+			blk := mod(i-s-2, n) // the segment arriving this step
+			tmp := r.stage("t"+strconv.Itoa(s), r.counts[blk])
+			l.sendrecv(s, i, (i+1)%n, mod(i-1, n), rt.In(acc.Key, acc.Buf), tmp)
+			acc = rt.Out(r.out, r.outs[i]) // blk == i on the last step
 			if s < n-2 {
-				acc = c.w.stageF64(counts[blk])
-				dst = rt.Out(aKey, acc)
+				acc = r.stage("acc", r.counts[blk])
 			}
-			lo, hi := displs[blk], displs[blk]+counts[blk]
-			r.rt.Submit("rsvred", func(ctx *rt.Ctx) {
-				d := ctx.F64(2)
-				copy(d, ctx.F64(1))
-				op(d, ctx.F64(0)[lo:hi])
-			}, rt.In(in, bufs[i]), rt.In(tKey, tmp), dst)
+			r.fold(i, own, blk, tmp, acc)
 		}
 	}
 }
 
-// ReduceScattervHier is the topology-aware ReduceScatterv: each node folds
-// its members' full input vectors into a staged vector at its leader over
-// shared memory (node-local comm-rank order), each segment's per-node
-// partials then travel the *leader* ring — starting at the owner's
-// successor leader and arriving fully reduced at the owner's leader, so a
-// segment crosses G−1 cables instead of n−1 — and leaders deliver the
-// finished segments to their node-mates. Operands group and reorder by
-// node, so op must be commutative; the auto-dispatcher selects this path
-// only for the builtin operators. Inputs are left untouched, like the flat
-// ring's. See hier.go's package comment for when results are bitwise-equal
-// to the flat algorithms.
-func (c *Comm) ReduceScattervHier(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
-	n := len(c.members)
-	displs, total, ok := c.checkReduceScatterv("ReduceScattervHier", bufs, outs, counts)
-	if !ok {
-		return
-	}
-	if n == 1 {
-		c.members[0].rt.Submit("rsvout", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0)[displs[0]:displs[0]+counts[0]])
-		}, rt.In(in, bufs[0]), rt.Out(out, outs[0]))
-		return
-	}
-	d, err := c.nodeComms()
-	if err != nil {
-		c.w.addErr(err)
-		return
-	}
-	G := len(d.groups)
-	sKey := fmt.Sprintf("%s:rsv:%d:%d:stage", collKey, c.ctx, tag)
+// leaderRings is ReduceScattervHier's schedule.
+func (r *rsv) leaderRings(d *nodeDecomp) {
+	c, n, G := r.c, len(r.c.members), len(d.groups)
 	// Phase 1 — node-local gather: fold each node's full vectors into a
 	// staged vector at the leader, in node-local rank order. The stage — not
 	// the leader's own buffer — accumulates, so inputs stay untouched like
 	// the flat ring's.
-	stages := make([]buffer.F64, G)
+	stages := make([]rt.Arg, G) // each node's partial, as its leader reads it
 	for g, grp := range d.groups {
-		lc := d.locals[grp[0]]
-		stage := c.w.stageF64(total)
-		stages[g] = stage
-		redArgs := []rt.Arg{rt.Out(sKey, stage), rt.In(in, bufs[grp[0]])}
-		for il := 1; il < len(grp); il++ {
-			pi := grp[il]
-			m := Match{Ctx: lc.ctx, Src: c.worldID(pi), Dst: c.worldID(grp[0]),
-				Class: ClassRedScatv, Tag: tag, Sub: subVecReduce}
-			c.members[pi].commSend(fmt.Sprintf("rsvgather:%s>%d", in, grp[0]), m,
-				0, rt.In(in, bufs[pi]), lc.tokArg(il))
-			tmp := c.w.stageF64(total)
-			tKey := fmt.Sprintf("%s:rsv:%d:%d:g%d", collKey, c.ctx, tag, il)
-			c.members[grp[0]].commRecv(fmt.Sprintf("rsvgather:%s<%d", in, pi), m,
-				0, rt.Out(tKey, tmp), lc.tokArg(0))
-			redArgs = append(redArgs, rt.In(tKey, tmp))
-		}
+		stage := r.stage("stage", r.total)
+		stages[g] = rt.In(stage.Key, stage.Buf)
+		got := d.locals[grp[0]].lane(ClassRedScatv, r.tag, "rsvgather:"+r.in).
+			gatherAtZero(subVecReduce, r.in, pick(r.bufs, grp), r.prefix+"g")
+		op := r.op
 		c.members[grp[0]].rt.Submit("rsvnode", func(ctx *rt.Ctx) {
 			st := ctx.F64(0)
 			copy(st, ctx.F64(1))
 			for a := 2; a < ctx.NArgs(); a++ {
 				op(st, ctx.F64(a))
 			}
-		}, redArgs...)
+		}, append([]rt.Arg{stage, rt.In(r.in, r.bufs[grp[0]])}, got...)...)
 	}
 	// Phase 2 — per-segment leader ring: segment pj (owner in group g)
 	// starts at leader (g+1) mod G as a copy of that node's staged partial
@@ -419,76 +335,52 @@ func (c *Comm) ReduceScattervHier(tag int, in, out string, bufs, outs []buffer.F
 	// arriving complete at leader g. Each segment rides its own region key,
 	// so segments pipeline independently; the hop subchannel is the owner's
 	// comm rank, unique per ordered leader pair.
-	final := make([]buffer.F64, n) // finished segment, at the owner's leader
+	hops := d.leaders.lane(ClassRedScatv, r.tag, "rsvring:"+r.in)
+	final := make([]rt.Arg, n) // the finished segment, at its owner's leader
 	for pj := 0; pj < n; pj++ {
-		if counts[pj] == 0 {
-			final[pj] = buffer.F64{}
+		h, g := "h"+strconv.Itoa(pj), d.groupOf[pj]
+		if r.counts[pj] == 0 {
+			final[pj] = rt.In(r.prefix+h, buffer.F64{})
 			continue
 		}
-		g := d.groupOf[pj]
-		lo, hi := displs[pj], displs[pj]+counts[pj]
-		aKey := fmt.Sprintf("%s:rsv:%d:%d:h%d", collKey, c.ctx, tag, pj)
-		first := (g + 1) % G
-		acc := c.w.stageF64(counts[pj])
-		fg := first
-		c.members[d.groups[first][0]].rt.Submit("rsvinit", func(ctx *rt.Ctx) {
-			copy(ctx.F64(1), ctx.F64(0)[lo:hi])
-		}, rt.In(sKey, stages[fg]), rt.Out(aKey, acc))
+		acc := r.stage(h, r.counts[pj])
+		r.seed(d.heads[(g+1)%G], stages[(g+1)%G], pj, acc)
 		for s := 0; s < G-1; s++ {
 			cur, nxt := (g+1+s)%G, (g+2+s)%G
-			curR, nxtR := c.members[d.groups[cur][0]], c.members[d.groups[nxt][0]]
-			m := Match{Ctx: d.leaders.ctx, Src: curR.id, Dst: nxtR.id,
-				Class: ClassRedScatv, Tag: tag, Sub: pj}
-			curR.commSend(fmt.Sprintf("rsvring:%s[%d]>%d", in, pj, nxt), m,
-				0, rt.In(aKey, acc), d.leaders.tokArg(cur))
-			tmp := c.w.stageF64(counts[pj])
-			tKey := fmt.Sprintf("%s:rsv:%d:%d:r%d", collKey, c.ctx, tag, pj)
-			nxtR.commRecv(fmt.Sprintf("rsvring:%s[%d]<%d", in, pj, cur), m,
-				0, rt.Out(tKey, tmp), d.leaders.tokArg(nxt))
-			dst := c.w.stageF64(counts[pj])
-			ng := nxt
-			nxtR.rt.Submit("rsvred", func(ctx *rt.Ctx) {
-				dd := ctx.F64(2)
-				copy(dd, ctx.F64(1))
-				op(dd, ctx.F64(0)[lo:hi])
-			}, rt.In(sKey, stages[ng]), rt.In(tKey, tmp), rt.Out(aKey, dst))
-			acc = dst
+			tmp := r.stage("r"+strconv.Itoa(pj), r.counts[pj])
+			hops.transfer(pj, cur, nxt, rt.In(acc.Key, acc.Buf), tmp)
+			acc = r.stage(h, r.counts[pj])
+			r.fold(d.heads[nxt], stages[nxt], pj, tmp, acc)
 		}
-		final[pj] = acc
+		final[pj] = rt.In(acc.Key, acc.Buf)
 	}
 	// Phase 3 — delivery: the owner's leader hands each finished segment to
 	// its owner (a node-local copy when the owner is the leader itself), on
 	// the parent context so the fan-out can never rendezvous with ring hops.
+	deliver := c.lane(ClassRedScatv, r.tag, "rsvout:"+r.out)
 	for pj := 0; pj < n; pj++ {
-		g := d.groupOf[pj]
-		leader := d.groups[g][0]
-		aKey := fmt.Sprintf("%s:rsv:%d:%d:h%d", collKey, c.ctx, tag, pj)
+		leader, dst := d.heads[d.groupOf[pj]], rt.Out(r.out, r.outs[pj])
 		if pj == leader {
 			c.members[pj].rt.Submit("rsvout", func(ctx *rt.Ctx) {
 				copy(ctx.F64(1), ctx.F64(0))
-			}, rt.In(aKey, final[pj]), rt.Out(out, outs[pj]))
+			}, final[pj], dst)
 			continue
 		}
-		m := Match{Ctx: c.ctx, Src: c.worldID(leader), Dst: c.worldID(pj),
-			Class: ClassRedScatv, Tag: tag, Sub: subVecDeliver + pj}
-		c.members[leader].commSend(fmt.Sprintf("rsvout:%s[%d]>%d", out, pj, pj), m,
-			0, rt.In(aKey, final[pj]), c.tokArg(leader))
-		c.members[pj].commRecv(fmt.Sprintf("rsvout:%s[%d]<%d", out, pj, leader), m,
-			0, rt.Out(out, outs[pj]), c.tokArg(pj))
+		deliver.transfer(subVecDeliver+pj, leader, pj, final[pj], dst)
 	}
 }
 
 // AllreduceRabenseifner is the bandwidth-optimal Allreduce for long vectors:
 // a reduce-scatter by recursive vector halving — log2(p) rounds in which
-// partners at distance p/2, p/4, …, 1 exchange opposite halves of their
+// partners at distance 1, 2, …, p/2 exchange opposite halves of their
 // current range and fold, leaving each member a fully reduced 1/p-slice —
 // followed by an allgather by recursive doubling that reassembles the full
 // vector, the doubling receives landing directly in the member's own buffer.
-// Members beyond the largest power of two p ≤ n fold in via the same
-// pre/post phases as AllreduceTree. Every member moves ~2·V elements total
-// against the tree's V·log2(p), the classic Thakur/Rabenseifner result —
-// at the price of 2× the message count, which is why the auto-selection
-// reserves it for vectors past RabenseifnerCrossoverBytes.
+// Members beyond the largest power of two p ≤ n fold in and are served
+// through the same bracket as AllreduceTree. Every member moves ~2·V
+// elements total against the tree's V·log2(p), the classic
+// Thakur/Rabenseifner result — at the price of 2× the message count, which
+// is why plan reserves it for vectors past RabenseifnerCrossoverBytes.
 //
 // op must be commutative (members fold sub-ranges in different orders);
 // results are bitwise-equal to AllreduceGather under the associativity
@@ -497,117 +389,58 @@ func (c *Comm) ReduceScattervHier(tag int, in, out string, bufs, outs []buffer.F
 // tasks: replicable, corruptible. Plumbing travels in ClassRab with the
 // round index as the subchannel.
 func (c *Comm) AllreduceRabenseifner(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	n := len(c.members)
-	if !c.checkMembers("AllreduceRabenseifner", len(bufs)) {
-		return
-	}
-	if n == 1 {
-		return
-	}
-	V := len(bufs[0])
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	key := func(kind string, k int) string {
-		return fmt.Sprintf("%s:rab:%d:%d:%s%d", collKey, c.ctx, tag, kind, k)
-	}
-	// Pre phase: extra member p+j folds its full vector into member j.
-	for j := 0; j+p < n; j++ {
-		e := p + j
-		m := Match{Ctx: c.ctx, Src: c.worldID(e), Dst: c.worldID(j), Class: ClassRab, Tag: tag, Sub: subTreePre}
-		c.members[e].commSend(fmt.Sprintf("rabpre:%s>%d", name, j), m,
-			0, rt.In(name, bufs[e]), c.tokArg(e))
-		tmp := c.w.stageF64(V)
-		tk := key("pre", j)
-		c.members[j].commRecv(fmt.Sprintf("rabpre:%s<%d", name, e), m,
-			0, rt.Out(tk, tmp), c.tokArg(j))
-		c.members[j].rt.Submit("rabred", func(ctx *rt.Ctx) {
-			op(ctx.F64(0), ctx.F64(1))
-		}, rt.Inout(name, bufs[j]), rt.In(tk, tmp))
-	}
-	// Reduce-scatter phase: recursive vector halving with distance doubling —
-	// nearest partners first, so the largest payloads (V/2 in round 0) move
-	// the shortest rank distances and only the smallest segments travel far.
-	// On a placed fabric that keeps the big halves on intra-node links and
-	// sends only O(V/p)-sized pieces across node cables. Partners at round k
-	// differ only in bit `step`; all earlier rounds used lower bits, so
-	// partners made identical keep/send decisions and share the same
-	// [lo, hi) — each sends the half its partner keeps.
-	lo := make([]int, p)
-	hi := make([]int, p)
-	for i := range hi {
-		hi[i] = V
-	}
-	rounds := 0
-	for step := 1; step < p; step *= 2 {
-		k := rounds
-		rounds++
-		for i := 0; i < p; i++ {
-			partner := i ^ step
-			mid := lo[i] + (hi[i]-lo[i])/2
-			keepLo, keepHi, sendLo, sendHi := lo[i], mid, mid, hi[i]
-			if i&step != 0 {
-				keepLo, keepHi, sendLo, sendHi = mid, hi[i], lo[i], mid
-			}
-			c.members[i].commSend(fmt.Sprintf("rabrs:%s>%d/%d", name, partner, k),
-				Match{Ctx: c.ctx, Src: c.worldID(i), Dst: c.worldID(partner), Class: ClassRab, Tag: tag, Sub: k},
-				0, rt.In(name, bufs[i][sendLo:sendHi]), c.tokArg(i))
-			tmp := c.w.stageF64(keepHi - keepLo)
-			tk := key("rs", k)
-			c.members[i].commRecv(fmt.Sprintf("rabrs:%s<%d/%d", name, partner, k),
-				Match{Ctx: c.ctx, Src: c.worldID(partner), Dst: c.worldID(i), Class: ClassRab, Tag: tag, Sub: k},
-				0, rt.Out(tk, tmp), c.tokArg(i))
-			kl, kh := keepLo, keepHi
-			c.members[i].rt.Submit("rabred", func(ctx *rt.Ctx) {
-				op(ctx.F64(0)[kl:kh], ctx.F64(1))
-			}, rt.Inout(name, bufs[i]), rt.In(tk, tmp))
+	c.allreduce(algRabenseifner, tag, name, bufs, op)
+}
+
+// allreduceRabenseifner is AllreduceRabenseifner's schedule.
+func (c *Comm) allreduceRabenseifner(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+	r := &pow2{lane: c.lane(ClassRab, tag, "rab:"+name), kind: "rab", name: name, bufs: bufs, op: op}
+	r.bracket(func(p int) {
+		// [lo[i], hi[i]) is the range of the vector member i currently owns.
+		lo, hi := make([]int, p), make([]int, p)
+		for i := range hi {
+			hi[i] = len(bufs[0])
 		}
-		// Shrink ranges only after the whole round is submitted: a member's
-		// send range is computed from its partner's still-unshrunk entries.
-		for i := 0; i < p; i++ {
-			mid := lo[i] + (hi[i]-lo[i])/2
-			if i&step == 0 {
-				hi[i] = mid
-			} else {
-				lo[i] = mid
+		// Reduce-scatter phase: recursive vector halving with distance doubling —
+		// nearest partners first, so the largest payloads (V/2 in round 0) move
+		// the shortest rank distances and only the smallest segments travel far.
+		// On a placed fabric that keeps the big halves on intra-node links and
+		// sends only O(V/p)-sized pieces across node cables. Partners at round k
+		// differ only in bit `step`; all earlier rounds used lower bits, so
+		// partners made identical keep/send decisions and share the same
+		// [lo, hi) — each sends the half its partner keeps.
+		round := 0
+		for step := 1; step < p; step, round = step*2, round+1 {
+			for i := 0; i < p; i++ {
+				mid := lo[i] + (hi[i]-lo[i])/2
+				keepLo, keepHi, sendLo, sendHi := lo[i], mid, mid, hi[i]
+				if i&step != 0 {
+					keepLo, keepHi, sendLo, sendHi = mid, hi[i], lo[i], mid
+				}
+				tmp := r.stage("rs", round, keepHi-keepLo)
+				r.sendrecv(round, i, i^step, i^step, rt.In(name, bufs[i][sendLo:sendHi]), tmp)
+				r.fold(i, keepLo, keepHi, tmp)
+				lo[i], hi[i] = keepLo, keepHi
 			}
 		}
-	}
-	// Allgather phase: recursive doubling of ranges with distance halving,
-	// merging in reverse split order — farthest partners exchange the small
-	// ranges first, nearest partners the near-full vectors last. The receive
-	// writes the partner's slice of the member's own buffer directly, so the
-	// next round's larger send is dataflow-gated on it through region name.
-	for kk, step := 0, p/2; step >= 1; kk, step = kk+1, step/2 {
-		plo := append([]int(nil), lo...)
-		phi := append([]int(nil), hi...)
-		for i := 0; i < p; i++ {
-			partner := i ^ step
-			c.members[i].commSend(fmt.Sprintf("rabag:%s>%d/%d", name, partner, kk),
-				Match{Ctx: c.ctx, Src: c.worldID(i), Dst: c.worldID(partner), Class: ClassRab, Tag: tag, Sub: rounds + kk},
-				0, rt.In(name, bufs[i][plo[i]:phi[i]]), c.tokArg(i))
-			c.members[i].commRecv(fmt.Sprintf("rabag:%s<%d/%d", name, partner, kk),
-				Match{Ctx: c.ctx, Src: c.worldID(partner), Dst: c.worldID(i), Class: ClassRab, Tag: tag, Sub: rounds + kk},
-				0, rt.Out(name, bufs[i][plo[partner]:phi[partner]]), c.tokArg(i))
-		}
-		for i := 0; i < p; i++ {
-			partner := i ^ step
-			if plo[partner] < lo[i] {
-				lo[i] = plo[partner]
-			}
-			if phi[partner] > hi[i] {
-				hi[i] = phi[partner]
+		// Allgather phase: recursive doubling of ranges with distance halving,
+		// merging in reverse split order — farthest partners exchange the small
+		// ranges first, nearest partners the near-full vectors last. Each pair
+		// swaps its two ranges and then owns their union. The receive writes
+		// the partner's slice of the member's own buffer directly, so the next
+		// round's larger send is dataflow-gated on it through region name.
+		for step := p / 2; step >= 1; step, round = step/2, round+1 {
+			for i := 0; i < p; i++ {
+				j := i ^ step
+				if j < i {
+					continue
+				}
+				mine, theirs := bufs[i][lo[i]:hi[i]], bufs[j][lo[j]:hi[j]]
+				r.sendrecv(round, i, j, j, rt.In(name, mine), rt.Out(name, bufs[i][lo[j]:hi[j]]))
+				r.sendrecv(round, j, i, i, rt.In(name, theirs), rt.Out(name, bufs[j][lo[i]:hi[i]]))
+				lo[i], hi[i] = min(lo[i], lo[j]), max(hi[i], hi[j])
+				lo[j], hi[j] = lo[i], hi[i]
 			}
 		}
-	}
-	// Post phase: member j ships the reassembled vector back to extra p+j.
-	for j := 0; j+p < n; j++ {
-		e := p + j
-		m := Match{Ctx: c.ctx, Src: c.worldID(j), Dst: c.worldID(e), Class: ClassRab, Tag: tag, Sub: subTreePost}
-		c.members[j].commSend(fmt.Sprintf("rabpost:%s>%d", name, e), m,
-			0, rt.In(name, bufs[j]), c.tokArg(j))
-		c.members[e].commRecv(fmt.Sprintf("rabpost:%s<%d", name, j), m,
-			0, rt.Out(name, bufs[e]), c.tokArg(e))
-	}
+	})
 }

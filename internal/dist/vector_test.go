@@ -204,15 +204,20 @@ func TestReduceScattervFlatRingOrder(t *testing.T) {
 }
 
 func TestReduceScattervSingleMember(t *testing.T) {
-	w := NewWorld(Config{Ranks: 1})
-	in := buffer.F64{3, 4}
-	out := buffer.NewF64(2)
-	w.Comm().ReduceScatterv(0, "in", "out", []buffer.F64{in}, []buffer.F64{out}, []int{2}, OpSum)
-	if err := w.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 3 || out[1] != 4 {
-		t.Fatalf("out = %v, want [3 4]", out)
+	// A lone member's result is its own input, whichever shape is named.
+	for name, call := range map[string]func(*Comm, int, string, string, []buffer.F64, []buffer.F64, []int, ReduceOp){
+		"auto": (*Comm).ReduceScatterv, "flat": (*Comm).ReduceScattervFlat, "hier": (*Comm).ReduceScattervHier,
+	} {
+		w := NewWorld(Config{Ranks: 1})
+		in := buffer.F64{3, 4}
+		out := buffer.NewF64(2)
+		call(w.Comm(), 0, "in", "out", []buffer.F64{in}, []buffer.F64{out}, []int{2}, OpSum)
+		if err := w.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != 3 || out[1] != 4 {
+			t.Fatalf("%s: out = %v, want [3 4]", name, out)
+		}
 	}
 }
 
@@ -355,22 +360,43 @@ func TestAllreduceAutoSelectsByBytes(t *testing.T) {
 }
 
 func TestAllreduceRaggedPicksSmallestPayload(t *testing.T) {
-	// One member's vector is below the tree crossover: byte-based selection
-	// must fall back to the gather path (2(n-1) messages) instead of
-	// tree-exchanging a vector some member cannot fill. The ragged receive
-	// then fails CopyFrom — recorded, not panicking — which is exactly why
-	// selection keys on the smallest member payload.
+	// Members' vectors differ in length: whatever algorithm the sizes would
+	// select — and whichever variant is named — the call is rejected with
+	// ErrCollectiveArgs and submits nothing. (Selection once keyed on the
+	// smallest payload to dodge this; three 16 384-element vectors and one
+	// of 9 000, all past the Rabenseifner crossover, then sliced past a
+	// buffer's capacity inside a worker goroutine and killed the process.)
 	const n = 4
-	w := NewWorld(Config{Ranks: n})
-	bufs := make([]buffer.F64, n)
-	for i := range bufs {
-		bufs[i] = buffer.NewF64(TreeAllreduceCrossoverBytes / 8)
+	ragged := func(long, short int) []buffer.F64 {
+		bufs := make([]buffer.F64, n)
+		for i := range bufs {
+			bufs[i] = buffer.NewF64(long)
+		}
+		bufs[2] = buffer.NewF64(short)
+		return bufs
 	}
-	bufs[2] = buffer.NewF64(4) // ragged: far below the crossover
-	w.Comm().Allreduce(0, "v", bufs, OpSum)
-	_ = w.Shutdown()
-	if got := w.MessagesSent(); got != 2*(n-1) {
-		t.Fatalf("messages = %d, want the gather's %d", got, 2*(n-1))
+	calls := map[string]func(c *Comm){
+		"auto, one below the tree crossover": func(c *Comm) {
+			c.Allreduce(0, "v", ragged(TreeAllreduceCrossoverBytes/8, 4), OpSum)
+		},
+		"auto, all past the Rabenseifner crossover": func(c *Comm) { c.Allreduce(0, "v", ragged(16384, 9000), OpSum) },
+		"gather":       func(c *Comm) { c.AllreduceGather(0, "v", ragged(16, 9), OpSum) },
+		"tree":         func(c *Comm) { c.AllreduceTree(0, "v", ragged(16, 9), OpSum) },
+		"rabenseifner": func(c *Comm) { c.AllreduceRabenseifner(0, "v", ragged(16384, 9000), OpSum) },
+		"hier":         func(c *Comm) { c.AllreduceHier(0, "v", ragged(16, 9), OpSum) },
+	}
+	for name, call := range calls {
+		w := blockWorld(t, n, 2, false)
+		call(w.Comm())
+		if err := w.Shutdown(); !errors.Is(err, ErrCollectiveArgs) {
+			t.Errorf("%s: Shutdown = %v, want ErrCollectiveArgs", name, err)
+		}
+		if got := w.MessagesSent(); got != 0 {
+			t.Errorf("%s: a rejected Allreduce sent %d messages", name, got)
+		}
+		if got := w.Stats().Completed; got != 0 {
+			t.Errorf("%s: a rejected Allreduce ran %d tasks", name, got)
+		}
 	}
 }
 

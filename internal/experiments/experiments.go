@@ -441,7 +441,7 @@ type AblationRow struct {
 	WithinBudget   bool
 }
 
-// Ablation compares App_FIT with its strict variant, the offline knapsack
+// Ablation compares App_FIT with its revocable variant, the offline knapsack
 // oracle, random selection and the trivial policies, all at 10× rates on
 // the given benchmark's simulator job (program-order decisions).
 func Ablation(benchName string, scale workload.Scale) ([]AblationRow, string, error) {
@@ -480,7 +480,6 @@ func Ablation(benchName string, scale workload.Scale) ([]AblationRow, string, er
 	}
 	var rows []AblationRow
 	rows = append(rows, evalSeq(core.NewAppFIT(threshold, len(tasks))))
-	rows = append(rows, evalSeq(core.NewAppFITStrict(threshold, len(tasks))))
 	rows = append(rows, evalSeq(core.NewAppFITRevocable(threshold, len(tasks))))
 	oracle := core.KnapsackOracle(tasks, threshold)
 	rows = append(rows, AblationRow{
@@ -606,6 +605,3 @@ func ThresholdSweep(benchName string, scale workload.Scale) (string, error) {
 	hdr := fmt.Sprintf("threshold sweep on %s (app FIT at 1x = %.4g; task rates at 10x)\n", benchName, appFIT)
 	return hdr + t.String(), nil
 }
-
-// MakespanMs is a small helper exposed for the root-level benchmarks.
-func MakespanMs(res cluster.Result) float64 { return res.Makespan.Seconds() * 1e3 }

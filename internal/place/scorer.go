@@ -213,9 +213,6 @@ func (s *Scorer) Ranks() int { return len(s.assign) }
 // assignment.
 func (s *Scorer) NodeOf(r int) int { return s.assign[r] }
 
-// Assignment returns a copy of the current assignment.
-func (s *Scorer) Assignment() []int { return append([]int(nil), s.assign...) }
-
 // Eval prices the current assignment: bitwise what Evaluate(profile, topo)
 // of the same assignment returns. O(1) — the segment tree's root is the
 // makespan.

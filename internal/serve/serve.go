@@ -86,9 +86,12 @@ type TenantConfig struct {
 	// only meaningful with Rate > 0.
 	Burst int
 	// QueueCap bounds the tenant's queue; a batch that would push the
-	// queue past it is rejected whole (default 1024).
+	// queue past it is rejected whole (default DefaultQueueCap).
 	QueueCap int
 }
+
+// DefaultQueueCap is the queue bound of a tenant that configures none.
+const DefaultQueueCap = 1024
 
 func (c TenantConfig) normalized() (TenantConfig, error) {
 	if c.Name == "" {
@@ -104,7 +107,7 @@ func (c TenantConfig) normalized() (TenantConfig, error) {
 		c.Burst = int(c.Rate) + 1
 	}
 	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
+		c.QueueCap = DefaultQueueCap
 	}
 	return c, nil
 }
