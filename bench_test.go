@@ -16,7 +16,6 @@ import (
 	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/core"
 	"appfit/internal/dist"
 	"appfit/internal/experiments"
@@ -251,24 +250,6 @@ func BenchmarkHaloWorld(b *testing.B) {
 			b.ReportMetric(float64(msgs), "msgs/world")
 		})
 	}
-}
-
-// BenchmarkClusterSimThroughput measures the virtual-time engine itself:
-// simulated tasks per second on a replicated 16-node run.
-func BenchmarkClusterSimThroughput(b *testing.B) {
-	w, _ := bench.ByName("linpack")
-	job := w.BuildJob(workload.Small, 16, workload.DefaultCostModel())
-	cfg := cluster.Config{
-		Nodes: 16, CoresPerNode: 16, ReplicaCores: 16,
-		Replicated: cluster.All(len(job.Tasks)),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Run(job, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(job.Tasks)), "tasks/run")
 }
 
 // BenchmarkRuntimeTaskThroughput measures the real runtime's end-to-end

@@ -5,6 +5,10 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"appfit/internal/bench/workload"
@@ -12,6 +16,7 @@ import (
 	"appfit/internal/core"
 	"appfit/internal/fault"
 	"appfit/internal/rt"
+	"appfit/internal/sweep"
 )
 
 func TestRegistry(t *testing.T) {
@@ -168,5 +173,32 @@ func TestRTAndJobTaskCountsMatch(t *testing.T) {
 				t.Fatalf("task counts diverge: rt=%d job=%d", rtTasks, len(job.Tasks))
 			}
 		})
+	}
+}
+
+// TestBuiltJobsGolden pins the jobs the builders emit — every task's label,
+// node, cost, footprint, predecessor list and edge payloads, through the
+// sweep engine's content hash — for all nine benchmarks at Tiny and Small
+// on 1, 4 and 64 nodes. The digest was recorded before JobBuilder.Task
+// dropped its per-task map (PR 22): cache keys, and the figures keyed by
+// them, are only stable if the built jobs are.
+func TestBuiltJobsGolden(t *testing.T) {
+	const want = "c5bd4857c3e8e2d2db76defd6260924e613cadb4b5ccc7146d49fccb33f1a15c"
+	h := sha256.New()
+	var keys []string
+	for _, w := range All() {
+		for _, scale := range []workload.Scale{workload.Tiny, workload.Small} {
+			for _, nodes := range []int{1, 4, 64} {
+				key, ok := sweep.RunKey(w.BuildJob(scale, nodes, workload.DefaultCostModel()), cluster.Config{Nodes: nodes})
+				if !ok {
+					t.Fatalf("%s: uncacheable request", w.Name())
+				}
+				h.Write(key[:])
+				keys = append(keys, fmt.Sprintf("%s %s nodes=%d %x", w.Name(), scale, nodes, key))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("built jobs drifted: digest %s, want %s\nper-job keys:\n%s", got, want, strings.Join(keys, "\n"))
 	}
 }

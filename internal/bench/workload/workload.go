@@ -8,8 +8,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"appfit/internal/cluster"
 	"appfit/internal/deps"
@@ -116,6 +117,14 @@ type JobBuilder struct {
 
 	lastWriter map[string]int // key -> task index (-1 none)
 	readers    map[string][]int
+	preds      []pred // the task being added's predecessors; scratch reused across tasks
+}
+
+// pred is one predecessor of the task being added and the largest payload
+// among the accesses that depend on it.
+type pred struct {
+	task  int
+	bytes int64
 }
 
 // NewJobBuilder returns a builder for a named job.
@@ -131,26 +140,30 @@ func NewJobBuilder(name string, cm CostModel) *JobBuilder {
 // SetInputBytes records the benchmark input footprint.
 func (b *JobBuilder) SetInputBytes(n int64) { b.job.InputBytes = n }
 
+// note records that the task being added depends on p through an access of
+// bytes. Tasks have a handful of predecessors, so the find is linear.
+func (b *JobBuilder) note(p int, bytes int64) {
+	for i := range b.preds {
+		if b.preds[i].task == p {
+			b.preds[i].bytes = max(b.preds[i].bytes, bytes)
+			return
+		}
+	}
+	b.preds = append(b.preds, pred{p, bytes})
+}
+
 // Task appends a task with the given kernel work and region accesses and
 // returns its index. flops and memBytes feed the cost model; the argument
 // footprint (FIT estimation, checkpoint size) is the sum of access bytes.
 func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
 	idx := len(b.job.Tasks)
 	var argBytes int64
-	predBytes := map[int]int64{}
-	note := func(p int, bytes int64) {
-		if p < 0 {
-			return
-		}
-		if old, ok := predBytes[p]; !ok || bytes > old {
-			predBytes[p] = bytes
-		}
-	}
+	b.preds = b.preds[:0]
 	for _, a := range accs {
 		argBytes += a.Bytes
 		if a.Mode.Reads() {
 			if w, ok := b.lastWriter[a.Key]; ok {
-				note(w, a.Bytes)
+				b.note(w, a.Bytes)
 			}
 		}
 		if a.Mode.Writes() {
@@ -158,11 +171,11 @@ func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ..
 			// overwrites the region, it does not consume the data (an
 			// inout's consumption is covered by its read access above).
 			if w, ok := b.lastWriter[a.Key]; ok {
-				note(w, 0)
+				b.note(w, 0)
 			}
 			for _, rd := range b.readers[a.Key] {
 				if rd != idx {
-					note(rd, 0)
+					b.note(rd, 0)
 				}
 			}
 		}
@@ -182,17 +195,15 @@ func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ..
 		Cost:     b.cm.Cost(flops, memBytes),
 		ArgBytes: argBytes,
 	}
-	// Emit edges in sorted predecessor order: map iteration would build a
-	// different (if equivalent) job each call, splitting content-addressed
-	// cache keys across otherwise-identical requests.
-	preds := make([]int, 0, len(predBytes))
-	for p := range predBytes {
-		preds = append(preds, p)
-	}
-	sort.Ints(preds)
-	for _, p := range preds {
-		t.Deps = append(t.Deps, p)
-		t.DepBytes = append(t.DepBytes, predBytes[p])
+	// Emit edges in sorted predecessor order: discovery order follows the
+	// caller's access order, and content-addressed cache keys must not
+	// split across otherwise-identical requests.
+	if n := len(b.preds); n > 0 {
+		slices.SortFunc(b.preds, func(x, y pred) int { return cmp.Compare(x.task, y.task) })
+		t.Deps, t.DepBytes = make([]int, n), make([]int64, n)
+		for i, p := range b.preds {
+			t.Deps[i], t.DepBytes[i] = p.task, p.bytes
+		}
 	}
 	b.job.Tasks = append(b.job.Tasks, t)
 	return idx

@@ -14,9 +14,9 @@
 package cluster
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 
 	"appfit/internal/fault"
 	"appfit/internal/place"
@@ -61,8 +61,14 @@ var ErrJob = errors.New("cluster: invalid job")
 var ErrStalled = errors.New("cluster: simulation stalled")
 
 // Validate checks DAG well-formedness: dependencies must point backwards.
+// Task and edge counts must fit the simulator's 32-bit event payloads.
 func (j Job) Validate(nodes int) error {
-	for i, t := range j.Tasks {
+	edges := 0
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
+		if edges += len(t.Deps); i >= math.MaxInt32 || edges > math.MaxInt32 {
+			return fmt.Errorf("cluster: more than %d tasks or dependency edges: %w", math.MaxInt32, ErrJob)
+		}
 		if t.Node < 0 || t.Node >= nodes {
 			return fmt.Errorf("cluster: task %d pinned to node %d of %d: %w", i, t.Node, nodes, ErrJob)
 		}
@@ -251,49 +257,27 @@ func (r Result) Speedup(base Result) float64 {
 }
 
 type taskState struct {
-	depsLeft    int
+	depsLeft    int32
+	cleanSeen   int32
+	attempts    int32
+	outstanding int32 // executions in flight
 	started     bool
 	done        bool
-	cleanSeen   int
-	attempts    int
 	anyCrash    bool
 	anySDC      bool
-	outstanding int // executions in flight
 }
 
-type execItem struct {
-	task    int
-	attempt int
-	cost    simtime.Time
-}
-
-// itemHeap orders ready executions by program order (task index, then
-// attempt): earlier tasks are usually on the critical path (panel
-// factorizations before trailing updates), the lookahead priority a real
-// dataflow runtime gives them.
-type itemHeap []execItem
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].task != h[j].task {
-		return h[i].task < h[j].task
-	}
-	return h[i].attempt < h[j].attempt
-}
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(execItem)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-type succEdge struct {
-	task  int // successor task index
-	bytes int64
-}
+// The simulator's three events, dispatched by sim.handle.
+const (
+	// evExecDone(task, attempt): one execution leaves its core.
+	evExecDone simtime.Kind = iota + 1
+	// evCompared(task): the output comparison of a replicated task's
+	// finished executions completes (Figure 2 step 3).
+	evCompared
+	// evDeliver(lo, hi): a producer's data reaches a consumer node, releasing
+	// the successors of layout segment edges[lo:hi].
+	evDeliver
+)
 
 type sim struct {
 	job Job
@@ -302,21 +286,26 @@ type sim struct {
 	net *simnet.Network
 
 	states []taskState
-	succs  [][]succEdge // successor adjacency, built once at start
-	free   []int        // free cores per node
-	ready  []itemHeap   // per-node priority queue of runnable executions
+	succs  layout // successor adjacency, built once at start
+	free   []int  // free cores per node
+	// ready is the per-node priority queue of runnable executions, keyed
+	// (task index, attempt) — program order: earlier tasks are usually on
+	// the critical path (panel factorizations before trailing updates), the
+	// lookahead priority a real dataflow runtime gives them. The queued
+	// value is the execution's core-time cost.
+	ready []simtime.Heap[simtime.Time]
 	// Spare-core pool (nil when ReplicaCores == 0): replica and recovery
 	// executions queue here instead of competing with primaries.
 	freeR  []int
-	readyR []itemHeap
+	readyR []simtime.Heap[simtime.Time]
 
 	res       Result
 	remaining int
 }
 
-// spare reports whether it should run on the spare-core pool.
-func (s *sim) spare(it execItem) bool {
-	return s.freeR != nil && it.attempt > 0
+// spare reports whether an attempt runs on the spare-core pool.
+func (s *sim) spare(attempt int) bool {
+	return s.freeR != nil && attempt > 0
 }
 
 // Run simulates the job on the configured machine and returns the result.
@@ -335,57 +324,59 @@ func Run(job Job, cfg Config) (Result, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return Result{}, fmt.Errorf("cluster: %w", err)
 	}
+	succs := newLayout(job, cfg.Nodes)
 	var placed *simnet.Topology
 	if cfg.AutoPlace != nil {
 		var err error
-		if cfg, _, err = autoPlace(job, cfg); err != nil {
+		if cfg, _, err = autoPlace(job, &succs, cfg); err != nil {
 			return Result{}, err
 		}
 		placed = cfg.Topo
 	}
+	// All mutable state is per-run scratch, sized once from the job and the
+	// machine; nothing below allocates per task or per event.
 	s := &sim{
 		job:       job,
 		cfg:       cfg,
 		eng:       simtime.New(),
 		states:    make([]taskState, len(job.Tasks)),
+		succs:     succs,
 		free:      make([]int, cfg.Nodes),
-		ready:     make([]itemHeap, cfg.Nodes),
+		ready:     make([]simtime.Heap[simtime.Time], cfg.Nodes),
 		remaining: len(job.Tasks),
 	}
+	s.eng.Handle(s.handle)
+	// At most one event per busy core is pending, plus compares and
+	// deliveries in flight; the queue grows past this only on the latter.
+	s.eng.Grow(min(len(job.Tasks), cfg.Nodes*(cfg.CoresPerNode+cfg.ReplicaCores)))
 	if cfg.Topo != nil {
 		s.net = simnet.NewWithTopology(s.eng, cfg.Topo)
 	} else {
 		s.net = simnet.New(s.eng, cfg.Net)
 	}
 	s.res.NodeBusy = make([]simtime.Time, cfg.Nodes)
-	for n := range s.free {
-		s.free[n] = cfg.CoresPerNode
-	}
 	if cfg.ReplicaCores > 0 {
 		s.freeR = make([]int, cfg.Nodes)
-		s.readyR = make([]itemHeap, cfg.Nodes)
-		for n := range s.freeR {
-			s.freeR[n] = cfg.ReplicaCores
-		}
+		s.readyR = make([]simtime.Heap[simtime.Time], cfg.Nodes)
 	}
-	s.succs = make([][]succEdge, len(job.Tasks))
-	for i, t := range job.Tasks {
-		s.states[i].depsLeft = len(t.Deps)
-		for k, d := range t.Deps {
-			var bytes int64
-			if t.DepBytes != nil {
-				bytes = t.DepBytes[k]
-			}
-			s.succs[d] = append(s.succs[d], succEdge{task: i, bytes: bytes})
+	// A task has at most two executions in flight (primary and replica, or
+	// one re-execution), so a node's tasks bound its queues.
+	shared := 1
+	if s.freeR == nil && cfg.Replicated != nil {
+		shared = 2
+	}
+	for n, tasks := range s.succs.perNode {
+		s.free[n] = cfg.CoresPerNode
+		s.ready[n].Grow(shared * int(tasks))
+		if s.freeR != nil {
+			s.freeR[n] = cfg.ReplicaCores
+			s.readyR[n].Grow(int(tasks))
 		}
 	}
 	for i := range job.Tasks {
-		if s.states[i].depsLeft == 0 {
+		if s.states[i].depsLeft = int32(len(job.Tasks[i].Deps)); s.states[i].depsLeft == 0 {
 			s.launch(i)
 		}
-	}
-	for n := range s.ready {
-		s.trySchedule(n)
 	}
 	s.eng.Run()
 	if s.remaining != 0 {
@@ -399,15 +390,26 @@ func Run(job Job, cfg Config) (Result, error) {
 	return s.res, nil
 }
 
+func (s *sim) handle(k simtime.Kind, a, b int32) {
+	switch k {
+	case evExecDone:
+		s.execDone(int(a), int(b))
+	case evCompared:
+		s.compared(int(a))
+	case evDeliver:
+		s.release(a, b)
+	}
+}
+
 func (s *sim) memCost(bytes int64) simtime.Time {
 	return simtime.FromSeconds(float64(bytes) / s.cfg.MemBWBytesPerSec)
 }
 
-func (s *sim) outBytes(i int) int64 {
-	if s.job.Tasks[i].OutBytes > 0 {
-		return s.job.Tasks[i].OutBytes
+func (s *sim) outBytes(t *Task) int64 {
+	if t.OutBytes > 0 {
+		return t.OutBytes
 	}
-	return s.job.Tasks[i].ArgBytes
+	return t.ArgBytes
 }
 
 func (s *sim) replicated(i int) bool {
@@ -418,69 +420,73 @@ func (s *sim) replicated(i int) bool {
 func (s *sim) launch(i int) {
 	st := &s.states[i]
 	st.started = true
-	t := s.job.Tasks[i]
+	t := &s.job.Tasks[i]
 	if s.replicated(i) {
 		s.res.Replicated++
 		// Primary carries the input-checkpoint cost (Figure 2 step 1).
 		ck := s.memCost(t.ArgBytes)
 		s.res.OverheadTime += ck
 		st.outstanding = 2
-		s.enqueue(t.Node, execItem{task: i, attempt: 0, cost: t.Cost + ck})
-		s.enqueue(t.Node, execItem{task: i, attempt: 1, cost: t.Cost})
+		s.enqueue(i, 0, t.Cost+ck)
+		s.enqueue(i, 1, t.Cost)
 		st.attempts = 2
 	} else {
 		st.outstanding = 1
 		st.attempts = 1
-		s.enqueue(t.Node, execItem{task: i, attempt: 0, cost: t.Cost})
+		s.enqueue(i, 0, t.Cost)
 	}
 }
 
-func (s *sim) enqueue(node int, it execItem) {
-	if s.spare(it) {
-		heap.Push(&s.readyR[node], it)
-	} else {
-		heap.Push(&s.ready[node], it)
+// enqueue makes one execution of task i runnable on its home node.
+func (s *sim) enqueue(i, attempt int, cost simtime.Time) {
+	node := s.job.Tasks[i].Node
+	q := &s.ready[node]
+	if s.spare(attempt) {
+		q = &s.readyR[node]
 	}
+	q.Push(int64(i), uint64(attempt), cost)
 	s.trySchedule(node)
 }
 
+// trySchedule starts queued executions on node while cores are free.
 func (s *sim) trySchedule(node int) {
-	start := func(it execItem) {
-		s.res.BusyTime += it.cost
-		if !s.spare(it) {
-			s.res.NodeBusy[node] += it.cost
-		}
-		if it.attempt == 0 {
-			s.res.PrimaryTime += s.job.Tasks[it.task].Cost
-		} else {
-			s.res.RedundantTime += s.job.Tasks[it.task].Cost
-		}
-		s.eng.After(it.cost, func() { s.execDone(node, it) })
-	}
-	for s.free[node] > 0 && len(s.ready[node]) > 0 {
-		it := heap.Pop(&s.ready[node]).(execItem)
+	for s.free[node] > 0 && s.ready[node].Len() > 0 {
 		s.free[node]--
-		start(it)
+		s.start(node, &s.ready[node])
 	}
 	if s.freeR != nil {
-		for s.freeR[node] > 0 && len(s.readyR[node]) > 0 {
-			it := heap.Pop(&s.readyR[node]).(execItem)
+		for s.freeR[node] > 0 && s.readyR[node].Len() > 0 {
 			s.freeR[node]--
-			start(it)
+			s.start(node, &s.readyR[node])
 		}
 	}
 }
 
-func (s *sim) execDone(node int, it execItem) {
-	if s.spare(it) {
+// start pops q's first execution onto a core of node.
+func (s *sim) start(node int, q *simtime.Heap[simtime.Time]) {
+	task, minor, cost := q.Pop()
+	i, attempt := int(task), int(minor)
+	s.res.BusyTime += cost
+	if !s.spare(attempt) {
+		s.res.NodeBusy[node] += cost
+	}
+	if attempt == 0 {
+		s.res.PrimaryTime += s.job.Tasks[i].Cost
+	} else {
+		s.res.RedundantTime += s.job.Tasks[i].Cost
+	}
+	s.eng.PostAfter(cost, evExecDone, int32(i), int32(attempt))
+}
+
+func (s *sim) execDone(task, attempt int) {
+	node := s.job.Tasks[task].Node
+	if s.spare(attempt) {
 		s.freeR[node]++
 	} else {
 		s.free[node]++
 	}
-	st := &s.states[it.task]
-	t := s.job.Tasks[it.task]
-	outcome := s.cfg.Injector.Draw(uint64(it.task+1), it.attempt, 0, 0)
-	switch outcome {
+	st := &s.states[task]
+	switch s.cfg.Injector.Draw(uint64(task+1), attempt, 0, 0) {
 	case fault.DUE:
 		st.anyCrash = true
 	case fault.SDC:
@@ -493,53 +499,62 @@ func (s *sim) execDone(node int, it execItem) {
 	if st.outstanding > 0 {
 		return
 	}
-	if !s.replicated(it.task) {
+	if !s.replicated(task) {
 		// Unreplicated: the single execution's result stands, corrupted
 		// or not — exactly the unprotected risk the heuristic accepts.
-		s.finish(it.task)
+		s.finish(task)
 		return
 	}
 	// All in-flight executions of a replicated task have completed:
 	// compare outputs (Figure 2 step 3).
-	cmp := s.memCost(s.outBytes(it.task))
+	cmp := s.memCost(s.outBytes(&s.job.Tasks[task]))
 	s.res.OverheadTime += cmp
-	s.eng.After(cmp, func() {
-		if st.cleanSeen >= 2 {
-			// Two agreeing clean results: adopt.
-			if st.anySDC {
-				s.res.SDCDetected++
-			}
-			if st.anyCrash {
-				s.res.DUERecovered++
-			}
-			s.finish(it.task)
-			return
-		}
-		if st.attempts >= s.cfg.MaxAttempts {
-			// Bounded recovery exhausted; the runtime reports an error
-			// here, the simulator charges the time and moves on.
-			s.finish(it.task)
-			return
-		}
-		// Restore from checkpoint (step 4) and re-execute.
+	s.eng.PostAfter(cmp, evCompared, int32(task), 0)
+}
+
+// compared adopts, gives up on or re-executes a replicated task once its
+// finished executions have been compared.
+func (s *sim) compared(task int) {
+	st := &s.states[task]
+	if st.cleanSeen >= 2 {
+		// Two agreeing clean results: adopt.
 		if st.anySDC {
 			s.res.SDCDetected++
-			st.anySDC = false // count one detection per recovery round
 		}
-		s.res.Reexecutions++
-		restore := s.memCost(t.ArgBytes)
-		s.res.OverheadTime += restore
-		st.outstanding = 1
-		st.attempts++
-		s.enqueue(t.Node, execItem{task: it.task, attempt: st.attempts - 1, cost: t.Cost + restore})
-	})
+		if st.anyCrash {
+			s.res.DUERecovered++
+		}
+		s.finish(task)
+		return
+	}
+	if int(st.attempts) >= s.cfg.MaxAttempts {
+		// Bounded recovery exhausted; the runtime reports an error
+		// here, the simulator charges the time and moves on.
+		s.finish(task)
+		return
+	}
+	// Restore from checkpoint (step 4) and re-execute.
+	if st.anySDC {
+		s.res.SDCDetected++
+		st.anySDC = false // count one detection per recovery round
+	}
+	s.res.Reexecutions++
+	t := &s.job.Tasks[task]
+	restore := s.memCost(t.ArgBytes)
+	s.res.OverheadTime += restore
+	st.outstanding = 1
+	st.attempts++
+	s.enqueue(task, int(st.attempts)-1, t.Cost+restore)
 }
 
 // finish marks task i complete and releases its successors, charging
 // cross-node edges to the network. A producer's data travels to each
 // consumer node once, releasing every waiting successor there on arrival —
 // the node-local data cache of a distributed dataflow runtime (OmpSs+MPI
-// moves a block per node, not per consuming task).
+// moves a block per node, not per consuming task). The order is the tie
+// order of everything downstream: local successors are released (and
+// started) in successor order before any send, and sends leave in
+// ascending destination node.
 func (s *sim) finish(i int) {
 	st := &s.states[i]
 	if st.done {
@@ -548,51 +563,25 @@ func (s *sim) finish(i int) {
 	st.done = true
 	s.remaining--
 	from := s.job.Tasks[i].Node
-	release := func(jj int) {
-		stj := &s.states[jj]
-		stj.depsLeft--
-		if stj.depsLeft == 0 && !stj.started {
-			s.launch(jj)
-		}
-	}
-	var perNode map[int]*nodeDelivery
-	for _, e := range s.succs[i] {
-		jj := e.task
-		dst := s.job.Tasks[jj].Node
-		if dst == from {
-			release(jj)
-			continue
-		}
-		if perNode == nil {
-			perNode = make(map[int]*nodeDelivery)
-		}
-		d := perNode[dst]
-		if d == nil {
-			d = &nodeDelivery{}
-			perNode[dst] = d
-		}
-		if e.bytes > d.bytes {
-			d.bytes = e.bytes
-		}
-		d.tasks = append(d.tasks, jj)
-	}
-	// Deterministic send order: iterate destinations in ascending order.
-	for dst := 0; dst < s.cfg.Nodes; dst++ {
-		d := perNode[dst]
-		if d == nil {
-			continue
-		}
-		tasks := d.tasks
-		s.net.Send(from, dst, d.bytes, func() {
-			for _, jj := range tasks {
-				release(jj)
-			}
-		})
+	l := &s.succs
+	lo, end := l.remote[i], l.start[i+1]
+	s.release(l.start[i], lo)
+	for lo < end {
+		hi, bytes := l.segment(lo, end)
+		at := s.net.Transfer(from, int(l.edges[lo].node), bytes)
+		s.eng.Post(at, evDeliver, lo, hi)
+		lo = hi
 	}
 }
 
-// nodeDelivery batches one producer's data transfer to one consumer node.
-type nodeDelivery struct {
-	bytes int64
-	tasks []int
+// release satisfies one dependency of each successor in edges[lo:hi], in
+// order, launching those it leaves with none.
+func (s *sim) release(lo, hi int32) {
+	for _, e := range s.succs.edges[lo:hi] {
+		st := &s.states[e.task]
+		st.depsLeft--
+		if st.depsLeft == 0 && !st.started {
+			s.launch(int(e.task))
+		}
+	}
 }

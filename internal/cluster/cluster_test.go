@@ -365,23 +365,3 @@ func TestUtilizationAndImbalance(t *testing.T) {
 		t.Fatal("empty result imbalance must be 0")
 	}
 }
-
-func BenchmarkSimulate10KTasks(b *testing.B) {
-	job := Job{}
-	r := xrand.New(1)
-	for i := 0; i < 10000; i++ {
-		t := Task{Node: i % 16, Cost: simtime.Time(100 + r.Intn(1000))}
-		if i > 16 {
-			t.Deps = []int{i - 16}
-			t.DepBytes = []int64{1024}
-		}
-		job.Tasks = append(job.Tasks, t)
-	}
-	cfg := Config{Nodes: 16, CoresPerNode: 4, Replicated: All(10000)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(job, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,8 +1,8 @@
 // Placement optimization of a Job: the static capture path of the
 // internal/place pipeline. JobProfile derives the rank-pair traffic matrix
-// a job's dependency edges will put on the fabric — mirroring exactly how
-// the simulator charges them (one delivery per producer task per consumer
-// node, max payload, see sim.finish) — and Config.AutoPlace lets Run
+// a job's dependency edges will put on the fabric — by walking the very
+// layout segments the simulator delivers (one per producer task per
+// consumer node, max payload; see layout) — and Config.AutoPlace lets Run
 // search the node→machine assignment against that profile before
 // simulating.
 package cluster
@@ -24,52 +24,30 @@ func JobProfile(job Job, nodes int) (*place.Profile, error) {
 	if err := job.Validate(nodes); err != nil {
 		return nil, err
 	}
-	p := place.NewProfile(nodes)
-	// Successor adjacency, exactly as sim.Run builds it.
-	succs := make([][]succEdge, len(job.Tasks))
-	for i, t := range job.Tasks {
-		for k, d := range t.Deps {
-			var bytes int64
-			if t.DepBytes != nil {
-				bytes = t.DepBytes[k]
-			}
-			succs[d] = append(succs[d], succEdge{task: i, bytes: bytes})
-		}
-	}
-	deliveries := make(map[int]int64, nodes) // dst node → max payload, reused
-	for i := range job.Tasks {
-		from := job.Tasks[i].Node
-		for k := range deliveries {
-			delete(deliveries, k)
-		}
-		for _, e := range succs[i] {
-			dst := job.Tasks[e.task].Node
-			if dst == from {
-				continue
-			}
-			if cur, ok := deliveries[dst]; !ok || e.bytes > cur {
-				deliveries[dst] = e.bytes
-			}
-		}
-		for dst := 0; dst < nodes; dst++ {
-			if bytes, ok := deliveries[dst]; ok {
-				p.Add(from, dst, bytes)
-			}
-		}
-	}
-	return p, nil
+	l := newLayout(job, nodes)
+	return l.profile(job), nil
 }
 
-// autoPlace resolves cfg.AutoPlace: it derives the job's traffic profile,
-// optimizes the node→machine assignment starting from cfg.Topo (which may
-// be nil — then AutoPlace.PerNode must be set), and returns the config
-// with the optimized topology installed.
-func autoPlace(job Job, cfg Config) (Config, place.Result, error) {
-	prof, err := JobProfile(job, cfg.Nodes)
-	if err != nil {
-		return cfg, place.Result{}, err
+// profile records every segment of the layout — each producer's one
+// delivery per consumer node — as rank-pair traffic.
+func (l *layout) profile(job Job) *place.Profile {
+	p := place.NewProfile(len(l.perNode))
+	for i := range job.Tasks {
+		for lo, end := l.remote[i], l.start[i+1]; lo < end; {
+			hi, bytes := l.segment(lo, end)
+			p.Add(job.Tasks[i].Node, int(l.edges[lo].node), bytes)
+			lo = hi
+		}
 	}
-	res, err := place.Optimize(prof, cfg.Topo, *cfg.AutoPlace)
+	return p
+}
+
+// autoPlace resolves cfg.AutoPlace: it takes the traffic profile of the
+// job's layout, optimizes the node→machine assignment starting from
+// cfg.Topo (which may be nil — then AutoPlace.PerNode must be set), and
+// returns the config with the optimized topology installed.
+func autoPlace(job Job, l *layout, cfg Config) (Config, place.Result, error) {
+	res, err := place.Optimize(l.profile(job), cfg.Topo, *cfg.AutoPlace)
 	if err != nil {
 		return cfg, place.Result{}, fmt.Errorf("cluster: auto-place %q: %w", job.Name, err)
 	}

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -400,6 +402,105 @@ func TestAllreduceRaggedPicksSmallestPayload(t *testing.T) {
 	}
 }
 
+// vectorCollectivesCase runs Allgatherv, ReduceScatterv and the Rabenseifner
+// allreduce once on a World derived from seed — random member count, random
+// (possibly empty) segment layout, random block placement when placed,
+// integer-valued data, full replication under 5 % SDC + 5 % DUE per
+// execution — and returns one line per member whose result differs from
+// the rank-order reference.
+func vectorCollectivesCase(t *testing.T, seed uint64, placed bool) (mismatches []string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(seed % (1 << 62))))
+	n := 2 + rng.Intn(5)       // 2..6 members
+	perNode := 1 + rng.Intn(n) // 1..n per node
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = rng.Intn(5) // 0..4 elements
+	}
+	displs, total := vecDispls(counts)
+	if total == 0 {
+		counts[0] = 1
+		displs, total = vecDispls(counts)
+	}
+	data := make([][]float64, n)
+	for i := range data {
+		data[i] = make([]float64, total)
+		for j := range data[i] {
+			data[i][j] = float64(rng.Intn(2000) - 1000)
+		}
+	}
+	// Rank-order references; with integer data these are the unique
+	// exact results every algorithm must reproduce bitwise.
+	agRef := allgathervReference(data, counts, displs, total)
+	rsRef := make([][]float64, n)
+	for k := 0; k < n; k++ {
+		lo, hi := displs[k], displs[k]+counts[k]
+		acc := append([]float64(nil), data[0][lo:hi]...)
+		for j := 1; j < n; j++ {
+			OpSum(acc, data[j][lo:hi])
+		}
+		rsRef[k] = acc
+	}
+	arRef := make([]float64, total)
+	copy(arRef, data[0])
+	for j := 1; j < n; j++ {
+		OpSum(arRef, data[j])
+	}
+	cfg := Config{Ranks: n, RT: func(rank int) rt.Config {
+		return rt.Config{
+			Workers:  2,
+			Selector: core.ReplicateAll{},
+			Injector: fault.NewFixedRate(seed+uint64(rank)*13+1, 0.05, 0.05),
+		}
+	}}
+	if placed {
+		topo, err := simnet.BlockTopology(n, perNode, simnet.MemoryBus(), simnet.Marenostrum())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Topology = topo
+	}
+	w := NewWorld(cfg)
+	ag := make([]buffer.F64, n)
+	rs := make([]buffer.F64, n)
+	ar := make([]buffer.F64, n)
+	outs := make([]buffer.F64, n)
+	for i := 0; i < n; i++ {
+		ag[i] = buffer.NewF64(total)
+		copy(ag[i][displs[i]:displs[i]+counts[i]], data[i][displs[i]:displs[i]+counts[i]])
+		rs[i] = buffer.F64(append([]float64(nil), data[i]...))
+		ar[i] = buffer.F64(append([]float64(nil), data[i]...))
+		outs[i] = buffer.NewF64(counts[i])
+	}
+	c := w.Comm()
+	c.Allgatherv(1, "ag", ag, counts, displs)
+	c.ReduceScatterv(2, "rsin", "rsout", rs, outs, counts, OpSum)
+	c.AllreduceRabenseifner(3, "ar", ar, OpSum)
+	if err := w.Shutdown(); err != nil {
+		t.Fatalf("seed %#x placed=%v: %v", seed, placed, err)
+	}
+	differs := func(got, want []float64) bool {
+		for j := range want {
+			if got[j] != want[j] {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if differs(ag[i], agRef) {
+			mismatches = append(mismatches, fmt.Sprintf("allgatherv member %d got %v want %v", i, ag[i], agRef))
+		}
+		if differs(ar[i], arRef) {
+			mismatches = append(mismatches, fmt.Sprintf("rabenseifner member %d got %v want %v", i, ar[i], arRef))
+		}
+		if differs(outs[i], rsRef[i]) {
+			mismatches = append(mismatches, fmt.Sprintf("reducescatterv member %d got %v want %v", i, outs[i], rsRef[i]))
+		}
+	}
+	return mismatches
+}
+
 // TestVectorCollectivesQuickBitwise is the property pin for the vector
 // collectives: over random member counts, random (possibly empty) segment
 // layouts, random block placements, and injected SDC + DUE under full
@@ -408,105 +509,53 @@ func TestAllreduceRaggedPicksSmallestPayload(t *testing.T) {
 // alike. Integer-valued data keeps every fold order exact, so hier's
 // node-grouped folds and Rabenseifner's sub-range folds must agree with the
 // rank-order references to the last bit.
+//
+// The seeds come from a fixed source: at 10 % faults per execution a
+// time-seeded draw lands, about once in 35 runs, on a seed where two
+// independently corrupted executions agree — see
+// TestVectorCollectivesCoincidentFlipAdopted — and tier-1 must not roll
+// dice.
 func TestVectorCollectivesQuickBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-check property test")
 	}
 	prop := func(seed uint64) bool {
-		rng := rand.New(rand.NewSource(int64(seed % (1 << 62))))
-		n := 2 + rng.Intn(5)       // 2..6 members
-		perNode := 1 + rng.Intn(n) // 1..n per node
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = rng.Intn(5) // 0..4 elements
-		}
-		displs, total := vecDispls(counts)
-		if total == 0 {
-			counts[0] = 1
-			displs, total = vecDispls(counts)
-		}
-		data := make([][]float64, n)
-		for i := range data {
-			data[i] = make([]float64, total)
-			for j := range data[i] {
-				data[i][j] = float64(rng.Intn(2000) - 1000)
-			}
-		}
-		// Rank-order references; with integer data these are the unique
-		// exact results every algorithm must reproduce bitwise.
-		agRef := allgathervReference(data, counts, displs, total)
-		rsRef := make([][]float64, n)
-		for k := 0; k < n; k++ {
-			lo, hi := displs[k], displs[k]+counts[k]
-			acc := append([]float64(nil), data[0][lo:hi]...)
-			for j := 1; j < n; j++ {
-				OpSum(acc, data[j][lo:hi])
-			}
-			rsRef[k] = acc
-		}
-		arRef := make([]float64, total)
-		copy(arRef, data[0])
-		for j := 1; j < n; j++ {
-			OpSum(arRef, data[j])
-		}
 		for _, placed := range []bool{false, true} {
-			cfg := Config{Ranks: n, RT: func(rank int) rt.Config {
-				return rt.Config{
-					Workers:  2,
-					Selector: core.ReplicateAll{},
-					Injector: fault.NewFixedRate(seed+uint64(rank)*13+1, 0.05, 0.05),
-				}
-			}}
-			if placed {
-				topo, err := simnet.BlockTopology(n, perNode, simnet.MemoryBus(), simnet.Marenostrum())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Topology = topo
-			}
-			w := NewWorld(cfg)
-			ag := make([]buffer.F64, n)
-			rs := make([]buffer.F64, n)
-			ar := make([]buffer.F64, n)
-			outs := make([]buffer.F64, n)
-			for i := 0; i < n; i++ {
-				ag[i] = buffer.NewF64(total)
-				copy(ag[i][displs[i]:displs[i]+counts[i]], data[i][displs[i]:displs[i]+counts[i]])
-				rs[i] = buffer.F64(append([]float64(nil), data[i]...))
-				ar[i] = buffer.F64(append([]float64(nil), data[i]...))
-				outs[i] = buffer.NewF64(counts[i])
-			}
-			c := w.Comm()
-			c.Allgatherv(1, "ag", ag, counts, displs)
-			c.ReduceScatterv(2, "rsin", "rsout", rs, outs, counts, OpSum)
-			c.AllreduceRabenseifner(3, "ar", ar, OpSum)
-			if err := w.Shutdown(); err != nil {
-				t.Logf("seed %d placed=%v: %v", seed, placed, err)
+			if bad := vectorCollectivesCase(t, seed, placed); bad != nil {
+				t.Logf("seed %#x placed=%v: %s", seed, placed, strings.Join(bad, "; "))
 				return false
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < total; j++ {
-					if ag[i][j] != agRef[j] {
-						t.Logf("seed %d placed=%v: allgatherv member %d got %v want %v", seed, placed, i, ag[i], agRef)
-						return false
-					}
-					if ar[i][j] != arRef[j] {
-						t.Logf("seed %d placed=%v: rabenseifner member %d got %v want %v", seed, placed, i, ar[i], arRef)
-						return false
-					}
-				}
-				for j := range rsRef[i] {
-					if outs[i][j] != rsRef[i][j] {
-						t.Logf("seed %d placed=%v: reducescatterv member %d got %v want %v", seed, placed, i, outs[i], rsRef[i])
-						return false
-					}
-				}
 			}
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 10}
+	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(22))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVectorCollectivesCoincidentFlipAdopted pins duplicate-and-compare's
+// blind spot on the two seeds that used to fail the property above about
+// one run in 35. In both, a one-element ReduceScatterv output takes SDCs on
+// several attempts and two of them flip the same bit of its 64 (bit 35 on
+// the first seed: attempts 1 and 3), so two independently corrupted
+// executions agree, rt's "adopt once any two results agree" vote adopts the
+// corrupt value and counts it recovered. That is the mechanism working as
+// the paper specifies under a 10 %-per-attempt fault rate on a 64-bit
+// output — not a collective bug (DESIGN.md §3) — so the test asserts what
+// happens: that one member holds the flipped value and every other result
+// of every collective is exact.
+func TestVectorCollectivesCoincidentFlipAdopted(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		placed bool
+		want   string
+	}{
+		{0x7e881962a4bf70ec, false, "reducescatterv member 0 got [-1262.00048828125] want [-1262]"},
+		{0x6e8316cb1fcfcebc, true, "reducescatterv member 0 got [2.649994821632e+12] want [617]"},
+	} {
+		if got := vectorCollectivesCase(t, c.seed, c.placed); len(got) != 1 || got[0] != c.want {
+			t.Errorf("seed %#x placed=%v: mismatches %q, want exactly %q", c.seed, c.placed, got, c.want)
+		}
 	}
 }

@@ -158,7 +158,8 @@ func NewFixedRate(seed uint64, pDUE, pSDC float64) *FixedRate {
 
 // Draw implements Injector, ignoring the caller's estimates.
 func (f *FixedRate) Draw(taskID uint64, attempt int, _, _ float64) Outcome {
-	r := xrand.New(xrand.Combine(f.seed, taskID, uint64(attempt), 0xF17ED))
+	var r xrand.Rand
+	r.Seed(xrand.Combine(f.seed, taskID, uint64(attempt), 0xF17ED))
 	u := r.Float64()
 	var o Outcome
 	switch {
@@ -178,7 +179,9 @@ func (f *FixedRate) BitIndex(taskID uint64, attempt int, bitLen int64) int64 {
 	if bitLen <= 0 {
 		return 0
 	}
-	return xrand.New(xrand.Combine(f.seed, taskID, uint64(attempt), 0xB17)).Int63n(bitLen)
+	var r xrand.Rand
+	r.Seed(xrand.Combine(f.seed, taskID, uint64(attempt), 0xB17))
+	return r.Int63n(bitLen)
 }
 
 // Script injects a pre-programmed outcome for specific (taskID, attempt)

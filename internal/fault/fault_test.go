@@ -167,6 +167,32 @@ func TestFixedRateDeterminism(t *testing.T) {
 	}
 }
 
+// TestFixedRateKnownValues pins FixedRate's outcomes and bit choices for a
+// few (task, attempt) pairs (recorded before Draw stopped heap-allocating
+// its generator): the draw is a pure function of (seed, task, attempt) and
+// every simulated recovery count depends on it.
+func TestFixedRateKnownValues(t *testing.T) {
+	f := NewFixedRate(42, 0.2, 0.2)
+	for _, c := range []struct {
+		task    uint64
+		attempt int
+		outcome Outcome
+		bit     int64
+	}{
+		{1, 0, None, 3890}, {1, 1, None, 377}, {1, 2, SDC, 2248}, {1, 3, DUE, 3879},
+		{2, 0, None, 1501}, {2, 1, None, 1183}, {2, 2, None, 2544}, {2, 3, None, 3970},
+		{3, 0, None, 762}, {3, 1, DUE, 2990}, {3, 2, None, 2956}, {3, 3, None, 3275},
+		{4, 0, None, 3188}, {4, 1, None, 2475}, {4, 2, None, 953}, {4, 3, None, 52},
+	} {
+		if got := f.Draw(c.task, c.attempt, 0, 0); got != c.outcome {
+			t.Errorf("Draw(%d, %d) = %v, want %v", c.task, c.attempt, got, c.outcome)
+		}
+		if got := f.BitIndex(c.task, c.attempt, 4096); got != c.bit {
+			t.Errorf("BitIndex(%d, %d) = %d, want %d", c.task, c.attempt, got, c.bit)
+		}
+	}
+}
+
 func TestScript(t *testing.T) {
 	s := NewScript().
 		Set(5, 0, SDC).SetBit(5, 0, 17).
@@ -203,4 +229,18 @@ func BenchmarkSeededDraw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Draw(uint64(i), 0, 1e-6, 1e-6)
 	}
+}
+
+// TestFixedRateDoesNotAllocate: a draw seeds a generator on the stack; the
+// simulator makes one per execution, so an allocation here is an allocation
+// per simulated task.
+func TestFixedRateDoesNotAllocate(t *testing.T) {
+	f := NewFixedRate(3, 0.1, 0.1)
+	var sink int64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += int64(f.Draw(9, 1, 0, 0)) + f.BitIndex(9, 1, 4096)
+	}); n != 0 {
+		t.Fatalf("Draw + BitIndex allocate %v times, want 0", n)
+	}
+	_ = sink
 }

@@ -88,18 +88,25 @@ func NewWithTopology(eng *simtime.Engine, topo *Topology) *Network {
 // calls onDelivery at delivery time. Sends between the same rank deliver
 // after zero transfer time (still asynchronously, preserving event order).
 func (n *Network) Send(src, dst int, bytes int64, onDelivery func()) {
+	n.eng.At(n.Transfer(src, dst, bytes), onDelivery)
+}
+
+// Transfer is the pricing half of Send, for a caller that schedules its own
+// typed delivery event: it accounts the message, occupies the src→dst link
+// from max(now, link busy-until) for the transfer's duration, and returns
+// the delivery time (now for a self-send).
+func (n *Network) Transfer(src, dst int, bytes int64) simtime.Time {
 	n.messages++
 	n.bytesSent += bytes
+	start := n.eng.Now()
 	if src == dst {
-		n.eng.After(0, onDelivery)
-		return
+		return start
 	}
 	cfg, table, link := n.route(src, dst, bytes)
-	start := n.eng.Now()
 	if b, ok := table[link]; ok && b > start {
 		start = b
 	}
 	end := start + cfg.TransferTime(bytes)
 	table[link] = end
-	n.eng.At(end, onDelivery)
+	return end
 }

@@ -102,3 +102,27 @@ func TestReverseLinkIndependent(t *testing.T) {
 		t.Fatalf("full-duplex links must not serialize: %d vs %d", d1, d2)
 	}
 }
+
+// TestTransferIsSendWithoutTheEvent: Transfer occupies the link and accounts
+// the message exactly as Send does, returns the time Send would deliver at
+// (now for a self-send), and schedules nothing.
+func TestTransferIsSendWithoutTheEvent(t *testing.T) {
+	eng := simtime.New()
+	n := New(eng, Config{LatencySec: 0, BandwidthBytesPerSec: 1e9})
+	var sent simtime.Time
+	n.Send(0, 1, 1000, func() { sent = eng.Now() })
+	at := n.Transfer(0, 1, 1000) // queues behind the Send on the same link
+	if self := n.Transfer(2, 2, 500); self != 0 {
+		t.Fatalf("self-transfer delivers at %d, want now", self)
+	}
+	if eng.Pending() != 1 {
+		t.Fatalf("Transfer scheduled events: %d pending, want the Send's one", eng.Pending())
+	}
+	eng.Run()
+	if sent != simtime.FromSeconds(1e-6) || at != simtime.FromSeconds(2e-6) {
+		t.Fatalf("send delivered at %d, transfer at %d", sent, at)
+	}
+	if n.Messages() != 3 || n.BytesSent() != 2500 || n.WireBytes() != 2000 {
+		t.Fatalf("accounting: %d messages, %d bytes, %d on the wire", n.Messages(), n.BytesSent(), n.WireBytes())
+	}
+}

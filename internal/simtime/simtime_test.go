@@ -168,6 +168,88 @@ func TestPropertyMonotoneClock(t *testing.T) {
 	}
 }
 
+// TestTypedAndClosureEventsShareOneOrder: typed events and closures
+// scheduled alternately at equal timestamps fire in insertion order — there
+// is one queue and one tie rule — and Fired, Pending and RunUntil count
+// both forms alike.
+func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
+	e := New()
+	var order []int32
+	e.Handle(func(k Kind, a, b int32) {
+		if k != 3 || b != -a {
+			t.Errorf("handler got (%d, %d, %d)", k, a, b)
+		}
+		order = append(order, a)
+	})
+	for i := int32(0); i < 10; i += 2 {
+		i := i
+		e.Post(5, 3, i, -i)
+		e.At(5, func() { order = append(order, i+1) })
+	}
+	e.PostAfter(7, 3, 100, -100)
+	if e.Pending() != 11 {
+		t.Fatalf("pending %d, want 11", e.Pending())
+	}
+	if n := e.RunUntil(6); n != 10 || e.Now() != 6 || e.Fired() != 10 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(6) fired %d, now %d, Fired %d, pending %d", n, e.Now(), e.Fired(), e.Pending())
+	}
+	for i, v := range order {
+		if v != int32(i) {
+			t.Fatalf("tie order violated: %v", order)
+		}
+	}
+	if end := e.Run(); end != 7 || order[len(order)-1] != 100 {
+		t.Fatalf("end %d, order %v", end, order)
+	}
+}
+
+func TestPostMisusePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s must panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("typed event without a handler", func() { New().Post(1, 1, 0, 0) })
+	e := New()
+	e.Handle(func(Kind, int32, int32) {})
+	mustPanic("kind 0", func() { e.Post(1, 0, 0, 0) })
+	mustPanic("negative delay", func() { e.PostAfter(-1, 1, 0, 0) })
+	e.Post(10, 1, 0, 0)
+	e.Run()
+	mustPanic("typed event in the past", func() { e.Post(5, 1, 0, 0) })
+}
+
+// TestClosureSlotsReusedAndReleased: a fired closure's slot is cleared —
+// the engine retains no closure after Run — and reused, so a steady
+// schedule-and-fire loop holds the side table at its high-water mark.
+func TestClosureSlotsReusedAndReleased(t *testing.T) {
+	e := New()
+	for i := 0; i < 4; i++ {
+		e.After(Time(i), func() {})
+	}
+	e.Run()
+	for round := 0; round < 100; round++ {
+		e.After(1, func() { e.After(1, func() {}) })
+		e.After(2, func() {})
+		e.Run()
+	}
+	if len(e.fns) != 4 {
+		t.Fatalf("side table grew to %d slots; at most 4 closures were ever pending", len(e.fns))
+	}
+	for i, fn := range e.fns {
+		if fn != nil {
+			t.Fatalf("slot %d still holds a closure after Run", i)
+		}
+	}
+	nop := func() {}
+	if n := testing.AllocsPerRun(100, func() { e.After(1, nop); e.Step() }); n != 0 {
+		t.Fatalf("steady-state After+Step allocates %v times", n)
+	}
+}
+
 func BenchmarkScheduleFire(b *testing.B) {
 	e := New()
 	for i := 0; i < b.N; i++ {

@@ -49,15 +49,23 @@ func Combine(parts ...uint64) uint64 {
 }
 
 // Rand is a xoshiro256** generator. The zero value is not usable; construct
-// with New.
+// with New, or Seed a value in place.
 type Rand struct {
 	s [4]uint64
 }
 
 // New returns a Rand seeded deterministically from seed via SplitMix64.
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream New(seed) starts. A caller that needs one
+// draw per stream (a fault draw per task attempt) seeds a stack value
+// instead of allocating a generator.
+func (r *Rand) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -65,7 +73,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
