@@ -104,8 +104,9 @@ bench-build:
 # Regression guard: rerun the scale suite into a fresh JSON and fail if any
 # gated metric regressed against the committed BENCH_scale.json baseline —
 # 25% on ns/op (wall-time noise margin), 1% on vus/op (virtual makespans
-# are deterministic; any drift is a real routing/search change) and 10% on
-# allocs/op (deterministic to a few percent; benchjson's -gates default).
+# are deterministic; any drift is a real routing/search change), 10% on
+# allocs/op and 15% on B/op (deterministic to a few percent wherever buffers
+# are pooled or sized once; benchjson's -gates default).
 # Run on hardware comparable to the baseline's recorded cpu: field — the
 # ns/op threshold absorbs noise, not machine changes.
 bench-compare:

@@ -15,11 +15,9 @@ import (
 
 	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
-	"appfit/internal/buffer"
 	"appfit/internal/core"
 	"appfit/internal/dist"
 	"appfit/internal/experiments"
-	"appfit/internal/fault"
 	"appfit/internal/fit"
 	"appfit/internal/rt"
 	"appfit/internal/stats"
@@ -55,25 +53,6 @@ func BenchmarkFig1DataflowVsForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if experiments.Fig1(freshEngine()) == "" {
 			b.Fatal("empty fig1")
-		}
-	}
-}
-
-// BenchmarkFig2RecoveryPath measures one full SDC detect-restore-vote cycle
-// (the Figure 2 sequence) end to end on the real runtime.
-func BenchmarkFig2RecoveryPath(b *testing.B) {
-	data := buffer.NewF64(1024)
-	for i := 0; i < b.N; i++ {
-		inj := fault.NewScript().Set(1, 0, fault.SDC).SetBit(1, 0, 9)
-		r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}, Injector: inj})
-		r.Submit("k", func(ctx *rt.Ctx) {
-			x := ctx.F64(0)
-			for j := range x {
-				x[j]++
-			}
-		}, rt.Inout("A", data))
-		if err := r.Shutdown(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -248,36 +227,6 @@ func BenchmarkHaloWorld(b *testing.B) {
 				msgs = w.MessagesSent()
 			}
 			b.ReportMetric(float64(msgs), "msgs/world")
-		})
-	}
-}
-
-// BenchmarkRuntimeTaskThroughput measures the real runtime's end-to-end
-// submit+execute rate without and with full replication (the paper's
-// "fault-tolerance based on task-parallel dataflow is efficient" claim).
-func BenchmarkRuntimeTaskThroughput(b *testing.B) {
-	for _, repl := range []bool{false, true} {
-		name := "unreplicated"
-		var sel core.Selector = core.ReplicateNone{}
-		if repl {
-			name = "replicated"
-			sel = core.ReplicateAll{}
-		}
-		b.Run(name, func(b *testing.B) {
-			r := rt.New(rt.Config{Workers: 4, Selector: sel})
-			buf := buffer.NewF64(256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Submit("w", func(ctx *rt.Ctx) {
-					x := ctx.F64(0)
-					for j := range x {
-						x[j]++
-					}
-				}, rt.Inout("A", buf))
-			}
-			if err := r.Shutdown(); err != nil {
-				b.Fatal(err)
-			}
 		})
 	}
 }

@@ -137,6 +137,8 @@ func main() {
 		st.SDCDetected, st.SDCRecovered, st.DUERecovered, st.UnprotectedSDC, st.UnprotectedDUE)
 	fmt.Printf("checkpoints     %d saves, %.2f MB total, peak %.2f MB\n",
 		st.Checkpoint.Saves, float64(st.Checkpoint.BytesSaved)/1e6, float64(st.Checkpoint.PeakLive)/1e6)
+	fmt.Printf("buffer pool     %d leases, %d reused a returned buffer (%.1f%%)\n",
+		st.Pool.Leases, st.Pool.Hits, 100*float64(st.Pool.Hits)/float64(max(st.Pool.Leases, 1)))
 	fmt.Printf("verification    %v\n", errString(verr))
 	if *timeline {
 		runTrace.WriteTimeline(os.Stdout)

@@ -118,15 +118,17 @@ func TestInfoUnitsNeverGate(t *testing.T) {
 }
 
 func TestParseGates(t *testing.T) {
-	gates, err := parseGates("ns/op=25,vus/op=1,p99/op=25,+req/s=25")
+	gates, err := parseGates(defaultGates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]gate{
-		"ns/op":  {pct: 25},
-		"vus/op": {pct: 1},
-		"p99/op": {pct: 25},
-		"req/s":  {pct: 25, higherBetter: true},
+		"ns/op":     {pct: 25},
+		"vus/op":    {pct: 1},
+		"p99/op":    {pct: 25},
+		"req/s":     {pct: 25, higherBetter: true},
+		"allocs/op": {pct: 10},
+		"B/op":      {pct: 15},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("gates = %v", gates)

@@ -5,6 +5,7 @@
 //	experiments fig2                replication walk-through (Figure 2)
 //	experiments fig3                App_FIT selective replication (Figure 3)
 //	experiments fig4                complete-replication overheads (Figure 4)
+//	experiments fig4rt              the same overhead measured on the real runtime vs simulated
 //	experiments fig5                shared-memory scalability (Figure 5)
 //	experiments fig6                distributed scalability (Figure 6)
 //	experiments ablation [bench]    selection-policy ablation
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"appfit/internal/bench/workload"
 	"appfit/internal/experiments"
@@ -81,6 +83,16 @@ func main() {
 		case "fig4":
 			fmt.Println("=== Figure 4: complete replication overheads ===")
 			_, s, err := experiments.Fig4(eng, scale)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			fmt.Println(s)
+		case "fig4rt":
+			procs := runtime.GOMAXPROCS(0)
+			fmt.Printf("=== Figure 4 cross-check: complete replication on the real runtime vs simulated (%d workers on %d CPUs, %d repeats) ===\n",
+				procs, runtime.NumCPU(), *repeats)
+			_, s, err := experiments.Fig4RT(scale, procs, *repeats)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -164,7 +176,7 @@ func main() {
 		}
 	}
 	if cmd == "all" {
-		for _, n := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "ablation", "sweep", "sparecores", "reliability", "topology", "placement", "kernels"} {
+		for _, n := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig4rt", "fig5", "fig6", "ablation", "sweep", "sparecores", "reliability", "topology", "placement", "kernels"} {
 			run(n)
 		}
 		st := eng.Stats()

@@ -18,12 +18,26 @@ import (
 	"appfit/internal/buffer"
 )
 
-// Store holds input checkpoints keyed by task id. It is safe for concurrent
-// use by all workers.
+// checkpoint is one task's saved inputs: copies back-to-back sets of n
+// leased buffers each (nil where the input was nil), bytes in all.
+type checkpoint struct {
+	bufs  []buffer.Buffer
+	n     int
+	bytes int64
+}
+
+// Store holds input checkpoints keyed by task id. Every saved buffer is a
+// lease from the store's pool, held until Release (or until a second Save
+// of the same id replaces it), so a Restore must have returned before its
+// id is released. It is safe for concurrent use by all workers.
 type Store struct {
-	mu     sync.Mutex
+	pool   *buffer.Pool
 	copies int
-	chks   map[uint64][][]buffer.Buffer // task id -> K copies of its inputs
+
+	mu   sync.Mutex
+	chks map[uint64]checkpoint // guarded by mu
+	// spare keeps released checkpoints' slices for the next Save. // guarded by mu
+	spare [][]buffer.Buffer
 	// accounting
 	bytesSaved   int64
 	bytesLive    int64
@@ -32,53 +46,72 @@ type Store struct {
 }
 
 // NewStore returns a Store keeping copies redundant copies per checkpoint
-// (minimum 1).
-func NewStore(copies int) *Store {
+// (minimum 1), leasing from a pool of its own.
+func NewStore(copies int) *Store { return NewStoreOn(buffer.NewPool(), copies) }
+
+// NewStoreOn is NewStore leasing from pool, which the caller may share with
+// other users (a Runtime shares one between its store and its attempt sets).
+func NewStoreOn(pool *buffer.Pool, copies int) *Store {
 	if copies < 1 {
 		copies = 1
 	}
-	return &Store{copies: copies, chks: make(map[uint64][][]buffer.Buffer)}
+	return &Store{pool: pool, copies: copies, chks: make(map[uint64]checkpoint)}
 }
 
 // Save deep-copies the given input buffers as the checkpoint of task id.
 // Saving twice for the same id replaces the earlier checkpoint.
 func (s *Store) Save(id uint64, inputs []buffer.Buffer) {
-	sets := make([][]buffer.Buffer, s.copies)
-	var sz int64
-	for k := range sets {
-		set := make([]buffer.Buffer, len(inputs))
-		for i, b := range inputs {
+	c := checkpoint{bufs: s.slice(s.copies * len(inputs)), n: len(inputs)}
+	for k := 0; k < s.copies; k++ {
+		for _, b := range inputs {
+			c.bufs = append(c.bufs, s.pool.Lease(b))
 			if b != nil {
-				set[i] = b.Clone()
-				sz += b.SizeBytes()
+				c.bytes += b.SizeBytes()
 			}
 		}
-		sets[k] = set
 	}
 	s.mu.Lock()
-	if old, ok := s.chks[id]; ok {
-		s.bytesLive -= setsBytes(old)
+	old, replaced := s.chks[id]
+	if replaced {
+		s.bytesLive -= old.bytes
 	}
-	s.chks[id] = sets
-	s.bytesSaved += sz
-	s.bytesLive += sz
+	s.chks[id] = c
+	s.bytesSaved += c.bytes
+	s.bytesLive += c.bytes
 	if s.bytesLive > s.peakLive {
 		s.peakLive = s.bytesLive
 	}
 	s.saves++
 	s.mu.Unlock()
+	if replaced {
+		s.discard(old)
+	}
 }
 
-func setsBytes(sets [][]buffer.Buffer) int64 {
-	var n int64
-	for _, set := range sets {
-		for _, b := range set {
-			if b != nil {
-				n += b.SizeBytes()
-			}
+// slice returns an empty buffer slice with room for n: the most recently
+// released checkpoint's if it fits (one too small is dropped, so spare never
+// outgrows the peak number of live checkpoints).
+func (s *Store) slice(n int) []buffer.Buffer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.spare) - 1; k >= 0 {
+		bufs := s.spare[k]
+		s.spare[k] = nil
+		s.spare = s.spare[:k]
+		if cap(bufs) >= n {
+			return bufs
 		}
 	}
-	return n
+	return make([]buffer.Buffer, 0, n)
+}
+
+// discard returns c's leases to the pool and keeps its slice for reuse.
+func (s *Store) discard(c checkpoint) {
+	s.pool.Return(c.bufs...)
+	clear(c.bufs)
+	s.mu.Lock()
+	s.spare = append(s.spare, c.bufs[:0])
+	s.mu.Unlock()
 }
 
 // ErrRestore is the sentinel wrapped by every failed Restore — missing
@@ -92,12 +125,12 @@ var ErrRestore = errors.New("ckpt: restore failed")
 // store is safe memory by assumption.
 func (s *Store) Restore(id uint64, dst []buffer.Buffer) error {
 	s.mu.Lock()
-	sets, ok := s.chks[id]
+	c, ok := s.chks[id]
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("ckpt: no checkpoint for task %d: %w", id, ErrRestore)
 	}
-	src := sets[0]
+	src := c.bufs[:c.n]
 	if len(src) != len(dst) {
 		return fmt.Errorf("ckpt: restore shape mismatch for task %d: %d saved, %d given: %w", id, len(src), len(dst), ErrRestore)
 	}
@@ -122,11 +155,15 @@ func (s *Store) Restore(id uint64, dst []buffer.Buffer) error {
 // an absent id is a no-op (the task may not have been replicated).
 func (s *Store) Release(id uint64) {
 	s.mu.Lock()
-	if sets, ok := s.chks[id]; ok {
-		s.bytesLive -= setsBytes(sets)
+	c, ok := s.chks[id]
+	if ok {
+		s.bytesLive -= c.bytes
 		delete(s.chks, id)
 	}
 	s.mu.Unlock()
+	if ok {
+		s.discard(c)
+	}
 }
 
 // Stats describes the store's activity.

@@ -174,6 +174,42 @@ func TestRestoreCountsAndConcurrency(t *testing.T) {
 	}
 }
 
+// TestCheckpointsAreLeases: every saved buffer comes from the store's pool
+// and goes back to it — at Release, and when a second Save replaces the
+// first — and a recycled buffer restores its new contents, not its old.
+func TestCheckpointsAreLeases(t *testing.T) {
+	pool := buffer.NewPool()
+	pool.Poison()
+	s := NewStoreOn(pool, 2)
+	first := []buffer.Buffer{buffer.F64{1, 2}, nil, buffer.U8{3}}
+	s.Save(1, first)
+	if st := pool.Stats(); st.Leases != 4 || st.Returns != 0 {
+		t.Fatalf("after Save: %+v, want 4 leases out", st)
+	}
+	second := []buffer.Buffer{buffer.F64{5, 6}, nil, buffer.U8{7}}
+	s.Save(1, second)
+	if st := pool.Stats(); st.Leases != 8 || st.Returns != 4 {
+		t.Fatalf("after replacing Save: %+v, want the first set returned", st)
+	}
+	s.Release(1)
+	s.Save(2, first) // served from the returned sets, poison and all
+	dst := []buffer.Buffer{buffer.NewF64(2), nil, buffer.NewU8(1)}
+	if err := s.Restore(2, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !dst[0].EqualTo(first[0]) || !dst[2].EqualTo(first[2]) {
+		t.Fatalf("restored %v from a recycled checkpoint, want %v", dst, first)
+	}
+	s.Release(2)
+	st := pool.Stats()
+	if st.Leases != st.Returns || st.Hits != 4 {
+		t.Fatalf("after Release: %+v, want balance and 4 hits", st)
+	}
+	if got := s.Stats(); got.BytesLive != 0 || got.BytesSaved != 3*2*17 {
+		t.Fatalf("accounting %+v", got)
+	}
+}
+
 func BenchmarkSaveRestore1K(b *testing.B) {
 	s := NewStore(1)
 	in := randF64(1, 1024)

@@ -104,6 +104,29 @@ func TestFig4OverheadsBounded(t *testing.T) {
 	}
 }
 
+func TestFig4RTSetsMeasuredBesideSimulated(t *testing.T) {
+	rows, out, err := Fig4RT(workload.Tiny, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("expected 3 rows, got %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.Tasks == 0 || r.PlainMs <= 0 || r.ReplMs <= 0 {
+			t.Fatalf("%s: nothing measured: %+v", r.Bench, r)
+		}
+		// The measured column is wall clock and asserts nothing; the
+		// simulated ones are deterministic: spare cores can only help.
+		if r.SimSparePct < -1 || r.SimSharedPct < r.SimSparePct {
+			t.Fatalf("%s: simulated overheads %g%% shared, %g%% spare", r.Bench, r.SimSharedPct, r.SimSparePct)
+		}
+		if !strings.Contains(out, r.Bench) {
+			t.Fatalf("table misses %s:\n%s", r.Bench, out)
+		}
+	}
+}
+
 func TestFig5SpeedupsMonotone(t *testing.T) {
 	pts, _, err := Fig5(testEngine(), workload.Tiny)
 	if err != nil {

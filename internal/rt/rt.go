@@ -55,6 +55,12 @@ func Inout(key string, b buffer.Buffer) Arg { return Arg{Key: key, Mode: deps.In
 // Ctx gives a task body access to the buffers of the current execution
 // attempt. Replicated executions receive private copies of the writable
 // arguments, so a body must only touch its data through the Ctx.
+//
+// A Ctx and every buffer it hands out are valid only until the body
+// returns: a replicated attempt's buffers are leases from the runtime's
+// buffer pool, returned when the task completes and handed to another
+// task's attempt next. A body that stashes ctx.Buf(i) (or the Ctx) and
+// touches it later reads or scribbles over someone else's scratch.
 type Ctx struct {
 	bufs    []buffer.Buffer
 	attempt int
@@ -182,6 +188,10 @@ type Stats struct {
 	DepEdges int
 	// Checkpoint is the checkpoint store's accounting.
 	Checkpoint ckpt.Stats
+	// Pool is the traffic of the buffer pool every checkpoint, replica
+	// clone and re-execution set is leased from: Hits/Leases is the share
+	// of engine copies that reused a buffer instead of allocating one.
+	Pool buffer.PoolStats
 }
 
 // Add accumulates other into s, for aggregating counters across runtimes
@@ -214,6 +224,9 @@ func (s *Stats) Add(other Stats) {
 	if other.Checkpoint.Copies > s.Checkpoint.Copies {
 		s.Checkpoint.Copies = other.Checkpoint.Copies
 	}
+	s.Pool.Leases += other.Pool.Leases
+	s.Pool.Hits += other.Pool.Hits
+	s.Pool.Returns += other.Pool.Returns
 }
 
 // PctTasksReplicated returns 100 × Replicated / Completed.
@@ -253,8 +266,11 @@ type Runtime struct {
 	cfg     Config
 	pool    *sched.Pool
 	tracker *deps.Tracker
-	store   *ckpt.Store
-	est     *fit.Estimator
+	// bufs is where every engine copy comes from: store leases checkpoints
+	// from it, executeReplicated the attempt sets.
+	bufs  *buffer.Pool
+	store *ckpt.Store
+	est   *fit.Estimator
 
 	mu    sync.Mutex
 	tasks map[uint64]*task
@@ -278,20 +294,36 @@ type Runtime struct {
 	errMu    sync.Mutex
 	firstErr error
 
+	scratchMu sync.Mutex
+	// scratch holds the idle replication scratch sets, at most one per
+	// worker that has ever replicated. // guarded by scratchMu
+	scratch []*replScratch
+
 	submitted, completed, replicated         atomic.Uint64
 	sdcDetected, sdcRecovered, dueRecovered  atomic.Uint64
 	unprotSDC, unprotDUE, voteFails, reexecs atomic.Uint64
 	taskNs, replNs, redundantNs              atomic.Int64
 }
 
+// poisonLeases makes every new Runtime's pool scribble over the buffers it
+// takes back (buffer.Pool.Poison). Only this package's TestMain sets it, so
+// the package's tests run with use-after-return and read-before-overwrite
+// turned into wrong answers.
+var poisonLeases bool
+
 // New starts a Runtime with cfg's workers running.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
+	bufs := buffer.NewPool()
+	if poisonLeases {
+		bufs.Poison()
+	}
 	r := &Runtime{
 		cfg:     cfg,
 		pool:    sched.NewPool(cfg.Workers),
 		tracker: deps.NewTracker(),
-		store:   ckpt.NewStore(cfg.CheckpointCopies),
+		bufs:    bufs,
+		store:   ckpt.NewStoreOn(bufs, cfg.CheckpointCopies),
 		est:     fit.NewEstimator(cfg.Rates),
 		tasks:   make(map[uint64]*task),
 	}
@@ -413,6 +445,7 @@ func (r *Runtime) Stats() Stats {
 		RedundantTimeNs:  r.redundantNs.Load(),
 		DepEdges:         r.tracker.Edges(),
 		Checkpoint:       r.store.Stats(),
+		Pool:             r.bufs.Stats(),
 	}
 }
 
@@ -502,67 +535,138 @@ func (r *Runtime) spare() {
 
 // attemptResult is the outcome of one execution attempt of a task.
 type attemptResult struct {
-	outputs []buffer.Buffer // writable-arg buffers of this attempt, in arg order
 	crashed bool
 	dur     time.Duration
 }
 
-// writableIdx returns the indices of args with write access (the buffers
-// compared between replicas).
-func writableIdx(args []Arg) []int {
-	var idx []int
-	for i, a := range args {
-		if a.Mode.Writes() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+// replScratch is everything one trip through executeReplicated needs besides
+// the leased buffers themselves, kept between tasks so a fault-free
+// replicated task allocates none of it. A worker takes one for the length
+// of executeReplicated and nothing in it outlives that call.
+type replScratch struct {
+	// The task's access plan, derived once: reads are the argument indices
+	// the checkpoint covers, writes the ones compared, corrupted by an
+	// injected fault and adopted. Arguments without a buffer (pure ordering
+	// tokens) are in neither.
+	reads, writes []int
+	// arena backs every per-attempt buffer slice (see carve).
+	arena []buffer.Buffer
+	// results are the output sets of the attempts that did not crash.
+	results [][]buffer.Buffer
+	// leased is every buffer to hand back to the pool on the way out.
+	leased []buffer.Buffer
+	// ctx[0] serves the primary and, after the join, each re-execution;
+	// ctx[1] the replica.
+	ctx [2]Ctx
+	// replica joins the replica's goroutine, which leaves its outcome in
+	// replicaRes.
+	replica    sync.WaitGroup
+	replicaRes attemptResult
 }
 
-// inputIdx returns the indices of args the task reads (checkpoint set).
-func inputIdx(args []Arg) []int {
-	var idx []int
+// carve returns a zeroed n-element slice of the arena. A carving stays valid
+// when a later one outgrows the arena: it keeps the backing array it was cut
+// from.
+func (s *replScratch) carve(n int) []buffer.Buffer {
+	if len(s.arena)+n > cap(s.arena) {
+		s.arena = make([]buffer.Buffer, 0, 2*cap(s.arena)+n)
+	}
+	lo := len(s.arena)
+	s.arena = s.arena[:lo+n]
+	return s.arena[lo : lo+n : lo+n]
+}
+
+// plan derives the access plan of args.
+func (s *replScratch) plan(args []Arg) {
+	s.reads, s.writes = s.reads[:0], s.writes[:0]
 	for i, a := range args {
+		if a.Buf == nil {
+			continue
+		}
 		if a.Mode.Reads() {
-			idx = append(idx, i)
+			s.reads = append(s.reads, i)
+		}
+		if a.Mode.Writes() {
+			s.writes = append(s.writes, i)
 		}
 	}
-	return idx
 }
 
-// runAttempt executes one attempt on the provided buffer set, drawing a
-// fault outcome. A DUE crashes the attempt (partial writes may remain in the
-// attempt's private buffers); an SDC completes and then silently flips one
-// bit of one writable buffer.
-func (r *Runtime) runAttempt(t *task, bufs []buffer.Buffer, attempt, w int) attemptResult {
+// attemptSet carves one attempt's buffers: bufs is what the body sees — a
+// leased copy of every argument the task writes (of every argument at all
+// when all is set), the real buffer otherwise — and outs its writable
+// subset, in plan order.
+func (r *Runtime) attemptSet(t *task, s *replScratch, all bool) (bufs, outs []buffer.Buffer) {
+	bufs = s.carve(len(t.args))
+	for i, a := range t.args {
+		if a.Buf != nil && (all || a.Mode.Writes()) {
+			bufs[i] = r.bufs.Lease(a.Buf)
+			s.leased = append(s.leased, bufs[i])
+		} else {
+			bufs[i] = a.Buf
+		}
+	}
+	outs = s.carve(len(s.writes))
+	for k, i := range s.writes {
+		outs[k] = bufs[i]
+	}
+	return bufs, outs
+}
+
+// getScratch hands the calling worker a scratch set with t's plan in it.
+func (r *Runtime) getScratch(t *task) *replScratch {
+	var s *replScratch
+	r.scratchMu.Lock()
+	if n := len(r.scratch); n > 0 {
+		s, r.scratch = r.scratch[n-1], r.scratch[:n-1]
+	}
+	r.scratchMu.Unlock()
+	if s == nil {
+		s = new(replScratch)
+	}
+	s.plan(t.args)
+	return s
+}
+
+// putScratch ends the life of every lease s holds and shelves s. Nothing may
+// still reference an attempt buffer: the replica has joined, results is dead
+// and trace.Record holds no buffers.
+func (r *Runtime) putScratch(s *replScratch) {
+	r.bufs.Return(s.leased...)
+	clear(s.leased)
+	clear(s.arena)
+	clear(s.results)
+	s.leased, s.arena, s.results = s.leased[:0], s.arena[:0], s.results[:0]
+	r.scratchMu.Lock()
+	r.scratch = append(r.scratch, s)
+	r.scratchMu.Unlock()
+}
+
+// runAttempt executes one attempt on the provided buffer set (outs its
+// writable subset), drawing a fault outcome. A DUE crashes the attempt
+// (partial writes may remain in the attempt's private buffers); an SDC
+// completes and then silently flips one bit of one writable buffer.
+func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, attempt, w int) attemptResult {
 	outcome := r.cfg.Injector.Draw(t.id, attempt, t.pDUE, t.pSDC)
 	start := time.Now()
-	res := attemptResult{dur: 0}
-	wIdx := writableIdx(t.args)
-	for _, i := range wIdx {
-		res.outputs = append(res.outputs, bufs[i])
-	}
 	if outcome == fault.DUE {
 		// The crash interrupts the execution: we model the lost work as a
 		// partial write by corrupting the first writable buffer, then
 		// abandoning the attempt.
-		if len(res.outputs) > 0 {
-			b := res.outputs[0]
+		if len(outs) > 0 {
+			b := outs[0]
 			if b.BitLen() > 0 {
 				b.FlipBit(r.cfg.Injector.BitIndex(t.id, attempt, b.BitLen()))
 			}
 		}
-		res.crashed = true
-		res.dur = time.Since(start)
-		return res
+		return attemptResult{crashed: true, dur: time.Since(start)}
 	}
-	ctx := &Ctx{bufs: bufs, attempt: attempt, worker: w, taskID: t.id}
+	*ctx = Ctx{bufs: bufs, attempt: attempt, worker: w, taskID: t.id}
 	t.fn(ctx)
-	if outcome == fault.SDC && len(res.outputs) > 0 {
-		total := buffer.TotalBits(res.outputs...)
-		if total > 0 {
+	if outcome == fault.SDC {
+		if total := buffer.TotalBits(outs...); total > 0 {
 			bit := r.cfg.Injector.BitIndex(t.id, attempt, total)
-			for _, b := range res.outputs {
+			for _, b := range outs {
 				if bit < b.BitLen() {
 					b.FlipBit(bit)
 					break
@@ -571,26 +675,19 @@ func (r *Runtime) runAttempt(t *task, bufs []buffer.Buffer, attempt, w int) atte
 			}
 		}
 	}
-	res.dur = time.Since(start)
-	return res
+	return attemptResult{dur: time.Since(start)}
 }
 
-// cloneExecBufs builds a private buffer set for a redundant execution:
-// read-only args are shared (both executions only read them), writable args
-// are deep-copied so the attempts cannot see each other's writes.
-func cloneExecBufs(args []Arg) []buffer.Buffer {
-	bufs := make([]buffer.Buffer, len(args))
+// writableIdx returns the indices of args with write access (where an
+// unprotected SDC lands).
+func writableIdx(args []Arg) []int {
+	var idx []int
 	for i, a := range args {
-		if a.Buf == nil {
-			continue
-		}
 		if a.Mode.Writes() {
-			bufs[i] = a.Buf.Clone()
-		} else {
-			bufs[i] = a.Buf
+			idx = append(idx, i)
 		}
 	}
-	return bufs
+	return idx
 }
 
 // Executing returns the number of task bodies currently running, including
@@ -703,49 +800,57 @@ func (r *Runtime) executeUnprotected(t *task, w int, rec *trace.Record) {
 	}
 }
 
-// executeReplicated implements Figure 2.
+// event appends to rec's event log when someone will read it.
+func (r *Runtime) event(rec *trace.Record, evs ...trace.Event) {
+	if r.cfg.Tracer != nil {
+		rec.Events = append(rec.Events, evs...)
+	}
+}
+
+// executeReplicated implements Figure 2. Every copy it makes — the
+// checkpoint, both first attempts' writable arguments, a full private set
+// per re-execution — is a lease from r.bufs, and all of them go back when it
+// returns.
 func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	cmp := vote.Panel{Cmp: r.cfg.Comparator, N: r.cfg.Voters}
+	s := r.getScratch(t)
+	defer r.putScratch(s)
 
 	// Step 1: checkpoint the inputs.
-	inIdx := inputIdx(t.args)
-	inputs := make([]buffer.Buffer, len(inIdx))
-	for k, i := range inIdx {
+	inputs := s.carve(len(s.reads))
+	for k, i := range s.reads {
 		inputs[k] = t.args[i].Buf
 	}
 	r.store.Save(t.id, inputs)
-	rec.Events = append(rec.Events, trace.Checkpointed)
+	r.event(rec, trace.Checkpointed)
 	defer r.store.Release(t.id)
 
 	// Step 2: duplicate descriptor; both attempts get private writable
 	// buffers so the real buffers keep the pristine inputs during
 	// execution (the in-memory equivalent of executing from the
-	// checkpointed state).
-	primaryBufs := cloneExecBufs(t.args)
-	replicaBufs := cloneExecBufs(t.args)
-	rec.Events = append(rec.Events, trace.ReplicaCreated)
+	// checkpointed state). Read-only arguments are shared: both executions
+	// only read them.
+	primaryBufs, primaryOuts := r.attemptSet(t, s, false)
+	replicaBufs, replicaOuts := r.attemptSet(t, s, false)
+	r.event(rec, trace.ReplicaCreated)
 
-	var replicaRes attemptResult
-	var wg sync.WaitGroup
-	wg.Add(1)
+	s.replica.Add(1)
 	go func() { // the replica runs on a spare core
-		defer wg.Done()
-		replicaRes = r.runAttempt(t, replicaBufs, 1, w)
+		defer s.replica.Done()
+		s.replicaRes = r.runAttempt(t, &s.ctx[1], replicaBufs, replicaOuts, 1, w)
 	}()
-	primaryRes := r.runAttempt(t, primaryBufs, 0, w)
-	wg.Wait()
+	primaryRes := r.runAttempt(t, &s.ctx[0], primaryBufs, primaryOuts, 0, w)
+	s.replica.Wait()
+	replicaRes := s.replicaRes
 
 	rec.Duration = primaryRes.dur
 	rec.ReplicaDur = replicaRes.dur
 	rec.Attempts = 2
 
 	adopt := func(outs []buffer.Buffer) {
-		wIdx := writableIdx(t.args)
-		for k, i := range wIdx {
-			if t.args[i].Buf != nil {
-				if err := t.args[i].Buf.CopyFrom(outs[k]); err != nil {
-					r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
-				}
+		for k, i := range s.writes {
+			if err := t.args[i].Buf.CopyFrom(outs[k]); err != nil {
+				r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
 			}
 		}
 	}
@@ -761,81 +866,74 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	// majority vote, iterated), or the attempt budget runs out.
 	anyCrash := primaryRes.crashed || replicaRes.crashed
 	mismatch := false
-	var results [][]buffer.Buffer
 	if !primaryRes.crashed {
-		results = append(results, primaryRes.outputs)
+		s.results = append(s.results, primaryOuts)
 	}
 	if !replicaRes.crashed {
-		results = append(results, replicaRes.outputs)
+		s.results = append(s.results, replicaOuts)
 	}
-	if len(results) == 2 {
-		rec.Events = append(rec.Events, trace.Compared)
-		if cmp.Equal(results[0], results[1]) {
-			adopt(results[0])
+	if len(s.results) == 2 {
+		r.event(rec, trace.Compared)
+		if cmp.Equal(s.results[0], s.results[1]) {
+			adopt(s.results[0])
 			return
 		}
 		mismatch = true
 		r.sdcDetected.Add(1)
-		rec.Events = append(rec.Events, trace.SDCDetected)
+		r.event(rec, trace.SDCDetected)
 	}
 	for attempt := 2; attempt < r.cfg.MaxAttempts; attempt++ {
-		res := r.reexecute(t, w, attempt, rec)
+		res, outs := r.reexecute(t, s, w, attempt, rec)
 		if res.crashed {
 			anyCrash = true
 			continue
 		}
-		for _, prev := range results {
-			if cmp.Equal(prev, res.outputs) {
+		for _, prev := range s.results {
+			if cmp.Equal(prev, outs) {
 				if mismatch {
-					rec.Events = append(rec.Events, trace.Voted)
+					r.event(rec, trace.Voted)
 					r.sdcRecovered.Add(1)
 				}
 				if anyCrash {
-					rec.Events = append(rec.Events, trace.DUERecovered)
+					r.event(rec, trace.DUERecovered)
 					r.dueRecovered.Add(1)
 				}
-				adopt(res.outputs)
+				adopt(outs)
 				return
 			}
 		}
-		if len(results) > 0 {
+		if len(s.results) > 0 {
 			// A comparison happened and disagreed: SDC detected.
 			if !mismatch {
 				mismatch = true
 				r.sdcDetected.Add(1)
-				rec.Events = append(rec.Events, trace.Compared, trace.SDCDetected)
+				r.event(rec, trace.Compared, trace.SDCDetected)
 			}
 		}
-		results = append(results, res.outputs)
+		s.results = append(s.results, outs)
 	}
 	r.voteFails.Add(1)
-	rec.Events = append(rec.Events, trace.VoteFailed)
+	r.event(rec, trace.VoteFailed)
 	r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
 }
 
 // reexecute restores the task's inputs from its checkpoint into a fresh,
 // fully private buffer set and runs one more attempt. Every argument is
-// cloned (read-only ones included) so the restore never writes to a buffer
-// another in-flight task may be reading.
-func (r *Runtime) reexecute(t *task, w, attempt int, rec *trace.Record) attemptResult {
-	bufs := make([]buffer.Buffer, len(t.args))
-	for i, a := range t.args {
-		if a.Buf != nil {
-			bufs[i] = a.Buf.Clone()
-		}
-	}
-	inIdx := inputIdx(t.args)
-	dst := make([]buffer.Buffer, len(inIdx))
-	for k, i := range inIdx {
+// leased as a copy of the real one (read-only ones included) so the restore
+// never writes to a buffer another in-flight task may be reading.
+func (r *Runtime) reexecute(t *task, s *replScratch, w, attempt int, rec *trace.Record) (attemptResult, []buffer.Buffer) {
+	bufs, outs := r.attemptSet(t, s, true)
+	dst := s.carve(len(s.reads))
+	for k, i := range s.reads {
 		dst[k] = bufs[i]
 	}
 	if err := r.store.Restore(t.id, dst); err != nil {
 		r.setErr(fmt.Errorf("rt: task %d restore: %w", t.id, err))
 	}
-	rec.Events = append(rec.Events, trace.Restored, trace.Reexecuted)
+	r.event(rec, trace.Restored, trace.Reexecuted)
 	r.reexecs.Add(1)
-	res := r.runAttempt(t, bufs, attempt, w)
+	res := r.runAttempt(t, &s.ctx[0], bufs, outs, attempt, w)
 	rec.ReexecDur += res.dur
 	rec.Attempts++
-	return res
+	return res, outs
 }
