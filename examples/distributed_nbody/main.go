@@ -213,6 +213,17 @@ func worldRun() {
 		fmt.Printf("%-6d %-12d %-12d sdc:%d due:%d\n", rk,
 			st.Replicated, st.Reexecutions, st.SDCRecovered, st.DUERecovered)
 	}
+	// One pool line per World: the ranks share the World's buffer pool, so
+	// payloads and every rank's checkpoints and replica copies are counted
+	// once, by the World. The second World starts on the first one's buffers.
+	for _, x := range []struct {
+		name string
+		w    *dist.World
+	}{{"flat", flatW}, {"hierarchical", hierW}} {
+		pool := x.w.Stats().Pool
+		fmt.Printf("world pool (%s): %d leases, %d reused a returned buffer (%.1f%%)\n",
+			x.name, pool.Leases, pool.Hits, 100*float64(pool.Hits)/float64(max(pool.Leases, 1)))
+	}
 	fmt.Printf("messages sent: %d flat, %d hierarchical (never duplicated by replication)\n",
 		flatW.MessagesSent(), hierW.MessagesSent())
 	fmt.Printf("flat ring:     %6d bytes over the wire, %7.2f µs of virtual fabric time\n",

@@ -1,116 +1,19 @@
-// Frozen pre-sharding baselines. These are the single-global-mutex
-// implementations the PR "shard the hot submit→ready→complete path" replaced
-// (deps.Tracker and dist.Direct as of PR 1), kept verbatim here so every
-// scale benchmark can report old-vs-new on the same binary and the recorded
-// BENCH_scale.json trajectory stays self-contained. Do not "fix" them: their
-// whole value is staying what the code used to be.
+// Frozen pre-sharding baseline. This is the single-global-mutex dist.Direct
+// the PR "shard the hot submit→ready→complete path" replaced (as of PR 1),
+// kept verbatim here so the rendezvous benchmarks can report old-vs-new on
+// the same binary and the recorded BENCH_scale.json trajectory stays
+// self-contained. Do not "fix" it: its whole value is staying what the code
+// used to be. (The deps.Tracker of the same vintage sat here until the
+// tracker's region half stopped being lock-striped at all; its last numbers
+// are archived in CHANGES.md.)
 package scale
 
 import (
 	"sync"
 
 	"appfit/internal/buffer"
-	"appfit/internal/deps"
 	"appfit/internal/dist"
 )
-
-// mutexTracker is the old deps.Tracker: one mutex around regions, nodes and
-// edges, so Register and every Complete serialize.
-type mutexTracker struct {
-	mu      sync.Mutex
-	regions map[string]*mutexRegion
-	nodes   map[uint64]*mutexNode
-	edges   int
-}
-
-type mutexRegion struct {
-	lastWriter uint64
-	readers    []uint64
-}
-
-type mutexNode struct {
-	pending    int
-	successors []uint64
-	done       bool
-}
-
-func newMutexTracker() *mutexTracker {
-	return &mutexTracker{
-		regions: make(map[string]*mutexRegion),
-		nodes:   make(map[uint64]*mutexNode),
-	}
-}
-
-func (t *mutexTracker) Register(id uint64, accesses []deps.Access) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := &mutexNode{}
-	t.nodes[id] = n
-	preds := map[uint64]bool{}
-	for _, a := range accesses {
-		rs := t.regions[a.Key]
-		if rs == nil {
-			rs = &mutexRegion{}
-			t.regions[a.Key] = rs
-		}
-		if a.Mode.Reads() && rs.lastWriter != 0 {
-			preds[rs.lastWriter] = true
-		}
-		if a.Mode.Writes() {
-			if rs.lastWriter != 0 {
-				preds[rs.lastWriter] = true
-			}
-			for _, r := range rs.readers {
-				if r != id {
-					preds[r] = true
-				}
-			}
-		}
-	}
-	for _, a := range accesses {
-		rs := t.regions[a.Key]
-		if a.Mode.Writes() {
-			rs.lastWriter = id
-			rs.readers = rs.readers[:0]
-		}
-		if a.Mode == deps.In {
-			rs.readers = append(rs.readers, id)
-		}
-	}
-	for p := range preds {
-		pn := t.nodes[p]
-		if pn == nil || pn.done {
-			continue
-		}
-		pn.successors = append(pn.successors, id)
-		n.pending++
-		t.edges++
-	}
-	return n.pending == 0
-}
-
-func (t *mutexTracker) Complete(id uint64) (newlyReady []uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.nodes[id]
-	n.done = true
-	for _, s := range n.successors {
-		sn := t.nodes[s]
-		sn.pending--
-		if sn.pending == 0 {
-			newlyReady = append(newlyReady, s)
-		}
-	}
-	n.successors = nil
-	return newlyReady
-}
-
-// tracker is the interface both generations satisfy, so one benchmark body
-// drives either.
-type tracker interface {
-	Register(id uint64, accesses []deps.Access) bool
-	Complete(id uint64) []uint64
-}
 
 // mutexMatcher is the old dist.Direct: one mutex, one condition variable,
 // every Send broadcasting to every blocked receiver in the World.

@@ -1,7 +1,7 @@
 // Package scale is the submit→ready→complete scale suite: microbenchmarks
-// for the three sharded layers (deps tracker, sched pool, dist rendezvous)
-// against their frozen single-mutex baselines (baseline_test.go), plus whole
-// Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
+// for the three sharded layers (deps tracker, sched pool, dist rendezvous —
+// the last against its frozen single-mutex baseline, baseline_test.go), plus
+// whole Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
 // bench` runs it with -benchmem and records BENCH_scale.json, the repo's
 // perf trajectory; `make check` runs every benchmark once so they cannot
 // rot.
@@ -29,70 +29,72 @@ import (
 // ---- deps: registration and completion ----
 
 // BenchmarkDepsRegisterChain is the single-thread honesty check: one
-// registrar building an inout chain, completing as it goes. Sharding must
-// not make the uncontended path materially slower.
+// registrar building an inout chain, completing as it goes — what every
+// submitted task pays the tracker. The wide-fan-in row is one writer behind
+// 1 000 readers of its region: the de-duplication of its predecessors must
+// stay linear in their number.
 func BenchmarkDepsRegisterChain(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() tracker
-	}{
-		{"sharded", func() tracker { return deps.NewTracker() }},
-		{"mutex", func() tracker { return newMutexTracker() }},
-	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			tr := impl.mk()
-			acc := []deps.Access{{Key: "X", Mode: deps.Inout}}
-			for i := 0; i < b.N; i++ {
-				tr.Register(uint64(i+1), acc)
-				if i > 0 {
-					tr.Complete(uint64(i))
-				}
+	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		tr := deps.NewTracker()
+		acc := []deps.Access{{Key: "X", Mode: deps.Inout}}
+		for i := 0; i < b.N; i++ {
+			tr.Register(uint64(i+1), acc)
+			if i > 0 {
+				tr.Complete(uint64(i))
 			}
-		})
-	}
+		}
+	})
+	const readers = 1000
+	b.Run("wide-fan-in/readers="+strconv.Itoa(readers), func(b *testing.B) {
+		b.ReportAllocs()
+		read := []deps.Access{{Key: "X", Mode: deps.In}, {Key: "Y", Mode: deps.In}}
+		write := []deps.Access{{Key: "X", Mode: deps.Inout}, {Key: "Y", Mode: deps.Inout}}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tr := deps.NewTracker()
+			for id := uint64(1); id <= readers; id++ {
+				tr.Register(id, read)
+			}
+			b.StartTimer()
+			// Only the writer is timed; it meets every reader through both
+			// regions.
+			if tr.Register(readers+1, write) || tr.Pending(readers+1) != readers {
+				b.Fatalf("writer waits on %d tasks, want %d", tr.Pending(readers+1), readers)
+			}
+		}
+	})
 }
 
 // BenchmarkDepsCompleteParallel is the contended hot path: tasks on disjoint
-// regions completed from every CPU at once. The mutex baseline serializes
-// all of them; the sharded tracker only collides 1/64 of the time on a
-// node-shard lock.
+// regions completed from every CPU at once; two completions collide on a
+// node-shard lock 1/64 of the time.
 func BenchmarkDepsCompleteParallel(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() tracker
-	}{
-		{"sharded", func() tracker { return deps.NewTracker() }},
-		{"mutex", func() tracker { return newMutexTracker() }},
-	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			tr := impl.mk()
-			// Pre-register b.N two-task chains (producer → consumer on a
-			// private region): Complete of a producer walks an edge and
-			// releases exactly one successor, like a real dataflow step.
-			for i := 0; i < b.N; i++ {
-				key := "r" + strconv.Itoa(i)
-				tr.Register(uint64(2*i+1), []deps.Access{{Key: key, Mode: deps.Out}})
-				tr.Register(uint64(2*i+2), []deps.Access{{Key: key, Mode: deps.In}})
-			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1) - 1
-					released := tr.Complete(uint64(2*i + 1))
-					if len(released) != 1 {
-						b.Errorf("chain %d released %v", i, released)
-						return
-					}
-					tr.Complete(released[0])
+	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		tr := deps.NewTracker()
+		// Pre-register b.N two-task chains (producer → consumer on a
+		// private region): Complete of a producer walks an edge and
+		// releases exactly one successor, like a real dataflow step.
+		for i := 0; i < b.N; i++ {
+			key := "r" + strconv.Itoa(i)
+			tr.Register(uint64(2*i+1), []deps.Access{{Key: key, Mode: deps.Out}})
+			tr.Register(uint64(2*i+2), []deps.Access{{Key: key, Mode: deps.In}})
+		}
+		var next atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := next.Add(1) - 1
+				released := tr.Complete(uint64(2*i + 1))
+				if len(released) != 1 {
+					b.Errorf("chain %d released %v", i, released)
+					return
 				}
-			})
+				tr.Complete(released[0])
+			}
 		})
-	}
+	})
 }
 
 // ---- sched: successor release ----

@@ -10,15 +10,17 @@
 // program submits: one main thread creates tasks while workers finish them.
 //
 // Internally the tracker is lock-striped rather than globally locked: region
-// state lives in hash-sharded tables, the node table is sharded by task id,
-// and per-node pending counts are atomics guarded against premature release
-// by a registration token. Complete calls on tasks with disjoint successor
-// sets touch no common lock, so completions on independent subgraphs never
+// state is the registering goroutine's private table (no completion ever
+// reads it, so it has no lock), the node table is sharded by task id, and
+// per-node pending counts are atomics guarded against premature release by a
+// registration token. Complete calls on tasks with disjoint successor sets
+// touch no common lock, so completions on independent subgraphs never
 // serialize (see DESIGN.md §6).
 package deps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -64,40 +66,59 @@ type Access struct {
 // regionState tracks, per region, the last task that wrote it and the tasks
 // that have read it since that write. Writers depend on the previous writer
 // (WAW) and all readers since (WAR); readers depend on the last writer (RAW).
-// Region state is only ever touched by the registering goroutine, so it
-// needs no lock of its own; the shard mutex protects the map structure.
+// Region state is only ever touched by the registering goroutine, so neither
+// it nor the table holding it needs a lock.
 type regionState struct {
 	lastWriter uint64 // 0 = none
 	readers    []uint64
 }
 
+// regions is a registrar's region table together with the working memory
+// derivePreds needs, kept between registrations so deriving a task's edges
+// allocates nothing once the slices have grown to the widest task. The zero
+// value is an empty table.
+type regions struct {
+	m      map[string]*regionState
+	states []*regionState
+	preds  []uint64
+}
+
+// dedupScan is the predecessor count up to which duplicates are dropped by
+// comparing against the ones already kept; a longer list is de-duplicated
+// through a set, so a writer behind a thousand readers stays linear.
+const dedupScan = 16
+
 // derivePreds is the one edge-derivation rule, shared by the online Tracker
 // and the static Graph: scan every access against its region state collecting
 // predecessor ids, then apply the state updates, so a task that both reads
-// and writes disjoint declarations of the same key behaves like inout.
-// get must return a stable *regionState for a key (creating it if missing).
-func derivePreds(get func(string) *regionState, id uint64, accesses []Access) map[uint64]bool {
-	preds := map[uint64]bool{}
-	states := make([]*regionState, len(accesses))
-	for i, a := range accesses {
-		rs := get(a.Key)
-		states[i] = rs
-		if a.Mode.Reads() && rs.lastWriter != 0 {
-			preds[rs.lastWriter] = true // RAW
+// and writes disjoint declarations of the same key behaves like inout. The
+// predecessors come back without duplicates, in the order the accesses first
+// named them, in memory the next call overwrites.
+func (r *regions) derivePreds(id uint64, accesses []Access) []uint64 {
+	if r.m == nil {
+		r.m = make(map[string]*regionState)
+	}
+	r.states, r.preds = r.states[:0], r.preds[:0]
+	for _, a := range accesses {
+		rs := r.m[a.Key]
+		if rs == nil {
+			rs = &regionState{}
+			r.m[a.Key] = rs
+		}
+		r.states = append(r.states, rs)
+		if rs.lastWriter != 0 && (a.Mode.Reads() || a.Mode.Writes()) {
+			r.preds = append(r.preds, rs.lastWriter) // RAW, WAW
 		}
 		if a.Mode.Writes() {
-			if rs.lastWriter != 0 {
-				preds[rs.lastWriter] = true // WAW
-			}
-			for _, r := range rs.readers {
-				if r != id {
-					preds[r] = true // WAR
+			for _, rd := range rs.readers {
+				if rd != id {
+					r.preds = append(r.preds, rd) // WAR
 				}
 			}
 		}
 	}
 	for i, a := range accesses {
-		rs := states[i]
+		rs := r.states[i]
 		if a.Mode.Writes() {
 			rs.lastWriter = id
 			rs.readers = rs.readers[:0]
@@ -106,7 +127,32 @@ func derivePreds(get func(string) *regionState, id uint64, accesses []Access) ma
 			rs.readers = append(rs.readers, id)
 		}
 	}
-	return preds
+	clear(r.states) // a dropped region must not stay reachable from scratch
+	r.preds = dedup(r.preds)
+	return r.preds
+}
+
+// dedup drops repeated ids from xs in place, keeping first occurrences in
+// order.
+func dedup(xs []uint64) []uint64 {
+	if len(xs) <= dedupScan {
+		kept := xs[:0]
+		for _, x := range xs {
+			if !slices.Contains(kept, x) {
+				kept = append(kept, x)
+			}
+		}
+		return kept
+	}
+	seen := make(map[uint64]struct{}, len(xs))
+	kept := xs[:0]
+	for _, x := range xs {
+		if _, dup := seen[x]; !dup {
+			seen[x] = struct{}{}
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
 // node is one registered task. pending counts unfinished predecessors plus,
@@ -124,62 +170,34 @@ type node struct {
 	successors []*node
 }
 
-const (
-	// regionShards and nodeShards are the striping widths. 64 keeps the
-	// per-Tracker footprint small (a dist.World holds one tracker per rank)
-	// while making two concurrent completions collide on a node-shard lock
-	// only 1/64 of the time; both must be powers of two so the shard index
-	// is a mask, not a modulo.
-	regionShards = 64
-	nodeShards   = 64
-)
+// nodeShards is the node table's striping width. 64 keeps the per-Tracker
+// footprint small (a dist.World holds one tracker per rank) while making two
+// concurrent completions collide on a shard lock only 1/64 of the time; a
+// power of two so the shard index is a mask, not a modulo.
+const nodeShards = 64
 
-type regionShard struct {
-	mu sync.Mutex
-	m  map[string]*regionState
-}
-
+// nodeShard is one stripe of the node table. Its map is built by the first
+// Register that hashes here, so a tracker pays for the stripes it uses.
 type nodeShard struct {
 	mu sync.Mutex
-	m  map[uint64]*node
+	m  map[uint64]*node // guarded by mu
 }
 
 // Tracker builds the dependency graph incrementally and reports readiness.
 // Register is single-goroutine (the program's submitting thread); Complete,
 // Pending, Edges and Tasks may be called concurrently from any goroutine.
+// The zero value is an empty tracker.
 type Tracker struct {
-	regions [regionShards]regionShard
+	// regions belongs to the registering goroutine alone: Complete never
+	// looks at a region.
+	regions regions
 	nodes   [nodeShards]nodeShard
 	edges   atomic.Int64
 	tasks   atomic.Int64
 }
 
 // NewTracker returns an empty Tracker.
-func NewTracker() *Tracker {
-	t := &Tracker{}
-	t.init()
-	return t
-}
-
-func (t *Tracker) init() {
-	for i := range t.regions {
-		t.regions[i].m = make(map[string]*regionState)
-	}
-	for i := range t.nodes {
-		t.nodes[i].m = make(map[uint64]*node)
-	}
-}
-
-// fnv1a is the region-key hash: FNV-1a, cheap and well-mixed for the short
-// human-readable keys runtimes use ("pos[3]", "A[2][1]").
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // mix64 finalizes an integer hash (splitmix64's finalizer) so dense task ids
 // spread over the node shards instead of marching through them in order.
@@ -190,20 +208,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// region returns the state for key, creating it if missing. Only the shard
-// map is protected; the returned state is private to the registrar.
-func (t *Tracker) region(key string) *regionState {
-	sh := &t.regions[fnv1a(key)&(regionShards-1)]
-	sh.mu.Lock()
-	rs := sh.m[key]
-	if rs == nil {
-		rs = &regionState{}
-		sh.m[key] = rs
-	}
-	sh.mu.Unlock()
-	return rs
 }
 
 func (t *Tracker) nodeShard(id uint64) *nodeShard {
@@ -243,11 +247,14 @@ func (t *Tracker) Register(id uint64, accesses []Access) (ready bool) {
 		sh.mu.Unlock()
 		panic(fmt.Sprintf("deps: duplicate task id %d", id))
 	}
+	if sh.m == nil {
+		sh.m = make(map[uint64]*node)
+	}
 	sh.m[id] = n
 	sh.mu.Unlock()
 	t.tasks.Add(1)
 
-	for p := range derivePreds(t.region, id, accesses) {
+	for _, p := range t.regions.derivePreds(id, accesses) {
 		pn := t.lookup(p)
 		if pn == nil {
 			continue // predecessor already completed
@@ -312,7 +319,13 @@ func (t *Tracker) Tasks() int { return int(t.tasks.Load()) }
 // Reset clears all state so the tracker can be reused for a fresh graph. It
 // must not race with Register or Complete.
 func (t *Tracker) Reset() {
-	t.init()
+	t.regions = regions{}
+	for i := range t.nodes {
+		sh := &t.nodes[i]
+		sh.mu.Lock()
+		sh.m = nil
+		sh.mu.Unlock()
+	}
 	t.edges.Store(0)
 	t.tasks.Store(0)
 }
@@ -321,16 +334,14 @@ func (t *Tracker) Reset() {
 // workloads build their task graph once, then the simulator list-schedules
 // it. Build one with NewGraph and AddTask in program order.
 type Graph struct {
-	regions map[string]*regionState
+	regions regions
 	// Preds[i] lists predecessor indices of task i; Succs the inverse.
 	Preds, Succs [][]int
 	ids          []uint64
 }
 
 // NewGraph returns an empty static graph builder.
-func NewGraph() *Graph {
-	return &Graph{regions: make(map[string]*regionState)}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddTask registers the next task (index len-1 after the call) with its
 // accesses and records its edges. Returns the task's index.
@@ -341,15 +352,7 @@ func (g *Graph) AddTask(accesses []Access) int {
 	g.Preds = append(g.Preds, nil)
 	g.Succs = append(g.Succs, nil)
 
-	get := func(key string) *regionState {
-		rs := g.regions[key]
-		if rs == nil {
-			rs = &regionState{}
-			g.regions[key] = rs
-		}
-		return rs
-	}
-	for p := range derivePreds(get, id, accesses) {
+	for _, p := range g.regions.derivePreds(id, accesses) {
 		pi := int(p - 1)
 		g.Preds[idx] = append(g.Preds[idx], pi)
 		g.Succs[pi] = append(g.Succs[pi], idx)

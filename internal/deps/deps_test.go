@@ -192,6 +192,87 @@ func TestReset(t *testing.T) {
 	if !tr.Register(1, []Access{{"A", In}}) {
 		t.Fatal("reset did not clear region state")
 	}
+	// And the emptied tracker tracks: the reset dropped every node stripe, so
+	// these registrations rebuild the ones they hash to.
+	if tr.Register(2, []Access{{"A", Out}}) {
+		t.Fatal("writer must wait for the reader registered after the reset")
+	}
+	if got := tr.Complete(1); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("completing the reader released %v, want [2]", got)
+	}
+	if tr.Tasks() != 2 || tr.Edges() != 1 {
+		t.Fatalf("after reset: %d tasks, %d edges, want 2 and 1", tr.Tasks(), tr.Edges())
+	}
+}
+
+// TestNewTrackerAllocs pins what an idle tracker costs: a dist.World starts
+// one per rank, so region and node tables are built by the first Register
+// that needs them, not by NewTracker.
+func TestNewTrackerAllocs(t *testing.T) {
+	var tr *Tracker
+	if n := testing.AllocsPerRun(100, func() { tr = NewTracker() }); n > 2 {
+		t.Fatalf("NewTracker allocates %v objects, want <= 2", n)
+	}
+	if !tr.Register(1, []Access{{"A", Out}}) || tr.Pending(1) != 0 {
+		t.Fatal("a fresh tracker must register a ready task")
+	}
+}
+
+// TestPredsFirstSeenOrder holds derivePreds to its order contract on both
+// sides of the de-duplication threshold: predecessors come back once each,
+// in the order the accesses first name them.
+func TestPredsFirstSeenOrder(t *testing.T) {
+	for _, readers := range []int{3, dedupScan, dedupScan + 1, 1000} {
+		var r regions
+		r.derivePreds(1, []Access{{"A", Out}, {"B", Out}})
+		want := []uint64{1}
+		for i := 0; i < readers; i++ {
+			id := uint64(2 + i)
+			r.derivePreds(id, []Access{{"A", In}, {"B", In}})
+			want = append(want, id)
+		}
+		// The writer meets task 1 and every reader through both regions.
+		got := r.derivePreds(uint64(2+readers), []Access{{"A", Inout}, {"B", Inout}})
+		if len(got) != len(want) {
+			t.Fatalf("readers=%d: %d predecessors, want %d", readers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("readers=%d: predecessor %d is task %d, want %d", readers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGraphPredsDeterministic: a graph built twice from the same accesses
+// lists every task's predecessors (and successors) in the same order — the
+// order a map-typed predecessor set used to shuffle from run to run.
+func TestGraphPredsDeterministic(t *testing.T) {
+	r := xrand.New(7)
+	accs := randomAccesses(r, 200, 5)
+	build := func() string {
+		g := NewGraph()
+		for _, acc := range accs {
+			g.AddTask(acc)
+		}
+		return fmt.Sprint(g.Preds, g.Succs)
+	}
+	first := build()
+	for i := 0; i < 20; i++ {
+		if build() != first {
+			t.Fatalf("build %d ordered its edges differently", i+1)
+		}
+	}
+	// First-seen order, spelled out: task 3 reads B (written by 1) before A
+	// (written by 0), so its predecessors are [1 0], not sorted.
+	g := NewGraph()
+	g.AddTask([]Access{{"A", Out}})
+	g.AddTask([]Access{{"B", Out}})
+	g.AddTask([]Access{{"C", Out}})
+	g.AddTask([]Access{{"B", In}, {"A", In}, {"B", In}})
+	if got := fmt.Sprint(g.Preds[3]); got != "[1 0]" {
+		t.Fatalf("preds = %s, want [1 0]", got)
+	}
 }
 
 // TestPropertyAllTasksEventuallyReady simulates random graphs and checks that

@@ -15,7 +15,7 @@ import (
 // sharded Tracker to exactly its schedules.
 type refTracker struct {
 	mu      sync.Mutex
-	regions map[string]*regionState
+	regions regions
 	nodes   map[uint64]*refNode
 	edges   int
 }
@@ -27,10 +27,7 @@ type refNode struct {
 }
 
 func newRefTracker() *refTracker {
-	return &refTracker{
-		regions: make(map[string]*regionState),
-		nodes:   make(map[uint64]*refNode),
-	}
+	return &refTracker{nodes: make(map[uint64]*refNode)}
 }
 
 func (t *refTracker) Register(id uint64, accesses []Access) bool {
@@ -38,15 +35,7 @@ func (t *refTracker) Register(id uint64, accesses []Access) bool {
 	defer t.mu.Unlock()
 	n := &refNode{}
 	t.nodes[id] = n
-	get := func(key string) *regionState {
-		rs := t.regions[key]
-		if rs == nil {
-			rs = &regionState{}
-			t.regions[key] = rs
-		}
-		return rs
-	}
-	for p := range derivePreds(get, id, accesses) {
+	for _, p := range t.regions.derivePreds(id, accesses) {
 		pn := t.nodes[p]
 		if pn == nil || pn.done {
 			continue

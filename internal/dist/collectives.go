@@ -202,8 +202,9 @@ func (c *Comm) Barrier(tag int) {
 // length. On a communicator whose topology is non-flat (see Hierarchical)
 // it runs BroadcastHier, otherwise BroadcastFlat. Both move
 // bitwise-identical payloads in n−1 messages; only the routing — and
-// therefore the fabric cost — differs. An out-of-range root or a bufs
-// slice of the wrong length records a World error and submits nothing.
+// therefore the fabric cost — differs. An out-of-range root, a bufs slice
+// of the wrong length or a nil buffer in it records a World error and
+// submits nothing.
 func (c *Comm) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
 	c.broadcast(c.hier, root, tag, name, bufs)
 }
@@ -216,7 +217,7 @@ func (c *Comm) BroadcastFlat(root, tag int, name string, bufs []buffer.Buffer) {
 
 // broadcast validates a Broadcast call and runs the chosen shape.
 func (c *Comm) broadcast(hier bool, root, tag int, name string, bufs []buffer.Buffer) {
-	if !c.checkMembers("Broadcast", len(bufs)) {
+	if !c.checkMembers("Broadcast", len(bufs)) || !c.checkBufs("Broadcast", bufs...) {
 		return
 	}
 	if n := len(c.members); root < 0 || root >= n {
@@ -310,7 +311,8 @@ func (c *Comm) allgather(hier bool, tag int, name func(j int) string, bufs [][]b
 		return
 	}
 	for i := range bufs {
-		if !c.checkMembers(fmt.Sprintf("Allgather member %d blocks", i), len(bufs[i])) {
+		op := fmt.Sprintf("Allgather member %d blocks", i)
+		if !c.checkMembers(op, len(bufs[i])) || !c.checkBufs(op, bufs[i]...) {
 			return
 		}
 	}

@@ -49,7 +49,8 @@ var (
 	ErrSplitKey = errors.New("dist: Split: duplicate key within a color")
 	// ErrCollectiveArgs reports a collective whose per-member buffer slices
 	// do not match the communicator size, or whose buffers differ in length
-	// where the collective needs one length.
+	// where the collective needs one length, or any operation handed a nil
+	// buffer.
 	ErrCollectiveArgs = errors.New("dist: collective buffers do not match the communicator size")
 	// ErrTopology reports a World Config whose topology places fewer ranks
 	// than the World holds.
@@ -71,8 +72,9 @@ type Comm struct {
 	// access on a context-private reserved region, so back-to-back
 	// collectives on one communicator stay FIFO-consistent per member while
 	// collectives on sibling or parent communicators can still interleave.
-	toks   []buffer.U8
-	tokKey string
+	// Each is built — its one-byte buffer boxed — once per member, not once
+	// per comm task.
+	toks []rt.Arg
 	// hier is set at construction when the World's topology places the
 	// members across ≥2 nodes with at least one node shared — the condition
 	// under which the collectives auto-select their hierarchical algorithms.
@@ -91,13 +93,13 @@ func newComm(w *World, ctx uint64, members []*Rank) *Comm {
 		ctx:     ctx,
 		members: members,
 		handles: make([]CommRank, len(members)),
-		toks:    make([]buffer.U8, len(members)),
-		tokKey:  fmt.Sprintf("%s:tok:%d", collKey, ctx),
+		toks:    make([]rt.Arg, len(members)),
 		hier:    commHier(w, members),
 	}
+	tokKey := fmt.Sprintf("%s:tok:%d", collKey, ctx)
 	for i := range members {
 		c.handles[i] = CommRank{c: c, id: i}
-		c.toks[i] = buffer.U8{0}
+		c.toks[i] = rt.Inout(tokKey, buffer.U8{0})
 	}
 	return c
 }
@@ -141,7 +143,7 @@ func (c *Comm) Rank(i int) *CommRank {
 }
 
 // tokArg is member i's collective-plumbing token access.
-func (c *Comm) tokArg(i int) rt.Arg { return rt.Inout(c.tokKey, c.toks[i]) }
+func (c *Comm) tokArg(i int) rt.Arg { return c.toks[i] }
 
 // world returns member i's world rank id.
 func (c *Comm) worldID(i int) int { return c.members[i].id }
@@ -257,15 +259,29 @@ func (cr *CommRank) checkPartner(op string, partner int) bool {
 	return true
 }
 
+// checkBufs records ErrCollectiveArgs and reports false when one of an
+// operation's buffers is nil. A comm task dereferences its buffer on a
+// worker goroutine, where nothing could recover the panic, so a nil buffer
+// is refused before anything is submitted.
+func (c *Comm) checkBufs(op string, bufs ...buffer.Buffer) bool {
+	for i, b := range bufs {
+		if b == nil {
+			c.w.addErr(fmt.Errorf("dist: %s buffer %d of %d is nil: %w", op, i, len(bufs), ErrCollectiveArgs))
+			return false
+		}
+	}
+	return true
+}
+
 // Send submits a communication task that ships a snapshot of buf to the
 // comm-local partner rank under tag once every prior task writing region
 // name has completed. The send is eager: it buffers the snapshot in the
 // transport and completes without waiting for the matching Recv. Matching
 // is scoped to this communicator's context. It returns the task id (0 if
-// the handle or partner is out of range; the error is recorded in the
-// World).
+// the handle or partner is out of range or buf is nil; the error is
+// recorded in the World).
 func (cr *CommRank) Send(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	if !cr.checkPartner("Send", partner) {
+	if !cr.checkPartner("Send", partner) || !cr.c.checkBufs("Send", buf) {
 		return 0
 	}
 	c := cr.c
@@ -279,9 +295,10 @@ func (cr *CommRank) Send(partner, tag int, name string, buf buffer.Buffer) uint6
 // context and copies it into buf; tasks reading region name afterwards are
 // gated behind it. A type or length mismatch between the payload and buf is
 // recorded as a World error. It returns the task id (0 if the handle or
-// partner is out of range; the error is recorded in the World).
+// partner is out of range or buf is nil; the error is recorded in the
+// World).
 func (cr *CommRank) Recv(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	if !cr.checkPartner("Recv", partner) {
+	if !cr.checkPartner("Recv", partner) || !cr.c.checkBufs("Recv", buf) {
 		return 0
 	}
 	c := cr.c

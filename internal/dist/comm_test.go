@@ -473,3 +473,41 @@ func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
 		}
 	})
 }
+
+func TestNilBufferRecordsNamedError(t *testing.T) {
+	// A nil buffer would be dereferenced by the comm task on a worker
+	// goroutine, where nothing can recover: every entry point refuses it
+	// with ErrCollectiveArgs and submits nothing.
+	const n = 4
+	good := func() []buffer.Buffer { return anyBufs(f64s(n, 2)) }
+	nilAt := func(i int) []buffer.Buffer { b := good(); b[i] = nil; return b }
+	blocks := allgatherBlocks(n, 2)
+	blocks[n-1][1] = nil
+	for _, tc := range []struct {
+		name string
+		run  func(c *Comm) uint64
+	}{
+		{"Send", func(c *Comm) uint64 { return c.Rank(0).Send(1, 0, "x", nil) }},
+		{"Recv", func(c *Comm) uint64 { return c.Rank(1).Recv(0, 0, "x", nil) }},
+		{"Broadcast/member-0", func(c *Comm) uint64 { c.Broadcast(1, 0, "b", nilAt(0)); return 0 }},
+		{"Broadcast/last-member", func(c *Comm) uint64 { c.Broadcast(0, 0, "b", nilAt(n-1)); return 0 }},
+		{"BroadcastHier/root", func(c *Comm) uint64 { c.BroadcastHier(2, 0, "b", nilAt(2)); return 0 }},
+		{"Allgather", func(c *Comm) uint64 { c.Allgather(0, blockName, blocks); return 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := blockWorld(t, n, 2, false)
+			if id := tc.run(w.Comm()); id != 0 {
+				t.Fatalf("task id = %d, want 0", id)
+			}
+			if err := w.Err(); !errors.Is(err, ErrCollectiveArgs) {
+				t.Fatalf("Err = %v, want ErrCollectiveArgs", err)
+			}
+			if err := w.Shutdown(); !errors.Is(err, ErrCollectiveArgs) {
+				t.Fatalf("Shutdown = %v, want ErrCollectiveArgs", err)
+			}
+			if st := w.Stats(); st.Submitted != 0 || w.MessagesSent() != 0 {
+				t.Fatalf("submitted %d tasks, sent %d messages, want none", st.Submitted, w.MessagesSent())
+			}
+		})
+	}
+}

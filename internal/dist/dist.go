@@ -64,13 +64,25 @@ type Config struct {
 	Topology *simnet.Topology
 }
 
-// stagePool recycles collective staging buffers (traveling partials,
-// per-step receive scratch) across Worlds: a benchmark loop that builds a
-// World per iteration reuses the previous iteration's staging instead of
-// reallocating every ring step. Safe because staging buffers are internal to
-// the collectives, fully overwritten before their first read, and only
-// returned after the owning World has drained.
-var stagePool = buffer.NewPool()
+// pool is the one place a World's short-lived memory comes from: message
+// payloads (leased by the send task, returned by the receive task),
+// collective staging (stageF64, returned at Shutdown) and every rank's
+// engine copies — checkpoints, replica clones, re-execution sets — through
+// rt.NewOn. It belongs to the process, not to a World, because Worlds are
+// short: a loop that builds a World per iteration finds the buffers of the
+// previous one, where a per-World pool would die cold each time. Safe
+// because every buffer leaves it either as a full copy of its source
+// (Lease) or to be fully overwritten before its first read (GetF64), and
+// comes back only when its one holder is done with it.
+var pool = buffer.NewPool()
+
+// frame is the payload of a message that carries none (a barrier round). It
+// is its own type so a receive can tell it from a leased payload — which may
+// itself be empty — and never hands it to the pool.
+type frame struct{ buffer.U8 }
+
+// noPayload is the one frame every payload-free send ships.
+var noPayload buffer.Buffer = frame{}
 
 // World is a set of communicating ranks. Create with NewWorld, communicate
 // through Comm (the world communicator, or sub-communicators derived with
@@ -90,9 +102,14 @@ type World struct {
 	errs  []error
 
 	// staged tracks every pool buffer handed out by stageF64, so Shutdown can
-	// return the lot to stagePool once the graphs have drained.
+	// return the lot to the pool once the graphs have drained.
 	stageMu sync.Mutex
 	staged  []buffer.F64
+	// pool0 is the pool's traffic when the World started and poolEnd, once
+	// Shutdown has drained it, when it stopped; Stats reports the traffic
+	// between the two.
+	pool0   buffer.PoolStats
+	poolEnd atomic.Pointer[buffer.PoolStats]
 
 	shutOnce sync.Once
 	shutErr  error
@@ -119,7 +136,7 @@ func NewWorld(cfg Config) *World {
 	if tr == nil {
 		tr = NewDirect()
 	}
-	w := &World{tr: tr, ranks: make([]*Rank, n)}
+	w := &World{tr: tr, ranks: make([]*Rank, n), pool0: pool.Stats()}
 	if topo := cfg.Topology; topo != nil {
 		if topo.Ranks() < n {
 			w.addErr(fmt.Errorf("dist: %d-rank topology under a %d-rank world: %w",
@@ -145,7 +162,7 @@ func NewWorld(cfg Config) *World {
 		if cfg.RT != nil {
 			rc = cfg.RT(i)
 		}
-		w.ranks[i] = &Rank{w: w, id: i, rt: rt.New(rc)}
+		w.ranks[i] = &Rank{w: w, id: i, rt: rt.NewOn(pool, rc)}
 	}
 	w.world = newComm(w, 0, w.ranks)
 	return w
@@ -188,11 +205,25 @@ func (w *World) Transport() Transport { return w.tr }
 func (w *World) MessagesSent() uint64 { return w.sent.Load() }
 
 // Stats aggregates the runtime counters of all ranks (see rt.Stats.Add for
-// the aggregation semantics).
+// the aggregation semantics). Pool is the traffic of the process-wide World
+// pool from this World's start to its Shutdown — payloads, staging and every
+// rank's engine copies, each lease counted once (the ranks share the pool
+// and report none of it themselves); a World alive at the same time adds
+// its traffic too.
 func (w *World) Stats() rt.Stats {
 	var total rt.Stats
 	for _, r := range w.ranks {
 		total.Add(r.rt.Stats())
+	}
+	now := w.poolEnd.Load()
+	if now == nil {
+		st := pool.Stats()
+		now = &st
+	}
+	total.Pool = buffer.PoolStats{
+		Leases:  now.Leases - w.pool0.Leases,
+		Hits:    now.Hits - w.pool0.Hits,
+		Returns: now.Returns - w.pool0.Returns,
 	}
 	return total
 }
@@ -224,9 +255,11 @@ func (w *World) Shutdown() error {
 		close(stop)
 		w.tr.Close()
 		w.stageMu.Lock()
-		stagePool.PutF64(w.staged...)
+		pool.PutF64(w.staged...)
 		w.staged = nil
 		w.stageMu.Unlock()
+		end := pool.Stats()
+		w.poolEnd.Store(&end)
 		w.errMu.Lock()
 		all := append(w.errs, rankErrs...)
 		w.errMu.Unlock()
@@ -303,13 +336,13 @@ func (w *World) Err() error {
 	return errors.Join(w.errs...)
 }
 
-// stageF64 leases an n-element staging buffer from stagePool for the
+// stageF64 leases an n-element staging buffer from the pool for the
 // lifetime of the World; Shutdown returns every lease after the graphs
 // drain. Contents are UNDEFINED — callers must fully overwrite before the
 // first read, which every collective staging site does (receive CopyFrom or
 // an init copy gates every fold that reads it).
 func (w *World) stageF64(n int) buffer.F64 {
-	b := stagePool.GetF64(n)
+	b := pool.GetF64(n)
 	w.stageMu.Lock()
 	w.staged = append(w.staged, b)
 	w.stageMu.Unlock()
@@ -331,15 +364,16 @@ func (r *Rank) Runtime() *rt.Runtime { return r.rt }
 // Stats returns the rank's runtime counters.
 func (r *Rank) Stats() rt.Stats { return r.rt.Stats() }
 
-// commSend submits a comm task that, when its dependencies resolve, seals a
-// clone of args[payload] (an empty frame if payload < 0) and hands it to the
-// transport for m's mailbox.
+// commSend submits a comm task that, when its dependencies resolve, leases
+// a copy of args[payload] from the pool (noPayload if payload < 0) and hands
+// it to the transport for m's mailbox. The copy is whole and made before the
+// send task returns, so the sender may overwrite its buffer at once.
 func (r *Rank) commSend(label string, m Match, payload int, args ...rt.Arg) uint64 {
 	w := r.w
 	return r.rt.SubmitComm(label, func(ctx *rt.Ctx) {
-		var p buffer.Buffer = buffer.U8{}
+		p := noPayload
 		if payload >= 0 {
-			p = ctx.Buf(payload).Clone()
+			p = pool.Lease(ctx.Buf(payload))
 		}
 		w.tr.Send(m, p)
 		w.sent.Add(1)
@@ -347,9 +381,11 @@ func (r *Rank) commSend(label string, m Match, payload int, args ...rt.Arg) uint
 }
 
 // commRecv submits a comm task that blocks for m's next message and, if
-// dst >= 0, copies its payload into args[dst]. The rendezvous wait runs
-// inside a blocking section so a worker parked on an unmatched receive
-// never starves the compute (and sends) that would eventually match it.
+// dst >= 0, copies its payload into args[dst]; either way — and whether or
+// not the copy fit — the payload's lease ends here, its one delivery. The
+// rendezvous wait runs inside a blocking section so a worker parked on an
+// unmatched receive never starves the compute (and sends) that would
+// eventually match it.
 func (r *Rank) commRecv(label string, m Match, dst int, args ...rt.Arg) uint64 {
 	w := r.w
 	return r.rt.SubmitComm(label, func(ctx *rt.Ctx) {
@@ -366,6 +402,9 @@ func (r *Rank) commRecv(label string, m Match, dst int, args ...rt.Arg) uint64 {
 			if err := ctx.Buf(dst).CopyFrom(p); err != nil {
 				w.addErr(fmt.Errorf("dist: rank %d %s: %w", r.id, label, err))
 			}
+		}
+		if _, empty := p.(frame); !empty {
+			pool.Return(p)
 		}
 	}, args...)
 }

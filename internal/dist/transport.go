@@ -71,7 +71,11 @@ type Match struct {
 var ErrClosed = errors.New("dist: transport closed with pending receive")
 
 // Transport moves sealed payloads between ranks. Implementations must be
-// safe for concurrent use by all ranks' workers.
+// safe for concurrent use by all ranks' workers, and must deliver each
+// payload to at most one Recv: a payload is a lease the receiving comm task
+// hands back to the World pool after its copy, so a second delivery would
+// read a buffer that by then belongs to someone else. A transport never
+// takes or returns a lease itself — it moves what it is given.
 type Transport interface {
 	// Send delivers payload to m's mailbox. The payload is private to the
 	// transport from this point on (the caller has already snapshotted it).
@@ -79,7 +83,9 @@ type Transport interface {
 	// Recv blocks until a message is available in m's mailbox and returns
 	// the oldest one.
 	Recv(m Match) (buffer.Buffer, error)
-	// Close unblocks every pending Recv with ErrClosed.
+	// Close unblocks every pending Recv with ErrClosed. Payloads still
+	// queued are never delivered: their leases are not returned, and the
+	// garbage collector reclaims them with the transport.
 	Close()
 }
 

@@ -2,13 +2,16 @@ package rt
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"appfit/internal/buffer"
 	"appfit/internal/ckpt"
 	"appfit/internal/core"
 	"appfit/internal/fault"
+	"appfit/internal/trace"
 	"appfit/internal/vote"
 )
 
@@ -224,5 +227,81 @@ func TestReplicationAllocatesNoBuffers(t *testing.T) {
 	one, two := allocated(1000), allocated(2000)
 	if perTask := (int64(two) - int64(one)) / 1000; perTask >= 1024 {
 		t.Fatalf("each extra replicated task allocates %d bytes, want < 1024", perTask)
+	}
+}
+
+// TestNewOnSharesOnePool: two runtimes started on one pool draw from the
+// same books — the second reuses what the first returned, everything comes
+// back — and neither reports the pool's traffic as its own, so summing them
+// (dist.World.Stats) counts no lease twice.
+func TestNewOnSharesOnePool(t *testing.T) {
+	shared := buffer.NewPool()
+	shared.Poison()
+	a := buffer.NewF64(64)
+	for round := 1; round <= 2; round++ {
+		r := NewOn(shared, Config{Workers: 2, Selector: core.ReplicateAll{}})
+		for i := 0; i < 10; i++ {
+			r.Submit("inc", incrTask(1), Inout("A", a))
+		}
+		if err := r.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Pool != (buffer.PoolStats{}) || st.Replicated != 10 {
+			t.Fatalf("round %d: Stats = %+v, want 10 replicated tasks and no pool traffic of its own", round, st)
+		}
+		st := shared.Stats()
+		if st.Leases != uint64(30*round) || st.Returns != st.Leases {
+			t.Fatalf("round %d: shared pool = %+v, want %d leases, all returned", round, st, 30*round)
+		}
+		if round == 2 && st.Hits < 30 {
+			t.Fatalf("the second runtime found the pool cold: %+v", st)
+		}
+	}
+	if a[0] != 20 {
+		t.Fatalf("a[0] = %v, want 20", a[0])
+	}
+}
+
+// TestBodyScratchBelongsToGoroutine: every spare reports the same worker
+// index, so body scratch keyed by that index would be shared by spares
+// running at once. Eight bodies park together on a one-worker runtime — one
+// worker and seven spares — and each must still see its own task and buffer
+// when it wakes; afterwards a scratch keeps nothing of the body it served.
+func TestBodyScratchBelongsToGoroutine(t *testing.T) {
+	const n = 8
+	r := New(Config{Workers: 1})
+	var parked sync.WaitGroup
+	parked.Add(n)
+	bufs := make([]buffer.F64, n)
+	for i := range bufs {
+		i := i
+		bufs[i] = buffer.NewF64(1)
+		r.SubmitComm("park", func(ctx *Ctx) {
+			r.EnterBlocking()
+			parked.Done()
+			parked.Wait() // all n bodies are live on n goroutines here
+			r.ExitBlocking()
+			if ctx.TaskID() != uint64(i+1) || ctx.NArgs() != 1 { // ids count from 1
+				t.Errorf("body %d woke up on task %d's Ctx", i, ctx.TaskID())
+				return
+			}
+			ctx.F64(0)[0] = float64(i + 1)
+		}, Out(fmt.Sprint("b", i), bufs[i]))
+	}
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bufs {
+		if b[0] != float64(i+1) {
+			t.Fatalf("body %d wrote %v into its buffer, want %d", i, b[0], i+1)
+		}
+	}
+
+	var own bodyScratch
+	var rec trace.Record
+	task := &task{id: 1, fn: func(*Ctx) {}, args: []Arg{In("x", bufs[0]), Out("y", bufs[1])}, comm: true}
+	r.executeUnprotected(task, 0, &own, &rec)
+	if own.ctx.bufs != nil || cap(own.bufs) < 2 || own.bufs[:2][0] != nil || own.bufs[:2][1] != nil {
+		t.Fatalf("scratch still holds its last body's buffers: %+v", own)
 	}
 }

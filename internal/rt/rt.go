@@ -190,7 +190,8 @@ type Stats struct {
 	Checkpoint ckpt.Stats
 	// Pool is the traffic of the buffer pool every checkpoint, replica
 	// clone and re-execution set is leased from: Hits/Leases is the share
-	// of engine copies that reused a buffer instead of allocating one.
+	// of engine copies that reused a buffer instead of allocating one. A
+	// runtime started on someone else's pool (NewOn) leaves it zero.
 	Pool buffer.PoolStats
 }
 
@@ -267,10 +268,12 @@ type Runtime struct {
 	pool    *sched.Pool
 	tracker *deps.Tracker
 	// bufs is where every engine copy comes from: store leases checkpoints
-	// from it, executeReplicated the attempt sets.
-	bufs  *buffer.Pool
-	store *ckpt.Store
-	est   *fit.Estimator
+	// from it, executeReplicated the attempt sets. borrowed marks a pool
+	// handed to NewOn, whose traffic its owner reports.
+	bufs     *buffer.Pool
+	borrowed bool
+	store    *ckpt.Store
+	est      *fit.Estimator
 
 	mu    sync.Mutex
 	tasks map[uint64]*task
@@ -311,21 +314,35 @@ type Runtime struct {
 // turned into wrong answers.
 var poisonLeases bool
 
-// New starts a Runtime with cfg's workers running.
+// New starts a Runtime with cfg's workers running, leasing its engine
+// copies from a pool of its own.
 func New(cfg Config) *Runtime {
-	cfg = cfg.withDefaults()
 	bufs := buffer.NewPool()
 	if poisonLeases {
 		bufs.Poison()
 	}
+	return start(bufs, false, cfg)
+}
+
+// NewOn is New on a buffer pool the caller owns and may share between
+// runtimes — a dist.World runs every rank on one, so a checkpoint in one
+// rank reuses the buffer a replica clone in another just returned, and a
+// World started after this one finds the pool warm. The owner reports the
+// pool's traffic: Stats().Pool of a runtime started here stays zero, so
+// summing the runtimes of one pool counts no lease twice.
+func NewOn(bufs *buffer.Pool, cfg Config) *Runtime { return start(bufs, true, cfg) }
+
+func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
+	cfg = cfg.withDefaults()
 	r := &Runtime{
-		cfg:     cfg,
-		pool:    sched.NewPool(cfg.Workers),
-		tracker: deps.NewTracker(),
-		bufs:    bufs,
-		store:   ckpt.NewStoreOn(bufs, cfg.CheckpointCopies),
-		est:     fit.NewEstimator(cfg.Rates),
-		tasks:   make(map[uint64]*task),
+		cfg:      cfg,
+		pool:     sched.NewPool(cfg.Workers),
+		tracker:  deps.NewTracker(),
+		bufs:     bufs,
+		borrowed: borrowed,
+		store:    ckpt.NewStoreOn(bufs, cfg.CheckpointCopies),
+		est:      fit.NewEstimator(cfg.Rates),
+		tasks:    make(map[uint64]*task),
 	}
 	r.inflightCv = sync.NewCond(&r.inflightMu)
 	for w := 0; w < cfg.Workers; w++ {
@@ -368,18 +385,10 @@ func (r *Runtime) submit(label string, fn TaskFunc, args []Arg, comm bool) uint6
 		}
 	}
 	est := r.est.Estimate(id, argBytes)
-	t := &task{
-		id:    id,
-		label: label,
-		fn:    fn,
-		args:  args,
-		est:   est,
-		pDUE:  fit.FailureProb(est.DUE, r.cfg.ExposureHours),
-		pSDC:  fit.FailureProb(est.SDC, r.cfg.ExposureHours),
-		comm:  comm,
-	}
-	if comm {
-		t.pDUE, t.pSDC = 0, 0
+	t := &task{id: id, label: label, fn: fn, args: args, est: est, comm: comm}
+	if !comm { // a comm task draws no fault, so it has no failure probabilities
+		t.pDUE = fit.FailureProb(est.DUE, r.cfg.ExposureHours)
+		t.pSDC = fit.FailureProb(est.SDC, r.cfg.ExposureHours)
 	}
 	r.mu.Lock()
 	r.tasks[id] = t
@@ -429,6 +438,10 @@ func (r *Runtime) Err() error {
 
 // Stats returns a snapshot of the runtime counters.
 func (r *Runtime) Stats() Stats {
+	var pool buffer.PoolStats
+	if !r.borrowed {
+		pool = r.bufs.Stats()
+	}
 	return Stats{
 		Submitted:        r.submitted.Load(),
 		Completed:        r.completed.Load(),
@@ -445,7 +458,7 @@ func (r *Runtime) Stats() Stats {
 		RedundantTimeNs:  r.redundantNs.Load(),
 		DepEdges:         r.tracker.Edges(),
 		Checkpoint:       r.store.Stats(),
-		Pool:             r.bufs.Stats(),
+		Pool:             pool,
 	}
 }
 
@@ -459,6 +472,7 @@ func (r *Runtime) setErr(err error) {
 
 func (r *Runtime) worker(w int) {
 	defer r.workersWG.Done()
+	var own bodyScratch
 	for {
 		id, ok := r.pool.Get(w)
 		if !ok {
@@ -467,7 +481,7 @@ func (r *Runtime) worker(w int) {
 		r.mu.Lock()
 		t := r.tasks[id]
 		r.mu.Unlock()
-		r.execute(t, w)
+		r.execute(t, w, &own)
 	}
 }
 
@@ -506,6 +520,7 @@ func (r *Runtime) ExitBlocking() { r.blocked.Add(-1) }
 // racing with a retirement always ends with spares ≥ blocked.
 func (r *Runtime) spare() {
 	defer r.workersWG.Done()
+	var own bodyScratch
 	for {
 		for {
 			s := r.spares.Load()
@@ -529,8 +544,18 @@ func (r *Runtime) spare() {
 		r.mu.Lock()
 		t := r.tasks[id]
 		r.mu.Unlock()
-		r.execute(t, r.cfg.Workers)
+		r.execute(t, r.cfg.Workers, &own)
 	}
+}
+
+// bodyScratch is what an unreplicated body runs on: the argument list its Ctx
+// hands out and the Ctx itself. Each worker and spare goroutine owns one —
+// the goroutine, not the worker index, because every spare reports the same
+// index — and executeUnprotected empties it when the body returns, so it
+// pins no buffer between tasks.
+type bodyScratch struct {
+	bufs []buffer.Buffer
+	ctx  Ctx
 }
 
 // attemptResult is the outcome of one execution attempt of a task.
@@ -699,7 +724,7 @@ func (r *Runtime) Executing() int { return int(r.executing.Load()) }
 // worker.
 func (r *Runtime) ReadyPending() int { return r.pool.Pending() }
 
-func (r *Runtime) execute(t *task, w int) {
+func (r *Runtime) execute(t *task, w int, own *bodyScratch) {
 	r.executing.Add(1)
 	defer r.executing.Add(-1)
 	rec := trace.Record{
@@ -709,7 +734,9 @@ func (r *Runtime) execute(t *task, w int) {
 		ArgBytes: t.est.ArgBytes,
 		FITDue:   t.est.DUE,
 		FITSdc:   t.est.SDC,
-		Start:    time.Now(),
+	}
+	if r.cfg.Tracer != nil {
+		rec.Start = time.Now()
 	}
 	replicate := false
 	if !t.comm {
@@ -719,7 +746,7 @@ func (r *Runtime) execute(t *task, w int) {
 		r.replicated.Add(1)
 		r.executeReplicated(t, w, &rec)
 	} else {
-		r.executeUnprotected(t, w, &rec)
+		r.executeUnprotected(t, w, own, &rec)
 	}
 	rec.Replicated = replicate
 	if !t.comm {
@@ -758,18 +785,18 @@ func (r *Runtime) execute(t *task, w int) {
 // re-runs the body so downstream tasks still get data (the event count is
 // the experiment's measure of unprotected risk). An SDC here silently
 // corrupts the real output — it propagates, exactly the threat model.
-func (r *Runtime) executeUnprotected(t *task, w int, rec *trace.Record) {
-	bufs := make([]buffer.Buffer, len(t.args))
-	for i, a := range t.args {
-		bufs[i] = a.Buf
+func (r *Runtime) executeUnprotected(t *task, w int, own *bodyScratch, rec *trace.Record) {
+	bufs := own.bufs[:0]
+	for _, a := range t.args {
+		bufs = append(bufs, a.Buf)
 	}
 	outcome := fault.None
 	if !t.comm {
 		outcome = r.cfg.Injector.Draw(t.id, 0, t.pDUE, t.pSDC)
 	}
 	start := time.Now()
-	ctx := &Ctx{bufs: bufs, attempt: 0, worker: w, taskID: t.id}
-	t.fn(ctx)
+	own.ctx = Ctx{bufs: bufs, attempt: 0, worker: w, taskID: t.id}
+	t.fn(&own.ctx)
 	rec.Duration = time.Since(start)
 	rec.Attempts = 1
 	switch outcome {
@@ -798,6 +825,8 @@ func (r *Runtime) executeUnprotected(t *task, w int, rec *trace.Record) {
 		r.unprotSDC.Add(1)
 		rec.Events = append(rec.Events, trace.UnprotectedSDC)
 	}
+	clear(bufs) // the Ctx is dead; the scratch pins no buffer between tasks
+	own.bufs, own.ctx = bufs, Ctx{}
 }
 
 // event appends to rec's event log when someone will read it.
