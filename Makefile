@@ -16,12 +16,15 @@ check: vet check-lint race race-comm build-examples check-topology check-placeme
 check-lint:
 	sh scripts/check_lint.sh
 
-# Fuzz smoke: a short native-fuzz pass over the sweep key encoder's
-# canonicality invariants (stability, spelling collapse, sensitivity).
-# 10 seconds is a smoke budget — run with a longer -fuzztime for real
-# exploration; failures minimize into internal/sweep/testdata/fuzz/.
+# Fuzz smoke: a short native-fuzz pass over each boundary parser — the
+# sweep key encoder's canonicality invariants (stability, spelling
+# collapse, sensitivity) and the daemons' tenant-spec parser (no panic,
+# named errors, only usable configs accepted). 10 seconds each is a smoke
+# budget — run with a longer -fuzztime for real exploration; failures
+# minimize into the package's testdata/fuzz/.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzParseTenants -fuzztime 10s ./internal/serve
 
 # Topology gate: cmd/experiments must keep compiling against the Topology
 # API and its flat-vs-hierarchical table must keep producing (the

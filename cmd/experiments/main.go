@@ -13,7 +13,7 @@
 //	experiments sparecores [bench]  overhead vs spare capacity
 //	experiments reliability [bench] corrupted-result counts per policy
 //	experiments topology            flat vs hierarchical collectives on the placed fabric
-//	experiments placement           random vs block vs optimized vs annealed rank→node placement
+//	experiments placement           random vs block vs optimized rank→node placement
 //	experiments kernels             distributed kernels: tree vs Rabenseifner, cholesky flat vs hier, placement
 //	experiments all                 everything above
 //
@@ -155,8 +155,8 @@ func main() {
 			}
 			fmt.Println(s)
 		case "placement":
-			fmt.Println("=== Placement search: random vs block vs optimized vs annealed (64 ranks, 16/node) ===")
-			_, s, err := experiments.PlacementTable(eng, 64, 16, 4096, 1)
+			fmt.Println("=== Placement search: random vs block vs optimized (64 ranks, 16/node) ===")
+			_, s, err := experiments.PlacementTable(64, 16, 4096, 1)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -164,7 +164,7 @@ func main() {
 			fmt.Println(s)
 		case "kernels":
 			fmt.Println("=== Distributed kernels: tree vs Rabenseifner, cholesky flat vs hier, placement (64 ranks, 16/node) ===")
-			_, s, err := experiments.KernelsTable(eng, 64, 16, 32768, 1)
+			_, s, err := experiments.KernelsTable(64, 16, 32768, 1)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

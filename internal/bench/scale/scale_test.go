@@ -636,120 +636,62 @@ func scatterTopology(b *testing.B, ranks, perNode int, seed uint64) *simnet.Topo
 }
 
 // BenchmarkPlacementOptimize prices the optimizer itself: one op is a
-// full search (greedy seed + 256-eval local search, incrementally priced
-// through place.Scorer) from a seeded random placement at 16 ranks/node,
-// at the paper's 64 ranks and scaled to 1024 and 4096. ns/op is the
-// optimizer's cost — the number that says whether auto-placement is cheap
-// enough to run before every job — and vus/op is the virtual makespan of
-// the placement it found, guarded against the committed baseline so the
-// search can never silently get worse; blockvus/op is the block
-// placement's makespan on the same profile for reference.
+// full search (greedy seed + 256-eval local search, incrementally priced)
+// from a seeded random placement at the paper's 64 ranks, 16 per node.
+// ns/op is the optimizer's cost — the number that says whether
+// auto-placement is cheap enough to run before every job — and vus/op is
+// the virtual makespan of the placement it found, guarded against the
+// committed baseline so the search can never silently get worse;
+// blockvus/op is the block placement's makespan on the same profile for
+// reference.
 func BenchmarkPlacementOptimize(b *testing.B) {
-	const perNode = 16
+	const ranks, perNode = 64, 16
 	for _, kind := range []string{"halo", "ring"} {
-		for _, ranks := range []int{64, 1024, 4096} {
-			kind, ranks := kind, ranks
-			b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
-				b.ReportAllocs()
-				prof := placementProfile(kind, ranks)
-				start := scatterTopology(b, ranks, perNode, 1)
-				block, err := simnet.BlockTopology(ranks, perNode, simnet.MemoryBus(), simnet.Marenostrum())
-				if err != nil {
-					b.Fatal(err)
-				}
-				blockEval, err := place.Evaluate(prof, block)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var got place.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, err = place.Optimize(prof, start, place.Options{PerNode: perNode, Seed: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if got.Eval.Makespan > got.Input.Makespan {
-					b.Fatalf("optimized %v worse than input %v", got.Eval.Makespan, got.Input.Makespan)
-				}
-				b.ReportMetric(got.Eval.Makespan.Seconds()*1e6, "vus/op")
-				b.ReportMetric(blockEval.Makespan.Seconds()*1e6, "blockvus/op")
-			})
-		}
-	}
-}
-
-// BenchmarkPlacementEvaluate is one full profile replay through a fresh
-// meter — what a search candidate cost before incremental evaluation, and
-// still the price of seeding a Scorer.
-func BenchmarkPlacementEvaluate(b *testing.B) {
-	const perNode = 16
-	for _, kind := range []string{"halo", "ring"} {
-		for _, ranks := range []int{64, 1024, 4096} {
-			kind, ranks := kind, ranks
-			b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
-				b.ReportAllocs()
-				prof := placementProfile(kind, ranks)
-				topo := scatterTopology(b, ranks, perNode, 1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := place.Evaluate(prof, topo); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPlacementCandidate prices ONE local-search candidate both ways:
-// "replay" is the PR-5 baseline (build the swapped topology, full
-// Evaluate through a fresh meter — O(profile entries)), "incremental" is
-// the scorer's delta pricing plus rollback (O(degree of the moved ranks)).
-// The ratio between the two at 64 ranks is the acceptance criterion of
-// the incremental-evaluation work; the 4096-rank incremental entry shows
-// the per-candidate cost staying flat as the search scales.
-func BenchmarkPlacementCandidate(b *testing.B) {
-	const perNode = 16
-	for _, kind := range []string{"halo", "ring"} {
-		kind := kind
-		b.Run(fmt.Sprintf("%s/replay/ranks=64", kind), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
 			b.ReportAllocs()
-			prof := placementProfile(kind, 64)
-			assign := scatterAssign(64, perNode, 1)
-			rng := xrand.New(2)
+			prof := placementProfile(kind, ranks)
+			start := scatterTopology(b, ranks, perNode, 1)
+			block, err := simnet.BlockTopology(ranks, perNode, simnet.MemoryBus(), simnet.Marenostrum())
+			if err != nil {
+				b.Fatal(err)
+			}
+			blockEval, err := place.Evaluate(prof, block)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var got place.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x, y := rng.Intn(64), rng.Intn(64)
-				assign[x], assign[y] = assign[y], assign[x]
-				topo, err := simnet.NewTopology(assign, simnet.MemoryBus(), simnet.Marenostrum())
+				got, err = place.Optimize(prof, start, place.Options{PerNode: perNode, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if got.Eval.Makespan > got.Input.Makespan {
+				b.Fatalf("optimized %v worse than input %v", got.Eval.Makespan, got.Input.Makespan)
+			}
+			b.ReportMetric(got.Eval.Makespan.Seconds()*1e6, "vus/op")
+			b.ReportMetric(blockEval.Makespan.Seconds()*1e6, "blockvus/op")
+		})
+	}
+}
+
+// BenchmarkPlacementEvaluate is one full pricing of a profile — what each
+// of a search's baseline candidates costs.
+func BenchmarkPlacementEvaluate(b *testing.B) {
+	const ranks, perNode = 64, 16
+	for _, kind := range []string{"halo", "ring"} {
+		b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			prof := placementProfile(kind, ranks)
+			topo := scatterTopology(b, ranks, perNode, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := place.Evaluate(prof, topo); err != nil {
 					b.Fatal(err)
 				}
-				assign[x], assign[y] = assign[y], assign[x]
 			}
 		})
-		for _, ranks := range []int{64, 4096} {
-			ranks := ranks
-			b.Run(fmt.Sprintf("%s/incremental/ranks=%d", kind, ranks), func(b *testing.B) {
-				b.ReportAllocs()
-				prof := placementProfile(kind, ranks)
-				sc, err := place.NewScorer(prof, scatterAssign(ranks, perNode, 1),
-					simnet.MemoryBus(), simnet.Marenostrum())
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := xrand.New(2)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sc.Swap(rng.Intn(ranks), rng.Intn(ranks))
-					sc.Rollback()
-				}
-			})
-		}
 	}
 }

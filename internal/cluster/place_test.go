@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"appfit/internal/place"
@@ -42,16 +43,16 @@ func TestJobProfileMirrorsSimTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each 0↔2 round trip is one 0→2 and one 2→0 delivery; plus the extra
-	// leading 0→2 edge of the first iteration's reply chain.
-	if m, b := prof.Pair(0, 2); m != 4 || b != 4*bytes {
-		t.Fatalf("Pair(0,2) = %d msgs %d bytes", m, b)
+	// Each 0↔2 (and 1↔3) round trip is one delivery each way; no traffic
+	// between the pairs.
+	want := []place.Entry{
+		{Src: 0, Dst: 2, Bytes: bytes, Count: 4},
+		{Src: 1, Dst: 3, Bytes: bytes, Count: 4},
+		{Src: 2, Dst: 0, Bytes: bytes, Count: 4},
+		{Src: 3, Dst: 1, Bytes: bytes, Count: 4},
 	}
-	if m, _ := prof.Pair(2, 0); m != 4 {
-		t.Fatalf("Pair(2,0) = %d msgs", m)
-	}
-	if m, _ := prof.Pair(0, 1); m != 0 {
-		t.Fatalf("Pair(0,1) = %d msgs, want none", m)
+	if got := prof.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile %+v, want %+v", got, want)
 	}
 
 	// The profile must match what the simulator actually charges on a
@@ -60,9 +61,14 @@ func TestJobProfileMirrorsSimTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Messages() != res.Messages || prof.Bytes() != res.BytesSent {
-		t.Fatalf("profile (%d msgs, %d bytes) != sim (%d msgs, %d bytes)",
-			prof.Messages(), prof.Bytes(), res.Messages, res.BytesSent)
+	var msgs uint64
+	var sent int64
+	for _, e := range prof.Entries() {
+		msgs += e.Count
+		sent += int64(e.Count) * e.Bytes
+	}
+	if msgs != res.Messages || sent != res.BytesSent {
+		t.Fatalf("profile (%d msgs, %d bytes) != sim (%d msgs, %d bytes)", msgs, sent, res.Messages, res.BytesSent)
 	}
 
 	// One delivery per consumer node, max payload: two consumers of one
@@ -76,8 +82,8 @@ func TestJobProfileMirrorsSimTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, b := fp.Pair(0, 1); m != 1 || b != 300 {
-		t.Fatalf("fanout Pair(0,1) = %d msgs %d bytes, want 1 msg of the max payload 300", m, b)
+	if got, want := fp.Entries(), []place.Entry{{Src: 0, Dst: 1, Bytes: 300, Count: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fanout profile %+v, want %+v: 1 msg of the max payload 300", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"appfit/internal/rt"
 	"appfit/internal/simnet"
 	"appfit/internal/stats"
-	"appfit/internal/sweep"
 	"appfit/internal/xrand"
 )
 
@@ -45,7 +44,7 @@ type KernelRow struct {
 //     started from a seeded random assignment, must strictly beat that
 //     random placement's makespan. All three sections are deterministic —
 //     virtual clocks and seeded searches, no wall-clock anywhere.
-func KernelsTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) ([]KernelRow, string, error) {
+func KernelsTable(ranks, perNode, vecLen int, seed uint64) ([]KernelRow, string, error) {
 	var rows []KernelRow
 	t := stats.NewTable("experiment", "variant", "ranks", "virtual µs", "wire MB")
 	add := func(experiment, variant string, us, wire float64) {
@@ -162,7 +161,7 @@ func KernelsTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) ([
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := eng.Optimize(prof, randomTopo, place.Options{PerNode: perNode, Seed: seed})
+	res, err := place.Optimize(prof, randomTopo, place.Options{PerNode: perNode, Seed: seed})
 	if err != nil {
 		return nil, "", err
 	}

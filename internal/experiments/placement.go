@@ -9,7 +9,6 @@ import (
 	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/stats"
-	"appfit/internal/sweep"
 	"appfit/internal/xrand"
 )
 
@@ -36,13 +35,11 @@ type PlacementRow struct {
 // machine shape (perNode ranks per node, memory-bus intra links,
 // Marenostrum InfiniBand inter links): a seeded random assignment, the
 // contiguous block assignment, and the optimizer's output when started
-// from that same random assignment — hill-climbing by default, and once
-// more with Options.Anneal set (same budget, simulated annealing over the
-// same delta-priced moves). Both searches must recover at least the block
-// placement's makespan for the halo profile and strictly beat the random
-// start — PlacementTable returns an error otherwise, which is what makes
-// `make check-placement` a gate rather than a printout.
-func PlacementTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) ([]PlacementRow, string, error) {
+// from that same random assignment. The search must recover at least the
+// block placement's makespan for the halo profile and strictly beat the
+// random start — PlacementTable returns an error otherwise, which is what
+// makes `make check-placement` a gate rather than a printout.
+func PlacementTable(ranks, perNode, vecLen int, seed uint64) ([]PlacementRow, string, error) {
 	intra, inter := simnet.MemoryBus(), simnet.Marenostrum()
 	type profiled struct {
 		name string
@@ -87,11 +84,7 @@ func PlacementTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) 
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := eng.Optimize(wl.prof, randomTopo, place.Options{PerNode: perNode, Seed: seed})
-		if err != nil {
-			return nil, "", err
-		}
-		annealed, err := eng.Optimize(wl.prof, randomTopo, place.Options{PerNode: perNode, Seed: seed, Anneal: true})
+		res, err := place.Optimize(wl.prof, randomTopo, place.Options{PerNode: perNode, Seed: seed})
 		if err != nil {
 			return nil, "", err
 		}
@@ -103,7 +96,6 @@ func PlacementTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) 
 			{"random", random, 0},
 			{"block", block, 0},
 			{"optimized", res.Eval, res.Evals()},
-			{"annealed", annealed.Eval, annealed.Evals()},
 		} {
 			row := PlacementRow{
 				Workload: wl.name, Placement: cell.placement,
@@ -119,20 +111,14 @@ func PlacementTable(eng *sweep.Engine, ranks, perNode, vecLen int, seed uint64) 
 		// much is structural — the start is a candidate), and for the
 		// pairwise halo traffic the search must rediscover a co-location
 		// at least as good as the block placement, strictly beating the
-		// random one. The annealed search carries the same obligations:
-		// uphill acceptance is a search tactic, never a result regression.
-		for _, search := range []struct {
-			name string
-			eval place.Eval
-		}{{"optimized", res.Eval}, {"annealed", annealed.Eval}} {
-			if search.eval.Makespan > random.Makespan {
-				return nil, "", fmt.Errorf("experiments: placement %s: %s %v µs worse than random start %v µs: %w",
-					wl.name, search.name, search.eval.Makespan.Seconds()*1e6, random.Makespan.Seconds()*1e6, ErrCriteria)
-			}
-			if wl.name == "halo" && (search.eval.Makespan > block.Makespan || search.eval.Makespan >= random.Makespan) {
-				return nil, "", fmt.Errorf("experiments: placement halo: %s %v µs must recover ≥ block (%v µs) and beat random (%v µs): %w",
-					search.name, search.eval.Makespan.Seconds()*1e6, block.Makespan.Seconds()*1e6, random.Makespan.Seconds()*1e6, ErrCriteria)
-			}
+		// random one.
+		if res.Eval.Makespan > random.Makespan {
+			return nil, "", fmt.Errorf("experiments: placement %s: optimized %v µs worse than random start %v µs: %w",
+				wl.name, res.Eval.Makespan.Seconds()*1e6, random.Makespan.Seconds()*1e6, ErrCriteria)
+		}
+		if wl.name == "halo" && (res.Eval.Makespan > block.Makespan || res.Eval.Makespan >= random.Makespan) {
+			return nil, "", fmt.Errorf("experiments: placement halo: optimized %v µs must recover ≥ block (%v µs) and beat random (%v µs): %w",
+				res.Eval.Makespan.Seconds()*1e6, block.Makespan.Seconds()*1e6, random.Makespan.Seconds()*1e6, ErrCriteria)
 		}
 	}
 	return rows, t.String() + "\nsame recorded traffic per workload: only the rank→node assignment differs\n", nil

@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"appfit/internal/simnet"
@@ -20,10 +19,6 @@ type Options struct {
 	// Nodes is the number of nodes available. 0 means just enough:
 	// max(ceil(ranks/PerNode), nodes the input placement occupies).
 	Nodes int
-	// Intra and Inter are the link cost models candidates are priced
-	// with. Zero values derive from the input placement, or default to
-	// simnet.MemoryBus() / simnet.Marenostrum().
-	Intra, Inter simnet.Config
 	// Seed drives the local search's deterministic xrand stream; a fixed
 	// seed reproduces the identical trajectory and result.
 	Seed uint64
@@ -35,20 +30,6 @@ type Options struct {
 	// machine that keeps failing to propose — degenerate, e.g. one node —
 	// ends the search instead of spinning.
 	Budget int
-	// Anneal switches the local search from pure hill-climbing to
-	// simulated annealing: an uphill candidate is accepted with
-	// probability exp(-Δmakespan/T) under a geometric cooling schedule
-	// from Temp down to one virtual nanosecond across the budget, letting
-	// irregular traffic escape the local minima greedy descent gets stuck
-	// in. The result still reports the best placement ever priced (not
-	// the final incumbent), so the never-worse-than-the-input guarantee
-	// is unchanged, and acceptance draws come from the same Seed stream,
-	// so annealed searches are exactly as reproducible as greedy ones.
-	Anneal bool
-	// Temp is the annealing start temperature in virtual nanoseconds;
-	// 0 derives it as 5% of the search start's makespan (at least 1).
-	// Ignored unless Anneal is set.
-	Temp float64
 }
 
 // Step is one evaluated candidate of the optimization trajectory.
@@ -89,12 +70,10 @@ func (r Result) Evals() int { return len(r.Trajectory) }
 // search. The seed packs the heaviest-communicating unordered rank pairs
 // onto shared nodes first, respecting capacity; local search proposes
 // pairwise swaps and (when the machine has spare slots) relocations drawn
-// from a deterministic xrand stream, priced incrementally through a Scorer
-// (O(degree of the moved ranks) per candidate, not a full replay —
-// DESIGN.md §10), accepting strictly better candidates (Eval.Better:
-// makespan, then wire bytes) — or, with Options.Anneal, uphill ones under
-// a cooling schedule, with the best placement ever priced still the one
-// returned.
+// from a deterministic xrand stream, priced incrementally (O(degree of the
+// moved ranks) per candidate, not a full replay — DESIGN.md §9), and
+// accepts strictly better candidates (Eval.Better: makespan, then wire
+// bytes).
 //
 // Whenever the input placement fits the machine — always, when PerNode
 // and Nodes are derived from it — it competes as a candidate, so the
@@ -102,8 +81,9 @@ func (r Result) Evals() int { return len(r.Trajectory) }
 // input does not fit (fewer nodes, tighter capacity) demote it to a
 // baseline: Result.Input still prices it, but the returned placement is
 // the best one satisfying the machine, even if the infeasible input was
-// cheaper. All candidates, the input included, are priced under the
-// optimizer's Intra/Inter models so the objective is apples to apples.
+// cheaper. All candidates, the input included, are priced under the input
+// placement's link models (simnet.MemoryBus / simnet.Marenostrum without
+// one), so the objective is apples to apples.
 //
 // Optimize searches over the profiled ranks only: a start placing *more*
 // ranks than the profile contributes just its first p.Ranks() assignments,
@@ -118,24 +98,11 @@ func Optimize(p *Profile, start *simnet.Topology, opts Options) (Result, error) 
 	}
 
 	// Resolve the machine, deriving what the caller left zero.
-	intra, inter := opts.Intra, opts.Inter
-	if start != nil {
-		if intra == (simnet.Config{}) {
-			intra = start.Intra()
-		}
-		if inter == (simnet.Config{}) {
-			inter = start.Inter()
-		}
-	}
-	if intra == (simnet.Config{}) {
-		intra = simnet.MemoryBus()
-	}
-	if inter == (simnet.Config{}) {
-		inter = simnet.Marenostrum()
-	}
+	intra, inter := simnet.MemoryBus(), simnet.Marenostrum()
 	var inputAssign []int // input placement, node ids renumbered densely
 	inputNodes, inputCap := 0, 0
 	if start != nil {
+		intra, inter = start.Intra(), start.Inter()
 		inputAssign = make([]int, ranks)
 		renum := make(map[int]int)
 		var ids []int
@@ -157,9 +124,7 @@ func Optimize(p *Profile, start *simnet.Topology, opts Options) (Result, error) 
 		}
 		inputNodes = len(ids)
 		for _, o := range occ {
-			if o > inputCap {
-				inputCap = o
-			}
+			inputCap = max(inputCap, o)
 		}
 	}
 	perNode := opts.PerNode
@@ -172,18 +137,13 @@ func Optimize(p *Profile, start *simnet.Topology, opts Options) (Result, error) 
 	}
 	nodes := opts.Nodes
 	if nodes == 0 {
-		nodes = (ranks + perNode - 1) / perNode
-		if inputNodes > nodes {
-			nodes = inputNodes
-		}
+		nodes = max((ranks+perNode-1)/perNode, inputNodes)
 	}
 	// An assignment occupies at most one node per rank, so a machine with
 	// more nodes than ranks is equivalent to one with exactly ranks nodes
 	// — and simnet.NewTopology requires node ids < ranks, so clamping also
 	// keeps every relocation candidate constructible.
-	if nodes > ranks {
-		nodes = ranks
-	}
+	nodes = min(nodes, ranks)
 	if nodes*perNode < ranks {
 		return Result{}, fmt.Errorf("place: %d ranks on %d nodes × %d: %w", ranks, nodes, perNode, ErrOptions)
 	}
@@ -192,64 +152,36 @@ func Optimize(p *Profile, start *simnet.Topology, opts Options) (Result, error) 
 		budget = 256
 	}
 
-	res := Result{}
-	price := func(assign []int) (Eval, error) {
-		topo, err := simnet.NewTopology(assign, intra, inter)
-		if err != nil {
-			return Eval{}, err
-		}
-		return Evaluate(p, topo)
-	}
-
 	// Incumbent: the input when it fits the machine, challenged by the
 	// greedy seed; local search climbs from whichever won.
-	var cur []int
+	res := Result{}
+	var cur *pricer
 	var curEval Eval
-	consider := func(move string, assign []int) error {
-		ev, err := price(assign)
-		if err != nil {
-			return err
-		}
-		accepted := cur == nil || ev.Better(curEval)
-		if accepted {
-			cur, curEval = assign, ev
-		}
-		res.Trajectory = append(res.Trajectory, Step{Move: move, Eval: ev, Accepted: accepted})
-		return nil
-	}
 	if inputAssign != nil {
 		feasible := inputNodes <= nodes && inputCap <= perNode
-		ev, err := price(inputAssign)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Input = ev
-		res.Trajectory = append(res.Trajectory, Step{Move: "input", Eval: ev, Accepted: feasible})
+		in := newPricer(p, inputAssign, intra, inter)
+		res.Input = in.eval()
+		res.Trajectory = append(res.Trajectory, Step{Move: "input", Eval: res.Input, Accepted: feasible})
 		if feasible {
-			cur, curEval = inputAssign, ev
+			cur, curEval = in, res.Input
 		}
 	}
 	seed, err := greedySeed(p, nodes, perNode)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := consider("greedy", seed); err != nil {
-		return Result{}, err
+	greedy := newPricer(p, seed, intra, inter)
+	ev := greedy.eval()
+	accepted := cur == nil || ev.Better(curEval)
+	if accepted {
+		cur, curEval = greedy, ev
 	}
+	res.Trajectory = append(res.Trajectory, Step{Move: "greedy", Eval: ev, Accepted: accepted})
 
-	best, bestEval := cur, curEval
+	best, bestEval := cur.assign, curEval
 	if budget > 0 && nodes >= 2 {
-		best, bestEval, err = localSearch(p, cur, curEval, searchConfig{
-			intra: intra, inter: inter,
-			nodes: nodes, perNode: perNode,
-			budget: budget, seed: opts.Seed,
-			anneal: opts.Anneal, temp: opts.Temp,
-		}, &res.Trajectory)
-		if err != nil {
-			return Result{}, err
-		}
+		best, bestEval, res.Trajectory = localSearch(cur, curEval, nodes, perNode, budget, opts.Seed, res.Trajectory)
 	}
-
 	topo, err := simnet.NewTopology(best, intra, inter)
 	if err != nil {
 		return Result{}, err
@@ -258,81 +190,51 @@ func Optimize(p *Profile, start *simnet.Topology, opts Options) (Result, error) 
 	return res, nil
 }
 
-type searchConfig struct {
-	intra, inter   simnet.Config
-	nodes, perNode int
-	budget         int
-	seed           uint64
-	anneal         bool
-	temp           float64
-}
-
 // optimizeHook, when non-nil, observes the local search's bookkeeping
 // after every priced candidate: the incumbent assignment and the per-node
 // load array. Test-only — the trajectory-long invariant that load always
 // matches the incumbent (TestOptimizeLoadInvariant) lives behind it.
 var optimizeHook func(cur, load []int)
 
-// localSearch refines the incumbent by budgeted swap/relocate moves priced
-// incrementally through a Scorer — O(degree of the moved ranks) per
-// candidate instead of a full profile replay (DESIGN.md §10). Hill-climbing
-// by default (accept only strictly Better), simulated annealing when
-// cfg.anneal is set. Returns the best assignment ever priced and its Eval;
-// every priced candidate is appended to traj.
-func localSearch(p *Profile, start []int, startEval Eval, cfg searchConfig, traj *[]Step) ([]int, Eval, error) {
-	sc, err := NewScorer(p, start, cfg.intra, cfg.inter)
-	if err != nil {
-		return nil, Eval{}, err
-	}
-	ranks := len(start)
-	rng := xrand.New(cfg.seed)
-
-	// cur mirrors the scorer's committed assignment; load tracks per-node
-	// occupancy so relocation proposals stay capacity-feasible. Accepted
-	// moves update both in O(1); rejected moves never touch them (the
-	// scorer rolls back internally), so there is nothing to rebuild.
-	cur := append([]int(nil), start...)
-	curEval := startEval
-	load := make([]int, cfg.nodes)
+// localSearch hill-climbs from pr's assignment (priced curEval) by budget
+// swap/relocate moves, each priced incrementally and undone by its inverse
+// move when it is not strictly Better. Returns the best assignment priced
+// and its Eval, with every candidate appended to traj.
+func localSearch(pr *pricer, curEval Eval, nodes, perNode, budget int, seed uint64, traj []Step) ([]int, Eval, []Step) {
+	cur := pr.assign
+	ranks := len(cur)
+	rng := xrand.New(seed)
+	load := make([]int, nodes)
 	for _, nd := range cur {
 		load[nd]++
 	}
 	best, bestEval := append([]int(nil), cur...), curEval
 
-	// Annealing schedule: geometric cooling from t0 to 1 virtual ns across
-	// the budget. exp(-Δ/T) with Δ ≥ 0 (Δ = 0 is an equal-makespan plateau
-	// step, always accepted while annealing — sideways diffusion).
-	t0 := cfg.temp
-	if t0 <= 0 {
-		t0 = float64(curEval.Makespan) * 0.05
-	}
-	if t0 < 1 {
-		t0 = 1
-	}
-	cool := math.Pow(1/t0, 1/float64(cfg.budget))
-	temp := t0
-
-	spare := cfg.nodes*cfg.perNode - ranks
+	spare := nodes*perNode - ranks
 	// A proposal round that finds nothing movable spends no budget
 	// (Options.Budget counts priced candidates); maxFailStreak consecutive
 	// empty rounds means the machine is degenerate — end the search.
 	const maxFailStreak = 64
 	failStreak := 0
-	for evals := 0; evals < cfg.budget && failStreak < maxFailStreak; {
+	for evals := 0; evals < budget && failStreak < maxFailStreak; {
 		move := "swap"
 		if spare > 0 && rng.Intn(4) == 0 {
 			move = "relocate"
 		}
+		// A swap moves a to b's node and b to a's; a relocation moves a
+		// alone (b == a) to a node with a free slot.
 		ok := false
-		var a, b, nd int
+		var a, b, na, nb int
 		for try := 0; try < 8 && !ok; try++ {
 			a = rng.Intn(ranks)
 			if move == "swap" {
 				b = rng.Intn(ranks)
-				ok = cur[a] != cur[b]
+				na, nb = cur[b], cur[a]
+				ok = na != cur[a]
 			} else {
-				nd = rng.Intn(cfg.nodes)
-				ok = nd != cur[a] && load[nd] < cfg.perNode
+				b, na = a, rng.Intn(nodes)
+				nb = na
+				ok = na != cur[a] && load[na] < perNode
 			}
 		}
 		if !ok {
@@ -342,25 +244,14 @@ func localSearch(p *Profile, start []int, startEval Eval, cfg searchConfig, traj
 		failStreak = 0
 		evals++
 
-		var ev Eval
-		if move == "swap" {
-			ev = sc.Swap(a, b)
-		} else {
-			ev = sc.Relocate(a, nd)
-		}
+		oa, ob := cur[a], cur[b]
+		pr.move(a, na, b, nb)
+		ev := pr.eval()
 		accepted := ev.Better(curEval)
-		if !accepted && cfg.anneal {
-			delta := float64(ev.Makespan - curEval.Makespan)
-			accepted = rng.Float64() < math.Exp(-delta/temp)
-		}
 		if accepted {
-			sc.Commit()
-			if move == "swap" {
-				cur[a], cur[b] = cur[b], cur[a]
-			} else {
-				load[cur[a]]--
-				load[nd]++
-				cur[a] = nd
+			if move == "relocate" {
+				load[oa]--
+				load[na]++
 			}
 			curEval = ev
 			if ev.Better(bestEval) {
@@ -368,15 +259,14 @@ func localSearch(p *Profile, start []int, startEval Eval, cfg searchConfig, traj
 				bestEval = ev
 			}
 		} else {
-			sc.Rollback()
+			pr.move(a, oa, b, ob)
 		}
-		*traj = append(*traj, Step{Move: move, Eval: ev, Accepted: accepted})
-		temp *= cool
+		traj = append(traj, Step{Move: move, Eval: ev, Accepted: accepted})
 		if optimizeHook != nil {
 			optimizeHook(cur, load)
 		}
 	}
-	return best, bestEval, nil
+	return best, bestEval, traj
 }
 
 // greedySeed packs the heaviest-communicating unordered rank pairs onto

@@ -1,22 +1,21 @@
 // Package place is the placement-optimization subsystem: it turns the
-// placement-aware virtual clock of PR 4 from a pricing instrument into a
-// search objective. Every layer built so far *takes* the rank→node
-// placement as given — the simnet Meter and Network price it, the dist
-// collectives route around it — but on the paper's fixed machine (64
-// Marenostrum III nodes × 16 cores) placement is the one free knob an
-// application controls, and a bad assignment costs real makespan.
+// placement-aware virtual clock into a search objective. Every other layer
+// *takes* the rank→node placement as given — the simnet Meter and Network
+// price it, the dist collectives route around it — but on the paper's
+// fixed machine (64 Marenostrum III nodes × 16 cores) placement is the one
+// free knob an application controls, and a bad assignment costs real
+// makespan.
 //
 // The pipeline has three stages:
 //
-//   - Profile: a directed rank-pair traffic matrix (message count and
-//     bytes per payload size), captured either by recording a live
-//     dist.Sim transport (Sim.Record) or derived statically from a
-//     cluster.Job's dependency edges (cluster.JobProfile).
-//   - Evaluate: replay a profile through a fresh simnet.Meter under any
-//     candidate topology, yielding the link-occupancy makespan and wire
-//     bytes that placement would have cost. Replay is exact: the meter's
-//     per-link accumulation is order-independent, so an evaluated makespan
-//     is bitwise the makespan a real run of the same traffic would report.
+//   - Profile: a directed rank-pair traffic matrix (message count per
+//     payload size), captured either by recording a live dist.Sim
+//     transport (Sim.Record) or derived statically from a cluster.Job's
+//     dependency edges (cluster.JobProfile).
+//   - Evaluate: price a profile under any candidate topology, yielding the
+//     link-occupancy makespan and wire bytes the simnet.Meter would report
+//     for that traffic on that placement — bitwise, whatever order a live
+//     run charges the messages in (see pricer).
 //   - Optimize: search assignments — a greedy co-location seed packs the
 //     heaviest-communicating pairs onto shared nodes, then budgeted local
 //     search (pairwise swap / relocate hill-climbing, deterministic under
@@ -59,35 +58,35 @@ var (
 	ErrCapacity = errors.New("place: node capacity exhausted")
 )
 
-// pairTraffic aggregates one directed (src, dst) pair's traffic. Message
-// counts are kept per payload size because the meter rounds each message's
-// transfer time individually: n messages of b bytes do not price like one
-// message of n·b bytes, and Evaluate promises bitwise-exact replay.
-type pairTraffic struct {
-	messages uint64
-	bytes    int64
-	sizes    map[int64]uint64 // payload size → message count
-}
-
 // Profile is a directed rank-pair traffic matrix: who sent how much to
 // whom, message by message. It is the optimizer's input and the common
 // output of the two capture paths (dist.Sim recording, cluster.JobProfile).
 // Recording (Add/AddN) is not safe for concurrent use — recording
 // transports serialize around it — but once recording is done the
-// read side (Entries, Evaluate, Optimize, NewScorer) may share one
-// profile across goroutines: the flattened-view cache is built under an
-// internal lock, so concurrent multi-seed searches need no copies.
+// read side (Entries, Evaluate, Optimize) may share one profile across
+// goroutines: the flattened-view cache is built under an internal lock,
+// so concurrent multi-seed searches need no copies.
 type Profile struct {
 	ranks int
-	pairs map[[2]int]*pairTraffic
+	// counts holds the message count per (src, dst, payload size). Sizes
+	// stay apart because the meter rounds each message's transfer time
+	// individually: n messages of b bytes do not price like one message
+	// of n·b bytes.
+	counts map[flow]uint64
 
 	// mu guards the entries cache build, making concurrent read-side use
 	// (parallel searches over one profile) safe. Add/AddN stay outside it:
 	// recording concurrent with reading is a caller error either way.
 	mu sync.Mutex
-	// entries caches the deterministic flattened view replay iterates;
+	// entries caches the deterministic flattened view pricing iterates;
 	// invalidated by Add. // guarded by mu
 	entries []Entry
+}
+
+// flow is one directed (src, dst, payload size) key of a Profile.
+type flow struct {
+	src, dst int
+	bytes    int64
 }
 
 // Entry is one (src, dst, payload size) aggregate of a Profile's
@@ -105,7 +104,7 @@ func NewProfile(ranks int) *Profile {
 	if ranks < 1 {
 		panic(fmt.Errorf("place: profile over %d ranks: %w", ranks, ErrProfile))
 	}
-	return &Profile{ranks: ranks, pairs: make(map[[2]int]*pairTraffic)}
+	return &Profile{ranks: ranks, counts: make(map[flow]uint64)}
 }
 
 // Ranks returns the number of ranks the profile traffics.
@@ -132,41 +131,8 @@ func (p *Profile) AddN(src, dst int, bytes int64, n uint64) {
 	if bytes < 0 {
 		bytes = 0
 	}
-	pt := p.pairs[[2]int{src, dst}]
-	if pt == nil {
-		pt = &pairTraffic{sizes: make(map[int64]uint64)}
-		p.pairs[[2]int{src, dst}] = pt
-	}
-	pt.messages += n
-	pt.bytes += int64(n) * bytes
-	pt.sizes[bytes] += n
+	p.counts[flow{src, dst, bytes}] += n
 	p.entries = nil //lint:lockedfield recording is single-threaded by contract; mu only protects the read-side cache build
-}
-
-// Messages returns the total recorded message count.
-func (p *Profile) Messages() uint64 {
-	var n uint64
-	for _, pt := range p.pairs {
-		n += pt.messages
-	}
-	return n
-}
-
-// Bytes returns the total recorded payload bytes.
-func (p *Profile) Bytes() int64 {
-	var n int64
-	for _, pt := range p.pairs {
-		n += pt.bytes
-	}
-	return n
-}
-
-// Pair returns the recorded traffic of the directed (src, dst) pair.
-func (p *Profile) Pair(src, dst int) (messages uint64, bytes int64) {
-	if pt := p.pairs[[2]int{src, dst}]; pt != nil {
-		return pt.messages, pt.bytes
-	}
-	return 0, 0
 }
 
 // Entries returns the profile flattened to (src, dst, size, count)
@@ -179,28 +145,20 @@ func (p *Profile) Entries() []Entry {
 	if p.entries != nil {
 		return p.entries
 	}
-	keys := make([][2]int, 0, len(p.pairs))
-	for k := range p.pairs {
-		keys = append(keys, k)
+	es := make([]Entry, 0, len(p.counts))
+	for f, n := range p.counts {
+		es = append(es, Entry{Src: f.src, Dst: f.dst, Bytes: f.bytes, Count: n})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	sort.Slice(es, func(i, j int) bool {
+		a, b := es[i], es[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
 		}
-		return keys[i][1] < keys[j][1]
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		return a.Bytes < b.Bytes
 	})
-	es := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		pt := p.pairs[k]
-		sizes := make([]int64, 0, len(pt.sizes))
-		for s := range pt.sizes {
-			sizes = append(sizes, s)
-		}
-		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-		for _, s := range sizes {
-			es = append(es, Entry{Src: k[0], Dst: k[1], Bytes: s, Count: pt.sizes[s]})
-		}
-	}
 	p.entries = es
 	return es
 }
@@ -226,26 +184,20 @@ func (e Eval) Better(o Eval) bool {
 	return e.WireBytes < o.WireBytes
 }
 
-// Evaluate replays the profile through a fresh simnet.Meter under topo and
-// returns what the traffic would have cost on that placement. The meter's
-// per-link accumulation is order-independent, so the makespan is bitwise
-// the one a live dist.Sim run of the same messages on the same topology
-// reports (TestEvaluateMatchesLiveSim), whatever order the live schedule
-// charged them in. A topology placing fewer ranks than the profile returns
-// a wrapped ErrRanks.
+// Evaluate prices the profile under topo: it builds the incremental
+// pricer at topo's assignment and reads its price, which is bitwise what a
+// simnet.Meter charged with the same messages on the same topology reports
+// (TestEvaluateMatchesLiveSim), whatever order a live schedule charged
+// them in. A topology placing fewer ranks than the profile returns a
+// wrapped ErrRanks.
 func Evaluate(p *Profile, topo *simnet.Topology) (Eval, error) {
 	if topo.Ranks() < p.ranks {
 		return Eval{}, fmt.Errorf("place: %d-rank profile on a %d-rank topology: %w",
 			p.ranks, topo.Ranks(), ErrRanks)
 	}
-	m := simnet.NewMeter(topo)
-	for _, e := range p.Entries() {
-		m.ChargeMany(e.Src, e.Dst, e.Bytes, e.Count)
+	nodeOf := make([]int, p.ranks)
+	for r := range nodeOf {
+		nodeOf[r] = topo.NodeOf(r)
 	}
-	return Eval{
-		Makespan:  m.Now(),
-		WireBytes: m.WireBytes(),
-		Messages:  m.Messages(),
-		BytesSent: m.BytesSent(),
-	}, nil
+	return newPricer(p, nodeOf, topo.Intra(), topo.Inter()).eval(), nil
 }

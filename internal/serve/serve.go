@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -82,8 +83,8 @@ type TenantConfig struct {
 	// Rate is the token-bucket refill in admitted requests per second;
 	// 0 means unlimited (no rate gate).
 	Rate float64
-	// Burst is the bucket capacity (default: Rate rounded up, minimum 1);
-	// only meaningful with Rate > 0.
+	// Burst is the bucket capacity (default: Rate rounded up, minimum 1,
+	// at most math.MaxInt32); only meaningful with Rate > 0.
 	Burst int
 	// QueueCap bounds the tenant's queue; a batch that would push the
 	// queue past it is rejected whole (default DefaultQueueCap).
@@ -100,11 +101,12 @@ func (c TenantConfig) normalized() (TenantConfig, error) {
 	if c.Weight <= 0 {
 		c.Weight = 1
 	}
-	if c.Rate < 0 {
-		return c, fmt.Errorf("serve: tenant %q: negative rate", c.Name)
+	if !(c.Rate >= 0) || math.IsInf(c.Rate, 1) {
+		return c, fmt.Errorf("serve: tenant %q: rate %v is not a finite number ≥ 0", c.Name, c.Rate)
 	}
 	if c.Burst <= 0 {
-		c.Burst = int(c.Rate) + 1
+		// Capped before the conversion: int of a rate ≥ 2^63 is negative.
+		c.Burst = int(min(c.Rate, math.MaxInt32-1)) + 1
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -467,6 +468,37 @@ func TestParseTenants(t *testing.T) {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Fatalf("ParseTenants(%q) must fail", bad)
 		}
+	}
+}
+
+// TestTenantRateValidation: a NaN or infinite rate is refused by the
+// spec parser and by New, and a finite rate too large for an int still
+// derives a burst ≥ 1 — a negative burst rate-limits every request, and a
+// NaN rate switches the bucket off.
+func TestTenantRateValidation(t *testing.T) {
+	for _, spec := range []string{"a=1/NaN", "a=1/+Inf", "a=1/inf"} {
+		if _, err := ParseTenants(spec); !errors.Is(err, ErrTenantSpec) {
+			t.Errorf("ParseTenants(%q): err = %v, want ErrTenantSpec", spec, err)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := New(Options{Tenants: []TenantConfig{{Name: "a", Rate: rate}}}); err == nil {
+			t.Errorf("New with rate %v must fail", rate)
+		}
+	}
+	tcs, err := ParseTenants("a=1/1e300,b=1/9.3e18,c=1/2.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{math.MaxInt32, math.MaxInt32, 3} {
+		tc, err := tcs[i].normalized()
+		if err != nil || tc.Burst != want {
+			t.Errorf("%s: normalized burst %d (err %v), want %d", tc.Name, tc.Burst, err, want)
+		}
+	}
+	s := newTestServer(t, Options{Tenants: tcs[:1]})
+	if _, err := s.Submit(context.Background(), "a", []sweep.Request{testRequest(t, "stream", 2)}); err != nil {
+		t.Fatalf("a 1e300 req/s tenant must admit: %v", err)
 	}
 }
 

@@ -77,6 +77,9 @@ func ParseTenants(spec string) ([]TenantConfig, error) {
 				}
 			}
 		}
+		if _, err := tc.normalized(); err != nil {
+			return nil, fmt.Errorf("%w: %w", err, ErrTenantSpec)
+		}
 		out = append(out, tc)
 	}
 	if len(out) == 0 {

@@ -46,11 +46,6 @@ func TestSelfSendContract(t *testing.T) {
 			m.Charge(0, 2, pre)
 			return m, m.Charge(1, 1, bytes)
 		}},
-		{"meter/topo/many", func(pre, bytes int64) (accounts, simtime.Time) {
-			m := NewMeter(topoOf())
-			m.ChargeMany(0, 2, pre, 1)
-			return m, m.ChargeMany(1, 1, bytes, 1)
-		}},
 		{"network/flat", func(pre, bytes int64) (accounts, simtime.Time) {
 			eng := simtime.New()
 			n := New(eng, cfg)
@@ -88,95 +83,5 @@ func TestSelfSendContract(t *testing.T) {
 				t.Errorf("self-send delivered at %d, want 0 (immediate, independent of other traffic)", at)
 			}
 		})
-	}
-}
-
-// TestChargeManyMatchesCharge pins ChargeMany's defining property: n
-// batched identical transfers account bitwise like n successive Charge
-// calls — same makespan (latency rounds per message), same totals.
-func TestChargeManyMatchesCharge(t *testing.T) {
-	topo, err := NewTopology([]int{0, 0, 1, 1}, MemoryBus(), Marenostrum())
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, many := NewMeter(topo), NewMeter(topo)
-	sends := []struct {
-		src, dst int
-		bytes    int64
-		n        uint64
-	}{
-		{0, 2, 777, 13}, // wire
-		{0, 1, 777, 13}, // intra
-		{2, 0, 1 << 16, 3},
-		{3, 3, 999, 5}, // self
-	}
-	for _, s := range sends {
-		for i := uint64(0); i < s.n; i++ {
-			one.Charge(s.src, s.dst, s.bytes)
-		}
-		many.ChargeMany(s.src, s.dst, s.bytes, s.n)
-	}
-	if one.Now() != many.Now() {
-		t.Fatalf("makespan: charge-loop %d != ChargeMany %d", one.Now(), many.Now())
-	}
-	if one.Messages() != many.Messages() || one.BytesSent() != many.BytesSent() || one.WireBytes() != many.WireBytes() {
-		t.Fatalf("totals diverge: (%d,%d,%d) != (%d,%d,%d)",
-			one.Messages(), one.BytesSent(), one.WireBytes(),
-			many.Messages(), many.BytesSent(), many.WireBytes())
-	}
-}
-
-// TestMeterSnapshot locks the snapshot the incremental placement scorer
-// seeds from: every per-link busy-until the meter accumulated, as a deep
-// copy — later charges (or caller mutation) must not show through — with
-// makespan and counters consistent with the meter's own accessors.
-func TestMeterSnapshot(t *testing.T) {
-	topo, err := NewTopology([]int{0, 0, 1, 1}, MemoryBus(), Marenostrum())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMeter(topo)
-	m.Charge(0, 1, 4096)  // intra: rank-pair link (0,1)
-	m.Charge(0, 2, 4096)  // wire: node-pair link (0,1)
-	m.Charge(0, 2, 4096)  // same wire link, serialized behind the first
-	m.Charge(3, 3, 1<<20) // self: accounted, no link
-
-	s := m.Snapshot()
-	if s.Makespan != m.Now() || s.Messages != m.Messages() ||
-		s.BytesSent != m.BytesSent() || s.WireBytes != m.WireBytes() {
-		t.Fatalf("snapshot counters %+v diverge from meter (%d, %d, %d, %d)",
-			s, m.Now(), m.Messages(), m.BytesSent(), m.WireBytes())
-	}
-	if got, want := s.Busy[[2]int{0, 1}], MemoryBus().TransferTime(4096); got != want {
-		t.Fatalf("intra link busy %d, want %d", got, want)
-	}
-	if got, want := s.Wire[[2]int{0, 1}], 2*Marenostrum().TransferTime(4096); got != want {
-		t.Fatalf("wire link busy %d, want %d", got, want)
-	}
-	if len(s.Busy) != 1 || len(s.Wire) != 1 {
-		t.Fatalf("snapshot has %d busy / %d wire links, want 1 / 1 (self-sends occupy none)", len(s.Busy), len(s.Wire))
-	}
-
-	// Deep copy both ways: a later charge must not show through, and
-	// mutating the snapshot must not corrupt the meter.
-	before := s.Wire[[2]int{0, 1}]
-	m.Charge(0, 2, 4096)
-	if s.Wire[[2]int{0, 1}] != before {
-		t.Fatal("later charge leaked into the snapshot")
-	}
-	s.Busy[[2]int{0, 1}] = 0
-	if m.Snapshot().Busy[[2]int{0, 1}] != MemoryBus().TransferTime(4096) {
-		t.Fatal("snapshot mutation leaked into the meter")
-	}
-
-	// A flat meter has no node-pair links: Wire must be nil.
-	fm := NewFlatMeter(Marenostrum())
-	fm.Charge(0, 1, 64)
-	fs := fm.Snapshot()
-	if fs.Wire != nil {
-		t.Fatal("flat meter snapshot must have nil Wire")
-	}
-	if fs.Busy[[2]int{0, 1}] != Marenostrum().TransferTime(64) {
-		t.Fatalf("flat busy = %d", fs.Busy[[2]int{0, 1}])
 	}
 }

@@ -69,77 +69,5 @@ func (m *Meter) Charge(src, dst int, bytes int64) simtime.Time {
 	return end
 }
 
-// ChargeMany accounts n identical src→dst transfers of bytes each, exactly
-// as n successive Charge calls would (the per-message latency is rounded
-// per message, so a batch is not one big transfer), and returns the virtual
-// time of the last delivery. It exists for profile replay
-// (internal/place.Evaluate), where a traffic matrix stores message counts
-// per payload size and replaying count× through Charge would only repeat
-// the same integer addition. n == 0 accounts nothing and returns the
-// current makespan.
-func (m *Meter) ChargeMany(src, dst int, bytes int64, n uint64) simtime.Time {
-	if n == 0 {
-		return m.makespan
-	}
-	m.messages += n
-	m.bytesSent += int64(n) * bytes
-	if src == dst {
-		return 0
-	}
-	cfg, table, link := m.route(src, dst, int64(n)*bytes)
-	end := table[link] + simtime.Time(n)*cfg.TransferTime(bytes)
-	table[link] = end
-	if end > m.makespan {
-		m.makespan = end
-	}
-	return end
-}
-
 // Now returns the makespan: the latest busy-until over all links.
 func (m *Meter) Now() simtime.Time { return m.makespan }
-
-// LinkState is a copy of a meter's per-link occupancy and accounting at one
-// instant: the busy-until of every rank-pair link (flat + intra-node) and
-// every node-pair wire link, plus the makespan and traffic counters they
-// imply. It exists so incremental consumers (the placement scorer,
-// internal/place.Scorer) can seed their cached state from a real meter
-// replay and then delta-update it move by move — the per-link accumulation
-// is order-independent (each link's busy-until is a sum of transfer times),
-// so state seeded here and adjusted by exact add/subtract stays bitwise
-// equal to a fresh replay.
-type LinkState struct {
-	// Busy maps directed (src, dst) rank-pair links to their busy-until.
-	Busy map[[2]int]simtime.Time
-	// Wire maps directed (srcNode, dstNode) pair links to their busy-until
-	// (nil for a flat meter, which has no node-pair links).
-	Wire map[[2]int]simtime.Time
-	// Makespan is the latest busy-until over all links (Meter.Now).
-	Makespan simtime.Time
-	// Messages, BytesSent and WireBytes echo the meter's counters.
-	Messages  uint64
-	BytesSent int64
-	WireBytes int64
-}
-
-// Snapshot returns a deep copy of the meter's link occupancy and
-// accounting. The maps are owned by the caller; later charges do not show
-// through.
-func (m *Meter) Snapshot() LinkState {
-	s := LinkState{
-		Busy:      make(map[[2]int]simtime.Time, len(m.busy)),
-		Makespan:  m.makespan,
-		Messages:  m.messages,
-		BytesSent: m.bytesSent,
-		WireBytes: m.wireBytes,
-	}
-	for k, v := range m.busy {
-		s.Busy[k] = v
-	}
-	if m.wire != nil {
-		s.Wire = make(map[[2]int]simtime.Time, len(m.wire))
-		for k, v := range m.wire {
-			s.Wire[k] = v
-		}
-	}
-	return s
-}

@@ -2,8 +2,8 @@
 // a byte encoding of everything that determines a deterministic request's
 // result — the job structure (task costs, dependencies, argument sizes, by
 // value, never by pointer identity), the full normalized cluster.Config
-// including placement topology and fault-injector state, or a placement
-// profile plus optimizer options — and nothing else.
+// including placement topology, auto-placement options and fault-injector
+// state — and nothing else.
 //
 // The encoding is canonical by construction:
 //
@@ -17,8 +17,7 @@
 //     as the sorted index set of true entries (nil, all-false and
 //     trailing-false spellings digest identically);
 //   - nothing is ever encoded by iterating a Go map: fault.Script sorts its
-//     programmed entries (fault.Keyer's contract) and place.Profile's
-//     Entries view is sorted by (src, dst, size), so map iteration order
+//     programmed entries (fault.Keyer's contract), so map iteration order
 //     can never change a key;
 //   - the task list — the dominant section by bytes — hashes to its own
 //     32-byte digest which is spliced into the request stream, so a
@@ -134,18 +133,6 @@ func (r Request) key() (key [32]byte, ok bool) {
 	return key, true
 }
 
-// OptimizeKey returns the content-addressed cache key of one placement
-// search (place.Optimize is deterministic per Options.Seed, so the triple
-// fully determines the result). start may be nil.
-func OptimizeKey(p *place.Profile, start *simnet.Topology, opts place.Options) [32]byte {
-	b := make([]byte, 0, 64)
-	b = append(b, 'P', '1')
-	b = appendProfile(b, p)
-	b = appendTopology(b, start)
-	b = appendPlaceOptions(b, &opts)
-	return sha256.Sum256(b)
-}
-
 // tasksDigest hashes the canonical encoding of the task list. The section
 // digests separately from the rest of the request (its 32-byte digest is
 // spliced into the request stream) so a Prepared job computes it once
@@ -256,30 +243,6 @@ func appendPlaceOptions(b []byte, o *place.Options) []byte {
 	b = append(b, 'O', '1')
 	b = appendI64(b, int64(o.PerNode))
 	b = appendI64(b, int64(o.Nodes))
-	b = appendNet(b, o.Intra)
-	b = appendNet(b, o.Inter)
 	b = appendU64(b, o.Seed)
-	b = appendI64(b, int64(o.Budget))
-	if o.Anneal {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return appendF64(b, o.Temp)
-}
-
-// appendProfile encodes a profile through its deterministic flattened view
-// (sorted by src, dst, payload size — never by map iteration).
-func appendProfile(b []byte, p *place.Profile) []byte {
-	b = append(b, 'p')
-	b = appendU64(b, uint64(p.Ranks()))
-	entries := p.Entries()
-	b = appendU64(b, uint64(len(entries)))
-	for _, e := range entries {
-		b = appendI64(b, int64(e.Src))
-		b = appendI64(b, int64(e.Dst))
-		b = appendI64(b, e.Bytes)
-		b = appendU64(b, e.Count)
-	}
-	return b
+	return appendI64(b, int64(o.Budget))
 }

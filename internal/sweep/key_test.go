@@ -231,41 +231,3 @@ func TestRunKeySensitive(t *testing.T) {
 		}
 	}
 }
-
-// TestOptimizeKeySensitive: profile traffic, start placement and every
-// option field feed the placement-search digest.
-func TestOptimizeKeySensitive(t *testing.T) {
-	prof := place.NewProfile(8)
-	prof.Add(0, 5, 4096)
-	prof.Add(3, 2, 128)
-	start, err := simnet.MarenostrumTopology(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := place.Options{PerNode: 2, Seed: 1, Budget: 32}
-	base := OptimizeKey(prof, start, opts)
-
-	prof2 := place.NewProfile(8)
-	prof2.Add(3, 2, 128)
-	prof2.Add(0, 5, 4096) // same traffic, different recording order
-	if OptimizeKey(prof2, start, opts) != base {
-		t.Fatal("recording order changed the digest")
-	}
-	prof2.Add(1, 2, 64)
-	if OptimizeKey(prof2, start, opts) == base {
-		t.Fatal("extra traffic did not change the digest")
-	}
-	if OptimizeKey(prof, nil, opts) == base {
-		t.Fatal("dropping the start placement did not change the digest")
-	}
-	o2 := opts
-	o2.Seed++
-	if OptimizeKey(prof, start, o2) == base {
-		t.Fatal("seed did not change the digest")
-	}
-	o3 := opts
-	o3.Anneal = true
-	if OptimizeKey(prof, start, o3) == base {
-		t.Fatal("anneal flag did not change the digest")
-	}
-}

@@ -1,6 +1,5 @@
 // Package sweep is the parallel sweep engine for the deterministic
-// simulators: it executes batches of cluster.Run (and place.Optimize)
-// requests concurrently across a worker pool, coalesces identical in-flight
+// simulators: it executes batches of cluster.Run requests concurrently across a worker pool, coalesces identical in-flight
 // requests singleflight-style, and memoizes completed results in a bounded
 // LRU cache behind a canonical content-addressed key (key.go).
 //
@@ -35,8 +34,6 @@ import (
 	"time"
 
 	"appfit/internal/cluster"
-	"appfit/internal/place"
-	"appfit/internal/simnet"
 	"appfit/internal/simtime"
 )
 
@@ -400,22 +397,4 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]Response, erro
 		}
 	}
 	return out, nil
-}
-
-// Optimize executes one placement search through the cache and coalescing:
-// place.Optimize is deterministic per Options.Seed, so (profile, start,
-// opts) fully determines the result. The profile must not be recorded into
-// concurrently (place.Profile's read-side contract). The returned result
-// shares the cached topology and trajectory; both are immutable by
-// contract.
-func (e *Engine) Optimize(p *place.Profile, start *simnet.Topology, opts place.Options) (place.Result, error) {
-	e.requests.Add(1)
-	key := OptimizeKey(p, start, opts)
-	v, err, _, _ := e.do(context.Background(), key, func() (any, error) {
-		return place.Optimize(p, start, opts)
-	})
-	if err != nil {
-		return place.Result{}, err
-	}
-	return v.(place.Result), nil
 }

@@ -11,10 +11,7 @@ import (
 	"appfit/internal/bench/workload"
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
-	"appfit/internal/place"
 )
-
-func placeOptions() place.Options { return place.Options{PerNode: 4, Seed: 1, Budget: 64} }
 
 // testJob builds a small real workload DAG for nodes nodes.
 func testJob(t testing.TB, name string, nodes int) cluster.Job {
@@ -335,31 +332,6 @@ func TestCacheDisabled(t *testing.T) {
 	st := eng.Stats()
 	if st.Hits != 0 || st.Misses != 2 || st.Entries != 0 {
 		t.Fatalf("stats %+v: cache must be disabled", st)
-	}
-}
-
-// TestOptimizeCached: placement searches memoize like simulations do and
-// return the identical result object-for-value.
-func TestOptimizeCached(t *testing.T) {
-	job := testJob(t, "cholesky", 8)
-	prof, err := cluster.JobProfile(job, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Options{})
-	first, err := eng.Optimize(prof, nil, placeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := eng.Optimize(prof, nil, placeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stats().Hits != 1 {
-		t.Fatalf("hits %d, want 1", eng.Stats().Hits)
-	}
-	if first.Eval != second.Eval || len(first.Trajectory) != len(second.Trajectory) {
-		t.Fatal("cached optimize result differs")
 	}
 }
 
