@@ -19,12 +19,15 @@ check-lint:
 # Fuzz smoke: a short native-fuzz pass over each boundary parser — the
 # sweep key encoder's canonicality invariants (stability, spelling
 # collapse, sensitivity) and the daemons' tenant-spec parser (no panic,
-# named errors, only usable configs accepted). 10 seconds each is a smoke
+# named errors, only usable configs accepted) — and over Figure 2's
+# recovery rule (no adopt without two agreeing survivors, no attempt past
+# MaxAttempts, one detection at most). 10 seconds each is a smoke
 # budget — run with a longer -fuzztime for real exploration; failures
 # minimize into the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzParseTenants -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
 
 # Topology gate: cmd/experiments must keep compiling against the Topology
 # API and its flat-vs-hierarchical table must keep producing (the

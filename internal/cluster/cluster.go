@@ -9,8 +9,10 @@
 // about parallel makespans at core counts far beyond this host, so they are
 // measured here in virtual time; DESIGN.md §2 records the substitution. The
 // real goroutine runtime (internal/rt) and this simulator share workload
-// DAG builders, and the recovery semantics deliberately mirror rt's engine:
-// a task result is adopted once two clean executions agree.
+// DAG builders, and they call the same recovery rule (vote.Recovery): a
+// task result is adopted once two surviving executions agree, here once
+// two are clean. A differential test runs random DAGs and fault scripts
+// through both engines and requires equal recovery counters.
 package cluster
 
 import (
@@ -22,6 +24,7 @@ import (
 	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/simtime"
+	"appfit/internal/vote"
 )
 
 // Task is one node of the DAG to simulate.
@@ -258,13 +261,14 @@ func (r Result) Speedup(base Result) float64 {
 
 type taskState struct {
 	depsLeft    int32
-	cleanSeen   int32
-	attempts    int32
 	outstanding int32 // executions in flight
-	started     bool
-	done        bool
-	anyCrash    bool
-	anySDC      bool
+	// rule decides a replicated task's recovery; clean records that one of
+	// its executions finished clean, the result a later clean one agrees
+	// with (simulated SDCs never coincide).
+	rule    vote.Recovery
+	started bool
+	done    bool
+	clean   bool
 }
 
 // The simulator's three events, dispatched by sim.handle.
@@ -309,9 +313,9 @@ func (s *sim) spare(attempt int) bool {
 }
 
 // Run simulates the job on the configured machine and returns the result.
-// It panics only on programmer error (invalid DAG); fault exhaustion marks
-// the task done after MaxAttempts (counted in Reexecutions), matching the
-// runtime's bounded recovery.
+// An invalid DAG returns an error wrapping ErrJob. Fault exhaustion marks
+// the task done after MaxAttempts (counted in Reexecutions), where the
+// runtime's bounded recovery reports a failed vote.
 func Run(job Job, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
 	if err := job.Validate(cfg.Nodes); err != nil {
@@ -429,10 +433,8 @@ func (s *sim) launch(i int) {
 		st.outstanding = 2
 		s.enqueue(i, 0, t.Cost+ck)
 		s.enqueue(i, 1, t.Cost)
-		st.attempts = 2
 	} else {
 		st.outstanding = 1
-		st.attempts = 1
 		s.enqueue(i, 0, t.Cost)
 	}
 }
@@ -486,23 +488,21 @@ func (s *sim) execDone(task, attempt int) {
 		s.free[node]++
 	}
 	st := &s.states[task]
-	switch s.cfg.Injector.Draw(uint64(task+1), attempt, 0, 0) {
-	case fault.DUE:
-		st.anyCrash = true
-	case fault.SDC:
-		st.anySDC = true
-	default:
-		st.cleanSeen++
-	}
+	outcome := s.cfg.Injector.Draw(uint64(task+1), attempt, 0, 0)
 	st.outstanding--
 	s.trySchedule(node)
-	if st.outstanding > 0 {
-		return
-	}
 	if !s.replicated(task) {
 		// Unreplicated: the single execution's result stands, corrupted
 		// or not — exactly the unprotected risk the heuristic accepts.
 		s.finish(task)
+		return
+	}
+	clean := outcome == fault.None
+	if st.rule.Observe(outcome == fault.DUE, clean && st.clean) {
+		s.res.SDCDetected++
+	}
+	st.clean = st.clean || clean
+	if st.outstanding > 0 {
 		return
 	}
 	// All in-flight executions of a replicated task have completed:
@@ -512,39 +512,29 @@ func (s *sim) execDone(task, attempt int) {
 	s.eng.PostAfter(cmp, evCompared, int32(task), 0)
 }
 
-// compared adopts, gives up on or re-executes a replicated task once its
-// finished executions have been compared.
+// compared asks the recovery rule whether a replicated task whose finished
+// executions have been compared is adopted, given up on or re-executed.
 func (s *sim) compared(task int) {
 	st := &s.states[task]
-	if st.cleanSeen >= 2 {
-		// Two agreeing clean results: adopt.
-		if st.anySDC {
-			s.res.SDCDetected++
-		}
-		if st.anyCrash {
+	switch st.rule.Decide(s.cfg.MaxAttempts) {
+	case vote.Adopt:
+		if st.rule.Crashed() {
 			s.res.DUERecovered++
 		}
 		s.finish(task)
-		return
-	}
-	if int(st.attempts) >= s.cfg.MaxAttempts {
-		// Bounded recovery exhausted; the runtime reports an error
-		// here, the simulator charges the time and moves on.
+	case vote.GiveUp:
+		// The runtime reports an error here; the simulator charges the
+		// time and moves on.
 		s.finish(task)
-		return
+	case vote.Reexecute:
+		// Restore from checkpoint (step 4) and re-execute.
+		s.res.Reexecutions++
+		t := &s.job.Tasks[task]
+		restore := s.memCost(t.ArgBytes)
+		s.res.OverheadTime += restore
+		st.outstanding = 1
+		s.enqueue(task, st.rule.Attempts(), t.Cost+restore)
 	}
-	// Restore from checkpoint (step 4) and re-execute.
-	if st.anySDC {
-		s.res.SDCDetected++
-		st.anySDC = false // count one detection per recovery round
-	}
-	s.res.Reexecutions++
-	t := &s.job.Tasks[task]
-	restore := s.memCost(t.ArgBytes)
-	s.res.OverheadTime += restore
-	st.outstanding = 1
-	st.attempts++
-	s.enqueue(task, int(st.attempts)-1, t.Cost+restore)
 }
 
 // finish marks task i complete and releases its successors, charging

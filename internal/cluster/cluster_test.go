@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"appfit/internal/fault"
 	"appfit/internal/simnet"
@@ -180,6 +181,14 @@ func TestMaxAttemptsBoundsRecovery(t *testing.T) {
 	// through (the runtime reports the error; the simulator charges time).
 	if res.Reexecutions != 3 {
 		t.Fatalf("reexecs %d", res.Reexecutions)
+	}
+}
+
+// TestTaskStateSize: the recovery rule rides in a task's 20-byte state,
+// which Run sizes once per task.
+func TestTaskStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(taskState{}); n > 20 {
+		t.Fatalf("taskState is %d bytes, want ≤ 20", n)
 	}
 }
 

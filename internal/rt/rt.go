@@ -689,30 +689,26 @@ func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, atte
 	*ctx = Ctx{bufs: bufs, attempt: attempt, worker: w, taskID: t.id}
 	t.fn(ctx)
 	if outcome == fault.SDC {
-		if total := buffer.TotalBits(outs...); total > 0 {
-			bit := r.cfg.Injector.BitIndex(t.id, attempt, total)
-			for _, b := range outs {
-				if bit < b.BitLen() {
-					b.FlipBit(bit)
-					break
-				}
-				bit -= b.BitLen()
-			}
-		}
+		r.corrupt(t, attempt, outs)
 	}
 	return attemptResult{dur: time.Since(start)}
 }
 
-// writableIdx returns the indices of args with write access (where an
-// unprotected SDC lands).
-func writableIdx(args []Arg) []int {
-	var idx []int
-	for i, a := range args {
-		if a.Mode.Writes() {
-			idx = append(idx, i)
-		}
+// corrupt is an SDC: it flips the bit the injector picks for this attempt
+// of outs, an attempt's writable buffers taken end to end as one bit string.
+func (r *Runtime) corrupt(t *task, attempt int, outs []buffer.Buffer) {
+	total := buffer.TotalBits(outs...)
+	if total == 0 {
+		return
 	}
-	return idx
+	bit := r.cfg.Injector.BitIndex(t.id, attempt, total)
+	for _, b := range outs {
+		if bit < b.BitLen() {
+			b.FlipBit(bit)
+			return
+		}
+		bit -= b.BitLen()
+	}
 }
 
 // Executing returns the number of task bodies currently running, including
@@ -804,24 +800,13 @@ func (r *Runtime) executeUnprotected(t *task, w int, own *bodyScratch, rec *trac
 		r.unprotDUE.Add(1)
 		rec.Events = append(rec.Events, trace.UnprotectedDUE)
 	case fault.SDC:
-		wIdx := writableIdx(t.args)
-		var outs []buffer.Buffer
-		for _, i := range wIdx {
-			if bufs[i] != nil {
-				outs = append(outs, bufs[i])
+		var outs []buffer.Buffer // the writable subset, as replScratch.plan takes it
+		for _, a := range t.args {
+			if a.Buf != nil && a.Mode.Writes() {
+				outs = append(outs, a.Buf)
 			}
 		}
-		total := buffer.TotalBits(outs...)
-		if total > 0 {
-			bit := r.cfg.Injector.BitIndex(t.id, 0, total)
-			for _, b := range outs {
-				if bit < b.BitLen() {
-					b.FlipBit(bit)
-					break
-				}
-				bit -= b.BitLen()
-			}
-		}
+		r.corrupt(t, 0, outs)
 		r.unprotSDC.Add(1)
 		rec.Events = append(rec.Events, trace.UnprotectedSDC)
 	}
@@ -841,7 +826,6 @@ func (r *Runtime) event(rec *trace.Record, evs ...trace.Event) {
 // per re-execution — is a lease from r.bufs, and all of them go back when it
 // returns.
 func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
-	cmp := vote.Panel{Cmp: r.cfg.Comparator, N: r.cfg.Voters}
 	s := r.getScratch(t)
 	defer r.putScratch(s)
 
@@ -876,74 +860,63 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	rec.ReplicaDur = replicaRes.dur
 	rec.Attempts = 2
 
-	adopt := func(outs []buffer.Buffer) {
-		for k, i := range s.writes {
-			if err := t.args[i].Buf.CopyFrom(outs[k]); err != nil {
-				r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
+	// Steps 3-5: after each round vote.Recovery adopts the latest result
+	// once it agrees with an earlier one (the paper's majority vote,
+	// iterated), gives up once the attempt budget is spent, and otherwise
+	// re-executes from the checkpoint.
+	var rule vote.Recovery
+	r.observe(&rule, s, rec, primaryRes.crashed, primaryOuts)
+	r.observe(&rule, s, rec, replicaRes.crashed, replicaOuts)
+	for {
+		switch rule.Decide(r.cfg.MaxAttempts) {
+		case vote.Adopt:
+			if rule.Detected() {
+				r.event(rec, trace.Voted)
+				r.sdcRecovered.Add(1)
 			}
-		}
-	}
-
-	// Steps 3-5, unified: a result is adopted only once two independent
-	// executions agree on it. The common case is primary == replica at the
-	// first comparison. A crash removes a comparison partner, so the
-	// engine re-executes from the checkpoint to regain one rather than
-	// adopting a lone survivor — a surviving-but-silently-corrupted
-	// replica would otherwise be adopted unchecked, losing the very SDC
-	// detection replication pays for. On mismatch (SDC detected) it keeps
-	// re-executing until some pair of results agrees (the paper's
-	// majority vote, iterated), or the attempt budget runs out.
-	anyCrash := primaryRes.crashed || replicaRes.crashed
-	mismatch := false
-	if !primaryRes.crashed {
-		s.results = append(s.results, primaryOuts)
-	}
-	if !replicaRes.crashed {
-		s.results = append(s.results, replicaOuts)
-	}
-	if len(s.results) == 2 {
-		r.event(rec, trace.Compared)
-		if cmp.Equal(s.results[0], s.results[1]) {
-			adopt(s.results[0])
+			if rule.Crashed() {
+				r.event(rec, trace.DUERecovered)
+				r.dueRecovered.Add(1)
+			}
+			outs := s.results[len(s.results)-1]
+			for k, i := range s.writes {
+				if err := t.args[i].Buf.CopyFrom(outs[k]); err != nil {
+					r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
+				}
+			}
+			return
+		case vote.GiveUp:
+			r.voteFails.Add(1)
+			r.event(rec, trace.VoteFailed)
+			r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
 			return
 		}
-		mismatch = true
-		r.sdcDetected.Add(1)
-		r.event(rec, trace.SDCDetected)
+		res, outs := r.reexecute(t, s, w, rule.Attempts(), rec)
+		r.observe(&rule, s, rec, res.crashed, outs)
 	}
-	for attempt := 2; attempt < r.cfg.MaxAttempts; attempt++ {
-		res, outs := r.reexecute(t, s, w, attempt, rec)
-		if res.crashed {
-			anyCrash = true
-			continue
+}
+
+// observe feeds one finished attempt to rule. A survivor's outputs are
+// compared with each earlier survivor's, in the order they finished, and
+// then join them; the task's first comparison is its step 3.
+func (r *Runtime) observe(rule *vote.Recovery, s *replScratch, rec *trace.Record, crashed bool, outs []buffer.Buffer) {
+	agrees := false
+	if !crashed {
+		if len(s.results) == 1 {
+			r.event(rec, trace.Compared)
 		}
+		cmp := vote.Panel{Cmp: r.cfg.Comparator, N: r.cfg.Voters}
 		for _, prev := range s.results {
-			if cmp.Equal(prev, outs) {
-				if mismatch {
-					r.event(rec, trace.Voted)
-					r.sdcRecovered.Add(1)
-				}
-				if anyCrash {
-					r.event(rec, trace.DUERecovered)
-					r.dueRecovered.Add(1)
-				}
-				adopt(outs)
-				return
-			}
-		}
-		if len(s.results) > 0 {
-			// A comparison happened and disagreed: SDC detected.
-			if !mismatch {
-				mismatch = true
-				r.sdcDetected.Add(1)
-				r.event(rec, trace.Compared, trace.SDCDetected)
+			if agrees = cmp.Equal(prev, outs); agrees {
+				break
 			}
 		}
 		s.results = append(s.results, outs)
 	}
-	r.voteFails.Add(1)
-	r.event(rec, trace.VoteFailed)
-	r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
+	if rule.Observe(crashed, agrees) {
+		r.sdcDetected.Add(1)
+		r.event(rec, trace.SDCDetected)
+	}
 }
 
 // reexecute restores the task's inputs from its checkpoint into a fresh,

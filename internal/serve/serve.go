@@ -340,6 +340,9 @@ func (s *Server) worker() {
 				t.completed++
 			}
 			s.maybeDrainedLocked()
+			// Only now may the submitter return: a Stats right after
+			// Submit must see the request's books moved.
+			it.wg.Done()
 			continue
 		}
 		if s.stopped {
@@ -378,7 +381,6 @@ func (s *Server) serveItem(it *item) (failed bool) {
 			Coalesced:     sr.Metrics.Coalesced,
 		},
 	}
-	it.wg.Done()
 	return sr.Err != nil
 }
 

@@ -99,6 +99,32 @@ func TestSubmitServesBitwiseResults(t *testing.T) {
 	}
 }
 
+// instantExec answers every request at once without an engine, leaving
+// the service's own bookkeeping as all the work.
+type instantExec struct{}
+
+func (instantExec) run(context.Context, sweep.Request) sweep.Response { return sweep.Response{} }
+
+// TestStatsAfterSubmitSeesBooksMoved: Submit returns only once the worker
+// has moved its request out of flight, so a Stats read right after it
+// never sees the request still running.
+func TestStatsAfterSubmitSeesBooksMoved(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: []TenantConfig{{Name: "solo"}}, Workers: 2})
+	s.mu.Lock()
+	s.exec = instantExec{}
+	s.mu.Unlock()
+	reqs := []sweep.Request{testRequest(t, "stream", 1)}
+	for i := 0; i < 1000; i++ {
+		if _, err := s.Submit(context.Background(), "solo", reqs); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if err := st.Accounting(); err != nil || st.Inflight != 0 || st.Tenants[0].Completed != uint64(i+1) {
+			t.Fatalf("after submit %d: inflight %d, %+v, accounting %v", i, st.Inflight, st.Tenants[0], err)
+		}
+	}
+}
+
 // TestAdmissionRejections walks every admission gate: unknown tenant,
 // queue cap, rate limit, draining. Each rejection is an *AdmissionError
 // wrapping ErrAdmission, carrying the tenant and the gate's reason, with

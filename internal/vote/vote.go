@@ -2,7 +2,9 @@
 // of the replication design (paper §III, Figure 2): the outputs of a task
 // and its replica are compared at their synchronization point; inequality
 // signals an SDC; after a third execution, "all three results are compared
-// and the majority vote is selected as the task's result".
+// and the majority vote is selected as the task's result". Recovery is the
+// rule that turns those comparisons into adopt, re-execute or give up, for
+// the runtime and the simulator alike.
 //
 // The comparator is pluggable, as the paper notes ("other comparators such
 // as residue error checkers can easily be deployed in the runtime"): Bitwise
