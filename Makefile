@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke loc
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke loc
 
-check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build
+check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build benchmark-smoke
 
 # Lint gate: appfitlint (cmd/appfitlint, DESIGN.md §14) must pass clean over
 # the module — range-over-map emission order, wall-clock/math-rand use in
@@ -18,8 +18,10 @@ check-lint:
 
 # Fuzz smoke: a short native-fuzz pass over each boundary parser — the
 # sweep key encoder's canonicality invariants (stability, spelling
-# collapse, sensitivity) and the daemons' tenant-spec parser (no panic,
-# named errors, only usable configs accepted) — and over Figure 2's
+# collapse, sensitivity), the daemons' tenant-spec parser (no panic,
+# named errors, only usable configs accepted) and appfitd's job-spec
+# decoding (no panic, every rejection an ErrSpec, nothing out of bounds
+# accepted) — and over Figure 2's
 # recovery rule (no adopt without two agreeing survivors, no attempt past
 # MaxAttempts, one detection at most). 10 seconds each is a smoke
 # budget — run with a longer -fuzztime for real exploration; failures
@@ -27,6 +29,7 @@ check-lint:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzParseTenants -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/serve/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
 
 # Topology gate: cmd/experiments must keep compiling against the Topology
@@ -126,6 +129,26 @@ bench-compare:
 #	make benchmark W=serve-hit
 benchmark:
 	sh benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
+
+# Interleaved A/B pairs of one workload — REF (the parent, default HEAD)
+# against the working tree, the first side alternating — with per-metric
+# medians, quartiles, the median ratio and the win count: how a perf claim
+# is measured (scripts/bench_pair.sh). Pick a SEED not used while writing
+# the change; S is each run's seconds.
+#
+#	make benchmark-pair REF=HEAD W=figures N=10 SEED=23
+REF ?= HEAD
+N ?= 10
+SEED ?= 1
+S ?= 15
+benchmark-pair:
+	sh scripts/bench_pair.sh $(REF) $(W) $(N) $(SEED) $(S)
+
+# The end-to-end benchmark's smoke, named so `make check` shows it: every
+# workload at -quick sizes in-process, every answer checked
+# (benchmark/main_test.go; -count=1 defeats the test cache).
+benchmark-smoke:
+	$(GO) test -count=1 -run TestQuickSmoke ./benchmark
 
 # Code-line ledger: non-test .go lines that are neither blank nor //-only,
 # per package and in total — the unit the size claims in ROADMAP.md and

@@ -64,7 +64,15 @@ func main() {
 			tc.Name, max(tc.Weight, 1), rateString(tc), defaultCap(tc.QueueCap))
 	}
 
-	hs := &http.Server{Handler: httpapi.NewHandler(srv)}
+	// A client gets 10 s to send its headers and an idle keep-alive
+	// connection lives 2 minutes, so stalled or abandoned connections cannot
+	// pile up. There is no write timeout: a submission blocks until its
+	// simulations finish, and those can be long.
+	hs := &http.Server{
+		Handler:           httpapi.NewHandler(srv),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -202,3 +202,17 @@ func TestBuiltJobsGolden(t *testing.T) {
 		t.Fatalf("built jobs drifted: digest %s, want %s\nper-job keys:\n%s", got, want, strings.Join(keys, "\n"))
 	}
 }
+
+// TestBuildJobSizeHints: every builder that knows its task count passes it
+// to NewJobBuilder exactly — the task list never regrows and carries no
+// slack. sparselu's count depends on its fill pattern and passes no hint.
+func TestBuildJobSizeHints(t *testing.T) {
+	for _, w := range All() {
+		for _, scale := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
+			job := w.BuildJob(scale, 4, workload.DefaultCostModel())
+			if w.Name() != "sparselu" && cap(job.Tasks) != len(job.Tasks) {
+				t.Errorf("%s at %s: %d tasks built into a %d-task hint", w.Name(), scale, len(job.Tasks), cap(job.Tasks))
+			}
+		}
+	}
+}

@@ -209,9 +209,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	n := int64(p.Nb) * b
-	jb := workload.NewJobBuilder("cholesky", cm)
-	jb.SetInputBytes(n * n * 8)
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
+	jb := workload.NewJobBuilder("cholesky", p.Nb+p.Nb*(p.Nb-1)+p.Nb*(p.Nb-1)*(p.Nb-2)/6, n*n*8, cm)
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i + j) % nodes }
 	potrfFlops := b * b * b / 3
 	trsmFlops := b * b * b

@@ -189,10 +189,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	p := ParamsFor(s)
 	n, rows, nb := int64(p.N), int64(p.R), p.Nb()
 	panelBytes := rows * n * 16
-	jb := workload.NewJobBuilder("fft", cm)
-	jb.SetInputBytes(n * n * 16)
-	pk := func(i int) string { return fmt.Sprintf("P[%d]", i) }
-	qk := func(i int) string { return fmt.Sprintf("Q[%d]", i) }
+	jb := workload.NewJobBuilder("fft", 4*nb, n*n*16, cm)
+	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
 	// 5·N·log2(N) flops per row FFT.
 	log2n := 0
 	for v := p.N; v > 1; v >>= 1 {
@@ -200,22 +198,22 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	}
 	fftFlops := 5 * rows * n * int64(log2n)
 	for i := 0; i < nb; i++ {
-		jb.Task("fft-rows", i%nodes, fftFlops, panelBytes, workload.RWAcc(pk(i), panelBytes))
+		jb.Task("fft-rows", i%nodes, fftFlops, panelBytes, workload.RWAcc(key('P', i), panelBytes))
 	}
 	for j := 0; j < nb; j++ {
-		accs := []workload.Acc{workload.WAcc(qk(j), panelBytes)}
+		accs := []workload.Acc{workload.WAcc(key('Q', j), panelBytes)}
 		for i := 0; i < nb; i++ {
-			accs = append(accs, workload.RAcc(pk(i), panelBytes/int64(nb)))
+			accs = append(accs, workload.RAcc(key('P', i), panelBytes/int64(nb)))
 		}
 		jb.Task("transpose", j%nodes, 0, 2*panelBytes, accs...)
 	}
 	for j := 0; j < nb; j++ {
-		jb.Task("fft-cols", j%nodes, fftFlops, panelBytes, workload.RWAcc(qk(j), panelBytes))
+		jb.Task("fft-cols", j%nodes, fftFlops, panelBytes, workload.RWAcc(key('Q', j), panelBytes))
 	}
 	for i := 0; i < nb; i++ {
-		accs := []workload.Acc{workload.WAcc(pk(i), panelBytes)}
+		accs := []workload.Acc{workload.WAcc(key('P', i), panelBytes)}
 		for j := 0; j < nb; j++ {
-			accs = append(accs, workload.RAcc(qk(j), panelBytes/int64(nb)))
+			accs = append(accs, workload.RAcc(key('Q', j), panelBytes/int64(nb)))
 		}
 		jb.Task("transpose-back", i%nodes, 0, 2*panelBytes, accs...)
 	}

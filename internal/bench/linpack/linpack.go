@@ -216,9 +216,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	n := int64(p.Nb) * b
-	jb := workload.NewJobBuilder("linpack", cm)
-	jb.SetInputBytes(n * n * 8)
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
+	jb := workload.NewJobBuilder("linpack", p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, n*n*8, cm)
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
 	// HPL picks the process grid to match the machine: the most square
 	// P'×Q' = nodes factorization (the paper's 8×8 grid is the 64-node
 	// case).

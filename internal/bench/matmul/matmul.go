@@ -131,15 +131,14 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	p := ParamsFor(s)
 	blockBytes := int64(p.B) * int64(p.B) * 8
 	n := int64(p.Nb) * int64(p.B)
-	jb := workload.NewJobBuilder("matmul", cm)
-	jb.SetInputBytes(2 * n * n * 8)
-	key := func(m string, i, j int) string { return fmt.Sprintf("%s[%d][%d]", m, i, j) }
+	jb := workload.NewJobBuilder("matmul", 2*p.Nb*p.Nb+p.Nb*p.Nb*p.Nb, 2*n*n*8, cm)
+	key := func(m rune, i, j int) workload.Region { return workload.Region{Arr: m, I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i*p.Nb + j) % nodes }
 	// Init tasks: A and B blocks materialize on their owners.
 	for i := 0; i < p.Nb; i++ {
 		for j := 0; j < p.Nb; j++ {
-			jb.Task("initA", owner(i, j), 0, blockBytes, workload.WAcc(key("A", i, j), blockBytes))
-			jb.Task("initB", owner(i, j), 0, blockBytes, workload.WAcc(key("B", i, j), blockBytes))
+			jb.Task("initA", owner(i, j), 0, blockBytes, workload.WAcc(key('A', i, j), blockBytes))
+			jb.Task("initB", owner(i, j), 0, blockBytes, workload.WAcc(key('B', i, j), blockBytes))
 		}
 	}
 	gemmFlops := 2 * int64(p.B) * int64(p.B) * int64(p.B)
@@ -147,9 +146,9 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 		for i := 0; i < p.Nb; i++ {
 			for j := 0; j < p.Nb; j++ {
 				jb.Task("gemm", owner(i, j), gemmFlops, 3*blockBytes,
-					workload.RAcc(key("A", i, k), blockBytes),
-					workload.RAcc(key("B", k, j), blockBytes),
-					workload.RWAcc(key("C", i, j), blockBytes))
+					workload.RAcc(key('A', i, k), blockBytes),
+					workload.RAcc(key('B', k, j), blockBytes),
+					workload.RWAcc(key('C', i, j), blockBytes))
 			}
 		}
 	}

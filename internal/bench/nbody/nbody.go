@@ -237,12 +237,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	p := ParamsFor(s)
 	nb, b := p.Nb(), int64(p.B)
 	blockBytes := 3 * b * 8
-	jb := workload.NewJobBuilder("nbody", cm)
-	jb.SetInputBytes(int64(p.N) * 6 * 8)
-	pk := func(i int) string { return fmt.Sprintf("pos[%d]", i) }
-	vk := func(i int) string { return fmt.Sprintf("vel[%d]", i) }
-	ak := func(i int) string { return fmt.Sprintf("acc[%d]", i) }
-	qk := func(i, j int) string { return fmt.Sprintf("pacc[%d][%d]", i, j) }
+	jb := workload.NewJobBuilder("nbody", p.Steps*(nb*nb+2*nb), int64(p.N)*6*8, cm)
+	key := func(arr rune, i, j int) workload.Region { return workload.Region{Arr: arr, I: int32(i), J: int32(j)} }
 	owner := func(i int) int { return i % nodes }
 	// Force tasks are spread over the whole machine (they read two
 	// position blocks wherever those live), so machines larger than the
@@ -255,23 +251,23 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 			for j := 0; j < nb; j++ {
 				if i == j {
 					jb.Task("force", forceNode(i, j), forceFlops, 2*blockBytes,
-						workload.RAcc(pk(i), blockBytes), workload.WAcc(qk(i, i), blockBytes))
+						workload.RAcc(key('p', i, 0), blockBytes), workload.WAcc(key('q', i, i), blockBytes))
 					continue
 				}
 				jb.Task("force", forceNode(i, j), forceFlops, 3*blockBytes,
-					workload.RAcc(pk(i), blockBytes), workload.RAcc(pk(j), blockBytes),
-					workload.WAcc(qk(i, j), blockBytes))
+					workload.RAcc(key('p', i, 0), blockBytes), workload.RAcc(key('p', j, 0), blockBytes),
+					workload.WAcc(key('q', i, j), blockBytes))
 			}
 		}
 		for i := 0; i < nb; i++ {
-			accs := []workload.Acc{workload.WAcc(ak(i), blockBytes)}
+			accs := []workload.Acc{workload.WAcc(key('a', i, 0), blockBytes)}
 			for j := 0; j < nb; j++ {
-				accs = append(accs, workload.RAcc(qk(i, j), blockBytes))
+				accs = append(accs, workload.RAcc(key('q', i, j), blockBytes))
 			}
 			jb.Task("reduce", owner(i), 3*b*int64(nb), blockBytes*int64(nb), accs...)
 			jb.Task("integrate", owner(i), 6*b, 3*blockBytes,
-				workload.RWAcc(pk(i), blockBytes), workload.RWAcc(vk(i), blockBytes),
-				workload.RAcc(ak(i), blockBytes))
+				workload.RWAcc(key('p', i, 0), blockBytes), workload.RWAcc(key('v', i, 0), blockBytes),
+				workload.RAcc(key('a', i, 0), blockBytes))
 		}
 	}
 	return jb.Job()

@@ -181,14 +181,13 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
 	nb := p.Pixels / p.B
-	jb := workload.NewJobBuilder("perlin", cm)
-	jb.SetInputBytes(int64(p.Pixels))
+	jb := workload.NewJobBuilder("perlin", p.Frames*nb, int64(p.Pixels), cm)
 	// ~40 flops per pixel per octave in the noise kernel.
 	flops := int64(p.B) * int64(p.Octaves) * 40
 	for f := 0; f < p.Frames; f++ {
 		for i := 0; i < nb; i++ {
 			jb.Task("perlin", i%nodes, flops, int64(p.B),
-				workload.WAcc(fmt.Sprintf("pix[%d]", i), int64(p.B)))
+				workload.WAcc(workload.Region{Arr: 'p', I: int32(i)}, int64(p.B)))
 		}
 	}
 	return jb.Job()

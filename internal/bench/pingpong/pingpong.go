@@ -159,9 +159,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	ranks := p.Ranks
 	nb := p.N / p.B
 	bb := int64(p.B) * 8
-	jb := workload.NewJobBuilder("pingpong", cm)
-	jb.SetInputBytes(int64(ranks) * int64(p.N) * 8)
-	key := func(gen, rank, blk int) string { return fmt.Sprintf("g%d/r%d/b%d", gen, rank, blk) }
+	jb := workload.NewJobBuilder("pingpong", p.Iters*ranks*nb, int64(ranks)*int64(p.N)*8, cm)
+	key := func(gen, r, b int) workload.Region { return workload.Region{Arr: rune(gen), I: int32(r), J: int32(b)} }
 	for it := 0; it < p.Iters; it++ {
 		for rk := 0; rk < ranks; rk++ {
 			partner := rk ^ 1

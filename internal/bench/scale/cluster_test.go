@@ -39,6 +39,11 @@ func chainJob10k() cluster.Job {
 //     1 % SDC per execution — the recovery path and the fault draw.
 //   - chain-10k: 10 000 tasks, to show the allocation count has no term in
 //     the task count.
+//
+// Each row has a -prepared twin that runs a cluster.Layout built once
+// outside the loop — what the sweep engine does for a Prepared job — so
+// the pair prices laying a job out (time, bytes and allocations) apart
+// from simulating it; vus/op must be equal within a pair.
 func BenchmarkClusterRun(b *testing.B) {
 	build := func(name string, nodes int) cluster.Job {
 		w, err := bench.ByName(name)
@@ -58,17 +63,29 @@ func BenchmarkClusterRun(b *testing.B) {
 		{"chain-10k", chain, cluster.Config{Nodes: 16, CoresPerNode: 4}},
 	} {
 		c.cfg.Replicated = cluster.All(len(c.job.Tasks))
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res cluster.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = cluster.Run(c.job, c.cfg); err != nil {
-					b.Fatal(err)
+		l, err := cluster.NewLayout(c.job, c.cfg.Nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct {
+			suffix string
+			run    func() (cluster.Result, error)
+		}{
+			{"", func() (cluster.Result, error) { return cluster.Run(c.job, c.cfg) }},
+			{"-prepared", func() (cluster.Result, error) { return l.Run(c.cfg) }},
+		} {
+			b.Run(c.name+arm.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				var res cluster.Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = arm.run(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(len(c.job.Tasks)), "tasks/run")
-			b.ReportMetric(res.Makespan.Seconds()*1e6, "vus/op")
-		})
+				b.ReportMetric(float64(len(c.job.Tasks)), "tasks/run")
+				b.ReportMetric(res.Makespan.Seconds()*1e6, "vus/op")
+			})
+		}
 	}
 }

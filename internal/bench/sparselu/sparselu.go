@@ -246,9 +246,8 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	blockBytes := b * b * 8
 	n := int64(p.Nb) * b
 	fill := Structure(p.Nb)
-	jb := workload.NewJobBuilder("sparselu", cm)
-	jb.SetInputBytes(n * n * 8)
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
+	jb := workload.NewJobBuilder("sparselu", 0, n*n*8, cm)
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i*p.Nb + j) % nodes }
 	lu0Flops := 2 * b * b * b / 3
 	trsFlops := b * b * b

@@ -152,26 +152,25 @@ func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Jo
 	p := ParamsFor(s)
 	nb := p.N / p.B
 	bb := int64(p.B) * 8
-	jb := workload.NewJobBuilder("stream", cm)
-	jb.SetInputBytes(3 * int64(p.N) * 8)
-	key := func(arr string, i int) string { return fmt.Sprintf("%s[%d]", arr, i) }
+	jb := workload.NewJobBuilder("stream", 4*nb*p.Iters, 3*int64(p.N)*8, cm)
+	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
 	node := func(i int) int { return i % nodes }
 	for it := 0; it < p.Iters; it++ {
 		for i := 0; i < nb; i++ {
 			jb.Task("copy", node(i), 0, 2*bb,
-				workload.RAcc(key("a", i), bb), workload.WAcc(key("c", i), bb))
+				workload.RAcc(key('a', i), bb), workload.WAcc(key('c', i), bb))
 		}
 		for i := 0; i < nb; i++ {
 			jb.Task("scale", node(i), int64(p.B), 2*bb,
-				workload.RAcc(key("c", i), bb), workload.WAcc(key("b", i), bb))
+				workload.RAcc(key('c', i), bb), workload.WAcc(key('b', i), bb))
 		}
 		for i := 0; i < nb; i++ {
 			jb.Task("add", node(i), int64(p.B), 3*bb,
-				workload.RAcc(key("a", i), bb), workload.RAcc(key("b", i), bb), workload.WAcc(key("c", i), bb))
+				workload.RAcc(key('a', i), bb), workload.RAcc(key('b', i), bb), workload.WAcc(key('c', i), bb))
 		}
 		for i := 0; i < nb; i++ {
 			jb.Task("triad", node(i), 2*int64(p.B), 3*bb,
-				workload.RAcc(key("b", i), bb), workload.RAcc(key("c", i), bb), workload.WAcc(key("a", i), bb))
+				workload.RAcc(key('b', i), bb), workload.RAcc(key('c', i), bb), workload.WAcc(key('a', i), bb))
 		}
 	}
 	return jb.Job()

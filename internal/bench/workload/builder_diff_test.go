@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -13,10 +12,23 @@ import (
 	"appfit/internal/xrand"
 )
 
-// referenceTask is JobBuilder.Task as it stood before PR 22 — a map of
+// referenceBuilder is JobBuilder as it first stood — a last-writer map and
+// a readers map consulted up to five times per access, a map of
 // predecessor payloads per task, edges appended one at a time — kept as the
-// reference the scratch-slice implementation is held to.
-func (b *JobBuilder) referenceTask(label string, node int, flops, memBytes int64, accs ...Acc) int {
+// reference the region-table, scratch-slice implementation is held to.
+type referenceBuilder struct {
+	cm         CostModel
+	job        cluster.Job
+	lastWriter map[Region]int
+	readers    map[Region][]int
+}
+
+func newReferenceBuilder(name string, cm CostModel) *referenceBuilder {
+	return &referenceBuilder{cm: cm, job: cluster.Job{Name: name},
+		lastWriter: map[Region]int{}, readers: map[Region][]int{}}
+}
+
+func (b *referenceBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
 	idx := len(b.job.Tasks)
 	var argBytes int64
 	predBytes := map[int]int64{}
@@ -68,26 +80,28 @@ func (b *JobBuilder) referenceTask(label string, node int, flops, memBytes int64
 
 // TestTaskMatchesReference: over random access streams — few keys, so RAW,
 // WAR and WAW edges pile onto shared predecessors; repeated keys within one
-// task; negative and zero payloads; tasks with no predecessor at all — the
-// built job is reflect.DeepEqual to the reference's, nil-versus-empty edge
-// slices included.
+// task; negative and zero payloads; tasks with no predecessor at all; a
+// size hint below, at or above the task count — the built job is
+// reflect.DeepEqual to the reference's, nil-versus-empty edge slices
+// included.
 func TestTaskMatchesReference(t *testing.T) {
 	modes := []deps.Mode{deps.In, deps.Out, deps.Inout}
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		got, want := NewJobBuilder("q", DefaultCostModel()), NewJobBuilder("q", DefaultCostModel())
+		got, want := NewJobBuilder("q", r.Intn(8), 0, DefaultCostModel()), newReferenceBuilder("q", DefaultCostModel())
 		keys := 1 + r.Intn(6)
 		for i, n := 0, 1+r.Intn(60); i < n; i++ {
 			accs := make([]Acc, r.Intn(5))
 			for k := range accs {
-				accs[k] = Acc{Key: fmt.Sprint("k", r.Intn(keys)), Mode: modes[r.Intn(3)], Bytes: int64(r.Intn(5)) - 1}
+				key := r.Intn(keys)
+				accs[k] = Acc{Key: Region{Arr: rune('a' + key%2), I: int32(key / 2)}, Mode: modes[r.Intn(3)], Bytes: int64(r.Intn(5)) - 1}
 			}
 			node, flops, mem := r.Intn(4), int64(r.Intn(1000)), int64(r.Intn(1000))
-			if got.Task("t", node, flops, mem, accs...) != want.referenceTask("t", node, flops, mem, accs...) {
+			if got.Task("t", node, flops, mem, accs...) != want.Task("t", node, flops, mem, accs...) {
 				return false
 			}
 		}
-		return reflect.DeepEqual(got.Job(), want.Job())
+		return reflect.DeepEqual(got.Job(), want.job)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Fatal(err)

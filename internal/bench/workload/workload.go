@@ -95,17 +95,26 @@ type Workload interface {
 	BuildJob(s Scale, nodes int, cm CostModel) cluster.Job
 }
 
+// Region names one block of a benchmark's data for JobBuilder: an array
+// tag and up to three block indices, e.g. {Arr: 'A', I: i, J: j} for tile
+// A[i][j]. It is a comparable value, so the builder's region table hashes
+// its sixteen bytes (no padding) directly instead of a formatted name.
+type Region struct {
+	Arr     rune
+	I, J, K int32
+}
+
 // Acc declares one region access for JobBuilder tasks.
 type Acc struct {
-	Key   string
+	Key   Region
 	Mode  deps.Mode
 	Bytes int64
 }
 
 // RAcc, WAcc and RWAcc are shorthand constructors.
-func RAcc(key string, bytes int64) Acc  { return Acc{Key: key, Mode: deps.In, Bytes: bytes} }
-func WAcc(key string, bytes int64) Acc  { return Acc{Key: key, Mode: deps.Out, Bytes: bytes} }
-func RWAcc(key string, bytes int64) Acc { return Acc{Key: key, Mode: deps.Inout, Bytes: bytes} }
+func RAcc(key Region, bytes int64) Acc  { return Acc{Key: key, Mode: deps.In, Bytes: bytes} }
+func WAcc(key Region, bytes int64) Acc  { return Acc{Key: key, Mode: deps.Out, Bytes: bytes} }
+func RWAcc(key Region, bytes int64) Acc { return Acc{Key: key, Mode: deps.Inout, Bytes: bytes} }
 
 // JobBuilder accumulates tasks in program order and derives the dependency
 // edges (RAW, WAR, WAW) from their declared accesses, exactly like the
@@ -115,9 +124,14 @@ type JobBuilder struct {
 	cm  CostModel
 	job cluster.Job
 
-	lastWriter map[string]int // key -> task index (-1 none)
-	readers    map[string][]int
-	preds      []pred // the task being added's predecessors; scratch reused across tasks
+	// regions numbers each region seen, one map lookup per access; region
+	// r's last writer (-1 none) is writers[r], its readers since that write
+	// readers[r].
+	regions map[Region]int32
+	writers []int
+	readers [][]int
+	preds   []pred  // the task being added's predecessors; scratch reused across tasks
+	accIdx  []int32 // the task being added's accesses' region numbers; scratch reused across tasks
 }
 
 // pred is one predecessor of the task being added and the largest payload
@@ -127,18 +141,16 @@ type pred struct {
 	bytes int64
 }
 
-// NewJobBuilder returns a builder for a named job.
-func NewJobBuilder(name string, cm CostModel) *JobBuilder {
+// NewJobBuilder returns a builder for a named job of about tasks tasks (0
+// when the caller does not know; the hint only pre-sizes storage) over a
+// benchmark input of inputBytes (the footprint thresholds derive from).
+func NewJobBuilder(name string, tasks int, inputBytes int64, cm CostModel) *JobBuilder {
 	return &JobBuilder{
-		cm:         cm,
-		job:        cluster.Job{Name: name},
-		lastWriter: make(map[string]int),
-		readers:    make(map[string][]int),
+		cm:      cm,
+		job:     cluster.Job{Name: name, InputBytes: inputBytes, Tasks: make([]cluster.Task, 0, tasks)},
+		regions: make(map[Region]int32),
 	}
 }
-
-// SetInputBytes records the benchmark input footprint.
-func (b *JobBuilder) SetInputBytes(n int64) { b.job.InputBytes = n }
 
 // note records that the task being added depends on p through an access of
 // bytes. Tasks have a handful of predecessors, so the find is linear.
@@ -158,35 +170,39 @@ func (b *JobBuilder) note(p int, bytes int64) {
 func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
 	idx := len(b.job.Tasks)
 	var argBytes int64
-	b.preds = b.preds[:0]
+	b.preds, b.accIdx = b.preds[:0], b.accIdx[:0]
 	for _, a := range accs {
 		argBytes += a.Bytes
-		if a.Mode.Reads() {
-			if w, ok := b.lastWriter[a.Key]; ok {
-				b.note(w, a.Bytes)
-			}
+		r, ok := b.regions[a.Key]
+		if !ok {
+			r = int32(len(b.writers))
+			b.regions[a.Key] = r
+			b.writers, b.readers = append(b.writers, -1), append(b.readers, nil)
+		}
+		b.accIdx = append(b.accIdx, r)
+		w := b.writers[r]
+		if a.Mode.Reads() && w >= 0 {
+			b.note(w, a.Bytes)
 		}
 		if a.Mode.Writes() {
 			// WAW and WAR edges carry no payload: the successor
 			// overwrites the region, it does not consume the data (an
 			// inout's consumption is covered by its read access above).
-			if w, ok := b.lastWriter[a.Key]; ok {
+			if w >= 0 {
 				b.note(w, 0)
 			}
-			for _, rd := range b.readers[a.Key] {
-				if rd != idx {
-					b.note(rd, 0)
-				}
+			for _, rd := range b.readers[r] {
+				b.note(rd, 0)
 			}
 		}
 	}
-	for _, a := range accs {
+	for k, a := range accs {
+		r := b.accIdx[k]
 		if a.Mode.Writes() {
-			b.lastWriter[a.Key] = idx
-			b.readers[a.Key] = b.readers[a.Key][:0]
+			b.writers[r], b.readers[r] = idx, b.readers[r][:0]
 		}
 		if a.Mode == deps.In {
-			b.readers[a.Key] = append(b.readers[a.Key], idx)
+			b.readers[r] = append(b.readers[r], idx)
 		}
 	}
 	t := cluster.Task{

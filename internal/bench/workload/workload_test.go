@@ -8,6 +8,13 @@ import (
 	"appfit/internal/deps"
 )
 
+// The regions the builder tests access.
+var (
+	rA, rB, rC = Region{Arr: 'A'}, Region{Arr: 'B'}, Region{Arr: 'C'}
+	rS, rX, rY = Region{Arr: 'S'}, Region{Arr: 'X'}, Region{Arr: 'Y'}
+	rk         = Region{Arr: 'k'}
+)
+
 func TestScaleString(t *testing.T) {
 	if Tiny.String() != "tiny" || Small.String() != "small" || Medium.String() != "medium" {
 		t.Fatal("scale strings")
@@ -35,18 +42,17 @@ func TestCostModelRoofline(t *testing.T) {
 }
 
 func TestAccConstructors(t *testing.T) {
-	if RAcc("k", 8).Mode != deps.In || WAcc("k", 8).Mode != deps.Out || RWAcc("k", 8).Mode != deps.Inout {
+	if RAcc(rk, 8).Mode != deps.In || WAcc(rk, 8).Mode != deps.Out || RWAcc(rk, 8).Mode != deps.Inout {
 		t.Fatal("acc modes wrong")
 	}
 }
 
 func TestJobBuilderEdges(t *testing.T) {
-	jb := NewJobBuilder("t", DefaultCostModel())
-	jb.SetInputBytes(123)
-	w := jb.Task("w", 0, 10, 10, WAcc("A", 64))
-	r1 := jb.Task("r1", 1, 10, 10, RAcc("A", 64))
-	r2 := jb.Task("r2", 1, 10, 10, RAcc("A", 64))
-	w2 := jb.Task("w2", 0, 10, 10, WAcc("A", 64))
+	jb := NewJobBuilder("t", 0, 123, DefaultCostModel())
+	w := jb.Task("w", 0, 10, 10, WAcc(rA, 64))
+	r1 := jb.Task("r1", 1, 10, 10, RAcc(rA, 64))
+	r2 := jb.Task("r2", 1, 10, 10, RAcc(rA, 64))
+	w2 := jb.Task("w2", 0, 10, 10, WAcc(rA, 64))
 	job := jb.Job()
 	if job.InputBytes != 123 || job.Name != "t" {
 		t.Fatal("metadata lost")
@@ -78,9 +84,9 @@ func TestJobBuilderEdges(t *testing.T) {
 }
 
 func TestJobBuilderWAW(t *testing.T) {
-	jb := NewJobBuilder("t", DefaultCostModel())
-	a := jb.Task("a", 0, 1, 1, WAcc("X", 32))
-	b := jb.Task("b", 0, 1, 1, WAcc("X", 32))
+	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	a := jb.Task("a", 0, 1, 1, WAcc(rX, 32))
+	b := jb.Task("b", 0, 1, 1, WAcc(rX, 32))
 	job := jb.Job()
 	if len(job.Tasks[b].Deps) != 1 || job.Tasks[b].Deps[0] != a {
 		t.Fatalf("WAW edge missing: %v", job.Tasks[b].Deps)
@@ -88,10 +94,10 @@ func TestJobBuilderWAW(t *testing.T) {
 }
 
 func TestJobBuilderInoutChain(t *testing.T) {
-	jb := NewJobBuilder("t", DefaultCostModel())
+	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
 	prev := -1
 	for i := 0; i < 5; i++ {
-		idx := jb.Task("u", 0, 1, 1, RWAcc("X", 16))
+		idx := jb.Task("u", 0, 1, 1, RWAcc(rX, 16))
 		job := jb.Job()
 		if i > 0 {
 			if len(job.Tasks[idx].Deps) != 1 || job.Tasks[idx].Deps[0] != prev {
@@ -103,18 +109,18 @@ func TestJobBuilderInoutChain(t *testing.T) {
 }
 
 func TestJobBuilderArgBytes(t *testing.T) {
-	jb := NewJobBuilder("t", DefaultCostModel())
-	jb.Task("m", 0, 1, 1, RAcc("A", 100), RWAcc("B", 28))
+	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb.Task("m", 0, 1, 1, RAcc(rA, 100), RWAcc(rB, 28))
 	if jb.Job().Tasks[0].ArgBytes != 128 {
 		t.Fatalf("arg bytes %d", jb.Job().Tasks[0].ArgBytes)
 	}
 }
 
 func TestJobBuilderProducesRunnableJob(t *testing.T) {
-	jb := NewJobBuilder("t", DefaultCostModel())
-	jb.Task("a", 0, 100, 0, WAcc("X", 8))
-	jb.Task("b", 1, 100, 0, RAcc("X", 8), WAcc("Y", 8))
-	jb.Task("c", 0, 100, 0, RAcc("Y", 8))
+	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb.Task("a", 0, 100, 0, WAcc(rX, 8))
+	jb.Task("b", 1, 100, 0, RAcc(rX, 8), WAcc(rY, 8))
+	jb.Task("c", 0, 100, 0, RAcc(rY, 8))
 	res, err := cluster.Run(jb.Job(), cluster.Config{Nodes: 2, CoresPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -133,13 +139,13 @@ func TestJobBuilderProducesRunnableJob(t *testing.T) {
 // (a served request is rebuilt from its spec on every submission).
 func TestJobBuilderDeterministic(t *testing.T) {
 	build := func() cluster.Job {
-		jb := NewJobBuilder("t", DefaultCostModel())
+		jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
 		// Fan-in with several predecessors, so a map-ordered emit would
 		// permute Deps between builds.
-		a := jb.Task("a", 0, 10, 0, WAcc("A", 8))
-		b := jb.Task("b", 0, 10, 0, WAcc("B", 8))
-		c := jb.Task("c", 0, 10, 0, WAcc("C", 8))
-		jb.Task("sum", 0, 10, 0, RAcc("A", 8), RAcc("B", 8), RAcc("C", 8), WAcc("S", 8))
+		a := jb.Task("a", 0, 10, 0, WAcc(rA, 8))
+		b := jb.Task("b", 0, 10, 0, WAcc(rB, 8))
+		c := jb.Task("c", 0, 10, 0, WAcc(rC, 8))
+		jb.Task("sum", 0, 10, 0, RAcc(rA, 8), RAcc(rB, 8), RAcc(rC, 8), WAcc(rS, 8))
 		_ = []int{a, b, c}
 		return jb.Job()
 	}
@@ -150,5 +156,22 @@ func TestJobBuilderDeterministic(t *testing.T) {
 	want := []int{0, 1, 2}
 	if got := j1.Tasks[3].Deps; !reflect.DeepEqual(got, want) {
 		t.Fatalf("fan-in deps %v, want sorted %v", got, want)
+	}
+}
+
+// TestRegionKeysAreValues: two Region values name the same region exactly
+// when every field is equal — a writer of A[1][0] orders only later
+// accesses of A[1][0], never A[0][1], A[1][0][1] or B[1][0].
+func TestRegionKeysAreValues(t *testing.T) {
+	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	w := jb.Task("w", 0, 1, 1, WAcc(Region{Arr: 'A', I: 1}, 8))
+	for _, r := range []Region{{Arr: 'A', J: 1}, {Arr: 'A', I: 1, K: 1}, {Arr: 'B', I: 1}} {
+		if i := jb.Task("other", 0, 1, 1, RAcc(r, 8)); len(jb.Job().Tasks[i].Deps) != 0 {
+			t.Fatalf("%+v depends on the writer of A[1][0]: %v", r, jb.Job().Tasks[i].Deps)
+		}
+	}
+	i := jb.Task("same", 0, 1, 1, RAcc(Region{Arr: 'A', I: 1}, 8))
+	if deps := jb.Job().Tasks[i].Deps; len(deps) != 1 || deps[0] != w {
+		t.Fatalf("a reader of A[1][0] has deps %v, want [%d]", deps, w)
 	}
 }

@@ -290,8 +290,8 @@ type sim struct {
 	net *simnet.Network
 
 	states []taskState
-	succs  layout // successor adjacency, built once at start
-	free   []int  // free cores per node
+	succs  *Layout // successor adjacency, shared read-only between runs
+	free   []int   // free cores per node
 	// ready is the per-node priority queue of runnable executions, keyed
 	// (task index, attempt) — program order: earlier tasks are usually on
 	// the critical path (panel factorizations before trailing updates), the
@@ -315,12 +315,21 @@ func (s *sim) spare(attempt int) bool {
 // Run simulates the job on the configured machine and returns the result.
 // An invalid DAG returns an error wrapping ErrJob. Fault exhaustion marks
 // the task done after MaxAttempts (counted in Reexecutions), where the
-// runtime's bounded recovery reports a failed vote.
+// runtime's bounded recovery reports a failed vote. Run lays the job out
+// for the run; a caller simulating one job under many configs lays it out
+// once (NewLayout) and runs the Layout.
 func Run(job Job, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
-	if err := job.Validate(cfg.Nodes); err != nil {
+	l, err := NewLayout(job, cfg.Nodes)
+	if err != nil {
 		return Result{}, err
 	}
+	return l.run(cfg)
+}
+
+// run simulates l's job under cfg, normalized for l's node count.
+func (l *Layout) run(cfg Config) (Result, error) {
+	job := l.job
 	if cfg.Topo != nil && cfg.Topo.Ranks() < cfg.Nodes {
 		return Result{}, fmt.Errorf("cluster: %d-rank topology under %d nodes: %w",
 			cfg.Topo.Ranks(), cfg.Nodes, simnet.ErrTopology)
@@ -328,11 +337,10 @@ func Run(job Job, cfg Config) (Result, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return Result{}, fmt.Errorf("cluster: %w", err)
 	}
-	succs := newLayout(job, cfg.Nodes)
 	var placed *simnet.Topology
 	if cfg.AutoPlace != nil {
 		var err error
-		if cfg, _, err = autoPlace(job, &succs, cfg); err != nil {
+		if cfg, _, err = autoPlace(l, cfg); err != nil {
 			return Result{}, err
 		}
 		placed = cfg.Topo
@@ -344,7 +352,7 @@ func Run(job Job, cfg Config) (Result, error) {
 		cfg:       cfg,
 		eng:       simtime.New(),
 		states:    make([]taskState, len(job.Tasks)),
-		succs:     succs,
+		succs:     l,
 		free:      make([]int, cfg.Nodes),
 		ready:     make([]simtime.Heap[simtime.Time], cfg.Nodes),
 		remaining: len(job.Tasks),
@@ -553,7 +561,7 @@ func (s *sim) finish(i int) {
 	st.done = true
 	s.remaining--
 	from := s.job.Tasks[i].Node
-	l := &s.succs
+	l := s.succs
 	lo, end := l.remote[i], l.start[i+1]
 	s.release(l.start[i], lo)
 	for lo < end {

@@ -9,8 +9,12 @@ package cluster
 // equal-destination remote edges is a segment: the unit of delivery (a
 // producer's data travels to each consuming node once) and of placement
 // profiling, so Run and JobProfile read the same traffic by construction.
-// A layout depends on the job alone and never writes to it.
-type layout struct {
+//
+// A Layout depends on the job and the machine size alone, never writes to
+// the job, and is never written after NewLayout: one Layout is shared
+// read-only by any number of concurrent Runs.
+type Layout struct {
+	job   Job
 	edges []succEdge
 	// Producer i's edges are edges[start[i]:start[i+1]]; those from
 	// remote[i] on cross nodes.
@@ -25,12 +29,34 @@ type succEdge struct {
 	bytes int64
 }
 
+// NewLayout validates job for a nodes-node machine and lays it out once.
+// The Layout keeps job.Tasks (shared, not copied): the caller gives up
+// write access to them.
+func NewLayout(job Job, nodes int) (*Layout, error) {
+	if err := job.Validate(nodes); err != nil {
+		return nil, err
+	}
+	return newLayout(job, nodes), nil
+}
+
+// Run simulates the laid-out job under cfg: bitwise what Run(job, cfg)
+// returns, without laying the job out again. A cfg whose normalized node
+// count is not the layout's lays the job out afresh.
+func (l *Layout) Run(cfg Config) (Result, error) {
+	cfg = cfg.Normalized()
+	if cfg.Nodes != len(l.perNode) {
+		return Run(l.job, cfg)
+	}
+	return l.run(cfg)
+}
+
 // newLayout builds job's layout for a nodes-node machine; job must have
 // passed Validate(nodes).
-func newLayout(job Job, nodes int) layout {
+func newLayout(job Job, nodes int) *Layout {
 	tasks := job.Tasks
 	n := len(tasks)
-	l := layout{
+	l := &Layout{
+		job:     job,
 		start:   make([]int32, n+1),
 		remote:  make([]int32, n),
 		perNode: make([]int32, nodes),
@@ -88,7 +114,7 @@ func newLayout(job Job, nodes int) layout {
 // segment returns the end of the segment that starts at edge lo of a
 // producer whose edges end at end, and the payload the segment carries: the
 // largest of its edges' bytes, and at least 0.
-func (l *layout) segment(lo, end int32) (hi int32, bytes int64) {
+func (l *Layout) segment(lo, end int32) (hi int32, bytes int64) {
 	dst := l.edges[lo].node
 	for hi = lo; hi < end && l.edges[hi].node == dst; hi++ {
 		bytes = max(bytes, l.edges[hi].bytes)

@@ -21,21 +21,21 @@ import (
 // profile is static: it prices the fault-free dependency traffic, which is
 // also what the simulator's network sees on a clean run.
 func JobProfile(job Job, nodes int) (*place.Profile, error) {
-	if err := job.Validate(nodes); err != nil {
+	l, err := NewLayout(job, nodes)
+	if err != nil {
 		return nil, err
 	}
-	l := newLayout(job, nodes)
-	return l.profile(job), nil
+	return l.profile(), nil
 }
 
 // profile records every segment of the layout — each producer's one
 // delivery per consumer node — as rank-pair traffic.
-func (l *layout) profile(job Job) *place.Profile {
+func (l *Layout) profile() *place.Profile {
 	p := place.NewProfile(len(l.perNode))
-	for i := range job.Tasks {
+	for i := range l.job.Tasks {
 		for lo, end := l.remote[i], l.start[i+1]; lo < end; {
 			hi, bytes := l.segment(lo, end)
-			p.Add(job.Tasks[i].Node, int(l.edges[lo].node), bytes)
+			p.Add(l.job.Tasks[i].Node, int(l.edges[lo].node), bytes)
 			lo = hi
 		}
 	}
@@ -43,13 +43,13 @@ func (l *layout) profile(job Job) *place.Profile {
 }
 
 // autoPlace resolves cfg.AutoPlace: it takes the traffic profile of the
-// job's layout, optimizes the node→machine assignment starting from
+// layout, optimizes the node→machine assignment starting from
 // cfg.Topo (which may be nil — then AutoPlace.PerNode must be set), and
 // returns the config with the optimized topology installed.
-func autoPlace(job Job, l *layout, cfg Config) (Config, place.Result, error) {
-	res, err := place.Optimize(l.profile(job), cfg.Topo, *cfg.AutoPlace)
+func autoPlace(l *Layout, cfg Config) (Config, place.Result, error) {
+	res, err := place.Optimize(l.profile(), cfg.Topo, *cfg.AutoPlace)
 	if err != nil {
-		return cfg, place.Result{}, fmt.Errorf("cluster: auto-place %q: %w", job.Name, err)
+		return cfg, place.Result{}, fmt.Errorf("cluster: auto-place %q: %w", l.job.Name, err)
 	}
 	cfg.Topo = res.Topo
 	return cfg, res, nil

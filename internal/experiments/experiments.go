@@ -13,7 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
@@ -235,26 +238,60 @@ type Fig4Row struct {
 // fault-free base run, a complete-replication run (replicas on spare
 // cores, §V-A2) and an App_FIT-selective run — three requests per
 // benchmark. It is exported because this batch is the repo's canonical
-// "fig-4-class sweep": BenchmarkSweep measures the engine against it.
+// "fig-4-class sweep": BenchmarkSweep measures the engine against it. The
+// jobs build as wide as a default engine's worker pool.
 func Fig4Requests(scale workload.Scale, ws []workload.Workload) []sweep.Request {
+	return fig4Requests(runtime.GOMAXPROCS(0), scale, ws)
+}
+
+func fig4Requests(workers int, scale workload.Scale, ws []workload.Workload) []sweep.Request {
 	cm := workload.DefaultCostModel()
-	var reqs []sweep.Request
-	for _, w := range ws {
+	type built struct {
+		nodes int
+		p     *sweep.Prepared
+		sel   []bool
+	}
+	jobs := buildAll(workers, len(ws), func(i int) built {
 		nodes := 1
-		if w.Distributed() {
+		if ws[i].Distributed() {
 			nodes = 64
 		}
-		p := sweep.Prepare(w.BuildJob(scale, nodes, cm))
-		cfg := cluster.Config{Nodes: nodes, CoresPerNode: 16}
+		p := sweep.Prepare(ws[i].BuildJob(scale, nodes, cm))
+		return built{nodes, p, SelectAppFIT(p.Job(), 10)}
+	})
+	var reqs []sweep.Request
+	for _, b := range jobs {
+		cfg := cluster.Config{Nodes: b.nodes, CoresPerNode: 16}
 		cfgAll := cfg
 		cfgAll.ReplicaCores = 16
-		cfgAll.Replicated = p.AllReplicated()
+		cfgAll.Replicated = b.p.AllReplicated()
 		cfgSel := cfg
 		cfgSel.ReplicaCores = 16
-		cfgSel.Replicated = SelectAppFIT(p.Job(), 10)
-		reqs = append(reqs, p.Request(cfg), p.Request(cfgAll), p.Request(cfgSel))
+		cfgSel.Replicated = b.sel
+		reqs = append(reqs, b.p.Request(cfg), b.p.Request(cfgAll), b.p.Request(cfgSel))
 	}
 	return reqs
+}
+
+// buildAll runs build(0..n-1) as independent work items on workers
+// goroutines and returns the results in index order. A figure's jobs are
+// pure functions of (benchmark, scale, nodes), so building them beside each
+// other instead of one after another changes no request and no table.
+func buildAll[T any](workers, n int, build func(i int) T) []T {
+	out := make([]T, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				out[i] = build(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // Fig4 measures the fault-free performance overhead of complete task
@@ -266,7 +303,7 @@ func Fig4Requests(scale workload.Scale, ws []workload.Workload) []sweep.Request 
 // silently shortened table.
 func Fig4(eng *sweep.Engine, scale workload.Scale) ([]Fig4Row, string, error) {
 	ws := bench.All()
-	resps, err := eng.RunBatch(context.Background(), Fig4Requests(scale, ws))
+	resps, err := eng.RunBatch(context.Background(), fig4Requests(eng.Workers(), scale, ws))
 	if err != nil {
 		return nil, "", fmt.Errorf("experiments: fig4: %w", err)
 	}
@@ -333,9 +370,11 @@ func Fig5(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, erro
 	cores := []int{1, 2, 4, 8, 16}
 	rates := []float64{0, 1e-3, 1e-2}
 	ws := bench.SharedMemory()
+	jobs := buildAll(eng.Workers(), len(ws), func(i int) *sweep.Prepared {
+		return sweep.Prepare(ws[i].BuildJob(scale, 1, cm))
+	})
 	var reqs []sweep.Request
-	for _, w := range ws {
-		p := sweep.Prepare(w.BuildJob(scale, 1, cm))
+	for _, p := range jobs {
 		for _, rate := range rates {
 			for _, c := range cores {
 				cfg := cluster.Config{
@@ -386,23 +425,24 @@ func Fig6(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, erro
 	nodeCounts := []int{4, 8, 16, 32, 64}
 	rates := []float64{0, 1e-3, 1e-2}
 	ws := bench.DistributedSet()
+	// One DAG per (benchmark, node count), built, hashed and laid out once
+	// for all three rates.
+	jobs := buildAll(eng.Workers(), len(ws)*len(nodeCounts), func(i int) *sweep.Prepared {
+		return sweep.Prepare(ws[i/len(nodeCounts)].BuildJob(scale, nodeCounts[i%len(nodeCounts)], cm))
+	})
 	var reqs []sweep.Request
-	for _, w := range ws {
-		// One DAG per node count, built and hashed once for all three rates.
-		jobs := make([]*sweep.Prepared, len(nodeCounts))
-		for ni, nodes := range nodeCounts {
-			jobs[ni] = sweep.Prepare(w.BuildJob(scale, nodes, cm))
-		}
+	for wi := range ws {
 		for _, rate := range rates {
 			for ni, nodes := range nodeCounts {
+				p := jobs[wi*len(nodeCounts)+ni]
 				cfg := cluster.Config{
 					Nodes: nodes, CoresPerNode: 16, ReplicaCores: 16,
-					Replicated: jobs[ni].AllReplicated(),
+					Replicated: p.AllReplicated(),
 				}
 				if rate > 0 {
 					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
 				}
-				reqs = append(reqs, jobs[ni].Request(cfg))
+				reqs = append(reqs, p.Request(cfg))
 			}
 		}
 	}

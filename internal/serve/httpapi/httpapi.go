@@ -54,16 +54,40 @@ type JobSpec struct {
 	Replicate bool `json:"replicate,omitempty"`
 }
 
-// jobCache memoizes prepared jobs by (bench, scale, nodes): a JobSpec's job
-// is fully determined by those three fields (seed, rate and cores shape
-// only the cluster.Config), and the builders are deterministic, so
-// rebuilding and re-hashing a several-thousand-task DAG per request would
-// just burn the serving CPU — at stream/small a build costs more than the
-// simulation it feeds. A sweep.Prepared is immutable and shared: every
-// request for the job derives its cache key from the one stored digest.
-var jobCache struct {
-	sync.Mutex
-	m map[jobKey]*sweep.Prepared
+// The largest machine and batch a submission may name: far above the
+// paper's 64 nodes × 16 cores and anything cmd/appfit-load or the
+// benchmark sends, and low enough that one spec cannot make the daemon
+// build, lay out and pin an arbitrarily large job. Larger values are
+// rejected with ErrSpec.
+const (
+	MaxNodes = 1024
+	MaxCores = 1024
+	MaxBatch = 1024
+)
+
+// jobs memoizes prepared jobs by (bench, scale, nodes): a JobSpec's job is
+// fully determined by those three fields (seed, rate and cores shape only
+// the cluster.Config), and the builders are deterministic, so rebuilding
+// and re-hashing a several-thousand-task DAG per request would just burn
+// the serving CPU — at stream/small a build costs more than the simulation
+// it feeds. A sweep.Prepared is immutable and shared: every request for the
+// job derives its cache key from the one stored digest and simulates on
+// the one layout.
+var jobs = &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
+	return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
+}}
+
+// jobMemo is the prepared-job memo. A job builds outside the mutex, so a
+// cold build holds up only its own request, never another request's
+// lookup; two requests for one cold job may both build it, and the first
+// build stored is the one both get.
+type jobMemo struct {
+	mu sync.Mutex
+	// m holds at most 256 jobs: the key space is tiny (registered benches
+	// × three scales × node counts), but a cap keeps a client sweeping
+	// nodes from growing it without bound. // guarded by mu
+	m     map[jobKey]*sweep.Prepared
+	build func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared
 }
 
 type jobKey struct {
@@ -72,31 +96,34 @@ type jobKey struct {
 	nodes int
 }
 
-func builtJob(benchName string, scale workload.Scale, nodes int) (*sweep.Prepared, error) {
+func (c *jobMemo) get(benchName string, scale workload.Scale, nodes int) (*sweep.Prepared, error) {
 	key := jobKey{bench: benchName, scale: scale, nodes: nodes}
-	jobCache.Lock()
-	defer jobCache.Unlock()
-	if p, ok := jobCache.m[key]; ok {
+	c.mu.Lock()
+	p, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
 		return p, nil
 	}
 	w, err := bench.ByName(benchName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
-	// The key space is tiny (registered benches × three scales × node
-	// counts), but a cap keeps a client sweeping nodes from growing the
-	// map without bound.
-	if jobCache.m == nil || len(jobCache.m) >= 256 {
-		jobCache.m = make(map[jobKey]*sweep.Prepared)
+	p = c.build(w, scale, nodes)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if first, ok := c.m[key]; ok {
+		return first, nil
 	}
-	p := sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
-	jobCache.m[key] = p
+	if c.m == nil || len(c.m) >= 256 {
+		c.m = make(map[jobKey]*sweep.Prepared)
+	}
+	c.m[key] = p
 	return p, nil
 }
 
 // ErrSpec is the sentinel wrapped by every JobSpec rejection (unknown
-// scale or bench, out-of-range rate), so servers can map it to a 400
-// without matching message text.
+// scale or bench, out-of-range rate, nodes or cores) and every malformed
+// batch, so servers can map it to a 400 without matching message text.
 var ErrSpec = errors.New("httpapi: invalid job spec")
 
 // ErrStatus is the sentinel wrapped by client-side failures carrying a
@@ -116,18 +143,22 @@ func (s JobSpec) Request() (sweep.Request, error) {
 	default:
 		return sweep.Request{}, fmt.Errorf("httpapi: unknown scale %q: %w", s.Scale, ErrSpec)
 	}
+	if s.Nodes < 0 || s.Nodes > MaxNodes || s.Cores < 0 || s.Cores > MaxCores {
+		return sweep.Request{}, fmt.Errorf("httpapi: %d nodes × %d cores outside [0, %d] × [0, %d]: %w",
+			s.Nodes, s.Cores, MaxNodes, MaxCores, ErrSpec)
+	}
 	nodes := s.Nodes
-	if nodes < 1 {
+	if nodes == 0 {
 		nodes = 1
 	}
 	cores := s.Cores
-	if cores < 1 {
+	if cores == 0 {
 		cores = 16
 	}
-	if s.Rate < 0 || s.Rate >= 1 {
+	if !(s.Rate >= 0 && s.Rate < 1) {
 		return sweep.Request{}, fmt.Errorf("httpapi: fault rate %g outside [0, 1): %w", s.Rate, ErrSpec)
 	}
-	p, err := builtJob(s.Bench, scale, nodes)
+	p, err := jobs.get(s.Bench, scale, nodes)
 	if err != nil {
 		return sweep.Request{}, err
 	}
@@ -149,6 +180,26 @@ func (s JobSpec) Request() (sweep.Request, error) {
 type SubmitRequest struct {
 	Tenant   string    `json:"tenant"`
 	Requests []JobSpec `json:"requests"`
+}
+
+// sweepRequests resolves the batch's specs in order. An empty or oversized
+// batch, or any invalid spec, fails the whole batch with an error wrapping
+// ErrSpec.
+func (r SubmitRequest) sweepRequests() ([]sweep.Request, error) {
+	if len(r.Requests) == 0 {
+		return nil, fmt.Errorf("httpapi: submit body names no requests: %w", ErrSpec)
+	}
+	if len(r.Requests) > MaxBatch {
+		return nil, fmt.Errorf("httpapi: batch of %d requests exceeds %d: %w", len(r.Requests), MaxBatch, ErrSpec)
+	}
+	reqs := make([]sweep.Request, len(r.Requests))
+	for i, spec := range r.Requests {
+		var err error
+		if reqs[i], err = spec.Request(); err != nil {
+			return nil, err
+		}
+	}
+	return reqs, nil
 }
 
 // Result is one request's outcome on the wire: the headline simulation
@@ -187,18 +238,10 @@ func NewHandler(s *serve.Server) http.Handler {
 			writeError(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad submit body: %v", err)})
 			return
 		}
-		if len(req.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, ErrorResponse{Error: "submit body names no requests", Tenant: req.Tenant})
+		reqs, err := req.sweepRequests()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Tenant: req.Tenant})
 			return
-		}
-		reqs := make([]sweep.Request, len(req.Requests))
-		for i, spec := range req.Requests {
-			sr, err := spec.Request()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Tenant: req.Tenant})
-				return
-			}
-			reqs[i] = sr
 		}
 		resps, err := s.Submit(r.Context(), req.Tenant, reqs)
 		if ae := asAdmission(err); ae != nil {

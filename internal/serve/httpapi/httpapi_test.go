@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"appfit/internal/bench/workload"
 	"appfit/internal/serve"
 	"appfit/internal/sweep"
 )
@@ -128,6 +131,10 @@ func TestBadRequests(t *testing.T) {
 		{"unknown bench", []JobSpec{{Bench: "no-such-bench"}}, "no-such-bench"},
 		{"unknown scale", []JobSpec{{Bench: "stream", Scale: "galactic"}}, "galactic"},
 		{"bad rate", []JobSpec{{Bench: "stream", Rate: 1.5}}, "fault rate"},
+		{"too many nodes", []JobSpec{{Bench: "stream", Nodes: MaxNodes + 1}}, "nodes"},
+		{"negative nodes", []JobSpec{{Bench: "stream", Nodes: -1}}, "nodes"},
+		{"too many cores", []JobSpec{{Bench: "stream", Cores: MaxCores + 1}}, "cores"},
+		{"batch too long", make([]JobSpec, MaxBatch+1), "exceeds"},
 	} {
 		_, err := c.Submit(ctx, "alpha", tc.specs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -136,6 +143,75 @@ func TestBadRequests(t *testing.T) {
 		if errors.Is(err, serve.ErrAdmission) {
 			t.Errorf("%s: bad request misreported as admission rejection", tc.name)
 		}
+		if !strings.Contains(fmt.Sprint(err), "400") {
+			t.Errorf("%s: error %v, want a 400", tc.name, err)
+		}
+	}
+}
+
+// TestSpecBoundsAreInclusive: the largest machine and batch a spec may name
+// resolve; one past either bound is an ErrSpec.
+func TestSpecBoundsAreInclusive(t *testing.T) {
+	edge := JobSpec{Bench: "fft", Nodes: MaxNodes, Cores: MaxCores}
+	req, err := edge.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Config.Nodes != MaxNodes || req.Config.CoresPerNode != MaxCores {
+		t.Fatalf("config %+v, want %d nodes × %d cores", req.Config, MaxNodes, MaxCores)
+	}
+	if reqs, err := (SubmitRequest{Requests: slices.Repeat([]JobSpec{{Bench: "fft"}}, MaxBatch)}).sweepRequests(); err != nil || len(reqs) != MaxBatch {
+		t.Fatalf("a %d-request batch: %d requests, %v", MaxBatch, len(reqs), err)
+	}
+	for _, bad := range []JobSpec{
+		{Bench: "fft", Nodes: MaxNodes + 1}, {Bench: "fft", Cores: MaxCores + 1},
+		{Bench: "fft", Nodes: -1}, {Bench: "fft", Cores: -1}, {Bench: "fft", Rate: math.NaN()},
+	} {
+		if _, err := bad.Request(); !errors.Is(err, ErrSpec) {
+			t.Errorf("%+v: error %v, want ErrSpec", bad, err)
+		}
+	}
+}
+
+// TestColdBuildDoesNotStallHits: while one job's build is blocked, a
+// request for an already-built job returns at once; once the blocked build
+// finishes, it is stored and shared.
+func TestColdBuildDoesNotStallHits(t *testing.T) {
+	building, release := make(chan struct{}), make(chan struct{})
+	memo := &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
+		if nodes == 2 {
+			close(building)
+			<-release
+		}
+		return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
+	}}
+	hot, err := memo.get("stream", workload.Tiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := make(chan *sweep.Prepared, 1)
+	go func() {
+		p, _ := memo.get("stream", workload.Tiny, 2)
+		cold <- p
+	}()
+	<-building
+	hit := make(chan *sweep.Prepared, 1)
+	go func() {
+		p, _ := memo.get("stream", workload.Tiny, 1)
+		hit <- p
+	}()
+	select {
+	case p := <-hit:
+		if p != hot {
+			t.Fatal("a hit returned a different job")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cache hit waited on another job's build")
+	}
+	close(release)
+	built := <-cold
+	if again, err := memo.get("stream", workload.Tiny, 2); err != nil || built == nil || again != built {
+		t.Fatalf("the finished build was not stored: %p then %p (%v)", built, again, err)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"hash"
 	"math"
 	"slices"
+	"sync"
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
@@ -60,11 +61,17 @@ func appendString(b []byte, s string) []byte {
 
 // Prepared is an immutable job whose task-section digest was computed
 // once, by Prepare: every Request it hands out derives its key in
-// O(config). Safe for concurrent use.
+// O(config), and simulates on the job's one Layout. Safe for concurrent
+// use.
 type Prepared struct {
 	job    cluster.Job
 	digest [sha256.Size]byte
 	all    []bool
+	// lay is the job's cluster.Layout, built by the first run (for that
+	// run's node count) and then shared read-only by every run; nil if the
+	// job failed validation for that node count.
+	layOnce sync.Once
+	lay     *cluster.Layout
 }
 
 // Prepare hashes job's task list once. The caller gives up write access:
@@ -102,12 +109,18 @@ func flush(h hash.Hash, b []byte) []byte {
 	return b[:0]
 }
 
-// digestOf returns the task-section digest of tasks: the stored one while
-// tasks is still the slice Prepare hashed (same backing array and length),
-// else — p nil, or a request re-pointed at other tasks — a hash by value,
-// so a stale digest can never surface as another job's key.
+// owns reports whether tasks is still the slice Prepare hashed (same
+// backing array and length). A request re-pointed at other tasks — or one
+// not from a Prepared, p nil — is keyed and run by value, so neither a
+// stale digest nor a stale layout can answer for another job.
+func (p *Prepared) owns(tasks []cluster.Task) bool {
+	return p != nil && len(tasks) == len(p.job.Tasks) && (len(tasks) == 0 || &tasks[0] == &p.job.Tasks[0])
+}
+
+// digestOf returns the task-section digest of tasks: the stored one when p
+// owns them, else a hash by value.
 func (p *Prepared) digestOf(tasks []cluster.Task) [sha256.Size]byte {
-	if p != nil && len(tasks) == len(p.job.Tasks) && (len(tasks) == 0 || &tasks[0] == &p.job.Tasks[0]) {
+	if p.owns(tasks) {
 		return p.digest
 	}
 	return tasksDigest(tasks)

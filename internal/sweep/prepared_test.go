@@ -11,6 +11,8 @@ import (
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
+	"appfit/internal/place"
+	"appfit/internal/simnet"
 )
 
 // TestPreparedKeyMatchesRunKey: for random jobs × configs a prepared
@@ -171,5 +173,96 @@ func TestTasksDigestAllocations(t *testing.T) {
 				t.Fatalf("%s ×%d (%d tasks): tasksDigest made %v allocs, want ≤ 4", name, scale, len(tasks), allocs)
 			}
 		}
+	}
+}
+
+// TestPreparedRunMatchesClusterRun: for random DAGs × configs, a prepared
+// request simulates to a Result bitwise equal to cluster.Run's — on the
+// layout the Prepared built, and through every fallback: a node count the
+// layout was not built for, an auto-placed run, a run on a topology, and a
+// request whose Tasks were re-pointed at an edited copy. The variants run
+// in a random order, so the layout is sometimes built by a fallback case.
+func TestPreparedRunMatchesClusterRun(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		job, cfg := genJobConfig(r)
+		p := Prepare(job)
+		more := cfg
+		more.Nodes++
+		placed := cfg
+		placed.AutoPlace = &place.Options{PerNode: 1 + r.Intn(3), Seed: r.Uint64(), Budget: r.Intn(16)}
+		topo, err := simnet.MarenostrumTopology(cfg.Nodes+r.Intn(2), 1+r.Intn(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onTopo := cfg
+		onTopo.Topo = topo
+		reqs := []Request{p.Request(cfg), p.Request(more), p.Request(placed), p.Request(onTopo)}
+		edited := p.Request(cfg)
+		edited.Job.Tasks = append([]cluster.Task(nil), job.Tasks...)
+		edited.Job.Tasks[r.Intn(len(job.Tasks))].Cost += 7
+		reqs = append(reqs, edited)
+		r.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		for _, req := range reqs {
+			got, gotErr := req.run()
+			want, wantErr := cluster.Run(req.Job, req.Config)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d, %d nodes: prepared run %+v (%v), cluster.Run %+v (%v)",
+					seed, req.Config.Nodes, got, gotErr, want, wantErr)
+				return false
+			}
+		}
+		return p.lay != nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreparedLayoutSharedAcrossBatches: one *Prepared feeds RunBatch from
+// 8 goroutines at once, every batch a different mix of machine shapes and
+// fault seeds, so concurrent simulations read the one layout. Every result
+// must equal its serial cluster.Run bitwise (-race is the assertion that
+// no run writes the layout, and that building it on first use is safe).
+func TestPreparedLayoutSharedAcrossBatches(t *testing.T) {
+	p := Prepare(testJob(t, "cholesky", 4))
+	const goroutines = 8
+	batches := make([][]Request, goroutines)
+	for g := range batches {
+		for i := 0; i < 6; i++ {
+			batches[g] = append(batches[g], p.Request(cluster.Config{
+				Nodes: 4, CoresPerNode: 1 + (g+i)%4, ReplicaCores: i % 2, Replicated: p.AllReplicated(),
+				Injector: fault.NewFixedRate(uint64(g*6+i), 2e-2, 2e-2),
+			}))
+		}
+	}
+	eng := New(Options{Workers: 4, CacheEntries: -1})
+	got := make([][]Response, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = eng.RunBatch(context.Background(), batches[g])
+		}(g)
+	}
+	wg.Wait()
+	for g, batch := range batches {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for i, req := range batch {
+			want, err := cluster.Run(req.Job, req.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[g][i].Result, want) {
+				t.Fatalf("goroutine %d request %d: result differs from serial cluster.Run", g, i)
+			}
+		}
+	}
+	if p.lay == nil {
+		t.Fatal("no layout was built on first use")
 	}
 }

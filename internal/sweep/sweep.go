@@ -268,6 +268,21 @@ func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (
 	return c.val, c.err, false, false
 }
 
+// run simulates r: on its Prepared's Layout when the request still carries
+// the prepared tasks, else through cluster.Run. Either way the result is
+// bitwise what cluster.Run(r.Job, r.Config) returns; the Layout itself lays
+// the job out afresh for a node count it was not built for. A job that
+// fails validation leaves no layout, and cluster.Run reports the error.
+func (r Request) run() (cluster.Result, error) {
+	if p := r.prep; p.owns(r.Job.Tasks) {
+		p.layOnce.Do(func() { p.lay, _ = cluster.NewLayout(p.job, r.Config.Normalized().Nodes) })
+		if p.lay != nil {
+			return p.lay.Run(r.Config)
+		}
+	}
+	return cluster.Run(r.Job, r.Config)
+}
+
 // runOne executes one request through the cache/singleflight path, filling
 // the per-stage metrics. enqueued is when the request entered the engine. A
 // ctx already expired at pickup fails the request without simulating — a
@@ -297,12 +312,12 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 	simStart := e.now()
 	if !cacheable {
 		e.uncacheable.Add(1)
-		res, err = cluster.Run(req.Job, req.Config)
+		res, err = req.run()
 	} else {
 		var v any
 		var hit, coal bool
 		v, err, hit, coal = e.do(ctx, key, func() (any, error) {
-			r, err := cluster.Run(req.Job, req.Config)
+			r, err := req.run()
 			return r, err
 		})
 		m.CacheHit, m.Coalesced = hit, coal
