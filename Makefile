@@ -21,7 +21,9 @@ check-lint:
 # collapse, sensitivity), the daemons' tenant-spec parser (no panic,
 # named errors, only usable configs accepted) and appfitd's job-spec
 # decoding (no panic, every rejection an ErrSpec, nothing out of bounds
-# accepted) — and over Figure 2's
+# accepted), the vector collectives' counts/displacements (no panic; a
+# named error and no task, or the serial reference) and Comm.Split (a named
+# error and no context, or the reference partition) — and over Figure 2's
 # recovery rule (no adopt without two agreeing survivors, no attempt past
 # MaxAttempts, one detection at most). 10 seconds each is a smoke
 # budget — run with a longer -fuzztime for real exploration; failures
@@ -30,6 +32,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzParseTenants -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/serve/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzVectorArgs -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzSplit -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
 
 # Topology gate: cmd/experiments must keep compiling against the Topology

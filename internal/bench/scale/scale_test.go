@@ -1,7 +1,6 @@
 // Package scale is the submit→ready→complete scale suite: microbenchmarks
-// for the three sharded layers (deps tracker, sched pool, dist rendezvous —
-// the last against its frozen single-mutex baseline, baseline_test.go), plus
-// whole Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
+// for the three sharded layers (deps tracker, sched pool, dist rendezvous),
+// plus whole Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
 // bench` runs it with -benchmem and records BENCH_scale.json, the repo's
 // perf trajectory; `make check` runs every benchmark once so they cannot
 // rot.
@@ -145,128 +144,120 @@ func BenchmarkSchedRelease(b *testing.B) {
 // ---- dist: rendezvous ----
 
 // BenchmarkDirectPingPong is the uncontended matcher path: one goroutine,
-// one mailbox, send then receive.
+// one mailbox. The sharded row sends, then receives with the blocking Recv
+// (the wrapper over Post); the post row is a World's receive — post first,
+// and the send delivers to it.
 func BenchmarkDirectPingPong(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
 	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			m := dist.Match{Src: 0, Dst: 1, Tag: 7}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Send(m, payload)
-				if _, err := d.Recv(m); err != nil {
-					b.Fatal(err)
-				}
+	m := dist.Match{Src: 0, Dst: 1, Tag: 7}
+	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		d := dist.NewDirect()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Send(m, payload)
+			if _, err := d.Recv(m); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("post", func(b *testing.B) {
+		b.ReportAllocs()
+		d := dist.NewDirect()
+		delivered := 0
+		deliver := func(p buffer.Buffer, err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			delivered++
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Post(m, deliver)
+			d.Send(m, payload)
+		}
+		if delivered != b.N {
+			b.Fatalf("%d deliveries for %d messages", delivered, b.N)
+		}
+	})
 }
 
 // BenchmarkDirectContended runs one sender/receiver mailbox per CPU in
-// parallel: disjoint traffic that the mutex baseline still serializes on its
-// global lock.
+// parallel: disjoint traffic, which contends only when two mailboxes hash
+// to one stripe.
 func BenchmarkDirectContended(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
 	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			var lane atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				m := dist.Match{Src: int(lane.Add(1)), Dst: 0, Tag: 3}
-				for pb.Next() {
-					d.Send(m, payload)
-					if _, err := d.Recv(m); err != nil {
-						b.Error(err)
-						return
-					}
+	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		d := dist.NewDirect()
+		var lane atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			m := dist.Match{Src: int(lane.Add(1)), Dst: 0, Tag: 3}
+			for pb.Next() {
+				d.Send(m, payload)
+				if _, err := d.Recv(m); err != nil {
+					b.Error(err)
+					return
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkDirectHerd is the thundering-herd scenario from ROADMAP: 255
-// receivers — a 256-rank World's worth — parked on unrelated mailboxes
-// while two goroutines ping-pong through the matcher. Every message's
-// arrival must wake someone; the mutex baseline's Send broadcasts on the
-// single condition variable, waking all 255 bystanders to recheck and
-// re-park per message, while the sharded matcher wakes only the couple of
-// bystanders that hash to the sender's shard. The ping-ponger genuinely
-// blocks in Recv, so the bystanders' rechecks are on the critical path —
-// exactly as in a World where most ranks sit in blocking receives.
+// receivers — a 256-rank World's worth — waiting on unrelated mailboxes
+// while two goroutines ping-pong through the matcher, the ping-ponger
+// genuinely waiting in Recv. A matcher whose receivers shared a condition
+// variable woke bystanders per message (the single-mutex matcher's last
+// numbers are in CHANGES.md); a posted receive is woken by its own delivery
+// only, so this should cost what an uncontended ping-pong round trip
+// between two goroutines does.
 func BenchmarkDirectHerd(b *testing.B) {
 	const parked = 255
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
 	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name+"/parked="+strconv.Itoa(parked), func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			var wg sync.WaitGroup
-			for i := 0; i < parked; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					// Never matched; unblocked by Close with ErrClosed.
-					d.Recv(dist.Match{Src: 1000 + i, Dst: i, Tag: 9})
-				}(i)
-			}
-			ping := dist.Match{Src: 0, Dst: 1, Tag: 7}
-			pong := dist.Match{Src: 1, Dst: 0, Tag: 7}
+	b.Run("sharded/parked="+strconv.Itoa(parked), func(b *testing.B) {
+		b.ReportAllocs()
+		d := dist.NewDirect()
+		var wg sync.WaitGroup
+		for i := 0; i < parked; i++ {
 			wg.Add(1)
-			go func() { // responder
+			go func(i int) {
 				defer wg.Done()
-				for {
-					if _, err := d.Recv(ping); err != nil {
-						return
-					}
-					d.Send(pong, payload)
+				// Never matched; failed by Close with ErrClosed.
+				d.Recv(dist.Match{Src: 1000 + i, Dst: i, Tag: 9})
+			}(i)
+		}
+		ping := dist.Match{Src: 0, Dst: 1, Tag: 7}
+		pong := dist.Match{Src: 1, Dst: 0, Tag: 7}
+		wg.Add(1)
+		go func() { // responder
+			defer wg.Done()
+			for {
+				if _, err := d.Recv(ping); err != nil {
+					return
 				}
-			}()
-			// One untimed round plus a settle delay lets every bystander
-			// actually park before timing starts, so the first measured
-			// iterations already pay the full wake-up bill.
+				d.Send(pong, payload)
+			}
+		}()
+		// One untimed round plus a settle delay lets every bystander
+		// actually wait before timing starts.
+		d.Send(ping, payload)
+		if _, err := d.Recv(pong); err != nil {
+			b.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			d.Send(ping, payload)
 			if _, err := d.Recv(pong); err != nil {
 				b.Fatal(err)
 			}
-			time.Sleep(50 * time.Millisecond)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Send(ping, payload)
-				if _, err := d.Recv(pong); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			d.Close()
-			wg.Wait()
-		})
-	}
+		}
+		b.StopTimer()
+		d.Close()
+		wg.Wait()
+	})
 }
 
 // ---- whole Worlds at scale ----
@@ -565,16 +556,14 @@ func BenchmarkCholeskyFlatVsHier(b *testing.B) {
 }
 
 // BenchmarkWorldScale runs the mixed-traffic World at 64/128/256 ranks over
-// the sharded Direct, the frozen mutex matcher, and the Sim fabric
-// (Marenostrum cost model). One op is a whole World lifetime: construction,
-// traffic, drain, shutdown.
+// the sharded Direct and the Sim fabric (Marenostrum cost model). One op is
+// a whole World lifetime: construction, traffic, drain, shutdown.
 func BenchmarkWorldScale(b *testing.B) {
 	transports := []struct {
 		name string
 		mk   func() dist.Transport
 	}{
 		{"direct", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
 		{"sim", func() dist.Transport { return dist.NewSim(simnet.Marenostrum()) }},
 	}
 	for _, tr := range transports {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"appfit/internal/buffer"
@@ -179,7 +180,6 @@ func (c *Comm) Split(colors, keys []int) ([]*Comm, error) {
 		order = append(order, col)
 	}
 	sort.Ints(order)
-	subs := make([]*Comm, n)
 	for _, col := range order {
 		group := byColor[col]
 		sort.SliceStable(group, func(a, b int) bool { return keys[group[a]] < keys[group[b]] })
@@ -189,6 +189,10 @@ func (c *Comm) Split(colors, keys []int) ([]*Comm, error) {
 					group[j-1], group[j], col, keys[group[j]], ErrSplitKey)
 			}
 		}
+	}
+	subs := make([]*Comm, n)
+	for _, col := range order {
+		group := byColor[col]
 		members := make([]*Rank, len(group))
 		for j, pi := range group {
 			members[j] = c.members[pi]
@@ -287,16 +291,16 @@ func (cr *CommRank) Send(partner, tag int, name string, buf buffer.Buffer) uint6
 	c := cr.c
 	r := c.members[cr.id]
 	m := Match{Ctx: c.ctx, Src: r.id, Dst: c.worldID(partner), Class: ClassP2P, Tag: tag}
-	return r.commSend(fmt.Sprintf("send:%s>%d", name, partner), m, 0, rt.In(name, buf))
+	return r.commSend("send:"+name+">"+strconv.Itoa(partner), m, 0, rt.In(name, buf))
 }
 
-// Recv submits a communication task that blocks until the matching message
+// Recv submits a communication task that completes when the matching message
 // from the comm-local partner rank under tag arrives in this communicator's
-// context and copies it into buf; tasks reading region name afterwards are
-// gated behind it. A type or length mismatch between the payload and buf is
-// recorded as a World error. It returns the task id (0 if the handle or
-// partner is out of range or buf is nil; the error is recorded in the
-// World).
+// context and is copied into buf; tasks reading region name afterwards are
+// gated behind it. A pending receive holds no worker. A type or length
+// mismatch between the payload and buf is recorded as a World error. It
+// returns the task id (0 if the handle or partner is out of range or buf is
+// nil; the error is recorded in the World).
 func (cr *CommRank) Recv(partner, tag int, name string, buf buffer.Buffer) uint64 {
 	if !cr.checkPartner("Recv", partner) || !cr.c.checkBufs("Recv", buf) {
 		return 0
@@ -304,5 +308,5 @@ func (cr *CommRank) Recv(partner, tag int, name string, buf buffer.Buffer) uint6
 	c := cr.c
 	r := c.members[cr.id]
 	m := Match{Ctx: c.ctx, Src: c.worldID(partner), Dst: r.id, Class: ClassP2P, Tag: tag}
-	return r.commRecv(fmt.Sprintf("recv:%s<%d", name, partner), m, 0, rt.Out(name, buf))
+	return r.commRecv("recv:"+name+"<"+strconv.Itoa(partner), m, 0, rt.Out(name, buf))
 }

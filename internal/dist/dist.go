@@ -97,6 +97,9 @@ type World struct {
 	nextCtx atomic.Uint64
 
 	sent atomic.Uint64
+	// posted counts receives posted to the transport and not yet delivered:
+	// what the shutdown watchdog waits on.
+	posted atomic.Int64
 
 	errMu sync.Mutex
 	errs  []error
@@ -120,10 +123,6 @@ type Rank struct {
 	w  *World
 	id int
 	rt *rt.Runtime
-	// parked counts this rank's receive tasks currently waiting in the
-	// transport; the shutdown watchdog compares it against the runtime's
-	// executing count to detect receives that can never match.
-	parked atomic.Int32
 }
 
 // NewWorld starts cfg.Ranks runtimes and wires them to the transport.
@@ -234,8 +233,8 @@ func (w *World) Stats() rt.Stats {
 // communication errors (type/length mismatches on receive, closed-transport
 // receives), each annotated with its rank. A receive that can never match —
 // the world deadlocked on dangling communication — is detected by a
-// watchdog and reported as an ErrClosed-wrapped error instead of hanging.
-// Shutdown is idempotent.
+// watchdog and reported, with its rank, label and Match, as an
+// ErrClosed-wrapped error instead of hanging. Shutdown is idempotent.
 func (w *World) Shutdown() error {
 	w.shutOnce.Do(func() {
 		stop := make(chan struct{})
@@ -271,14 +270,15 @@ func (w *World) Shutdown() error {
 // watchdog breaks the one deadlock the dataflow rules cannot prevent: every
 // rank quiescent except receives no future send can match (because the
 // matching sends were never submitted, or are transitively gated behind the
-// parked receives themselves). A rank contributes no further progress iff
-// its only running bodies are parked receives and its ready queue is empty;
-// when that holds for every rank at once, the world is wedged. Detection
-// requires consecutive stuck samples with no task completions in between,
-// so a receive that matched between samples (its rank briefly looks stuck
-// while the body finishes) cannot be misread as deadlock. On detection the
-// transport is closed: every parked receive errors out with ErrClosed, the
-// graphs drain, and Shutdown reports the join.
+// posted receives themselves). A rank can make no further progress by
+// itself iff it runs no task body and has nothing ready; when that holds for
+// every rank at once while receives are posted, the world is wedged.
+// Detection requires three consecutive stuck samples with no task
+// completions in between, so a world caught between a delivery and the
+// successors it releases cannot be misread as deadlock. On detection the
+// transport is closed: every posted receive fails with ErrClosed and
+// reports its rank, label and Match, the graphs drain, and Shutdown reports
+// the join.
 func (w *World) watchdog(stop <-chan struct{}) {
 	const probe = 20 * time.Millisecond
 	stuckRuns := 0
@@ -302,30 +302,22 @@ func (w *World) watchdog(stop <-chan struct{}) {
 		if stuckRuns < 3 {
 			continue
 		}
-		parked := 0
-		for _, r := range w.ranks {
-			parked += int(r.parked.Load())
-		}
-		w.addErr(fmt.Errorf("dist: shutdown deadlock: %d receive(s) can never match: %w", parked, ErrClosed))
+		w.addErr(fmt.Errorf("dist: shutdown deadlock: %d posted receive(s) can never match: %w", w.posted.Load(), ErrClosed))
 		w.tr.Close()
 		return
 	}
 }
 
 // stuckOnRecvs reports whether, at this instant, no rank can make progress
-// except through a receive matching: at least one receive is parked, and on
-// every rank all running task bodies are parked receives with nothing ready
-// to run.
+// except through a receive matching: at least one receive is posted, and no
+// rank runs a task body or has one ready to run.
 func (w *World) stuckOnRecvs() bool {
-	parked := 0
 	for _, r := range w.ranks {
-		p := int(r.parked.Load())
-		parked += p
-		if r.rt.Executing() != p || r.rt.ReadyPending() != 0 {
+		if r.rt.Executing() != 0 || r.rt.ReadyPending() != 0 {
 			return false
 		}
 	}
-	return parked > 0
+	return w.posted.Load() > 0
 }
 
 // Err returns the joined communication errors observed so far without
@@ -380,31 +372,33 @@ func (r *Rank) commSend(label string, m Match, payload int, args ...rt.Arg) uint
 	}, args...)
 }
 
-// commRecv submits a comm task that blocks for m's next message and, if
-// dst >= 0, copies its payload into args[dst]; either way — and whether or
-// not the copy fit — the payload's lease ends here, its one delivery. The
-// rendezvous wait runs inside a blocking section so a worker parked on an
-// unmatched receive never starves the compute (and sends) that would
-// eventually match it.
+// commRecv submits a comm task that, once its dependencies resolve, posts a
+// receive for m's next message and detaches: its worker moves on, and the
+// task completes — releasing whatever reads args[dst] — when the message is
+// delivered. Posting at readiness, not at submit, is what keeps a message
+// from overwriting a destination an earlier task still reads. Delivery
+// copies the payload into args[dst] if dst >= 0; either way — and whether or
+// not the copy fit — the payload's lease ends there, its one delivery.
 func (r *Rank) commRecv(label string, m Match, dst int, args ...rt.Arg) uint64 {
-	w := r.w
 	return r.rt.SubmitComm(label, func(ctx *rt.Ctx) {
-		r.rt.EnterBlocking()
-		r.parked.Add(1)
-		p, err := w.tr.Recv(m)
-		r.parked.Add(-1)
-		r.rt.ExitBlocking()
-		if err != nil {
-			w.addErr(fmt.Errorf("dist: rank %d %s: %w", r.id, label, err))
-			return
-		}
+		var into buffer.Buffer
 		if dst >= 0 {
-			if err := ctx.Buf(dst).CopyFrom(p); err != nil {
-				w.addErr(fmt.Errorf("dist: rank %d %s: %w", r.id, label, err))
+			into = ctx.Buf(dst) // a comm task's Ctx holds the real buffers
+		}
+		done := ctx.Detach()
+		r.w.posted.Add(1)
+		r.w.tr.Post(m, func(p buffer.Buffer, err error) {
+			r.w.posted.Add(-1)
+			if err == nil && into != nil {
+				err = into.CopyFrom(p)
 			}
-		}
-		if _, empty := p.(frame); !empty {
-			pool.Return(p)
-		}
+			if err != nil {
+				r.w.addErr(fmt.Errorf("dist: rank %d %s %+v: %w", r.id, label, m, err))
+			}
+			if _, empty := p.(frame); p != nil && !empty {
+				pool.Return(p)
+			}
+			done.Release()
+		})
 	}, args...)
 }

@@ -2,9 +2,11 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"appfit/internal/buffer"
 	"appfit/internal/core"
@@ -243,6 +245,31 @@ func TestShutdownDanglingRecvReportsDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "rank 0") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+
+	// A two-rank receive cycle: each rank's send is gated behind its own
+	// receive. Both receives are named by their Match, and Shutdown returns.
+	w = NewWorld(Config{Ranks: 2})
+	for rk := 0; rk < 2; rk++ {
+		b := buffer.NewF64(1)
+		w.Comm().Rank(rk).Recv(1-rk, 3, "in", b)
+		w.Comm().Rank(rk).Send(1-rk, 3, "in", b)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Shutdown() }()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Shutdown hangs on a receive cycle")
+	}
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "2 posted receive(s)") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	for rk := 0; rk < 2; rk++ {
+		m := fmt.Sprintf("%+v", Match{Src: 1 - rk, Dst: rk, Class: ClassP2P, Tag: 3})
+		if !strings.Contains(err.Error(), m) {
+			t.Errorf("error does not name rank %d's receive %s: %v", rk, m, err)
+		}
 	}
 }
 

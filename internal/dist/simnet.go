@@ -107,8 +107,9 @@ func (s *Sim) Send(m Match, payload buffer.Buffer) {
 	s.direct.Send(m, payload)
 }
 
-// Recv implements Transport.
-func (s *Sim) Recv(m Match) (buffer.Buffer, error) { return s.direct.Recv(m) }
+// Post implements Transport: receives are free; the message was charged at
+// its Send.
+func (s *Sim) Post(m Match, deliver func(buffer.Buffer, error)) { s.direct.Post(m, deliver) }
 
 // Close implements Transport.
 func (s *Sim) Close() { s.direct.Close() }

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"appfit/internal/buffer"
 	"appfit/internal/rt"
@@ -245,5 +248,82 @@ func TestWorld256RanksMixedTraffic(t *testing.T) {
 	}
 	if d, ok := w.Transport().(*Direct); ok && d.Pending() != 0 {
 		t.Fatalf("transport still holds %d messages", d.Pending())
+	}
+}
+
+// TestWorldGoroutineCeiling: a waiting receive costs a mailbox entry, not a
+// goroutine. A 256-rank World posts every rank's halo receive before the
+// send that matches it, and holds each rank's one worker in a gate task the
+// sends depend on, so every receive waits with every worker busy. At that
+// point the process holds only its starting goroutines and the workers; a
+// goroutine per waiting receive would double that. Over the whole lifetime
+// — the halo exchange, an allreduce and Shutdown — the peak stays within
+// the workers, Shutdown's one drainer per rank and a few fixed goroutines
+// (the watchdog, the sampler).
+func TestWorldGoroutineCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-rank stress skipped in -short mode")
+	}
+	const n, slack = 256, 8
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			g := int64(runtime.NumGoroutine())
+			if g > peak.Load() {
+				peak.Store(g)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+
+	w := NewWorld(Config{Ranks: n})
+	workers := n * w.Rank(0).Runtime().Workers()
+	c := w.Comm()
+	halo := newScalars(n)
+	red := newScalars(n)
+	open := make(chan struct{})
+	var gated atomic.Int32
+	for i := 0; i < n; i++ {
+		own := buffer.F64{float64(i)}
+		red[i][0] = float64(i)
+		c.Rank(i).Recv((i+1)%n, 0, "halo", halo[i])
+		w.Rank(i).Runtime().Submit("gate", func(*rt.Ctx) {
+			gated.Add(1)
+			<-open
+		}, rt.Out("own", own))
+		c.Rank(i).Send(mod(i-1, n), 0, "own", own)
+	}
+	c.AllreduceSum(1, "red", red)
+	for deadline := time.Now().Add(10 * time.Second); gated.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d gates reached", gated.Load(), n)
+		}
+	}
+	if g := runtime.NumGoroutine(); g > base+workers+slack {
+		t.Errorf("%d goroutines while every receive waits, want ≤ %d (%d at start + %d workers + %d)",
+			g, base+workers+slack, base, workers, slack)
+	}
+	close(open)
+	if err := w.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-stopped
+
+	for i := 0; i < n; i++ {
+		if halo[i][0] != float64((i+1)%n) || red[i][0] != n*(n-1)/2 {
+			t.Fatalf("rank %d: halo %v, allreduce %v", i, halo[i][0], red[i][0])
+		}
+	}
+	if limit := int64(base + workers + n + slack); peak.Load() > limit {
+		t.Fatalf("peak %d goroutines, want ≤ %d (%d at start + %d workers + %d drainers + %d)",
+			peak.Load(), limit, base, workers, n, slack)
 	}
 }

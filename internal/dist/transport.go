@@ -66,51 +66,63 @@ type Match struct {
 	Sub      int
 }
 
-// ErrClosed is returned by Recv when the transport is closed while the
-// receive is still unmatched — a shutdown with a dangling Recv.
+// ErrClosed is delivered to a posted receive when the transport is closed
+// while the receive is still unmatched — a shutdown with a dangling receive.
 var ErrClosed = errors.New("dist: transport closed with pending receive")
 
 // Transport moves sealed payloads between ranks. Implementations must be
 // safe for concurrent use by all ranks' workers, and must deliver each
-// payload to at most one Recv: a payload is a lease the receiving comm task
-// hands back to the World pool after its copy, so a second delivery would
-// read a buffer that by then belongs to someone else. A transport never
-// takes or returns a lease itself — it moves what it is given.
+// payload to at most one posted receive: a payload is a lease the receiving
+// comm task hands back to the World pool after its copy, so a second
+// delivery would read a buffer that by then belongs to someone else. A
+// transport never takes or returns a lease itself — it moves what it is
+// given.
 type Transport interface {
 	// Send delivers payload to m's mailbox. The payload is private to the
 	// transport from this point on (the caller has already snapshotted it).
 	Send(m Match, payload buffer.Buffer)
-	// Recv blocks until a message is available in m's mailbox and returns
-	// the oldest one.
-	Recv(m Match) (buffer.Buffer, error)
-	// Close unblocks every pending Recv with ErrClosed. Payloads still
-	// queued are never delivered: their leases are not returned, and the
-	// garbage collector reclaims them with the transport.
+	// Post registers a receive on m's mailbox and returns without waiting:
+	// deliver is called exactly once, with m's oldest message not yet
+	// delivered, or with ErrClosed if the transport closes first. It may
+	// run on the caller's goroutine before Post returns (the message was
+	// already there) or on a sender's or closer's goroutine, never under a
+	// transport lock. Posts on one mailbox are served in posting order.
+	Post(m Match, deliver func(buffer.Buffer, error))
+	// Close fails every posted receive with ErrClosed, and any receive
+	// posted later that finds no message. Payloads still queued are never
+	// delivered: their leases are not returned, and the garbage collector
+	// reclaims them with the transport.
 	Close()
 }
 
-// directShards is the rendezvous table's striping width: Match-hashed, so a
-// Send wakes only the receivers parked on its own shard instead of every
-// blocked receiver in the World. 128 keeps two of a 256-rank World's
-// neighbor links on the same shard rare; power of two so the shard index is
-// a mask.
+// directShards is the rendezvous table's striping width: Match-hashed, so
+// traffic on unrelated mailboxes rarely shares a lock. Power of two so the
+// shard index is a mask.
 const directShards = 128
 
-// directShard is one stripe of the rendezvous table: its own mutex, its own
-// mailbox map, and its own condition variable, so receivers parked here are
-// only woken by traffic that hashes here. Each shard carries its own closed
-// flag (set by Close under the shard lock) so Recv never needs a second,
-// table-wide lock.
+// entry is one waiting half of a rendezvous: a payload no receive has taken
+// yet, or a posted receive (deliver set) no payload has reached yet.
+type entry struct {
+	payload buffer.Buffer
+	deliver func(buffer.Buffer, error)
+}
+
+// directShard is one stripe of the rendezvous table. Each carries its own
+// closed flag (set by Close under the shard lock) so Post never needs a
+// second, table-wide lock.
 type directShard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[Match][]buffer.Buffer
-	closed bool
+	mu sync.Mutex
+	// queues is each mailbox's FIFO. A FIFO holds payloads or posted
+	// receives, never both: whichever side arrives takes the other side's
+	// oldest entry if there is one, and queues itself otherwise.
+	// // guarded by mu
+	queues map[Match][]entry
+	closed bool // guarded by mu
 }
 
 // Direct is the in-process rendezvous matcher: an eager-send mailbox table
-// keyed by Match, FIFO per mailbox, with receivers blocking until a matching
-// message arrives. The table is sharded by Match-hash; see DESIGN.md §6.
+// keyed by Match, FIFO per mailbox, where a receive is a posted callback, not
+// a waiting goroutine. The table is sharded by Match-hash; see DESIGN.md §6.
 type Direct struct {
 	shards [directShards]directShard
 }
@@ -119,9 +131,7 @@ type Direct struct {
 func NewDirect() *Direct {
 	d := &Direct{}
 	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.queues = make(map[Match][]buffer.Buffer)
-		sh.cond = sync.NewCond(&sh.mu)
+		d.shards[i].queues = make(map[Match][]entry)
 	}
 	return d
 }
@@ -140,68 +150,86 @@ func (d *Direct) shard(m Match) *directShard {
 	return &d.shards[h&(directShards-1)]
 }
 
-// Send implements Transport: the message is buffered immediately (MPI
-// eager mode); the sender never blocks on the receiver. Only receivers
-// parked on m's shard are woken.
-func (d *Direct) Send(m Match, payload buffer.Buffer) {
-	sh := d.shard(m)
-	sh.mu.Lock()
-	sh.queues[m] = append(sh.queues[m], payload)
-	sh.mu.Unlock()
-	// Broadcast, not Signal: the shard's waiters may be parked on different
-	// mailboxes, and a Signal could wake only a non-matching one, which
-	// would re-park and strand the matching receiver.
-	sh.cond.Broadcast()
+// Send implements Transport: the message goes to m's oldest posted receive,
+// or is buffered until one is posted (MPI eager mode); the sender never
+// waits for the receiver.
+func (d *Direct) Send(m Match, payload buffer.Buffer) { d.meet(m, entry{payload: payload}) }
+
+// Post implements Transport.
+func (d *Direct) Post(m Match, deliver func(buffer.Buffer, error)) {
+	d.meet(m, entry{deliver: deliver})
 }
 
-// Recv implements Transport.
-func (d *Direct) Recv(m Match) (buffer.Buffer, error) {
+// meet is one side of m's rendezvous arriving: it takes the other side's
+// oldest waiting entry and delivers outside the lock, or queues itself. A
+// receive that finds no payload on a closed transport fails instead.
+func (d *Direct) meet(m Match, e entry) {
 	sh := d.shard(m)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for {
-		if q := sh.queues[m]; len(q) > 0 {
-			p := q[0]
-			if len(q) == 1 {
-				delete(sh.queues, m)
-			} else {
-				// Nil the popped head before reslicing: q[1:] shares the
-				// backing array, which would otherwise keep the delivered
-				// payload reachable until the whole mailbox drains.
-				q[0] = nil
-				sh.queues[m] = q[1:]
-			}
-			return p, nil
+	q, posting := sh.queues[m], e.deliver != nil
+	if len(q) > 0 && (q[0].deliver != nil) != posting {
+		recv, send := q[0], e
+		if posting {
+			recv, send = e, q[0]
 		}
-		if sh.closed {
-			return nil, ErrClosed
+		// Clear the popped head before reslicing: q[1:] shares the backing
+		// array, which would otherwise keep the delivered payload (or the
+		// served receive) reachable until the whole mailbox drains.
+		q[0] = entry{}
+		if len(q) == 1 {
+			delete(sh.queues, m)
+		} else {
+			sh.queues[m] = q[1:]
 		}
-		sh.cond.Wait()
+		sh.mu.Unlock()
+		recv.deliver(send.payload, nil)
+		return
+	}
+	closed := posting && sh.closed
+	if !closed {
+		sh.queues[m] = append(q, e)
+	}
+	sh.mu.Unlock()
+	if closed {
+		e.deliver(nil, ErrClosed)
 	}
 }
 
-// Close implements Transport.
+// Recv blocks until m's oldest undelivered message arrives and returns it:
+// a Post whose deliver hands the result to the calling goroutine.
+func (d *Direct) Recv(m Match) (buffer.Buffer, error) {
+	var res struct {
+		p    buffer.Buffer
+		err  error
+		done sync.WaitGroup
+	}
+	res.done.Add(1)
+	d.Post(m, func(p buffer.Buffer, err error) {
+		res.p, res.err = p, err
+		res.done.Done()
+	})
+	res.done.Wait()
+	return res.p, res.err
+}
+
+// Close implements Transport. Every posted receive leaves the table before
+// any is failed, so a send a failed receive releases cannot satisfy another
+// receive this Close is failing.
 func (d *Direct) Close() {
+	var dangling []entry
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
 		sh.closed = true
-		sh.mu.Unlock()
-		sh.cond.Broadcast()
-	}
-}
-
-// Pending returns the number of sent-but-unreceived messages; tests use it
-// to assert a World drained its traffic.
-func (d *Direct) Pending() int {
-	n := 0
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			n += len(q)
+		for m, q := range sh.queues { //lint:maporder each failed receive names its own Match; their order carries nothing
+			if q[0].deliver != nil {
+				dangling = append(dangling, q...)
+				delete(sh.queues, m)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	return n
+	for _, r := range dangling {
+		r.deliver(nil, ErrClosed)
+	}
 }

@@ -10,6 +10,23 @@ import (
 	"appfit/internal/simtime"
 )
 
+// Pending returns the number of sent-but-unreceived messages; tests use it
+// to assert a World drained its traffic.
+func (d *Direct) Pending() int {
+	n := 0
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		for _, q := range sh.queues {
+			if q[0].deliver == nil {
+				n += len(q)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 func TestDirectFIFOAndPending(t *testing.T) {
 	d := NewDirect()
 	m := Match{Src: 0, Dst: 1, Class: ClassP2P, Tag: 3}

@@ -70,9 +70,9 @@ func (c *Comm) checkVector(op string, total int, counts, displs []int) bool {
 		if counts[i] < 0 || displs[i] < 0 {
 			return fail("member %d has count %d, displacement %d", i, counts[i], displs[i])
 		}
-		if displs[i]+counts[i] > total {
-			return fail("member %d segment [%d, %d) outside a %d-element vector",
-				i, displs[i], displs[i]+counts[i], total)
+		if counts[i] > total-displs[i] { // displs[i]+counts[i] could overflow
+			return fail("member %d segment of %d at %d outside a %d-element vector",
+				i, counts[i], displs[i], total)
 		}
 	}
 	order := make([]int, n)

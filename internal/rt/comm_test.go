@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"appfit/internal/buffer"
 	"appfit/internal/core"
@@ -72,31 +73,133 @@ func TestSubmitCommOrdersWithComputeTasks(t *testing.T) {
 	}
 }
 
-func TestEnterBlockingPreventsWorkerStarvation(t *testing.T) {
-	// Both workers pick comm tasks that park until a third task runs.
-	// Without the spare-worker handoff in EnterBlocking the pool would
-	// deadlock: the parked tasks occupy every worker and the releasing task
-	// never executes. The test relies on go test's timeout to catch that.
-	r := New(Config{Workers: 2})
-	release := make(chan struct{})
-	b := buffer.NewF64(1)
-	for i := 0; i < 2; i++ {
-		key := fmt.Sprintf("R%d", i)
-		r.SubmitComm("park", func(ctx *Ctx) {
-			r.EnterBlocking()
-			<-release
-			r.ExitBlocking()
-		}, In(key, buffer.NewF64(1)))
+// shutdownWithin fails the test if r.Shutdown does not return within d: a
+// detached task that held its worker, or an Event that never completed its
+// task, shows up as a hang.
+func shutdownWithin(t *testing.T, r *Runtime, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.Shutdown() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Shutdown still waiting after %v: %+v", d, r.Stats())
 	}
+}
+
+// TestDetachedTaskFreesItsWorker: on a one-worker runtime, two comm tasks
+// detach and hand their Events to a third task, which releases them. The
+// worker takes the three in submission order, so the third runs only if a
+// detached task gives its worker back when its body returns.
+func TestDetachedTaskFreesItsWorker(t *testing.T) {
+	r := New(Config{Workers: 1})
+	events := make(chan Event, 2)
+	for i := 0; i < 2; i++ {
+		r.SubmitComm("wait", func(ctx *Ctx) { events <- ctx.Detach() },
+			Out(fmt.Sprint("R", i), buffer.NewF64(1)))
+	}
+	b := buffer.NewF64(1)
 	r.Submit("release", func(ctx *Ctx) {
-		close(release)
+		(<-events).Release()
+		(<-events).Release()
 		ctx.F64(0)[0] = 1
 	}, Out("U", b))
-	if err := r.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
+	shutdownWithin(t, r, 10*time.Second)
 	if b[0] != 1 {
 		t.Fatalf("release task did not run: %v", b[0])
+	}
+	if st := r.Stats(); st.Completed != 3 {
+		t.Fatalf("Completed = %d, want 3", st.Completed)
+	}
+}
+
+// TestDetachedSuccessorWaitsForRelease: a detached task's successor stays
+// gated after the body returns, and runs once the Event is released from a
+// goroutine outside the runtime.
+func TestDetachedSuccessorWaitsForRelease(t *testing.T) {
+	r := New(Config{Workers: 2})
+	events := make(chan Event, 1)
+	x := buffer.NewF64(1)
+	var ran atomic.Bool
+	r.SubmitComm("wait", func(ctx *Ctx) {
+		ctx.F64(0)[0] = 5
+		events <- ctx.Detach()
+	}, Out("X", x))
+	r.Submit("succ", func(ctx *Ctx) {
+		if ctx.F64(0)[0] != 5 {
+			t.Errorf("successor read %v, want 5", ctx.F64(0)[0])
+		}
+		ran.Store(true)
+	}, In("X", x))
+	ev := <-events
+	for r.Executing() != 0 || r.ReadyPending() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if ran.Load() || r.Stats().Completed != 0 {
+		t.Fatalf("successor ran (%v) or task completed (%+v) before the release", ran.Load(), r.Stats())
+	}
+	ev.Release()
+	shutdownWithin(t, r, 10*time.Second)
+	if !ran.Load() {
+		t.Fatal("successor never ran")
+	}
+}
+
+// TestDetachedReleaseBeforeReturn: an Event released before its body
+// returns (the message was already there) completes the task at the
+// return, so a successor sees what the body wrote after the release.
+// Completion is counted once whichever event comes last, also when a
+// foreign goroutine's release races the body's return.
+func TestDetachedReleaseBeforeReturn(t *testing.T) {
+	const n = 200
+	r := New(Config{Workers: 2})
+	var succs atomic.Int32
+	for i := 0; i < n; i++ {
+		key := fmt.Sprint("X", i)
+		x := buffer.NewF64(1)
+		r.SubmitComm("early", func(ctx *Ctx) {
+			ev := ctx.Detach()
+			if i%2 == 0 {
+				ev.Release()
+			} else {
+				go ev.Release()
+			}
+			ctx.F64(0)[0] = 7
+		}, Out(key, x))
+		r.Submit("succ", func(ctx *Ctx) {
+			if ctx.F64(0)[0] != 7 {
+				t.Errorf("successor read %v, want 7", ctx.F64(0)[0])
+			}
+			succs.Add(1)
+		}, In(key, x))
+	}
+	shutdownWithin(t, r, 10*time.Second)
+	if st := r.Stats(); st.Completed != 2*n || succs.Load() != n {
+		t.Fatalf("Completed = %d, successors ran %d times; want %d and %d", st.Completed, succs.Load(), 2*n, n)
+	}
+}
+
+// TestDetachMisuse: only a comm task detaches, and only once.
+func TestDetachMisuse(t *testing.T) {
+	r := New(Config{Workers: 1})
+	panics := make(chan any, 2)
+	try := func(ctx *Ctx) {
+		defer func() { panics <- recover() }()
+		ctx.Detach()
+	}
+	r.Submit("compute", try)
+	r.SubmitComm("twice", func(ctx *Ctx) {
+		ctx.Detach().Release()
+		try(ctx)
+	})
+	shutdownWithin(t, r, 10*time.Second)
+	for i := 0; i < 2; i++ {
+		if p := <-panics; p == nil {
+			t.Errorf("misuse %d did not panic", i)
+		}
 	}
 }
 

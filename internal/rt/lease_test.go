@@ -2,9 +2,7 @@ package rt
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"appfit/internal/buffer"
@@ -262,44 +260,14 @@ func TestNewOnSharesOnePool(t *testing.T) {
 	}
 }
 
-// TestBodyScratchBelongsToGoroutine: every spare reports the same worker
-// index, so body scratch keyed by that index would be shared by spares
-// running at once. Eight bodies park together on a one-worker runtime — one
-// worker and seven spares — and each must still see its own task and buffer
-// when it wakes; afterwards a scratch keeps nothing of the body it served.
-func TestBodyScratchBelongsToGoroutine(t *testing.T) {
-	const n = 8
+// TestBodyScratchKeepsNoBuffer: once an unreplicated body returns, its
+// worker's scratch keeps nothing of the body it served.
+func TestBodyScratchKeepsNoBuffer(t *testing.T) {
 	r := New(Config{Workers: 1})
-	var parked sync.WaitGroup
-	parked.Add(n)
-	bufs := make([]buffer.F64, n)
-	for i := range bufs {
-		i := i
-		bufs[i] = buffer.NewF64(1)
-		r.SubmitComm("park", func(ctx *Ctx) {
-			r.EnterBlocking()
-			parked.Done()
-			parked.Wait() // all n bodies are live on n goroutines here
-			r.ExitBlocking()
-			if ctx.TaskID() != uint64(i+1) || ctx.NArgs() != 1 { // ids count from 1
-				t.Errorf("body %d woke up on task %d's Ctx", i, ctx.TaskID())
-				return
-			}
-			ctx.F64(0)[0] = float64(i + 1)
-		}, Out(fmt.Sprint("b", i), bufs[i]))
-	}
-	if err := r.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range bufs {
-		if b[0] != float64(i+1) {
-			t.Fatalf("body %d wrote %v into its buffer, want %d", i, b[0], i+1)
-		}
-	}
-
+	defer r.Shutdown()
 	var own bodyScratch
 	var rec trace.Record
-	task := &task{id: 1, fn: func(*Ctx) {}, args: []Arg{In("x", bufs[0]), Out("y", bufs[1])}, comm: true}
+	task := &task{id: 1, fn: func(*Ctx) {}, args: []Arg{In("x", buffer.NewF64(1)), Out("y", buffer.NewF64(1))}, comm: true}
 	r.executeUnprotected(task, 0, &own, &rec)
 	if own.ctx.bufs != nil || cap(own.bufs) < 2 || own.bufs[:2][0] != nil || own.bufs[:2][1] != nil {
 		t.Fatalf("scratch still holds its last body's buffers: %+v", own)

@@ -15,6 +15,11 @@
 // Crashes (DUEs) are absorbed by the surviving replica or by re-execution
 // from the checkpoint. Faults are supplied by an injector (internal/fault),
 // driven by the same per-task FIT estimates the heuristic uses.
+//
+// Communication tasks (SubmitComm) are never replicated. One may detach
+// (Ctx.Detach) to complete on an external event, such as a message's
+// delivery, instead of on its body's return, so a worker only ever runs
+// bodies and never waits for a message.
 package rt
 
 import (
@@ -60,12 +65,16 @@ func Inout(key string, b buffer.Buffer) Arg { return Arg{Key: key, Mode: deps.In
 // returns: a replicated attempt's buffers are leases from the runtime's
 // buffer pool, returned when the task completes and handed to another
 // task's attempt next. A body that stashes ctx.Buf(i) (or the Ctx) and
-// touches it later reads or scribbles over someone else's scratch.
+// touches it later reads or scribbles over someone else's scratch. The one
+// exception is a comm task's buffers, which are the real arguments (comm
+// tasks are never replicated): a detached comm task may write them until it
+// releases its Event.
 type Ctx struct {
 	bufs    []buffer.Buffer
 	attempt int
 	worker  int
-	taskID  uint64
+	r       *Runtime
+	t       *task
 }
 
 // NArgs returns the number of declared arguments.
@@ -90,12 +99,43 @@ func (c *Ctx) U8(i int) buffer.U8 { return c.bufs[i].(buffer.U8) }
 // re-executions). Task bodies normally ignore it; tests use it.
 func (c *Ctx) Attempt() int { return c.attempt }
 
-// Worker returns the executing worker index (replica executions report the
-// primary's worker).
+// Worker returns the executing worker index, in [0, Workers()) (replica
+// executions report the primary's worker).
 func (c *Ctx) Worker() int { return c.worker }
 
 // TaskID returns the runtime-assigned id of the task instance.
-func (c *Ctx) TaskID() uint64 { return c.taskID }
+func (c *Ctx) TaskID() uint64 { return c.t.id }
+
+// Detach makes the task's completion wait for an external event as well as
+// for its body: the task completes — its successors are released, Taskwait
+// and Completed count it — once the body has returned and the returned
+// Event has been released, in either order. The worker is free as soon as
+// the body returns. This is OpenMP's detach clause; a communication layer
+// uses it to complete a receive task on message delivery without holding a
+// worker for the wait. Only a comm task (SubmitComm) may detach, once.
+func (c *Ctx) Detach() Event {
+	if !c.t.comm {
+		panic("rt: Detach outside a comm task")
+	}
+	if !c.t.events.CompareAndSwap(0, 2) {
+		panic("rt: task detached twice")
+	}
+	return Event{r: c.r, t: c.t}
+}
+
+// Event is a detached task's external completion event (see Ctx.Detach).
+type Event struct {
+	r *Runtime
+	t *task
+}
+
+// Release fires the event. Call it exactly once, from any goroutine, before
+// or after the task's body returns.
+func (e Event) Release() {
+	if e.t.events.Add(-1) == 0 {
+		e.r.complete(e.t, -1)
+	}
+}
 
 // TaskFunc is a task body. It must be deterministic in its declared
 // arguments: the replication engine compares outputs bitwise, so any hidden
@@ -259,6 +299,10 @@ type task struct {
 	// fault-injected — the paper delegates communication failures to
 	// complementary protocols (§VI, Martsinkevich et al.).
 	comm bool
+	// events is 0 unless the body detached (Ctx.Detach); then it counts the
+	// two completion events still to come — the body's return and the
+	// Event's release — and whichever takes it to zero completes the task.
+	events atomic.Int32
 }
 
 // Runtime executes submitted tasks. Create with New, submit with Submit,
@@ -287,11 +331,7 @@ type Runtime struct {
 	workersWG sync.WaitGroup
 	closed    atomic.Bool
 
-	// blocked counts workers currently parked inside a blocking section of
-	// a task body (EnterBlocking); spares counts the extra workers spawned
-	// to cover for them; executing counts task bodies currently running.
-	blocked   atomic.Int32
-	spares    atomic.Int32
+	// executing counts task bodies currently running.
 	executing atomic.Int32
 
 	errMu    sync.Mutex
@@ -485,74 +525,9 @@ func (r *Runtime) worker(w int) {
 	}
 }
 
-// EnterBlocking marks the calling task body as about to park on an external
-// event — a communication rendezvous, typically. The runtime guarantees a
-// spare worker is running so the parked one does not reduce the pool's
-// compute concurrency: without this, a pool whose every worker picked a
-// blocking receive could never execute the very sends that would unblock
-// them (the classic message-progress deadlock). Must be paired with
-// ExitBlocking on the same goroutine. Spare workers report Ctx.Worker() ==
-// Workers().
-func (r *Runtime) EnterBlocking() {
-	b := r.blocked.Add(1)
-	for {
-		s := r.spares.Load()
-		if s >= b {
-			return
-		}
-		if r.spares.CompareAndSwap(s, s+1) {
-			r.workersWG.Add(1)
-			go r.spare()
-			return
-		}
-	}
-}
-
-// ExitBlocking ends a blocking section begun with EnterBlocking. The spare
-// that covered for it retires lazily, once it finishes its current task and
-// observes more spares than blocked workers.
-func (r *Runtime) ExitBlocking() { r.blocked.Add(-1) }
-
-// spare is a worker spawned by EnterBlocking. It draws from the global
-// queue and steals from every deque (its index is out of the per-worker
-// range), and it retires when no longer needed. The retire/spawn pair
-// re-checks the opposite counter after its own write, so an EnterBlocking
-// racing with a retirement always ends with spares ≥ blocked.
-func (r *Runtime) spare() {
-	defer r.workersWG.Done()
-	var own bodyScratch
-	for {
-		for {
-			s := r.spares.Load()
-			if s <= r.blocked.Load() {
-				break // still covering for someone
-			}
-			if r.spares.CompareAndSwap(s, s-1) {
-				if r.blocked.Load() > s-1 {
-					// Lost a race with a fresh EnterBlocking that saw the
-					// pre-decrement count and skipped spawning: stay on.
-					r.spares.Add(1)
-					break
-				}
-				return
-			}
-		}
-		id, ok := r.pool.Get(r.cfg.Workers)
-		if !ok {
-			return
-		}
-		r.mu.Lock()
-		t := r.tasks[id]
-		r.mu.Unlock()
-		r.execute(t, r.cfg.Workers, &own)
-	}
-}
-
 // bodyScratch is what an unreplicated body runs on: the argument list its Ctx
-// hands out and the Ctx itself. Each worker and spare goroutine owns one —
-// the goroutine, not the worker index, because every spare reports the same
-// index — and executeUnprotected empties it when the body returns, so it
-// pins no buffer between tasks.
+// hands out and the Ctx itself. Each worker owns one, and executeUnprotected
+// empties it when the body returns, so it pins no buffer between tasks.
 type bodyScratch struct {
 	bufs []buffer.Buffer
 	ctx  Ctx
@@ -686,7 +661,7 @@ func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, atte
 		}
 		return attemptResult{crashed: true, dur: time.Since(start)}
 	}
-	*ctx = Ctx{bufs: bufs, attempt: attempt, worker: w, taskID: t.id}
+	*ctx = Ctx{bufs: bufs, attempt: attempt, worker: w, r: r, t: t}
 	t.fn(ctx)
 	if outcome == fault.SDC {
 		r.corrupt(t, attempt, outs)
@@ -711,9 +686,10 @@ func (r *Runtime) corrupt(t *task, attempt int, outs []buffer.Buffer) {
 	}
 }
 
-// Executing returns the number of task bodies currently running, including
-// bodies parked in a blocking section. Together with ReadyPending it lets a
-// communication layer detect quiescence (see internal/dist's watchdog).
+// Executing returns the number of task bodies currently running. A detached
+// task whose body has returned is not running. Together with ReadyPending it
+// lets a communication layer detect quiescence (see internal/dist's
+// watchdog).
 func (r *Runtime) Executing() int { return int(r.executing.Load()) }
 
 // ReadyPending returns the number of ready tasks not yet claimed by a
@@ -748,7 +724,6 @@ func (r *Runtime) execute(t *task, w int, own *bodyScratch) {
 	if !t.comm {
 		r.cfg.Selector.Observe(t.est, replicate)
 	}
-	r.completed.Add(1)
 	r.taskNs.Add(int64(rec.Duration))
 	if replicate {
 		r.replNs.Add(int64(rec.Duration))
@@ -757,10 +732,20 @@ func (r *Runtime) execute(t *task, w int, own *bodyScratch) {
 	if r.cfg.Tracer != nil {
 		r.cfg.Tracer.Add(rec)
 	}
+	if t.events.Load() == 0 || t.events.Add(-1) == 0 {
+		r.complete(t, w)
+	}
+}
 
-	// Release all successors onto this worker's deque in one batch: one
-	// lock acquisition and at most len(batch) targeted wakes per completion,
-	// instead of a lock+wake per successor.
+// complete is a task's completion: its successors are released, and it
+// leaves the books. It runs once per task, on the worker w that ran the body
+// or — when a detached task's Event is released last — on the releasing
+// goroutine, with w < 0.
+func (r *Runtime) complete(t *task, w int) {
+	r.completed.Add(1)
+	// Release all successors in one batch — onto worker w's deque, or the
+	// global queue for w < 0: one lock acquisition and at most len(batch)
+	// targeted wakes per completion, instead of a lock+wake per successor.
 	if succs := r.tracker.Complete(t.id); len(succs) > 0 {
 		r.pool.SubmitBatch(w, succs)
 	}
@@ -791,7 +776,7 @@ func (r *Runtime) executeUnprotected(t *task, w int, own *bodyScratch, rec *trac
 		outcome = r.cfg.Injector.Draw(t.id, 0, t.pDUE, t.pSDC)
 	}
 	start := time.Now()
-	own.ctx = Ctx{bufs: bufs, attempt: 0, worker: w, taskID: t.id}
+	own.ctx = Ctx{bufs: bufs, attempt: 0, worker: w, r: r, t: t}
 	t.fn(&own.ctx)
 	rec.Duration = time.Since(start)
 	rec.Attempts = 1
