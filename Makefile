@@ -3,9 +3,28 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke loc
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-examples run-examples check-figures check-sweep check-serve check-lint fuzz-smoke loc
 
-check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build benchmark-smoke
+check: vet check-lint race race-comm build-examples check-figures check-sweep check-serve bench-build benchmark-smoke
+
+# Figures gate: every deterministic table cmd/experiments prints (the
+# registry entries marked Golden) is regenerated in one sweep batch at the
+# default flags and must equal internal/experiments/testdata/figures/<name>.txt
+# byte for byte, and EXPERIMENTS.md's "Paper figures" table must equal the
+# one generated from the registry. After a deliberate change, rewrite both
+# with `go test ./internal/experiments -run 'TestFiguresGolden|TestExperimentsTableFromRegistry' -update`.
+# Two tables also carry acceptance criteria, which fail the gate with
+# experiments.ErrCriteria before any diff. The placement table requires the
+# optimizer to recover at least the block placement's makespan from a
+# random start on the 64-rank × 16/node halo profile. The kernels table
+# requires three things. Rabenseifner must strictly beat the tree allreduce
+# in virtual time and wire volume on large vectors. The distributed cholesky
+# must factorize bitwise-equal to the serial reference under injected
+# faults, with hierarchical broadcasts strictly cutting inter-node wire
+# volume. And the placement optimizer must strictly beat the seeded random
+# start on the recorded cholesky traffic.
+check-figures:
+	$(GO) test -count=1 -run 'TestFiguresGolden|TestExperimentsTableFromRegistry' ./internal/experiments
 
 # Lint gate: appfitlint (cmd/appfitlint, DESIGN.md §14) must pass clean over
 # the module — range-over-map emission order, wall-clock/math-rand use in
@@ -35,31 +54,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzVectorArgs -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzSplit -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
-
-# Topology gate: cmd/experiments must keep compiling against the Topology
-# API and its flat-vs-hierarchical table must keep producing (the
-# EXPERIMENTS.md seed). `go run` both builds and executes it, so an API
-# drift or a topology regression fails `make check` even when no unit test
-# covers the command.
-check-topology:
-	$(GO) run ./cmd/experiments topology > /dev/null
-
-# Placement gate: the optimizer must keep recovering at least the block
-# placement's makespan from a random placement on the 64-rank × 16/node
-# halo profile (PlacementTable errors out otherwise — an acceptance
-# criterion, not just a smoke run).
-check-placement:
-	$(GO) run ./cmd/experiments placement > /dev/null
-
-# Kernels gate: the distributed-kernel table carries three acceptance
-# criteria (KernelsTable errors out if any fails): Rabenseifner strictly
-# beats the tree allreduce in virtual time and wire volume on large
-# vectors; the distributed cholesky factorizes bitwise-equal to the serial
-# reference under injected faults, with hierarchical broadcasts strictly
-# cutting inter-node wire volume; and the placement optimizer strictly
-# beats the seeded random start on the recorded cholesky traffic.
-check-kernels:
-	$(GO) run ./cmd/experiments kernels > /dev/null
 
 # Sweep gate: run a small replication sweep twice through one engine and
 # require the second pass to be ≥90% cache hits with a bitwise-identical

@@ -62,9 +62,10 @@ func BenchmarkFig1DataflowVsForkJoin(b *testing.B) {
 func BenchmarkFig3AppFIT(b *testing.B) {
 	var lastTasks, lastTime float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig3(experiments.Fig3Config{
-			Scale: workload.Tiny, Workers: 2, Repeats: 1,
-		})
+		rows, _, err := experiments.Fig3(workload.Tiny, 2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var ts, tm []float64
 		for _, r := range rows {
 			ts = append(ts, r.PctTasks10)

@@ -39,16 +39,9 @@ func main() {
 	byLabel := flag.Bool("by-label", false, "print per-kernel aggregation (count, replicated, time, FIT)")
 	flag.Parse()
 
-	var scale workload.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = workload.Tiny
-	case "small":
-		scale = workload.Small
-	case "medium":
-		scale = workload.Medium
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
+	scale, err := workload.ParseScale(*scaleFlag)
+	if err != nil {
+		fatal(err)
 	}
 	w, err := bench.ByName(*benchName)
 	if err != nil {

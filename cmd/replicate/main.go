@@ -43,16 +43,9 @@ func main() {
 		"run the sweep twice and require the second pass ≥90% cache hits with an identical table")
 	flag.Parse()
 
-	var scale workload.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = workload.Tiny
-	case "small":
-		scale = workload.Small
-	case "medium":
-		scale = workload.Medium
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
+	scale, err := workload.ParseScale(*scaleFlag)
+	if err != nil {
+		fatal(err)
 	}
 	w, err := bench.ByName(*benchName)
 	if err != nil {

@@ -450,7 +450,8 @@ func BenchmarkAllgatherFlatVsHier(b *testing.B) {
 // its nearest-partner-first rounds move the O(V)-sized pieces over
 // intra-node links and only O(V/p)-sized segments across node cables, where
 // the tree funnels whole vectors through them (recorded in
-// BENCH_scale.json; the same comparison gates `make check-kernels`).
+// BENCH_scale.json; the same comparison gates the kernels table in `make
+// check-figures`).
 func BenchmarkAllreduceTreeVsRab(b *testing.B) {
 	const perNode = 16
 	const vecLen = 16384

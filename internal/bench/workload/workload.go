@@ -9,6 +9,7 @@ package workload
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -43,6 +44,20 @@ func (s Scale) String() string {
 	default:
 		return fmt.Sprintf("Scale(%d)", int(s))
 	}
+}
+
+// ErrUnknownScale is the sentinel ParseScale wraps for a name that is no
+// scale.
+var ErrUnknownScale = errors.New("unknown scale")
+
+// ParseScale is String's inverse: the scale named tiny, small or medium.
+func ParseScale(name string) (Scale, error) {
+	for s := Tiny; s <= Medium; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q", ErrUnknownScale, name)
 }
 
 // CostModel converts kernel work into virtual core time for the simulator.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -21,6 +22,14 @@ func TestScaleString(t *testing.T) {
 	}
 	if Scale(9).String() == "" {
 		t.Fatal("unknown scale must stringify")
+	}
+	for _, s := range []Scale{Tiny, Small, Medium} {
+		if got, err := ParseScale(s.String()); got != s || err != nil {
+			t.Fatalf("ParseScale(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseScale("huge"); !errors.Is(err, ErrUnknownScale) || err.Error() != `unknown scale "huge"` {
+		t.Fatalf("ParseScale(huge): %v", err)
 	}
 }
 

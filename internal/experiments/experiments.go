@@ -4,16 +4,17 @@
 // (App_FIT selective-replication fractions at 10× and 5× error rates),
 // Figure 4 (complete-replication overheads), Figure 5 (shared-memory
 // scalability) and Figure 6 (distributed scalability), plus the ablations
-// DESIGN.md §4 lists. Each experiment returns structured rows and a rendered
-// text table; cmd/experiments prints them and EXPERIMENTS.md records
-// paper-vs-measured.
+// DESIGN.md §4 lists. Each is a Figure in Registry; the exported functions
+// return structured rows and the rendered table, cmd/experiments prints
+// the registry, and EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,27 +61,37 @@ func Table1(scale workload.Scale) string {
 // Figure 1: tasks A1→A2 on array A and an independent long task B. Dataflow
 // lets B overlap A1; fork-join's taskwait after A1 serializes B behind it.
 func Fig1(eng *sweep.Engine) string {
-	mk := func(forkJoin bool) cluster.Job {
-		j := cluster.Job{Name: "fig1"}
-		j.Tasks = append(j.Tasks, cluster.Task{Label: "A1", Node: 0, Cost: 100})
-		j.Tasks = append(j.Tasks, cluster.Task{Label: "A2", Node: 0, Cost: 100, Deps: []int{0}})
-		b := cluster.Task{Label: "B", Node: 0, Cost: 300}
+	_, s, err := regenerate(eng, "fig1", Params{}, fig1)
+	if err != nil {
+		return "fig1 error: " + err.Error()
+	}
+	return s
+}
+
+// fig1Requests is Figure 1's pair of runs on two cores: dataflow, then
+// fork-join.
+func fig1Requests(Params) ([]sweep.Request, error) {
+	var reqs []sweep.Request
+	for _, forkJoin := range []bool{false, true} {
+		j := cluster.Job{Name: "fig1", Tasks: []cluster.Task{
+			{Label: "A1", Node: 0, Cost: 100},
+			{Label: "A2", Node: 0, Cost: 100, Deps: []int{0}},
+			{Label: "B", Node: 0, Cost: 300},
+		}}
 		if forkJoin {
-			b.Deps = []int{0} // the taskwait barrier orders B after A1
+			j.Tasks[2].Deps = []int{0} // the taskwait barrier orders B after A1
 		}
-		j.Tasks = append(j.Tasks, b)
-		return j
+		reqs = append(reqs, sweep.Request{Job: j, Config: cluster.Config{Nodes: 1, CoresPerNode: 2}})
 	}
-	cfg := cluster.Config{Nodes: 1, CoresPerNode: 2}
-	df, err1 := eng.Run(mk(false), cfg)
-	fj, err2 := eng.Run(mk(true), cfg)
-	if err1 != nil || err2 != nil {
-		return fmt.Sprintf("fig1 error: %v %v", err1, err2)
-	}
+	return reqs, nil
+}
+
+func fig1(_ Params, resps []sweep.Response) ([]cluster.Result, string) {
+	df, fj := resps[0].Result, resps[1].Result
 	t := stats.NewTable("model", "makespan (ns)", "note")
 	t.AddRow("dataflow", int64(df.Makespan), "B overlaps A1 (deps inferred from inout)")
 	t.AddRow("fork-join", int64(fj.Makespan), "taskwait after A1 blocks independent B")
-	return t.String() +
+	return []cluster.Result{df, fj}, t.String() +
 		fmt.Sprintf("\ndataflow finishes %.0f%% sooner on 2 cores\n",
 			100*(1-float64(df.Makespan)/float64(fj.Makespan)))
 }
@@ -88,11 +99,13 @@ func Fig1(eng *sweep.Engine) string {
 // Fig2 walks the replication design through a scripted SDC: checkpoint,
 // replica, compare, detect, restore, re-execute, vote — the paper's Figure 2
 // sequence — and returns the recovery event timeline plus the runtime's
-// counters.
+// counters. It runs on one worker (the replica and the re-execution still
+// run beside the primary), so the timeline, which names the worker, is a
+// pure function of the fault script.
 func Fig2() string {
 	tr := trace.New()
 	inj := fault.NewScript().Set(1, 0, fault.SDC).SetBit(1, 0, 17)
-	r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}, Injector: inj, Tracer: tr})
+	r := rt.New(rt.Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj, Tracer: tr})
 	b := buffer.NewF64(64)
 	for i := range b {
 		b[i] = float64(i)
@@ -129,32 +142,20 @@ type Fig3Row struct {
 	VerifyOK   bool
 }
 
-// Fig3Config parameterizes the Figure 3 run.
-type Fig3Config struct {
-	Scale   workload.Scale
-	Workers int
-	Repeats int // the paper averages 10 runs; each repeat reshuffles wall timings
-}
-
-func (c Fig3Config) withDefaults() Fig3Config {
-	if c.Workers < 1 {
-		c.Workers = 4
-	}
-	if c.Repeats < 1 {
-		c.Repeats = 3
-	}
-	return c
-}
-
 // Fig3 runs every benchmark under App_FIT at 10× and 5× exascale error
 // rates with the threshold pinned to the application's FIT at today's (1×)
 // rates, reproducing the paper's headline experiment (§V-A1: on average 53%
-// of tasks and 60% of time replicated at 10×; 30% and 36% at 5×).
-func Fig3(cfg Fig3Config) ([]Fig3Row, string) {
-	cfg = cfg.withDefaults()
+// of tasks and 60% of time replicated at 10×; 30% and 36% at 5×). It runs
+// on the real runtime with workers workers, averaging each rate over
+// repeats runs (the paper averages 10; each repeat reshuffles wall
+// timings).
+func Fig3(scale workload.Scale, workers, repeats int) ([]Fig3Row, string, error) {
 	var rows []Fig3Row
 	for _, w := range bench.All() {
-		row := fig3One(w, cfg)
+		row, err := fig3One(w, scale, workers, max(repeats, 1))
+		if err != nil {
+			return nil, "", fmt.Errorf("experiments: fig3: %s: %w", w.Name(), err)
+		}
 		rows = append(rows, row)
 	}
 	t := stats.NewTable("benchmark", "tasks", "thr FIT",
@@ -170,59 +171,67 @@ func Fig3(cfg Fig3Config) ([]Fig3Row, string) {
 		m5 = append(m5, r.PctTime5)
 	}
 	t.AddRow("AVERAGE", "", "", stats.Mean(t10), stats.Mean(m10), stats.Mean(t5), stats.Mean(m5), "", "")
-	note := "\npaper: avg 53% tasks / 60% time at 10x; 30% tasks / 36% time at 5x\n"
-	return rows, t.String() + note
+	return rows, t.String(), nil
 }
 
 // fig3One runs the dry pass (per-task FITs at 1× → threshold and N) and the
 // two App_FIT passes for one benchmark.
-func fig3One(w workload.Workload, cfg Fig3Config) Fig3Row {
-	base := fit.Roadrunner()
-	// Dry pass at 1× rates: count tasks and sum their FITs.
-	tr := trace.New()
-	r := rt.New(rt.Config{Workers: cfg.Workers, Rates: base, RatesSet: true, Tracer: tr})
-	verify := w.BuildRT(r, cfg.Scale)
-	if err := r.Shutdown(); err != nil {
-		return Fig3Row{Bench: w.Name()}
-	}
-	vOK := verify() == nil
-	n := 0
-	threshold := 0.0
-	for _, rec := range tr.Records() {
-		n++
-		threshold += rec.FITDue + rec.FITSdc
+func fig3One(w workload.Workload, scale workload.Scale, workers, repeats int) (Fig3Row, error) {
+	n, threshold, vOK, err := dryRun(w, scale, workers)
+	if err != nil {
+		return Fig3Row{}, err
 	}
 	row := Fig3Row{Bench: w.Name(), Tasks: n, Threshold: threshold, VerifyOK: vOK}
-
 	run := func(k float64) (pctTasks, pctTime, achieved float64) {
 		var pts, ptm []float64
 		var ach float64
-		for rep := 0; rep < cfg.Repeats; rep++ {
+		for rep := 0; rep < repeats; rep++ {
 			sel := core.NewAppFIT(threshold, n)
-			tr2 := trace.New()
-			r2 := rt.New(rt.Config{
-				Workers: cfg.Workers, Selector: sel,
-				Rates: base.Scale(k), RatesSet: true, Tracer: tr2,
+			tr := trace.New()
+			_, ok, err := runRT(w, scale, rt.Config{
+				Workers: workers, Selector: sel,
+				Rates: fit.Roadrunner().Scale(k), RatesSet: true, Tracer: tr,
 			})
-			verify2 := w.BuildRT(r2, cfg.Scale)
-			if err := r2.Shutdown(); err != nil {
+			if err != nil {
 				continue
 			}
-			if verify2() != nil {
-				row.VerifyOK = false
-			}
-			sum := tr2.Summarize()
+			row.VerifyOK = row.VerifyOK && ok
+			sum := tr.Summarize()
 			pts = append(pts, sum.PctTasksReplicated())
 			ptm = append(ptm, sum.PctTimeReplicated())
-			if f := sel.CurrentFIT(); f > ach {
-				ach = f
-			}
+			ach = max(ach, sel.CurrentFIT())
 		}
 		return stats.Mean(pts), stats.Mean(ptm), ach
 	}
 	row.PctTasks10, row.PctTime10, row.Achieved10 = run(10)
 	row.PctTasks5, row.PctTime5, row.Achieved5 = run(5)
-	return row
+	return row, nil
+}
+
+// runRT runs w once on a fresh runtime under cfg and reports the runtime
+// and whether its result verified.
+func runRT(w workload.Workload, scale workload.Scale, cfg rt.Config) (*rt.Runtime, bool, error) {
+	r := rt.New(cfg)
+	verify := w.BuildRT(r, scale)
+	if err := r.Shutdown(); err != nil {
+		return r, false, err
+	}
+	return r, verify() == nil, nil
+}
+
+// dryRun runs w unreplicated at 1× rates on workers workers and returns its
+// task count, the App_FIT threshold (the application's FIT at 1× rates,
+// summed in task-id order) and whether the result verified.
+func dryRun(w workload.Workload, scale workload.Scale, workers int) (n int, threshold float64, verified bool, err error) {
+	tr := trace.New()
+	_, verified, err = runRT(w, scale, rt.Config{Workers: workers, Rates: fit.Roadrunner(), RatesSet: true, Tracer: tr})
+	if err != nil {
+		return 0, 0, false, err
+	}
+	for _, rec := range tr.Records() {
+		threshold += rec.FITDue + rec.FITSdc
+	}
+	return tr.Len(), threshold, verified, nil
 }
 
 // Fig4Row is one benchmark's complete-replication overhead (Figure 4).
@@ -241,10 +250,14 @@ type Fig4Row struct {
 // "fig-4-class sweep": BenchmarkSweep measures the engine against it. The
 // jobs build as wide as a default engine's worker pool.
 func Fig4Requests(scale workload.Scale, ws []workload.Workload) []sweep.Request {
-	return fig4Requests(runtime.GOMAXPROCS(0), scale, ws)
+	return fig4Batch(runtime.GOMAXPROCS(0), scale, ws)
 }
 
-func fig4Requests(workers int, scale workload.Scale, ws []workload.Workload) []sweep.Request {
+func fig4Requests(p Params) ([]sweep.Request, error) {
+	return fig4Batch(p.builders, p.Scale, bench.All()), nil
+}
+
+func fig4Batch(workers int, scale workload.Scale, ws []workload.Workload) []sweep.Request {
 	cm := workload.DefaultCostModel()
 	type built struct {
 		nodes int
@@ -265,8 +278,7 @@ func fig4Requests(workers int, scale workload.Scale, ws []workload.Workload) []s
 		cfgAll := cfg
 		cfgAll.ReplicaCores = 16
 		cfgAll.Replicated = b.p.AllReplicated()
-		cfgSel := cfg
-		cfgSel.ReplicaCores = 16
+		cfgSel := cfgAll
 		cfgSel.Replicated = b.sel
 		reqs = append(reqs, b.p.Request(cfg), b.p.Request(cfgAll), b.p.Request(cfgSel))
 	}
@@ -302,32 +314,28 @@ func buildAll[T any](workers, n int, build func(i int) T) []T {
 // failed run fails the whole figure with the request named, never a
 // silently shortened table.
 func Fig4(eng *sweep.Engine, scale workload.Scale) ([]Fig4Row, string, error) {
-	ws := bench.All()
-	resps, err := eng.RunBatch(context.Background(), fig4Requests(eng.Workers(), scale, ws))
-	if err != nil {
-		return nil, "", fmt.Errorf("experiments: fig4: %w", err)
-	}
-	var rows []Fig4Row
-	for i, w := range ws {
-		baseRes := resps[3*i].Result
-		replRes := resps[3*i+1].Result
-		selRes := resps[3*i+2].Result
-		rows = append(rows, Fig4Row{
-			Bench:       w.Name(),
-			BaseMs:      baseRes.Makespan.Seconds() * 1e3,
-			ReplMs:      replRes.Makespan.Seconds() * 1e3,
-			OverheadPct: replRes.OverheadPct(baseRes),
-			AppFITPct:   selRes.OverheadPct(baseRes),
-		})
-	}
+	return regenerate(eng, "fig4", Params{Scale: scale}, fig4)
+}
+
+func fig4(_ Params, resps []sweep.Response) ([]Fig4Row, string) {
 	t := stats.NewTable("benchmark", "base ms", "repl ms", "overhead %", "app_fit overhead %")
+	var rows []Fig4Row
 	var ovs []float64
-	for _, r := range rows {
+	for i, w := range bench.All() {
+		base, repl, sel := resps[3*i].Result, resps[3*i+1].Result, resps[3*i+2].Result
+		r := Fig4Row{
+			Bench:       w.Name(),
+			BaseMs:      base.Makespan.Seconds() * 1e3,
+			ReplMs:      repl.Makespan.Seconds() * 1e3,
+			OverheadPct: repl.OverheadPct(base),
+			AppFITPct:   sel.OverheadPct(base),
+		}
+		rows = append(rows, r)
 		t.AddRow(r.Bench, r.BaseMs, r.ReplMs, r.OverheadPct, r.AppFITPct)
 		ovs = append(ovs, r.OverheadPct)
 	}
 	t.AddRow("AVERAGE", "", "", stats.Mean(ovs), "")
-	return rows, t.String() + "\npaper: 2.5% average overhead for complete replication\n", nil
+	return rows, t.String()
 }
 
 // SelectAppFIT runs the App_FIT decision sequence over a simulator job in
@@ -335,22 +343,55 @@ func Fig4(eng *sweep.Engine, scale workload.Scale) ([]Fig4Row, string, error) {
 // and returns the per-task replication choices. This is the bridge that
 // lets the virtual-time engine run under the paper's heuristic.
 func SelectAppFIT(job cluster.Job, k float64) []bool {
-	base := fit.Roadrunner()
-	est1 := fit.NewEstimator(base)
-	estK := fit.NewEstimator(base.Scale(k))
-	threshold := 0.0
-	for i, t := range job.Tasks {
-		threshold += est1.Estimate(uint64(i+1), t.ArgBytes).Total()
+	n := len(job.Tasks)
+	choices, _, _ := inOrder(core.NewAppFIT(totalFIT(n, fitAt(job, 1)), n), n, fitAt(job, k))
+	return choices
+}
+
+// fitAt estimates job's task i at k× the Roadrunner rates (id i+1, as on
+// the runtime). Callers walk the tasks through it instead of holding a
+// slice of estimates, so a Figure-4 selection allocates only its choices.
+func fitAt(job cluster.Job, k float64) func(i int) fit.Task {
+	est := fit.NewEstimator(fit.Roadrunner().Scale(k))
+	return func(i int) fit.Task { return est.Estimate(uint64(i+1), job.Tasks[i].ArgBytes) }
+}
+
+// totalFIT is the FIT of tasks 0..n-1, summed in program order.
+func totalFIT(n int, task func(int) fit.Task) (sum float64) {
+	for i := 0; i < n; i++ {
+		sum += task(i).Total()
 	}
-	sel := core.NewAppFIT(threshold, len(job.Tasks))
-	out := make([]bool, len(job.Tasks))
-	for i, t := range job.Tasks {
-		tk := estK.Estimate(uint64(i+1), t.ArgBytes)
-		out[i] = sel.Decide(tk)
-		sel.Observe(tk, out[i])
+	return sum
+}
+
+// inOrder runs sel over tasks 0..n-1 in program order, each Decide followed
+// by its Observe, and returns the choices, how many replicate and the FIT
+// left unprotected.
+func inOrder(sel core.Selector, n int, task func(int) fit.Task) (choices []bool, reps int, unprot float64) {
+	choices = make([]bool, n)
+	for i := range choices {
+		t := task(i)
+		choices[i] = sel.Decide(t)
+		sel.Observe(t, choices[i])
+		if choices[i] {
+			reps++
+		} else {
+			unprot += t.Total()
+		}
+	}
+	return choices, reps, unprot
+}
+
+// collect is tasks 0..n-1 as a slice, for the knapsack oracle.
+func collect(n int, task func(int) fit.Task) []fit.Task {
+	out := make([]fit.Task, n)
+	for i := range out {
+		out[i] = task(i)
 	}
 	return out
 }
+
+func pct(part, whole int) float64 { return 100 * float64(part) / float64(whole) }
 
 // ScalingPoint is one (cores, fault-rate) speedup measurement.
 type ScalingPoint struct {
@@ -360,117 +401,93 @@ type ScalingPoint struct {
 	Speedup float64
 }
 
+// machine is one simulated machine shape.
+type machine struct{ nodes, cores int }
+
+// scaling is the Figures 5 and 6 grid: per benchmark and per-task fault rate,
+// one complete-replication run per machine (replicas on as many spare
+// cores), each row's first machine its speedup baseline.
+type scaling struct {
+	benches  func() []workload.Workload
+	machines []machine
+}
+
+var (
+	fig5 = scaling{bench.SharedMemory, []machine{{1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 16}}}
+	fig6 = scaling{bench.DistributedSet, []machine{{4, 16}, {8, 16}, {16, 16}, {32, 16}, {64, 16}}}
+
+	scalingRates = []float64{0, 1e-3, 1e-2}
+)
+
+func (s scaling) requests(p Params) ([]sweep.Request, error) {
+	cm := workload.DefaultCostModel()
+	ws := s.benches()
+	var nodes []int // one DAG per (benchmark, node count), for every rate and core count
+	for _, m := range s.machines {
+		if !slices.Contains(nodes, m.nodes) {
+			nodes = append(nodes, m.nodes)
+		}
+	}
+	jobs := buildAll(p.builders, len(ws)*len(nodes), func(i int) *sweep.Prepared {
+		return sweep.Prepare(ws[i/len(nodes)].BuildJob(p.Scale, nodes[i%len(nodes)], cm))
+	})
+	var reqs []sweep.Request
+	for wi := range ws {
+		for _, rate := range scalingRates {
+			for _, m := range s.machines {
+				job := jobs[wi*len(nodes)+slices.Index(nodes, m.nodes)]
+				cfg := cluster.Config{
+					Nodes: m.nodes, CoresPerNode: m.cores, ReplicaCores: m.cores,
+					Replicated: job.AllReplicated(),
+				}
+				if rate > 0 {
+					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
+				}
+				reqs = append(reqs, job.Request(cfg))
+			}
+		}
+	}
+	return reqs, nil
+}
+
+func (s scaling) reduce(_ Params, resps []sweep.Response) ([]ScalingPoint, string) {
+	header := []string{"benchmark", "fault rate"}
+	for _, m := range s.machines {
+		header = append(header, strconv.Itoa(m.nodes*m.cores))
+	}
+	t := stats.NewTable(header...)
+	var pts []ScalingPoint
+	for _, w := range s.benches() {
+		for _, rate := range scalingRates {
+			base := resps[0].Result
+			row := []interface{}{w.Name(), fmt.Sprintf("%g", rate)}
+			for _, m := range s.machines {
+				sp := resps[0].Result.Speedup(base)
+				resps = resps[1:]
+				pts = append(pts, ScalingPoint{Bench: w.Name(), Cores: m.nodes * m.cores, Rate: rate, Speedup: sp})
+				row = append(row, sp)
+			}
+			t.AddRow(row...)
+		}
+	}
+	return pts, t.String()
+}
+
 // Fig5 reproduces the shared-memory scalability experiment: speedup over 1
 // core at 1..16 cores under per-task fault rates {0, low, high} with
 // complete task replication (§V-A2, Figure 5). All (benchmark, rate, cores)
 // cells execute as one sweep batch; any failed cell fails the figure with
 // the request named.
 func Fig5(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, error) {
-	cm := workload.DefaultCostModel()
-	cores := []int{1, 2, 4, 8, 16}
-	rates := []float64{0, 1e-3, 1e-2}
-	ws := bench.SharedMemory()
-	jobs := buildAll(eng.Workers(), len(ws), func(i int) *sweep.Prepared {
-		return sweep.Prepare(ws[i].BuildJob(scale, 1, cm))
-	})
-	var reqs []sweep.Request
-	for _, p := range jobs {
-		for _, rate := range rates {
-			for _, c := range cores {
-				cfg := cluster.Config{
-					Nodes: 1, CoresPerNode: c, ReplicaCores: c,
-					Replicated: p.AllReplicated(),
-				}
-				if rate > 0 {
-					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
-				}
-				reqs = append(reqs, p.Request(cfg))
-			}
-		}
-	}
-	resps, err := eng.RunBatch(context.Background(), reqs)
-	if err != nil {
-		return nil, "", fmt.Errorf("experiments: fig5: %w", err)
-	}
-	var pts []ScalingPoint
-	t := stats.NewTable("benchmark", "fault rate", "1", "2", "4", "8", "16")
-	i := 0
-	for _, w := range ws {
-		for _, rate := range rates {
-			var base cluster.Result
-			row := []interface{}{w.Name(), fmt.Sprintf("%g", rate)}
-			for ci, c := range cores {
-				res := resps[i].Result
-				i++
-				if ci == 0 {
-					base = res
-				}
-				sp := res.Speedup(base)
-				pts = append(pts, ScalingPoint{Bench: w.Name(), Cores: c, Rate: rate, Speedup: sp})
-				row = append(row, sp)
-			}
-			t.AddRow(row...)
-		}
-	}
-	return pts, t.String() + "\npaper: near-linear scaling for all but stream (each rate has its own 1-core baseline)\n", nil
+	return regenerate(eng, "fig5", Params{Scale: scale}, fig5.reduce)
 }
 
 // Fig6 reproduces the distributed scalability experiment: speedup over 64
 // cores (4 nodes × 16) at up to 1024 cores (64 nodes × 16) under per-task
-// fault rates with complete replication (§V-A2, Figure 6).
-// Like Fig5, the whole grid executes as one sweep batch and a failed cell
-// fails the figure with the request named.
+// fault rates with complete replication (§V-A2, Figure 6), as one batch
+// like Fig5.
 func Fig6(eng *sweep.Engine, scale workload.Scale) ([]ScalingPoint, string, error) {
-	cm := workload.DefaultCostModel()
-	nodeCounts := []int{4, 8, 16, 32, 64}
-	rates := []float64{0, 1e-3, 1e-2}
-	ws := bench.DistributedSet()
-	// One DAG per (benchmark, node count), built, hashed and laid out once
-	// for all three rates.
-	jobs := buildAll(eng.Workers(), len(ws)*len(nodeCounts), func(i int) *sweep.Prepared {
-		return sweep.Prepare(ws[i/len(nodeCounts)].BuildJob(scale, nodeCounts[i%len(nodeCounts)], cm))
-	})
-	var reqs []sweep.Request
-	for wi := range ws {
-		for _, rate := range rates {
-			for ni, nodes := range nodeCounts {
-				p := jobs[wi*len(nodeCounts)+ni]
-				cfg := cluster.Config{
-					Nodes: nodes, CoresPerNode: 16, ReplicaCores: 16,
-					Replicated: p.AllReplicated(),
-				}
-				if rate > 0 {
-					cfg.Injector = fault.NewFixedRate(42, rate/2, rate/2)
-				}
-				reqs = append(reqs, p.Request(cfg))
-			}
-		}
-	}
-	resps, err := eng.RunBatch(context.Background(), reqs)
-	if err != nil {
-		return nil, "", fmt.Errorf("experiments: fig6: %w", err)
-	}
-	var pts []ScalingPoint
-	t := stats.NewTable("benchmark", "fault rate", "64", "128", "256", "512", "1024")
-	i := 0
-	for _, w := range ws {
-		for _, rate := range rates {
-			var base cluster.Result
-			row := []interface{}{w.Name(), fmt.Sprintf("%g", rate)}
-			for ni, nodes := range nodeCounts {
-				res := resps[i].Result
-				i++
-				if ni == 0 {
-					base = res
-				}
-				sp := res.Speedup(base)
-				pts = append(pts, ScalingPoint{Bench: w.Name(), Cores: nodes * 16, Rate: rate, Speedup: sp})
-				row = append(row, sp)
-			}
-			t.AddRow(row...)
-		}
-	}
-	return pts, t.String() + "\npaper: task replication is highly scalable for distributed applications\n", nil
+	return regenerate(eng, "fig6", Params{Scale: scale}, fig6.reduce)
 }
 
 // AblationRow compares selection policies on one benchmark.
@@ -481,88 +498,53 @@ type AblationRow struct {
 	WithinBudget   bool
 }
 
+// jobOf builds the named benchmark's one-node simulator job.
+func jobOf(benchName string, scale workload.Scale) (cluster.Job, error) {
+	w, err := bench.ByName(benchName)
+	if err != nil {
+		return cluster.Job{}, err
+	}
+	return w.BuildJob(scale, 1, workload.DefaultCostModel()), nil
+}
+
 // Ablation compares App_FIT with its revocable variant, the offline knapsack
 // oracle, random selection and the trivial policies, all at 10× rates on
 // the given benchmark's simulator job (program-order decisions).
 func Ablation(benchName string, scale workload.Scale) ([]AblationRow, string, error) {
-	w, err := bench.ByName(benchName)
+	job, err := jobOf(benchName, scale)
 	if err != nil {
 		return nil, "", err
 	}
-	job := w.BuildJob(scale, 1, workload.DefaultCostModel())
-	base := fit.Roadrunner()
-	est1 := fit.NewEstimator(base)
-	estK := fit.NewEstimator(base.Scale(10))
-	tasks := make([]fit.Task, len(job.Tasks))
-	threshold := 0.0
-	for i, t := range job.Tasks {
-		tasks[i] = estK.Estimate(uint64(i+1), t.ArgBytes)
-		threshold += est1.Estimate(uint64(i+1), t.ArgBytes).Total()
+	n, one, ten := len(job.Tasks), fitAt(job, 1), fitAt(job, 10)
+	threshold := totalFIT(n, one)
+	row := func(policy string, reps int, unprot, budget float64) AblationRow {
+		return AblationRow{Policy: policy, PctTasks: pct(reps, n), UnprotectedFIT: unprot, WithinBudget: unprot <= budget*1.0001}
 	}
-	evalSeq := func(sel core.Selector) AblationRow {
-		unprot := 0.0
-		reps := 0
-		for _, tk := range tasks {
-			d := sel.Decide(tk)
-			sel.Observe(tk, d)
-			if d {
-				reps++
-			} else {
-				unprot += tk.Total()
-			}
-		}
-		return AblationRow{
-			Policy:         sel.Name(),
-			PctTasks:       100 * float64(reps) / float64(len(tasks)),
-			UnprotectedFIT: unprot,
-			WithinBudget:   unprot <= threshold*1.0001,
-		}
+	policy := func(sel core.Selector) AblationRow {
+		_, reps, unprot := inOrder(sel, n, ten)
+		return row(sel.Name(), reps, unprot, threshold)
 	}
-	var rows []AblationRow
-	rows = append(rows, evalSeq(core.NewAppFIT(threshold, len(tasks))))
-	rows = append(rows, evalSeq(core.NewAppFITRevocable(threshold, len(tasks))))
-	oracle := core.KnapsackOracle(tasks, threshold)
-	rows = append(rows, AblationRow{
-		Policy:         "knapsack_oracle",
-		PctTasks:       100 * float64(oracle.NumReplicated) / float64(len(tasks)),
-		UnprotectedFIT: oracle.UnprotectedFIT,
-		WithinBudget:   oracle.UnprotectedFIT <= threshold*1.0001,
-	})
-	rows = append(rows, evalSeq(core.RandomPct{P: 0.9, Seed: 7}))
-	rows = append(rows, evalSeq(core.ReplicateAll{}))
-	rows = append(rows, evalSeq(core.ReplicateNone{}))
+	oracle := core.KnapsackOracle(collect(n, ten), threshold)
+	rows := []AblationRow{
+		policy(core.NewAppFIT(threshold, n)),
+		policy(core.NewAppFITRevocable(threshold, n)),
+		row("knapsack_oracle", oracle.NumReplicated, oracle.UnprotectedFIT, threshold),
+		policy(core.RandomPct{P: 0.9, Seed: 7}),
+		policy(core.ReplicateAll{}),
+		policy(core.ReplicateNone{}),
+	}
 	// Refined rates (§IV-A): a vulnerability analysis that halves the SDC
 	// exposure of every even-id task (silent-store masking) feeds App_FIT
 	// unchanged and lowers the replication need.
-	refined := make([]fit.Task, len(tasks))
 	ref := fit.MaskingRefiner{MaskFraction: func(id uint64) float64 {
 		if id%2 == 0 {
 			return 0.5
 		}
 		return 0
 	}}
-	refThr := 0.0
-	for i, tk := range tasks {
-		refined[i] = ref.Refine(tk)
-		refThr += ref.Refine(est1.Estimate(uint64(i+1), job.Tasks[i].ArgBytes)).Total()
-	}
-	selR := core.NewAppFIT(refThr, len(refined))
-	reps, unprot := 0, 0.0
-	for _, tk := range refined {
-		d := selR.Decide(tk)
-		selR.Observe(tk, d)
-		if d {
-			reps++
-		} else {
-			unprot += tk.Total()
-		}
-	}
-	rows = append(rows, AblationRow{
-		Policy:         "app_fit+masking_refiner",
-		PctTasks:       100 * float64(reps) / float64(len(refined)),
-		UnprotectedFIT: unprot,
-		WithinBudget:   unprot <= refThr*1.0001,
-	})
+	refThr := totalFIT(n, func(i int) fit.Task { return ref.Refine(one(i)) })
+	_, reps, unprot := inOrder(core.NewAppFIT(refThr, n), n, func(i int) fit.Task { return ref.Refine(ten(i)) })
+	rows = append(rows, row("app_fit+masking_refiner", reps, unprot, refThr))
 	t := stats.NewTable("policy", "tasks %", "unprotected FIT", "within budget")
 	for _, r := range rows {
 		t.AddRow(r.Policy, r.PctTasks, fmt.Sprintf("%.4g", r.UnprotectedFIT), r.WithinBudget)
@@ -576,29 +558,35 @@ func Ablation(benchName string, scale workload.Scale) ([]AblationRow, string, er
 // machine's spare capacity shrinks, showing why replicas-on-spare-cores is
 // cheap at 16 cores (Figure 4's premise) and expensive when saturated.
 func SpareCoreSweep(eng *sweep.Engine, benchName string, scale workload.Scale) (string, error) {
-	w, err := bench.ByName(benchName)
+	_, s, err := regenerate(eng, "sparecores", Params{Scale: scale, Bench: benchName}, spareCores)
+	return s, err
+}
+
+var spareCoreCounts = []int{2, 4, 8, 16, 32}
+
+func spareRequests(p Params) ([]sweep.Request, error) {
+	job, err := jobOf(p.Bench, p.Scale)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	p := sweep.Prepare(w.BuildJob(scale, 1, workload.DefaultCostModel()))
-	cores := []int{2, 4, 8, 16, 32}
+	prep := sweep.Prepare(job)
 	var reqs []sweep.Request
-	for _, c := range cores {
+	for _, c := range spareCoreCounts {
 		reqs = append(reqs,
-			p.Request(cluster.Config{Nodes: 1, CoresPerNode: c}),
-			p.Request(cluster.Config{Nodes: 1, CoresPerNode: c, Replicated: p.AllReplicated()}))
+			prep.Request(cluster.Config{Nodes: 1, CoresPerNode: c}),
+			prep.Request(cluster.Config{Nodes: 1, CoresPerNode: c, Replicated: prep.AllReplicated()}))
 	}
-	resps, err := eng.RunBatch(context.Background(), reqs)
-	if err != nil {
-		return "", fmt.Errorf("experiments: spare-core sweep: %w", err)
-	}
+	return reqs, nil
+}
+
+func spareCores(_ Params, resps []sweep.Response) ([]cluster.Result, string) {
 	t := stats.NewTable("cores", "base ms", "replicated ms", "overhead %")
-	for i, c := range cores {
+	for i, c := range spareCoreCounts {
 		base, repl := resps[2*i].Result, resps[2*i+1].Result
 		t.AddRow(c, base.Makespan.Seconds()*1e3, repl.Makespan.Seconds()*1e3,
 			repl.OverheadPct(base))
 	}
-	return t.String(), nil
+	return nil, t.String()
 }
 
 // ThresholdSweep characterizes how the replicated fraction responds to the
@@ -608,39 +596,18 @@ func SpareCoreSweep(eng *sweep.Engine, benchName string, scale workload.Scale) (
 // this sweep is the sensitivity analysis that locates any reported
 // replication fraction — including the headline 53% — on the curve.
 func ThresholdSweep(benchName string, scale workload.Scale) (string, error) {
-	w, err := bench.ByName(benchName)
+	job, err := jobOf(benchName, scale)
 	if err != nil {
 		return "", err
 	}
-	job := w.BuildJob(scale, 1, workload.DefaultCostModel())
-	base := fit.Roadrunner()
-	est1 := fit.NewEstimator(base)
-	estK := fit.NewEstimator(base.Scale(10))
-	appFIT := 0.0
-	tasks := make([]fit.Task, len(job.Tasks))
-	for i, t := range job.Tasks {
-		appFIT += est1.Estimate(uint64(i+1), t.ArgBytes).Total()
-		tasks[i] = estK.Estimate(uint64(i+1), t.ArgBytes)
-	}
+	n, ten := len(job.Tasks), fitAt(job, 10)
+	appFIT, tasks := totalFIT(n, fitAt(job, 1)), collect(n, ten)
 	t := stats.NewTable("threshold multiplier", "tasks replicated %", "oracle %", "unprotected/threshold")
 	for _, m := range []float64{0.5, 1, 2, 3, 4, 5, 6, 8, 10} {
 		thr := appFIT * m
-		sel := core.NewAppFIT(thr, len(tasks))
-		reps, unprot := 0, 0.0
-		for _, tk := range tasks {
-			d := sel.Decide(tk)
-			sel.Observe(tk, d)
-			if d {
-				reps++
-			} else {
-				unprot += tk.Total()
-			}
-		}
+		_, reps, unprot := inOrder(core.NewAppFIT(thr, n), n, ten)
 		oracle := core.KnapsackOracle(tasks, thr)
-		t.AddRow(fmt.Sprintf("%.1f", m),
-			100*float64(reps)/float64(len(tasks)),
-			100*float64(oracle.NumReplicated)/float64(len(tasks)),
-			unprot/thr)
+		t.AddRow(fmt.Sprintf("%.1f", m), pct(reps, n), pct(oracle.NumReplicated, n), unprot/thr)
 	}
 	hdr := fmt.Sprintf("threshold sweep on %s (app FIT at 1x = %.4g; task rates at 10x)\n", benchName, appFIT)
 	return hdr + t.String(), nil

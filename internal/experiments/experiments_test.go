@@ -50,7 +50,10 @@ func TestFig2ShowsFullRecoverySequence(t *testing.T) {
 }
 
 func TestFig3ContractAndOrdering(t *testing.T) {
-	rows, out := Fig3(Fig3Config{Scale: workload.Tiny, Workers: 2, Repeats: 1})
+	rows, out, err := Fig3(workload.Tiny, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 9 {
 		t.Fatalf("expected 9 rows, got %d", len(rows))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"appfit/internal/bench/workload"
-	"appfit/internal/buffer"
 	"appfit/internal/dist"
 	"appfit/internal/place"
 	"appfit/internal/simnet"
@@ -38,53 +37,37 @@ type PlacementRow struct {
 // from that same random assignment. The search must recover at least the
 // block placement's makespan for the halo profile and strictly beat the
 // random start — PlacementTable returns an error otherwise, which is what
-// makes `make check-placement` a gate rather than a printout.
+// makes its table in `make check-figures` a gate rather than a printout.
 func PlacementTable(ranks, perNode, vecLen int, seed uint64) ([]PlacementRow, string, error) {
-	intra, inter := simnet.MemoryBus(), simnet.Marenostrum()
-	type profiled struct {
-		name string
-		prof *place.Profile
-	}
-	halo, err := captureHalo(ranks, vecLen)
+	blockTopo, err := simnet.BlockTopology(ranks, perNode, simnet.MemoryBus(), simnet.Marenostrum())
 	if err != nil {
 		return nil, "", err
 	}
-	nbody, err := captureNbody(ranks, vecLen)
-	if err != nil {
-		return nil, "", err
-	}
-	workloads := []profiled{{"halo", halo}, {"nbody", nbody}}
-
-	// The random assignment permutes the block slots, so node occupancy
-	// stays exactly perNode and the comparison is placement-only.
-	randomOf := make([]int, ranks)
-	for r := range randomOf {
-		randomOf[r] = r / perNode
-	}
-	xrand.New(seed).Shuffle(ranks, func(i, j int) {
-		randomOf[i], randomOf[j] = randomOf[j], randomOf[i]
-	})
-	randomTopo, err := simnet.NewTopology(randomOf, intra, inter)
-	if err != nil {
-		return nil, "", err
-	}
-	blockTopo, err := simnet.BlockTopology(ranks, perNode, intra, inter)
-	if err != nil {
-		return nil, "", err
-	}
-
 	var rows []PlacementRow
 	t := stats.NewTable("workload", "placement", "ranks", "per node", "makespan µs", "wire MB", "evals")
-	for _, wl := range workloads {
-		random, err := place.Evaluate(wl.prof, randomTopo)
+	// The halo is workload.BuildHalo's pair exchange (partner = rank xor 1,
+	// 8 iterations); nbody's position refresh is one flat ring allgather of
+	// every rank's block — the traffic an unplaced application emits, which
+	// is exactly the placement-sensitive pattern worth optimizing.
+	for _, wl := range []struct {
+		name    string
+		program func(*dist.Comm) error
+	}{
+		{"halo", func(c *dist.Comm) error {
+			_, err := workload.BuildHalo(c, workload.HaloConfig{Iters: 8, N: vecLen})
+			return err
+		}},
+		{"nbody", func(c *dist.Comm) error { return allgather(c, ranks, vecLen) }},
+	} {
+		prof, err := capture(ranks, wl.program)
+		if err != nil {
+			return nil, "", fmt.Errorf("experiments: placement %s: %w", wl.name, err)
+		}
+		block, err := place.Evaluate(prof, blockTopo)
 		if err != nil {
 			return nil, "", err
 		}
-		block, err := place.Evaluate(wl.prof, blockTopo)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := place.Optimize(wl.prof, randomTopo, place.Options{PerNode: perNode, Seed: seed})
+		random, res, err := searchFromRandom(prof, ranks, perNode, seed)
 		if err != nil {
 			return nil, "", err
 		}
@@ -124,43 +107,36 @@ func PlacementTable(ranks, perNode, vecLen int, seed uint64) ([]PlacementRow, st
 	return rows, t.String() + "\nsame recorded traffic per workload: only the rank→node assignment differs\n", nil
 }
 
-// captureHalo records the profile of the pair halo exchange
-// (workload.BuildHalo: partner = rank xor 1, 8 iterations) on a flat
+// capture records the traffic profile of program on a flat ranks-rank
 // World. Profiles are placement-independent — they record who talks to
 // whom, which the placements under test then price.
-func captureHalo(ranks, vecLen int) (*place.Profile, error) {
+func capture(ranks int, program func(*dist.Comm) error) (*place.Profile, error) {
 	sim := dist.NewSim(simnet.Marenostrum())
 	prof := place.NewProfile(ranks)
 	sim.Record(prof)
-	w := dist.NewWorld(dist.Config{Ranks: ranks, Transport: sim})
-	if _, err := workload.BuildHalo(w.Comm(), workload.HaloConfig{Iters: 8, N: vecLen}); err != nil {
-		return nil, fmt.Errorf("experiments: placement halo: %w", err)
-	}
-	if err := w.Shutdown(); err != nil {
-		return nil, fmt.Errorf("experiments: placement halo: %w", err)
-	}
-	return prof, nil
+	_, _, err := onFabric(sim, dist.Config{Ranks: ranks}, program)
+	return prof, err
 }
 
-// captureNbody records the profile of the distributed-nbody position
-// refresh: one ring allgather of every rank's block (the flat algorithm —
-// the traffic an unplaced application emits, which is exactly the
-// placement-sensitive pattern worth optimizing).
-func captureNbody(ranks, vecLen int) (*place.Profile, error) {
-	sim := dist.NewSim(simnet.Marenostrum())
-	prof := place.NewProfile(ranks)
-	sim.Record(prof)
-	w := dist.NewWorld(dist.Config{Ranks: ranks, Transport: sim})
-	bufs := make([][]buffer.Buffer, ranks)
-	for i := range bufs {
-		bufs[i] = make([]buffer.Buffer, ranks)
-		for j := range bufs[i] {
-			bufs[i][j] = buffer.NewF64(vecLen)
-		}
+// searchFromRandom prices prof on a seeded random rank→node assignment of
+// the paper's machine (memory-bus intra-node links, Marenostrum inter-node
+// links) and runs the optimizer from it. The assignment permutes the block
+// slots, so every node keeps perNode ranks and a comparison against the
+// block placement is placement-only.
+func searchFromRandom(prof *place.Profile, ranks, perNode int, seed uint64) (random place.Eval, res place.Result, err error) {
+	nodeOf := make([]int, ranks)
+	for r := range nodeOf {
+		nodeOf[r] = r / perNode
 	}
-	w.Comm().Allgather(0, func(j int) string { return fmt.Sprintf("b%d", j) }, bufs)
-	if err := w.Shutdown(); err != nil {
-		return nil, fmt.Errorf("experiments: placement nbody: %w", err)
+	xrand.New(seed).Shuffle(ranks, func(i, j int) {
+		nodeOf[i], nodeOf[j] = nodeOf[j], nodeOf[i]
+	})
+	topo, err := simnet.NewTopology(nodeOf, simnet.MemoryBus(), simnet.Marenostrum())
+	if err == nil {
+		random, err = place.Evaluate(prof, topo)
 	}
-	return prof, nil
+	if err == nil {
+		res, err = place.Optimize(prof, topo, place.Options{PerNode: perNode, Seed: seed})
+	}
+	return random, res, err
 }

@@ -7,7 +7,7 @@ import (
 
 func TestPlacementTable(t *testing.T) {
 	// Test-sized machine: 16 ranks × 4 per node (the acceptance run at
-	// 64 × 16 is the check-placement gate).
+	// 64 × 16 is the placement table in the check-figures gate).
 	rows, s, err := PlacementTable(16, 4, 1024, 1)
 	if err != nil {
 		t.Fatal(err)

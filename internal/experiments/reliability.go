@@ -10,7 +10,6 @@ import (
 	"appfit/internal/fit"
 	"appfit/internal/rt"
 	"appfit/internal/stats"
-	"appfit/internal/trace"
 )
 
 // ReliabilityRow reports the empirical outcome of one policy under
@@ -44,19 +43,9 @@ func Reliability(benchName string, scale workload.Scale, runs int, boost float64
 	if runs < 1 {
 		runs = 20
 	}
-	base := fit.Roadrunner()
-
-	// Dry pass for threshold and task count.
-	tr := trace.New()
-	dry := rt.New(rt.Config{Workers: 2, Rates: base, RatesSet: true, Tracer: tr})
-	_ = w.BuildRT(dry, scale)
-	if err := dry.Shutdown(); err != nil {
+	n, threshold, _, err := dryRun(w, scale, 2)
+	if err != nil {
 		return nil, "", err
-	}
-	n := tr.Len()
-	threshold := 0.0
-	for _, rec := range tr.Records() {
-		threshold += rec.FITDue + rec.FITSdc
 	}
 	if boost <= 0 {
 		// Adaptive acceleration: target ~5% fault probability per
@@ -72,38 +61,31 @@ func Reliability(benchName string, scale workload.Scale, runs int, boost float64
 		}
 	}
 
-	type policy struct {
-		name string
-		mk   func() core.Selector
-	}
-	policies := []policy{
-		{"replicate_none", func() core.Selector { return core.ReplicateNone{} }},
-		{"app_fit", func() core.Selector { return core.NewAppFIT(threshold, n) }},
-		{"replicate_all", func() core.Selector { return core.ReplicateAll{} }},
-	}
-
 	var rows []ReliabilityRow
-	for _, p := range policies {
-		row := ReliabilityRow{Policy: p.name, Runs: runs}
+	for _, policy := range []func() core.Selector{
+		func() core.Selector { return core.ReplicateNone{} },
+		func() core.Selector { return core.NewAppFIT(threshold, n) },
+		func() core.Selector { return core.ReplicateAll{} },
+	} {
+		row := ReliabilityRow{Policy: policy().Name(), Runs: runs}
 		var fracs []float64
 		for run := 0; run < runs; run++ {
 			inj := fault.NewSeeded(uint64(run)*1315423911 + 7)
 			inj.Boost = boost
-			r := rt.New(rt.Config{
+			r, verified, err := runRT(w, scale, rt.Config{
 				Workers:  2,
-				Selector: p.mk(),
-				Rates:    base.Scale(10), RatesSet: true,
+				Selector: policy(),
+				Rates:    fit.Roadrunner().Scale(10), RatesSet: true,
 				Injector: inj,
 			})
-			verify := w.BuildRT(r, scale)
-			if err := r.Shutdown(); err != nil {
+			if err != nil {
 				// Exhausted recovery counts as a crash, not corruption.
 				row.Crashes++
 				continue
 			}
 			st := r.Stats()
 			row.Crashes += int(st.UnprotectedDUE)
-			if verify() != nil {
+			if !verified {
 				row.Corrupted++
 			}
 			fracs = append(fracs, st.PctTasksReplicated())

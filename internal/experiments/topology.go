@@ -37,53 +37,40 @@ func TopologyTable(ranks, perNode, vecLen int) ([]TopologyRow, string, error) {
 	}
 	type coll struct {
 		name string
-		run  func(c *dist.Comm)
+		run  func(c *dist.Comm) error
 	}
 	colls := []coll{
-		{"allreduce", func(c *dist.Comm) {
+		{"allreduce", func(c *dist.Comm) error {
 			bufs := make([]buffer.F64, ranks)
 			for i := range bufs {
 				bufs[i] = buffer.NewF64(vecLen)
 				bufs[i][0] = 1
 			}
 			c.AllreduceSum(0, "r", bufs)
+			return nil
 		}},
-		{"allgather", func(c *dist.Comm) {
-			bufs := make([][]buffer.Buffer, ranks)
-			for i := range bufs {
-				bufs[i] = make([]buffer.Buffer, ranks)
-				for j := range bufs[i] {
-					bufs[i][j] = buffer.NewF64(vecLen)
-				}
-			}
-			c.Allgather(0, func(j int) string { return fmt.Sprintf("b%d", j) }, bufs)
-		}},
-		{"broadcast", func(c *dist.Comm) {
+		{"allgather", func(c *dist.Comm) error { return allgather(c, ranks, vecLen) }},
+		{"broadcast", func(c *dist.Comm) error {
 			bufs := make([]buffer.Buffer, ranks)
 			for i := range bufs {
 				bufs[i] = buffer.NewF64(vecLen)
 			}
 			c.Broadcast(ranks/2, 0, "b", bufs)
+			return nil
 		}},
 	}
 	var rows []TopologyRow
 	t := stats.NewTable("collective", "ranks", "per node", "flat µs", "hier µs", "speedup", "flat wire MB", "hier wire MB")
 	for _, cl := range colls {
-		var us [2]float64
-		var wire [2]float64
+		var us, wire [2]float64
 		for v, placed := range []bool{false, true} {
-			sim := dist.NewSimTopology(topo)
-			cfg := dist.Config{Ranks: ranks, Transport: sim}
+			cfg := dist.Config{Ranks: ranks}
 			if placed {
 				cfg.Topology = topo
 			}
-			w := dist.NewWorld(cfg)
-			cl.run(w.Comm())
-			if err := w.Shutdown(); err != nil {
+			if us[v], wire[v], err = onFabric(dist.NewSimTopology(topo), cfg, cl.run); err != nil {
 				return nil, "", fmt.Errorf("experiments: topology %s placed=%v: %w", cl.name, placed, err)
 			}
-			us[v] = sim.Now().Seconds() * 1e6
-			wire[v] = float64(sim.WireBytes()) / 1e6
 		}
 		row := TopologyRow{
 			Collective: cl.name, Ranks: ranks, PerNode: perNode,
@@ -97,4 +84,31 @@ func TopologyTable(ranks, perNode, vecLen int) ([]TopologyRow, string, error) {
 		t.AddRow(cl.name, ranks, perNode, row.FlatUS, row.HierUS, row.Speedup, row.FlatWireMB, row.HierWireMB)
 	}
 	return rows, t.String() + "\nsame placed fabric, same payloads: only the algorithms' routing differs\n", nil
+}
+
+// onFabric runs program on a fresh World whose transport is sim and returns
+// the virtual makespan in µs and the payload volume the meter charged in MB.
+func onFabric(sim *dist.Sim, cfg dist.Config, program func(*dist.Comm) error) (us, wireMB float64, err error) {
+	cfg.Transport = sim
+	w := dist.NewWorld(cfg)
+	if err := program(w.Comm()); err != nil {
+		return 0, 0, err
+	}
+	if err := w.Shutdown(); err != nil {
+		return 0, 0, err
+	}
+	return sim.Now().Seconds() * 1e6, float64(sim.WireBytes()) / 1e6, nil
+}
+
+// allgather gathers one vecLen-element block of every rank to every rank.
+func allgather(c *dist.Comm, ranks, vecLen int) error {
+	bufs := make([][]buffer.Buffer, ranks)
+	for i := range bufs {
+		bufs[i] = make([]buffer.Buffer, ranks)
+		for j := range bufs[i] {
+			bufs[i][j] = buffer.NewF64(vecLen)
+		}
+	}
+	c.Allgather(0, func(j int) string { return fmt.Sprintf("b%d", j) }, bufs)
+	return nil
 }
