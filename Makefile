@@ -44,7 +44,9 @@ check-lint:
 # named error and no task, or the serial reference) and Comm.Split (a named
 # error and no context, or the reference partition) — and over Figure 2's
 # recovery rule (no adopt without two agreeing survivors, no attempt past
-# MaxAttempts, one detection at most). 10 seconds each is a smoke
+# MaxAttempts, one detection at most) — and over the failure-log reader
+# behind appfit -rates-log (no panic, every rejection a named error, every
+# accepted log finite, non-negative rates). 10 seconds each is a smoke
 # budget — run with a longer -fuzztime for real exploration; failures
 # minimize into the package's testdata/fuzz/.
 fuzz-smoke:
@@ -54,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzVectorArgs -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzSplit -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
+	$(GO) test -run '^$$' -fuzz FuzzFitFromLog -fuzztime 10s ./internal/fit
 
 # Sweep gate: run a small replication sweep twice through one engine and
 # require the second pass to be ≥90% cache hits with a bitwise-identical

@@ -116,12 +116,11 @@ func main() {
 	verr := verify()
 
 	st := r.Stats()
-	sum := runTrace.Summarize()
 	fmt.Printf("benchmark       %s (%s, %d tasks)\n", w.Name(), scale, n)
 	fmt.Printf("policy          %s\n", sel.Name())
 	fmt.Printf("rate scale      %gx   threshold %.4g FIT (app FIT at 1x: %.4g)\n", *rateScale, thr, appFIT)
 	fmt.Printf("replicated      %d tasks (%.1f%%), %.1f%% of task time\n",
-		st.Replicated, sum.PctTasksReplicated(), sum.PctTimeReplicated())
+		st.Replicated, st.PctTasksReplicated(), st.PctTimeReplicated())
 	if a, ok := sel.(*core.AppFIT); ok {
 		fmt.Printf("achieved FIT    %.4g (<= threshold: %v, max transient excess %.3g)\n",
 			a.CurrentFIT(), a.CurrentFIT() <= thr*1.0001, a.MaxExcess())

@@ -66,10 +66,13 @@ func (W) InputBytes(s workload.Scale) int64 {
 	return n * n * 8
 }
 
-// buildSPD fills the lower-triangular tile array of an SPD matrix: a random
-// symmetric matrix plus a strong diagonal. Only tiles with i >= j are
-// stored (the factorization touches nothing else).
-func buildSPD(p Params) [][]buffer.F64 {
+// SPD returns the deterministic lower-triangular tile array of an SPD matrix
+// the benchmark factorizes — a random symmetric matrix plus a strong
+// diagonal, tiles[i][j] for j <= i only (the factorization touches nothing
+// else), each seeded only by (i, j), so every caller — the serial reference
+// and every rank of a distributed build — derives bitwise-identical inputs
+// without communicating.
+func SPD(p Params) [][]buffer.F64 {
 	bb := p.B * p.B
 	tiles := make([][]buffer.F64, p.Nb)
 	for i := range tiles {
@@ -108,18 +111,9 @@ func clone2d(tiles [][]buffer.F64) [][]buffer.F64 {
 	return out
 }
 
-// SPD returns the deterministic lower-triangular tile array the benchmark
-// factorizes: tiles[i][j] for j <= i, seeded only by (i, j), so every caller
-// — the serial reference and every rank of a distributed build — derives
-// bitwise-identical inputs without communicating.
-func SPD(p Params) [][]buffer.F64 { return buildSPD(p) }
-
-// CloneTiles deep-copies a tile array.
-func CloneTiles(tiles [][]buffer.F64) [][]buffer.F64 { return clone2d(tiles) }
-
 // FactorSerial runs the tiled factorization in place in the exact task order
-// BuildRT submits (per k: potrf, trsms ascending i, then per i the syrk and
-// its gemms): the serial reference a distributed factorization must match
+// graph emits (per k: potrf, trsms ascending i, then per i the syrk and its
+// gemms): the serial reference a distributed factorization must match
 // bitwise, since every tile kernel sees bit-identical operands in the same
 // sequence.
 func FactorSerial(tiles [][]buffer.F64, p Params) error {
@@ -140,45 +134,49 @@ func FactorSerial(tiles [][]buffer.F64, p Params) error {
 	return nil
 }
 
+// graph states the factorization's task graph; firstErr receives the first
+// potrf error. Tile (i, j) lives on node (i+j) mod nodes.
+func graph(g *workload.Graph, p Params, firstErr *error) {
+	b := int64(p.B)
+	blockBytes := b * b * 8
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
+	owner := func(i, j int) int { return (i + j) % g.Nodes() }
+	var potrf, trsm, syrk, gemm rt.TaskFunc
+	if g.Runs() {
+		potrf = func(ctx *rt.Ctx) {
+			if err := kern.Potrf(ctx.F64(0), p.B); err != nil && *firstErr == nil {
+				*firstErr = err
+			}
+		}
+		trsm = func(ctx *rt.Ctx) { kern.TrsmRightLowerTrans(ctx.F64(0), ctx.F64(1), p.B) }
+		syrk = func(ctx *rt.Ctx) { kern.SyrkSub(ctx.F64(1), ctx.F64(0), p.B) }
+		gemm = func(ctx *rt.Ctx) { kern.GemmSubTransB(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
+	}
+	for k := 0; k < p.Nb; k++ {
+		g.Task("potrf", owner(k, k), b*b*b/3, blockBytes, potrf, workload.RWAcc(key(k, k), blockBytes))
+		for i := k + 1; i < p.Nb; i++ {
+			g.Task("trsm", owner(i, k), b*b*b, 2*blockBytes, trsm,
+				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
+		}
+		for i := k + 1; i < p.Nb; i++ {
+			g.Task("syrk", owner(i, i), b*b*b, 2*blockBytes, syrk,
+				workload.RAcc(key(i, k), blockBytes), workload.RWAcc(key(i, i), blockBytes))
+			for j := k + 1; j < i; j++ {
+				g.Task("gemm", owner(i, j), 2*b*b*b, 3*blockBytes, gemm,
+					workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(j, k), blockBytes),
+					workload.RWAcc(key(i, j), blockBytes))
+			}
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
-	tiles := buildSPD(p)
+	tiles := SPD(p)
 	orig := clone2d(tiles)
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < p.Nb; k++ {
-		k := k
-		r.Submit("potrf", func(ctx *rt.Ctx) {
-			if err := kern.Potrf(ctx.F64(0), p.B); err != nil {
-				fail(err)
-			}
-		}, rt.Inout(key(k, k), tiles[k][k]))
-		for i := k + 1; i < p.Nb; i++ {
-			i := i
-			r.Submit("trsm", func(ctx *rt.Ctx) {
-				kern.TrsmRightLowerTrans(ctx.F64(0), ctx.F64(1), p.B)
-			}, rt.In(key(k, k), tiles[k][k]), rt.Inout(key(i, k), tiles[i][k]))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			i := i
-			r.Submit("syrk", func(ctx *rt.Ctx) {
-				kern.SyrkSub(ctx.F64(1), ctx.F64(0), p.B)
-			}, rt.In(key(i, k), tiles[i][k]), rt.Inout(key(i, i), tiles[i][i]))
-			for j := k + 1; j < i; j++ {
-				j := j
-				r.Submit("gemm", func(ctx *rt.Ctx) {
-					kern.GemmSubTransB(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B)
-				}, rt.In(key(i, k), tiles[i][k]), rt.In(key(j, k), tiles[j][k]),
-					rt.Inout(key(i, j), tiles[i][j]))
-			}
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return tiles[reg.I][reg.J] }), p, &firstErr)
 	return func() error {
 		if firstErr != nil {
 			return firstErr
@@ -204,34 +202,9 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 }
 
 // BuildJob implements workload.Workload.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	b := int64(p.B)
-	blockBytes := b * b * 8
-	n := int64(p.Nb) * b
-	jb := workload.NewJobBuilder("cholesky", p.Nb+p.Nb*(p.Nb-1)+p.Nb*(p.Nb-1)*(p.Nb-2)/6, n*n*8, cm)
-	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
-	owner := func(i, j int) int { return (i + j) % nodes }
-	potrfFlops := b * b * b / 3
-	trsmFlops := b * b * b
-	syrkFlops := b * b * b
-	gemmFlops := 2 * b * b * b
-	for k := 0; k < p.Nb; k++ {
-		jb.Task("potrf", owner(k, k), potrfFlops, blockBytes,
-			workload.RWAcc(key(k, k), blockBytes))
-		for i := k + 1; i < p.Nb; i++ {
-			jb.Task("trsm", owner(i, k), trsmFlops, 2*blockBytes,
-				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			jb.Task("syrk", owner(i, i), syrkFlops, 2*blockBytes,
-				workload.RAcc(key(i, k), blockBytes), workload.RWAcc(key(i, i), blockBytes))
-			for j := k + 1; j < i; j++ {
-				jb.Task("gemm", owner(i, j), gemmFlops, 3*blockBytes,
-					workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(j, k), blockBytes),
-					workload.RWAcc(key(i, j), blockBytes))
-			}
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	graph(g, p, nil)
+	return g.Job()
 }

@@ -31,7 +31,7 @@ func TestTaskCountFormula(t *testing.T) {
 
 func TestSPDConstruction(t *testing.T) {
 	p := Params{Nb: 3, B: 8}
-	tiles := buildSPD(p)
+	tiles := SPD(p)
 	if len(tiles) != 3 || len(tiles[2]) != 3 || len(tiles[0]) != 1 {
 		t.Fatal("lower-triangular tile shape wrong")
 	}

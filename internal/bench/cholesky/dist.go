@@ -93,7 +93,7 @@ func BuildDist(c *dist.Comm, cfg DistConfig) (*Dist, error) {
 			cfg.Pr, cfg.Pc, size, ErrGrid)
 	}
 	p := Params{Nb: cfg.Nb, B: cfg.B}
-	d := &Dist{p: p, size: size, Pr: cfg.Pr, Pc: cfg.Pc, owned: buildSPD(p)}
+	d := &Dist{p: p, size: size, Pr: cfg.Pr, Pc: cfg.Pc, owned: SPD(p)}
 
 	// Row and column sub-communicators: comm rank r sits at grid position
 	// (r / Pc, r mod Pc); its row comm re-numbers by grid column, its column
@@ -231,7 +231,7 @@ var ErrVerify = errors.New("cholesky: verification failed")
 // Verify re-derives the serial reference (SPD + FactorSerial) and compares
 // every working tile bitwise. Call after the World has shut down.
 func (d *Dist) Verify() error {
-	ref := buildSPD(d.p)
+	ref := SPD(d.p)
 	if err := FactorSerial(ref, d.p); err != nil {
 		return err
 	}

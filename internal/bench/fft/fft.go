@@ -114,6 +114,56 @@ func Reference(data []complex128, p Params) []complex128 {
 	return out
 }
 
+// graph states the transform's task graph: FFT every row panel of P,
+// transpose into Q, FFT Q's panels, transpose back into P. Panel i lives on
+// node i mod nodes. A transpose declares one slab of each source panel (the
+// part it reads) in the job, while the runtime sizes it from the whole
+// panels it is handed.
+func graph(g *workload.Graph, p Params) {
+	n, rows, nb := int64(p.N), int64(p.R), p.Nb()
+	panelBytes := rows * n * 16
+	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
+	// 5·N·log2(N) flops per row FFT.
+	log2n := 0
+	for v := p.N; v > 1; v >>= 1 {
+		log2n++
+	}
+	fftFlops := 5 * rows * n * int64(log2n)
+	var rowFFT rt.TaskFunc
+	transpose := func(int) rt.TaskFunc { return nil }
+	if g.Runs() {
+		rowFFT = func(ctx *rt.Ctx) { fftRows(ctx.C128(0), p.R, p.N) }
+		transpose = func(dst int) rt.TaskFunc {
+			return func(ctx *rt.Ctx) {
+				srcs := make([][]complex128, nb)
+				for i := range srcs {
+					srcs[i] = ctx.C128(i + 1)
+				}
+				transposeInto(ctx.C128(0), srcs, dst, p.R, p.N)
+			}
+		}
+	}
+	// stage emits one transpose pass: panel j of dst from every panel of src.
+	var accs []workload.Acc
+	stage := func(label string, dst, src rune) {
+		for j := 0; j < nb; j++ {
+			accs = append(accs[:0], workload.WAcc(key(dst, j), panelBytes))
+			for i := 0; i < nb; i++ {
+				accs = append(accs, workload.RAcc(key(src, i), panelBytes/int64(nb)))
+			}
+			g.Task(label, j%g.Nodes(), 0, 2*panelBytes, transpose(j), accs...)
+		}
+	}
+	for i := 0; i < nb; i++ {
+		g.Task("fft-rows", i%g.Nodes(), fftFlops, panelBytes, rowFFT, workload.RWAcc(key('P', i), panelBytes))
+	}
+	stage("transpose", 'Q', 'P')
+	for j := 0; j < nb; j++ {
+		g.Task("fft-cols", j%g.Nodes(), fftFlops, panelBytes, rowFFT, workload.RWAcc(key('Q', j), panelBytes))
+	}
+	stage("transpose-back", 'P', 'Q')
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
@@ -130,47 +180,12 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		copy(P[i], input[i*rows*n:(i+1)*rows*n])
 		Q[i] = buffer.NewC128(rows * n)
 	}
-	pk := func(i int) string { return fmt.Sprintf("P[%d]", i) }
-	qk := func(i int) string { return fmt.Sprintf("Q[%d]", i) }
-
-	for i := 0; i < nb; i++ {
-		r.Submit("fft-rows", func(ctx *rt.Ctx) {
-			fftRows(ctx.C128(0), rows, n)
-		}, rt.Inout(pk(i), P[i]))
-	}
-	for j := 0; j < nb; j++ {
-		j := j
-		args := []rt.Arg{rt.Out(qk(j), Q[j])}
-		for i := 0; i < nb; i++ {
-			args = append(args, rt.In(pk(i), P[i]))
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
+		if reg.Arr == 'P' {
+			return P[reg.I]
 		}
-		r.Submit("transpose", func(ctx *rt.Ctx) {
-			srcs := make([][]complex128, nb)
-			for i := 0; i < nb; i++ {
-				srcs[i] = ctx.C128(i + 1)
-			}
-			transposeInto(ctx.C128(0), srcs, j, rows, n)
-		}, args...)
-	}
-	for j := 0; j < nb; j++ {
-		r.Submit("fft-cols", func(ctx *rt.Ctx) {
-			fftRows(ctx.C128(0), rows, n)
-		}, rt.Inout(qk(j), Q[j]))
-	}
-	for i := 0; i < nb; i++ {
-		i := i
-		args := []rt.Arg{rt.Out(pk(i), P[i])}
-		for j := 0; j < nb; j++ {
-			args = append(args, rt.In(qk(j), Q[j]))
-		}
-		r.Submit("transpose-back", func(ctx *rt.Ctx) {
-			srcs := make([][]complex128, nb)
-			for j := 0; j < nb; j++ {
-				srcs[j] = ctx.C128(j + 1)
-			}
-			transposeInto(ctx.C128(0), srcs, i, rows, n)
-		}, args...)
-	}
+		return Q[reg.I]
+	}), p)
 	return func() error {
 		want := Reference(input, p)
 		for i := 0; i < nb; i++ {
@@ -185,37 +200,9 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 }
 
 // BuildJob implements workload.Workload.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	n, rows, nb := int64(p.N), int64(p.R), p.Nb()
-	panelBytes := rows * n * 16
-	jb := workload.NewJobBuilder("fft", 4*nb, n*n*16, cm)
-	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
-	// 5·N·log2(N) flops per row FFT.
-	log2n := 0
-	for v := p.N; v > 1; v >>= 1 {
-		log2n++
-	}
-	fftFlops := 5 * rows * n * int64(log2n)
-	for i := 0; i < nb; i++ {
-		jb.Task("fft-rows", i%nodes, fftFlops, panelBytes, workload.RWAcc(key('P', i), panelBytes))
-	}
-	for j := 0; j < nb; j++ {
-		accs := []workload.Acc{workload.WAcc(key('Q', j), panelBytes)}
-		for i := 0; i < nb; i++ {
-			accs = append(accs, workload.RAcc(key('P', i), panelBytes/int64(nb)))
-		}
-		jb.Task("transpose", j%nodes, 0, 2*panelBytes, accs...)
-	}
-	for j := 0; j < nb; j++ {
-		jb.Task("fft-cols", j%nodes, fftFlops, panelBytes, workload.RWAcc(key('Q', j), panelBytes))
-	}
-	for i := 0; i < nb; i++ {
-		accs := []workload.Acc{workload.WAcc(key('P', i), panelBytes)}
-		for j := 0; j < nb; j++ {
-			accs = append(accs, workload.RAcc(key('Q', j), panelBytes/int64(nb)))
-		}
-		jb.Task("transpose-back", i%nodes, 0, 2*panelBytes, accs...)
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 4*p.Nb(), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

@@ -77,6 +77,53 @@ func initBlock(b buffer.F64, i, j, n, nb int) {
 	}
 }
 
+// graph states the factorization's task graph; firstErr receives the first
+// getrf error. Block (i, j) lives on grid process (i mod P', j mod Q'), the
+// grid chosen per machine size as HPL does: the most square P'×Q' = nodes
+// factorization (the paper's 8×8 grid is the 64-node case).
+func graph(g *workload.Graph, p Params, firstErr *error) {
+	b := int64(p.B)
+	blockBytes := b * b * 8
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
+	gp := 1
+	for f := 2; f*f <= g.Nodes(); f++ {
+		if g.Nodes()%f == 0 {
+			gp = f
+		}
+	}
+	gq := g.Nodes() / gp
+	owner := func(i, j int) int { return (i%gp)*gq + (j % gq) }
+	var getrf, trsmRow, trsmCol, gemm rt.TaskFunc
+	if g.Runs() {
+		getrf = func(ctx *rt.Ctx) {
+			if err := kern.Lu0(ctx.F64(0), p.B); err != nil && *firstErr == nil {
+				*firstErr = err
+			}
+		}
+		trsmRow = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
+		trsmCol = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
+		gemm = func(ctx *rt.Ctx) { kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
+	}
+	for k := 0; k < p.Nb; k++ {
+		g.Task("getrf", owner(k, k), 2*b*b*b/3, blockBytes, getrf, workload.RWAcc(key(k, k), blockBytes))
+		for j := k + 1; j < p.Nb; j++ {
+			g.Task("trsm-row", owner(k, j), b*b*b, 2*blockBytes, trsmRow,
+				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(k, j), blockBytes))
+		}
+		for i := k + 1; i < p.Nb; i++ {
+			g.Task("trsm-col", owner(i, k), b*b*b, 2*blockBytes, trsmCol,
+				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
+		}
+		for i := k + 1; i < p.Nb; i++ {
+			for j := k + 1; j < p.Nb; j++ {
+				g.Task("gemm", owner(i, j), 2*b*b*b, 3*blockBytes, gemm,
+					workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(k, j), blockBytes),
+					workload.RWAcc(key(i, j), blockBytes))
+			}
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
@@ -92,38 +139,8 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			orig[i][j] = blocks[i][j].Clone().(buffer.F64)
 		}
 	}
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < p.Nb; k++ {
-		r.Submit("getrf", func(ctx *rt.Ctx) {
-			if err := kern.Lu0(ctx.F64(0), p.B); err != nil {
-				fail(err)
-			}
-		}, rt.Inout(key(k, k), blocks[k][k]))
-		for j := k + 1; j < p.Nb; j++ {
-			r.Submit("trsm-row", func(ctx *rt.Ctx) {
-				kern.Fwd(ctx.F64(0), ctx.F64(1), p.B)
-			}, rt.In(key(k, k), blocks[k][k]), rt.Inout(key(k, j), blocks[k][j]))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			r.Submit("trsm-col", func(ctx *rt.Ctx) {
-				kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B)
-			}, rt.In(key(k, k), blocks[k][k]), rt.Inout(key(i, k), blocks[i][k]))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			for j := k + 1; j < p.Nb; j++ {
-				r.Submit("gemm", func(ctx *rt.Ctx) {
-					kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B)
-				}, rt.In(key(i, k), blocks[i][k]), rt.In(key(k, j), blocks[k][j]),
-					rt.Inout(key(i, j), blocks[i][j]))
-			}
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, &firstErr)
 	return func() error {
 		if firstErr != nil {
 			return firstErr
@@ -209,46 +226,10 @@ func VerifyResidual(blocks, orig [][]buffer.F64, p Params) error {
 	return nil
 }
 
-// BuildJob implements workload.Workload. Block (i, j) lives on grid process
-// (i mod P', j mod Q') with the grid chosen per machine size, as HPL does.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+// BuildJob implements workload.Workload.
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	b := int64(p.B)
-	blockBytes := b * b * 8
-	n := int64(p.Nb) * b
-	jb := workload.NewJobBuilder("linpack", p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, n*n*8, cm)
-	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
-	// HPL picks the process grid to match the machine: the most square
-	// P'×Q' = nodes factorization (the paper's 8×8 grid is the 64-node
-	// case).
-	gp := 1
-	for f := 2; f*f <= nodes; f++ {
-		if nodes%f == 0 {
-			gp = f
-		}
-	}
-	gq := nodes / gp
-	owner := func(i, j int) int { return (i%gp)*gq + (j % gq) }
-	getrfFlops := 2 * b * b * b / 3
-	trsFlops := b * b * b
-	gemmFlops := 2 * b * b * b
-	for k := 0; k < p.Nb; k++ {
-		jb.Task("getrf", owner(k, k), getrfFlops, blockBytes, workload.RWAcc(key(k, k), blockBytes))
-		for j := k + 1; j < p.Nb; j++ {
-			jb.Task("trsm-row", owner(k, j), trsFlops, 2*blockBytes,
-				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(k, j), blockBytes))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			jb.Task("trsm-col", owner(i, k), trsFlops, 2*blockBytes,
-				workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			for j := k + 1; j < p.Nb; j++ {
-				jb.Task("gemm", owner(i, j), gemmFlops, 3*blockBytes,
-					workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(k, j), blockBytes),
-					workload.RWAcc(key(i, j), blockBytes))
-			}
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, nodes, cm)
+	graph(g, p, nil)
+	return g.Job()
 }

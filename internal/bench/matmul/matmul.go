@@ -72,6 +72,40 @@ func fillBlock(b buffer.F64, seed uint64) {
 	}
 }
 
+// graph states the multiplication's task graph: init tasks materialize every
+// A and B block on its owner, then one gemm per (k, i, j) accumulates
+// A[i][k]·B[k][j] into C[i][j]. Blocks are owned block-cyclically; a gemm
+// runs on the owner of its C block and pulls A/B blocks over the network
+// when remote.
+func graph(g *workload.Graph, p Params) {
+	blockBytes := int64(p.B) * int64(p.B) * 8
+	key := func(m rune, i, j int) workload.Region { return workload.Region{Arr: m, I: int32(i), J: int32(j)} }
+	owner := func(i, j int) int { return (i*p.Nb + j) % g.Nodes() }
+	fill := func(int) rt.TaskFunc { return nil }
+	var gemm rt.TaskFunc
+	if g.Runs() {
+		fill = func(seed int) rt.TaskFunc { return func(ctx *rt.Ctx) { fillBlock(ctx.F64(0), uint64(seed)) } }
+		gemm = func(ctx *rt.Ctx) { kern.GemmAdd(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
+	}
+	for i := 0; i < p.Nb; i++ {
+		for j := 0; j < p.Nb; j++ {
+			g.Task("initA", owner(i, j), 0, blockBytes, fill(1000+i*p.Nb+j), workload.WAcc(key('A', i, j), blockBytes))
+			g.Task("initB", owner(i, j), 0, blockBytes, fill(2000+i*p.Nb+j), workload.WAcc(key('B', i, j), blockBytes))
+		}
+	}
+	gemmFlops := 2 * int64(p.B) * int64(p.B) * int64(p.B)
+	for k := 0; k < p.Nb; k++ {
+		for i := 0; i < p.Nb; i++ {
+			for j := 0; j < p.Nb; j++ {
+				g.Task("gemm", owner(i, j), gemmFlops, 3*blockBytes, gemm,
+					workload.RAcc(key('A', i, k), blockBytes),
+					workload.RAcc(key('B', k, j), blockBytes),
+					workload.RWAcc(key('C', i, j), blockBytes))
+			}
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
@@ -83,25 +117,11 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		}
 		return m
 	}
-	A, B, C := mk(), mk(), mk()
-	for i := 0; i < p.Nb*p.Nb; i++ {
-		fillBlock(A[i], uint64(1000+i))
-		fillBlock(B[i], uint64(2000+i))
-	}
-	key := func(m string, i, j int) string { return fmt.Sprintf("%s[%d][%d]", m, i, j) }
-	for k := 0; k < p.Nb; k++ {
-		for i := 0; i < p.Nb; i++ {
-			for j := 0; j < p.Nb; j++ {
-				i, j, k := i, j, k
-				r.Submit("gemm", func(ctx *rt.Ctx) {
-					kern.GemmAdd(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B)
-				},
-					rt.In(key("A", i, k), A[i*p.Nb+k]),
-					rt.In(key("B", k, j), B[k*p.Nb+j]),
-					rt.Inout(key("C", i, j), C[i*p.Nb+j]))
-			}
-		}
-	}
+	mats := [3][]buffer.F64{mk(), mk(), mk()}
+	A, B, C := mats[0], mats[1], mats[2]
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
+		return mats[reg.Arr-'A'][int(reg.I)*p.Nb+int(reg.J)]
+	}), p)
 	return func() error {
 		// Verify one block row against a serial reference (full naive
 		// verification at Tiny scale, sampled otherwise).
@@ -124,33 +144,10 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	}
 }
 
-// BuildJob implements workload.Workload. C-block owners are assigned
-// block-cyclically; gemm tasks run on the owner of their C block and pull
-// A/B blocks over the network when remote.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+// BuildJob implements workload.Workload.
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	blockBytes := int64(p.B) * int64(p.B) * 8
-	n := int64(p.Nb) * int64(p.B)
-	jb := workload.NewJobBuilder("matmul", 2*p.Nb*p.Nb+p.Nb*p.Nb*p.Nb, 2*n*n*8, cm)
-	key := func(m rune, i, j int) workload.Region { return workload.Region{Arr: m, I: int32(i), J: int32(j)} }
-	owner := func(i, j int) int { return (i*p.Nb + j) % nodes }
-	// Init tasks: A and B blocks materialize on their owners.
-	for i := 0; i < p.Nb; i++ {
-		for j := 0; j < p.Nb; j++ {
-			jb.Task("initA", owner(i, j), 0, blockBytes, workload.WAcc(key('A', i, j), blockBytes))
-			jb.Task("initB", owner(i, j), 0, blockBytes, workload.WAcc(key('B', i, j), blockBytes))
-		}
-	}
-	gemmFlops := 2 * int64(p.B) * int64(p.B) * int64(p.B)
-	for k := 0; k < p.Nb; k++ {
-		for i := 0; i < p.Nb; i++ {
-			for j := 0; j < p.Nb; j++ {
-				jb.Task("gemm", owner(i, j), gemmFlops, 3*blockBytes,
-					workload.RAcc(key('A', i, k), blockBytes),
-					workload.RAcc(key('B', k, j), blockBytes),
-					workload.RWAcc(key('C', i, j), blockBytes))
-			}
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 2*p.Nb*p.Nb+p.Tasks(), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

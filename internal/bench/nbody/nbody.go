@@ -161,6 +161,58 @@ func Reference(p Params) []float64 {
 	return out
 }
 
+// graph states the simulation's task graph: per step every block pair's
+// force task, then per block its reduce and integrate. All force tasks of a
+// step come before any integrate, so every force reads pre-step positions
+// (a synchronous update — the integrates' WAR edges enforce it). Block i
+// lives on node i mod nodes; force tasks are spread over the whole machine
+// (they read two position blocks wherever those live), so machines larger
+// than the block count still fill up — the "block size depends on #nodes"
+// flexibility Table I notes.
+func graph(g *workload.Graph, p Params) {
+	nb, b := p.Nb(), int64(p.B)
+	blockBytes := 3 * b * 8
+	key := func(arr rune, i, j int) workload.Region { return workload.Region{Arr: arr, I: int32(i), J: int32(j)} }
+	var selfForce, force, reduce, integrate rt.TaskFunc
+	if g.Runs() {
+		selfForce = func(ctx *rt.Ctx) { PartialForces(ctx.F64(1), ctx.F64(0), ctx.F64(0), p.B, p.B) }
+		force = func(ctx *rt.Ctx) { PartialForces(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B, p.B) }
+		reduce = func(ctx *rt.Ctx) {
+			parts := make([][]float64, nb)
+			for j := range parts {
+				parts[j] = ctx.F64(j + 1)
+			}
+			Reduce(ctx.F64(0), parts)
+		}
+		integrate = func(ctx *rt.Ctx) { Integrate(ctx.F64(0), ctx.F64(1), ctx.F64(2), p.B) }
+	}
+	var accs []workload.Acc
+	for step := 0; step < p.Steps; step++ {
+		for i := 0; i < nb; i++ {
+			for j := 0; j < nb; j++ {
+				if i == j {
+					g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 2*blockBytes, selfForce,
+						workload.RAcc(key('p', i, 0), blockBytes), workload.WAcc(key('q', i, i), blockBytes))
+					continue
+				}
+				g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 3*blockBytes, force,
+					workload.RAcc(key('p', i, 0), blockBytes), workload.RAcc(key('p', j, 0), blockBytes),
+					workload.WAcc(key('q', i, j), blockBytes))
+			}
+		}
+		for i := 0; i < nb; i++ {
+			accs = append(accs[:0], workload.WAcc(key('a', i, 0), blockBytes))
+			for j := 0; j < nb; j++ {
+				accs = append(accs, workload.RAcc(key('q', i, j), blockBytes))
+			}
+			g.Task("reduce", i%g.Nodes(), 3*b*int64(nb), blockBytes*int64(nb), reduce, accs...)
+			g.Task("integrate", i%g.Nodes(), 6*b, 3*blockBytes, integrate,
+				workload.RWAcc(key('p', i, 0), blockBytes), workload.RWAcc(key('v', i, 0), blockBytes),
+				workload.RAcc(key('a', i, 0), blockBytes))
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
@@ -179,44 +231,17 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			pacc[i][j] = buffer.NewF64(3 * b)
 		}
 	}
-	pk := func(i int) string { return fmt.Sprintf("pos[%d]", i) }
-	vk := func(i int) string { return fmt.Sprintf("vel[%d]", i) }
-	ak := func(i int) string { return fmt.Sprintf("acc[%d]", i) }
-	qk := func(i, j int) string { return fmt.Sprintf("pacc[%d][%d]", i, j) }
-	for step := 0; step < p.Steps; step++ {
-		// All force tasks of the step are registered before any integrate
-		// so every force reads pre-step positions (synchronous/Jacobi
-		// update — the WAR edges from the integrates enforce it).
-		for i := 0; i < nb; i++ {
-			for j := 0; j < nb; j++ {
-				if i == j {
-					r.Submit("force", func(ctx *rt.Ctx) {
-						PartialForces(ctx.F64(1), ctx.F64(0), ctx.F64(0), b, b)
-					}, rt.In(pk(i), pos[i]), rt.Out(qk(i, i), pacc[i][i]))
-					continue
-				}
-				r.Submit("force", func(ctx *rt.Ctx) {
-					PartialForces(ctx.F64(2), ctx.F64(0), ctx.F64(1), b, b)
-				}, rt.In(pk(i), pos[i]), rt.In(pk(j), pos[j]), rt.Out(qk(i, j), pacc[i][j]))
-			}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
+		switch reg.Arr {
+		case 'p':
+			return pos[reg.I]
+		case 'v':
+			return vel[reg.I]
+		case 'a':
+			return acc[reg.I]
 		}
-		for i := 0; i < nb; i++ {
-			args := []rt.Arg{rt.Out(ak(i), acc[i])}
-			for j := 0; j < nb; j++ {
-				args = append(args, rt.In(qk(i, j), pacc[i][j]))
-			}
-			r.Submit("reduce", func(ctx *rt.Ctx) {
-				parts := make([][]float64, nb)
-				for j := 0; j < nb; j++ {
-					parts[j] = ctx.F64(j + 1)
-				}
-				Reduce(ctx.F64(0), parts)
-			}, args...)
-			r.Submit("integrate", func(ctx *rt.Ctx) {
-				Integrate(ctx.F64(0), ctx.F64(1), ctx.F64(2), b)
-			}, rt.Inout(pk(i), pos[i]), rt.Inout(vk(i), vel[i]), rt.In(ak(i), acc[i]))
-		}
-	}
+		return pacc[reg.I][reg.J]
+	}), p)
 	return func() error {
 		want := Reference(p)
 		for i := 0; i < nb; i++ {
@@ -233,42 +258,9 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 }
 
 // BuildJob implements workload.Workload.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	nb, b := p.Nb(), int64(p.B)
-	blockBytes := 3 * b * 8
-	jb := workload.NewJobBuilder("nbody", p.Steps*(nb*nb+2*nb), int64(p.N)*6*8, cm)
-	key := func(arr rune, i, j int) workload.Region { return workload.Region{Arr: arr, I: int32(i), J: int32(j)} }
-	owner := func(i int) int { return i % nodes }
-	// Force tasks are spread over the whole machine (they read two
-	// position blocks wherever those live), so machines larger than the
-	// block count still fill up — the "block size depends on #nodes"
-	// flexibility Table I notes.
-	forceNode := func(i, j int) int { return (i*nb + j) % nodes }
-	forceFlops := 20 * b * b
-	for step := 0; step < p.Steps; step++ {
-		for i := 0; i < nb; i++ {
-			for j := 0; j < nb; j++ {
-				if i == j {
-					jb.Task("force", forceNode(i, j), forceFlops, 2*blockBytes,
-						workload.RAcc(key('p', i, 0), blockBytes), workload.WAcc(key('q', i, i), blockBytes))
-					continue
-				}
-				jb.Task("force", forceNode(i, j), forceFlops, 3*blockBytes,
-					workload.RAcc(key('p', i, 0), blockBytes), workload.RAcc(key('p', j, 0), blockBytes),
-					workload.WAcc(key('q', i, j), blockBytes))
-			}
-		}
-		for i := 0; i < nb; i++ {
-			accs := []workload.Acc{workload.WAcc(key('a', i, 0), blockBytes)}
-			for j := 0; j < nb; j++ {
-				accs = append(accs, workload.RAcc(key('q', i, j), blockBytes))
-			}
-			jb.Task("reduce", owner(i), 3*b*int64(nb), blockBytes*int64(nb), accs...)
-			jb.Task("integrate", owner(i), 6*b, 3*blockBytes,
-				workload.RWAcc(key('p', i, 0), blockBytes), workload.RWAcc(key('v', i, 0), blockBytes),
-				workload.RAcc(key('a', i, 0), blockBytes))
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Steps*(p.Nb()*p.Nb()+2*p.Nb()), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

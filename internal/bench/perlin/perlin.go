@@ -144,6 +144,24 @@ func (W) PaperSize() string { return "Array of pixels with size of 65536, block 
 // InputBytes implements workload.Workload.
 func (W) InputBytes(s workload.Scale) int64 { return int64(ParamsFor(s).Pixels) }
 
+// graph states the animation's task graph: per frame, one task rendering
+// each pixel block. Block i lives on node i mod nodes.
+func graph(g *workload.Graph, p Params) {
+	// ~40 flops per pixel per octave in the noise kernel.
+	flops := int64(p.B) * int64(p.Octaves) * 40
+	for f := 0; f < p.Frames; f++ {
+		for i := 0; i < p.Pixels/p.B; i++ {
+			var render rt.TaskFunc
+			if g.Runs() {
+				off, frame := i*p.B, f
+				render = func(ctx *rt.Ctx) { RenderBlock(ctx.U8(0), off, frame, p.Octaves) }
+			}
+			g.Task("perlin", i%g.Nodes(), flops, int64(p.B), render,
+				workload.WAcc(workload.Region{Arr: 'p', I: int32(i)}, int64(p.B)))
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
@@ -152,14 +170,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	for i := range blocks {
 		blocks[i] = buffer.NewU8(p.B)
 	}
-	for f := 0; f < p.Frames; f++ {
-		for i := 0; i < nb; i++ {
-			i, f := i, f
-			r.Submit("perlin", func(ctx *rt.Ctx) {
-				RenderBlock(ctx.U8(0), i*p.B, f, p.Octaves)
-			}, rt.Out(fmt.Sprintf("pix[%d]", i), blocks[i]))
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I] }), p)
 	return func() error {
 		// The surviving state is the last frame; compare bitwise with a
 		// serial re-render (noise is deterministic).
@@ -178,17 +189,9 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 }
 
 // BuildJob implements workload.Workload.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	nb := p.Pixels / p.B
-	jb := workload.NewJobBuilder("perlin", p.Frames*nb, int64(p.Pixels), cm)
-	// ~40 flops per pixel per octave in the noise kernel.
-	flops := int64(p.B) * int64(p.Octaves) * 40
-	for f := 0; f < p.Frames; f++ {
-		for i := 0; i < nb; i++ {
-			jb.Task("perlin", i%nodes, flops, int64(p.B),
-				workload.WAcc(workload.Region{Arr: 'p', I: int32(i)}, int64(p.B)))
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

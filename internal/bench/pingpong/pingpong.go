@@ -89,52 +89,58 @@ func Combine(mine, theirs []float64) {
 	}
 }
 
+// exchange is the task body: out = Combine(mine, theirs), the partner's
+// previous state read from a buffer it does not write this iteration.
+func exchange(ctx *rt.Ctx) {
+	mine, theirs, out := ctx.F64(0), ctx.F64(1), ctx.F64(2)
+	copy(out, mine)
+	Combine(out, theirs)
+}
+
+// graph states the exchange's task graph. Every block is double-buffered
+// by iteration parity (generation), so both members of a pair read the
+// partner's previous state. Each rank maps to node rank mod nodes, so paired
+// ranks land on different nodes whenever nodes ≥ 2.
+func graph(g *workload.Graph, p Params) {
+	bb := int64(p.B) * 8
+	key := func(gen, rank, blk int) workload.Region {
+		return workload.Region{Arr: 'g', I: int32(gen), J: int32(rank), K: int32(blk)}
+	}
+	for it := 0; it < p.Iters; it++ {
+		for rk := 0; rk < p.Ranks; rk++ {
+			partner := rk ^ 1
+			for blk := 0; blk < p.N/p.B; blk++ {
+				g.Task("pingpong", rk%g.Nodes(), 2*int64(p.B), 3*bb, exchange,
+					workload.RAcc(key(it%2, rk, blk), bb),
+					workload.RAcc(key(it%2, partner, blk), bb),
+					workload.WAcc(key((it+1)%2, rk, blk), bb))
+			}
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
 	nb := p.N / p.B
-	// bufs[rank][block]; double-buffered per iteration parity so both
-	// members of a pair read the partner's *previous* state.
-	mk := func(val float64) [][]buffer.F64 {
-		out := make([][]buffer.F64, p.Ranks)
-		for rk := range out {
-			out[rk] = make([]buffer.F64, nb)
-			for blk := range out[rk] {
-				out[rk][blk] = buffer.NewF64(p.B)
-				for i := range out[rk][blk] {
-					out[rk][blk][i] = val
+	// bufs[gen][rank][block], generation 0 holding the initial state.
+	var bufs [2][][]buffer.F64
+	for gen := range bufs {
+		bufs[gen] = make([][]buffer.F64, p.Ranks)
+		for rk := range bufs[gen] {
+			bufs[gen][rk] = make([]buffer.F64, nb)
+			for blk := range bufs[gen][rk] {
+				b := buffer.NewF64(p.B)
+				if gen == 0 {
+					for i := range b {
+						b[i] = initial(rk)
+					}
 				}
-			}
-		}
-		return out
-	}
-	cur := mk(0)
-	nxt := mk(0)
-	for rk := 0; rk < p.Ranks; rk++ {
-		for blk := 0; blk < nb; blk++ {
-			for i := range cur[rk][blk] {
-				cur[rk][blk][i] = initial(rk)
+				bufs[gen][rk][blk] = b
 			}
 		}
 	}
-	key := func(gen, rank, blk int) string { return fmt.Sprintf("g%d/r%d/b%d", gen, rank, blk) }
-	bufs := [2][][]buffer.F64{cur, nxt}
-	for it := 0; it < p.Iters; it++ {
-		src, dst := bufs[it%2], bufs[(it+1)%2]
-		for rk := 0; rk < p.Ranks; rk++ {
-			partner := rk ^ 1
-			for blk := 0; blk < nb; blk++ {
-				r.Submit("pingpong", func(ctx *rt.Ctx) {
-					mine, theirs, out := ctx.F64(0), ctx.F64(1), ctx.F64(2)
-					copy(out, mine)
-					Combine(out, theirs)
-				},
-					rt.In(key(it%2, rk, blk), src[rk][blk]),
-					rt.In(key(it%2, partner, blk), src[partner][blk]),
-					rt.Out(key((it+1)%2, rk, blk), dst[rk][blk]))
-			}
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return bufs[reg.I][reg.J][reg.K] }), p)
 	final := bufs[p.Iters%2]
 	return func() error {
 		for rk := 0; rk < p.Ranks; rk++ {
@@ -152,25 +158,10 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	}
 }
 
-// BuildJob implements workload.Workload. Each rank maps to node rank%nodes,
-// so paired ranks land on different nodes whenever nodes ≥ 2.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+// BuildJob implements workload.Workload.
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	ranks := p.Ranks
-	nb := p.N / p.B
-	bb := int64(p.B) * 8
-	jb := workload.NewJobBuilder("pingpong", p.Iters*ranks*nb, int64(ranks)*int64(p.N)*8, cm)
-	key := func(gen, r, b int) workload.Region { return workload.Region{Arr: rune(gen), I: int32(r), J: int32(b)} }
-	for it := 0; it < p.Iters; it++ {
-		for rk := 0; rk < ranks; rk++ {
-			partner := rk ^ 1
-			for blk := 0; blk < nb; blk++ {
-				jb.Task("pingpong", rk%nodes, 2*int64(p.B), 3*bb,
-					workload.RAcc(key(it%2, rk, blk), bb),
-					workload.RAcc(key(it%2, partner, blk), bb),
-					workload.WAcc(key((it+1)%2, rk, blk), bb))
-			}
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

@@ -133,8 +133,8 @@ func TestSimulatorAndRuntimeAgreeOnAppFIT(t *testing.T) {
 			if diff < 0 {
 				diff = -diff
 			}
-			// The DAGs differ slightly (init tasks, execution order), so
-			// allow a 15-point band.
+			// The DAGs are the same but the decisions see the tasks'
+			// FITs in a different order, so allow a 15-point band.
 			if diff > 15 {
 				t.Fatalf("engines disagree: simulator %.1f%%, runtime %.1f%%", simFrac, rtFrac)
 			}

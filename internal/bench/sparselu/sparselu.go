@@ -112,79 +112,76 @@ func initBlock(b buffer.F64, i, j, n int) {
 	}
 }
 
+// graph states the factorization's task graph over the block structure
+// fill (Structure); firstErr receives the first lu0 error. Block (i, j)
+// lives on node (i·Nb+j) mod nodes.
+func graph(g *workload.Graph, p Params, fill [][]bool, firstErr *error) {
+	b := int64(p.B)
+	blockBytes := b * b * 8
+	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
+	owner := func(i, j int) int { return (i*p.Nb + j) % g.Nodes() }
+	var lu0, fwd, bdiv, bmod rt.TaskFunc
+	if g.Runs() {
+		lu0 = func(ctx *rt.Ctx) {
+			if err := kern.Lu0(ctx.F64(0), p.B); err != nil && *firstErr == nil {
+				*firstErr = err
+			}
+		}
+		fwd = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
+		bdiv = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
+		bmod = func(ctx *rt.Ctx) { kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
+	}
+	for k := 0; k < p.Nb; k++ {
+		g.Task("lu0", owner(k, k), 2*b*b*b/3, blockBytes, lu0, workload.RWAcc(key(k, k), blockBytes))
+		for j := k + 1; j < p.Nb; j++ {
+			if fill[k][j] {
+				g.Task("fwd", owner(k, j), b*b*b, 2*blockBytes, fwd,
+					workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(k, j), blockBytes))
+			}
+		}
+		for i := k + 1; i < p.Nb; i++ {
+			if fill[i][k] {
+				g.Task("bdiv", owner(i, k), b*b*b, 2*blockBytes, bdiv,
+					workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
+			}
+		}
+		for i := k + 1; i < p.Nb; i++ {
+			if !fill[i][k] {
+				continue
+			}
+			for j := k + 1; j < p.Nb; j++ {
+				if fill[k][j] {
+					g.Task("bmod", owner(i, j), 2*b*b*b, 3*blockBytes, bmod,
+						workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(k, j), blockBytes),
+						workload.RWAcc(key(i, j), blockBytes))
+				}
+			}
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
 	bb := p.B * p.B
 	fill := Structure(p.Nb)
 	blocks := make([][]buffer.F64, p.Nb)
-	var orig [][]buffer.F64
+	orig := make([][]buffer.F64, p.Nb)
 	for i := range blocks {
 		blocks[i] = make([]buffer.F64, p.Nb)
+		orig[i] = make([]buffer.F64, p.Nb)
 		for j := range blocks[i] {
 			if fill[i][j] {
 				blocks[i][j] = buffer.NewF64(bb)
 				if Present(i, j) {
 					initBlock(blocks[i][j], i, j, p.B)
 				}
-			}
-		}
-	}
-	orig = make([][]buffer.F64, p.Nb)
-	for i := range blocks {
-		orig[i] = make([]buffer.F64, p.Nb)
-		for j := range blocks[i] {
-			if blocks[i][j] != nil {
 				orig[i][j] = blocks[i][j].Clone().(buffer.F64)
 			}
 		}
 	}
-	key := func(i, j int) string { return fmt.Sprintf("A[%d][%d]", i, j) }
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < p.Nb; k++ {
-		k := k
-		r.Submit("lu0", func(ctx *rt.Ctx) {
-			if err := kern.Lu0(ctx.F64(0), p.B); err != nil {
-				fail(err)
-			}
-		}, rt.Inout(key(k, k), blocks[k][k]))
-		for j := k + 1; j < p.Nb; j++ {
-			if blocks[k][j] == nil {
-				continue
-			}
-			r.Submit("fwd", func(ctx *rt.Ctx) {
-				kern.Fwd(ctx.F64(0), ctx.F64(1), p.B)
-			}, rt.In(key(k, k), blocks[k][k]), rt.Inout(key(k, j), blocks[k][j]))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			if blocks[i][k] == nil {
-				continue
-			}
-			r.Submit("bdiv", func(ctx *rt.Ctx) {
-				kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B)
-			}, rt.In(key(k, k), blocks[k][k]), rt.Inout(key(i, k), blocks[i][k]))
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			if blocks[i][k] == nil {
-				continue
-			}
-			for j := k + 1; j < p.Nb; j++ {
-				if blocks[k][j] == nil {
-					continue
-				}
-				i, j := i, j
-				r.Submit("bmod", func(ctx *rt.Ctx) {
-					kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B)
-				}, rt.In(key(i, k), blocks[i][k]), rt.In(key(k, j), blocks[k][j]),
-					rt.Inout(key(i, j), blocks[i][j]))
-			}
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &firstErr)
 	return func() error {
 		if firstErr != nil {
 			return firstErr
@@ -239,46 +236,11 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	}
 }
 
-// BuildJob implements workload.Workload.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+// BuildJob implements workload.Workload. Its task count depends on the
+// fill pattern, so the job's task list is not pre-sized.
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	b := int64(p.B)
-	blockBytes := b * b * 8
-	n := int64(p.Nb) * b
-	fill := Structure(p.Nb)
-	jb := workload.NewJobBuilder("sparselu", 0, n*n*8, cm)
-	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
-	owner := func(i, j int) int { return (i*p.Nb + j) % nodes }
-	lu0Flops := 2 * b * b * b / 3
-	trsFlops := b * b * b
-	bmodFlops := 2 * b * b * b
-	for k := 0; k < p.Nb; k++ {
-		jb.Task("lu0", owner(k, k), lu0Flops, blockBytes, workload.RWAcc(key(k, k), blockBytes))
-		for j := k + 1; j < p.Nb; j++ {
-			if fill[k][j] {
-				jb.Task("fwd", owner(k, j), trsFlops, 2*blockBytes,
-					workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(k, j), blockBytes))
-			}
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			if fill[i][k] {
-				jb.Task("bdiv", owner(i, k), trsFlops, 2*blockBytes,
-					workload.RAcc(key(k, k), blockBytes), workload.RWAcc(key(i, k), blockBytes))
-			}
-		}
-		for i := k + 1; i < p.Nb; i++ {
-			if !fill[i][k] {
-				continue
-			}
-			for j := k + 1; j < p.Nb; j++ {
-				if !fill[k][j] {
-					continue
-				}
-				jb.Task("bmod", owner(i, j), bmodFlops, 3*blockBytes,
-					workload.RAcc(key(i, k), blockBytes), workload.RAcc(key(k, j), blockBytes),
-					workload.RWAcc(key(i, j), blockBytes))
-			}
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 0, nodes, cm)
+	graph(g, p, Structure(p.Nb), nil)
+	return g.Job()
 }

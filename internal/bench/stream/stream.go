@@ -79,13 +79,63 @@ func expected(iters int) (a, b, c float64) {
 	return a, b, c
 }
 
+// The four kernels' task bodies; the last argument is the one written.
+func copyBody(ctx *rt.Ctx) { copy(ctx.F64(1), ctx.F64(0)) }
+
+func scaleBody(ctx *rt.Ctx) {
+	src, dst := ctx.F64(0), ctx.F64(1)
+	for j := range dst {
+		dst[j] = scalar * src[j]
+	}
+}
+
+func addBody(ctx *rt.Ctx) {
+	x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
+	for j := range dst {
+		dst[j] = x[j] + y[j]
+	}
+}
+
+func triadBody(ctx *rt.Ctx) {
+	x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
+	for j := range dst {
+		dst[j] = x[j] + scalar*y[j]
+	}
+}
+
+// graph states the iterations' task graph: per iteration copy, scale, add
+// and triad over every block. Blocks are spread over nodes block-cyclically
+// so the same graph serves single-node (Figure 5) and multi-node sweeps.
+func graph(g *workload.Graph, p Params) {
+	nb := p.N / p.B
+	bb := int64(p.B) * 8
+	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
+	for it := 0; it < p.Iters; it++ {
+		for i := 0; i < nb; i++ {
+			g.Task("copy", i%g.Nodes(), 0, 2*bb, copyBody,
+				workload.RAcc(key('a', i), bb), workload.WAcc(key('c', i), bb))
+		}
+		for i := 0; i < nb; i++ {
+			g.Task("scale", i%g.Nodes(), int64(p.B), 2*bb, scaleBody,
+				workload.RAcc(key('c', i), bb), workload.WAcc(key('b', i), bb))
+		}
+		for i := 0; i < nb; i++ {
+			g.Task("add", i%g.Nodes(), int64(p.B), 3*bb, addBody,
+				workload.RAcc(key('a', i), bb), workload.RAcc(key('b', i), bb), workload.WAcc(key('c', i), bb))
+		}
+		for i := 0; i < nb; i++ {
+			g.Task("triad", i%g.Nodes(), 2*int64(p.B), 3*bb, triadBody,
+				workload.RAcc(key('b', i), bb), workload.RAcc(key('c', i), bb), workload.WAcc(key('a', i), bb))
+		}
+	}
+}
+
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
 	nb := p.N / p.B
-	as := make([]buffer.F64, nb)
-	bs := make([]buffer.F64, nb)
-	cs := make([]buffer.F64, nb)
+	arrs := [3][]buffer.F64{make([]buffer.F64, nb), make([]buffer.F64, nb), make([]buffer.F64, nb)} // a, b, c
+	as, bs, cs := arrs[0], arrs[1], arrs[2]
 	for i := 0; i < nb; i++ {
 		as[i] = buffer.NewF64(p.B)
 		bs[i] = buffer.NewF64(p.B)
@@ -94,43 +144,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			as[i][j], bs[i][j], cs[i][j] = 1, 2, 0
 		}
 	}
-	key := func(arr string, i int) string { return fmt.Sprintf("%s[%d]", arr, i) }
-	for it := 0; it < p.Iters; it++ {
-		for i := 0; i < nb; i++ {
-			i := i
-			r.Submit("copy", func(ctx *rt.Ctx) {
-				src, dst := ctx.F64(0), ctx.F64(1)
-				copy(dst, src)
-			}, rt.In(key("a", i), as[i]), rt.Out(key("c", i), cs[i]))
-		}
-		for i := 0; i < nb; i++ {
-			i := i
-			r.Submit("scale", func(ctx *rt.Ctx) {
-				src, dst := ctx.F64(0), ctx.F64(1)
-				for j := range dst {
-					dst[j] = scalar * src[j]
-				}
-			}, rt.In(key("c", i), cs[i]), rt.Out(key("b", i), bs[i]))
-		}
-		for i := 0; i < nb; i++ {
-			i := i
-			r.Submit("add", func(ctx *rt.Ctx) {
-				x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
-				for j := range dst {
-					dst[j] = x[j] + y[j]
-				}
-			}, rt.In(key("a", i), as[i]), rt.In(key("b", i), bs[i]), rt.Out(key("c", i), cs[i]))
-		}
-		for i := 0; i < nb; i++ {
-			i := i
-			r.Submit("triad", func(ctx *rt.Ctx) {
-				x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
-				for j := range dst {
-					dst[j] = x[j] + scalar*y[j]
-				}
-			}, rt.In(key("b", i), bs[i]), rt.In(key("c", i), cs[i]), rt.Out(key("a", i), as[i]))
-		}
-	}
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return arrs[reg.Arr-'a'][reg.I] }), p)
 	return func() error {
 		wa, wb, wc := expected(p.Iters)
 		for i := 0; i < nb; i++ {
@@ -145,33 +159,10 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	}
 }
 
-// BuildJob implements workload.Workload. Blocks are spread over nodes
-// block-cyclically so the same builder serves single-node (Figure 5) and
-// multi-node sweeps.
-func (W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
+// BuildJob implements workload.Workload.
+func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	nb := p.N / p.B
-	bb := int64(p.B) * 8
-	jb := workload.NewJobBuilder("stream", 4*nb*p.Iters, 3*int64(p.N)*8, cm)
-	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
-	node := func(i int) int { return i % nodes }
-	for it := 0; it < p.Iters; it++ {
-		for i := 0; i < nb; i++ {
-			jb.Task("copy", node(i), 0, 2*bb,
-				workload.RAcc(key('a', i), bb), workload.WAcc(key('c', i), bb))
-		}
-		for i := 0; i < nb; i++ {
-			jb.Task("scale", node(i), int64(p.B), 2*bb,
-				workload.RAcc(key('c', i), bb), workload.WAcc(key('b', i), bb))
-		}
-		for i := 0; i < nb; i++ {
-			jb.Task("add", node(i), int64(p.B), 3*bb,
-				workload.RAcc(key('a', i), bb), workload.RAcc(key('b', i), bb), workload.WAcc(key('c', i), bb))
-		}
-		for i := 0; i < nb; i++ {
-			jb.Task("triad", node(i), 2*int64(p.B), 3*bb,
-				workload.RAcc(key('b', i), bb), workload.RAcc(key('c', i), bb), workload.WAcc(key('a', i), bb))
-		}
-	}
-	return jb.Job()
+	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	graph(g, p)
+	return g.Job()
 }

@@ -12,7 +12,7 @@ import (
 	"appfit/internal/xrand"
 )
 
-// referenceBuilder is JobBuilder as it first stood — a last-writer map and
+// referenceBuilder is the job builder as it first stood — a last-writer map and
 // a readers map consulted up to five times per access, a map of
 // predecessor payloads per task, edges appended one at a time — kept as the
 // reference the region-table, scratch-slice implementation is held to.
@@ -88,7 +88,7 @@ func TestTaskMatchesReference(t *testing.T) {
 	modes := []deps.Mode{deps.In, deps.Out, deps.Inout}
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		got, want := NewJobBuilder("q", r.Intn(8), 0, DefaultCostModel()), newReferenceBuilder("q", DefaultCostModel())
+		got, want := newJobBuilder("q", r.Intn(8), 0, DefaultCostModel()), newReferenceBuilder("q", DefaultCostModel())
 		keys := 1 + r.Intn(6)
 		for i, n := 0, 1+r.Intn(60); i < n; i++ {
 			accs := make([]Acc, r.Intn(5))
@@ -101,7 +101,7 @@ func TestTaskMatchesReference(t *testing.T) {
 				return false
 			}
 		}
-		return reflect.DeepEqual(got.Job(), want.job)
+		return reflect.DeepEqual(got.job, want.job)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Package workload defines the common framework the nine Table-I benchmarks
 // are written against: a cost model mapping kernel flop/byte counts to
 // virtual time, a scale ladder (tiny test sizes up to paper-sized inputs),
-// and a JobBuilder that converts a task stream with declared accesses into a
-// cluster.Job for the virtual-time simulator — using the same
-// in/out/inout region semantics the real runtime (internal/rt) uses, so both
-// engines execute the same DAG.
+// and the Graph a benchmark states its task stream in, once. The same
+// stream of labelled tasks with declared in/out/inout region accesses either
+// runs on the real runtime (internal/rt) or becomes a cluster.Job for the
+// virtual-time simulator, so both engines execute the same DAG.
 package workload
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 
+	"appfit/internal/buffer"
 	"appfit/internal/cluster"
 	"appfit/internal/deps"
 	"appfit/internal/rt"
@@ -102,24 +103,27 @@ type Workload interface {
 	// InputBytes is the benchmark input footprint at the given scale,
 	// the quantity thresholds derive from.
 	InputBytes(s Scale) int64
-	// BuildRT submits the task graph to the real runtime and returns a
-	// verifier to call after Taskwait.
+	// BuildRT allocates the benchmark's data, emits its Graph to the real
+	// runtime and returns a verifier to call after Taskwait.
 	BuildRT(r *rt.Runtime, s Scale) Verifier
-	// BuildJob builds the same DAG as a cluster-simulator job, spread
-	// over the given node count.
+	// BuildJob emits the same Graph, with no data and no task bodies, as a
+	// cluster-simulator job spread over the given node count.
 	BuildJob(s Scale, nodes int, cm CostModel) cluster.Job
 }
 
-// Region names one block of a benchmark's data for JobBuilder: an array
-// tag and up to three block indices, e.g. {Arr: 'A', I: i, J: j} for tile
-// A[i][j]. It is a comparable value, so the builder's region table hashes
-// its sixteen bytes (no padding) directly instead of a formatted name.
+// Region names one block of a benchmark's data: an array tag and up to
+// three block indices, e.g. {Arr: 'A', I: i, J: j} for tile A[i][j]. It is a
+// comparable value, so the job builder's region table hashes its sixteen
+// bytes (no padding) directly instead of a formatted name.
 type Region struct {
 	Arr     rune
 	I, J, K int32
 }
 
-// Acc declares one region access for JobBuilder tasks.
+// Acc declares one region access of a Graph task: the region, the mode and
+// the bytes the access declares — the task's footprint and the payload of the
+// edges it creates in a job. The runtime sizes a task from the buffers it is
+// handed instead.
 type Acc struct {
 	Key   Region
 	Mode  deps.Mode
@@ -131,11 +135,73 @@ func RAcc(key Region, bytes int64) Acc  { return Acc{Key: key, Mode: deps.In, By
 func WAcc(key Region, bytes int64) Acc  { return Acc{Key: key, Mode: deps.Out, Bytes: bytes} }
 func RWAcc(key Region, bytes int64) Acc { return Acc{Key: key, Mode: deps.Inout, Bytes: bytes} }
 
-// JobBuilder accumulates tasks in program order and derives the dependency
+// Graph is where a benchmark states its task graph, once: each Task call
+// emits one task in program order to one of two sinks.
+//
+//   - A job graph (NewJobGraph) derives the simulator's edges from the
+//     declared accesses and prices the task's work with a cost model. It has
+//     no data and runs nothing, so its bodies may be nil.
+//   - A runtime graph (NewRTGraph) submits the task to an rt.Runtime, each
+//     access on the buffer the benchmark's data function maps its region to.
+//     The home node and the work are the simulator's and are ignored.
+//
+// A benchmark creates its task bodies only when Runs reports true, so a job
+// build allocates nothing for the runtime.
+type Graph struct {
+	nodes int
+	job   jobBuilder  // the job sink's state, unused on the runtime
+	r     *rt.Runtime // the runtime sink, nil for a job graph
+	data  func(Region) buffer.Buffer
+	keys  map[Region]string // each region's runtime key, encoded once
+}
+
+// NewJobGraph returns a graph that builds a job named name over a benchmark
+// input of inputBytes (the footprint thresholds derive from), spread over
+// nodes nodes with work priced by cm. tasks pre-sizes the task list (0 when
+// the benchmark cannot tell).
+func NewJobGraph(name string, inputBytes int64, tasks, nodes int, cm CostModel) *Graph {
+	return &Graph{nodes: nodes, job: newJobBuilder(name, tasks, inputBytes, cm)}
+}
+
+// NewRTGraph returns a graph that submits its tasks to r, each access on the
+// buffer data returns for its region.
+func NewRTGraph(r *rt.Runtime, data func(Region) buffer.Buffer) *Graph {
+	return &Graph{nodes: 1, r: r, data: data, keys: make(map[Region]string)}
+}
+
+// Nodes is the node count home nodes are drawn from (1 on the runtime).
+func (g *Graph) Nodes() int { return g.nodes }
+
+// Runs reports whether the graph runs its tasks' bodies.
+func (g *Graph) Runs() bool { return g.r != nil }
+
+// Task emits a task: its label, home node, kernel work (flops and memory
+// bytes, for the cost model), body and region accesses.
+func (g *Graph) Task(label string, node int, flops, memBytes int64, body rt.TaskFunc, accs ...Acc) {
+	if g.r == nil {
+		g.job.Task(label, node, flops, memBytes, accs...)
+		return
+	}
+	args := make([]rt.Arg, len(accs))
+	for i, a := range accs {
+		key, ok := g.keys[a.Key]
+		if !ok {
+			key = fmt.Sprintf("%c[%d][%d][%d]", a.Key.Arr, a.Key.I, a.Key.J, a.Key.K)
+			g.keys[a.Key] = key
+		}
+		args[i] = rt.Arg{Key: key, Mode: a.Mode, Buf: g.data(a.Key)}
+	}
+	g.r.Submit(label, body, args...)
+}
+
+// Job returns a job graph's accumulated job.
+func (g *Graph) Job() cluster.Job { return g.job.job }
+
+// jobBuilder accumulates tasks in program order and derives the dependency
 // edges (RAW, WAR, WAW) from their declared accesses, exactly like the
 // runtime's tracker; cross-node edges carry the bytes of the region that
 // created them.
-type JobBuilder struct {
+type jobBuilder struct {
 	cm  CostModel
 	job cluster.Job
 
@@ -156,11 +222,11 @@ type pred struct {
 	bytes int64
 }
 
-// NewJobBuilder returns a builder for a named job of about tasks tasks (0
+// newJobBuilder returns a builder for a named job of about tasks tasks (0
 // when the caller does not know; the hint only pre-sizes storage) over a
 // benchmark input of inputBytes (the footprint thresholds derive from).
-func NewJobBuilder(name string, tasks int, inputBytes int64, cm CostModel) *JobBuilder {
-	return &JobBuilder{
+func newJobBuilder(name string, tasks int, inputBytes int64, cm CostModel) jobBuilder {
+	return jobBuilder{
 		cm:      cm,
 		job:     cluster.Job{Name: name, InputBytes: inputBytes, Tasks: make([]cluster.Task, 0, tasks)},
 		regions: make(map[Region]int32),
@@ -169,7 +235,7 @@ func NewJobBuilder(name string, tasks int, inputBytes int64, cm CostModel) *JobB
 
 // note records that the task being added depends on p through an access of
 // bytes. Tasks have a handful of predecessors, so the find is linear.
-func (b *JobBuilder) note(p int, bytes int64) {
+func (b *jobBuilder) note(p int, bytes int64) {
 	for i := range b.preds {
 		if b.preds[i].task == p {
 			b.preds[i].bytes = max(b.preds[i].bytes, bytes)
@@ -182,7 +248,7 @@ func (b *JobBuilder) note(p int, bytes int64) {
 // Task appends a task with the given kernel work and region accesses and
 // returns its index. flops and memBytes feed the cost model; the argument
 // footprint (FIT estimation, checkpoint size) is the sum of access bytes.
-func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
+func (b *jobBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
 	idx := len(b.job.Tasks)
 	var argBytes int64
 	b.preds, b.accIdx = b.preds[:0], b.accIdx[:0]
@@ -239,6 +305,3 @@ func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ..
 	b.job.Tasks = append(b.job.Tasks, t)
 	return idx
 }
-
-// Job returns the accumulated job.
-func (b *JobBuilder) Job() cluster.Job { return b.job }

@@ -57,12 +57,12 @@ func TestAccConstructors(t *testing.T) {
 }
 
 func TestJobBuilderEdges(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 123, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 123, DefaultCostModel())
 	w := jb.Task("w", 0, 10, 10, WAcc(rA, 64))
 	r1 := jb.Task("r1", 1, 10, 10, RAcc(rA, 64))
 	r2 := jb.Task("r2", 1, 10, 10, RAcc(rA, 64))
 	w2 := jb.Task("w2", 0, 10, 10, WAcc(rA, 64))
-	job := jb.Job()
+	job := jb.job
 	if job.InputBytes != 123 || job.Name != "t" {
 		t.Fatal("metadata lost")
 	}
@@ -93,21 +93,21 @@ func TestJobBuilderEdges(t *testing.T) {
 }
 
 func TestJobBuilderWAW(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 	a := jb.Task("a", 0, 1, 1, WAcc(rX, 32))
 	b := jb.Task("b", 0, 1, 1, WAcc(rX, 32))
-	job := jb.Job()
+	job := jb.job
 	if len(job.Tasks[b].Deps) != 1 || job.Tasks[b].Deps[0] != a {
 		t.Fatalf("WAW edge missing: %v", job.Tasks[b].Deps)
 	}
 }
 
 func TestJobBuilderInoutChain(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 	prev := -1
 	for i := 0; i < 5; i++ {
 		idx := jb.Task("u", 0, 1, 1, RWAcc(rX, 16))
-		job := jb.Job()
+		job := jb.job
 		if i > 0 {
 			if len(job.Tasks[idx].Deps) != 1 || job.Tasks[idx].Deps[0] != prev {
 				t.Fatalf("step %d: deps %v", i, job.Tasks[idx].Deps)
@@ -118,19 +118,19 @@ func TestJobBuilderInoutChain(t *testing.T) {
 }
 
 func TestJobBuilderArgBytes(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 	jb.Task("m", 0, 1, 1, RAcc(rA, 100), RWAcc(rB, 28))
-	if jb.Job().Tasks[0].ArgBytes != 128 {
-		t.Fatalf("arg bytes %d", jb.Job().Tasks[0].ArgBytes)
+	if jb.job.Tasks[0].ArgBytes != 128 {
+		t.Fatalf("arg bytes %d", jb.job.Tasks[0].ArgBytes)
 	}
 }
 
 func TestJobBuilderProducesRunnableJob(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 	jb.Task("a", 0, 100, 0, WAcc(rX, 8))
 	jb.Task("b", 1, 100, 0, RAcc(rX, 8), WAcc(rY, 8))
 	jb.Task("c", 0, 100, 0, RAcc(rY, 8))
-	res, err := cluster.Run(jb.Job(), cluster.Config{Nodes: 2, CoresPerNode: 1})
+	res, err := cluster.Run(jb.job, cluster.Config{Nodes: 2, CoresPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestJobBuilderProducesRunnableJob(t *testing.T) {
 // (a served request is rebuilt from its spec on every submission).
 func TestJobBuilderDeterministic(t *testing.T) {
 	build := func() cluster.Job {
-		jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+		jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 		// Fan-in with several predecessors, so a map-ordered emit would
 		// permute Deps between builds.
 		a := jb.Task("a", 0, 10, 0, WAcc(rA, 8))
@@ -156,7 +156,7 @@ func TestJobBuilderDeterministic(t *testing.T) {
 		c := jb.Task("c", 0, 10, 0, WAcc(rC, 8))
 		jb.Task("sum", 0, 10, 0, RAcc(rA, 8), RAcc(rB, 8), RAcc(rC, 8), WAcc(rS, 8))
 		_ = []int{a, b, c}
-		return jb.Job()
+		return jb.job
 	}
 	j1, j2 := build(), build()
 	if !reflect.DeepEqual(j1, j2) {
@@ -172,15 +172,15 @@ func TestJobBuilderDeterministic(t *testing.T) {
 // when every field is equal — a writer of A[1][0] orders only later
 // accesses of A[1][0], never A[0][1], A[1][0][1] or B[1][0].
 func TestRegionKeysAreValues(t *testing.T) {
-	jb := NewJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
 	w := jb.Task("w", 0, 1, 1, WAcc(Region{Arr: 'A', I: 1}, 8))
 	for _, r := range []Region{{Arr: 'A', J: 1}, {Arr: 'A', I: 1, K: 1}, {Arr: 'B', I: 1}} {
-		if i := jb.Task("other", 0, 1, 1, RAcc(r, 8)); len(jb.Job().Tasks[i].Deps) != 0 {
-			t.Fatalf("%+v depends on the writer of A[1][0]: %v", r, jb.Job().Tasks[i].Deps)
+		if i := jb.Task("other", 0, 1, 1, RAcc(r, 8)); len(jb.job.Tasks[i].Deps) != 0 {
+			t.Fatalf("%+v depends on the writer of A[1][0]: %v", r, jb.job.Tasks[i].Deps)
 		}
 	}
 	i := jb.Task("same", 0, 1, 1, RAcc(Region{Arr: 'A', I: 1}, 8))
-	if deps := jb.Job().Tasks[i].Deps; len(deps) != 1 || deps[0] != w {
+	if deps := jb.job.Tasks[i].Deps; len(deps) != 1 || deps[0] != w {
 		t.Fatalf("a reader of A[1][0] has deps %v, want [%d]", deps, w)
 	}
 }

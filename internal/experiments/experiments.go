@@ -187,18 +187,17 @@ func fig3One(w workload.Workload, scale workload.Scale, workers, repeats int) (F
 		var ach float64
 		for rep := 0; rep < repeats; rep++ {
 			sel := core.NewAppFIT(threshold, n)
-			tr := trace.New()
-			_, ok, err := runRT(w, scale, rt.Config{
+			r, ok, err := runRT(w, scale, rt.Config{
 				Workers: workers, Selector: sel,
-				Rates: fit.Roadrunner().Scale(k), RatesSet: true, Tracer: tr,
+				Rates: fit.Roadrunner().Scale(k), RatesSet: true,
 			})
 			if err != nil {
 				continue
 			}
 			row.VerifyOK = row.VerifyOK && ok
-			sum := tr.Summarize()
-			pts = append(pts, sum.PctTasksReplicated())
-			ptm = append(ptm, sum.PctTimeReplicated())
+			st := r.Stats()
+			pts = append(pts, st.PctTasksReplicated())
+			ptm = append(ptm, st.PctTimeReplicated())
 			ach = max(ach, sel.CurrentFIT())
 		}
 		return stats.Mean(pts), stats.Mean(ptm), ach

@@ -1,6 +1,8 @@
 package fit
 
 import (
+	"bufio"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -136,4 +138,62 @@ func TestParseLogErrors(t *testing.T) {
 			t.Fatalf("expected error for %q", bad)
 		}
 	}
+}
+
+// TestLogRejectsNonFinite: a log whose hours are not finite, or whose rates
+// would come out non-finite, is rejected with ErrLog rather than handed to
+// the estimator.
+func TestLogRejectsNonFinite(t *testing.T) {
+	for _, log := range []string{
+		"1000 NaN 1 1",
+		"1000 Inf 1 1",
+		"1000 +Inf 0 0",
+		"1000 -Inf 1 1",
+		"1 1e-300 1 1",
+	} {
+		r, err := parseRates(log)
+		if !errors.Is(err, ErrLog) {
+			t.Errorf("%q: rates %+v, error %v; want ErrLog", log, r, err)
+		}
+	}
+	if _, err := FromLog([]LogEntry{{FootprintBytes: 1000, Hours: math.Inf(1), DUEs: 1}}); !errors.Is(err, ErrLog) {
+		t.Errorf("infinite hours entry: error %v, want ErrLog", err)
+	}
+}
+
+// parseRates is ParseLog then FromLog, as cmd/appfit -rates-log reads a log.
+func parseRates(log string) (Rates, error) {
+	entries, err := ParseLog(strings.NewReader(log))
+	if err != nil {
+		return Rates{}, err
+	}
+	return FromLog(entries)
+}
+
+// FuzzFitFromLog: whatever the log text, parsing and estimating never
+// panics, every rejection is a named error (ErrLog, or bufio.ErrTooLong for
+// a line the scanner cannot hold), and every accepted log gives finite,
+// non-negative rates.
+func FuzzFitFromLog(f *testing.F) {
+	for _, seed := range []string{
+		"32000000000 1000000000 2220 1110\n\n# comment\n64000000000 10 1 0\n",
+		"1000 NaN 1 1", "1 1e-300 1 1", "1 2 3", "-1 2 3 4", "1 0x1p-1074 9223372036854775807 0",
+		"", "1 1e308 1 1\n9223372036854775807 1e308 0 0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, log string) {
+		r, err := parseRates(log)
+		if err != nil {
+			if !errors.Is(err, ErrLog) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("%q: unnamed error %v", log, err)
+			}
+			return
+		}
+		for _, x := range []float64{r.DUEPer32GB, r.SDCPer32GB} {
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				t.Fatalf("%q: accepted with rates %+v", log, r)
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"appfit/internal/buffer"
@@ -603,38 +602,6 @@ func TestDeterministicResultAcrossWorkerCounts(t *testing.T) {
 	r1, r4 := run(1), run(4)
 	if !r1.EqualTo(r4) {
 		t.Fatalf("nondeterministic across worker counts: %v vs %v", r1, r4)
-	}
-}
-
-func TestTraceTimeFractionConsistency(t *testing.T) {
-	tr := trace.New()
-	r := New(Config{Workers: 2, Selector: core.RandomPct{P: 0.5, Seed: 3}, Tracer: tr})
-	var work atomic.Int64
-	for i := 0; i < 100; i++ {
-		b := buffer.NewF64(256)
-		r.Submit("w", func(c *Ctx) {
-			s := c.F64(0)
-			acc := 0.0
-			for j := range s {
-				acc += float64(j)
-				s[j] = acc
-			}
-			work.Add(1)
-		}, Inout("T"+itoa(i), b))
-	}
-	if err := r.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	sum := tr.Summarize()
-	st := r.Stats()
-	if sum.Tasks != 100 || int(st.Completed) != 100 {
-		t.Fatalf("tasks %d/%d", sum.Tasks, st.Completed)
-	}
-	if sum.Replicated != int(st.Replicated) {
-		t.Fatalf("trace/stats disagree on replication: %d vs %d", sum.Replicated, st.Replicated)
-	}
-	if work.Load() < 100 {
-		t.Fatal("bodies not all run")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package trace records per-task execution events: which worker ran a task,
 // how long it took, whether it was replicated, and what faults were injected
-// and recovered. The experiment harness aggregates these records into the
-// paper's figures (replicated-time fractions for Figure 3, recovery event
-// timelines for the Figure 2 walk-through).
+// and recovered — one record per task, for the Figure 2 walk-through's event
+// timeline, per-kernel tables and CSV export. The run's totals (replicated
+// tasks and time, detections, recoveries) are rt.Stats, counted from the
+// same executions.
 package trace
 
 import (
@@ -131,77 +132,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.recs)
-}
-
-// Summary aggregates a trace into the quantities the paper reports.
-type Summary struct {
-	Tasks      int
-	Replicated int
-	// TaskTime is the sum of primary execution durations; ReplicatedTime
-	// is the sum of primary durations of replicated tasks (the numerator
-	// of Figure 3's "percentage of computation time replicated").
-	TaskTime        time.Duration
-	ReplicatedTime  time.Duration
-	RedundantTime   time.Duration // replica + re-execution time actually spent
-	SDCDetected     int
-	SDCRecovered    int
-	DUERecovered    int
-	UnprotectedSDC  int
-	UnprotectedDUE  int
-	VoteFailures    int
-	CheckpointTasks int
-}
-
-// PctTasksReplicated returns 100 × replicated/total.
-func (s Summary) PctTasksReplicated() float64 {
-	if s.Tasks == 0 {
-		return 0
-	}
-	return 100 * float64(s.Replicated) / float64(s.Tasks)
-}
-
-// PctTimeReplicated returns 100 × replicated-task time / total task time.
-func (s Summary) PctTimeReplicated() float64 {
-	if s.TaskTime == 0 {
-		return 0
-	}
-	return 100 * float64(s.ReplicatedTime) / float64(s.TaskTime)
-}
-
-// Summarize aggregates the trace.
-func (t *Tracer) Summarize() Summary {
-	var s Summary
-	for _, r := range t.Records() {
-		s.Tasks++
-		s.TaskTime += r.Duration
-		s.RedundantTime += r.ReplicaDur + r.ReexecDur
-		if r.Replicated {
-			s.Replicated++
-			s.ReplicatedTime += r.Duration
-		}
-		if r.Has(Checkpointed) {
-			s.CheckpointTasks++
-		}
-		if r.Has(SDCDetected) {
-			s.SDCDetected++
-			if r.Has(Voted) {
-				s.SDCRecovered++
-			}
-		}
-		if r.Has(DUERecovered) {
-			s.DUERecovered++
-		}
-		if r.Has(UnprotectedSDC) {
-			s.UnprotectedSDC++
-		}
-		if r.Has(UnprotectedDUE) {
-			s.UnprotectedDUE++
-		}
-		if r.Has(VoteFailed) {
-			s.VoteFailures++
-		}
-	}
-	return s
 }
 
 // WriteTimeline writes a human-readable event log of the records that had

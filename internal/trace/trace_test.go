@@ -60,51 +60,6 @@ func TestHasAndTotalCompute(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	tr := New()
-	tr.Add(Record{TaskID: 1, Replicated: true, Duration: 10,
-		Events: []Event{Checkpointed, Compared}})
-	tr.Add(Record{TaskID: 2, Replicated: true, Duration: 30, ReplicaDur: 28,
-		Events: []Event{Checkpointed, Compared, SDCDetected, Restored, Reexecuted, Voted}})
-	tr.Add(Record{TaskID: 3, Duration: 60, Events: []Event{UnprotectedSDC}})
-	tr.Add(Record{TaskID: 4, Duration: 100, Events: []Event{UnprotectedDUE}})
-	tr.Add(Record{TaskID: 5, Replicated: true, Duration: 10, Events: []Event{Checkpointed, DUERecovered}})
-	tr.Add(Record{TaskID: 6, Duration: 40, Events: []Event{VoteFailed}})
-
-	s := tr.Summarize()
-	if s.Tasks != 6 || s.Replicated != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.TaskTime != 250 || s.ReplicatedTime != 50 {
-		t.Fatalf("times %+v", s)
-	}
-	if s.RedundantTime != 28 {
-		t.Fatalf("redundant %v", s.RedundantTime)
-	}
-	if s.SDCDetected != 1 || s.SDCRecovered != 1 {
-		t.Fatalf("sdc %+v", s)
-	}
-	if s.DUERecovered != 1 || s.UnprotectedSDC != 1 || s.UnprotectedDUE != 1 || s.VoteFailures != 1 {
-		t.Fatalf("events %+v", s)
-	}
-	if s.CheckpointTasks != 3 {
-		t.Fatalf("checkpoints %d", s.CheckpointTasks)
-	}
-	if s.PctTasksReplicated() != 50 {
-		t.Fatalf("pct tasks %v", s.PctTasksReplicated())
-	}
-	if s.PctTimeReplicated() != 20 {
-		t.Fatalf("pct time %v", s.PctTimeReplicated())
-	}
-}
-
-func TestSummaryZeroDivision(t *testing.T) {
-	var s Summary
-	if s.PctTasksReplicated() != 0 || s.PctTimeReplicated() != 0 {
-		t.Fatal("empty summary must yield 0%")
-	}
-}
-
 func TestEventStrings(t *testing.T) {
 	events := []Event{Checkpointed, ReplicaCreated, Compared, SDCDetected,
 		Restored, Reexecuted, Voted, DUERecovered, UnprotectedSDC,
