@@ -1,5 +1,6 @@
 # Repo checks. `make check` is the tier-1 gate plus vet, example builds and a
-# one-iteration pass over the scale benchmarks so they cannot rot.
+# one-iteration pass over the scale and root figure benchmarks so they
+# cannot rot.
 
 GO ?= go
 
@@ -106,10 +107,12 @@ bench-scale:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=0.5s ./internal/bench/scale \
 		| $(GO) run ./cmd/benchjson -suite scale -out BENCH_scale.json
 
-# Run every scale benchmark exactly once: compiles them and executes one
-# iteration, catching drift that `go vet` and unit tests cannot see.
+# Run every scale benchmark and every root figure benchmark (bench_test.go,
+# `make bench-figures`) exactly once: compiles them and executes one
+# iteration (about a second for the root ones), catching drift that `go vet`
+# and unit tests cannot see.
 bench-build:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/bench/scale
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/bench/scale .
 
 # Regression guard: rerun the scale suite into a fresh JSON and fail if any
 # gated metric regressed against the committed BENCH_scale.json baseline —

@@ -51,7 +51,6 @@ import (
 	"appfit/internal/rt"
 	"appfit/internal/simnet"
 	"appfit/internal/sweep"
-	"appfit/internal/vote"
 )
 
 // Runtime is the task-parallel dataflow runtime with the replication engine
@@ -88,14 +87,13 @@ func Out(key string, b Buffer) Arg { return rt.Out(key, b) }
 func Inout(key string, b Buffer) Arg { return rt.Inout(key, b) }
 
 // Buffer is a checkpointable, comparable, corruptible task argument.
-// Concrete types: F64, C128, I64, U8.
+// Concrete types: F64, C128, U8.
 type Buffer = buffer.Buffer
 
-// F64, C128, I64 and U8 are the typed argument buffers.
+// F64, C128 and U8 are the typed argument buffers.
 type (
 	F64  = buffer.F64
 	C128 = buffer.C128
-	I64  = buffer.I64
 	U8   = buffer.U8
 )
 
@@ -104,9 +102,6 @@ func NewF64(n int) F64 { return buffer.NewF64(n) }
 
 // NewC128 allocates a zeroed complex128 buffer of n elements.
 func NewC128(n int) C128 { return buffer.NewC128(n) }
-
-// NewI64 allocates a zeroed int64 buffer of n elements.
-func NewI64(n int) I64 { return buffer.NewI64(n) }
 
 // NewU8 allocates a zeroed byte buffer of n elements.
 func NewU8(n int) U8 { return buffer.NewU8(n) }
@@ -143,13 +138,6 @@ type Injector = fault.Injector
 
 // NewSeededInjector returns a deterministic FIT-driven injector.
 func NewSeededInjector(seed uint64) *fault.Seeded { return fault.NewSeeded(seed) }
-
-// Comparator checks replica agreement; Bitwise is the paper's default.
-type (
-	Comparator = vote.Comparator
-	Bitwise    = vote.Bitwise
-	Checksum   = vote.Checksum
-)
 
 // World is the distributed substrate (the OmpSs+MPI hybrid model, §III):
 // in-process ranks, each with its own Runtime, exchanging messages through

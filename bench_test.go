@@ -19,10 +19,8 @@ import (
 	"appfit/internal/dist"
 	"appfit/internal/experiments"
 	"appfit/internal/fit"
-	"appfit/internal/rt"
 	"appfit/internal/stats"
 	"appfit/internal/sweep"
-	"appfit/internal/vote"
 )
 
 // freshEngine gives each figure regeneration its own sweep engine so the
@@ -141,45 +139,6 @@ func BenchmarkAblationSelectors(b *testing.B) {
 		if _, _, err := experiments.Ablation("cholesky", workload.Tiny); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationComparators measures the paper's comparator trade-off
-// (bitwise vs checksum, §III) on a full replicated run.
-func BenchmarkAblationComparators(b *testing.B) {
-	for _, cmp := range []vote.Comparator{vote.Bitwise{}, vote.Checksum{}} {
-		b.Run(cmp.Name(), func(b *testing.B) {
-			w, _ := bench.ByName("stream")
-			for i := 0; i < b.N; i++ {
-				r := rt.New(rt.Config{
-					Workers: 2, Selector: core.ReplicateAll{}, Comparator: cmp,
-				})
-				_ = w.BuildRT(r, workload.Tiny)
-				if err := r.Shutdown(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationVoters measures the paper's multiple-voters hardening
-// (§IV-A) cost.
-func BenchmarkAblationVoters(b *testing.B) {
-	for _, voters := range []int{1, 3} {
-		b.Run(map[int]string{1: "single", 3: "triple"}[voters], func(b *testing.B) {
-			w, _ := bench.ByName("cholesky")
-			for i := 0; i < b.N; i++ {
-				r := rt.New(rt.Config{
-					Workers: 2, Selector: core.ReplicateAll{},
-					Voters: voters, CheckpointCopies: voters,
-				})
-				_ = w.BuildRT(r, workload.Tiny)
-				if err := r.Shutdown(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"appfit/internal/bench"
@@ -39,6 +40,9 @@ func main() {
 	byLabel := flag.Bool("by-label", false, "print per-kernel aggregation (count, replicated, time, FIT)")
 	flag.Parse()
 
+	if err := checkFlags(*rateScale, *threshold, *randomP); err != nil {
+		fatal(err)
+	}
 	scale, err := workload.ParseScale(*scaleFlag)
 	if err != nil {
 		fatal(err)
@@ -158,6 +162,26 @@ func main() {
 	if verr != nil {
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects the numeric flags a run cannot mean. A negative or NaN
+// rate scale makes every task's FIT ≤ 0 or NaN, so App_FIT would never
+// replicate and the run would still read as meeting its target; a
+// negative, NaN or infinite threshold is no target at all; p is a
+// probability. A threshold of 0 keeps meaning "the application FIT at 1×".
+func checkFlags(rateScale, threshold, p float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"rate-scale", rateScale}, {"threshold", threshold}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("appfit: -%s %g must be finite and non-negative", f.name, f.v)
+		}
+	}
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("appfit: -p %g outside [0, 1]", p)
+	}
+	return nil
 }
 
 func errString(err error) string {

@@ -43,6 +43,9 @@ func main() {
 		"run the sweep twice and require the second pass ≥90% cache hits with an identical table")
 	flag.Parse()
 
+	if err := checkRate(*rate); err != nil {
+		fatal(err)
+	}
 	scale, err := workload.ParseScale(*scaleFlag)
 	if err != nil {
 		fatal(err)
@@ -138,6 +141,15 @@ func render(nodeCounts []int, cores int, resps []sweep.Response) string {
 			replRes.Reexecutions, replRes.SDCDetected, replRes.DUERecovered)
 	}
 	return t.String()
+}
+
+// checkRate applies the rule appfitd applies to a job spec's rate: NaN
+// would run fault-free and 1 or more would fault every execution.
+func checkRate(rate float64) error {
+	if !(rate >= 0 && rate < 1) {
+		return fmt.Errorf("replicate: -rate %g outside [0, 1)", rate)
+	}
+	return nil
 }
 
 func fatal(err error) {

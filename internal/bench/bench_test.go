@@ -179,11 +179,12 @@ func TestRTAndJobTaskCountsMatch(t *testing.T) {
 // TestBuiltJobsGolden pins the jobs the builders emit — every task's label,
 // node, cost, footprint, predecessor list and edge payloads, through the
 // sweep engine's content hash — for all nine benchmarks at Tiny and Small
-// on 1, 4 and 64 nodes. The digest was recorded before JobBuilder.Task
-// dropped its per-task map (PR 22): cache keys, and the figures keyed by
-// them, are only stable if the built jobs are.
+// on 1, 4 and 64 nodes. Cache keys, and the figures keyed by them, are only
+// stable if the built jobs are. A change to the key's config encoding also
+// moves the digest; then the new constant must be what the parent's
+// builders hash to under the new encoder, which shows the jobs held.
 func TestBuiltJobsGolden(t *testing.T) {
-	const want = "c5bd4857c3e8e2d2db76defd6260924e613cadb4b5ccc7146d49fccb33f1a15c"
+	const want = "1585415a22301837fec0fa3cab0484bffa201024dff2edda0abc158a424d418b"
 	h := sha256.New()
 	var keys []string
 	for _, w := range All() {

@@ -1,17 +1,17 @@
 // Package buffer defines the typed data buffers that task arguments are made
-// of. The replication engine (internal/rt) needs four capabilities from every
+// of. The replication engine (internal/rt) needs three capabilities from every
 // task argument, independent of its element type:
 //
 //   - checkpointing: deep-copy the buffer into safe memory and restore it
 //     (paper §III step 1 and step 4);
 //   - comparison: bitwise equality between the outputs of a task and its
-//     replica (paper §III step 3);
-//   - voting: a cheap content fingerprint used by multi-voter configurations;
+//     replica (paper §III step 3), which is also what the majority vote
+//     counts agreement by;
 //   - fault injection: flipping an arbitrary bit, which is how the injector
 //     models a silent data corruption in an output argument.
 //
-// Buffer captures exactly those capabilities. Concrete element types (F64,
-// C128, I64, U8, Bytes) are thin named slice types so numeric kernels can use
+// Buffer captures exactly those capabilities. The concrete element types
+// (F64, C128, U8) are thin named slice types so numeric kernels can use
 // them directly without conversion.
 package buffer
 
@@ -42,25 +42,10 @@ type Buffer interface {
 	// bit patterns compare equal; NaNs with different payloads do not —
 	// this matches the paper's bitwise comparator.
 	EqualTo(other Buffer) bool
-	// Checksum returns a 64-bit FNV-1a fingerprint of the contents.
-	Checksum() uint64
 	// BitLen returns the number of payload bits (fault-injection surface).
 	BitLen() int64
 	// FlipBit inverts bit i (0 <= i < BitLen). Used by the SDC injector.
 	FlipBit(i int64)
-}
-
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-func fnvWord(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (w >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
 }
 
 // F64 is a []float64 buffer.
@@ -108,15 +93,6 @@ func (b F64) EqualTo(other Buffer) bool {
 		}
 	}
 	return true
-}
-
-// Checksum implements Buffer.
-func (b F64) Checksum() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range b {
-		h = fnvWord(h, math.Float64bits(v))
-	}
-	return h
 }
 
 // FlipBit implements Buffer.
@@ -172,16 +148,6 @@ func (b C128) EqualTo(other Buffer) bool {
 	return true
 }
 
-// Checksum implements Buffer.
-func (b C128) Checksum() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range b {
-		h = fnvWord(h, math.Float64bits(real(v)))
-		h = fnvWord(h, math.Float64bits(imag(v)))
-	}
-	return h
-}
-
 // FlipBit implements Buffer.
 func (b C128) FlipBit(i int64) {
 	idx, rem := i/128, i%128
@@ -192,67 +158,6 @@ func (b C128) FlipBit(i int64) {
 		im ^= 1 << uint(rem-64)
 	}
 	b[idx] = complex(math.Float64frombits(re), math.Float64frombits(im))
-}
-
-// I64 is a []int64 buffer.
-type I64 []int64
-
-// NewI64 allocates a zeroed I64 buffer of n elements.
-func NewI64(n int) I64 { return make(I64, n) }
-
-// SizeBytes implements Buffer.
-func (b I64) SizeBytes() int64 { return int64(len(b)) * 8 }
-
-// BitLen implements Buffer.
-func (b I64) BitLen() int64 { return int64(len(b)) * 64 }
-
-// Clone implements Buffer.
-func (b I64) Clone() Buffer {
-	c := make(I64, len(b))
-	copy(c, b)
-	return c
-}
-
-// CopyFrom implements Buffer.
-func (b I64) CopyFrom(src Buffer) error {
-	s, ok := src.(I64)
-	if !ok {
-		return fmt.Errorf("buffer: CopyFrom type mismatch: I64 <- %T: %w", src, ErrCopy)
-	}
-	if len(s) != len(b) {
-		return fmt.Errorf("buffer: CopyFrom length mismatch: %d <- %d: %w", len(b), len(s), ErrCopy)
-	}
-	copy(b, s)
-	return nil
-}
-
-// EqualTo implements Buffer.
-func (b I64) EqualTo(other Buffer) bool {
-	o, ok := other.(I64)
-	if !ok || len(o) != len(b) {
-		return false
-	}
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Checksum implements Buffer.
-func (b I64) Checksum() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range b {
-		h = fnvWord(h, uint64(v))
-	}
-	return h
-}
-
-// FlipBit implements Buffer.
-func (b I64) FlipBit(i int64) {
-	idx, bit := i/64, uint(i%64)
-	b[idx] ^= 1 << bit
 }
 
 // U8 is a []uint8 buffer (pixel arrays, raw images).
@@ -299,16 +204,6 @@ func (b U8) EqualTo(other Buffer) bool {
 		}
 	}
 	return true
-}
-
-// Checksum implements Buffer.
-func (b U8) Checksum() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range b {
-		h ^= uint64(v)
-		h *= fnvPrime
-	}
-	return h
 }
 
 // FlipBit implements Buffer.

@@ -9,7 +9,7 @@ import (
 )
 
 func allKinds(n int) []Buffer {
-	return []Buffer{NewF64(n), NewC128(n), NewI64(n), NewU8(n)}
+	return []Buffer{NewF64(n), NewC128(n), NewU8(n)}
 }
 
 func fill(b Buffer, r *xrand.Rand) {
@@ -21,10 +21,6 @@ func fill(b Buffer, r *xrand.Rand) {
 	case C128:
 		for i := range v {
 			v[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
-	case I64:
-		for i := range v {
-			v[i] = int64(r.Uint64())
 		}
 	case U8:
 		for i := range v {
@@ -40,7 +36,6 @@ func TestSizeBytesAndBitLen(t *testing.T) {
 	}{
 		{NewF64(10), 80},
 		{NewC128(10), 160},
-		{NewI64(10), 80},
 		{NewU8(10), 10},
 	}
 	for _, c := range cases {
@@ -87,7 +82,7 @@ func TestCopyFromRoundTrip(t *testing.T) {
 }
 
 func TestCopyFromTypeMismatch(t *testing.T) {
-	if err := NewF64(4).CopyFrom(NewI64(4)); err == nil {
+	if err := NewF64(4).CopyFrom(NewU8(32)); err == nil {
 		t.Fatal("expected type-mismatch error")
 	}
 	if err := NewU8(4).CopyFrom(NewU8(5)); err == nil {
@@ -99,7 +94,7 @@ func TestCopyFromTypeMismatch(t *testing.T) {
 }
 
 func TestEqualToCrossType(t *testing.T) {
-	if NewF64(8).EqualTo(NewI64(8)) {
+	if NewF64(8).EqualTo(NewU8(64)) {
 		t.Fatal("buffers of different types must not compare equal")
 	}
 	if NewF64(8).EqualTo(NewF64(9)) {
@@ -143,36 +138,6 @@ func TestFlipBitEveryPosition(t *testing.T) {
 	}
 }
 
-func TestChecksumDetectsFlips(t *testing.T) {
-	r := xrand.New(4)
-	for _, b := range allKinds(64) {
-		fill(b, r)
-		h := b.Checksum()
-		misses := 0
-		const trials = 200
-		for trial := 0; trial < trials; trial++ {
-			i := r.Int63n(b.BitLen())
-			b.FlipBit(i)
-			if b.Checksum() == h {
-				misses++
-			}
-			b.FlipBit(i)
-		}
-		if misses > 0 {
-			t.Errorf("%T checksum missed %d/%d single-bit flips", b, misses, trials)
-		}
-	}
-}
-
-func TestChecksumDeterministic(t *testing.T) {
-	r := xrand.New(5)
-	b := NewF64(100)
-	fill(b, r)
-	if b.Checksum() != b.Clone().Checksum() {
-		t.Fatal("checksum of identical contents differs")
-	}
-}
-
 func TestF64NaNBitwiseSemantics(t *testing.T) {
 	nan1 := math.Float64frombits(0x7FF8000000000001)
 	nan2 := math.Float64frombits(0x7FF8000000000002)
@@ -194,7 +159,7 @@ func TestF64NaNBitwiseSemantics(t *testing.T) {
 }
 
 func TestTotalBytesAndBits(t *testing.T) {
-	bufs := []Buffer{NewF64(4), NewU8(4), nil, NewI64(2)}
+	bufs := []Buffer{NewF64(4), NewU8(4), nil, NewC128(1)}
 	if got := TotalBytes(bufs...); got != 32+4+16 {
 		t.Fatalf("TotalBytes = %d", got)
 	}
@@ -222,23 +187,6 @@ func TestPropertyCloneEqualAfterRandomWrites(t *testing.T) {
 	}
 }
 
-func TestPropertyChecksumEqualImpliesLikelySame(t *testing.T) {
-	// For random distinct buffers, checksums should differ.
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		a, b := NewI64(32), NewI64(32)
-		fill(a, r)
-		fill(b, r)
-		if a.EqualTo(b) {
-			return true // astronomically unlikely, but then equal checksums are fine
-		}
-		return a.Checksum() != b.Checksum()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkEqualToF64_4K(b *testing.B) {
 	r := xrand.New(1)
 	x := NewF64(4096)
@@ -251,19 +199,6 @@ func BenchmarkEqualToF64_4K(b *testing.B) {
 			b.Fatal("unexpected mismatch")
 		}
 	}
-}
-
-func BenchmarkChecksumF64_4K(b *testing.B) {
-	r := xrand.New(1)
-	x := NewF64(4096)
-	fill(x, r)
-	b.SetBytes(x.SizeBytes())
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink = x.Checksum()
-	}
-	_ = sink
 }
 
 func BenchmarkCloneF64_4K(b *testing.B) {

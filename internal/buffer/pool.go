@@ -34,7 +34,6 @@ const (
 	kindForeign bin = iota
 	kindF64
 	kindC128
-	kindI64
 	kindU8
 	binKindBits = 3
 )
@@ -50,8 +49,6 @@ func binOf(b Buffer) bin {
 		return binFor(kindF64, len(b))
 	case C128:
 		return binFor(kindC128, len(b))
-	case I64:
-		return binFor(kindI64, len(b))
 	case U8:
 		return binFor(kindU8, len(b))
 	}
@@ -188,8 +185,7 @@ func (p *Pool) Poison() {
 
 // scribble fills b with the poison pattern.
 func scribble(b Buffer) {
-	word := uint64(0xA5A5A5A5A5A5A5A5)
-	f := math.Float64frombits(word)
+	f := math.Float64frombits(0xA5A5A5A5A5A5A5A5)
 	switch b := b.(type) {
 	case F64:
 		for i := range b {
@@ -198,10 +194,6 @@ func scribble(b Buffer) {
 	case C128:
 		for i := range b {
 			b[i] = complex(f, f)
-		}
-	case I64:
-		for i := range b {
-			b[i] = int64(word)
 		}
 	case U8:
 		for i := range b {

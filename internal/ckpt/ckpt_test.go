@@ -66,7 +66,7 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	if err := s.Restore(1, []buffer.Buffer{buffer.NewF64(5)}); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
-	if err := s.Restore(1, []buffer.Buffer{buffer.NewI64(4)}); err == nil {
+	if err := s.Restore(1, []buffer.Buffer{buffer.NewU8(32)}); err == nil {
 		t.Fatal("type mismatch must fail")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"appfit/internal/fault"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/simtime"
 	"appfit/internal/vote"
@@ -117,18 +116,6 @@ type Config struct {
 	// (Run returns a wrapped simnet.ErrTopology otherwise); nil keeps the
 	// flat Net model.
 	Topo *simnet.Topology
-	// AutoPlace, when non-nil, makes Run search the node→machine
-	// assignment instead of taking Topo as given: the job's dependency
-	// traffic is profiled (JobProfile) and internal/place optimizes the
-	// placement against the meter's makespan, starting from Topo (which
-	// then also supplies machine defaults the options leave zero — with a
-	// nil Topo, AutoPlace.PerNode must be set). The optimized topology
-	// replaces Topo for the run and is reported as Result.Placement.
-	AutoPlace *place.Options
-	// MemBWBytesPerSec prices checkpoint/restore/compare memory traffic
-	// (default 32 GB/s: input snapshots and output comparisons stream
-	// cache-resident blocks, not cold DRAM).
-	MemBWBytesPerSec float64
 	// ReplicaCores adds a per-node pool of spare cores that replica
 	// executions (and recovery re-executions) run on, the paper's
 	// "task replicas are executed on spare cores" setup (§V-A2): the
@@ -146,11 +133,11 @@ type Config struct {
 }
 
 // Normalized returns the config with every defaulted field resolved to the
-// value Run will actually use (machine shape, network model, memory
-// bandwidth, injector, attempt cap). Run normalizes internally; callers
-// that derive content-addressed identity from a Config (internal/sweep's
-// results cache) normalize first so that a zero field and its explicit
-// default digest identically.
+// value Run will actually use (machine shape, network model, injector,
+// attempt cap). Run normalizes internally; callers that derive
+// content-addressed identity from a Config (internal/sweep's results
+// cache) normalize first so that a zero field and its explicit default
+// digest identically.
 func (c Config) Normalized() Config {
 	if c.Nodes < 1 {
 		c.Nodes = 1
@@ -163,9 +150,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.Net == (simnet.Config{}) {
 		c.Net = simnet.Marenostrum()
-	}
-	if c.MemBWBytesPerSec <= 0 {
-		c.MemBWBytesPerSec = 32e9
 	}
 	if c.Injector == nil {
 		c.Injector = &fault.NoFaults{}
@@ -211,9 +195,6 @@ type Result struct {
 	// NodeBusy[n] is node n's summed primary-core occupancy; utilization
 	// analyses divide by Makespan × CoresPerNode.
 	NodeBusy []simtime.Time
-	// Placement is the topology the run actually used when Config.AutoPlace
-	// searched one (nil otherwise — the configured Topo was taken as given).
-	Placement *simnet.Topology
 }
 
 // Utilization returns node n's primary-core utilization in [0, 1].
@@ -337,14 +318,6 @@ func (l *Layout) run(cfg Config) (Result, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return Result{}, fmt.Errorf("cluster: %w", err)
 	}
-	var placed *simnet.Topology
-	if cfg.AutoPlace != nil {
-		var err error
-		if cfg, _, err = autoPlace(l, cfg); err != nil {
-			return Result{}, err
-		}
-		placed = cfg.Topo
-	}
 	// All mutable state is per-run scratch, sized once from the job and the
 	// machine; nothing below allocates per task or per event.
 	s := &sim{
@@ -398,7 +371,6 @@ func (l *Layout) run(cfg Config) (Result, error) {
 	s.res.BytesSent = s.net.BytesSent()
 	s.res.WireBytes = s.net.WireBytes()
 	s.res.Makespan = s.eng.Now()
-	s.res.Placement = placed
 	return s.res, nil
 }
 
@@ -413,8 +385,13 @@ func (s *sim) handle(k simtime.Kind, a, b int32) {
 	}
 }
 
+// memBWBytesPerSec prices checkpoint/restore/compare memory traffic: input
+// snapshots and output comparisons stream cache-resident blocks, not cold
+// DRAM, at 32 GB/s.
+const memBWBytesPerSec = 32e9
+
 func (s *sim) memCost(bytes int64) simtime.Time {
-	return simtime.FromSeconds(float64(bytes) / s.cfg.MemBWBytesPerSec)
+	return simtime.FromSeconds(float64(bytes) / memBWBytesPerSec)
 }
 
 func (s *sim) outBytes(t *Task) int64 {

@@ -110,14 +110,13 @@ func TestReplicationOnSaturatedCoresDoubles(t *testing.T) {
 }
 
 func TestCheckpointAndCompareCharged(t *testing.T) {
-	job := Job{Tasks: []Task{{Node: 0, Cost: 1000, ArgBytes: 8000}}}
-	cfg := Config{Nodes: 1, CoresPerNode: 2, MemBWBytesPerSec: 8e9,
-		Replicated: All(1)}
+	job := Job{Tasks: []Task{{Node: 0, Cost: 1000, ArgBytes: 32000}}}
+	cfg := Config{Nodes: 1, CoresPerNode: 2, Replicated: All(1)}
 	res, err := Run(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint: 8000B/8GB/s = 1µs = 1000ns on the primary's critical
+	// Checkpoint: 32000B/32GB/s = 1µs = 1000ns on the primary's critical
 	// path; compare: another 1000ns after both complete.
 	if res.Makespan != 1000+1000+1000 {
 		t.Fatalf("makespan %d, want 3000", res.Makespan)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"appfit/internal/fault"
-	"appfit/internal/place"
+	"appfit/internal/simnet"
 	"appfit/internal/simtime"
 )
 
@@ -37,7 +37,7 @@ func hermeticJob() Job {
 // TestRunConcurrentHermetic is the hermeticity regression test behind the
 // sweep engine (DESIGN.md §11): N concurrent cluster.Run invocations of
 // the SAME job value and the SAME config value — shared Replicated slice,
-// shared fault injector, shared topology, auto-placement on — must each
+// shared fault injector, shared topology — must each
 // return a result bitwise equal to a serial reference run. Run builds all
 // mutable simulation state per invocation and injector draws are pure in
 // (seed, task, attempt); this test is what keeps that true. Run it with
@@ -45,13 +45,17 @@ func hermeticJob() Job {
 // even if results happened to agree.
 func TestRunConcurrentHermetic(t *testing.T) {
 	job := hermeticJob()
+	topo, err := simnet.BlockTopology(4, 2, simnet.MemoryBus(), simnet.Marenostrum())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		Nodes:        4,
 		CoresPerNode: 2,
 		ReplicaCores: 1,
 		Replicated:   All(len(job.Tasks)),
 		Injector:     fault.NewFixedRate(42, 0.05, 0.05),
-		AutoPlace:    &place.Options{PerNode: 2, Seed: 9, Budget: 64},
+		Topo:         topo,
 	}
 	want, err := Run(job, cfg)
 	if err != nil {
@@ -74,26 +78,7 @@ func TestRunConcurrentHermetic(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		got := results[g]
-		// Placement topologies are distinct objects per run; compare their
-		// content, then the rest of the result bitwise.
-		if (got.Placement == nil) != (want.Placement == nil) {
-			t.Fatalf("goroutine %d: placement presence differs", g)
-		}
-		if got.Placement != nil {
-			if got.Placement.Ranks() != want.Placement.Ranks() {
-				t.Fatalf("goroutine %d: placement ranks differ", g)
-			}
-			for r := 0; r < want.Placement.Ranks(); r++ {
-				if got.Placement.NodeOf(r) != want.Placement.NodeOf(r) {
-					t.Fatalf("goroutine %d: rank %d placed on node %d, want %d",
-						g, r, got.Placement.NodeOf(r), want.Placement.NodeOf(r))
-				}
-			}
-		}
-		ref := want
-		got.Placement, ref.Placement = nil, nil
-		if !reflect.DeepEqual(got, ref) {
+		if got := results[g]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("goroutine %d: concurrent result differs from serial reference\ngot:  %+v\nwant: %+v",
 				g, got, want)
 		}

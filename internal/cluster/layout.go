@@ -7,8 +7,7 @@ package cluster
 // position in the consumer's Deps), then the node-crossing edges by
 // ascending destination node, in successor order within a node. One run of
 // equal-destination remote edges is a segment: the unit of delivery (a
-// producer's data travels to each consuming node once) and of placement
-// profiling, so Run and JobProfile read the same traffic by construction.
+// producer's data travels to each consuming node once).
 //
 // A Layout depends on the job and the machine size alone, never writes to
 // the job, and is never written after NewLayout: one Layout is shared

@@ -88,8 +88,7 @@ type regions struct {
 // through a set, so a writer behind a thousand readers stays linear.
 const dedupScan = 16
 
-// derivePreds is the one edge-derivation rule, shared by the online Tracker
-// and the static Graph: scan every access against its region state collecting
+// derivePreds is the Tracker's edge-derivation rule: scan every access against its region state collecting
 // predecessor ids, then apply the state updates, so a task that both reads
 // and writes disjoint declarations of the same key behaves like inout. The
 // predecessors come back without duplicates, in the order the accesses first
@@ -328,70 +327,4 @@ func (t *Tracker) Reset() {
 	}
 	t.edges.Store(0)
 	t.tasks.Store(0)
-}
-
-// Graph is a static DAG snapshot used by the virtual-time cluster simulator:
-// workloads build their task graph once, then the simulator list-schedules
-// it. Build one with NewGraph and AddTask in program order.
-type Graph struct {
-	regions regions
-	// Preds[i] lists predecessor indices of task i; Succs the inverse.
-	Preds, Succs [][]int
-	ids          []uint64
-}
-
-// NewGraph returns an empty static graph builder.
-func NewGraph() *Graph { return &Graph{} }
-
-// AddTask registers the next task (index len-1 after the call) with its
-// accesses and records its edges. Returns the task's index.
-func (g *Graph) AddTask(accesses []Access) int {
-	idx := len(g.ids)
-	id := uint64(idx + 1)
-	g.ids = append(g.ids, id)
-	g.Preds = append(g.Preds, nil)
-	g.Succs = append(g.Succs, nil)
-
-	for _, p := range g.regions.derivePreds(id, accesses) {
-		pi := int(p - 1)
-		g.Preds[idx] = append(g.Preds[idx], pi)
-		g.Succs[pi] = append(g.Succs[pi], idx)
-	}
-	return idx
-}
-
-// Len returns the number of tasks in the graph.
-func (g *Graph) Len() int { return len(g.ids) }
-
-// Roots returns the indices of tasks with no predecessors.
-func (g *Graph) Roots() []int {
-	var roots []int
-	for i, p := range g.Preds {
-		if len(p) == 0 {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
-// CriticalPathLen returns the length (in tasks) of the longest chain,
-// assuming unit task cost. Useful for analytic speedup bounds in tests.
-func (g *Graph) CriticalPathLen() int {
-	depth := make([]int, g.Len())
-	longest := 0
-	// Tasks were added in program order, so predecessors precede
-	// successors and one forward pass suffices.
-	for i := range g.Preds {
-		d := 1
-		for _, p := range g.Preds[i] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[i] = d
-		if d > longest {
-			longest = d
-		}
-	}
-	return longest
 }

@@ -244,33 +244,40 @@ func TestPredsFirstSeenOrder(t *testing.T) {
 	}
 }
 
-// TestGraphPredsDeterministic: a graph built twice from the same accesses
-// lists every task's predecessors (and successors) in the same order — the
-// order a map-typed predecessor set used to shuffle from run to run.
-func TestGraphPredsDeterministic(t *testing.T) {
+// derive runs accs through the Tracker's edge rule in program order, task i
+// under id i+1, and returns each task's predecessors as task indices.
+func derive(accs [][]Access) [][]int {
+	var r regions
+	preds := make([][]int, len(accs))
+	for i, acc := range accs {
+		for _, p := range r.derivePreds(uint64(i+1), acc) {
+			preds[i] = append(preds[i], int(p-1))
+		}
+	}
+	return preds
+}
+
+// TestDerivePredsDeterministic: the edge rule run twice over the same
+// accesses lists every task's predecessors in the same order — the order a
+// map-typed predecessor set used to shuffle from run to run.
+func TestDerivePredsDeterministic(t *testing.T) {
 	r := xrand.New(7)
 	accs := randomAccesses(r, 200, 5)
-	build := func() string {
-		g := NewGraph()
-		for _, acc := range accs {
-			g.AddTask(acc)
-		}
-		return fmt.Sprint(g.Preds, g.Succs)
-	}
-	first := build()
+	first := fmt.Sprint(derive(accs))
 	for i := 0; i < 20; i++ {
-		if build() != first {
-			t.Fatalf("build %d ordered its edges differently", i+1)
+		if fmt.Sprint(derive(accs)) != first {
+			t.Fatalf("run %d ordered its edges differently", i+1)
 		}
 	}
 	// First-seen order, spelled out: task 3 reads B (written by 1) before A
 	// (written by 0), so its predecessors are [1 0], not sorted.
-	g := NewGraph()
-	g.AddTask([]Access{{"A", Out}})
-	g.AddTask([]Access{{"B", Out}})
-	g.AddTask([]Access{{"C", Out}})
-	g.AddTask([]Access{{"B", In}, {"A", In}, {"B", In}})
-	if got := fmt.Sprint(g.Preds[3]); got != "[1 0]" {
+	preds := derive([][]Access{
+		{{"A", Out}},
+		{{"B", Out}},
+		{{"C", Out}},
+		{{"B", In}, {"A", In}, {"B", In}},
+	})
+	if got := fmt.Sprint(preds[3]); got != "[1 0]" {
 		t.Fatalf("preds = %s, want [1 0]", got)
 	}
 }
@@ -316,62 +323,6 @@ func TestPropertyAllTasksEventuallyReady(t *testing.T) {
 	}
 }
 
-func TestGraphMatchesTracker(t *testing.T) {
-	// The static Graph must derive the same edges as the online Tracker.
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		const n = 40
-		var accs [][]Access
-		for i := 0; i < n; i++ {
-			na := 1 + r.Intn(3)
-			var acc []Access
-			for j := 0; j < na; j++ {
-				acc = append(acc, Access{
-					Key:  fmt.Sprintf("k%d", r.Intn(6)),
-					Mode: Mode(r.Intn(3)),
-				})
-			}
-			accs = append(accs, acc)
-		}
-		tr := NewTracker()
-		g := NewGraph()
-		for i, acc := range accs {
-			tr.Register(uint64(i+1), acc)
-			g.AddTask(acc)
-		}
-		for i := 0; i < n; i++ {
-			if tr.Pending(uint64(i+1)) != len(g.Preds[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGraphRootsAndCriticalPath(t *testing.T) {
-	g := NewGraph()
-	g.AddTask([]Access{{"A", Out}})           // 0
-	g.AddTask([]Access{{"A", Inout}})         // 1 <- 0
-	g.AddTask([]Access{{"B", Out}})           // 2 (independent)
-	g.AddTask([]Access{{"A", In}, {"B", In}}) // 3 <- 1, 2
-	roots := g.Roots()
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 2 {
-		t.Fatalf("roots = %v", roots)
-	}
-	if cp := g.CriticalPathLen(); cp != 3 {
-		t.Fatalf("critical path = %d, want 3 (0→1→3)", cp)
-	}
-	if g.Len() != 4 {
-		t.Fatalf("len = %d", g.Len())
-	}
-	if len(g.Succs[0]) != 1 || g.Succs[0][0] != 1 {
-		t.Fatalf("succs[0] = %v", g.Succs[0])
-	}
-}
-
 func BenchmarkRegisterChain(b *testing.B) {
 	tr := NewTracker()
 	for i := 0; i < b.N; i++ {
@@ -380,13 +331,5 @@ func BenchmarkRegisterChain(b *testing.B) {
 		if i > 0 {
 			tr.Complete(uint64(i))
 		}
-	}
-}
-
-func BenchmarkGraphAddTask(b *testing.B) {
-	g := NewGraph()
-	acc := []Access{{"A", In}, {"B", Inout}}
-	for i := 0; i < b.N; i++ {
-		g.AddTask(acc)
 	}
 }

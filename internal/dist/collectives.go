@@ -200,22 +200,17 @@ func (c *Comm) Barrier(tag int) {
 // Broadcast replicates root's buffer into every member's buffer for region
 // name: bufs[i] is comm rank i's buffer, and all must match root's type and
 // length. On a communicator whose topology is non-flat (see Hierarchical)
-// it runs BroadcastHier, otherwise BroadcastFlat. Both move
-// bitwise-identical payloads in n−1 messages; only the routing — and
-// therefore the fabric cost — differs. An out-of-range root, a bufs slice
-// of the wrong length or a nil buffer in it records a World error and
-// submits nothing.
+// it runs the three-phase bcastHier, otherwise one binomial tree over the
+// whole communicator (bcast). Both move bitwise-identical payloads in n−1
+// messages; only the routing — and therefore the fabric cost — differs.
+// An out-of-range root, a bufs slice of the wrong length or a nil buffer
+// in it records a World error and submits nothing.
 func (c *Comm) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
 	c.broadcast(c.hier, root, tag, name, bufs)
 }
 
-// BroadcastFlat is Broadcast through one binomial tree over the whole
-// communicator, whatever its placement.
-func (c *Comm) BroadcastFlat(root, tag int, name string, bufs []buffer.Buffer) {
-	c.broadcast(false, root, tag, name, bufs)
-}
-
-// broadcast validates a Broadcast call and runs the chosen shape.
+// broadcast validates a Broadcast call and runs the chosen shape: hier
+// forces the hierarchical schedule, else the flat tree.
 func (c *Comm) broadcast(hier bool, root, tag int, name string, bufs []buffer.Buffer) {
 	if !c.checkMembers("Broadcast", len(bufs)) || !c.checkBufs("Broadcast", bufs...) {
 		return
@@ -291,21 +286,17 @@ func (l lane) ring(b blocks) {
 // own bufs[i][i] is the source and all must match it in type and length.
 // name(j) is block j's region key on every member, so compute reading
 // name(j) is gated on the step that delivers block j. On a communicator
-// whose topology is non-flat (see Hierarchical) it runs AllgatherHier,
-// otherwise AllgatherFlat. Both move bitwise-identical payloads in n(n−1)
+// whose topology is non-flat (see Hierarchical) it runs the three-phase
+// allgatherHier, otherwise one ring over the whole communicator (see ring)
+// in ClassGather — its own Match class, so it can never collide with a
+// same-tag Broadcast. Both move bitwise-identical payloads in n(n−1)
 // messages; only the routing — and therefore the fabric cost — differs.
 func (c *Comm) Allgather(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
 	c.allgather(c.hier, tag, name, bufs)
 }
 
-// AllgatherFlat is Allgather through one ring over the whole communicator
-// (see ring), whatever its placement. Plumbing travels in ClassGather — its
-// own Match class, so it can never collide with a same-tag Broadcast.
-func (c *Comm) AllgatherFlat(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	c.allgather(false, tag, name, bufs)
-}
-
-// allgather validates an Allgather call and runs the chosen shape.
+// allgather validates an Allgather call and runs the chosen shape: hier
+// forces the hierarchical schedule, else the flat ring.
 func (c *Comm) allgather(hier bool, tag int, name func(j int) string, bufs [][]buffer.Buffer) {
 	if !c.checkMembers("Allgather", len(bufs)) {
 		return
@@ -423,7 +414,7 @@ func plan(op ReduceOp, bytes int64, members int, hierarchical bool) allreduceAlg
 }
 
 // Allreduce leaves op's reduction of every member's float64 buffer for
-// region name in all of them, by the algorithm plan selects: AllreduceHier
+// region name in all of them, by the algorithm plan selects: allreduceHier
 // on a placed communicator (whose leader exchange re-plans, so large leader
 // vectors take Rabenseifner automatically), else AllreduceGather,
 // AllreduceTree or AllreduceRabenseifner by payload size. All buffers must
@@ -499,7 +490,7 @@ func (l lane) gatherAtZero(sub int, name string, bufs []buffer.F64, keyPrefix st
 }
 
 // reduceAtZero is the gather half of AllreduceGather (and the node-local
-// phase of AllreduceHier): member 0 folds every other member's vector into
+// phase of allreduceHier): member 0 folds every other member's vector into
 // its own buffer in comm rank order with an ordinary compute task.
 func (c *Comm) reduceAtZero(tag int, name string, bufs []buffer.F64, op ReduceOp) {
 	if len(c.members) == 1 {

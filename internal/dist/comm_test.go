@@ -491,7 +491,7 @@ func TestNilBufferRecordsNamedError(t *testing.T) {
 		{"Recv", func(c *Comm) uint64 { return c.Rank(1).Recv(0, 0, "x", nil) }},
 		{"Broadcast/member-0", func(c *Comm) uint64 { c.Broadcast(1, 0, "b", nilAt(0)); return 0 }},
 		{"Broadcast/last-member", func(c *Comm) uint64 { c.Broadcast(0, 0, "b", nilAt(n-1)); return 0 }},
-		{"BroadcastHier/root", func(c *Comm) uint64 { c.BroadcastHier(2, 0, "b", nilAt(2)); return 0 }},
+		{"BroadcastHier/root", func(c *Comm) uint64 { c.broadcast(true, 2, 0, "b", nilAt(2)); return 0 }},
 		{"Allgather", func(c *Comm) uint64 { c.Allgather(0, blockName, blocks); return 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,7 +14,7 @@
 //
 // Payload equality: Broadcast and Allgather move bytes without arithmetic,
 // so their hierarchical results are bitwise-identical to the flat ones.
-// AllreduceHier folds node-locally first — op applications group
+// allreduceHier folds node-locally first — op applications group
 // ((node 0's members) ⊕ (node 1's members) ⊕ …), which both re-associates
 // and (under a non-contiguous placement) reorders operands relative to the
 // flat gather's strict comm-rank-order left fold. op must therefore be
@@ -50,7 +50,7 @@ func (c *Comm) decomp() *nodeDecomp {
 	return d
 }
 
-// BroadcastHier is Broadcast in three placement-aware phases: root's node
+// bcastHier is Broadcast in three placement-aware phases: root's node
 // runs a local binomial tree rooted at root itself (so root's node-mates —
 // its leader included — get the payload over shared memory, with no
 // separate root→leader hop and no member ever receiving data it already
@@ -58,11 +58,6 @@ func (c *Comm) decomp() *nodeDecomp {
 // edge is a node-pair cable, and the other leaders fan it out inside their
 // nodes. Exactly n−1 messages, like the flat tree — only their placement
 // differs.
-func (c *Comm) BroadcastHier(root, tag int, name string, bufs []buffer.Buffer) {
-	c.broadcast(true, root, tag, name, bufs)
-}
-
-// bcastHier is BroadcastHier's schedule.
 func (c *Comm) bcastHier(root, tag int, name string, bufs []buffer.Buffer) {
 	d := c.decomp()
 	if d == nil {
@@ -80,18 +75,13 @@ func (c *Comm) bcastHier(root, tag int, name string, bufs []buffer.Buffer) {
 	}
 }
 
-// AllgatherHier is Allgather in three placement-aware phases: a ring
+// allgatherHier is Allgather in three placement-aware phases: a ring
 // allgather inside each node (members of one node trade their blocks over
 // shared memory), each leader broadcasting each of its node's blocks to the
 // other leaders (the only messages that cross the wire — each block crosses
 // each cable once, not once per consuming rank), and each leader fanning
 // the foreign blocks out inside its node. The total message count equals
 // the flat ring's n(n−1); only the placement of those messages changes.
-func (c *Comm) AllgatherHier(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	c.allgather(true, tag, name, bufs)
-}
-
-// allgatherHier is AllgatherHier's schedule.
 func (c *Comm) allgatherHier(tag int, b blocks) {
 	d := c.decomp()
 	if d == nil {
@@ -108,14 +98,15 @@ func (c *Comm) allgatherHier(tag int, b blocks) {
 	d.exchange(tag, b)
 }
 
-// exchange runs the two phases AllgatherHier and AllgathervHier share once
-// every member holds its own node's blocks. Leader exchange: leader g
-// broadcasts each of its node's blocks to the other leaders, its send of
-// block j dataflow-gated on the node-local receive that wrote region
-// key(j). Then the node-local fan-out of every foreign block, gated on the
-// leader-phase receive that delivered it. (The node-local phase before it
-// differs per collective — a ring of equal blocks, a broadcast per ragged
-// segment — and merging those would change which messages flow.)
+// exchange runs the two phases allgatherHier and the hierarchical
+// Allgatherv share once every member holds its own node's blocks. Leader
+// exchange: leader g broadcasts each of its node's blocks to the other
+// leaders, its send of block j dataflow-gated on the node-local receive
+// that wrote region key(j). Then the node-local fan-out of every foreign
+// block, gated on the leader-phase receive that delivered it. (The
+// node-local phase before it differs per collective — a ring of equal
+// blocks, a broadcast per ragged segment — and merging those would change
+// which messages flow.)
 func (d *nodeDecomp) exchange(tag int, b blocks) {
 	for g, grp := range d.groups {
 		for _, pj := range grp {
@@ -137,7 +128,7 @@ func (d *nodeDecomp) exchange(tag int, b blocks) {
 	}
 }
 
-// AllreduceHier is Allreduce in three placement-aware phases: each node
+// allreduceHier is Allreduce in three placement-aware phases: each node
 // folds its members' vectors into its leader over shared memory (comm-rank
 // order within the node), the leaders allreduce their per-node partials —
 // by whichever flat algorithm plan selects for their vectors; the leaders
@@ -146,11 +137,6 @@ func (d *nodeDecomp) exchange(tag int, b blocks) {
 // member. op must be commutative (operands are grouped and reordered by
 // node); see the package comment for when the result is bitwise-equal to
 // the flat algorithms.
-func (c *Comm) AllreduceHier(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	c.allreduce(algHier, tag, name, bufs, op)
-}
-
-// allreduceHier is AllreduceHier's schedule.
 func (c *Comm) allreduceHier(tag int, name string, bufs []buffer.F64, op ReduceOp) {
 	d := c.decomp()
 	if d == nil {

@@ -74,25 +74,25 @@ func blockName(j int) string { return fmt.Sprintf("blk%d", j) }
 
 var trafficCases = []trafficCase{
 	{"Barrier", func(c *Comm) { c.Barrier(1) }},
-	{"BroadcastFlat", func(c *Comm) { c.BroadcastFlat(c.Size()/3, 1, "v", anyBufs(f64s(c.Size(), 10))) }},
-	{"BroadcastHier", func(c *Comm) { c.BroadcastHier(c.Size()/3, 1, "v", anyBufs(f64s(c.Size(), 10))) }},
-	{"AllgatherFlat", func(c *Comm) { c.AllgatherFlat(1, blockName, allgatherBlocks(c.Size(), 3)) }},
-	{"AllgatherHier", func(c *Comm) { c.AllgatherHier(1, blockName, allgatherBlocks(c.Size(), 3)) }},
+	{"BroadcastFlat", func(c *Comm) { c.broadcast(false, c.Size()/3, 1, "v", anyBufs(f64s(c.Size(), 10))) }},
+	{"BroadcastHier", func(c *Comm) { c.broadcast(true, c.Size()/3, 1, "v", anyBufs(f64s(c.Size(), 10))) }},
+	{"AllgatherFlat", func(c *Comm) { c.allgather(false, 1, blockName, allgatherBlocks(c.Size(), 3)) }},
+	{"AllgatherHier", func(c *Comm) { c.allgather(true, 1, blockName, allgatherBlocks(c.Size(), 3)) }},
 	{"AllgathervFlat", func(c *Comm) {
 		r := newRagged(c.Size())
-		c.AllgathervFlat(1, "v", r.bufs, r.counts, r.displs)
+		c.allgatherv(false, 1, "v", r.bufs, r.counts, r.displs)
 	}},
 	{"AllgathervHier", func(c *Comm) {
 		r := newRagged(c.Size())
-		c.AllgathervHier(1, "v", r.bufs, r.counts, r.displs)
+		c.allgatherv(true, 1, "v", r.bufs, r.counts, r.displs)
 	}},
 	{"ReduceScattervFlat", func(c *Comm) {
 		r := newRagged(c.Size())
-		c.ReduceScattervFlat(1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
+		c.reduceScatterv(false, 1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
 	}},
 	{"ReduceScattervHier", func(c *Comm) {
 		r := newRagged(c.Size())
-		c.ReduceScattervHier(1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
+		c.reduceScatterv(true, 1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
 	}},
 	{"AllreduceGather", func(c *Comm) { c.AllreduceGather(1, "v", f64s(c.Size(), 100), OpSum) }},
 	{"AllreduceTree", func(c *Comm) { c.AllreduceTree(1, "v", f64s(c.Size(), 100), OpSum) }},
@@ -100,9 +100,9 @@ var trafficCases = []trafficCase{
 	// The leader phase re-enters the byte-based selection: 800 B stays on
 	// the gather, 8 KiB takes the tree, 64 KiB Rabenseifner (whenever more
 	// than two leaders exist).
-	{"AllreduceHier/800B", func(c *Comm) { c.AllreduceHier(1, "v", f64s(c.Size(), 100), OpSum) }},
-	{"AllreduceHier/8KiB", func(c *Comm) { c.AllreduceHier(1, "v", f64s(c.Size(), 1024), OpSum) }},
-	{"AllreduceHier/64KiB", func(c *Comm) { c.AllreduceHier(1, "v", f64s(c.Size(), 8192), OpSum) }},
+	{"AllreduceHier/800B", func(c *Comm) { c.allreduce(algHier, 1, "v", f64s(c.Size(), 100), OpSum) }},
+	{"AllreduceHier/8KiB", func(c *Comm) { c.allreduce(algHier, 1, "v", f64s(c.Size(), 1024), OpSum) }},
+	{"AllreduceHier/64KiB", func(c *Comm) { c.allreduce(algHier, 1, "v", f64s(c.Size(), 8192), OpSum) }},
 	// The dispatchers themselves, as the benchmark calls them.
 	{"Allreduce/1KiB", func(c *Comm) { c.Allreduce(1, "v", f64s(c.Size(), 128), OpSum) }},
 	{"Allreduce/custom-op", func(c *Comm) {

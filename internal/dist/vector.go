@@ -98,34 +98,28 @@ func (c *Comm) checkVector(op string, total int, counts, displs []int) bool {
 // vector for region name: member j contributes bufs[j][displs[j] :
 // displs[j]+counts[j]], and after the collective every member's buffer holds
 // all n segments (elements outside every segment are untouched). All buffers
-// must have equal length. On a communicator whose topology is non-flat (see
-// Hierarchical) it runs AllgathervHier, otherwise AllgathervFlat. Both move
-// bitwise-identical payloads in n(n−1) messages; only the routing differs.
+// must have equal length. Both shapes move bitwise-identical payloads in
+// n(n−1) messages; only the routing differs.
+//
+// On a flat communicator it runs one ring over the whole communicator (see
+// ring), each message sized by the segment it carries. All of a member's
+// plumbing shares the single region name, so the dataflow tracker
+// serializes its steps and compute reading name is gated behind the whole
+// exchange. Plumbing travels in ClassGatherv.
+//
+// On a communicator whose topology is non-flat (see Hierarchical) it runs
+// the three leader phases of allgatherHier: members of one node trade their
+// segments over shared memory (a local broadcast per segment, rooted at its
+// owner), each leader broadcasts its node's segments to the other leaders —
+// the only messages that cross the wire; each segment crosses each cable
+// once, not once per consuming rank — and leaders fan the foreign segments
+// out inside their nodes.
 func (c *Comm) Allgatherv(tag int, name string, bufs []buffer.F64, counts, displs []int) {
 	c.allgatherv(c.hier, tag, name, bufs, counts, displs)
 }
 
-// AllgathervFlat is Allgatherv through one ring over the whole communicator
-// (see ring), each message sized by the segment it carries. All of a
-// member's plumbing shares the single region name, so the dataflow tracker
-// serializes its steps and compute reading name is gated behind the whole
-// exchange. Plumbing travels in ClassGatherv.
-func (c *Comm) AllgathervFlat(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	c.allgatherv(false, tag, name, bufs, counts, displs)
-}
-
-// AllgathervHier is Allgatherv in the three leader phases of AllgatherHier:
-// members of one node trade their segments over shared memory (a local
-// broadcast per segment, rooted at its owner), each leader broadcasts its
-// node's segments to the other leaders — the only messages that cross the
-// wire; each segment crosses each cable once, not once per consuming rank —
-// and leaders fan the foreign segments out inside their nodes. Message
-// count is exactly the flat ring's n(n−1); only the placement changes.
-func (c *Comm) AllgathervHier(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	c.allgatherv(true, tag, name, bufs, counts, displs)
-}
-
-// allgatherv validates an Allgatherv call and runs the chosen shape.
+// allgatherv validates an Allgatherv call and runs the chosen shape: hier
+// forces the leader phases, else the flat ring.
 func (c *Comm) allgatherv(hier bool, tag int, name string, bufs []buffer.F64, counts, displs []int) {
 	if !c.checkVectors("Allgatherv", bufs) || !c.checkVector("Allgatherv", len(bufs[0]), counts, displs) {
 		return
@@ -159,40 +153,12 @@ func (c *Comm) allgatherv(hier bool, tag int, name string, bufs []buffer.F64, co
 // displacement sum(counts[:i]) in outs[i] under region out — MPI's
 // Reduce_scatter, whose recvcounts alone fix the layout. Every bufs[i] must
 // hold sum(counts) elements and every outs[i] exactly counts[i]; inputs are
-// left untouched. On a communicator whose topology is non-flat it runs
-// ReduceScattervHier when op is a builtin (commutative) operator; otherwise
-// ReduceScattervFlat, whose strict ring-order fold is valid for any
-// deterministic op.
+// left untouched. On a communicator whose topology is non-flat it runs the
+// leader rings (rsv.leaderRings) when op is a builtin (commutative)
+// operator; otherwise the flat ring (rsv.ring), whose strict ring-order
+// fold is valid for any deterministic op.
 func (c *Comm) ReduceScatterv(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
 	c.reduceScatterv(c.hier && builtinCommutative(op), tag, in, out, bufs, outs, counts, op)
-}
-
-// ReduceScattervFlat is the ring ReduceScatterv: segment k's partial starts
-// at member k+1 with just that member's contribution and travels the ring
-// for n−1 steps, each holder folding in its own contribution, arriving
-// complete at member k — n(n−1) messages, each sized by the segment it
-// carries. Contributions accumulate in ring order (member k+1 first, member
-// k last), which a serial reference must replay for bitwise comparison;
-// valid for any deterministic op. Folds are ordinary compute tasks
-// (replicable, corruptible). Plumbing travels in ClassRedScatv with the
-// ring step as the subchannel.
-func (c *Comm) ReduceScattervFlat(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
-	c.reduceScatterv(false, tag, in, out, bufs, outs, counts, op)
-}
-
-// ReduceScattervHier is the topology-aware ReduceScatterv: each node folds
-// its members' full input vectors into a staged vector at its leader over
-// shared memory (node-local comm-rank order), each segment's per-node
-// partials then travel the *leader* ring — starting at the owner's
-// successor leader and arriving fully reduced at the owner's leader, so a
-// segment crosses G−1 cables instead of n−1 — and leaders deliver the
-// finished segments to their node-mates. Operands group and reorder by
-// node, so op must be commutative; ReduceScatterv selects this path only
-// for the builtin operators. Inputs are left untouched, like the flat
-// ring's. See hier.go's package comment for when results are bitwise-equal
-// to the flat algorithms.
-func (c *Comm) ReduceScattervHier(tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
-	c.reduceScatterv(true, tag, in, out, bufs, outs, counts, op)
 }
 
 // vecDispls derives the dense displacement vector (prefix sums) and total
@@ -220,7 +186,8 @@ type rsv struct {
 	prefix     string // of every staging region key of this call
 }
 
-// reduceScatterv validates a ReduceScatterv call and runs the chosen shape.
+// reduceScatterv validates a ReduceScatterv call and runs the chosen shape:
+// hier forces the leader rings, else the flat ring.
 func (c *Comm) reduceScatterv(hier bool, tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
 	const name = "ReduceScatterv"
 	n := len(c.members)
@@ -280,10 +247,17 @@ func (r *rsv) fold(i int, own rt.Arg, j int, arrived, dst rt.Arg) {
 	}, own, rt.In(arrived.Key, arrived.Buf), dst)
 }
 
-// ring is ReduceScattervFlat's schedule. Segment lengths differ per step,
-// so the traveling partial gets a fresh buffer each fold — all under the
-// one acc region, which chains the steps. A lone member's first partial is
-// already its result.
+// ring is the flat ReduceScatterv: segment k's partial starts at member
+// k+1 with just that member's contribution and travels the ring for n−1
+// steps, each holder folding in its own contribution, arriving complete at
+// member k — n(n−1) messages, each sized by the segment it carries.
+// Contributions accumulate in ring order (member k+1 first, member k last),
+// which a serial reference must replay for bitwise comparison; valid for
+// any deterministic op. Folds are ordinary compute tasks (replicable,
+// corruptible). Plumbing travels in ClassRedScatv with the ring step as the
+// subchannel. Segment lengths differ per step, so the traveling partial
+// gets a fresh buffer each fold — all under the one acc region, which
+// chains the steps. A lone member's first partial is already its result.
 func (r *rsv) ring() {
 	n := len(r.c.members)
 	l := r.c.lane(ClassRedScatv, r.tag, "rsv:"+r.in)
@@ -307,7 +281,17 @@ func (r *rsv) ring() {
 	}
 }
 
-// leaderRings is ReduceScattervHier's schedule.
+// leaderRings is the topology-aware ReduceScatterv: each node folds its
+// members' full input vectors into a staged vector at its leader over
+// shared memory (node-local comm-rank order), each segment's per-node
+// partials then travel the *leader* ring — starting at the owner's
+// successor leader and arriving fully reduced at the owner's leader, so a
+// segment crosses G−1 cables instead of n−1 — and leaders deliver the
+// finished segments to their node-mates. Operands group and reorder by
+// node, so op must be commutative; ReduceScatterv selects this path only
+// for the builtin operators. Inputs are left untouched, like the flat
+// ring's. See hier.go's package comment for when results are bitwise-equal
+// to the flat algorithms.
 func (r *rsv) leaderRings(d *nodeDecomp) {
 	c, n, G := r.c, len(r.c.members), len(d.groups)
 	// Phase 1 — node-local gather: fold each node's full vectors into a

@@ -30,7 +30,7 @@ func allgathervReference(contrib [][]float64, counts, displs []int, total int) [
 	return ref
 }
 
-// reduceScattervRingReference replays ReduceScattervFlat's ring order:
+// reduceScattervRingReference replays the flat ReduceScatterv ring order:
 // segment k starts at member k+1 and folds contributions ring-wise, ending
 // at member k.
 func reduceScattervRingReference(bufs [][]float64, counts, displs []int, op ReduceOp) [][]float64 {
@@ -208,7 +208,13 @@ func TestReduceScattervFlatRingOrder(t *testing.T) {
 func TestReduceScattervSingleMember(t *testing.T) {
 	// A lone member's result is its own input, whichever shape is named.
 	for name, call := range map[string]func(*Comm, int, string, string, []buffer.F64, []buffer.F64, []int, ReduceOp){
-		"auto": (*Comm).ReduceScatterv, "flat": (*Comm).ReduceScattervFlat, "hier": (*Comm).ReduceScattervHier,
+		"auto": (*Comm).ReduceScatterv,
+		"flat": func(c *Comm, tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
+			c.reduceScatterv(false, tag, in, out, bufs, outs, counts, op)
+		},
+		"hier": func(c *Comm, tag int, in, out string, bufs, outs []buffer.F64, counts []int, op ReduceOp) {
+			c.reduceScatterv(true, tag, in, out, bufs, outs, counts, op)
+		},
 	} {
 		w := NewWorld(Config{Ranks: 1})
 		in := buffer.F64{3, 4}
@@ -385,7 +391,7 @@ func TestAllreduceRaggedPicksSmallestPayload(t *testing.T) {
 		"gather":       func(c *Comm) { c.AllreduceGather(0, "v", ragged(16, 9), OpSum) },
 		"tree":         func(c *Comm) { c.AllreduceTree(0, "v", ragged(16, 9), OpSum) },
 		"rabenseifner": func(c *Comm) { c.AllreduceRabenseifner(0, "v", ragged(16384, 9000), OpSum) },
-		"hier":         func(c *Comm) { c.AllreduceHier(0, "v", ragged(16, 9), OpSum) },
+		"hier":         func(c *Comm) { c.allreduce(algHier, 0, "v", ragged(16, 9), OpSum) },
 	}
 	for name, call := range calls {
 		w := blockWorld(t, n, 2, false)

@@ -9,9 +9,8 @@
 // The pipeline has three stages:
 //
 //   - Profile: a directed rank-pair traffic matrix (message count per
-//     payload size), captured either by recording a live dist.Sim
-//     transport (Sim.Record) or derived statically from a cluster.Job's
-//     dependency edges (cluster.JobProfile).
+//     payload size), captured by recording a live dist.Sim transport
+//     (Sim.Record) or built directly with Add/AddN.
 //   - Evaluate: price a profile under any candidate topology, yielding the
 //     link-occupancy makespan and wire bytes the simnet.Meter would report
 //     for that traffic on that placement — bitwise, whatever order a live
@@ -59,8 +58,8 @@ var (
 )
 
 // Profile is a directed rank-pair traffic matrix: who sent how much to
-// whom, message by message. It is the optimizer's input and the common
-// output of the two capture paths (dist.Sim recording, cluster.JobProfile).
+// whom, message by message. It is the optimizer's input and what a
+// recording dist.Sim transport captures.
 // Recording (Add/AddN) is not safe for concurrent use — recording
 // transports serialize around it — but once recording is done the
 // read side (Entries, Evaluate, Optimize) may share one profile across

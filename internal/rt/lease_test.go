@@ -55,9 +55,7 @@ func TestLeaseBalance(t *testing.T) {
 		{name: "DUE in replica", inj: script().Set(2, 1, fault.DUE), reexec: 1},
 		{name: "double DUE", inj: script().Set(2, 0, fault.DUE).Set(2, 1, fault.DUE), reexec: 2},
 		{name: "vote failure", inj: persistentSDC, cfg: Config{MaxAttempts: 5}, reexec: 3, fails: true},
-		{name: "three checkpoint copies", inj: script().Set(2, 0, fault.SDC).SetBit(2, 0, 9), cfg: Config{CheckpointCopies: 3}, reexec: 1},
-		{name: "three voters", inj: script().Set(2, 1, fault.SDC).SetBit(2, 1, 9), cfg: Config{Voters: 3}, reexec: 1},
-		{name: "checksum comparator", inj: script().Set(2, 0, fault.SDC).SetBit(2, 0, 9), cfg: Config{Comparator: vote.Checksum{}}, reexec: 1},
+		{name: "SDC in replica bit 9", inj: script().Set(2, 1, fault.SDC).SetBit(2, 1, 9), reexec: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
@@ -88,9 +86,8 @@ func TestLeaseBalance(t *testing.T) {
 			if got := r.Stats().Reexecutions; got != c.reexec {
 				t.Fatalf("%d re-executions, want %d", got, c.reexec)
 			}
-			copies := uint64(max(cfg.CheckpointCopies, 1))
 			fill := uint64(2) // nothing to checkpoint; a private S for each attempt
-			axpy := 2*copies + 4 + 3*c.reexec
+			axpy := 2 + 4 + 3*c.reexec
 			wantBalanced(t, r, fill+axpy)
 		})
 	}

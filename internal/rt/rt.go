@@ -89,9 +89,6 @@ func (c *Ctx) F64(i int) buffer.F64 { return c.bufs[i].(buffer.F64) }
 // C128 returns argument i as a complex128 slice buffer.
 func (c *Ctx) C128(i int) buffer.C128 { return c.bufs[i].(buffer.C128) }
 
-// I64 returns argument i as an int64 slice buffer.
-func (c *Ctx) I64(i int) buffer.I64 { return c.bufs[i].(buffer.I64) }
-
 // U8 returns argument i as a byte slice buffer.
 func (c *Ctx) U8(i int) buffer.U8 { return c.bufs[i].(buffer.U8) }
 
@@ -155,19 +152,6 @@ type Config struct {
 	RatesSet bool
 	// Injector supplies fault outcomes (default: no faults).
 	Injector fault.Injector
-	// Comparator checks replica agreement (default: bitwise).
-	Comparator vote.Comparator
-	// CheckpointCopies is the checkpoint redundancy factor (default 1).
-	CheckpointCopies int
-	// Voters is the number of comparator passes (default 1; the paper's
-	// "multiple voters" hardening makes it >1).
-	Voters int
-	// ExposureHours converts a task's FIT rates into per-execution failure
-	// probabilities: p = 1-exp(-λ·T) with T = ExposureHours (default 1).
-	// Real per-task exposures are sub-second and would make faults
-	// unobservably rare; one hour of exposure per execution is the
-	// documented acceleration used by the fault experiments.
-	ExposureHours float64
 	// Tracer, if non-nil, records per-task events.
 	Tracer *trace.Tracer
 	// MaxAttempts caps executions per task including recovery re-runs
@@ -188,23 +172,18 @@ func (c Config) withDefaults() Config {
 	if c.Injector == nil {
 		c.Injector = &fault.NoFaults{}
 	}
-	if c.Comparator == nil {
-		c.Comparator = vote.Bitwise{}
-	}
-	if c.CheckpointCopies < 1 {
-		c.CheckpointCopies = 1
-	}
-	if c.Voters < 1 {
-		c.Voters = 1
-	}
-	if c.ExposureHours <= 0 {
-		c.ExposureHours = 1
-	}
 	if c.MaxAttempts < 3 {
 		c.MaxAttempts = 8
 	}
 	return c
 }
+
+// exposureHours converts a task's FIT rates into per-execution failure
+// probabilities: p = 1-exp(-λ·T) with T = exposureHours. Real per-task
+// exposures are sub-second and would make faults unobservably rare; one
+// hour of exposure per execution is the documented acceleration used by
+// the fault experiments (DESIGN.md §1).
+const exposureHours = 1
 
 // Stats are cumulative runtime counters. All fields are totals since New.
 type Stats struct {
@@ -380,7 +359,7 @@ func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
 		tracker:  deps.NewTracker(),
 		bufs:     bufs,
 		borrowed: borrowed,
-		store:    ckpt.NewStoreOn(bufs, cfg.CheckpointCopies),
+		store:    ckpt.NewStoreOn(bufs, 1),
 		est:      fit.NewEstimator(cfg.Rates),
 		tasks:    make(map[uint64]*task),
 	}
@@ -427,8 +406,8 @@ func (r *Runtime) submit(label string, fn TaskFunc, args []Arg, comm bool) uint6
 	est := r.est.Estimate(id, argBytes)
 	t := &task{id: id, label: label, fn: fn, args: args, est: est, comm: comm}
 	if !comm { // a comm task draws no fault, so it has no failure probabilities
-		t.pDUE = fit.FailureProb(est.DUE, r.cfg.ExposureHours)
-		t.pSDC = fit.FailureProb(est.SDC, r.cfg.ExposureHours)
+		t.pDUE = fit.FailureProb(est.DUE, exposureHours)
+		t.pSDC = fit.FailureProb(est.SDC, exposureHours)
 	}
 	r.mu.Lock()
 	r.tasks[id] = t
@@ -890,9 +869,8 @@ func (r *Runtime) observe(rule *vote.Recovery, s *replScratch, rec *trace.Record
 		if len(s.results) == 1 {
 			r.event(rec, trace.Compared)
 		}
-		cmp := vote.Panel{Cmp: r.cfg.Comparator, N: r.cfg.Voters}
 		for _, prev := range s.results {
-			if agrees = cmp.Equal(prev, outs); agrees {
+			if agrees = (vote.Bitwise{}).Equal(prev, outs); agrees {
 				break
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"appfit/internal/fault"
 	"appfit/internal/fit"
 	"appfit/internal/trace"
-	"appfit/internal/vote"
 	"appfit/internal/xrand"
 )
 
@@ -490,7 +489,6 @@ func TestAppFITIntegration(t *testing.T) {
 func TestCtxAccessors(t *testing.T) {
 	r := New(Config{Workers: 1})
 	c128 := buffer.NewC128(2)
-	i64 := buffer.NewI64(2)
 	u8 := buffer.NewU8(2)
 	var gotWorker, gotAttempt int
 	var gotID uint64
@@ -501,17 +499,16 @@ func TestCtxAccessors(t *testing.T) {
 		gotAttempt = c.Attempt()
 		gotID = c.TaskID()
 		c.C128(0)[0] = 1 + 2i
-		c.I64(1)[0] = 9
-		c.U8(2)[0] = 7
+		c.U8(1)[0] = 7
 		_ = c.Buf(0)
-	}, Inout("c", c128), Inout("i", i64), Inout("u", u8))
+	}, Inout("c", c128), Inout("u", u8))
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if gotN != 3 || gotAttempt != 0 || gotWorker != 0 || gotID != id {
+	if gotN != 2 || gotAttempt != 0 || gotWorker != 0 || gotID != id {
 		t.Fatalf("ctx accessors: n=%d attempt=%d worker=%d id=%d", gotN, gotAttempt, gotWorker, gotID)
 	}
-	if c128[0] != 1+2i || i64[0] != 9 || u8[0] != 7 {
+	if c128[0] != 1+2i || u8[0] != 7 {
 		t.Fatal("typed writes lost")
 	}
 }
@@ -558,25 +555,6 @@ func TestWorkersAccessorAndDefaults(t *testing.T) {
 	}
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChecksumComparatorIntegration(t *testing.T) {
-	inj := fault.NewScript().Set(1, 0, fault.SDC).SetBit(1, 0, 21)
-	a := buffer.F64{5, 6}
-	r := New(Config{
-		Workers: 1, Selector: core.ReplicateAll{}, Injector: inj,
-		Comparator: vote.Checksum{}, Voters: 3, CheckpointCopies: 2,
-	})
-	r.Submit("incr", incrTask(1), Inout("A", a))
-	if err := r.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != 6 || a[1] != 7 {
-		t.Fatalf("checksum comparator failed recovery: %v", a)
-	}
-	if r.Stats().SDCRecovered != 1 {
-		t.Fatal("no recovery recorded")
 	}
 }
 

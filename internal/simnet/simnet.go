@@ -1,17 +1,14 @@
 // Package simnet models the interconnect of the simulated cluster: a
-// latency + bandwidth cost model with per-link serialization, plus
-// collective cost formulas (binomial-tree broadcast). The paper's distributed
+// latency + bandwidth cost model with per-link serialization, placed on
+// physical nodes by a Topology. Collectives are not priced by formula: the
+// dist layer's Sim transport charges each of their messages. The paper's distributed
 // experiments ran on Marenostrum III (InfiniBand FDR-10); the defaults mirror
 // that class of fabric. Absolute constants only scale the time axis — the
 // scalability *shapes* of Figure 6 depend on the compute/communication ratio,
 // which workloads control via their problem sizes.
 package simnet
 
-import (
-	"math"
-
-	"appfit/internal/simtime"
-)
+import "appfit/internal/simtime"
 
 // Config is the interconnect cost model.
 type Config struct {
@@ -34,16 +31,6 @@ func (c Config) TransferTime(bytes int64) simtime.Time {
 	}
 	sec := c.LatencySec + float64(bytes)/c.BandwidthBytesPerSec
 	return simtime.FromSeconds(sec)
-}
-
-// BroadcastTime returns the cost of a binomial-tree broadcast of bytes to
-// ranks peers: ceil(log2(ranks)) rounds of point-to-point transfers.
-func (c Config) BroadcastTime(bytes int64, ranks int) simtime.Time {
-	if ranks <= 1 {
-		return 0
-	}
-	rounds := int(math.Ceil(math.Log2(float64(ranks))))
-	return simtime.Time(rounds) * c.TransferTime(bytes)
 }
 
 // Network is the event-driven message layer on top of a simtime.Engine.

@@ -17,23 +17,6 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
-func TestBroadcastTime(t *testing.T) {
-	c := Config{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
-	if c.BroadcastTime(1000, 1) != 0 {
-		t.Fatal("broadcast to self must be free")
-	}
-	one := c.TransferTime(1000)
-	if c.BroadcastTime(1000, 2) != one {
-		t.Fatal("2 ranks = 1 round")
-	}
-	if c.BroadcastTime(1000, 8) != 3*one {
-		t.Fatal("8 ranks = 3 rounds")
-	}
-	if c.BroadcastTime(1000, 9) != 4*one {
-		t.Fatal("9 ranks = 4 rounds")
-	}
-}
-
 func TestMarenostrumSane(t *testing.T) {
 	m := Marenostrum()
 	if m.LatencySec <= 0 || m.BandwidthBytesPerSec < 1e9 {

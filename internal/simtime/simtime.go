@@ -146,17 +146,3 @@ func (e *Engine) Run() Time {
 	}
 	return e.now
 }
-
-// RunUntil fires events with timestamps ≤ deadline; the clock ends at
-// min(deadline, last event time ≥ current). It returns the number fired.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	var n uint64
-	for e.queue.Len() > 0 && Time(e.queue.Min()) <= deadline {
-		e.Step()
-		n++
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return n
-}

@@ -102,25 +102,6 @@ func TestStepAndPending(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	for _, at := range []Time{10, 20, 30, 40} {
-		e.At(at, func() { fired++ })
-	}
-	n := e.RunUntil(25)
-	if n != 2 || fired != 2 {
-		t.Fatalf("n=%d fired=%d", n, fired)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock %d, want advanced to deadline 25", e.Now())
-	}
-	e.Run()
-	if fired != 4 {
-		t.Fatalf("remaining events lost: %d", fired)
-	}
-}
-
 func TestCascadingEvents(t *testing.T) {
 	// An event chain built during execution must run to completion.
 	e := New()
@@ -170,8 +151,8 @@ func TestPropertyMonotoneClock(t *testing.T) {
 
 // TestTypedAndClosureEventsShareOneOrder: typed events and closures
 // scheduled alternately at equal timestamps fire in insertion order — there
-// is one queue and one tie rule — and Fired, Pending and RunUntil count
-// both forms alike.
+// is one queue and one tie rule — and Step, Fired and Pending count both
+// forms alike.
 func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 	e := New()
 	var order []int32
@@ -190,8 +171,13 @@ func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 	if e.Pending() != 11 {
 		t.Fatalf("pending %d, want 11", e.Pending())
 	}
-	if n := e.RunUntil(6); n != 10 || e.Now() != 6 || e.Fired() != 10 || e.Pending() != 1 {
-		t.Fatalf("RunUntil(6) fired %d, now %d, Fired %d, pending %d", n, e.Now(), e.Fired(), e.Pending())
+	for n := 0; n < 10; n++ {
+		if !e.Step() {
+			t.Fatalf("step %d found the queue empty", n)
+		}
+	}
+	if e.Now() != 5 || e.Fired() != 10 || e.Pending() != 1 {
+		t.Fatalf("after 10 steps: now %d, Fired %d, pending %d", e.Now(), e.Fired(), e.Pending())
 	}
 	for i, v := range order {
 		if v != int32(i) {

@@ -2,8 +2,8 @@
 // a byte encoding of everything that determines a deterministic request's
 // result — the job structure (task costs, dependencies, argument sizes, by
 // value, never by pointer identity), the full normalized cluster.Config
-// including placement topology, auto-placement options and fault-injector
-// state — and nothing else.
+// including placement topology and fault-injector state — and nothing
+// else.
 //
 // The encoding is canonical by construction:
 //
@@ -40,7 +40,6 @@ import (
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 )
 
@@ -205,8 +204,6 @@ func appendConfig(h hash.Hash, b []byte, cfg cluster.Config, keyer fault.Keyer) 
 	b = appendI64(b, int64(cfg.CoresPerNode))
 	b = appendNet(b, cfg.Net)
 	b = appendTopology(b, cfg.Topo)
-	b = appendPlaceOptions(b, cfg.AutoPlace)
-	b = appendF64(b, cfg.MemBWBytesPerSec)
 	b = appendI64(b, int64(cfg.ReplicaCores))
 	// Replicated: encode the sorted indices of replicated tasks, so nil,
 	// all-false and trailing-false spellings digest identically.
@@ -247,15 +244,4 @@ func appendTopology(b []byte, t *simnet.Topology) []byte {
 	}
 	b = appendNet(b, t.Intra())
 	return appendNet(b, t.Inter())
-}
-
-func appendPlaceOptions(b []byte, o *place.Options) []byte {
-	if o == nil {
-		return append(b, 'O', '0')
-	}
-	b = append(b, 'O', '1')
-	b = appendI64(b, int64(o.PerNode))
-	b = appendI64(b, int64(o.Nodes))
-	b = appendU64(b, o.Seed)
-	return appendI64(b, int64(o.Budget))
 }

@@ -7,7 +7,6 @@ import (
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/simtime"
 )
@@ -204,19 +203,9 @@ func TestRunKeySensitive(t *testing.T) {
 			c.Replicated[0] = false
 			return job, c
 		},
-		"memory bandwidth": func() (cluster.Job, cluster.Config) {
-			c := cfg
-			c.MemBWBytesPerSec = 16e9
-			return job, c
-		},
 		"max attempts": func() (cluster.Job, cluster.Config) {
 			c := cfg
 			c.MaxAttempts = cfg.MaxAttempts + 1
-			return job, c
-		},
-		"auto-place options": func() (cluster.Job, cluster.Config) {
-			c := cfg
-			c.AutoPlace = &place.Options{PerNode: 2, Seed: 3}
 			return job, c
 		},
 	}

@@ -11,7 +11,6 @@ import (
 
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 )
 
@@ -36,9 +35,10 @@ func TestPreparedKeyMatchesRunKey(t *testing.T) {
 }
 
 // TestRunKeyGolden pins the encoding: the key of a fixed request, bare and
-// prepared, is the digest the engine produced before Prepared existed, so
-// results cached under old keys stay addressable. A deliberate encoding
-// change bumps the 'R','1','J' version and this constant together.
+// prepared, is one constant, so a refactor of the encoder cannot silently
+// re-address the cache. Removing a Config field removes its bytes from the
+// encoding and changes this constant; any other deliberate encoding change
+// bumps the 'R','1','J' version and this constant together.
 func TestRunKeyGolden(t *testing.T) {
 	job := cluster.Job{Name: "golden", InputBytes: 4096, Tasks: []cluster.Task{
 		{Label: "potrf", Cost: 1000, ArgBytes: 512},
@@ -47,7 +47,7 @@ func TestRunKeyGolden(t *testing.T) {
 	}}
 	cfg := cluster.Config{Nodes: 2, CoresPerNode: 4, ReplicaCores: 2,
 		Replicated: []bool{true, false, true}, Injector: fault.NewFixedRate(42, 1e-3, 2e-3)}
-	const want = "2be9579faddb81fc84232737fe9efab43477353c79eb091ac4c87ad2cc521db2"
+	const want = "25b9f1fc942711e0ac4f2b5b9fe78b53750ac6d84fe6c75c5ffb441c4ce657ad"
 	bare, _ := RunKey(job, cfg)
 	prepared, _ := Prepare(job).Request(cfg).key()
 	if got := hex.EncodeToString(bare[:]); got != want {
@@ -179,8 +179,8 @@ func TestTasksDigestAllocations(t *testing.T) {
 // TestPreparedRunMatchesClusterRun: for random DAGs × configs, a prepared
 // request simulates to a Result bitwise equal to cluster.Run's — on the
 // layout the Prepared built, and through every fallback: a node count the
-// layout was not built for, an auto-placed run, a run on a topology, and a
-// request whose Tasks were re-pointed at an edited copy. The variants run
+// layout was not built for, a run on a topology, and a request whose Tasks
+// were re-pointed at an edited copy. The variants run
 // in a random order, so the layout is sometimes built by a fallback case.
 func TestPreparedRunMatchesClusterRun(t *testing.T) {
 	f := func(seed int64) bool {
@@ -189,15 +189,13 @@ func TestPreparedRunMatchesClusterRun(t *testing.T) {
 		p := Prepare(job)
 		more := cfg
 		more.Nodes++
-		placed := cfg
-		placed.AutoPlace = &place.Options{PerNode: 1 + r.Intn(3), Seed: r.Uint64(), Budget: r.Intn(16)}
 		topo, err := simnet.MarenostrumTopology(cfg.Nodes+r.Intn(2), 1+r.Intn(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		onTopo := cfg
 		onTopo.Topo = topo
-		reqs := []Request{p.Request(cfg), p.Request(more), p.Request(placed), p.Request(onTopo)}
+		reqs := []Request{p.Request(cfg), p.Request(more), p.Request(onTopo)}
 		edited := p.Request(cfg)
 		edited.Job.Tasks = append([]cluster.Task(nil), job.Tasks...)
 		edited.Job.Tasks[r.Intn(len(job.Tasks))].Cost += 7

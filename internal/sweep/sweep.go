@@ -338,9 +338,7 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 }
 
 // cloneResult deep-copies the result's mutable slice so cached entries can
-// never be corrupted through a caller's hands. Placement topologies are
-// immutable by construction (constructor-validated, getter-only) and are
-// shared.
+// never be corrupted through a caller's hands.
 func cloneResult(r cluster.Result) cluster.Result {
 	if r.NodeBusy != nil {
 		r.NodeBusy = append([]simtime.Time(nil), r.NodeBusy...)

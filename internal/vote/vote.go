@@ -6,10 +6,9 @@
 // rule that turns those comparisons into adopt, re-execute or give up, for
 // the runtime and the simulator alike.
 //
-// The comparator is pluggable, as the paper notes ("other comparators such
-// as residue error checkers can easily be deployed in the runtime"): Bitwise
-// compares full contents, Checksum compares 64-bit fingerprints (cheaper,
-// with a 2^-64 aliasing risk), mirroring the residue-checker trade-off.
+// The comparison is the paper's: Bitwise, full bitwise equality of every
+// output argument. The runtime calls it directly; Comparator is the shape
+// Majority2of3 takes a comparison in.
 package vote
 
 import (
@@ -47,27 +46,6 @@ func (Bitwise) Equal(a, b []buffer.Buffer) bool {
 	return true
 }
 
-// Checksum compares 64-bit FNV fingerprints of the outputs. It reads both
-// sets fully but avoids element-wise short-circuit divergence costs and
-// models residue-style checkers.
-type Checksum struct{}
-
-// Name implements Comparator.
-func (Checksum) Name() string { return "checksum" }
-
-// Equal implements Comparator.
-func (Checksum) Equal(a, b []buffer.Buffer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Checksum() != b[i].Checksum() {
-			return false
-		}
-	}
-	return true
-}
-
 // ErrNoMajority is returned when all three results disagree pairwise: the
 // triple-execution produced three distinct outputs and recovery failed.
 type ErrNoMajority struct{}
@@ -94,33 +72,4 @@ func Majority2of3(cmp Comparator, r0, r1, r2 []buffer.Buffer) (int, error) {
 	default:
 		return -1, ErrNoMajority{}
 	}
-}
-
-// Panel runs n independent comparator passes (the paper's "multiple voters",
-// §IV-A: voters are assumed safe because their footprint is small, but
-// reliability can be increased by using multiple voters). A Panel of n agrees
-// only if every pass agrees; with a deterministic comparator the passes are
-// identical, so Panel models the redundancy cost, which the overhead
-// experiments account for.
-type Panel struct {
-	Cmp Comparator
-	N   int
-}
-
-// Name implements Comparator.
-func (p Panel) Name() string { return p.Cmp.Name() + "-panel" }
-
-// Equal implements Comparator.
-func (p Panel) Equal(a, b []buffer.Buffer) bool {
-	n := p.N
-	if n < 1 {
-		n = 1
-	}
-	agree := true
-	for i := 0; i < n; i++ {
-		if !p.Cmp.Equal(a, b) {
-			agree = false
-		}
-	}
-	return agree
 }

@@ -47,27 +47,9 @@ func TestBitwiseShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestChecksumDetectsFlip(t *testing.T) {
-	a := mkRand(2, 256)
-	b := clone(a)
-	if !(Checksum{}).Equal(a, b) {
-		t.Fatal("identical outputs must compare equal")
-	}
-	b[0].FlipBit(7)
-	if (Checksum{}).Equal(a, b) {
-		t.Fatal("checksum comparator missed a flip")
-	}
-	if (Checksum{}).Equal(a, a[:0]) {
-		t.Fatal("different arities must not compare equal")
-	}
-}
-
 func TestComparatorNames(t *testing.T) {
-	if (Bitwise{}).Name() != "bitwise" || (Checksum{}).Name() != "checksum" {
-		t.Fatal("bad names")
-	}
-	if (Panel{Cmp: Bitwise{}, N: 3}).Name() != "bitwise-panel" {
-		t.Fatal("bad panel name")
+	if (Bitwise{}).Name() != "bitwise" {
+		t.Fatal("bad name")
 	}
 }
 
@@ -131,37 +113,11 @@ func TestMajorityNoMajority(t *testing.T) {
 	}
 }
 
-func TestPanel(t *testing.T) {
-	a := mkRand(8, 32)
-	b := clone(a)
-	p := Panel{Cmp: Bitwise{}, N: 3}
-	if !p.Equal(a, b) {
-		t.Fatal("panel must agree on equal outputs")
-	}
-	b[0].FlipBit(0)
-	if p.Equal(a, b) {
-		t.Fatal("panel must detect mismatch")
-	}
-	// N < 1 clamps to one pass.
-	if !(Panel{Cmp: Bitwise{}}).Equal(a, clone(a)) {
-		t.Fatal("zero-N panel must still compare once")
-	}
-}
-
 func BenchmarkBitwise4K(b *testing.B) {
 	a := mkRand(1, 4096)
 	c := clone(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Bitwise{}.Equal(a, c)
-	}
-}
-
-func BenchmarkChecksum4K(b *testing.B) {
-	a := mkRand(1, 4096)
-	c := clone(a)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Checksum{}.Equal(a, c)
 	}
 }
