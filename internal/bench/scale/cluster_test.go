@@ -89,3 +89,29 @@ func BenchmarkClusterRun(b *testing.B) {
 		}
 	}
 }
+
+// drawSink keeps BenchmarkFaultDraw's draws live.
+var drawSink fault.Outcome
+
+// BenchmarkFaultDraw is one fault draw per iteration through the Injector
+// interface, as the simulator makes one per execution: fixed-rate is the
+// Figure 5/6 injector, seeded the one the real runtime uses. allocs/op
+// must be 0.
+func BenchmarkFaultDraw(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		inj  fault.Injector
+	}{
+		{"fixed-rate", fault.NewFixedRate(42, 0.01, 0.01)},
+		{"seeded", fault.NewSeeded(42)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink fault.Outcome
+			for i := 0; i < b.N; i++ {
+				sink += c.inj.Draw(uint64(i), i&3, 0.01, 0.01)
+			}
+			drawSink = sink
+		})
+	}
+}

@@ -345,17 +345,20 @@ func (l *Layout) run(cfg Config) (Result, error) {
 		s.readyR = make([]simtime.Heap[simtime.Time], cfg.Nodes)
 	}
 	// A task has at most two executions in flight (primary and replica, or
-	// one re-execution), so a node's tasks bound its queues.
+	// one re-execution), so a node's tasks bound its queues. A queue rarely
+	// holds more than a few executions per core, though, so reserve that
+	// and let a wide DAG's burst grow the slice.
 	shared := 1
 	if s.freeR == nil && cfg.Replicated != nil {
 		shared = 2
 	}
+	reserve := 4 * (cfg.CoresPerNode + cfg.ReplicaCores)
 	for n, tasks := range s.succs.perNode {
 		s.free[n] = cfg.CoresPerNode
-		s.ready[n].Grow(shared * int(tasks))
+		s.ready[n].Grow(min(shared*int(tasks), reserve))
 		if s.freeR != nil {
 			s.freeR[n] = cfg.ReplicaCores
-			s.readyR[n].Grow(int(tasks))
+			s.readyR[n].Grow(min(int(tasks), reserve))
 		}
 	}
 	for i := range job.Tasks {

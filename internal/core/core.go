@@ -183,8 +183,7 @@ func (RandomPct) Name() string { return "random_pct" }
 
 // Decide implements Selector.
 func (r RandomPct) Decide(t fit.Task) bool {
-	u := xrand.New(xrand.Combine(r.Seed, t.ID, 0xAE5)).Float64()
-	return u < r.P
+	return xrand.Unit(xrand.First(xrand.Combine(r.Seed, t.ID, 0xAE5))) < r.P
 }
 
 // Observe implements Selector.

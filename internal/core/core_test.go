@@ -382,15 +382,24 @@ func TestRandomPct(t *testing.T) {
 		t.Fatal("bad name")
 	}
 	n, reps := 20000, 0
+	var first64 uint64 // bit i: task i+1 replicated
 	for i := 0; i < n; i++ {
 		tk := fit.Task{ID: uint64(i + 1)}
 		if r.Decide(tk) {
 			reps++
+			if i < 64 {
+				first64 |= 1 << i
+			}
 		}
 		r.Observe(tk, false)
 	}
 	if got := float64(reps) / float64(n); math.Abs(got-0.3) > 0.02 {
 		t.Fatalf("random fraction %.3f, want ~0.3", got)
+	}
+	// The decisions are pinned (recorded when Decide built a generator per
+	// task): the ablation's random baseline replicates exactly these tasks.
+	if reps != 6022 || first64 != 0xb446664452582001 {
+		t.Fatalf("%d tasks replicated, first 64 as %#x; want 6022 and 0xb446664452582001", reps, first64)
 	}
 	// Deterministic given (seed, id).
 	if r.Decide(fit.Task{ID: 42}) != r.Decide(fit.Task{ID: 42}) {

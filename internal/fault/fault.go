@@ -13,7 +13,6 @@ package fault
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"appfit/internal/xrand"
 )
@@ -60,128 +59,111 @@ type Injector interface {
 	BitIndex(taskID uint64, attempt int, bitLen int64) int64
 }
 
-// Counter tallies injected outcomes; embed or use alongside an Injector.
-type Counter struct {
-	none, sdc, due atomic.Uint64
-}
-
-func (c *Counter) record(o Outcome) {
-	switch o {
-	case SDC:
-		c.sdc.Add(1)
-	case DUE:
-		c.due.Add(1)
-	default:
-		c.none.Add(1)
-	}
-}
-
-// Counts returns (none, sdc, due) totals since construction.
-func (c *Counter) Counts() (none, sdc, due uint64) {
-	return c.none.Load(), c.sdc.Load(), c.due.Load()
-}
-
 // NoFaults is an Injector that never injects. It is the fault-free baseline
 // used by the overhead experiments (Figure 4).
-type NoFaults struct{ Counter }
+type NoFaults struct{}
 
 // Draw implements Injector.
-func (n *NoFaults) Draw(taskID uint64, attempt int, pDUE, pSDC float64) Outcome {
-	n.record(None)
-	return None
-}
+func (n *NoFaults) Draw(taskID uint64, attempt int, pDUE, pSDC float64) Outcome { return None }
 
 // BitIndex implements Injector.
 func (n *NoFaults) BitIndex(taskID uint64, attempt int, bitLen int64) int64 { return 0 }
 
-// Seeded injects faults with the probabilities supplied by the caller,
-// drawing deterministically from (seed, taskID, attempt).
-type Seeded struct {
-	Counter
+// streams are one experiment's per-attempt random streams. The stream of
+// (task, attempt, salt) is xrand.New(xrand.Combine(seed, task, attempt,
+// salt)), and a draw reads only its first output.
+type streams struct {
 	seed uint64
+	base uint64 // xrand.Combine(seed), hashed once at construction
+}
+
+func newStreams(seed uint64) streams { return streams{seed, xrand.Combine(seed)} }
+
+// uniform returns the first output of the (task, attempt, salt) stream in
+// closed form: three Mix64 steps continue the Combine and one more is
+// xrand.First, four finalizers where seeding a generator took eight.
+func (s *streams) uniform(task uint64, attempt int, salt uint64) uint64 {
+	h := xrand.Mix64(s.base ^ task)
+	h = xrand.Mix64(h ^ uint64(attempt))
+	return xrand.First(xrand.Mix64(h ^ salt))
+}
+
+// outcome turns a uniform draw into an Outcome. DUE is drawn before SDC; a
+// crashed attempt produces no output, so the two are mutually exclusive.
+func outcome(u, pDUE, pSDC float64) Outcome {
+	switch {
+	case u < pDUE:
+		return DUE
+	case u < pDUE+pSDC:
+		return SDC
+	default:
+		return None
+	}
+}
+
+// bitIndex picks one of bitLen bits from a uniform draw.
+func bitIndex(x uint64, bitLen int64) int64 {
+	if bitLen <= 0 {
+		return 0
+	}
+	return int64(x % uint64(bitLen))
+}
+
+// Seeded injects faults with the probabilities supplied by the caller,
+// drawing deterministically from (seed, taskID, attempt). Construct it with
+// NewSeeded.
+type Seeded struct {
+	streams
 	// Boost multiplies both probabilities; experiments use it to make rare
 	// events observable without changing the model. 0 means 1.
 	Boost float64
 }
 
 // NewSeeded returns a Seeded injector with the given experiment seed.
-func NewSeeded(seed uint64) *Seeded { return &Seeded{seed: seed} }
+func NewSeeded(seed uint64) *Seeded { return &Seeded{streams: newStreams(seed)} }
 
-func (s *Seeded) stream(taskID uint64, attempt int, salt uint64) *xrand.Rand {
-	return xrand.New(xrand.Combine(s.seed, taskID, uint64(attempt), salt))
-}
-
-// Draw implements Injector. DUE is drawn before SDC; a crashed attempt
-// produces no output, so the two outcomes are mutually exclusive.
+// Draw implements Injector.
 func (s *Seeded) Draw(taskID uint64, attempt int, pDUE, pSDC float64) Outcome {
 	boost := s.Boost
 	if boost == 0 {
 		boost = 1
 	}
-	r := s.stream(taskID, attempt, 0x5EEDFA17)
-	u := r.Float64()
 	pd, ps := pDUE*boost, pSDC*boost
-	var o Outcome
-	switch {
-	case u < pd:
-		o = DUE
-	case u < pd+ps:
-		o = SDC
-	default:
-		o = None
+	if pd == 0 && ps == 0 {
+		return None
 	}
-	s.record(o)
-	return o
+	return outcome(xrand.Unit(s.uniform(taskID, attempt, 0x5EEDFA17)), pd, ps)
 }
 
 // BitIndex implements Injector.
 func (s *Seeded) BitIndex(taskID uint64, attempt int, bitLen int64) int64 {
-	if bitLen <= 0 {
-		return 0
-	}
-	return s.stream(taskID, attempt, 0xB17F11B).Int63n(bitLen)
+	return bitIndex(s.uniform(taskID, attempt, 0xB17F11B), bitLen)
 }
 
 // FixedRate injects with constant per-attempt probabilities regardless of
 // what the caller estimated. This models the paper's scalability experiments
-// ("per task fixed fault rates", §V-A2).
+// ("per task fixed fault rates", §V-A2). Construct it with NewFixedRate.
 type FixedRate struct {
-	Counter
-	seed       uint64
+	streams
 	pDUE, pSDC float64
 }
 
 // NewFixedRate returns an injector with constant per-execution probabilities.
 func NewFixedRate(seed uint64, pDUE, pSDC float64) *FixedRate {
-	return &FixedRate{seed: seed, pDUE: pDUE, pSDC: pSDC}
+	return &FixedRate{streams: newStreams(seed), pDUE: pDUE, pSDC: pSDC}
 }
 
 // Draw implements Injector, ignoring the caller's estimates.
 func (f *FixedRate) Draw(taskID uint64, attempt int, _, _ float64) Outcome {
-	var r xrand.Rand
-	r.Seed(xrand.Combine(f.seed, taskID, uint64(attempt), 0xF17ED))
-	u := r.Float64()
-	var o Outcome
-	switch {
-	case u < f.pDUE:
-		o = DUE
-	case u < f.pDUE+f.pSDC:
-		o = SDC
-	default:
-		o = None
+	if f.pDUE == 0 && f.pSDC == 0 {
+		return None
 	}
-	f.record(o)
-	return o
+	return outcome(xrand.Unit(f.uniform(taskID, attempt, 0xF17ED)), f.pDUE, f.pSDC)
 }
 
 // BitIndex implements Injector.
 func (f *FixedRate) BitIndex(taskID uint64, attempt int, bitLen int64) int64 {
-	if bitLen <= 0 {
-		return 0
-	}
-	var r xrand.Rand
-	r.Seed(xrand.Combine(f.seed, taskID, uint64(attempt), 0xB17))
-	return r.Int63n(bitLen)
+	return bitIndex(f.uniform(taskID, attempt, 0xB17), bitLen)
 }
 
 // Script injects a pre-programmed outcome for specific (taskID, attempt)
@@ -189,7 +171,6 @@ func (f *FixedRate) BitIndex(taskID uint64, attempt int, bitLen int64) int64 {
 // deterministically (e.g. "SDC in the replica of task 12, then a clean
 // re-execution").
 type Script struct {
-	Counter
 	outcomes map[[2]uint64]Outcome
 	bits     map[[2]uint64]int64
 }
@@ -213,9 +194,7 @@ func (s *Script) SetBit(taskID uint64, attempt int, bit int64) *Script {
 
 // Draw implements Injector.
 func (s *Script) Draw(taskID uint64, attempt int, _, _ float64) Outcome {
-	o := s.outcomes[[2]uint64{taskID, uint64(attempt)}]
-	s.record(o)
-	return o
+	return s.outcomes[[2]uint64{taskID, uint64(attempt)}]
 }
 
 // BitIndex implements Injector.

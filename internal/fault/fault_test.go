@@ -22,10 +22,6 @@ func TestNoFaults(t *testing.T) {
 			t.Fatalf("NoFaults injected %v", o)
 		}
 	}
-	none, sdc, due := n.Counts()
-	if none != 1000 || sdc != 0 || due != 0 {
-		t.Fatalf("counts = %d,%d,%d", none, sdc, due)
-	}
 }
 
 func TestSeededDeterminism(t *testing.T) {
@@ -84,10 +80,6 @@ func TestSeededRates(t *testing.T) {
 	}
 	if c := float64(sdc) / n; math.Abs(c-0.2) > 0.01 {
 		t.Fatalf("SDC rate %v, want ~0.2", c)
-	}
-	_, csdc, cdue := s.Counts()
-	if csdc != uint64(sdc) || cdue != uint64(due) {
-		t.Fatal("counter mismatch")
 	}
 }
 
@@ -193,6 +185,38 @@ func TestFixedRateKnownValues(t *testing.T) {
 	}
 }
 
+// TestSeededKnownValues pins Seeded's outcomes (at Boost 0 and 3, with
+// pDUE = pSDC = 0.1) and bit choices for a few (task, attempt) pairs, recorded
+// from the generator-per-draw implementation: every replicated run of the
+// real runtime draws through Seeded, so its bits may never drift.
+func TestSeededKnownValues(t *testing.T) {
+	plain, boosted := NewSeeded(42), NewSeeded(42)
+	boosted.Boost = 3
+	for _, c := range []struct {
+		task           uint64
+		attempt        int
+		plain, boosted Outcome
+		bit            int64
+	}{
+		{1, 0, None, None, 2906}, {1, 1, None, None, 3373}, {1, 2, None, None, 1801}, {1, 3, None, SDC, 1596},
+		{2, 0, DUE, DUE, 1128}, {2, 1, None, SDC, 1511}, {2, 2, None, SDC, 864}, {2, 3, None, SDC, 2209},
+		{3, 0, SDC, DUE, 3617}, {3, 1, None, SDC, 271}, {3, 2, None, SDC, 2547}, {3, 3, None, None, 3943},
+		{4, 0, None, SDC, 238}, {4, 1, None, None, 337}, {4, 2, None, None, 3568}, {4, 3, None, SDC, 2812},
+	} {
+		for _, s := range []struct {
+			inj  *Seeded
+			want Outcome
+		}{{plain, c.plain}, {boosted, c.boosted}} {
+			if got := s.inj.Draw(c.task, c.attempt, 0.1, 0.1); got != s.want {
+				t.Errorf("Boost %v: Draw(%d, %d) = %v, want %v", s.inj.Boost, c.task, c.attempt, got, s.want)
+			}
+			if got := s.inj.BitIndex(c.task, c.attempt, 4096); got != c.bit {
+				t.Errorf("Boost %v: BitIndex(%d, %d) = %d, want %d", s.inj.Boost, c.task, c.attempt, got, c.bit)
+			}
+		}
+	}
+}
+
 func TestScript(t *testing.T) {
 	s := NewScript().
 		Set(5, 0, SDC).SetBit(5, 0, 17).
@@ -217,11 +241,6 @@ func TestScript(t *testing.T) {
 	if s.BitIndex(5, 0, 10) != 0 {
 		t.Fatal("out-of-range scripted bit must clamp to 0")
 	}
-	// Only drawn outcomes are counted: one SDC and one DUE were delivered.
-	_, sdc, due := s.Counts()
-	if sdc != 1 || due != 1 {
-		t.Fatalf("script counts sdc=%d due=%d", sdc, due)
-	}
 }
 
 func BenchmarkSeededDraw(b *testing.B) {
@@ -231,9 +250,9 @@ func BenchmarkSeededDraw(b *testing.B) {
 	}
 }
 
-// TestFixedRateDoesNotAllocate: a draw seeds a generator on the stack; the
-// simulator makes one per execution, so an allocation here is an allocation
-// per simulated task.
+// TestFixedRateDoesNotAllocate: a draw is a closed-form hash with no
+// generator behind it; the simulator makes one per execution, so an
+// allocation here is an allocation per simulated task.
 func TestFixedRateDoesNotAllocate(t *testing.T) {
 	f := NewFixedRate(3, 0.1, 0.1)
 	var sink int64

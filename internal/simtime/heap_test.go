@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -69,5 +70,42 @@ func TestHeapGrowKeepsEntries(t *testing.T) {
 	}
 	if _, _, v := h.Pop(); v != 20 || h.Len() != 126 {
 		t.Fatalf("second pop %d (len %d), want 20 and 126 left", v, h.Len())
+	}
+}
+
+// TestHeapKeyMatchesLexicographic: before orders keys exactly as the
+// two-branch reference — signed major first, then unsigned minor — on
+// random keys, on keys sharing a major, and on every pairing of the edge
+// values where a sign or a carry could go wrong.
+func TestHeapKeyMatchesLexicographic(t *testing.T) {
+	ref := func(am int64, an uint64, bm int64, bn uint64) bool {
+		if am != bm {
+			return am < bm
+		}
+		return an < bn
+	}
+	agree := func(am int64, an uint64, bm int64, bn uint64) bool {
+		a, b := entry[struct{}]{major: am, minor: an}, entry[struct{}]{major: bm, minor: bn}
+		return a.before(&b) == ref(am, an, bm, bn) && b.before(&a) == ref(bm, bn, am, an)
+	}
+	cfg := &quick.Config{MaxCount: 100000, Rand: rand.New(rand.NewSource(36))}
+	if err := quick.Check(agree, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(func(m int64, an, bn uint64) bool { return agree(m, an, m, bn) }, cfg); err != nil {
+		t.Fatal(err)
+	}
+	majors := []int64{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	minors := []uint64{0, 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
+	for _, am := range majors {
+		for _, an := range minors {
+			for _, bm := range majors {
+				for _, bn := range minors {
+					if !agree(am, an, bm, bn) {
+						t.Fatalf("(%d, %#x) vs (%d, %#x): before disagrees with the reference", am, an, bm, bn)
+					}
+				}
+			}
+		}
 	}
 }

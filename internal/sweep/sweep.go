@@ -41,6 +41,11 @@ import (
 // errors.Is a batch failure without knowing which request died.
 var ErrRequest = errors.New("sweep: request failed")
 
+// ErrPanic is wrapped by the error of a request whose simulation panicked.
+// The engine recovers the panic, so that request fails alone: its coalesced
+// waiters get the same error, and the engine serves every other request.
+var ErrPanic = errors.New("sweep: simulation panicked")
+
 // RequestError names one failed request of a batch: its index, the
 // parameters that identify it to a human (benchmark, machine shape, fault
 // injection), and the cause. Drivers print it and exit non-zero instead of
@@ -231,7 +236,9 @@ func (e *Engine) Stats() Stats {
 // detaches with ctx.Err() while the shared in-flight execution keeps
 // running for everyone else (and still populates the cache). The executing
 // caller itself runs fn to completion — a simulation is never torn down
-// mid-flight on behalf of one cancelled requester.
+// mid-flight on behalf of one cancelled requester. A panic in fn fails the
+// caller and every waiter with ErrPanic, and is never cached; the in-flight
+// entry goes on every path, so the next request for key runs afresh.
 func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (val any, err error, hit, coalesced bool) {
 	e.mu.Lock()
 	if e.cache != nil {
@@ -256,16 +263,29 @@ func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (
 	e.mu.Unlock()
 	e.misses.Add(1)
 
-	c.val, c.err = fn()
-
-	e.mu.Lock()
-	delete(e.inflight, key)
-	if c.err == nil && e.cache != nil {
-		e.evictions.Add(uint64(e.cache.put(key, c.val)))
-	}
-	e.mu.Unlock()
-	close(c.done)
+	defer func() {
+		e.mu.Lock()
+		delete(e.inflight, key)
+		if c.err == nil && e.cache != nil {
+			e.evictions.Add(uint64(e.cache.put(key, c.val)))
+		}
+		e.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = recovered(fn)
 	return c.val, c.err, false, false
+}
+
+// recovered runs fn, turning a panic into an ErrPanic error: one recover
+// per simulation, so a bug that one request reaches fails that request
+// instead of the process.
+func recovered[T any](fn func() (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", ErrPanic, p)
+		}
+	}()
+	return fn()
 }
 
 // run simulates r: on its Prepared's Layout when the request still carries
@@ -312,7 +332,7 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 	simStart := e.now()
 	if !cacheable {
 		e.uncacheable.Add(1)
-		res, err = req.run()
+		res, err = recovered(req.run)
 	} else {
 		var v any
 		var hit, coal bool

@@ -49,7 +49,7 @@ func Combine(parts ...uint64) uint64 {
 }
 
 // Rand is a xoshiro256** generator. The zero value is not usable; construct
-// with New, or Seed a value in place.
+// with New.
 type Rand struct {
 	s [4]uint64
 }
@@ -57,14 +57,6 @@ type Rand struct {
 // New returns a Rand seeded deterministically from seed via SplitMix64.
 func New(seed uint64) *Rand {
 	r := &Rand{}
-	r.Seed(seed)
-	return r
-}
-
-// Seed resets r to the stream New(seed) starts. A caller that needs one
-// draw per stream (a fault draw per task attempt) seeds a stack value
-// instead of allocating a generator.
-func (r *Rand) Seed(seed uint64) {
 	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
@@ -73,6 +65,15 @@ func (r *Rand) Seed(seed uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
+	return r
+}
+
+// First returns New(seed).Uint64() without building the generator: the
+// first xoshiro256** output reads only s[1], which is SplitMix64's second
+// output, Mix64(seed+γ). A caller that needs one draw per stream (a fault
+// draw per task attempt) pays one finalizer instead of four.
+func First(seed uint64) uint64 {
+	return rotl(Mix64(seed+0x9E3779B97F4A7C15)*5, 7) * 9
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -91,9 +92,11 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return Unit(r.Uint64()) }
+
+// Unit maps a uniform 64-bit word to a uniform value in [0, 1) from its top
+// 53 bits, as Float64 does.
+func Unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {

@@ -88,6 +88,21 @@ func TestRandKnownValues(t *testing.T) {
 	}
 }
 
+// TestFirstMatchesNew: First is New(seed).Uint64() in closed form, on random
+// seeds and on the seeds where SplitMix64's seed+γ or seed+2γ wraps.
+func TestFirstMatchesNew(t *testing.T) {
+	same := func(seed uint64) bool { return First(seed) == New(seed).Uint64() }
+	if err := quick.Check(same, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Fatal(err)
+	}
+	g := uint64(0x9E3779B97F4A7C15) // SplitMix64's increment γ
+	for _, seed := range []uint64{0, 1, ^uint64(0), -g, -g - 1, -(g + g), -(g + g) - 1} {
+		if !same(seed) {
+			t.Fatalf("First(%#x) = %#x, New(%#x).Uint64() = %#x", seed, First(seed), seed, New(seed).Uint64())
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 100000; i++ {
