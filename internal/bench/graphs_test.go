@@ -16,7 +16,8 @@ import (
 // and Small. The one allowed difference is fft's transposes: the job charges
 // each source panel only the slab the transpose reads from it (two panels'
 // bytes in all), while the runtime sizes the task's FIT from the whole panels
-// it is handed — 1+nb panels.
+// it is handed — 1+nb panels. The edges agree too: the runtime's DepEdges,
+// at one worker and at two, is the job's total predecessor count.
 func TestGraphsAgree(t *testing.T) {
 	cm := workload.DefaultCostModel()
 	for _, w := range All() {
@@ -29,6 +30,18 @@ func TestGraphsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				recs, job := tr.Records(), w.BuildJob(s, 1, cm)
+				edges := 0
+				for _, jt := range job.Tasks {
+					edges += len(jt.Deps)
+				}
+				r2 := rt.New(rt.Config{Workers: 2})
+				_ = w.BuildRT(r2, s)
+				if err := r2.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+				if got1, got2 := r.Stats().DepEdges, r2.Stats().DepEdges; got1 != edges || got2 != edges {
+					t.Fatalf("runtime derived %d edges at one worker and %d at two, job has %d", got1, got2, edges)
+				}
 				if len(recs) != len(job.Tasks) {
 					t.Fatalf("runtime ran %d tasks, job has %d", len(recs), len(job.Tasks))
 				}

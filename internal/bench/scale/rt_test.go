@@ -27,8 +27,8 @@ import (
 //     difference is what replicating a task costs once the pool is warm.
 //   - recovery-sdc: the same, with an SDC in every task's primary — compare,
 //     restore, re-execute, vote (the whole Figure 2 sequence) on an 8 KB
-//     task. The runtime is long-lived here too: starting one costs ~150
-//     allocations (deps.NewTracker's shards), which would bury the row.
+//     task. The runtime is long-lived here too, so the row is the per-task
+//     cost alone, not a runtime's start-up.
 func BenchmarkRtReplicate(b *testing.B) {
 	for _, name := range []string{"stream", "cholesky"} {
 		w, err := bench.ByName(name)

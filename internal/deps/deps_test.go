@@ -181,30 +181,6 @@ func TestPendingUnknown(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := NewTracker()
-	tr.Register(1, []Access{{"A", Out}})
-	tr.Reset()
-	if tr.Tasks() != 0 || tr.Edges() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	// Old region history must be gone: a reader of A is now ready.
-	if !tr.Register(1, []Access{{"A", In}}) {
-		t.Fatal("reset did not clear region state")
-	}
-	// And the emptied tracker tracks: the reset dropped every node stripe, so
-	// these registrations rebuild the ones they hash to.
-	if tr.Register(2, []Access{{"A", Out}}) {
-		t.Fatal("writer must wait for the reader registered after the reset")
-	}
-	if got := tr.Complete(1); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("completing the reader released %v, want [2]", got)
-	}
-	if tr.Tasks() != 2 || tr.Edges() != 1 {
-		t.Fatalf("after reset: %d tasks, %d edges, want 2 and 1", tr.Tasks(), tr.Edges())
-	}
-}
-
 // TestNewTrackerAllocs pins what an idle tracker costs: a dist.World starts
 // one per rank, so region and node tables are built by the first Register
 // that needs them, not by NewTracker.

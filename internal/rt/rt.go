@@ -130,7 +130,7 @@ type Event struct {
 // or after the task's body returns.
 func (e Event) Release() {
 	if e.t.events.Add(-1) == 0 {
-		e.r.complete(e.t, -1)
+		e.r.complete(e.t, -1, nil)
 	}
 }
 
@@ -203,7 +203,9 @@ type Stats struct {
 	TaskTimeNs       int64
 	ReplicatedTimeNs int64
 	RedundantTimeNs  int64
-	// DepEdges is the number of dependency edges discovered.
+	// DepEdges is the number of dependency edges the submitted accesses
+	// declare, counting those whose predecessor had already completed: a
+	// property of the program, not of its timing.
 	DepEdges int
 	// Checkpoint is the checkpoint store's accounting.
 	Checkpoint ckpt.Stats
@@ -265,8 +267,11 @@ func (s Stats) PctTimeReplicated() float64 {
 	return 100 * float64(s.ReplicatedTimeNs) / float64(s.TaskTimeNs)
 }
 
+// task is a submitted task's one record: the dependence graph's node
+// carries it as payload, and the ready queues hold it.
 type task struct {
 	id    uint64
+	node  *deps.Node[*task]
 	label string
 	fn    TaskFunc
 	args  []Arg
@@ -287,9 +292,12 @@ type task struct {
 // Runtime executes submitted tasks. Create with New, submit with Submit,
 // synchronize with Taskwait, stop with Shutdown.
 type Runtime struct {
-	cfg     Config
-	pool    *sched.Pool
-	tracker *deps.Tracker
+	cfg   Config
+	pool  *sched.Queue[*task]
+	graph deps.Graph[*task]
+	// acc is the access list Submit hands the graph, rebuilt in place per
+	// task: Submit is single-goroutine, like the graph's Register.
+	acc []deps.Access
 	// bufs is where every engine copy comes from: store leases checkpoints
 	// from it, executeReplicated the attempt sets. borrowed marks a pool
 	// handed to NewOn, whose traffic its owner reports.
@@ -298,12 +306,11 @@ type Runtime struct {
 	store    *ckpt.Store
 	est      *fit.Estimator
 
-	mu    sync.Mutex
-	tasks map[uint64]*task
-
 	nextID atomic.Uint64
 
-	inflight   int
+	// inflight counts submitted tasks not yet completed; inflightCv, under
+	// inflightMu, wakes Taskwait when it reaches zero.
+	inflight   atomic.Int64
 	inflightMu sync.Mutex
 	inflightCv *sync.Cond
 
@@ -355,13 +362,11 @@ func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	r := &Runtime{
 		cfg:      cfg,
-		pool:     sched.NewPool(cfg.Workers),
-		tracker:  deps.NewTracker(),
+		pool:     sched.NewQueue[*task](cfg.Workers),
 		bufs:     bufs,
 		borrowed: borrowed,
 		store:    ckpt.NewStoreOn(bufs, 1),
 		est:      fit.NewEstimator(cfg.Rates),
-		tasks:    make(map[uint64]*task),
 	}
 	r.inflightCv = sync.NewCond(&r.inflightMu)
 	for w := 0; w < cfg.Workers; w++ {
@@ -375,8 +380,9 @@ func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
 func (r *Runtime) Workers() int { return r.cfg.Workers }
 
 // Submit registers a task with its declared arguments and schedules it when
-// its dependencies are satisfied. It returns the task id. Submit must not be
-// called after Shutdown.
+// its dependencies are satisfied. It returns the task id. Submit and
+// SubmitComm are the program's submitting thread: one goroutine per runtime
+// calls them, in program order, and never after Shutdown.
 func (r *Runtime) Submit(label string, fn TaskFunc, args ...Arg) uint64 {
 	return r.submit(label, fn, args, false)
 }
@@ -396,30 +402,24 @@ func (r *Runtime) submit(label string, fn TaskFunc, args []Arg, comm bool) uint6
 	}
 	id := r.nextID.Add(1)
 	argBytes := int64(0)
-	accesses := make([]deps.Access, len(args))
-	for i, a := range args {
-		accesses[i] = deps.Access{Key: a.Key, Mode: a.Mode}
+	r.acc = r.acc[:0]
+	for _, a := range args {
+		r.acc = append(r.acc, deps.Access{Key: a.Key, Mode: a.Mode})
 		if a.Buf != nil {
 			argBytes += a.Buf.SizeBytes()
 		}
 	}
 	est := r.est.Estimate(id, argBytes)
 	t := &task{id: id, label: label, fn: fn, args: args, est: est, comm: comm}
+	t.node = &deps.Node[*task]{Val: t}
 	if !comm { // a comm task draws no fault, so it has no failure probabilities
 		t.pDUE = fit.FailureProb(est.DUE, exposureHours)
 		t.pSDC = fit.FailureProb(est.SDC, exposureHours)
 	}
-	r.mu.Lock()
-	r.tasks[id] = t
-	r.mu.Unlock()
-
-	r.inflightMu.Lock()
-	r.inflight++
-	r.inflightMu.Unlock()
+	r.inflight.Add(1)
 	r.submitted.Add(1)
-
-	if r.tracker.Register(id, accesses) {
-		r.pool.Submit(-1, id)
+	if r.graph.Register(t.node, r.acc) {
+		r.pool.Submit(-1, t)
 	}
 	return id
 }
@@ -429,7 +429,7 @@ func (r *Runtime) submit(label string, fn TaskFunc, args []Arg, comm bool) uint6
 // not prevent already-submitted independent tasks from overlapping.
 func (r *Runtime) Taskwait() {
 	r.inflightMu.Lock()
-	for r.inflight > 0 {
+	for r.inflight.Load() > 0 {
 		r.inflightCv.Wait()
 	}
 	r.inflightMu.Unlock()
@@ -475,7 +475,7 @@ func (r *Runtime) Stats() Stats {
 		TaskTimeNs:       r.taskNs.Load(),
 		ReplicatedTimeNs: r.replNs.Load(),
 		RedundantTimeNs:  r.redundantNs.Load(),
-		DepEdges:         r.tracker.Edges(),
+		DepEdges:         r.graph.DerivedEdges(),
 		Checkpoint:       r.store.Stats(),
 		Pool:             pool,
 	}
@@ -493,23 +493,22 @@ func (r *Runtime) worker(w int) {
 	defer r.workersWG.Done()
 	var own bodyScratch
 	for {
-		id, ok := r.pool.Get(w)
+		t, ok := r.pool.Get(w)
 		if !ok {
 			return
 		}
-		r.mu.Lock()
-		t := r.tasks[id]
-		r.mu.Unlock()
 		r.execute(t, w, &own)
 	}
 }
 
-// bodyScratch is what an unreplicated body runs on: the argument list its Ctx
-// hands out and the Ctx itself. Each worker owns one, and executeUnprotected
-// empties it when the body returns, so it pins no buffer between tasks.
+// bodyScratch is what an unreplicated body runs on — the argument list its
+// Ctx hands out and the Ctx itself — and the batch a completion releases.
+// Each worker owns one, emptied after each use, so it pins no buffer and no
+// task between tasks.
 type bodyScratch struct {
-	bufs []buffer.Buffer
-	ctx  Ctx
+	bufs  []buffer.Buffer
+	ctx   Ctx
+	ready []*task
 }
 
 // attemptResult is the outcome of one execution attempt of a task.
@@ -615,7 +614,7 @@ func (r *Runtime) putScratch(s *replScratch) {
 	clear(s.leased)
 	clear(s.arena)
 	clear(s.results)
-	s.leased, s.arena, s.results = s.leased[:0], s.arena[:0], s.results[:0]
+	s.leased, s.arena, s.results, s.ctx = s.leased[:0], s.arena[:0], s.results[:0], [2]Ctx{}
 	r.scratchMu.Lock()
 	r.scratch = append(r.scratch, s)
 	r.scratchMu.Unlock()
@@ -712,32 +711,34 @@ func (r *Runtime) execute(t *task, w int, own *bodyScratch) {
 		r.cfg.Tracer.Add(rec)
 	}
 	if t.events.Load() == 0 || t.events.Add(-1) == 0 {
-		r.complete(t, w)
+		r.complete(t, w, own)
 	}
 }
 
 // complete is a task's completion: its successors are released, and it
 // leaves the books. It runs once per task, on the worker w that ran the body
-// or — when a detached task's Event is released last — on the releasing
-// goroutine, with w < 0.
-func (r *Runtime) complete(t *task, w int) {
+// (own its scratch) or — when a detached task's Event is released last — on
+// the releasing goroutine, with w < 0 and own nil.
+func (r *Runtime) complete(t *task, w int, own *bodyScratch) {
 	r.completed.Add(1)
 	// Release all successors in one batch — onto worker w's deque, or the
 	// global queue for w < 0: one lock acquisition and at most len(batch)
 	// targeted wakes per completion, instead of a lock+wake per successor.
-	if succs := r.tracker.Complete(t.id); len(succs) > 0 {
-		r.pool.SubmitBatch(w, succs)
+	var ready []*task
+	if own != nil {
+		ready = own.ready[:0]
 	}
-	r.mu.Lock()
-	delete(r.tasks, t.id)
-	r.mu.Unlock()
-
-	r.inflightMu.Lock()
-	r.inflight--
-	if r.inflight == 0 {
+	ready = r.graph.Complete(t.node, ready)
+	r.pool.SubmitBatch(w, ready)
+	if own != nil {
+		clear(ready)
+		own.ready = ready[:0]
+	}
+	if r.inflight.Add(-1) == 0 {
+		r.inflightMu.Lock()
 		r.inflightCv.Broadcast()
+		r.inflightMu.Unlock()
 	}
-	r.inflightMu.Unlock()
 }
 
 // executeUnprotected runs the task once, in place on the real buffers. A DUE

@@ -5,25 +5,30 @@
 // structures which store the scheduled task descriptors and execute them
 // asynchronously", §III).
 //
-// Items are opaque uint64 handles; the runtime maps them to task descriptors.
-// The deque is owner-bottom/thief-top: the owning worker pushes and pops at
-// the bottom (LIFO, good locality for freshly released successors), thieves
-// steal from the top (FIFO, takes the oldest — usually largest — subtree).
+// Items are the runtime's task records themselves (Queue[T]); Pool and Deque
+// are the same machinery over uint64 handles. A taken slot is cleared, so a
+// queue's backing array never keeps a finished task reachable. The deque is
+// owner-bottom/thief-top: the owning worker pushes and pops at the bottom
+// (LIFO, good locality for freshly released successors), thieves steal from
+// the top (FIFO, takes the oldest — usually largest — subtree).
 package sched
 
 import "sync"
 
-// Deque is a double-ended work queue. PushBottom/PopBottom are intended for
+// deque is a double-ended work queue. PushBottom/PopBottom are intended for
 // the owner, Steal for other workers; all methods are safe for concurrent
 // use (a single mutex keeps the implementation obviously correct — the
 // runtime's contention profile is dominated by task bodies, not the deque).
-type Deque struct {
+type deque[T any] struct {
 	mu    sync.Mutex
-	items []uint64 // guarded by mu
+	items []T // guarded by mu
 }
 
+// Deque is a deque of uint64 handles.
+type Deque = deque[uint64]
+
 // PushBottom adds an item at the owner end.
-func (d *Deque) PushBottom(v uint64) {
+func (d *deque[T]) PushBottom(v T) {
 	d.mu.Lock()
 	d.items = append(d.items, v)
 	d.mu.Unlock()
@@ -31,77 +36,95 @@ func (d *Deque) PushBottom(v uint64) {
 
 // PushBottomBatch adds items at the owner end in order, under one lock
 // acquisition; the last item of vs is the first PopBottom returns.
-func (d *Deque) PushBottomBatch(vs []uint64) {
+func (d *deque[T]) PushBottomBatch(vs []T) {
 	d.mu.Lock()
 	d.items = append(d.items, vs...)
 	d.mu.Unlock()
 }
 
 // PopBottom removes and returns the most recently pushed item.
-func (d *Deque) PopBottom() (uint64, bool) {
+func (d *deque[T]) PopBottom() (v T, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.items)
 	if n == 0 {
-		return 0, false
+		return v, false
 	}
-	v := d.items[n-1]
+	v = d.items[n-1]
+	clear(d.items[n-1:]) // a taken slot keeps nothing reachable
 	d.items = d.items[:n-1]
 	return v, true
 }
 
 // Steal removes and returns the oldest item.
-func (d *Deque) Steal() (uint64, bool) {
+func (d *deque[T]) Steal() (v T, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.items) == 0 {
-		return 0, false
+		return v, false
 	}
-	v := d.items[0]
-	d.items = d.items[1:]
+	v, d.items = popFront(d.items)
 	return v, true
 }
 
+// popFront removes q's first item and clears its slot. A queue it empties
+// starts over at the front of its backing array rather than at the end, so
+// a queue drained as fast as it fills never reallocates.
+func popFront[T any](q []T) (T, []T) {
+	v := q[0]
+	clear(q[:1])
+	if len(q) == 1 {
+		return v, q[:0]
+	}
+	return v, q[1:]
+}
+
 // Len returns the current number of items.
-func (d *Deque) Len() int {
+func (d *deque[T]) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.items)
 }
 
-// Pool coordinates W workers: each has a deque; a global FIFO holds work
+// Queue coordinates W workers: each has a deque; a global FIFO holds work
 // submitted from outside any worker; idle workers spin over victims then
 // park on a condition variable. Close releases all parked workers.
-type Pool struct {
+type Queue[T any] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	global  []uint64
-	deques  []*Deque
+	global  []T
+	deques  []*deque[T]
 	parked  int
 	closed  bool
 	pending int // items enqueued but not yet taken
 }
 
-// NewPool returns a Pool with workers deques.
-func NewPool(workers int) *Pool {
+// Pool is a Queue of uint64 handles.
+type Pool = Queue[uint64]
+
+// NewQueue returns a Queue with workers deques.
+func NewQueue[T any](workers int) *Queue[T] {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{deques: make([]*Deque, workers)}
+	p := &Queue[T]{deques: make([]*deque[T], workers)}
 	for i := range p.deques {
-		p.deques[i] = &Deque{}
+		p.deques[i] = &deque[T]{}
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
+// NewPool returns a Pool with workers deques.
+func NewPool(workers int) *Pool { return NewQueue[uint64](workers) }
+
 // Workers returns the number of worker slots.
-func (p *Pool) Workers() int { return len(p.deques) }
+func (p *Queue[T]) Workers() int { return len(p.deques) }
 
 // Submit enqueues v on the global queue and wakes a parked worker.
 // worker < 0 targets the global queue; otherwise v goes to that worker's
 // deque (used when a worker releases successors of the task it just ran).
-func (p *Pool) Submit(worker int, v uint64) {
+func (p *Queue[T]) Submit(worker int, v T) {
 	p.mu.Lock()
 	if worker >= 0 && worker < len(p.deques) {
 		p.deques[worker].PushBottom(v)
@@ -120,7 +143,7 @@ func (p *Pool) Submit(worker int, v uint64) {
 // fewer could strand a ready task behind a parked worker. Targeting rules
 // match Submit; order within vs is preserved (the deque owner pops the last
 // item first, thieves and the global queue drain from the front).
-func (p *Pool) SubmitBatch(worker int, vs []uint64) {
+func (p *Queue[T]) SubmitBatch(worker int, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
@@ -143,7 +166,7 @@ func (p *Pool) SubmitBatch(worker int, vs []uint64) {
 
 // tryGet attempts to dequeue without blocking: own deque, then global,
 // then steal from victims in order.
-func (p *Pool) tryGet(worker int) (uint64, bool) {
+func (p *Queue[T]) tryGet(worker int) (v T, ok bool) {
 	if worker >= 0 && worker < len(p.deques) {
 		if v, ok := p.deques[worker].PopBottom(); ok {
 			p.noteTaken()
@@ -152,8 +175,7 @@ func (p *Pool) tryGet(worker int) (uint64, bool) {
 	}
 	p.mu.Lock()
 	if len(p.global) > 0 {
-		v := p.global[0]
-		p.global = p.global[1:]
+		v, p.global = popFront(p.global)
 		p.pending--
 		p.mu.Unlock()
 		return v, true
@@ -169,10 +191,10 @@ func (p *Pool) tryGet(worker int) (uint64, bool) {
 			return v, true
 		}
 	}
-	return 0, false
+	return v, false
 }
 
-func (p *Pool) noteTaken() {
+func (p *Queue[T]) noteTaken() {
 	p.mu.Lock()
 	p.pending--
 	p.mu.Unlock()
@@ -180,9 +202,10 @@ func (p *Pool) noteTaken() {
 
 // Get blocks until an item is available for worker, or the pool is closed.
 // The second result is false iff the pool was closed and no work remains.
-func (p *Pool) Get(worker int) (uint64, bool) {
+func (p *Queue[T]) Get(worker int) (T, bool) {
 	for {
-		if v, ok := p.tryGet(worker); ok {
+		v, ok := p.tryGet(worker)
+		if ok {
 			return v, true
 		}
 		p.mu.Lock()
@@ -193,7 +216,7 @@ func (p *Pool) Get(worker int) (uint64, bool) {
 		}
 		if p.closed {
 			p.mu.Unlock()
-			return 0, false
+			return v, false
 		}
 		p.parked++
 		p.cond.Wait()
@@ -203,7 +226,7 @@ func (p *Pool) Get(worker int) (uint64, bool) {
 }
 
 // Close wakes all workers; Gets return false once the queues drain.
-func (p *Pool) Close() {
+func (p *Queue[T]) Close() {
 	p.mu.Lock()
 	p.closed = true
 	p.cond.Broadcast()
@@ -211,7 +234,7 @@ func (p *Pool) Close() {
 }
 
 // Pending returns the number of enqueued-but-not-taken items.
-func (p *Pool) Pending() int {
+func (p *Queue[T]) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.pending
