@@ -47,7 +47,9 @@ check-lint:
 # recovery rule (no adopt without two agreeing survivors, no attempt past
 # MaxAttempts, one detection at most) — and over the failure-log reader
 # behind appfit -rates-log (no panic, every rejection a named error, every
-# accepted log finite, non-negative rates). 10 seconds each is a smoke
+# accepted log finite, non-negative rates) — and over the replica compare
+# (two byte strings as each buffer kind: EqualTo is the element-wise
+# bit-pattern reference, within and across kinds). 10 seconds each is a smoke
 # budget — run with a longer -fuzztime for real exploration; failures
 # minimize into the package's testdata/fuzz/.
 fuzz-smoke:
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSplit -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryRule -fuzztime 10s ./internal/vote
 	$(GO) test -run '^$$' -fuzz FuzzFitFromLog -fuzztime 10s ./internal/fit
+	$(GO) test -run '^$$' -fuzz FuzzEqualTo -fuzztime 10s ./internal/buffer
 
 # Sweep gate: run a small replication sweep twice through one engine and
 # require the second pass to be ≥90% cache hits with a bitwise-identical

@@ -181,24 +181,29 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		if firstErr != nil {
 			return firstErr
 		}
-		// Reconstruct L·Lᵀ tile-wise and compare with the original.
-		for i := 0; i < p.Nb; i++ {
-			for j := 0; j <= i; j++ {
-				rec := make([]float64, p.B*p.B)
-				for k := 0; k <= j; k++ {
-					kern.GemmSubTransB(rec, tiles[i][k], tiles[j][k], p.B)
-				}
-				for x := range rec {
-					rec[x] = -rec[x]
-				}
-				want := orig[i][j]
-				if d := kern.MaxAbsDiff(rec, want); d > 1e-8*(1+kern.FrobNorm(want)) {
-					return fmt.Errorf("cholesky: tile (%d,%d) residual %g", i, j, d)
-				}
+		return verify(tiles, orig, p)
+	}
+}
+
+// verify reconstructs L·Lᵀ tile-wise from the factored tiles and compares it
+// with the original matrix orig.
+func verify(tiles, orig [][]buffer.F64, p Params) error {
+	for i := 0; i < p.Nb; i++ {
+		for j := 0; j <= i; j++ {
+			rec := make([]float64, p.B*p.B)
+			for k := 0; k <= j; k++ {
+				kern.GemmSubTransB(rec, tiles[i][k], tiles[j][k], p.B)
+			}
+			for x := range rec {
+				rec[x] = -rec[x]
+			}
+			want := orig[i][j]
+			if d := kern.MaxAbsDiff(rec, want); !kern.Within(d, 1e-8*(1+kern.FrobNorm(want))) {
+				return fmt.Errorf("cholesky: tile (%d,%d) residual %g", i, j, d)
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // BuildJob implements workload.Workload.

@@ -1,6 +1,7 @@
 package cholesky
 
 import (
+	"math"
 	"testing"
 
 	"appfit/internal/bench/workload"
@@ -64,5 +65,23 @@ func TestJobShape(t *testing.T) {
 	}
 	if len(job.Tasks[len(job.Tasks)-1].Deps) == 0 {
 		t.Fatal("final task must have dependencies")
+	}
+}
+
+// TestVerifyRejectsNaN feeds the verifier a correct factor with one NaN in
+// it; the residual check must fail rather than skip the NaN.
+func TestVerifyRejectsNaN(t *testing.T) {
+	p := Params{Nb: 3, B: 8}
+	tiles := SPD(p)
+	orig := clone2d(tiles)
+	if err := FactorSerial(tiles, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify(tiles, orig, p); err != nil {
+		t.Fatalf("clean factorization rejected: %v", err)
+	}
+	tiles[2][1][5] = math.NaN()
+	if err := verify(tiles, orig, p); err == nil {
+		t.Fatal("a NaN in a factor tile was accepted")
 	}
 }

@@ -186,17 +186,21 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		}
 		return Q[reg.I]
 	}), p)
-	return func() error {
-		want := Reference(input, p)
-		for i := 0; i < nb; i++ {
-			for k := 0; k < rows*n; k++ {
-				if d := cmplx.Abs(P[i][k] - want[i*rows*n+k]); d > 1e-9 {
-					return fmt.Errorf("fft: panel %d elem %d off by %g", i, k, d)
-				}
+	return func() error { return verify(P, input, p) }
+}
+
+// verify compares every panel of P with the serial Reference of input.
+func verify(P []buffer.C128, input []complex128, p Params) error {
+	want := Reference(input, p)
+	size := p.R * p.N
+	for i := range P {
+		for k, got := range P[i] {
+			if d := cmplx.Abs(got - want[i*size+k]); !kern.Within(d, 1e-9) {
+				return fmt.Errorf("fft: panel %d elem %d off by %g", i, k, d)
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // BuildJob implements workload.Workload.

@@ -1,11 +1,13 @@
 package fft
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
+	"appfit/internal/buffer"
 	"appfit/internal/xrand"
 )
 
@@ -94,5 +96,29 @@ func TestInputBytes(t *testing.T) {
 	p := ParamsFor(workload.Tiny)
 	if got := (W{}).InputBytes(workload.Tiny); got != int64(p.N)*int64(p.N)*16 {
 		t.Fatalf("input bytes %d", got)
+	}
+}
+
+// TestVerifyRejectsNaN feeds the verifier the reference transform with one
+// NaN in it; the tolerance check must fail rather than skip the NaN.
+func TestVerifyRejectsNaN(t *testing.T) {
+	p := Params{N: 16, R: 4}
+	rng := xrand.New(9)
+	input := make([]complex128, p.N*p.N)
+	for i := range input {
+		input[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	ref := Reference(input, p)
+	size := p.R * p.N
+	P := make([]buffer.C128, p.Nb())
+	for i := range P {
+		P[i] = append(buffer.C128(nil), ref[i*size:(i+1)*size]...)
+	}
+	if err := verify(P, input, p); err != nil {
+		t.Fatalf("reference transform rejected: %v", err)
+	}
+	P[1][7] = complex(math.NaN(), 0)
+	if err := verify(P, input, p); err == nil {
+		t.Fatal("a NaN element was accepted")
 	}
 }

@@ -48,16 +48,56 @@ func GemmAdd(c, a, b []float64, n int) {
 	}
 }
 
-// GemmSubTransB computes C -= A·Bᵀ for n×n row-major blocks.
+// GemmSubTransB computes C -= A·Bᵀ for n×n row-major blocks. A and B may be
+// the same block (SyrkSub); C must not overlap either.
+//
+// The kernel is register-blocked 2×2: each k-step loads a two-row pair of
+// A and of B once and feeds four independent accumulators, one per output
+// element. Every element is still its own dot product, summed k = 0…n−1
+// from 0.0 and subtracted from C once, so C is bitwise what the plain
+// one-accumulator loop gives. An odd last column takes a 2×1 tail and an
+// odd last row the plain loop, with the same per-element order.
 func GemmSubTransB(c, a, b []float64, n int) {
-	for i := 0; i < n; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+	i := 0
+	for ; i+1 < n; i += 2 {
+		a0, a1 := a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n]
+		c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
+		j := 0
+		for ; j+1 < n; j += 2 {
+			b0, b1 := b[j*n:(j+1)*n], b[(j+1)*n:(j+2)*n]
+			a1, b0, b1 := a1[:len(a0)], b0[:len(a0)], b1[:len(a0)]
+			var s00, s01, s10, s11 float64
+			for k, x0 := range a0 {
+				x1, y0, y1 := a1[k], b0[k], b1[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
+			}
+			c0[j] -= s00
+			c0[j+1] -= s01
+			c1[j] -= s10
+			c1[j+1] -= s11
+		}
+		if j < n {
 			bj := b[j*n : (j+1)*n]
+			a1, bj := a1[:len(a0)], bj[:len(a0)]
+			var s0, s1 float64
+			for k, x0 := range a0 {
+				s0 += x0 * bj[k]
+				s1 += a1[k] * bj[k]
+			}
+			c0[j] -= s0
+			c1[j] -= s1
+		}
+	}
+	if i < n {
+		ai, ci := a[i*n:(i+1)*n], c[i*n:(i+1)*n]
+		for j := range ci {
+			bj := b[j*n : (j+1)*n][:len(ai)]
 			s := 0.0
-			for k := 0; k < n; k++ {
-				s += ai[k] * bj[k]
+			for k, x := range ai {
+				s += x * bj[k]
 			}
 			ci[j] -= s
 		}
@@ -229,16 +269,24 @@ func FFTRadix2(x []complex128, inverse bool) {
 	}
 }
 
-// MaxAbsDiff returns max |a[i]-b[i]|.
+// MaxAbsDiff returns max |a[i]-b[i]|. A NaN difference makes it NaN and a
+// length mismatch makes it +Inf, so a tolerance check through Within fails
+// on either.
 func MaxAbsDiff(a, b []float64) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
 	m := 0.0
 	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
+		m = max(m, math.Abs(a[i]-b[i])) // max propagates NaN; d > m would skip it
 	}
 	return m
 }
+
+// Within reports whether an error measure d is within tol. It is false when
+// d or tol is NaN, which a "d > tol means failure" check would pass, so every
+// verifier's tolerance check goes through it.
+func Within(d, tol float64) bool { return d <= tol }
 
 // FrobNorm returns the Frobenius norm of a.
 func FrobNorm(a []float64) float64 {

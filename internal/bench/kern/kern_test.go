@@ -77,23 +77,111 @@ func TestGemmAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestGemmSubTransB(t *testing.T) {
-	const n = 5
-	a, b := randBlock(6, n), randBlock(7, n)
-	c := make([]float64, n*n)
-	GemmSubTransB(c, a, b, n)
-	want := make([]float64, n*n)
+// gemmSubTransBRef is the single-accumulator loop GemmSubTransB replaced,
+// kept verbatim as the bitwise reference for the blocked kernel.
+func gemmSubTransBRef(c, a, b []float64, n int) {
 	for i := 0; i < n; i++ {
+		ci := c[i*n : (i+1)*n]
+		ai := a[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
+			bj := b[j*n : (j+1)*n]
 			s := 0.0
 			for k := 0; k < n; k++ {
-				s += a[i*n+k] * b[j*n+k]
+				s += ai[k] * bj[k]
 			}
-			want[i*n+j] = -s
+			ci[j] -= s
 		}
 	}
-	if MaxAbsDiff(c, want) > 1e-12 {
-		t.Fatal("GemmSubTransB wrong")
+}
+
+// zero is a variable so that inf*zero below is evaluated by the FPU.
+var zero = 0.0
+
+// specialBlock is a random block salted, about two elements a row, with the
+// values a bitwise claim has to survive: signed zeros, subnormals,
+// infinities and NaN. Its NaN is the one the FPU itself makes (∞·0), so
+// every NaN in flight has one payload. Where two NaNs of different payloads
+// meet in one operation, IEEE 754 leaves open which survives; x86 keeps the
+// destination operand's, which the register allocator picks, so the
+// blocked and plain loops may then disagree in the payload.
+func specialBlock(seed uint64, n int) []float64 {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -7 * math.SmallestNonzeroFloat64,
+		0x1p-1060, math.Inf(1), math.Inf(-1), math.Inf(1) * zero}
+	r := xrand.New(seed)
+	a := randBlock(seed, n)
+	for i := range a {
+		if r.Intn(2*n) == 0 {
+			a[i] = specials[r.Intn(len(specials))]
+		}
+	}
+	return a
+}
+
+// sameBits reports whether a and b hold the same bit patterns, NaN payloads
+// and signed zeros included.
+func sameBits(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestGemmSubTransB holds the blocked kernel to the reference loop bit
+// for bit: every n from 1 to 65 (both parities of rows and columns), C
+// pre-filled, finite inputs and inputs salted with ±0, subnormals, ±Inf and
+// NaN, and SyrkSub's aliased a == b call.
+func TestGemmSubTransB(t *testing.T) {
+	for n := 1; n <= 65; n++ {
+		for _, special := range []bool{false, true} {
+			blk := randBlock
+			if special {
+				blk = specialBlock
+			}
+			seed := uint64(100 * n)
+			a, b, c0 := blk(seed+1, n), blk(seed+2, n), randBlock(seed+3, n)
+			got, want := append([]float64(nil), c0...), append([]float64(nil), c0...)
+			GemmSubTransB(got, a, b, n)
+			gemmSubTransBRef(want, a, b, n)
+			if i, ok := sameBits(got, want); !ok {
+				t.Fatalf("n=%d special=%v: C[%d] = %x, reference %x", n, special, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			got, want = append(got[:0], c0...), append(want[:0], c0...)
+			SyrkSub(got, a, n)
+			gemmSubTransBRef(want, a, a, n)
+			if i, ok := sameBits(got, want); !ok {
+				t.Fatalf("n=%d special=%v: SyrkSub C[%d] = %x, reference %x", n, special, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestToleranceChecksFailOnNaNAndLength holds MaxAbsDiff and Within to the
+// verifiers' contract: a NaN difference or a length mismatch is out of any
+// tolerance, never skipped.
+func TestToleranceChecksFailOnNaNAndLength(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		a, b []float64
+	}{
+		{"NaN in a", []float64{1, nan, 3}, []float64{1, 2, 3}},
+		{"NaN in b", []float64{1, 2, 3}, []float64{1, 2, nan}},
+		{"NaN in both", []float64{nan}, []float64{nan}},
+		{"a longer", []float64{1, 2, 3}, []float64{1, 2}},
+		{"b longer", []float64{1, 2}, []float64{1, 2, 3}},
+	}
+	for _, c := range cases {
+		if d := MaxAbsDiff(c.a, c.b); Within(d, 1e300) {
+			t.Errorf("%s: MaxAbsDiff = %g passes a tolerance", c.name, d)
+		}
+	}
+	if d := MaxAbsDiff([]float64{1, 2}, []float64{1, 2.5}); d != 0.5 || !Within(d, 0.5) {
+		t.Errorf("finite MaxAbsDiff = %g", d)
+	}
+	if Within(0, nan) {
+		t.Error("a NaN tolerance passes")
 	}
 }
 
@@ -300,6 +388,16 @@ func BenchmarkGemmAdd32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GemmAdd(z, x, y, n)
+	}
+}
+
+func BenchmarkGemmSubTransB32(b *testing.B) {
+	const n = 32
+	x, y, z := randBlock(1, n), randBlock(2, n), randBlock(3, n)
+	b.SetBytes(3 * int64(n) * int64(n) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmSubTransB(z, x, y, n)
 	}
 }
 

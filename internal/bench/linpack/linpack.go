@@ -10,6 +10,7 @@ package linpack
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
@@ -211,16 +212,11 @@ func VerifyResidual(blocks, orig [][]buffer.F64, p Params) error {
 		for j := 0; j < n; j++ {
 			s += a[i*n+j] * x[j]
 		}
-		if s < 0 {
-			s = -s
-		}
-		if s > maxRes {
-			maxRes = s
-		}
+		maxRes = max(maxRes, math.Abs(s)) // max propagates a NaN residual
 	}
 	normA := kern.FrobNorm(a)
 	scaled := maxRes / (normA * float64(n))
-	if scaled > 1e-12 {
+	if !kern.Within(scaled, 1e-12) {
 		return fmt.Errorf("linpack: scaled residual %g too large: %w", scaled, ErrResidual)
 	}
 	return nil

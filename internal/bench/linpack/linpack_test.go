@@ -1,6 +1,7 @@
 package linpack
 
 import (
+	"math"
 	"testing"
 
 	"appfit/internal/bench/kern"
@@ -43,9 +44,23 @@ func TestResidualVerifierCatchesWrongFactors(t *testing.T) {
 	_ = p
 	// Direct check of VerifyResidual's sensitivity on a tiny instance.
 	pp := Params{Nb: 2, B: 4}
+	blocks, orig := serialFactors(t, pp)
+	if err := VerifyResidual(blocks, orig, pp); err != nil {
+		t.Fatalf("clean factorization rejected: %v", err)
+	}
+	blocks[1][0][3] += 0.5
+	if err := VerifyResidual(blocks, orig, pp); err == nil {
+		t.Fatal("corrupted factor accepted")
+	}
+}
+
+// serialFactors builds a pp-sized matrix and factors it serially with the
+// workload's kernels, returning the factors and the original blocks.
+func serialFactors(t *testing.T, pp Params) (blocks, orig [][]buffer.F64) {
+	t.Helper()
 	bb := pp.B * pp.B
-	blocks := make([][]buffer.F64, pp.Nb)
-	orig := make([][]buffer.F64, pp.Nb)
+	blocks = make([][]buffer.F64, pp.Nb)
+	orig = make([][]buffer.F64, pp.Nb)
 	for i := range blocks {
 		blocks[i] = make([]buffer.F64, pp.Nb)
 		orig[i] = make([]buffer.F64, pp.Nb)
@@ -72,12 +87,20 @@ func TestResidualVerifierCatchesWrongFactors(t *testing.T) {
 			}
 		}
 	}
+	return blocks, orig
+}
+
+// TestVerifyResidualRejectsNaN puts one NaN in a correct factorization: the
+// residual check must fail rather than let the NaN through the max.
+func TestVerifyResidualRejectsNaN(t *testing.T) {
+	pp := Params{Nb: 2, B: 4}
+	blocks, orig := serialFactors(t, pp)
 	if err := VerifyResidual(blocks, orig, pp); err != nil {
 		t.Fatalf("clean factorization rejected: %v", err)
 	}
-	blocks[1][0][3] += 0.5
+	blocks[0][1][6] = math.NaN()
 	if err := VerifyResidual(blocks, orig, pp); err == nil {
-		t.Fatal("corrupted factor accepted")
+		t.Fatal("a NaN in a factor block was accepted")
 	}
 }
 

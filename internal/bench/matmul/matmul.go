@@ -123,25 +123,29 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		return mats[reg.Arr-'A'][int(reg.I)*p.Nb+int(reg.J)]
 	}), p)
 	return func() error {
-		// Verify one block row against a serial reference (full naive
-		// verification at Tiny scale, sampled otherwise).
+		// Full verification at Tiny scale, one block row otherwise.
 		rows := p.Nb
 		if s != workload.Tiny {
 			rows = 1
 		}
-		for i := 0; i < rows; i++ {
-			for j := 0; j < p.Nb; j++ {
-				want := make([]float64, bb)
-				for k := 0; k < p.Nb; k++ {
-					kern.GemmAdd(want, A[i*p.Nb+k], B[k*p.Nb+j], p.B)
-				}
-				if d := kern.MaxAbsDiff(want, C[i*p.Nb+j]); d > 1e-9*(1+kern.FrobNorm(want)) {
-					return fmt.Errorf("matmul: C[%d][%d] off by %g", i, j, d)
-				}
+		return verify(A, B, C, p, rows)
+	}
+}
+
+// verify checks the first rows block rows of C against a serial A·B.
+func verify(A, B, C []buffer.F64, p Params, rows int) error {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < p.Nb; j++ {
+			want := make([]float64, p.B*p.B)
+			for k := 0; k < p.Nb; k++ {
+				kern.GemmAdd(want, A[i*p.Nb+k], B[k*p.Nb+j], p.B)
+			}
+			if d := kern.MaxAbsDiff(want, C[i*p.Nb+j]); !kern.Within(d, 1e-9*(1+kern.FrobNorm(want))) {
+				return fmt.Errorf("matmul: C[%d][%d] off by %g", i, j, d)
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // BuildJob implements workload.Workload.

@@ -1,9 +1,12 @@
 package matmul
 
 import (
+	"math"
 	"testing"
 
+	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
+	"appfit/internal/buffer"
 )
 
 func TestParams(t *testing.T) {
@@ -52,5 +55,36 @@ func TestInputBytes(t *testing.T) {
 	n := int64(p.Nb) * int64(p.B)
 	if got := (W{}).InputBytes(workload.Tiny); got != 2*n*n*8 {
 		t.Fatalf("input bytes %d", got)
+	}
+}
+
+// TestVerifyRejectsNaN feeds the verifier a correct product with one NaN in
+// it; the tolerance check must fail rather than skip the NaN.
+func TestVerifyRejectsNaN(t *testing.T) {
+	p := Params{Nb: 2, B: 4}
+	var mats [3][]buffer.F64
+	for m := range mats {
+		mats[m] = make([]buffer.F64, p.Nb*p.Nb)
+		for i := range mats[m] {
+			mats[m][i] = buffer.NewF64(p.B * p.B)
+			if m < 2 {
+				fillBlock(mats[m][i], uint64(1000*(m+1)+i))
+			}
+		}
+	}
+	A, B, C := mats[0], mats[1], mats[2]
+	for k := 0; k < p.Nb; k++ {
+		for i := 0; i < p.Nb; i++ {
+			for j := 0; j < p.Nb; j++ {
+				kern.GemmAdd(C[i*p.Nb+j], A[i*p.Nb+k], B[k*p.Nb+j], p.B)
+			}
+		}
+	}
+	if err := verify(A, B, C, p, p.Nb); err != nil {
+		t.Fatalf("correct product rejected: %v", err)
+	}
+	C[3][5] = math.NaN()
+	if err := verify(A, B, C, p, p.Nb); err == nil {
+		t.Fatal("a NaN in C was accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
 	"appfit/internal/cluster"
@@ -242,19 +243,21 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		}
 		return pacc[reg.I][reg.J]
 	}), p)
-	return func() error {
-		want := Reference(p)
-		for i := 0; i < nb; i++ {
-			for k := 0; k < 3*b; k++ {
-				got := pos[i][k]
-				exp := want[i*3*b+k]
-				if math.Abs(got-exp) > 1e-9*(1+math.Abs(exp)) {
-					return fmt.Errorf("nbody: block %d coord %d = %g, want %g", i, k, got, exp)
-				}
+	return func() error { return verify(pos, p) }
+}
+
+// verify compares every block's positions with the serial Reference.
+func verify(pos []buffer.F64, p Params) error {
+	want := Reference(p)
+	for i := range pos {
+		for k, got := range pos[i] {
+			exp := want[i*3*p.B+k]
+			if !kern.Within(math.Abs(got-exp), 1e-9*(1+math.Abs(exp))) {
+				return fmt.Errorf("nbody: block %d coord %d = %g, want %g", i, k, got, exp)
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // BuildJob implements workload.Workload.

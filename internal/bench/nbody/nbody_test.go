@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"appfit/internal/bench/workload"
+	"appfit/internal/buffer"
 )
 
 func TestInitBlockDeterministic(t *testing.T) {
@@ -119,5 +120,23 @@ func TestParamsDivisibility(t *testing.T) {
 		if p.N%p.B != 0 || p.Steps < 1 {
 			t.Fatalf("%v: bad params %+v", s, p)
 		}
+	}
+}
+
+// TestVerifyRejectsNaN feeds the verifier the reference positions with one
+// NaN in them; the tolerance check must fail rather than skip the NaN.
+func TestVerifyRejectsNaN(t *testing.T) {
+	p := Params{N: 32, B: 8, Steps: 2}
+	ref := Reference(p)
+	pos := make([]buffer.F64, p.Nb())
+	for i := range pos {
+		pos[i] = append(buffer.F64(nil), ref[i*3*p.B:(i+1)*3*p.B]...)
+	}
+	if err := verify(pos, p); err != nil {
+		t.Fatalf("reference positions rejected: %v", err)
+	}
+	pos[2][4] = math.NaN()
+	if err := verify(pos, p); err == nil {
+		t.Fatal("a NaN position was accepted")
 	}
 }

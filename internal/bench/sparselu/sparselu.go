@@ -160,19 +160,17 @@ func graph(g *workload.Graph, p Params, fill [][]bool, firstErr *error) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
-	bb := p.B * p.B
-	fill := Structure(p.Nb)
-	blocks := make([][]buffer.F64, p.Nb)
-	orig := make([][]buffer.F64, p.Nb)
+// matrix allocates the blocks of the fill structure, initialises the present
+// ones, and returns them with a copy of the original matrix.
+func matrix(p Params, fill [][]bool) (blocks, orig [][]buffer.F64) {
+	blocks = make([][]buffer.F64, p.Nb)
+	orig = make([][]buffer.F64, p.Nb)
 	for i := range blocks {
 		blocks[i] = make([]buffer.F64, p.Nb)
 		orig[i] = make([]buffer.F64, p.Nb)
 		for j := range blocks[i] {
 			if fill[i][j] {
-				blocks[i][j] = buffer.NewF64(bb)
+				blocks[i][j] = buffer.NewF64(p.B * p.B)
 				if Present(i, j) {
 					initBlock(blocks[i][j], i, j, p.B)
 				}
@@ -180,60 +178,73 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			}
 		}
 	}
+	return blocks, orig
+}
+
+// BuildRT implements workload.Workload.
+func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
+	p := ParamsFor(s)
+	fill := Structure(p.Nb)
+	blocks, orig := matrix(p, fill)
 	var firstErr error
 	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &firstErr)
 	return func() error {
 		if firstErr != nil {
 			return firstErr
 		}
-		// Verify L·U == A₀ block-wise (absent blocks are zero).
-		for i := 0; i < p.Nb; i++ {
-			for j := 0; j < p.Nb; j++ {
-				rec := make([]float64, bb)
-				kmax := i
-				if j < i {
-					kmax = j
-				}
-				for k := 0; k <= kmax; k++ {
-					var lblk, ublk []float64
-					switch {
-					case k == i && k == j:
-						l, u := kern.SplitLU(blocks[k][k], p.B)
-						lblk, ublk = l, u
-					case k == i: // row panel: L[i][i] is the diag's unit-lower factor
-						if blocks[k][j] == nil {
-							continue
-						}
-						l, _ := kern.SplitLU(blocks[k][k], p.B)
-						lblk = l
-						ublk = blocks[k][j]
-					case k == j: // column panel: U is the diag's upper
-						if blocks[i][k] == nil {
-							continue
-						}
-						_, u := kern.SplitLU(blocks[k][k], p.B)
-						lblk = blocks[i][k]
-						ublk = u
-					default:
-						if blocks[i][k] == nil || blocks[k][j] == nil {
-							continue
-						}
-						lblk = blocks[i][k]
-						ublk = blocks[k][j]
+		return verify(blocks, orig, p)
+	}
+}
+
+// verify checks L·U == A₀ block-wise from the factored blocks and the
+// original orig (absent blocks are nil and stand for zero).
+func verify(blocks, orig [][]buffer.F64, p Params) error {
+	for i := 0; i < p.Nb; i++ {
+		for j := 0; j < p.Nb; j++ {
+			rec := make([]float64, p.B*p.B)
+			kmax := i
+			if j < i {
+				kmax = j
+			}
+			for k := 0; k <= kmax; k++ {
+				var lblk, ublk []float64
+				switch {
+				case k == i && k == j:
+					l, u := kern.SplitLU(blocks[k][k], p.B)
+					lblk, ublk = l, u
+				case k == i: // row panel: L[i][i] is the diag's unit-lower factor
+					if blocks[k][j] == nil {
+						continue
 					}
-					kern.GemmAdd(rec, lblk, ublk, p.B)
+					l, _ := kern.SplitLU(blocks[k][k], p.B)
+					lblk = l
+					ublk = blocks[k][j]
+				case k == j: // column panel: U is the diag's upper
+					if blocks[i][k] == nil {
+						continue
+					}
+					_, u := kern.SplitLU(blocks[k][k], p.B)
+					lblk = blocks[i][k]
+					ublk = u
+				default:
+					if blocks[i][k] == nil || blocks[k][j] == nil {
+						continue
+					}
+					lblk = blocks[i][k]
+					ublk = blocks[k][j]
 				}
-				want := make([]float64, bb)
-				if orig[i][j] != nil {
-					copy(want, orig[i][j])
-				}
-				if d := kern.MaxAbsDiff(rec, want); d > 1e-7*(1+kern.FrobNorm(want)) {
-					return fmt.Errorf("sparselu: block (%d,%d) residual %g", i, j, d)
-				}
+				kern.GemmAdd(rec, lblk, ublk, p.B)
+			}
+			want := make([]float64, p.B*p.B)
+			if orig[i][j] != nil {
+				copy(want, orig[i][j])
+			}
+			if d := kern.MaxAbsDiff(rec, want); !kern.Within(d, 1e-7*(1+kern.FrobNorm(want))) {
+				return fmt.Errorf("sparselu: block (%d,%d) residual %g", i, j, d)
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // BuildJob implements workload.Workload. Its task count depends on the

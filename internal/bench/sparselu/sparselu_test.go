@@ -1,9 +1,12 @@
 package sparselu
 
 import (
+	"math"
 	"testing"
 
 	"appfit/internal/bench/workload"
+	"appfit/internal/buffer"
+	"appfit/internal/rt"
 )
 
 func TestPresentDeterministicAndDiagonal(t *testing.T) {
@@ -83,5 +86,30 @@ func TestParams(t *testing.T) {
 		if p.Nb < 2 || p.B < 2 {
 			t.Fatalf("%v: degenerate params %+v", s, p)
 		}
+	}
+}
+
+// TestVerifyRejectsNaN factors a small matrix on the runtime, then feeds the
+// verifier the factors with one NaN in them; the residual check must fail
+// rather than skip the NaN.
+func TestVerifyRejectsNaN(t *testing.T) {
+	p := Params{Nb: 4, B: 4}
+	fill := Structure(p.Nb)
+	blocks, orig := matrix(p, fill)
+	r := rt.New(rt.Config{Workers: 1})
+	var firstErr error
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &firstErr)
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if err := verify(blocks, orig, p); err != nil {
+		t.Fatalf("correct factorization rejected: %v", err)
+	}
+	blocks[1][1][6] = math.NaN()
+	if err := verify(blocks, orig, p); err == nil {
+		t.Fatal("a NaN in a factor block was accepted")
 	}
 }

@@ -16,9 +16,11 @@
 package buffer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrCopy is the sentinel wrapped by every CopyFrom mismatch (wrong
@@ -80,19 +82,12 @@ func (b F64) CopyFrom(src Buffer) error {
 	return nil
 }
 
-// EqualTo implements Buffer using bit-pattern comparison so that identical
-// NaNs compare equal and -0 != +0 is detected, as a hardware comparator would.
+// EqualTo implements Buffer by comparing the two slices' memory byte for
+// byte, which is bit-pattern equality: identical NaNs compare equal and
+// -0 != +0 is detected, as a hardware comparator would.
 func (b F64) EqualTo(other Buffer) bool {
 	o, ok := other.(F64)
-	if !ok || len(o) != len(b) {
-		return false
-	}
-	for i := range b {
-		if math.Float64bits(b[i]) != math.Float64bits(o[i]) {
-			return false
-		}
-	}
-	return true
+	return ok && bytes.Equal(asBytes(b), asBytes(o))
 }
 
 // FlipBit implements Buffer.
@@ -133,19 +128,10 @@ func (b C128) CopyFrom(src Buffer) error {
 	return nil
 }
 
-// EqualTo implements Buffer.
+// EqualTo implements Buffer as F64's does.
 func (b C128) EqualTo(other Buffer) bool {
 	o, ok := other.(C128)
-	if !ok || len(o) != len(b) {
-		return false
-	}
-	for i := range b {
-		if math.Float64bits(real(b[i])) != math.Float64bits(real(o[i])) ||
-			math.Float64bits(imag(b[i])) != math.Float64bits(imag(o[i])) {
-			return false
-		}
-	}
-	return true
+	return ok && bytes.Equal(asBytes(b), asBytes(o))
 }
 
 // FlipBit implements Buffer.
@@ -195,21 +181,20 @@ func (b U8) CopyFrom(src Buffer) error {
 // EqualTo implements Buffer.
 func (b U8) EqualTo(other Buffer) bool {
 	o, ok := other.(U8)
-	if !ok || len(o) != len(b) {
-		return false
-	}
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
+	return ok && bytes.Equal(b, o)
 }
 
 // FlipBit implements Buffer.
 func (b U8) FlipBit(i int64) {
 	idx, bit := i/8, uint(i%8)
 	b[idx] ^= 1 << bit
+}
+
+// asBytes views a slice's memory as bytes, so that EqualTo runs the
+// runtime's vectorised memequal instead of an element loop.
+func asBytes[E float64 | complex128](s []E) []byte {
+	// unsafe: a read-only byte view of plain float memory, never retained.
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
 // TotalBytes sums the payload sizes of bufs. It is the quantity the FIT
