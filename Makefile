@@ -29,10 +29,12 @@ check-figures:
 
 # Lint gate: appfitlint (cmd/appfitlint, DESIGN.md §14) must pass clean over
 # the module — range-over-map emission order, wall-clock/math-rand use in
-# deterministic packages, `// guarded by <mu>` field access, and %w sentinel
-# wrapping at internal package boundaries — and the script then seeds each
-# analyzer's own testdata back through the driver and requires a failure, so
-# an analyzer that silently stopped firing cannot keep the gate green.
+# deterministic packages, `// guarded by <mu>` field access, %w sentinel
+# wrapping at internal package boundaries, and exported internal/ code that
+# only tests reach — and the script then seeds each of the five analyzers'
+# own testdata back through the driver and requires a failure, so an
+# analyzer that silently stopped firing cannot keep the gate green; it also
+# requires unusedexport silent on its negative and waiver testdata.
 check-lint:
 	sh scripts/check_lint.sh
 

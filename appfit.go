@@ -19,8 +19,8 @@
 // the world communicator, Comm.Split derives isolated sub-groups with
 // densely re-numbered ranks (MPI_Comm_split style), and all point-to-point
 // operations and collectives — Barrier, Broadcast, Allgather(v),
-// ReduceScatterv, Allreduce — are Comm-scoped, so two groups can never
-// cross-match each other's traffic even with identical tags.
+// Allreduce — are Comm-scoped, so two groups can never cross-match each
+// other's traffic even with identical tags.
 //
 // Quick start:
 //
@@ -156,8 +156,8 @@ func NewWorld(cfg WorldConfig) *World { return dist.NewWorld(cfg) }
 // matching context.
 type Comm = dist.Comm
 
-// ReduceOp combines src into dst element-wise in Allreduce/ReduceScatterv;
-// it must be deterministic in its arguments.
+// ReduceOp combines src into dst element-wise in Allreduce; it must be
+// deterministic in its arguments.
 type ReduceOp = dist.ReduceOp
 
 // Predefined commutative reduction operators.
@@ -169,7 +169,7 @@ var (
 
 // Named argument errors of the distributed layer: out-of-range rank
 // indices, malformed Comm.Split arguments and malformed vector-collective
-// layouts (Allgatherv/ReduceScatterv counts and displacements) are reported
+// layouts (Allgatherv counts and displacements) are reported
 // as wrapped named errors instead of panics.
 var (
 	ErrRankOutOfRange = dist.ErrRankOutOfRange

@@ -61,20 +61,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "appfitlint: %v\n", err)
 		os.Exit(2)
 	}
-	findings := 0
-	for _, pkg := range pkgs {
-		diags, err := driver.Run(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "appfitlint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, d := range diags {
-			fmt.Println(d)
-			findings++
-		}
+	diags, err := driver.Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "appfitlint: %v\n", err)
+		os.Exit(2)
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "appfitlint: %d finding(s)\n", findings)
+	for _, d := range diags {
+		fmt.Println(d)
+	}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "appfitlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -76,7 +76,10 @@ type Dist struct {
 	// owned[i][j] (j ≤ i) is tile (i, j)'s working buffer, factorized in
 	// place by its owner rank's tasks.
 	owned [][]buffer.F64
-	msgs  int
+	// msgs is the point-to-point message count the broadcasts move when
+	// every sub-communicator takes its flat shape; hierarchical broadcasts
+	// move the same count over different links.
+	msgs int
 }
 
 // BuildDist submits the whole 2D block-cyclic factorization onto the
@@ -205,24 +208,6 @@ func BuildDist(c *dist.Comm, cfg DistConfig) (*Dist, error) {
 	}
 	return d, nil
 }
-
-// Params returns the tile parameters of the build.
-func (d *Dist) Params() Params { return d.p }
-
-// Tasks returns the kernel task count (excluding broadcast plumbing).
-func (d *Dist) Tasks() int { return d.p.Tasks() }
-
-// Messages returns the number of point-to-point messages the broadcasts
-// move when every sub-communicator takes its flat shape; hierarchical
-// broadcasts move the same count over different links.
-func (d *Dist) Messages() int { return d.msgs }
-
-// Owner returns tile (i, j)'s comm rank under the build's grid.
-func (d *Dist) Owner(i, j int) int { return (i%d.Pr)*d.Pc + (j % d.Pc) }
-
-// Tile returns tile (i, j)'s working buffer (owned by Owner(i, j)); read it
-// only after the World has shut down.
-func (d *Dist) Tile(i, j int) buffer.F64 { return d.owned[i][j] }
 
 // ErrVerify is the sentinel wrapped when the distributed factorization
 // does not match the serial reference bitwise.

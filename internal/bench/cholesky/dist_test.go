@@ -56,8 +56,8 @@ func TestDistCholeskyBitwiseFlat(t *testing.T) {
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.MessagesSent(); got != uint64(d.Messages()) {
-		t.Fatalf("messages = %d, want %d", got, d.Messages())
+	if got := w.MessagesSent(); got != uint64(d.msgs) {
+		t.Fatalf("messages = %d, want %d", got, d.msgs)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestDistCholeskySingleRank(t *testing.T) {
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Messages() != 0 || w.MessagesSent() != uint64(0) {
-		t.Fatalf("1-rank build moved %d predicted / %d actual messages, want 0", d.Messages(), w.MessagesSent())
+	if d.msgs != 0 || w.MessagesSent() != uint64(0) {
+		t.Fatalf("1-rank build moved %d predicted / %d actual messages, want 0", d.msgs, w.MessagesSent())
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"appfit/internal/bench/workload"
@@ -52,7 +53,7 @@ func TestGranularityMatchesPaperNarrative(t *testing.T) {
 			fits = append(fits, est.Estimate(uint64(i+1), task.ArgBytes).Total())
 		}
 		mean := stats.Mean(fits)
-		_, max := stats.MinMax(fits)
+		max := slices.Max(fits)
 		if mean == 0 {
 			t.Fatalf("%s: zero FIT mass", name)
 		}

@@ -86,10 +86,6 @@ func BuildHalo(c *dist.Comm, cfg HaloConfig) (*Halo, error) {
 	return h, nil
 }
 
-// Messages returns the number of messages the pattern moves: one per
-// member per iteration.
-func (h *Halo) Messages() uint64 { return uint64(h.size) * uint64(h.cfg.Iters) }
-
 // Reference returns the serial evolution of the per-member block value
 // (blocks stay uniform, so one float64 per member suffices).
 func (h *Halo) Reference() []float64 {

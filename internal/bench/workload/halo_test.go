@@ -30,8 +30,8 @@ func TestHaloMatchesSerialUnderFaults(t *testing.T) {
 	if err := h.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.MessagesSent(); got != h.Messages() {
-		t.Fatalf("MessagesSent = %d, want %d (replication must never duplicate a message)", got, h.Messages())
+	if got := w.MessagesSent(); got != h.messages() {
+		t.Fatalf("MessagesSent = %d, want %d (replication must never duplicate a message)", got, h.messages())
 	}
 }
 
@@ -55,8 +55,8 @@ func TestHaloOnSubcommunicator(t *testing.T) {
 	if err := h.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.MessagesSent(); got != h.Messages() {
-		t.Fatalf("MessagesSent = %d, want %d", got, h.Messages())
+	if got := w.MessagesSent(); got != h.messages() {
+		t.Fatalf("MessagesSent = %d, want %d", got, h.messages())
 	}
 }
 
@@ -104,10 +104,14 @@ func TestHaloPlacementPricing(t *testing.T) {
 	if good.WireBytes() != 0 {
 		t.Fatalf("co-located halo crossed the wire: %d bytes", good.WireBytes())
 	}
-	if want := int64(h.Messages()) * n * 8; bad.WireBytes() != want {
+	if want := int64(h.messages()) * n * 8; bad.WireBytes() != want {
 		t.Fatalf("split halo wire bytes = %d, want %d", bad.WireBytes(), want)
 	}
 	if good.Now() >= bad.Now() {
 		t.Fatalf("good placement %v must beat bad %v in virtual time", good.Now(), bad.Now())
 	}
 }
+
+// messages is the number of messages the pattern moves: one per member per
+// iteration.
+func (h *Halo) messages() uint64 { return uint64(h.size) * uint64(h.cfg.Iters) }

@@ -197,18 +197,6 @@ func asBytes[E float64 | complex128](s []E) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-// TotalBytes sums the payload sizes of bufs. It is the quantity the FIT
-// estimator scales node failure rates by (paper §IV-A).
-func TotalBytes(bufs ...Buffer) int64 {
-	var n int64
-	for _, b := range bufs {
-		if b != nil {
-			n += b.SizeBytes()
-		}
-	}
-	return n
-}
-
 // TotalBits sums the bit lengths of bufs (the SDC injection surface).
 func TotalBits(bufs ...Buffer) int64 {
 	var n int64

@@ -193,10 +193,3 @@ func (s *Store) Stats() Stats {
 		Copies:     s.copies,
 	}
 }
-
-// Live returns the number of resident checkpoints.
-func (s *Store) Live() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.chks)
-}

@@ -100,8 +100,8 @@ func TestReleaseAndAccounting(t *testing.T) {
 	if st.BytesLive != 400 || st.PeakLive != 1200 {
 		t.Fatalf("after release: %+v", st)
 	}
-	if s.Live() != 1 {
-		t.Fatalf("live = %d", s.Live())
+	if len(s.chks) != 1 {
+		t.Fatalf("live = %d", len(s.chks))
 	}
 	s.Release(1) // double release is a no-op
 	if s.Stats().BytesLive != 400 {
@@ -169,8 +169,8 @@ func TestRestoreCountsAndConcurrency(t *testing.T) {
 	if st.Saves != n || st.Restores != n {
 		t.Fatalf("saves=%d restores=%d", st.Saves, st.Restores)
 	}
-	if st.BytesLive != 0 || s.Live() != 0 {
-		t.Fatalf("leaked checkpoints: live=%d bytes=%d", s.Live(), st.BytesLive)
+	if st.BytesLive != 0 || len(s.chks) != 0 {
+		t.Fatalf("leaked checkpoints: live=%d bytes=%d", len(s.chks), st.BytesLive)
 	}
 }
 

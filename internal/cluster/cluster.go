@@ -89,15 +89,6 @@ func (j Job) Validate(nodes int) error {
 	return nil
 }
 
-// TotalCost returns the serial compute demand of the job.
-func (j Job) TotalCost() simtime.Time {
-	var s simtime.Time
-	for _, t := range j.Tasks {
-		s += t.Cost
-	}
-	return s
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Nodes and CoresPerNode shape the machine (defaults 1 and 1; with a
@@ -195,33 +186,6 @@ type Result struct {
 	// NodeBusy[n] is node n's summed primary-core occupancy; utilization
 	// analyses divide by Makespan × CoresPerNode.
 	NodeBusy []simtime.Time
-}
-
-// Utilization returns node n's primary-core utilization in [0, 1].
-func (r Result) Utilization(n, coresPerNode int) float64 {
-	if n < 0 || n >= len(r.NodeBusy) || r.Makespan == 0 || coresPerNode == 0 {
-		return 0
-	}
-	return float64(r.NodeBusy[n]) / (float64(r.Makespan) * float64(coresPerNode))
-}
-
-// LoadImbalance returns max/mean node busy time (1 = perfectly balanced).
-func (r Result) LoadImbalance() float64 {
-	if len(r.NodeBusy) == 0 {
-		return 0
-	}
-	var sum, max simtime.Time
-	for _, b := range r.NodeBusy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(r.NodeBusy))
-	return float64(max) / mean
 }
 
 // OverheadPct returns the percentage makespan increase over base.

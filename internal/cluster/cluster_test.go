@@ -243,12 +243,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestTotalCost(t *testing.T) {
-	if chainJob(5, 10).TotalCost() != 50 {
-		t.Fatal("TotalCost wrong")
-	}
-}
-
 func TestPropertyMakespanBounds(t *testing.T) {
 	// Makespan must lie between critical-path bound and serial bound, for
 	// random DAGs without faults or network costs.
@@ -345,31 +339,16 @@ func TestUtilizationAndImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 2; n++ {
-		if u := res.Utilization(n, 1); math.Abs(u-1) > 1e-9 {
-			t.Fatalf("node %d utilization %g, want 1", n, u)
-		}
+	if res.Makespan != 200 || !reflect.DeepEqual(res.NodeBusy, []simtime.Time{200, 200}) {
+		t.Fatalf("balanced: makespan %d, node busy %v; want 200, [200 200]", res.Makespan, res.NodeBusy)
 	}
-	if im := res.LoadImbalance(); math.Abs(im-1) > 1e-9 {
-		t.Fatalf("imbalance %g, want 1", im)
-	}
-	// Skewed placement: node 0 does everything.
+	// Skewed placement: node 0 does everything, node 1 idles.
 	skew := Job{Tasks: []Task{{Node: 0, Cost: 100}, {Node: 0, Cost: 100}}}
 	res, err = Run(skew, Config{Nodes: 2, CoresPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Utilization(1, 1) != 0 {
-		t.Fatal("idle node must have zero utilization")
-	}
-	if im := res.LoadImbalance(); math.Abs(im-2) > 1e-9 {
-		t.Fatalf("imbalance %g, want 2 (max/mean)", im)
-	}
-	// Bounds behaviour.
-	if res.Utilization(-1, 1) != 0 || res.Utilization(9, 1) != 0 || res.Utilization(0, 0) != 0 {
-		t.Fatal("out-of-range utilization must be 0")
-	}
-	if (Result{}).LoadImbalance() != 0 {
-		t.Fatal("empty result imbalance must be 0")
+	if !reflect.DeepEqual(res.NodeBusy, []simtime.Time{200, 0}) {
+		t.Fatalf("skewed: node busy %v, want [200 0]", res.NodeBusy)
 	}
 }

@@ -64,7 +64,7 @@ func TestTopologyNodesDefault(t *testing.T) {
 }
 
 func TestTopologyValidationAtRun(t *testing.T) {
-	topo, err := simnet.FlatTopology(2, simnet.Marenostrum())
+	topo, err := simnet.BlockTopology(2, 1, simnet.Marenostrum(), simnet.Marenostrum())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFlatTopologyReproducesFlatRunBitwise(t *testing.T) {
 	// The degenerate one-node-per-rank topology must reproduce the flat
 	// configuration's entire Result, faults and recovery included.
 	net := simnet.Config{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
-	topo, err := simnet.FlatTopology(4, net)
+	topo, err := simnet.BlockTopology(4, 1, net, net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ type AppFIT struct {
 	current   float64 // FIT of finished unreplicated tasks
 	inflight  float64 // FIT reserved by admitted unreplicated tasks not yet observed
 	decided   int     // i: decisions made so far
-	replicas  int     // tasks chosen for replication
 	maxExcess float64 // worst observed current_fit − prorated budget (≤0 if never exceeded)
 }
 
@@ -87,7 +86,6 @@ func (a *AppFIT) Decide(t fit.Task) bool {
 	a.decided++
 	budget := a.threshold / float64(a.n) * float64(i+1)
 	if a.current+a.inflight+t.Total() > budget {
-		a.replicas++
 		return true
 	}
 	a.inflight += t.Total()
@@ -117,20 +115,6 @@ func (a *AppFIT) CurrentFIT() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.current
-}
-
-// Decided returns the number of decisions made so far.
-func (a *AppFIT) Decided() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.decided
-}
-
-// Replicated returns the number of tasks chosen for replication.
-func (a *AppFIT) Replicated() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.replicas
 }
 
 // Threshold returns the configured threshold.
@@ -237,34 +221,4 @@ func KnapsackOracle(tasks []fit.Task, threshold float64) OracleResult {
 		}
 	}
 	return res
-}
-
-// FractionReplicated returns the fraction of tasks a finished selector
-// replicated, given the decision log. Helper for experiment tables.
-func FractionReplicated(decisions []bool) float64 {
-	if len(decisions) == 0 {
-		return 0
-	}
-	n := 0
-	for _, d := range decisions {
-		if d {
-			n++
-		}
-	}
-	return float64(n) / float64(len(decisions))
-}
-
-// DecisionCost is a micro-model of the heuristic's runtime cost for the
-// §IV-B claim that App_FIT "checks a single condition and calculates the FIT
-// of a task through a tight code consisting of one branch and about 50
-// multiplication and addition instructions". It performs that amount of
-// arithmetic and returns a value the compiler cannot elide; the
-// BenchmarkAppFITDecision bench measures the real Decide path.
-func DecisionCost(argBytes int64) float64 {
-	x := float64(argBytes)
-	acc := 0.0
-	for i := 0; i < 25; i++ { // 25 mults + 25 adds ≈ the paper's 50 flops
-		acc += x * float64(i+1)
-	}
-	return acc
 }

@@ -28,9 +28,8 @@ type AppFITRevocable struct {
 
 	current  float64
 	decided  int
-	replicas int
-	revoked  int
-	revokedF float64
+	revoked  int     // Equation-1 replications revoked
+	revokedF float64 // their FIT: the protection given up, the paper's "loss"
 }
 
 // NewAppFITRevocable returns the removal-capable variant.
@@ -62,7 +61,6 @@ func (a *AppFITRevocable) Decide(t fit.Task) bool {
 			a.current += t.Total()
 			return false
 		}
-		a.replicas++
 		return true
 	}
 	a.current += t.Total()
@@ -72,28 +70,3 @@ func (a *AppFITRevocable) Decide(t fit.Task) bool {
 // Observe implements Selector (accounting done at decision time so
 // revocations are visible immediately).
 func (a *AppFITRevocable) Observe(t fit.Task, replicated bool) {}
-
-// Replicated returns the number of tasks protected.
-func (a *AppFITRevocable) Replicated() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.replicas
-}
-
-// Revoked returns how many Equation-1 replication decisions were revoked
-// and the total FIT of protection given up — the paper's "loss".
-func (a *AppFITRevocable) Revoked() (count int, lostFIT float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.revoked, a.revokedF
-}
-
-// CurrentFIT returns the accumulated unprotected FIT.
-func (a *AppFITRevocable) CurrentFIT() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.current
-}
-
-// Threshold returns the configured threshold.
-func (a *AppFITRevocable) Threshold() float64 { return a.threshold }

@@ -17,7 +17,7 @@ func TestRevocableStillMeetsFinalThreshold(t *testing.T) {
 		tasks := make([]fit.Task, n)
 		total := 0.0
 		for i := range tasks {
-			tasks[i] = fit.Task{ID: uint64(i + 1), DUE: r.ExpFloat64()}
+			tasks[i] = fit.Task{ID: uint64(i + 1), DUE: expFloat64(r)}
 			total += tasks[i].Total()
 		}
 		thr := total / 5
@@ -25,7 +25,7 @@ func TestRevocableStillMeetsFinalThreshold(t *testing.T) {
 		for _, tk := range tasks {
 			a.Observe(tk, a.Decide(tk))
 		}
-		return a.CurrentFIT() <= thr+1e-9
+		return a.current <= thr+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -39,19 +39,14 @@ func TestRevocableGivesUpProtection(t *testing.T) {
 	const n = 1000
 	tasks := uniformTasks(n, 1.0)
 	thr := float64(n) / 5 // 5× scenario
-	addOnly := NewAppFIT(thr, n)
+	addOnly := fractionReplicated(runSequential(NewAppFIT(thr, n), tasks))
 	revocable := NewAppFITRevocable(thr, n)
-	for _, tk := range tasks {
-		addOnly.Observe(tk, addOnly.Decide(tk))
-		revocable.Observe(tk, revocable.Decide(tk))
-	}
-	count, lost := revocable.Revoked()
-	if count == 0 || lost <= 0 {
+	revFrac := fractionReplicated(runSequential(revocable, tasks))
+	if revocable.revoked == 0 || revocable.revokedF <= 0 {
 		t.Fatal("revocable variant never revoked — ablation is vacuous")
 	}
-	if revocable.Replicated() > addOnly.Replicated() {
-		t.Fatalf("revocable replicated more (%d) than add-only (%d)",
-			revocable.Replicated(), addOnly.Replicated())
+	if revFrac > addOnly {
+		t.Fatalf("revocable replicated more (%g) than add-only (%g)", revFrac, addOnly)
 	}
 	// The measurable loss: revocation front-loads unprotected FIT, so the
 	// per-prefix (prorated) budget of Equation 1 — which the add-only
@@ -78,7 +73,7 @@ func TestRevocableAccessors(t *testing.T) {
 	if a.Name() != "app_fit_revocable" {
 		t.Fatal("name")
 	}
-	if a.Threshold() != 10 {
+	if a.threshold != 10 {
 		t.Fatal("threshold")
 	}
 	if a.n != 1 {
@@ -104,7 +99,7 @@ func TestRevocableZeroSlackBehavesLikeStrict(t *testing.T) {
 			t.Fatalf("task %d: revocable(no-slack) %v != app_fit %v", tk.ID, dr, ds)
 		}
 	}
-	if c, _ := rev.Revoked(); c != 0 {
-		t.Fatalf("unexpected revocations: %d", c)
+	if rev.revoked != 0 {
+		t.Fatalf("unexpected revocations: %d", rev.revoked)
 	}
 }

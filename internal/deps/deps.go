@@ -188,8 +188,8 @@ type Node[T any] struct {
 type Graph[T any] struct {
 	// regions belongs to the registering goroutine alone: Complete never
 	// looks at a region.
-	regions        table[*Node[T]]
-	edges, derived atomic.Int64
+	regions table[*Node[T]]
+	derived atomic.Int64
 }
 
 // Register adds n, a fresh node, with its declared accesses, in program
@@ -209,7 +209,6 @@ func (g *Graph[T]) Register(n *Node[T], accesses []Access) (ready bool) {
 		if !pn.done {
 			pn.successors = append(pn.successors, n)
 			n.pending.Add(1)
-			g.edges.Add(1)
 		}
 		pn.mu.Unlock()
 	}
@@ -264,12 +263,11 @@ type nodeShard struct {
 
 // Tracker is a Graph addressed by task id: each node's payload is its id,
 // and a striped id table finds the node Complete and Pending name. Register
-// is single-goroutine; Complete, Pending, Edges and Tasks may be called
-// concurrently from any goroutine. The zero value is an empty tracker.
+// is single-goroutine; Complete and Pending may be called concurrently from
+// any goroutine. The zero value is an empty tracker.
 type Tracker struct {
 	g     Graph[uint64]
 	nodes [nodeShards]nodeShard
-	tasks atomic.Int64
 }
 
 // NewTracker returns an empty Tracker.
@@ -314,7 +312,6 @@ func (t *Tracker) Register(id uint64, accesses []Access) (ready bool) {
 	}
 	sh.m[id] = n
 	sh.mu.Unlock()
-	t.tasks.Add(1)
 	return t.g.Register(n, accesses)
 }
 
@@ -335,7 +332,7 @@ func (t *Tracker) Complete(id uint64) (newlyReady []uint64) {
 // Pending returns the number of unfinished predecessors of id, or -1 if the
 // task is unknown (never registered, or already completed). It is intended
 // for tests and introspection.
-func (t *Tracker) Pending(id uint64) int {
+func (t *Tracker) Pending(id uint64) int { //lint:unusedexport the perf ledger calls it (internal/bench/scale)
 	sh := t.nodeShard(id)
 	sh.mu.Lock()
 	n := sh.m[id]
@@ -345,10 +342,3 @@ func (t *Tracker) Pending(id uint64) int {
 	}
 	return int(n.pending.Load())
 }
-
-// Edges returns the number of dependency edges to predecessors still
-// running when their successor registered.
-func (t *Tracker) Edges() int { return int(t.g.edges.Load()) }
-
-// Tasks returns the number of tasks registered so far.
-func (t *Tracker) Tasks() int { return int(t.tasks.Load()) }

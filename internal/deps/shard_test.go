@@ -17,7 +17,6 @@ type refTracker struct {
 	mu      sync.Mutex
 	regions regions
 	nodes   map[uint64]*refNode
-	edges   int
 }
 
 type refNode struct {
@@ -42,7 +41,6 @@ func (t *refTracker) Register(id uint64, accesses []Access) bool {
 		}
 		pn.successors = append(pn.successors, id)
 		n.pending++
-		t.edges++
 	}
 	return n.pending == 0
 }
@@ -97,8 +95,8 @@ func sortedU64(xs []uint64) []uint64 {
 // TestShardedTrackerMatchesReference drives the sharded Tracker and the
 // single-lock reference through the same random graphs and the same random
 // completion orders, and requires identical behavior at every step: the same
-// initial ready verdicts, the same per-task pending counts, the same edge
-// count, and the same released batch after every Complete. Identical release
+// initial ready verdicts, the same per-task pending counts (so the same
+// edges), and the same released batch after every Complete. Identical release
 // batches for an arbitrary valid order mean the two trackers admit exactly
 // the same execution schedules.
 func TestShardedTrackerMatchesReference(t *testing.T) {
@@ -121,10 +119,6 @@ func TestShardedTrackerMatchesReference(t *testing.T) {
 			if rs {
 				ready = append(ready, id)
 			}
-		}
-		if sharded.Edges() != ref.edges {
-			t.Errorf("seed %d: edges %d vs reference %d", seed, sharded.Edges(), ref.edges)
-			return false
 		}
 		for i := 1; i <= n; i++ {
 			if sp, rp := sharded.Pending(uint64(i)), ref.Pending(uint64(i)); sp != rp {
@@ -212,8 +206,5 @@ func TestShardedTrackerConcurrentComplete(t *testing.T) {
 	released.Range(func(_, _ any) bool { count++; return true })
 	if count != n {
 		t.Fatalf("released %d of %d tasks", count, n)
-	}
-	if tr.Tasks() != n {
-		t.Fatalf("Tasks() = %d, want %d", tr.Tasks(), n)
 	}
 }

@@ -7,7 +7,7 @@
 // Every collective has one argument check and one statement of each
 // schedule it can run; the exported *Flat/*Hier/Allreduce* variants
 // validate and then run the schedule they name, and the plain names
-// (Broadcast, Allgather, Allgatherv, ReduceScatterv, Allreduce) pick the
+// (Broadcast, Allgather, Allgatherv, Allreduce) pick the
 // variant from the communicator's placement — for Allreduce, through plan.
 // The schedules are the classic ones of Thakur, Rabenseifner & Gropp
 // (Optimization of Collective Communication Operations in MPICH, IJHPCA
@@ -191,7 +191,7 @@ func (cr *CommRank) Barrier(tag int, args ...rt.Arg) {
 
 // Barrier submits a barrier over all members, gated only on each member's
 // collective token (see CommRank.Barrier for data-gated barriers).
-func (c *Comm) Barrier(tag int) {
+func (c *Comm) Barrier(tag int) { //lint:unusedexport the perf ledger calls it (BenchmarkWorldScale)
 	for i := range c.members {
 		c.handles[i].Barrier(tag)
 	}
@@ -436,7 +436,7 @@ func (c *Comm) AllreduceSum(tag int, name string, bufs []buffer.F64) {
 // the member's selector may replicate and the injector may corrupt it like
 // any computation — and the result is broadcast back down the binomial
 // tree. 2(n−1) messages. Valid for any deterministic op, commutative or not.
-func (c *Comm) AllreduceGather(tag int, name string, bufs []buffer.F64, op ReduceOp) {
+func (c *Comm) AllreduceGather(tag int, name string, bufs []buffer.F64, op ReduceOp) { //lint:unusedexport the perf ledger calls it (BenchmarkAllreduceTreeVsGather)
 	c.allreduce(algGather, tag, name, bufs, op)
 }
 
@@ -476,34 +476,28 @@ func (c *Comm) allreduce(alg allreduceAlg, tag int, name string, bufs []buffer.F
 	}
 }
 
-// gatherAtZero ships members 1..n−1's vectors for region name to member 0,
-// each into its own staged buffer under region keyPrefix+i, and returns
-// those as read arguments in comm-rank order for the fold that follows.
-func (l lane) gatherAtZero(sub int, name string, bufs []buffer.F64, keyPrefix string) []rt.Arg {
-	var got []rt.Arg
-	for i := 1; i < len(bufs); i++ {
-		tmp := rt.Out(keyPrefix+strconv.Itoa(i), l.c.w.stageF64(len(bufs[0])))
-		l.transfer(sub, i, 0, rt.In(name, bufs[i]), tmp)
-		got = append(got, rt.In(tmp.Key, tmp.Buf))
-	}
-	return got
-}
-
 // reduceAtZero is the gather half of AllreduceGather (and the node-local
-// phase of allreduceHier): member 0 folds every other member's vector into
-// its own buffer in comm rank order with an ordinary compute task.
+// phase of allreduceHier): members 1..n−1 ship their vectors for region
+// name to member 0, each into its own staged buffer, and member 0 folds them
+// into its own buffer in comm rank order with an ordinary compute task.
 func (c *Comm) reduceAtZero(tag int, name string, bufs []buffer.F64, op ReduceOp) {
 	if len(c.members) == 1 {
 		return
 	}
-	got := c.lane(ClassReduce, tag, "reduce:"+name).
-		gatherAtZero(0, name, bufs, fmt.Sprintf("%s:ar:%d:%d:", collKey, c.ctx, tag))
+	l := c.lane(ClassReduce, tag, "reduce:"+name)
+	prefix := fmt.Sprintf("%s:ar:%d:%d:", collKey, c.ctx, tag)
+	args := []rt.Arg{rt.Inout(name, bufs[0])}
+	for i := 1; i < len(bufs); i++ {
+		tmp := rt.Out(prefix+strconv.Itoa(i), c.w.stageF64(len(bufs[0])))
+		l.transfer(0, i, 0, rt.In(name, bufs[i]), tmp)
+		args = append(args, rt.In(tmp.Key, tmp.Buf))
+	}
 	c.members[0].rt.Submit("allreduce", func(ctx *rt.Ctx) {
 		dst := ctx.F64(0)
 		for a := 1; a < ctx.NArgs(); a++ {
 			op(dst, ctx.F64(a))
 		}
-	}, append([]rt.Arg{rt.Inout(name, bufs[0])}, got...)...)
+	}, args...)
 }
 
 // pow2 is what the two power-of-two Allreduce schedules (the doubling tree

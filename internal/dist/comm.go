@@ -62,8 +62,8 @@ var (
 // context. World.Comm returns the world communicator spanning every rank;
 // Split derives sub-communicators. Address members with Rank, which yields
 // the per-member handle all point-to-point operations live on; collectives
-// (Barrier, Broadcast, Allgather, Allgatherv, ReduceScatterv, Allreduce) are
-// Comm methods that submit every member's side at once.
+// (Barrier, Broadcast, Allgather, Allgatherv, Allreduce) are Comm methods
+// that submit every member's side at once.
 type Comm struct {
 	w       *World
 	ctx     uint64
@@ -112,27 +112,13 @@ func (w *World) Comm() *Comm { return w.world }
 // Size returns the number of members.
 func (c *Comm) Size() int { return len(c.members) }
 
-// Context returns the communicator's matching context id (0 for the world
-// communicator). Every message the communicator moves carries it in its
-// Match.
-func (c *Comm) Context() uint64 { return c.ctx }
-
 // Hierarchical reports whether the communicator auto-selects hierarchical
 // collectives: the World's topology places its members across at least two
 // nodes, at least one of which hosts two or more of them.
-func (c *Comm) Hierarchical() bool { return c.hier }
-
-// WorldRanks returns the members' world rank ids in comm rank order.
-func (c *Comm) WorldRanks() []int {
-	ids := make([]int, len(c.members))
-	for i, r := range c.members {
-		ids[i] = r.id
-	}
-	return ids
-}
+func (c *Comm) Hierarchical() bool { return c.hier } //lint:unusedexport an Example prints it
 
 // Rank returns member i's handle. An out-of-range i records
-// ErrRankOutOfRange in the World's error set (reported by Err and Shutdown)
+// ErrRankOutOfRange in the World's error set (reported by Shutdown)
 // and returns an inert handle whose operations are no-ops, so chained calls
 // stay panic-free.
 func (c *Comm) Rank(i int) *CommRank {
@@ -208,35 +194,12 @@ func (c *Comm) Split(colors, keys []int) ([]*Comm, error) {
 	return subs, nil
 }
 
-// Dup returns a communicator with the same members in the same order under
-// a fresh matching context — MPI_Comm_dup: traffic on the duplicate can
-// never rendezvous with traffic on the original (or on any other Dup), even
-// between the same ranks under identical tags, so a library can take a Dup
-// and communicate freely without ever colliding with its caller's traffic.
-func (c *Comm) Dup() *Comm {
-	return newComm(c.w, c.w.nextCtx.Add(1), c.members)
-}
-
 // CommRank is one member's view of a communicator: its dense comm-local
 // rank plus the underlying world rank. All point-to-point operations live
 // here, scoped to the communicator's matching context.
 type CommRank struct {
 	c  *Comm
 	id int // comm-local rank; -1 marks the inert out-of-range handle
-}
-
-// ID returns the member's comm-local rank (-1 for an inert handle).
-func (cr *CommRank) ID() int { return cr.id }
-
-// Comm returns the communicator the handle belongs to.
-func (cr *CommRank) Comm() *Comm { return cr.c }
-
-// World returns the underlying world rank (nil for an inert handle).
-func (cr *CommRank) World() *Rank {
-	if cr.id < 0 {
-		return nil
-	}
-	return cr.c.members[cr.id]
 }
 
 // Runtime returns the member's dataflow runtime, for submitting compute

@@ -13,8 +13,8 @@ import (
 func TestCommWorldSendRecv(t *testing.T) {
 	w := NewWorld(Config{Ranks: 2})
 	c := w.Comm()
-	if c.Size() != 2 || c.Context() != 0 {
-		t.Fatalf("world comm size=%d ctx=%d, want 2 and 0", c.Size(), c.Context())
+	if c.Size() != 2 || c.ctx != 0 {
+		t.Fatalf("world comm size=%d ctx=%d, want 2 and 0", c.Size(), c.ctx)
 	}
 	src := buffer.F64{42}
 	dst := buffer.NewF64(1)
@@ -50,14 +50,14 @@ func TestSplitDenseRenumber(t *testing.T) {
 	}
 	// Ascending key order: even color keys are 5,3,1 for world 0,2,4 →
 	// comm order world 4,2,0.
-	if got := even.WorldRanks(); got[0] != 4 || got[1] != 2 || got[2] != 0 {
+	if got := worldRanks(even); got[0] != 4 || got[1] != 2 || got[2] != 0 {
 		t.Fatalf("even group world ranks = %v, want [4 2 0]", got)
 	}
-	if got := odd.WorldRanks(); got[0] != 5 || got[1] != 3 || got[2] != 1 {
+	if got := worldRanks(odd); got[0] != 5 || got[1] != 3 || got[2] != 1 {
 		t.Fatalf("odd group world ranks = %v, want [5 3 1]", got)
 	}
-	if even.Context() == 0 || odd.Context() == 0 || even.Context() == odd.Context() {
-		t.Fatalf("contexts %d, %d must be fresh and distinct", even.Context(), odd.Context())
+	if even.ctx == 0 || odd.ctx == 0 || even.ctx == odd.ctx {
+		t.Fatalf("contexts %d, %d must be fresh and distinct", even.ctx, odd.ctx)
 	}
 	// Comm-local addressing: even comm rank 0 is world 4.
 	src := buffer.F64{7}
@@ -102,10 +102,10 @@ func TestRankBoundsRecordNamedError(t *testing.T) {
 		t.Fatal("World.Rank(2) of 2 must be nil")
 	}
 	cr := w.Comm().Rank(-1)
-	if id := cr.ID(); id != -1 {
-		t.Fatalf("inert handle ID = %d, want -1", id)
+	if cr.id != -1 {
+		t.Fatalf("inert handle ID = %d, want -1", cr.id)
 	}
-	if cr.World() != nil || cr.Runtime() != nil {
+	if cr.Runtime() != nil {
 		t.Fatal("inert handle must expose no rank or runtime")
 	}
 	if tid := cr.Send(0, 0, "s", buffer.F64{1}); tid != 0 {
@@ -216,33 +216,6 @@ func treeReference(init [][]float64, op ReduceOp) [][]float64 {
 	return v
 }
 
-// uniformCounts is the equal-blocks ReduceScatterv layout: n counts of L.
-func uniformCounts(n, L int) []int {
-	counts := make([]int, n)
-	for i := range counts {
-		counts[i] = L
-	}
-	return counts
-}
-
-// reduceScatterReference replays the ReduceScatterv ring's accumulation
-// order for equal blocks:
-// block k starts at member k+1 and folds contributions in ring order,
-// ending at member k.
-func reduceScatterReference(bufs [][]float64, L int, op ReduceOp) [][]float64 {
-	n := len(bufs)
-	outs := make([][]float64, n)
-	for k := 0; k < n; k++ {
-		acc := append([]float64(nil), bufs[(k+1)%n][k*L:(k+1)*L]...)
-		for j := 2; j <= n; j++ {
-			m := (k + j) % n
-			op(acc, bufs[m][k*L:(k+1)*L])
-		}
-		outs[k] = acc
-	}
-	return outs
-}
-
 func TestAllreduceTreeNonPowerOfTwo(t *testing.T) {
 	const n = 6 // p = 4 with 2 extras: exercises pre/post folding
 	w := NewWorld(Config{Ranks: n})
@@ -267,50 +240,6 @@ func TestAllreduceTreeNonPowerOfTwo(t *testing.T) {
 	// p·log2(p) + 2(n−p) = 4·2 + 2·2.
 	if got, want := w.MessagesSent(), uint64(12); got != want {
 		t.Fatalf("tree sent %d messages, want %d", got, want)
-	}
-}
-
-func TestReduceScatterRing(t *testing.T) {
-	const n, L = 4, 3
-	w := NewWorld(Config{Ranks: n})
-	raw := make([][]float64, n)
-	bufs := make([]buffer.F64, n)
-	outs := make([]buffer.F64, n)
-	for i := 0; i < n; i++ {
-		raw[i] = make([]float64, n*L)
-		for j := range raw[i] {
-			raw[i][j] = float64(i*100+j) + 0.5
-		}
-		bufs[i] = append(buffer.F64(nil), raw[i]...)
-		outs[i] = buffer.NewF64(L)
-	}
-	w.Comm().ReduceScatterv(0, "in", "out", bufs, outs, uniformCounts(n, L), OpSum)
-	if err := w.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	want := reduceScatterReference(raw, L, OpSum)
-	for i := 0; i < n; i++ {
-		for j := 0; j < L; j++ {
-			if outs[i][j] != want[i][j] {
-				t.Fatalf("member %d block = %v, want %v", i, outs[i], want[i])
-			}
-		}
-	}
-	if got, want := w.MessagesSent(), uint64(n*(n-1)); got != want {
-		t.Fatalf("reduce-scatter sent %d messages, want %d", got, want)
-	}
-}
-
-func TestReduceScatterSingleMember(t *testing.T) {
-	w := NewWorld(Config{Ranks: 1})
-	in := buffer.F64{1, 2}
-	out := buffer.NewF64(2)
-	w.Comm().ReduceScatterv(0, "in", "out", []buffer.F64{in}, []buffer.F64{out}, []int{2}, OpSum)
-	if err := w.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("out = %v, want [1 2]", out)
 	}
 }
 
@@ -397,9 +326,6 @@ func TestCollectiveArgsMismatchRecorded(t *testing.T) {
 		{buffer.NewF64(1), buffer.NewF64(1), buffer.NewF64(1)},
 	}
 	c.Allgather(0, func(j int) string { return "g" }, short)
-	c.ReduceScatterv(0, "in", "out",
-		[]buffer.F64{buffer.NewF64(3), buffer.NewF64(3), buffer.NewF64(3)},
-		[]buffer.F64{buffer.NewF64(1), buffer.NewF64(2), buffer.NewF64(1)}, uniformCounts(3, 1), OpSum)
 	err := w.Shutdown()
 	if !errors.Is(err, ErrCollectiveArgs) {
 		t.Fatalf("Shutdown = %v, want ErrCollectiveArgs", err)
@@ -410,8 +336,7 @@ func TestCollectiveArgsMismatchRecorded(t *testing.T) {
 }
 
 func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
-	// The satellite gate: ReduceScatterv and tree Allreduce under complete
-	// replication with injected SDC/DUE must match the serial reference
+	// The satellite gate: tree Allreduce under complete replication with injected SDC/DUE must match the serial reference
 	// replay bitwise — every fold is an ordinary compute task, so the
 	// replication engine detects and repairs every injected fault.
 	const n, L = 6, 8
@@ -422,32 +347,6 @@ func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
 			Injector: fault.NewFixedRate(uint64(rank)*17+3, 0.1, 0.1),
 		}
 	}
-	t.Run("reduce-scatter", func(t *testing.T) {
-		w := NewWorld(Config{Ranks: n, RT: faulty})
-		raw := make([][]float64, n)
-		bufs := make([]buffer.F64, n)
-		outs := make([]buffer.F64, n)
-		for i := 0; i < n; i++ {
-			raw[i] = make([]float64, n*L)
-			for j := range raw[i] {
-				raw[i][j] = float64(i+1) / float64(j+2) // awkward mantissas
-			}
-			bufs[i] = append(buffer.F64(nil), raw[i]...)
-			outs[i] = buffer.NewF64(L)
-		}
-		w.Comm().ReduceScatterv(0, "in", "out", bufs, outs, uniformCounts(n, L), OpSum)
-		if err := w.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
-		want := reduceScatterReference(raw, L, OpSum)
-		for i := 0; i < n; i++ {
-			for j := 0; j < L; j++ {
-				if outs[i][j] != want[i][j] {
-					t.Fatalf("member %d diverged from serial reference: %v vs %v", i, outs[i], want[i])
-				}
-			}
-		}
-	})
 	t.Run("tree-allreduce", func(t *testing.T) {
 		w := NewWorld(Config{Ranks: n, RT: faulty})
 		init := make([][]float64, n)
@@ -499,7 +398,7 @@ func TestNilBufferRecordsNamedError(t *testing.T) {
 			if id := tc.run(w.Comm()); id != 0 {
 				t.Fatalf("task id = %d, want 0", id)
 			}
-			if err := w.Err(); !errors.Is(err, ErrCollectiveArgs) {
+			if err := worldErr(w); !errors.Is(err, ErrCollectiveArgs) {
 				t.Fatalf("Err = %v, want ErrCollectiveArgs", err)
 			}
 			if err := w.Shutdown(); !errors.Is(err, ErrCollectiveArgs) {
@@ -510,4 +409,13 @@ func TestNilBufferRecordsNamedError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// worldRanks returns c's members' world rank ids in comm rank order.
+func worldRanks(c *Comm) []int {
+	ids := make([]int, len(c.members))
+	for i, r := range c.members {
+		ids[i] = r.id
+	}
+	return ids
 }

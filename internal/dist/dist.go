@@ -24,10 +24,9 @@
 //
 // On top of point-to-point, communicators provide dependency-gated
 // collectives — Barrier (dissemination), Broadcast (binomial tree),
-// Allgather/Allgatherv (ring), ReduceScatterv (ring) and Allreduce
-// (gather+broadcast, recursive-doubling tree or Rabenseifner, selected by
-// payload bytes), each with a leader-based hierarchical shape on placed
-// Worlds — built from the same comm-task primitive, so they overlap with
+// Allgather/Allgatherv (ring) and Allreduce (gather+broadcast,
+// recursive-doubling tree or Rabenseifner, selected by payload bytes), each
+// with a leader-based hierarchical shape on placed Worlds — built from the same comm-task primitive, so they overlap with
 // computation under exactly the dataflow rules the paper's hybrid
 // applications rely on.
 package dist
@@ -56,8 +55,8 @@ type Config struct {
 	// Topology places the ranks on physical nodes. It steers the
 	// algorithms, not the pricing: communicators whose members share nodes
 	// auto-select hierarchical collectives (node-local phase → leader
-	// exchange → node-local fan-out) and Comm.SplitByNode derives node-local
-	// sub-communicators from it. To also charge messages by placement, hand
+	// exchange → node-local fan-out) over node-local sub-communicators
+	// derived from it. To also charge messages by placement, hand
 	// the same topology to the transport (NewSimTopology). Nil keeps every
 	// layer flat. A topology with fewer ranks than the World records
 	// ErrTopology in the World's error set and is ignored.
@@ -180,12 +179,9 @@ func (w *World) nodeOf(id int) int {
 	return w.topo.NodeOf(id)
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
 // Rank returns rank i, for per-rank runtime access (submit compute tasks,
 // read stats). An out-of-range i records ErrRankOutOfRange in the World's
-// error set (reported by Err and Shutdown) and returns nil instead of
+// error set (reported by Shutdown) and returns nil instead of
 // panicking.
 func (w *World) Rank(i int) *Rank {
 	if i < 0 || i >= len(w.ranks) {
@@ -194,9 +190,6 @@ func (w *World) Rank(i int) *Rank {
 	}
 	return w.ranks[i]
 }
-
-// Transport returns the world's transport (e.g. to read *Sim accounting).
-func (w *World) Transport() Transport { return w.tr }
 
 // MessagesSent returns the number of messages sent so far across all ranks:
 // each executed send task counts exactly once, however the task's rank
@@ -320,14 +313,6 @@ func (w *World) stuckOnRecvs() bool {
 	return w.posted.Load() > 0
 }
 
-// Err returns the joined communication errors observed so far without
-// shutting down.
-func (w *World) Err() error {
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	return errors.Join(w.errs...)
-}
-
 // stageF64 leases an n-element staging buffer from the pool for the
 // lifetime of the World; Shutdown returns every lease after the graphs
 // drain. Contents are UNDEFINED — callers must fully overwrite before the
@@ -346,9 +331,6 @@ func (w *World) addErr(err error) {
 	w.errs = append(w.errs, err)
 	w.errMu.Unlock()
 }
-
-// ID returns the rank's index in the World.
-func (r *Rank) ID() int { return r.id }
 
 // Runtime returns the rank's dataflow runtime, for submitting compute tasks.
 func (r *Rank) Runtime() *rt.Runtime { return r.rt }

@@ -156,7 +156,7 @@ func TestCommNeverReplicatedNorInjected(t *testing.T) {
 			t.Fatalf("rank %d received corrupted final block: %v", rk, remote[rk][0])
 		}
 	}
-	if d, ok := w.Transport().(*Direct); ok {
+	if d, ok := w.tr.(*Direct); ok {
 		if p := d.Pending(); p != 0 {
 			t.Fatalf("%d messages never received", p)
 		}
@@ -275,8 +275,8 @@ func TestShutdownDanglingRecvReportsDeadlock(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	w := NewWorld(Config{})
-	if w.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", w.Size())
+	if len(w.ranks) != 1 {
+		t.Fatalf("Size = %d, want 1", len(w.ranks))
 	}
 	b := buffer.NewF64(1)
 	w.Rank(0).Runtime().Submit("t", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 1 }, rt.Out("a", b))
@@ -382,4 +382,11 @@ func TestHaloExchangeMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// worldErr returns the joined communication errors w has recorded so far.
+func worldErr(w *World) error {
+	w.errMu.Lock()
+	defer w.errMu.Unlock()
+	return errors.Join(w.errs...)
 }

@@ -39,7 +39,7 @@ func varints(vs ...int) []byte {
 // submitted for it.
 func rejected(t *testing.T, w *World, op string) bool {
 	t.Helper()
-	err := w.Err()
+	err := worldErr(w)
 	if err == nil {
 		return false
 	}
@@ -53,24 +53,22 @@ func rejected(t *testing.T, w *World, op string) bool {
 }
 
 // FuzzVectorArgs: over arbitrary member counts (≤ 8), vector lengths,
-// counts and displacements, Allgatherv and ReduceScatterv never panic. Each
-// call either records an ErrVectorArgs- or ErrCollectiveArgs-wrapped error
-// and submits no task, or its World shuts down clean with every member
-// holding the serial reference. layout is counts then displacements, as
-// varints; a short layout gives short slices. fit sizes ReduceScatterv's
-// buffers to its counts when they are small, so valid calls are reachable;
-// ragged shortens one Allgatherv vector.
+// counts and displacements, Allgatherv never panics. Each call either
+// records an ErrVectorArgs- or ErrCollectiveArgs-wrapped error and submits
+// no task, or its World shuts down clean with every member holding the
+// serial reference. layout is counts then displacements, as varints; a
+// short layout gives short slices. ragged shortens one vector.
 func FuzzVectorArgs(f *testing.F) {
-	f.Add(uint8(2), uint8(4), false, false, varints(1, 1, 0, math.MaxInt)) // displacement overflow
-	f.Add(uint8(2), uint8(4), true, false, varints(math.MaxInt, 1, 0, 1))  // count overflow
-	f.Add(uint8(3), uint8(4), false, false, varints(2, 1, 2, 0, 2, 3))     // outside the vector
-	f.Add(uint8(3), uint8(4), false, false, varints(2, 2, 1, 0, 1, 3))     // overlap
-	f.Add(uint8(3), uint8(4), false, false, varints(-1, 2, 2, 0, 0, 2))    // negative count
-	f.Add(uint8(3), uint8(4), false, true, varints(1, 1, 1, 0, 1, 2))      // ragged vectors
-	f.Add(uint8(2), uint8(4), false, false, varints(2, 2, 0))              // short displacements
-	f.Add(uint8(4), uint8(10), true, false, varints(3, 0, 2, 5, 0, 3, 3, 5))
-	f.Add(uint8(1), uint8(0), true, false, varints(0, 0))
-	f.Fuzz(func(t *testing.T, members, vlen uint8, fit, ragged bool, layout []byte) {
+	f.Add(uint8(2), uint8(4), false, varints(1, 1, 0, math.MaxInt)) // displacement overflow
+	f.Add(uint8(2), uint8(4), false, varints(math.MaxInt, 1, 0, 1)) // count overflow
+	f.Add(uint8(3), uint8(4), false, varints(2, 1, 2, 0, 2, 3))     // outside the vector
+	f.Add(uint8(3), uint8(4), false, varints(2, 2, 1, 0, 1, 3))     // overlap
+	f.Add(uint8(3), uint8(4), false, varints(-1, 2, 2, 0, 0, 2))    // negative count
+	f.Add(uint8(3), uint8(4), true, varints(1, 1, 1, 0, 1, 2))      // ragged vectors
+	f.Add(uint8(2), uint8(4), false, varints(2, 2, 0))              // short displacements
+	f.Add(uint8(4), uint8(10), false, varints(3, 0, 2, 5, 0, 3, 3, 5))
+	f.Add(uint8(1), uint8(0), false, varints(0, 0))
+	f.Fuzz(func(t *testing.T, members, vlen uint8, ragged bool, layout []byte) {
 		n := max(1, int(members%9))
 		vals := ints(layout)
 		counts := vals[:min(n, len(vals))]
@@ -105,42 +103,6 @@ func FuzzVectorArgs(f *testing.F) {
 				}
 				if !bufs[i].EqualTo(buffer.F64(want)) {
 					t.Fatalf("Allgatherv(%v, %v) member %d = %v, want %v", counts, displs, i, bufs[i], want)
-				}
-			}
-		}
-		_ = w.Shutdown()
-
-		// ReduceScatterv: member i contributes 100i+k at element k.
-		w = NewWorld(Config{Ranks: n})
-		in, outs := make([]buffer.F64, n), make([]buffer.F64, n)
-		sized := fit && len(counts) == n
-		total := 0
-		for _, c := range counts {
-			sized = sized && c >= 0 && c <= 64
-			total += c
-		}
-		raw := make([][]float64, n)
-		for i := range in {
-			inLen, outLen := int(vlen), int(vlen)/n
-			if sized {
-				inLen, outLen = total, counts[i]
-			}
-			in[i], outs[i] = buffer.NewF64(inLen), buffer.NewF64(outLen)
-			for k := range in[i] {
-				in[i][k] = float64(100*i + k)
-			}
-			raw[i] = append([]float64(nil), in[i]...)
-		}
-		w.Comm().ReduceScatterv(0, "in", "out", in, outs, counts, OpSum)
-		if !rejected(t, w, "ReduceScatterv") {
-			if err := w.Shutdown(); err != nil {
-				t.Fatalf("ReduceScatterv(%v): %v", counts, err)
-			}
-			d, _ := vecDispls(counts)
-			want := reduceScattervRingReference(raw, counts, d, OpSum)
-			for i := range outs {
-				if !outs[i].EqualTo(buffer.F64(want[i])) {
-					t.Fatalf("ReduceScatterv(%v) member %d = %v, want %v", counts, i, outs[i], want[i])
 				}
 			}
 		}
@@ -224,11 +186,11 @@ func FuzzSplit(f *testing.F) {
 		}
 		for i, sub := range subs {
 			g := byColor[colors[i]]
-			if sub != subs[groups[g][0]] || sub.Context() != ctx0+1+uint64(g) {
+			if sub != subs[groups[g][0]] || sub.ctx != ctx0+1+uint64(g) {
 				t.Fatalf("Split(%v, %v): member %d in comm ctx %d, want group %d's (ctx %d)",
-					colors, keys, i, sub.Context(), g, ctx0+1+uint64(g))
+					colors, keys, i, sub.ctx, g, ctx0+1+uint64(g))
 			}
-			got := sub.WorldRanks()
+			got := worldRanks(sub)
 			if len(got) != len(groups[g]) {
 				t.Fatalf("Split(%v, %v): group %d = %v, want %v", colors, keys, g, got, groups[g])
 			}

@@ -42,8 +42,8 @@ func TestWorldTopologyTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(Config{Ranks: 8, Topology: topo})
-	if !errors.Is(w.Err(), ErrTopology) {
-		t.Fatalf("Err = %v, want ErrTopology", w.Err())
+	if !errors.Is(worldErr(w), ErrTopology) {
+		t.Fatalf("Err = %v, want ErrTopology", worldErr(w))
 	}
 	if w.Topology() != nil {
 		t.Fatal("undersized topology must be ignored")
@@ -78,7 +78,7 @@ func TestHierarchicalFlag(t *testing.T) {
 	_ = w.Shutdown()
 
 	// One-rank-per-node topology: degenerate, stays flat.
-	flat, err := simnet.FlatTopology(4, simnet.Marenostrum())
+	flat, err := simnet.BlockTopology(4, 1, simnet.Marenostrum(), simnet.Marenostrum())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHierarchicalFlag(t *testing.T) {
 	if !c.Hierarchical() {
 		t.Fatal("8 ranks on 2 nodes: hierarchical")
 	}
-	locals, leaders, err := c.SplitByNode()
+	locals, leaders, err := nodeSplit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestSplitByNode(t *testing.T) {
 	// 7 ranks on 3 nodes (ragged tail): groups {0..2}, {3..5}, {6}.
 	w := blockWorld(t, 7, 3, false)
 	c := w.Comm()
-	locals, leaders, err := c.SplitByNode()
+	locals, leaders, err := nodeSplit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantGroups := [][]int{{0, 1, 2}, {3, 4, 5}, {6}}
 	for g, grp := range wantGroups {
 		lc := locals[grp[0]]
-		if got := lc.WorldRanks(); !reflect.DeepEqual(got, grp) {
+		if got := worldRanks(lc); !reflect.DeepEqual(got, grp) {
 			t.Fatalf("group %d = %v, want %v", g, got, grp)
 		}
 		for _, i := range grp {
@@ -129,23 +129,23 @@ func TestSplitByNode(t *testing.T) {
 			}
 		}
 	}
-	if got := leaders.WorldRanks(); !reflect.DeepEqual(got, []int{0, 3, 6}) {
+	if got := worldRanks(leaders); !reflect.DeepEqual(got, []int{0, 3, 6}) {
 		t.Fatalf("leaders = %v, want [0 3 6]", got)
 	}
 	// Contexts all fresh and distinct.
 	seen := map[uint64]bool{0: true}
 	for _, cc := range []*Comm{locals[0], locals[3], locals[6], leaders} {
-		if seen[cc.Context()] {
-			t.Fatalf("context %d reused", cc.Context())
+		if seen[cc.ctx] {
+			t.Fatalf("context %d reused", cc.ctx)
 		}
-		seen[cc.Context()] = true
+		seen[cc.ctx] = true
 	}
 	// A second call mints fresh contexts (MPI semantics, like Split).
-	locals2, leaders2, err := c.SplitByNode()
+	locals2, leaders2, err := nodeSplit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if locals2[0].Context() == locals[0].Context() || leaders2.Context() == leaders.Context() {
+	if locals2[0].ctx == locals[0].ctx || leaders2.ctx == leaders.ctx {
 		t.Fatal("SplitByNode must mint fresh contexts per call")
 	}
 	if err := w.Shutdown(); err != nil {
@@ -157,16 +157,16 @@ func TestSplitByNodeFlatWorld(t *testing.T) {
 	// Without a topology every member is its own node: singleton locals,
 	// leaders spans the whole group.
 	w := NewWorld(Config{Ranks: 3})
-	locals, leaders, err := w.Comm().SplitByNode()
+	locals, leaders, err := nodeSplit(w.Comm())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, lc := range locals {
-		if lc.Size() != 1 || lc.WorldRanks()[0] != i {
-			t.Fatalf("local %d = %v", i, lc.WorldRanks())
+		if lc.Size() != 1 || worldRanks(lc)[0] != i {
+			t.Fatalf("local %d = %v", i, worldRanks(lc))
 		}
 	}
-	if got := leaders.WorldRanks(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := worldRanks(leaders); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("leaders = %v", got)
 	}
 	if err := w.Shutdown(); err != nil {
@@ -463,8 +463,8 @@ func TestUndersizedTransportTopologyReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(Config{Ranks: 8, Transport: NewSimTopology(topo)})
-	if !errors.Is(w.Err(), ErrTopology) {
-		t.Fatalf("Err = %v, want ErrTopology", w.Err())
+	if !errors.Is(worldErr(w), ErrTopology) {
+		t.Fatalf("Err = %v, want ErrTopology", worldErr(w))
 	}
 	c := w.Comm()
 	dst := buffer.NewF64(1)
@@ -566,4 +566,14 @@ func TestHierBeatsFlatVirtualTime(t *testing.T) {
 	if hier.WireBytes() >= flat.WireBytes() {
 		t.Fatalf("hierarchical wire bytes %d must beat flat %d", hier.WireBytes(), flat.WireBytes())
 	}
+}
+
+// nodeSplit mints c's node decomposition afresh: the node-local
+// communicators indexed by parent comm rank, and the leaders communicator.
+func nodeSplit(c *Comm) (locals []*Comm, leaders *Comm, err error) {
+	d, err := c.splitByNode()
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.locals, d.leaders, nil
 }

@@ -154,7 +154,7 @@ func TestWorldStatsCountPoolOnce(t *testing.T) {
 	if got.Leases < w.MessagesSent() {
 		t.Fatalf("%d leases cannot cover %d payloads", got.Leases, w.MessagesSent())
 	}
-	for i := 0; i < w.Size(); i++ {
+	for i := 0; i < len(w.ranks); i++ {
 		if st := w.Rank(i).Stats().Pool; st != (buffer.PoolStats{}) {
 			t.Fatalf("rank %d reports the shared pool's traffic itself: %+v", i, st)
 		}

@@ -87,13 +87,6 @@ func (s *Sim) Record(p *place.Profile) {
 	s.mu.Unlock()
 }
 
-// Profile returns the attached placement profile, nil when not recording.
-func (s *Sim) Profile() *place.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prof
-}
-
 // Send implements Transport: the payload is charged its transfer time on
 // the physical (Src, Dst) link in virtual time (and recorded into the
 // attached profile, if any), then delivered to the matcher.
@@ -120,13 +113,6 @@ func (s *Sim) Now() simtime.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.meter.Now()
-}
-
-// Messages returns the number of messages charged to the fabric.
-func (s *Sim) Messages() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.meter.Messages()
 }
 
 // BytesSent returns the cumulative payload bytes charged to the fabric.

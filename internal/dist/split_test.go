@@ -59,12 +59,12 @@ func TestSplitPartitionProperty(t *testing.T) {
 				continue
 			}
 			g := subs[want[0]]
-			if prev, ok := seenCtx[g.Context()]; ok && prev != color {
-				t.Logf("colors %d and %d share context %d", prev, color, g.Context())
+			if prev, ok := seenCtx[g.ctx]; ok && prev != color {
+				t.Logf("colors %d and %d share context %d", prev, color, g.ctx)
 				return false
 			}
-			seenCtx[g.Context()] = color
-			if g.Context() == 0 {
+			seenCtx[g.ctx] = color
+			if g.ctx == 0 {
 				t.Log("sub-communicator reused the world context")
 				return false
 			}
@@ -72,7 +72,7 @@ func TestSplitPartitionProperty(t *testing.T) {
 				t.Logf("color %d size = %d, want %d", color, g.Size(), len(want))
 				return false
 			}
-			got := g.WorldRanks()
+			got := worldRanks(g)
 			for j, pi := range want {
 				if subs[pi] != g {
 					t.Logf("member %d of color %d not in its color's comm", pi, color)

@@ -38,7 +38,7 @@ func TestCommContextIsolation64Ranks(t *testing.T) {
 		t.Fatal(err)
 	}
 	alias := aliasSubs[0]
-	if alias.Context() == world.Context() {
+	if alias.ctx == world.ctx {
 		t.Fatal("alias comm shares the world context")
 	}
 
@@ -101,7 +101,7 @@ func TestCommContextIsolation64Ranks(t *testing.T) {
 			}
 		}
 	}
-	if d, ok := w.Transport().(*Direct); ok && d.Pending() != 0 {
+	if d, ok := w.tr.(*Direct); ok && d.Pending() != 0 {
 		t.Fatalf("transport still holds %d messages", d.Pending())
 	}
 }
@@ -246,7 +246,7 @@ func TestWorld256RanksMixedTraffic(t *testing.T) {
 	if got := w.MessagesSent(); got != want {
 		t.Fatalf("sent %d messages, want %d", got, want)
 	}
-	if d, ok := w.Transport().(*Direct); ok && d.Pending() != 0 {
+	if d, ok := w.tr.(*Direct); ok && d.Pending() != 0 {
 		t.Fatalf("transport still holds %d messages", d.Pending())
 	}
 }
@@ -283,8 +283,9 @@ func TestWorldGoroutineCeiling(t *testing.T) {
 		}
 	}()
 
-	w := NewWorld(Config{Ranks: n})
-	workers := n * w.Rank(0).Runtime().Workers()
+	const perRank = 1
+	w := NewWorld(Config{Ranks: n, RT: func(int) rt.Config { return rt.Config{Workers: perRank} }})
+	workers := n * perRank
 	c := w.Comm()
 	halo := newScalars(n)
 	red := newScalars(n)

@@ -1,4 +1,4 @@
-// Topology-aware communicator machinery: SplitByNode derives node-local
+// Topology-aware communicator machinery: splitByNode derives node-local
 // sub-communicators and a leaders communicator from the World's placement,
 // and the cached node decomposition backs the hierarchical collectives
 // (hier.go), which auto-select whenever a communicator's members share
@@ -55,27 +55,6 @@ func commHier(w *World, members []*Rank) bool {
 	return shared && len(counts) > 1
 }
 
-// SplitByNode partitions the communicator by the World topology's placement
-// — sugar over Split with the member's node id as the color and its parent
-// comm rank as the key. It returns locals, indexed by parent comm rank
-// (members of one node share one *Comm, numbered in parent order, so each
-// group's lowest parent rank is local rank 0 — the node leader), and the
-// leaders communicator containing exactly the node leaders, numbered in
-// ascending node-id order. Non-leader members are not part of leaders. On a
-// World without a topology every member is its own node: locals are
-// singletons and leaders spans the whole group.
-//
-// Each call mints fresh matching contexts, like Split. The hierarchical
-// collectives use one cached decomposition per Comm instead, so they never
-// mint more than once.
-func (c *Comm) SplitByNode() (locals []*Comm, leaders *Comm, err error) {
-	d, err := c.splitByNode()
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.locals, d.leaders, nil
-}
-
 // nodeComms returns the communicator's cached node decomposition, minting
 // it on first use. Lazy minting keeps the context-id sequence of worlds
 // that never go hierarchical identical to pre-topology builds.
@@ -84,8 +63,14 @@ func (c *Comm) nodeComms() (*nodeDecomp, error) {
 	return c.node, c.nodeErr
 }
 
-// splitByNode builds the full decomposition: one Split by node id for the
-// locals, a second Split separating leaders from non-leaders.
+// splitByNode partitions the communicator by the World topology's
+// placement: one Split with the member's node id as the color and its
+// parent comm rank as the key gives the locals, indexed by parent comm rank
+// (each group's lowest parent rank is local rank 0 — the node leader); a
+// second Split gives the leaders communicator, numbered in ascending
+// node-id order. On a World without a topology every member is its own
+// node. Each call mints fresh matching contexts; the collectives go through
+// nodeComms' cached decomposition, so they mint once.
 func (c *Comm) splitByNode() (*nodeDecomp, error) {
 	n := len(c.members)
 	colors := make([]int, n)
@@ -96,7 +81,7 @@ func (c *Comm) splitByNode() (*nodeDecomp, error) {
 	}
 	locals, err := c.Split(colors, keys)
 	if err != nil {
-		return nil, fmt.Errorf("dist: SplitByNode: %w", err)
+		return nil, fmt.Errorf("dist: node split: %w", err)
 	}
 	d := &nodeDecomp{locals: locals, groupOf: make([]int, n)}
 	// Group parent ranks by node in ascending node-id order — the same
@@ -130,7 +115,7 @@ func (c *Comm) splitByNode() (*nodeDecomp, error) {
 	}
 	subs, err := c.Split(lcolors, lkeys)
 	if err != nil {
-		return nil, fmt.Errorf("dist: SplitByNode leaders: %w", err)
+		return nil, fmt.Errorf("dist: node split leaders: %w", err)
 	}
 	d.leaders = subs[d.groups[0][0]]
 	return d, nil

@@ -44,21 +44,17 @@ func raggedCounts(n int) []int {
 	return counts
 }
 
-// ragged is a (counts, displs) layout with its shared vectors and, for
-// ReduceScatterv, the per-member outputs.
+// ragged is a (counts, displs) layout with its shared vectors.
 type ragged struct {
 	counts, displs []int
-	bufs, outs     []buffer.F64
+	bufs           []buffer.F64
 }
 
 func newRagged(n int) ragged {
-	r := ragged{counts: raggedCounts(n), outs: make([]buffer.F64, n)}
+	r := ragged{counts: raggedCounts(n)}
 	var total int
-	r.displs, total = vecDispls(r.counts)
+	r.displs, total = vecLayout(r.counts)
 	r.bufs = f64s(n, total)
-	for i := range r.outs {
-		r.outs[i] = make(buffer.F64, r.counts[i])
-	}
 	return r
 }
 
@@ -85,14 +81,6 @@ var trafficCases = []trafficCase{
 	{"AllgathervHier", func(c *Comm) {
 		r := newRagged(c.Size())
 		c.allgatherv(true, 1, "v", r.bufs, r.counts, r.displs)
-	}},
-	{"ReduceScattervFlat", func(c *Comm) {
-		r := newRagged(c.Size())
-		c.reduceScatterv(false, 1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
-	}},
-	{"ReduceScattervHier", func(c *Comm) {
-		r := newRagged(c.Size())
-		c.reduceScatterv(true, 1, "in", "out", r.bufs, r.outs, r.counts, OpSum)
 	}},
 	{"AllreduceGather", func(c *Comm) { c.AllreduceGather(1, "v", f64s(c.Size(), 100), OpSum) }},
 	{"AllreduceTree", func(c *Comm) { c.AllreduceTree(1, "v", f64s(c.Size(), 100), OpSum) }},

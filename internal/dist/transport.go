@@ -40,8 +40,9 @@ const (
 	ClassTree
 	// ClassGatherv is non-uniform allgather (Allgatherv) traffic.
 	ClassGatherv
-	// ClassRedScatv is non-uniform reduce-scatter (ReduceScatterv) traffic.
-	ClassRedScatv
+	// (8 was the non-uniform reduce-scatter's class; the slot stays so the
+	// classes after it keep their values.)
+	_
 	// ClassRab is Rabenseifner allreduce (recursive halving + doubling)
 	// traffic.
 	ClassRab
@@ -52,7 +53,7 @@ const (
 // physical link regardless of which communicator the traffic belongs to —
 // plus a class, a tag, and a class-private subchannel (the dissemination
 // round for barriers, the root for broadcast/reduce trees, the ring or
-// doubling step for allgather/reduce-scatter/tree traffic), so two same-tag
+// doubling step for allgather/tree traffic), so two same-tag
 // collectives rooted differently can never share a mailbox. Ctx is the
 // communicator context id minted at Split time (0 for the world
 // communicator): two communicators can carry identical (Src, Dst, Class,

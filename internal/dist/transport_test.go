@@ -94,7 +94,7 @@ func TestSimTransportChargesTheFabric(t *testing.T) {
 	if want := float64(k * (k + 1) / 2); sum[0] != want {
 		t.Fatalf("sum = %v, want %v", sum[0], want)
 	}
-	if got := sim.Messages(); got != k {
+	if got := sim.meter.Messages(); got != k {
 		t.Fatalf("Messages = %d, want %d", got, k)
 	}
 	if got, want := sim.BytesSent(), int64(k*n*8); got != want {

@@ -103,31 +103,11 @@ type Estimator struct {
 // NewEstimator returns an Estimator using the given node rates.
 func NewEstimator(rates Rates) *Estimator { return &Estimator{rates: rates} }
 
-// Rates returns the node rates the estimator was built with.
-func (e *Estimator) Rates() Rates { return e.rates }
-
 // Estimate returns the rate estimate for a task with the given id and
 // argument footprint.
 func (e *Estimator) Estimate(id uint64, argBytes int64) Task {
 	due, sdc := e.rates.TaskFIT(argBytes)
 	return Task{ID: id, ArgBytes: argBytes, DUE: due, SDC: sdc}
-}
-
-// BenchmarkFIT estimates the whole-application FIT from the total input
-// footprint, exactly as the paper derives per-benchmark FITs (§IV-A). This is
-// the quantity thresholds are expressed against.
-func (e *Estimator) BenchmarkFIT(inputBytes int64) float64 {
-	return e.rates.TotalFIT(inputBytes)
-}
-
-// Threshold computes the App_FIT threshold for the scenario in §V-A1: the
-// error rates grow by rateScale (e.g. 10× at exascale) but the user wants the
-// application to keep today's reliability, so the threshold is the
-// benchmark's FIT at *today's* (1×) rates. The task rates the heuristic sees
-// are computed at rateScale×; the sum of all task FITs is then roughly
-// rateScale × threshold, forcing the heuristic to protect the difference.
-func Threshold(base Rates, inputBytes int64) float64 {
-	return base.TotalFIT(inputBytes)
 }
 
 // String implements fmt.Stringer.

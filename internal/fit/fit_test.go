@@ -102,8 +102,8 @@ func TestEstimator(t *testing.T) {
 	if !almostEq(task.Total(), task.DUE+task.SDC, 1e-15) {
 		t.Fatal("Total mismatch")
 	}
-	if e.Rates() != Roadrunner().Scale(10) {
-		t.Fatal("Rates accessor mismatch")
+	if e.rates != Roadrunner().Scale(10) {
+		t.Fatal("estimator rates mismatch")
 	}
 }
 
@@ -113,10 +113,9 @@ func TestThresholdScenario(t *testing.T) {
 	// heuristic must protect ~90% of FIT mass.
 	base := Roadrunner()
 	input := int64(64 * 1024 * 1024)
-	thr := Threshold(base, input)
-	est := NewEstimator(base.Scale(10))
-	if !almostEq(est.BenchmarkFIT(input), 10*thr, 1e-12) {
-		t.Fatalf("scaled benchmark FIT %g != 10×threshold %g", est.BenchmarkFIT(input), thr)
+	thr := base.TotalFIT(input)
+	if scaled := base.Scale(10).TotalFIT(input); !almostEq(scaled, 10*thr, 1e-12) {
+		t.Fatalf("scaled benchmark FIT %g != 10×threshold %g", scaled, thr)
 	}
 }
 

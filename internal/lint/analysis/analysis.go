@@ -36,14 +36,23 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// Pass carries one package's syntax and types to one analyzer, mirroring
-// analysis.Pass.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
+// Unit is one loaded, type-checked package: its non-test files, types and
+// type information.
+type Unit struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+}
+
+// Pass carries one package's syntax and types to one analyzer, mirroring
+// analysis.Pass, plus every package loaded alongside it.
+type Pass struct {
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	Unit
+	// Module is every package of the run, this one included. Per-package
+	// analyzers ignore it; unusedexport looks in it for callers.
+	Module []Unit
 
 	diags *[]Diagnostic
 }
@@ -91,30 +100,23 @@ func waivers(fset *token.FileSet, file *ast.File) map[int]map[string]bool {
 	return w
 }
 
-// Run executes analyzers over one type-checked package and returns the
-// surviving diagnostics: findings on a line carrying (or directly under) a
+// Run executes analyzers over one type-checked package of module and
+// returns the surviving diagnostics: findings on a line carrying (or directly under) a
 // matching //lint:<name> waiver are dropped. Diagnostics come back sorted
 // by position then analyzer, so output is deterministic however analyzers
 // iterate.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+func Run(fset *token.FileSet, u Unit, module []Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			diags:     &diags,
-		}
+		pass := &Pass{Analyzer: a, Fset: fset, Unit: u, Module: module, diags: &diags}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
+			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, u.Pkg.Path(), err)
 		}
 	}
 
 	// Build the waiver index per file once, then filter.
 	waived := map[string]map[int]map[string]bool{}
-	for _, f := range files {
+	for _, f := range u.Files {
 		pos := fset.Position(f.Pos())
 		waived[pos.Filename] = waivers(fset, f)
 	}

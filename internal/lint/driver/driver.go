@@ -37,9 +37,7 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	analysis.Unit
 }
 
 // listPkg is the subset of `go list -json` fields the loader consumes.
@@ -129,15 +127,27 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			ImportPath: t.ImportPath,
 			Dir:        t.Dir,
 			Fset:       fset,
-			Files:      files,
-			Types:      tp,
-			Info:       info,
+			Unit:       analysis.Unit{Files: files, Pkg: tp, TypesInfo: info},
 		})
 	}
 	return pkgs, nil
 }
 
-// Run applies analyzers to one loaded package, waivers filtered, sorted.
-func Run(pkg *Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	return analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
+// Run applies analyzers to every loaded package, each seeing the others
+// as its module: waivers filtered, sorted per package, packages in load
+// order.
+func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	module := make([]analysis.Unit, len(pkgs))
+	for i, p := range pkgs {
+		module[i] = p.Unit
+	}
+	var all []analysis.Diagnostic
+	for _, p := range pkgs {
+		diags, err := analysis.Run(p.Fset, p.Unit, module, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, diags...)
+	}
+	return all, nil
 }

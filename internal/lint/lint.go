@@ -10,7 +10,9 @@
 //   - lockedfield: fields annotated `// guarded by <mu>` are only touched
 //     under that mutex (the Profile.Entries lazy-cache pattern);
 //   - wraperr: errors crossing internal/ package boundaries are sentinels
-//     or %w-wraps, so errors.Is works over the facade and the wire.
+//     or %w-wraps, so errors.Is works over the facade and the wire;
+//   - unusedexport: exported internal/ code has a non-test caller, so code
+//     only tests reach is deleted rather than kept.
 //
 // cmd/appfitlint runs the suite over ./... as the `make check-lint` gate.
 package lint
@@ -20,6 +22,7 @@ import (
 	"appfit/internal/lint/lockedfield"
 	"appfit/internal/lint/maporder"
 	"appfit/internal/lint/simdet"
+	"appfit/internal/lint/unusedexport"
 	"appfit/internal/lint/wraperr"
 )
 
@@ -29,6 +32,7 @@ func Analyzers() []*analysis.Analyzer {
 		lockedfield.Analyzer,
 		maporder.Analyzer,
 		simdet.Analyzer,
+		unusedexport.Analyzer,
 		wraperr.Analyzer,
 	}
 }

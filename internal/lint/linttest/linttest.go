@@ -29,27 +29,30 @@ type want struct {
 	hit  bool
 }
 
-// Run loads the package at dir (a path relative to the test's working
-// directory, e.g. "testdata/src/a"), applies a, and reports every
-// mismatch between diagnostics and want comments as test errors.
-func Run(t *testing.T, dir string, a *analysis.Analyzer) {
+// Run loads the packages dir names (a path relative to the test's working
+// directory, e.g. "testdata/src/a", or a pattern such as
+// "testdata/src/b/..."), applies a with those packages as the module, and
+// reports every mismatch between diagnostics and want comments as test
+// errors.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) { //lint:unusedexport a test-helper package: analyzer tests call it
 	t.Helper()
 	pkgs, err := driver.Load(".", "./"+dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	for _, pkg := range pkgs {
-		diags, err := driver.Run(pkg, []*analysis.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, pkg.ImportPath, err)
-		}
-		checkWants(t, pkg, diags)
+	diags, err := driver.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
+	var wants []*want
+	for _, pkg := range pkgs {
+		wants = append(wants, harvestWants(t, pkg)...)
+	}
+	checkWants(t, wants, diags)
 }
 
-// checkWants harvests want comments from the package's files and matches
-// them 1:1 against diags by (file, line).
-func checkWants(t *testing.T, pkg *driver.Package, diags []analysis.Diagnostic) {
+// harvestWants collects the package's want comments.
+func harvestWants(t *testing.T, pkg *driver.Package) []*want {
 	t.Helper()
 	var wants []*want
 	for _, f := range pkg.Files {
@@ -72,6 +75,12 @@ func checkWants(t *testing.T, pkg *driver.Package, diags []analysis.Diagnostic) 
 			}
 		}
 	}
+	return wants
+}
+
+// checkWants matches wants 1:1 against diags by (file, line).
+func checkWants(t *testing.T, wants []*want, diags []analysis.Diagnostic) {
+	t.Helper()
 	for _, d := range diags {
 		matched := false
 		for _, w := range wants {

@@ -54,10 +54,10 @@ func TestEvaluateMatchesLiveSim(t *testing.T) {
 			t.Logf("seed %d: replay makespan %d != live %d", seed, ev.Makespan, sim.Now())
 			return false
 		}
-		if ev.WireBytes != sim.WireBytes() || ev.Messages != sim.Messages() || ev.BytesSent != sim.BytesSent() {
+		if ev.WireBytes != sim.WireBytes() || ev.Messages != w.MessagesSent() || ev.BytesSent != sim.BytesSent() {
 			t.Logf("seed %d: replay accounting (%d,%d,%d) != live (%d,%d,%d)", seed,
 				ev.WireBytes, ev.Messages, ev.BytesSent,
-				sim.WireBytes(), sim.Messages(), sim.BytesSent())
+				sim.WireBytes(), w.MessagesSent(), sim.BytesSent())
 			return false
 		}
 		return true
@@ -78,21 +78,12 @@ func TestSimRecordAttachDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := dist.NewSimTopology(topo)
-	if sim.Profile() != nil {
-		t.Fatal("fresh Sim must not be recording")
-	}
 
 	sim.Send(dist.Match{Src: 0, Dst: 1}, buffer.NewF64(8)) // before attach
 	prof := place.NewProfile(4)
 	sim.Record(prof)
-	if sim.Profile() != prof {
-		t.Fatal("Profile must return the attached recorder")
-	}
 	sim.Send(dist.Match{Src: 2, Dst: 3}, buffer.NewF64(8)) // recorded
 	sim.Record(nil)
-	if sim.Profile() != nil {
-		t.Fatal("Record(nil) must detach")
-	}
 	sim.Send(dist.Match{Src: 2, Dst: 3}, buffer.NewF64(8)) // after detach
 
 	// Only the attached window's one 64-byte 2→3 send is recorded: neither
@@ -100,8 +91,8 @@ func TestSimRecordAttachDetach(t *testing.T) {
 	if got, want := prof.Entries(), []place.Entry{{Src: 2, Dst: 3, Bytes: 64, Count: 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded %+v, want %+v", got, want)
 	}
-	if got := sim.Messages(); got != 3 {
-		t.Fatalf("meter saw %d messages, want 3 (recording must not affect charging)", got)
+	if got := sim.BytesSent(); got != 3*64 {
+		t.Fatalf("meter saw %d bytes, want three 64-byte sends (recording must not affect charging)", got)
 	}
 	sim.Close()
 }

@@ -92,7 +92,7 @@ func randomProfile(rng *xrand.Rand, ranks int) *Profile {
 	p := NewProfile(ranks)
 	msgs := 1 + rng.Intn(64)
 	for i := 0; i < msgs; i++ {
-		p.AddN(rng.Intn(ranks), rng.Intn(ranks), rng.Int63n(1<<16), 1+uint64(rng.Intn(4)))
+		p.AddN(rng.Intn(ranks), rng.Intn(ranks), int64(rng.Intn(1<<16)), 1+uint64(rng.Intn(4)))
 	}
 	return p
 }

@@ -73,7 +73,7 @@ func TestLeaseBalance(t *testing.T) {
 			err := r.Shutdown()
 			wantAcc, wantDst := buffer.F64{11, 22, 33}, buffer.F64{22, 44, 66}
 			if c.fails {
-				if !vote.IsNoMajority(err) {
+				if !errors.As(err, new(vote.ErrNoMajority)) {
 					t.Fatalf("Shutdown = %v, want a no-majority error", err)
 				}
 				wantAcc, wantDst = buffer.F64{10, 20, 30}, buffer.NewF64(3)

@@ -94,14 +94,14 @@ func (c *Ctx) U8(i int) buffer.U8 { return c.bufs[i].(buffer.U8) }
 
 // Attempt returns the execution attempt index (0 primary, 1 replica, ≥2
 // re-executions). Task bodies normally ignore it; tests use it.
-func (c *Ctx) Attempt() int { return c.attempt }
+func (c *Ctx) Attempt() int { return c.attempt } //lint:unusedexport task-body API, reached through appfit.Ctx
 
-// Worker returns the executing worker index, in [0, Workers()) (replica
-// executions report the primary's worker).
-func (c *Ctx) Worker() int { return c.worker }
+// Worker returns the executing worker index, in [0, Config.Workers)
+// (replica executions report the primary's worker).
+func (c *Ctx) Worker() int { return c.worker } //lint:unusedexport task-body API, reached through appfit.Ctx
 
 // TaskID returns the runtime-assigned id of the task instance.
-func (c *Ctx) TaskID() uint64 { return c.t.id }
+func (c *Ctx) TaskID() uint64 { return c.t.id } //lint:unusedexport task-body API, reached through appfit.Ctx
 
 // Detach makes the task's completion wait for an external event as well as
 // for its body: the task completes — its successors are released, Taskwait
@@ -376,9 +376,6 @@ func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
 	return r
 }
 
-// Workers returns the pool size.
-func (r *Runtime) Workers() int { return r.cfg.Workers }
-
 // Submit registers a task with its declared arguments and schedules it when
 // its dependencies are satisfied. It returns the task id. Submit and
 // SubmitComm are the program's submitting thread: one goroutine per runtime
@@ -443,13 +440,6 @@ func (r *Runtime) Shutdown() error {
 		r.pool.Close()
 		r.workersWG.Wait()
 	}
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
-	return r.firstErr
-}
-
-// Err returns the first unrecoverable error observed so far.
-func (r *Runtime) Err() error {
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
 	return r.firstErr

@@ -24,9 +24,6 @@ type deque[T any] struct {
 	items []T // guarded by mu
 }
 
-// Deque is a deque of uint64 handles.
-type Deque = deque[uint64]
-
 // PushBottom adds an item at the owner end.
 func (d *deque[T]) PushBottom(v T) {
 	d.mu.Lock()
@@ -79,13 +76,6 @@ func popFront[T any](q []T) (T, []T) {
 	return v, q[1:]
 }
 
-// Len returns the current number of items.
-func (d *deque[T]) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
-
 // Queue coordinates W workers: each has a deque; a global FIFO holds work
 // submitted from outside any worker; idle workers spin over victims then
 // park on a condition variable. Close releases all parked workers.
@@ -117,9 +107,6 @@ func NewQueue[T any](workers int) *Queue[T] {
 
 // NewPool returns a Pool with workers deques.
 func NewPool(workers int) *Pool { return NewQueue[uint64](workers) }
-
-// Workers returns the number of worker slots.
-func (p *Queue[T]) Workers() int { return len(p.deques) }
 
 // Submit enqueues v on the global queue and wakes a parked worker.
 // worker < 0 targets the global queue; otherwise v goes to that worker's

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDequeLIFOOwner(t *testing.T) {
-	d := &Deque{}
+	d := &deque[uint64]{}
 	for i := uint64(1); i <= 3; i++ {
 		d.PushBottom(i)
 	}
@@ -24,7 +24,7 @@ func TestDequeLIFOOwner(t *testing.T) {
 }
 
 func TestDequeFIFOThief(t *testing.T) {
-	d := &Deque{}
+	d := &deque[uint64]{}
 	for i := uint64(1); i <= 3; i++ {
 		d.PushBottom(i)
 	}
@@ -37,13 +37,13 @@ func TestDequeFIFOThief(t *testing.T) {
 	if _, ok := d.Steal(); ok {
 		t.Fatal("empty deque stolen from")
 	}
-	if d.Len() != 0 {
+	if len(d.items) != 0 {
 		t.Fatal("len != 0")
 	}
 }
 
 func TestDequeConcurrentNoLossNoDup(t *testing.T) {
-	d := &Deque{}
+	d := &deque[uint64]{}
 	const n = 10000
 	var got sync.Map
 	var wg sync.WaitGroup
@@ -185,8 +185,8 @@ func TestPoolManyProducersConsumers(t *testing.T) {
 
 func TestPoolMinWorkers(t *testing.T) {
 	p := NewPool(0)
-	if p.Workers() != 1 {
-		t.Fatalf("workers = %d, want clamped to 1", p.Workers())
+	if len(p.deques) != 1 {
+		t.Fatalf("workers = %d, want clamped to 1", len(p.deques))
 	}
 }
 
@@ -313,7 +313,7 @@ func BenchmarkPoolSubmitGet(b *testing.B) {
 }
 
 func BenchmarkDequePushPop(b *testing.B) {
-	d := &Deque{}
+	d := &deque[uint64]{}
 	for i := 0; i < b.N; i++ {
 		d.PushBottom(uint64(i))
 		d.PopBottom()

@@ -9,7 +9,8 @@ import (
 // FuzzParseTenants drives the daemons' -tenants parser with arbitrary
 // strings: it must never panic, every rejection must wrap ErrTenantSpec,
 // and every accepted config must normalize to a usable tenant — weight
-// ≥ 1, a finite rate ≥ 0, burst ≥ 1 and queue cap ≥ 1.
+// ≥ 1, a finite rate ≥ 0, burst ≥ 1 and queue cap ≥ 1 — that a DRR
+// dispatches through.
 func FuzzParseTenants(f *testing.F) {
 	for _, seed := range []string{
 		"heavy=3,light=1",
@@ -17,6 +18,7 @@ func FuzzParseTenants(f *testing.F) {
 		"a=1/1e300",
 		"a=1/+Inf",
 		"a=1/NaN",
+		"a=288230376151711744",
 	} {
 		f.Add(seed)
 	}
@@ -35,6 +37,13 @@ func FuzzParseTenants(f *testing.F) {
 			}
 			if n.Weight < 1 || n.Rate < 0 || math.IsNaN(n.Rate) || math.IsInf(n.Rate, 0) || n.Burst < 1 || n.QueueCap < 1 {
 				t.Fatalf("ParseTenants(%q) accepted %+v, normalized to %+v", spec, tc, n)
+			}
+			// Usable means schedulable: under the largest quantum New
+			// accepts, a DRR built from the tenant dispatches its request.
+			d := drr{quantum: maxShare}
+			d.push(&tenant{name: n.Name, weight: n.Weight}, costItem(1))
+			if d.next() == nil {
+				t.Fatalf("ParseTenants(%q) accepted %+v, whose DRR dispatches nothing", spec, tc)
 			}
 		}
 	})

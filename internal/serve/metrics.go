@@ -2,39 +2,28 @@ package serve
 
 import (
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
+	"appfit/internal/sweep"
 	"appfit/internal/trace"
 )
 
-// Metrics is the flat per-request service timing record: identity first
-// (tenant, batch index, job name, cache key), then one field per pipeline
-// stage — the same shape as sweep.Metrics with the service stages in
-// front. Exported via WriteMetricsCSV (trace.WriteRows underneath, like
-// sweep.WriteMetricsCSV); cmd/appfit-load dumps these behind -csv.
+// Metrics is the per-request service timing record: the engine's record
+// (sweep.Metrics) with the service's Index, QueueWait and Total, plus the
+// submitting tenant and the admission stage. Exported via WriteMetricsCSV;
+// cmd/appfit-load dumps these behind -csv.
 type Metrics struct {
 	// Tenant is the submitting tenant's name.
 	Tenant string `json:"tenant"`
-	// Index is the request's position in its submitted batch.
-	Index int `json:"index"`
-	// Name is the request's job name.
-	Name string `json:"name"`
-	// Key is the hex prefix of the engine's cache key ("" if uncacheable).
-	Key string `json:"key,omitempty"`
+	// Index is the request's position in its submitted batch, QueueWait
+	// is admission → DRR dispatch to a service worker, and Total is Submit
+	// entry → response; the other stages are the engine's.
+	sweep.Metrics
 	// AdmissionWait is Submit entry → admission passed (queue + bucket
 	// checks).
 	AdmissionWait time.Duration `json:"admission_wait_ns"`
-	// QueueWait is admission → DRR dispatch to a service worker.
-	QueueWait time.Duration `json:"queue_wait_ns"`
-	// CacheLookup and Sim are the engine's stages (sweep.Metrics).
-	CacheLookup time.Duration `json:"cache_lookup_ns"`
-	Sim         time.Duration `json:"sim_ns"`
-	// Total is Submit entry → response.
-	Total time.Duration `json:"total_ns"`
-	// CacheHit / Coalesced mirror the engine's cache flags.
-	CacheHit  bool `json:"cache_hit"`
-	Coalesced bool `json:"coalesced"`
 }
 
 // MetricsHeader is the CSV column contract of WriteMetricsCSV, identity
@@ -45,32 +34,14 @@ var MetricsHeader = []string{"tenant", "index", "name", "key",
 	"total_ns", "cache_hit", "coalesced"}
 
 // WriteMetricsCSV exports tenant-labeled service metrics as CSV, one row
-// per request in the order given.
+// per request in the order given: the engine's row, led by the tenant and
+// with the admission stage after the identity columns.
 func WriteMetricsCSV(w io.Writer, ms []Metrics) error {
 	rows := make([][]string, len(ms))
 	for i, m := range ms {
-		rows[i] = []string{
-			m.Tenant,
-			strconv.Itoa(m.Index),
-			m.Name,
-			m.Key,
-			strconv.FormatInt(m.AdmissionWait.Nanoseconds(), 10),
-			strconv.FormatInt(m.QueueWait.Nanoseconds(), 10),
-			strconv.FormatInt(m.CacheLookup.Nanoseconds(), 10),
-			strconv.FormatInt(m.Sim.Nanoseconds(), 10),
-			strconv.FormatInt(m.Total.Nanoseconds(), 10),
-			strconv.FormatBool(m.CacheHit),
-			strconv.FormatBool(m.Coalesced),
-		}
+		row := m.CSVRow()
+		rows[i] = slices.Concat([]string{m.Tenant}, row[:3],
+			[]string{strconv.FormatInt(m.AdmissionWait.Nanoseconds(), 10)}, row[3:])
 	}
 	return trace.WriteRows(w, MetricsHeader, rows)
-}
-
-// BatchMetrics collects the Metrics column of a batch's responses.
-func BatchMetrics(resps []Response) []Metrics {
-	ms := make([]Metrics, len(resps))
-	for i, r := range resps {
-		ms[i] = r.Metrics
-	}
-	return ms
 }

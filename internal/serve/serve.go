@@ -18,9 +18,8 @@
 // while requests are queued fails them at dispatch without simulating
 // (sweep.Engine.RunRequest re-checks, and a coalesced waiter detaches
 // without cancelling the shared in-flight execution). Every request carries
-// a flat service Metrics struct — admission wait, queue wait, the engine's
-// cache-lookup/sim stages, tenant id — exported via the same CSV writer
-// pattern as sweep.WriteMetricsCSV.
+// a service Metrics record — the engine's sweep.Metrics plus tenant id and
+// admission wait — exported through the engine's CSV row encoder.
 //
 // Shutdown is a graceful drain: Drain rejects new admissions, waits for
 // every queued and in-flight request to finish, then stops the workers.
@@ -77,8 +76,8 @@ type TenantConfig struct {
 	// Name identifies the tenant on Submit; must be non-empty and unique.
 	Name string
 	// Weight is the tenant's DRR share relative to the other tenants
-	// (default 1): with weights 3 and 1 a saturated server completes
-	// work 3:1.
+	// (default 1, at most 2^20): with weights 3 and 1 a saturated server
+	// completes work 3:1.
 	Weight int
 	// Rate is the token-bucket refill in admitted requests per second;
 	// 0 means unlimited (no rate gate).
@@ -94,15 +93,23 @@ type TenantConfig struct {
 // DefaultQueueCap is the queue bound of a tenant that configures none.
 const DefaultQueueCap = 1024
 
+// maxShare bounds a tenant's weight and the DRR quantum, so the credit a
+// visit adds (weight × quantum ≤ 2^40) can never wrap the deficit: a
+// wrapped deficit never covers the head, and drr.next would spin forever.
+const maxShare = 1 << 20
+
 func (c TenantConfig) normalized() (TenantConfig, error) {
 	if c.Name == "" {
-		return c, fmt.Errorf("serve: tenant with empty name")
+		return c, fmt.Errorf("serve: tenant with empty name: %w", ErrConfig)
 	}
 	if c.Weight <= 0 {
 		c.Weight = 1
 	}
+	if c.Weight > maxShare {
+		return c, fmt.Errorf("serve: tenant %q: weight %d above %d: %w", c.Name, c.Weight, maxShare, ErrConfig)
+	}
 	if !(c.Rate >= 0) || math.IsInf(c.Rate, 1) {
-		return c, fmt.Errorf("serve: tenant %q: rate %v is not a finite number ≥ 0", c.Name, c.Rate)
+		return c, fmt.Errorf("serve: tenant %q: rate %v is not a finite number ≥ 0: %w", c.Name, c.Rate, ErrConfig)
 	}
 	if c.Burst <= 0 {
 		// Capped before the conversion: int of a rate ≥ 2^63 is negative.
@@ -127,9 +134,9 @@ type Options struct {
 	// into the engine; 0 means the engine's worker-pool width.
 	Workers int
 	// Quantum is the DRR deficit added per weight unit each time the
-	// scheduler visits a tenant, in task-cost units (default 64). Larger
-	// quanta serve longer per-tenant bursts between switches; fairness
-	// over a window is unchanged.
+	// scheduler visits a tenant, in task-cost units (default 64, at most
+	// 2^20). Larger quanta serve longer per-tenant bursts between
+	// switches; fairness over a window is unchanged.
 	Quantum int
 }
 
@@ -201,6 +208,9 @@ func New(opts Options) (*Server, error) {
 	if quantum <= 0 {
 		quantum = 64
 	}
+	if quantum > maxShare {
+		return nil, fmt.Errorf("serve: quantum %d above %d: %w", quantum, maxShare, ErrConfig)
+	}
 	s := &Server{
 		eng:       eng,
 		exec:      engineExec{eng},
@@ -238,9 +248,6 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Engine returns the engine the server dispatches into.
-func (s *Server) Engine() *sweep.Engine { return s.eng }
 
 // Submit runs a batch of requests for one tenant and blocks until every
 // request has a response (in request order). Admission is all-or-nothing
@@ -364,23 +371,11 @@ func (s *Server) serveItem(it *item) (failed bool) {
 	} else {
 		sr = s.exec.run(it.ctx, it.req)
 	}
-	*it.resp = Response{
-		Result: sr.Result,
-		Err:    sr.Err,
-		Metrics: Metrics{
-			Tenant:        it.t.name,
-			Index:         it.index,
-			Name:          it.req.Job.Name,
-			Key:           sr.Metrics.Key,
-			AdmissionWait: it.enqueued.Sub(it.submitted),
-			QueueWait:     dispatched.Sub(it.enqueued),
-			CacheLookup:   sr.Metrics.CacheLookup,
-			Sim:           sr.Metrics.Sim,
-			Total:         s.now().Sub(it.submitted),
-			CacheHit:      sr.Metrics.CacheHit,
-			Coalesced:     sr.Metrics.Coalesced,
-		},
-	}
+	m := Metrics{Tenant: it.t.name, Metrics: sr.Metrics, AdmissionWait: it.enqueued.Sub(it.submitted)}
+	m.Index, m.Name = it.index, it.req.Job.Name
+	m.QueueWait = dispatched.Sub(it.enqueued)
+	m.Total = s.now().Sub(it.submitted)
+	*it.resp = Response{Result: sr.Result, Err: sr.Err, Metrics: m}
 	return sr.Err != nil
 }
 

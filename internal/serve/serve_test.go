@@ -459,10 +459,12 @@ func TestMetricsCSVGoldenHeader(t *testing.T) {
 	}
 	var sb strings.Builder
 	ms := []Metrics{{
-		Tenant: "alpha", Index: 0, Name: "stream", Key: "deadbeef",
-		AdmissionWait: time.Microsecond, QueueWait: 2 * time.Microsecond,
-		CacheLookup: 3 * time.Microsecond, Sim: 4 * time.Microsecond,
-		Total: 10 * time.Microsecond, CacheHit: true,
+		Tenant: "alpha", AdmissionWait: time.Microsecond,
+		Metrics: sweep.Metrics{
+			Index: 0, Name: "stream", Key: "deadbeef", QueueWait: 2 * time.Microsecond,
+			CacheLookup: 3 * time.Microsecond, Sim: 4 * time.Microsecond,
+			Total: 10 * time.Microsecond, CacheHit: true,
+		},
 	}}
 	if err := WriteMetricsCSV(&sb, ms); err != nil {
 		t.Fatal(err)
@@ -536,8 +538,50 @@ func TestNewValidations(t *testing.T) {
 	if _, err := New(Options{Tenants: []TenantConfig{{Name: "a"}, {Name: "a"}}}); err == nil {
 		t.Fatal("duplicate tenants must fail")
 	}
-	if _, err := New(Options{Tenants: []TenantConfig{{}}}); err == nil {
-		t.Fatal("empty tenant name must fail")
+	if _, err := New(Options{Tenants: []TenantConfig{{}}}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("empty tenant name: %v, want ErrConfig", err)
+	}
+}
+
+// TestOversizedShareRejected: a weight or a quantum past maxShare is refused
+// by name. Accepted, weight 1<<58 at the default quantum 64 wraps each
+// visit's credit to 0, so the head never fits and the first Submit spins in
+// drr.next forever holding Server.mu; the bounded wait below fails the test
+// instead of hanging it.
+func TestOversizedShareRejected(t *testing.T) {
+	if _, err := ParseTenants("a=288230376151711744"); !errors.Is(err, ErrTenantSpec) {
+		t.Fatalf("ParseTenants accepted weight 1<<58: %v", err)
+	}
+	for _, opts := range []Options{
+		{Tenants: []TenantConfig{{Name: "a", Weight: 1 << 58}}},
+		{Tenants: []TenantConfig{{Name: "a", Weight: maxShare + 1}}},
+		{Tenants: []TenantConfig{{Name: "a"}}, Quantum: 1 << 58},
+		{Tenants: []TenantConfig{{Name: "a"}}, Quantum: maxShare + 1},
+	} {
+		s, err := New(opts)
+		if errors.Is(err, ErrConfig) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("New(weight %d, quantum %d): %v, want ErrConfig", opts.Tenants[0].Weight, opts.Quantum, err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(context.Background(), "a", []sweep.Request{testRequest(t, "stream", 1)})
+			done <- err
+		}()
+		select {
+		case err = <-done:
+			t.Fatalf("New(weight %d, quantum %d) accepted (Submit: %v), want ErrConfig", opts.Tenants[0].Weight, opts.Quantum, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("New(weight %d, quantum %d) accepted, and Submit hangs", opts.Tenants[0].Weight, opts.Quantum)
+		}
+	}
+	// The bounds themselves are usable: the largest credit a visit can add
+	// dispatches a request.
+	s := newTestServer(t, Options{Tenants: []TenantConfig{{Name: "a", Weight: maxShare}}, Quantum: maxShare})
+	if _, err := s.Submit(context.Background(), "a", []sweep.Request{testRequest(t, "stream", 1)}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -98,10 +98,13 @@ func TestTransferIsSendWithoutTheEvent(t *testing.T) {
 	if self := n.Transfer(2, 2, 500); self != 0 {
 		t.Fatalf("self-transfer delivers at %d, want now", self)
 	}
-	if eng.Pending() != 1 {
-		t.Fatalf("Transfer scheduled events: %d pending, want the Send's one", eng.Pending())
+	events := 0
+	for eng.Step() {
+		events++
 	}
-	eng.Run()
+	if events != 1 {
+		t.Fatalf("Transfer scheduled events: %d fired, want the Send's one", events)
+	}
 	if sent != simtime.FromSeconds(1e-6) || at != simtime.FromSeconds(2e-6) {
 		t.Fatalf("send delivered at %d, transfer at %d", sent, at)
 	}

@@ -12,8 +12,8 @@
 // event-driven Network (the cluster DAG simulator's fabric), the Meter (the
 // dist Sim transport's virtual clock), and the dist collectives, which
 // auto-select hierarchical algorithms when the topology is non-flat. The
-// degenerate one-rank-per-node topology (FlatTopology) reproduces the old
-// flat behavior exactly.
+// degenerate one-rank-per-node topology (BlockTopology with one rank per
+// node) reproduces the old flat behavior exactly.
 package simnet
 
 import (
@@ -58,12 +58,11 @@ func MemoryBus() Config {
 }
 
 // Topology places ranks on physical nodes and prices links by placement.
-// Construct with NewTopology, FlatTopology, BlockTopology or
+// Construct with NewTopology, BlockTopology or
 // MarenostrumTopology; the constructors validate, so a held *Topology is
 // always well-formed.
 type Topology struct {
 	nodeOf []int
-	nodes  int
 	flat   bool
 	intra  Config
 	inter  Config
@@ -93,27 +92,12 @@ func NewTopology(nodeOf []int, intra, inter Config) (*Topology, error) {
 			return nil, fmt.Errorf("simnet: rank %d on node %d of %d ranks: %w", r, nd, n, ErrTopology)
 		}
 		t.nodeOf[r] = nd
-		if nd+1 > t.nodes {
-			t.nodes = nd + 1
-		}
 		if seen[nd] {
 			t.flat = false
 		}
 		seen[nd] = true
 	}
 	return t, nil
-}
-
-// FlatTopology is the degenerate one-rank-per-node placement: every link is
-// an inter-node link priced by link, exactly the old single-Config model.
-func FlatTopology(ranks int, link Config) (*Topology, error) {
-	nodeOf := make([]int, ranks)
-	for r := range nodeOf {
-		nodeOf[r] = r
-	}
-	// Intra is never consulted (no two ranks share a node) but must be
-	// well-formed; reuse the inter model.
-	return NewTopology(nodeOf, link, link)
 }
 
 // BlockTopology places ranks onto nodes in contiguous blocks of perNode:
@@ -138,29 +122,14 @@ func MarenostrumTopology(ranks, perNode int) (*Topology, error) {
 // Ranks returns the number of placed ranks.
 func (t *Topology) Ranks() int { return len(t.nodeOf) }
 
-// Nodes returns the number of node ids (max placed id + 1).
-func (t *Topology) Nodes() int { return t.nodes }
-
 // NodeOf returns rank r's node id.
 func (t *Topology) NodeOf(r int) int { return t.nodeOf[r] }
-
-// SameNode reports whether ranks a and b share a node.
-func (t *Topology) SameNode(a, b int) bool { return t.nodeOf[a] == t.nodeOf[b] }
 
 // Intra returns the intra-node link model.
 func (t *Topology) Intra() Config { return t.intra }
 
 // Inter returns the inter-node link model.
 func (t *Topology) Inter() Config { return t.inter }
-
-// Link returns the cost model of the src→dst link by placement: Intra when
-// the ranks share a node, Inter otherwise.
-func (t *Topology) Link(src, dst int) Config {
-	if t.nodeOf[src] == t.nodeOf[dst] {
-		return t.intra
-	}
-	return t.inter
-}
 
 // Route classifies a src→dst transfer under the physical link model shared
 // by Network and Meter: the cost model to charge, the physical link that

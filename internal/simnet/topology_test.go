@@ -63,32 +63,38 @@ func TestTopologyConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Ranks() != 8 || topo.Nodes() != 2 {
-		t.Fatalf("8 ranks / 4 per node: ranks=%d nodes=%d", topo.Ranks(), topo.Nodes())
+	if topo.Ranks() != 8 || topo.NodeOf(7) != 1 {
+		t.Fatalf("8 ranks / 4 per node: ranks=%d, last on node %d", topo.Ranks(), topo.NodeOf(7))
 	}
 	for r := 0; r < 8; r++ {
 		if got, want := topo.NodeOf(r), r/4; got != want {
 			t.Fatalf("rank %d on node %d, want %d", r, got, want)
 		}
 	}
-	if !topo.SameNode(0, 3) || topo.SameNode(3, 4) {
-		t.Fatal("block placement boundaries wrong")
+	if _, _, wire := topo.Route(0, 3); wire {
+		t.Fatal("block placement boundaries wrong: 0 and 3 share node 0")
 	}
-	if topo.Link(0, 1) != MemoryBus() || topo.Link(0, 5) != Marenostrum() {
-		t.Fatal("Link must price by placement")
+	if _, _, wire := topo.Route(3, 4); !wire {
+		t.Fatal("block placement boundaries wrong: 3 and 4 are on two nodes")
+	}
+	if cfg, _, _ := topo.Route(0, 1); cfg != MemoryBus() {
+		t.Fatal("Route must price by placement")
+	}
+	if cfg, _, _ := topo.Route(0, 5); cfg != Marenostrum() {
+		t.Fatal("Route must price by placement")
 	}
 	if topo.Flat() {
 		t.Fatal("two ranks share node 0: not flat")
 	}
 
-	flat, err := FlatTopology(5, Marenostrum())
+	flat, err := BlockTopology(5, 1, Marenostrum(), Marenostrum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flat.Flat() || flat.Nodes() != 5 {
-		t.Fatalf("flat topology: flat=%v nodes=%d", flat.Flat(), flat.Nodes())
+	if !flat.Flat() || flat.NodeOf(4) != 4 {
+		t.Fatalf("flat topology: flat=%v, rank 4 on node %d", flat.Flat(), flat.NodeOf(4))
 	}
-	if flat.Link(0, 4) != Marenostrum() {
+	if cfg, _, wire := flat.Route(0, 4); cfg != Marenostrum() || !wire {
 		t.Fatal("flat links must price as inter")
 	}
 
@@ -96,8 +102,8 @@ func TestTopologyConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mn.Nodes() != 4 || mn.Intra() != MemoryBus() || mn.Inter() != Marenostrum() {
-		t.Fatalf("MarenostrumTopology: %d nodes intra=%+v", mn.Nodes(), mn.Intra())
+	if mn.NodeOf(63) != 3 || mn.Intra() != MemoryBus() || mn.Inter() != Marenostrum() {
+		t.Fatalf("MarenostrumTopology: last rank on node %d, intra=%+v", mn.NodeOf(63), mn.Intra())
 	}
 }
 
@@ -192,7 +198,7 @@ func TestFlatTopologyNetworkMatchesFlatNetwork(t *testing.T) {
 	// The degenerate one-rank-per-node topology must reproduce the flat
 	// Network's timing bitwise: same links, same costs.
 	cfg := Config{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
-	topo, err := FlatTopology(3, cfg)
+	topo, err := BlockTopology(3, 1, cfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

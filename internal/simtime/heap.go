@@ -43,9 +43,6 @@ func (h *Heap[T]) Grow(n int) {
 	}
 }
 
-// Min returns the smallest entry's major key; the heap must be non-empty.
-func (h *Heap[T]) Min() int64 { return h.items[0].major }
-
 // Push adds v under the key (major, minor).
 func (h *Heap[T]) Push(major int64, minor uint64, v T) {
 	x := entry[T]{major, minor, v}

@@ -36,7 +36,7 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 			want := held[0]
 			held = held[1:]
 			sort.Slice(held, func(i, j int) bool { return held[i].seq < held[j].seq })
-			if h.Min() != want.major {
+			if h.items[0].major != want.major {
 				return false
 			}
 			major, minor, v := h.Pop()

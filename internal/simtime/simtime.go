@@ -44,7 +44,6 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   Heap[event]
-	fired   uint64
 	handler func(k Kind, a, b int32)
 	// Closures scheduled through At/After wait here, indexed by the slot
 	// their event carries; a fired slot is cleared (releasing the closure)
@@ -65,12 +64,6 @@ func (e *Engine) Grow(n int) { e.queue.Grow(n) }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of scheduled-but-unfired events.
-func (e *Engine) Pending() int { return e.queue.Len() }
 
 // Post schedules a typed event at absolute time at: when it fires, the
 // handler receives (k, a, b). Scheduling in the past panics: that is always
@@ -128,7 +121,6 @@ func (e *Engine) Step() bool {
 	}
 	at, _, ev := e.queue.Pop()
 	e.now = Time(at)
-	e.fired++
 	if ev.kind != kindFunc {
 		e.handler(ev.kind, ev.a, ev.b)
 		return true

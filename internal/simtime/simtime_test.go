@@ -29,9 +29,6 @@ func TestEventsFireInOrder(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order %v", order)
 	}
-	if e.Fired() != 3 {
-		t.Fatalf("fired %d", e.Fired())
-	}
 }
 
 func TestTieBreakByInsertion(t *testing.T) {
@@ -88,10 +85,10 @@ func TestStepAndPending(t *testing.T) {
 	e := New()
 	e.At(1, func() {})
 	e.At(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d", e.Pending())
+	if e.queue.Len() != 2 {
+		t.Fatalf("pending %d", e.queue.Len())
 	}
-	if !e.Step() || e.Now() != 1 || e.Pending() != 1 {
+	if !e.Step() || e.Now() != 1 || e.queue.Len() != 1 {
 		t.Fatal("step 1 wrong")
 	}
 	if !e.Step() || e.Now() != 2 {
@@ -151,8 +148,8 @@ func TestPropertyMonotoneClock(t *testing.T) {
 
 // TestTypedAndClosureEventsShareOneOrder: typed events and closures
 // scheduled alternately at equal timestamps fire in insertion order — there
-// is one queue and one tie rule — and Step, Fired and Pending count both
-// forms alike.
+// is one queue and one tie rule — and Step and the queue count both forms
+// alike.
 func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 	e := New()
 	var order []int32
@@ -168,16 +165,16 @@ func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 		e.At(5, func() { order = append(order, i+1) })
 	}
 	e.PostAfter(7, 3, 100, -100)
-	if e.Pending() != 11 {
-		t.Fatalf("pending %d, want 11", e.Pending())
+	if e.queue.Len() != 11 {
+		t.Fatalf("pending %d, want 11", e.queue.Len())
 	}
 	for n := 0; n < 10; n++ {
 		if !e.Step() {
 			t.Fatalf("step %d found the queue empty", n)
 		}
 	}
-	if e.Now() != 5 || e.Fired() != 10 || e.Pending() != 1 {
-		t.Fatalf("after 10 steps: now %d, Fired %d, pending %d", e.Now(), e.Fired(), e.Pending())
+	if e.Now() != 5 || len(order) != 10 || e.queue.Len() != 1 {
+		t.Fatalf("after 10 steps: now %d, fired %d, pending %d", e.Now(), len(order), e.queue.Len())
 	}
 	for i, v := range order {
 		if v != int32(i) {

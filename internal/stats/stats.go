@@ -1,12 +1,11 @@
 // Package stats provides the small statistical and table-formatting helpers
-// the experiment harness uses: means and confidence intervals over repeated
-// runs (the paper runs each experiment 10× and reports averages, §V) and
+// the experiment harness uses: means and percentiles over repeated runs
+// (the paper runs each experiment 10× and reports averages, §V) and
 // fixed-width text tables for the figure/table outputs.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -21,46 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than 2 values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval of
-// the mean (normal approximation, 1.96·σ/√n).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// MinMax returns the extrema of xs; zeroes for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Percentile returns the p-th percentile of xs (p in [0, 100]) by linear
@@ -85,21 +44,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
-// GeoMean returns the geometric mean of positive xs (0 if any are ≤ 0).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Table accumulates rows and renders an aligned fixed-width text table.

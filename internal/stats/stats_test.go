@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -12,49 +11,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean wrong")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("single-sample stddev must be 0")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2.138) > 0.01 {
-		t.Fatalf("stddev %v", got)
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if CI95([]float64{1}) != 0 {
-		t.Fatal("tiny sample CI must be 0")
-	}
-	xs := []float64{10, 12, 9, 11, 10, 10, 11, 9, 10, 8}
-	ci := CI95(xs)
-	if ci <= 0 || ci > 2 {
-		t.Fatalf("implausible CI %v", ci)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("minmax %v %v", min, max)
-	}
-	if a, b := MinMax(nil); a != 0 || b != 0 {
-		t.Fatal("empty minmax")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("non-positive input must yield 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean")
 	}
 }
 

@@ -1,6 +1,10 @@
 package sweep
 
-import "container/list"
+import (
+	"container/list"
+
+	"appfit/internal/cluster"
+)
 
 // lru is a bounded least-recently-used map from request key to completed
 // result. It is not goroutine-safe; the Engine serializes access under its
@@ -14,7 +18,7 @@ type lru struct {
 
 type lruEntry struct {
 	key [32]byte
-	val any
+	val cluster.Result
 }
 
 func newLRU(capacity int) *lru {
@@ -22,10 +26,10 @@ func newLRU(capacity int) *lru {
 }
 
 // get returns the cached value and marks it most recently used.
-func (c *lru) get(key [32]byte) (any, bool) {
+func (c *lru) get(key [32]byte) (cluster.Result, bool) {
 	e, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return cluster.Result{}, false
 	}
 	c.order.MoveToFront(e)
 	return e.Value.(*lruEntry).val, true
@@ -33,7 +37,7 @@ func (c *lru) get(key [32]byte) (any, bool) {
 
 // put inserts or refreshes key and returns how many entries were evicted
 // to stay within capacity (0 or 1).
-func (c *lru) put(key [32]byte, val any) int {
+func (c *lru) put(key [32]byte, val cluster.Result) int {
 	if e, ok := c.byKey[key]; ok {
 		e.Value.(*lruEntry).val = val
 		c.order.MoveToFront(e)

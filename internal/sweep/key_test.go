@@ -185,7 +185,7 @@ func TestRunKeySensitive(t *testing.T) {
 		},
 		"placement": func() (cluster.Job, cluster.Config) {
 			c := cfg
-			flat, err := simnet.FlatTopology(cfg.Nodes, simnet.Marenostrum())
+			flat, err := simnet.BlockTopology(cfg.Nodes, 1, simnet.Marenostrum(), simnet.Marenostrum())
 			if err != nil {
 				t.Fatal(err)
 			}

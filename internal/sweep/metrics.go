@@ -16,19 +16,25 @@ func WriteMetricsCSV(w io.Writer, ms []Metrics) error {
 		"sim_ns", "total_ns", "cache_hit", "coalesced"}
 	rows := make([][]string, len(ms))
 	for i, m := range ms {
-		rows[i] = []string{
-			strconv.Itoa(m.Index),
-			m.Name,
-			m.Key,
-			strconv.FormatInt(m.QueueWait.Nanoseconds(), 10),
-			strconv.FormatInt(m.CacheLookup.Nanoseconds(), 10),
-			strconv.FormatInt(m.Sim.Nanoseconds(), 10),
-			strconv.FormatInt(m.Total.Nanoseconds(), 10),
-			strconv.FormatBool(m.CacheHit),
-			strconv.FormatBool(m.Coalesced),
-		}
+		rows[i] = m.CSVRow()
 	}
 	return trace.WriteRows(w, header, rows)
+}
+
+// CSVRow encodes m as WriteMetricsCSV's columns: the one row encoder, which
+// serve.WriteMetricsCSV extends with the service's own columns.
+func (m Metrics) CSVRow() []string {
+	return []string{
+		strconv.Itoa(m.Index),
+		m.Name,
+		m.Key,
+		strconv.FormatInt(m.QueueWait.Nanoseconds(), 10),
+		strconv.FormatInt(m.CacheLookup.Nanoseconds(), 10),
+		strconv.FormatInt(m.Sim.Nanoseconds(), 10),
+		strconv.FormatInt(m.Total.Nanoseconds(), 10),
+		strconv.FormatBool(m.CacheHit),
+		strconv.FormatBool(m.Coalesced),
+	}
 }
 
 // BatchMetrics collects the Metrics column of a batch's responses.

@@ -104,7 +104,7 @@ func TestPanicFailsRequestAndWaiters(t *testing.T) {
 
 	opaque := req
 	opaque.Config.Injector = panickingInjector{}
-	if _, err := eng.Run(opaque.Job, opaque.Config); !errors.Is(err, ErrPanic) {
+	if _, err := simulate(eng, opaque.Job, opaque.Config); !errors.Is(err, ErrPanic) {
 		t.Fatalf("uncacheable request: err %v, want ErrPanic", err)
 	}
 }

@@ -92,33 +92,34 @@ type Response struct {
 
 // Metrics is the flat per-request timing struct: one field per pipeline
 // stage, wall-clock, CSV-friendly. Stages that a request skips (the sim, on
-// a cache hit) are zero.
+// a cache hit) are zero. The JSON keys are the service wire's
+// (serve.Metrics embeds this record).
 type Metrics struct {
-	// Index is the request's position in its batch (0 for single Run calls).
-	Index int
+	// Index is the request's position in its batch (0 for RunRequest).
+	Index int `json:"index"`
 	// Name is the request's job name.
-	Name string
+	Name string `json:"name"`
 	// Key is the hex prefix of the content-addressed cache key ("" when
 	// the request was uncacheable).
-	Key string
+	Key string `json:"key,omitempty"`
 	// QueueWait is submit → worker pickup.
-	QueueWait time.Duration
+	QueueWait time.Duration `json:"queue_wait_ns"`
 	// CacheLookup is key derivation + cache/in-flight probe.
-	CacheLookup time.Duration
+	CacheLookup time.Duration `json:"cache_lookup_ns"`
 	// Sim is the simulation itself (zero on hits; on coalesced requests it
 	// is the wait for the in-flight twin to finish).
-	Sim time.Duration
+	Sim time.Duration `json:"sim_ns"`
 	// Total is submit → response.
-	Total time.Duration
+	Total time.Duration `json:"total_ns"`
 	// CacheHit marks a memoized result; Coalesced marks a result shared
 	// from an identical in-flight request.
-	CacheHit  bool
-	Coalesced bool
+	CacheHit  bool `json:"cache_hit"`
+	Coalesced bool `json:"coalesced"`
 }
 
 // Stats are the engine's cumulative counters.
 type Stats struct {
-	// Requests counts everything submitted (Run, RunBatch and Optimize).
+	// Requests counts everything submitted (RunRequest and RunBatch).
 	Requests uint64
 	// Hits / Misses split the cacheable requests that probed the cache.
 	Hits, Misses uint64
@@ -188,7 +189,7 @@ type Engine struct {
 // call is one in-flight execution other requests with the same key wait on.
 type call struct {
 	done chan struct{}
-	val  any
+	val  cluster.Result
 	err  error
 }
 
@@ -239,7 +240,7 @@ func (e *Engine) Stats() Stats {
 // mid-flight on behalf of one cancelled requester. A panic in fn fails the
 // caller and every waiter with ErrPanic, and is never cached; the in-flight
 // entry goes on every path, so the next request for key runs afresh.
-func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (val any, err error, hit, coalesced bool) {
+func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (cluster.Result, error)) (val cluster.Result, err error, hit, coalesced bool) {
 	e.mu.Lock()
 	if e.cache != nil {
 		if v, ok := e.cache.get(key); ok {
@@ -255,7 +256,7 @@ func (e *Engine) do(ctx context.Context, key [32]byte, fn func() (any, error)) (
 			e.coalesced.Add(1)
 			return c.val, c.err, false, true
 		case <-ctx.Done():
-			return nil, ctx.Err(), false, false
+			return cluster.Result{}, ctx.Err(), false, false
 		}
 	}
 	c := &call{done: make(chan struct{})}
@@ -334,15 +335,12 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 		e.uncacheable.Add(1)
 		res, err = recovered(req.run)
 	} else {
-		var v any
+		var v cluster.Result
 		var hit, coal bool
-		v, err, hit, coal = e.do(ctx, key, func() (any, error) {
-			r, err := req.run()
-			return r, err
-		})
+		v, err, hit, coal = e.do(ctx, key, req.run)
 		m.CacheHit, m.Coalesced = hit, coal
 		if err == nil {
-			res = cloneResult(v.(cluster.Result))
+			res = cloneResult(v)
 		}
 	}
 	if !m.CacheHit {
@@ -364,13 +362,6 @@ func cloneResult(r cluster.Result) cluster.Result {
 		r.NodeBusy = append([]simtime.Time(nil), r.NodeBusy...)
 	}
 	return r
-}
-
-// Run executes one request (through the cache and coalescing) and blocks
-// for its result.
-func (e *Engine) Run(job cluster.Job, cfg cluster.Config) (cluster.Result, error) {
-	resp := e.runOne(context.Background(), 0, Request{Job: job, Config: cfg}, e.now())
-	return resp.Result, resp.Err
 }
 
 // RunRequest executes one request under ctx: an already-expired ctx fails

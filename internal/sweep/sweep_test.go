@@ -13,6 +13,12 @@ import (
 	"appfit/internal/fault"
 )
 
+// simulate executes one request through eng and returns its result.
+func simulate(eng *Engine, job cluster.Job, cfg cluster.Config) (cluster.Result, error) {
+	resp := eng.RunRequest(context.Background(), Request{Job: job, Config: cfg})
+	return resp.Result, resp.Err
+}
+
 // testJob builds a small real workload DAG for nodes nodes.
 func testJob(t testing.TB, name string, nodes int) cluster.Job {
 	t.Helper()
@@ -125,12 +131,12 @@ func TestCacheHitCannotBeCorrupted(t *testing.T) {
 	job := testJob(t, "stream", 1)
 	cfg := cluster.Config{Nodes: 1, CoresPerNode: 4}
 	eng := New(Options{})
-	first, err := eng.Run(job, cfg)
+	first, err := simulate(eng, job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.NodeBusy[0] = -1
-	second, err := eng.Run(job, cfg)
+	second, err := simulate(eng, job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +163,7 @@ func TestUncacheableInjectorRunsEveryTime(t *testing.T) {
 	}
 	eng := New(Options{})
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(job, cfg); err != nil {
+		if _, err := simulate(eng, job, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,10 +246,10 @@ func TestCoalescedWaiterDetachesOnCancel(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, err, _, _ := eng.do(context.Background(), key, func() (any, error) {
+		_, err, _, _ := eng.do(context.Background(), key, func() (cluster.Result, error) {
 			close(started)
 			<-release
-			return "shared", nil
+			return cluster.Result{Makespan: 42}, nil
 		})
 		if err != nil {
 			t.Errorf("leader: %v", err)
@@ -256,9 +262,9 @@ func TestCoalescedWaiterDetachesOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err, _, _ := eng.do(ctx, key, func() (any, error) {
+		_, err, _, _ := eng.do(ctx, key, func() (cluster.Result, error) {
 			t.Error("waiter must coalesce, not execute")
-			return nil, nil
+			return cluster.Result{}, nil
 		})
 		waiterErr <- err
 	}()
@@ -275,12 +281,12 @@ func TestCoalescedWaiterDetachesOnCancel(t *testing.T) {
 	// its result is cached.
 	close(release)
 	<-leaderDone
-	v, err, hit, _ := eng.do(context.Background(), key, func() (any, error) {
+	v, err, hit, _ := eng.do(context.Background(), key, func() (cluster.Result, error) {
 		t.Error("result must be served from the cache")
-		return nil, nil
+		return cluster.Result{}, nil
 	})
-	if err != nil || !hit || v != "shared" {
-		t.Fatalf("post-detach probe: v=%v err=%v hit=%v, want cached \"shared\"", v, err, hit)
+	if err != nil || !hit || v.Makespan != 42 {
+		t.Fatalf("post-detach probe: v=%+v err=%v hit=%v, want the cached makespan 42", v, err, hit)
 	}
 	if got := eng.Stats().Coalesced; got != 0 {
 		t.Fatalf("coalesced %d, want 0 (the waiter detached, it was not served)", got)
@@ -293,7 +299,7 @@ func TestCacheBound(t *testing.T) {
 	job := testJob(t, "stream", 1)
 	eng := New(Options{CacheEntries: 3})
 	for cores := 1; cores <= 6; cores++ {
-		if _, err := eng.Run(job, cluster.Config{Nodes: 1, CoresPerNode: cores}); err != nil {
+		if _, err := simulate(eng, job, cluster.Config{Nodes: 1, CoresPerNode: cores}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,13 +311,13 @@ func TestCacheBound(t *testing.T) {
 		t.Fatalf("evictions %d, want 3", st.Evictions)
 	}
 	// The most recent config must still hit; the oldest must re-simulate.
-	if _, err := eng.Run(job, cluster.Config{Nodes: 1, CoresPerNode: 6}); err != nil {
+	if _, err := simulate(eng, job, cluster.Config{Nodes: 1, CoresPerNode: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Hits; got != 1 {
 		t.Fatalf("hits %d, want 1 (MRU retained)", got)
 	}
-	if _, err := eng.Run(job, cluster.Config{Nodes: 1, CoresPerNode: 1}); err != nil {
+	if _, err := simulate(eng, job, cluster.Config{Nodes: 1, CoresPerNode: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Misses; got != 7 {
@@ -325,7 +331,7 @@ func TestCacheDisabled(t *testing.T) {
 	cfg := cluster.Config{Nodes: 1, CoresPerNode: 4}
 	eng := New(Options{CacheEntries: -1})
 	for i := 0; i < 2; i++ {
-		if _, err := eng.Run(job, cfg); err != nil {
+		if _, err := simulate(eng, job, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

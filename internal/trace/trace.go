@@ -74,23 +74,6 @@ type Record struct {
 	Attempts   int
 }
 
-// TotalComputeTime returns the task's total compute demand including
-// redundant executions; the extra over Duration is the replication cost the
-// paper's "percentage of computation time replicated" measures.
-func (r *Record) TotalComputeTime() time.Duration {
-	return r.Duration + r.ReplicaDur + r.ReexecDur
-}
-
-// Has reports whether the record contains event e.
-func (r *Record) Has(e Event) bool {
-	for _, x := range r.Events {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Tracer collects Records. A nil *Tracer is valid and records nothing, so
 // the runtime can be run untraced with zero overhead checks.
 type Tracer struct {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilTracerSafe(t *testing.T) {
@@ -42,21 +41,6 @@ func TestConcurrentAdd(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 100 {
 		t.Fatalf("len %d", tr.Len())
-	}
-}
-
-func TestHasAndTotalCompute(t *testing.T) {
-	r := Record{
-		Duration:   10 * time.Millisecond,
-		ReplicaDur: 9 * time.Millisecond,
-		ReexecDur:  5 * time.Millisecond,
-		Events:     []Event{Checkpointed, SDCDetected},
-	}
-	if !r.Has(Checkpointed) || !r.Has(SDCDetected) || r.Has(Voted) {
-		t.Fatal("Has wrong")
-	}
-	if r.TotalComputeTime() != 24*time.Millisecond {
-		t.Fatalf("total %v", r.TotalComputeTime())
 	}
 }
 

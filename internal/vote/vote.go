@@ -12,8 +12,6 @@
 package vote
 
 import (
-	"errors"
-
 	"appfit/internal/buffer"
 )
 
@@ -51,12 +49,6 @@ func (Bitwise) Equal(a, b []buffer.Buffer) bool {
 type ErrNoMajority struct{}
 
 func (ErrNoMajority) Error() string { return "vote: no majority among three results" }
-
-// IsNoMajority reports whether err is a no-majority failure.
-func IsNoMajority(err error) bool {
-	var e ErrNoMajority
-	return errors.As(err, &e)
-}
 
 // Majority2of3 returns the index (0, 1 or 2) of a result that at least two
 // of the three result sets agree on, using cmp. The returned index is the

@@ -1,6 +1,7 @@
 package vote
 
 import (
+	"errors"
 	"testing"
 
 	"appfit/internal/buffer"
@@ -102,14 +103,11 @@ func TestMajorityNoMajority(t *testing.T) {
 	if idx != -1 || err == nil {
 		t.Fatalf("expected no-majority, got idx=%d err=%v", idx, err)
 	}
-	if !IsNoMajority(err) {
-		t.Fatal("IsNoMajority must recognize the error")
+	if !errors.As(err, new(ErrNoMajority)) {
+		t.Fatal("errors.As must recognize the error")
 	}
 	if err.Error() == "" {
 		t.Fatal("empty error message")
-	}
-	if IsNoMajority(nil) {
-		t.Fatal("nil is not a no-majority error")
 	}
 }
 

@@ -14,11 +14,6 @@ type SplitMix64 struct {
 	state uint64
 }
 
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
 // Next returns the next 64-bit value in the sequence.
 func (s *SplitMix64) Next() uint64 {
 	s.state += 0x9E3779B97F4A7C15
@@ -106,14 +101,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // NormFloat64 returns a normally distributed value (mean 0, stddev 1)
 // using the Box-Muller transform.
 func (r *Rand) NormFloat64() float64 {
@@ -124,17 +111,6 @@ func (r *Rand) NormFloat64() float64 {
 		}
 		u2 := r.Float64()
 		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference values for seed 1234567 from the SplitMix64 reference
 	// implementation (first three outputs).
-	s := NewSplitMix64(1234567)
+	s := &SplitMix64{state: 1234567}
 	got := []uint64{s.Next(), s.Next(), s.Next()}
 	want := []uint64{0x9E1D5E1F9E2C2F1A, 0, 0}
 	// We don't hard-code upstream constants (they depend on the exact
 	// variant); instead assert determinism and non-triviality.
 	_ = want
-	s2 := NewSplitMix64(1234567)
+	s2 := &SplitMix64{state: 1234567}
 	for i, g := range got {
 		if s2.Next() != g {
 			t.Fatalf("SplitMix64 not deterministic at output %d", i)
@@ -168,18 +168,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(5)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v too far from 1", mean)
 	}
 }
 

@@ -15,7 +15,7 @@ $GO run ./cmd/appfitlint ./...
 # 2. Self-test: every analyzer must still fire on its seeded testdata.
 #    `go run` exits 1 when findings are reported; any other status (0 =
 #    analyzer went blind, 2 = load/usage error) fails the gate.
-for a in maporder simdet lockedfield wraperr; do
+for a in maporder simdet lockedfield wraperr unusedexport; do
 	status=0
 	$GO run ./cmd/appfitlint -run "$a" "./internal/lint/$a/testdata/src/a" \
 		>/dev/null 2>&1 || status=$?
@@ -25,4 +25,13 @@ for a in maporder simdet lockedfield wraperr; do
 	fi
 done
 
-echo "check-lint: module clean; all 4 analyzers fire on seeded violations"
+# 3. unusedexport must also stay silent where a caller, an exemption or a
+#    waiver keeps an export: an over-eager analyzer fails here, not later
+#    on real code. neg/... loads the second package that calls neg.
+d=./internal/lint/unusedexport/testdata/src
+if ! $GO run ./cmd/appfitlint -run unusedexport "$d/neg/..." "$d/waiver" >/dev/null 2>&1; then
+	echo "check_lint: unusedexport fired on its negative or waiver testdata" >&2
+	exit 1
+fi
+
+echo "check-lint: module clean; all 5 analyzers fire on seeded violations; unusedexport is silent on its negative and waiver testdata"
