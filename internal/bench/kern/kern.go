@@ -141,8 +141,31 @@ func Potrf(a []float64, n int) error {
 
 // TrsmRightLowerTrans solves X·Lᵀ = B in place (X overwrites B), with L the
 // lower-triangular factor of a diagonal block: the Cholesky "trsm" kernel.
+//
+// The rows of X are independent, so the kernel solves four at a time: each
+// load of L[j][k] feeds four independent chains instead of one. Every
+// element is still B[i][j] minus X[i][k]·L[j][k] for k = 0…j−1 in order,
+// then divided (not multiplied by a reciprocal) by L[j][j], so X is bitwise
+// what the one-row loop gives. The last n mod 4 rows take that loop.
 func TrsmRightLowerTrans(l, x []float64, n int) {
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; i+3 < n; i += 4 {
+		x0, x1, x2, x3 := x[i*n:(i+1)*n], x[(i+1)*n:(i+2)*n], x[(i+2)*n:(i+3)*n], x[(i+3)*n:(i+4)*n]
+		for j := 0; j < n; j++ {
+			lj := l[j*n : j*n+j]
+			y0, y1, y2, y3 := x0[:len(lj)], x1[:len(lj)], x2[:len(lj)], x3[:len(lj)]
+			s0, s1, s2, s3 := x0[j], x1[j], x2[j], x3[j]
+			for k, ljk := range lj {
+				s0 -= y0[k] * ljk
+				s1 -= y1[k] * ljk
+				s2 -= y2[k] * ljk
+				s3 -= y3[k] * ljk
+			}
+			d := l[j*n+j]
+			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < n; i++ {
 		xi := x[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			s := xi[j]

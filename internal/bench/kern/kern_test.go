@@ -218,7 +218,48 @@ func TestPotrfRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// trsmRef is the one-row-at-a-time loop TrsmRightLowerTrans replaced, kept
+// verbatim as the bitwise reference for the row-blocked kernel.
+func trsmRef(l, x []float64, n int) {
+	for i := 0; i < n; i++ {
+		xi := x[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			s := xi[j]
+			for k := 0; k < j; k++ {
+				s -= xi[k] * l[j*n+k]
+			}
+			xi[j] = s / l[j*n+j]
+		}
+	}
+}
+
+// TestTrsmRightLowerTrans holds the row-blocked solve to the reference loop
+// bit for bit: every n from 1 to 65 (every row count mod 4), a factored SPD
+// L and a random L, right-hand sides finite and salted with ±0, subnormals,
+// ±Inf and NaN. It also checks the solve against its definition, X·Lᵀ = B.
 func TestTrsmRightLowerTrans(t *testing.T) {
+	for n := 1; n <= 65; n++ {
+		seed := uint64(100 * n)
+		factored := spdBlock(seed, n)
+		if err := Potrf(factored, n); err != nil {
+			t.Fatal(err)
+		}
+		for _, special := range []bool{false, true} {
+			blk := randBlock
+			if special {
+				blk = specialBlock
+			}
+			for _, l := range [][]float64{factored, blk(seed+1, n)} {
+				b := blk(seed+2, n)
+				got, want := append([]float64(nil), b...), append([]float64(nil), b...)
+				TrsmRightLowerTrans(l, got, n)
+				trsmRef(l, want, n)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("n=%d special=%v: X[%d] = %x, reference %x", n, special, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
 	const n = 8
 	a := spdBlock(9, n)
 	if err := Potrf(a, n); err != nil {
@@ -227,8 +268,7 @@ func TestTrsmRightLowerTrans(t *testing.T) {
 	b := randBlock(10, n)
 	orig := append([]float64(nil), b...)
 	TrsmRightLowerTrans(a, b, n)
-	// Check X·Lᵀ == B: rec = X·Lᵀ via rec -= X·(L)ᵀ... use GemmSubTransB
-	// with B arg = L gives rec -= X·Lᵀ.
+	// rec -= X·Lᵀ, negated, must give back B.
 	rec := make([]float64, n*n)
 	GemmSubTransB(rec, b, a, n)
 	for i := range rec {
@@ -398,6 +438,22 @@ func BenchmarkGemmSubTransB32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GemmSubTransB(z, x, y, n)
+	}
+}
+
+func BenchmarkTrsm32(b *testing.B) {
+	const n = 32
+	l := spdBlock(4, n)
+	if err := Potrf(l, n); err != nil {
+		b.Fatal(err)
+	}
+	src := randBlock(5, n)
+	x := make([]float64, n*n)
+	b.SetBytes(2 * int64(n) * int64(n) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		TrsmRightLowerTrans(l, x, n)
 	}
 }
 

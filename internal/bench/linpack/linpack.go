@@ -78,11 +78,11 @@ func initBlock(b buffer.F64, i, j, n, nb int) {
 	}
 }
 
-// graph states the factorization's task graph; firstErr receives the first
+// graph states the factorization's task graph; errs receives the first
 // getrf error. Block (i, j) lives on grid process (i mod P', j mod Q'), the
 // grid chosen per machine size as HPL does: the most square P'×Q' = nodes
 // factorization (the paper's 8×8 grid is the 64-node case).
-func graph(g *workload.Graph, p Params, firstErr *error) {
+func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
@@ -97,9 +97,7 @@ func graph(g *workload.Graph, p Params, firstErr *error) {
 	var getrf, trsmRow, trsmCol, gemm rt.TaskFunc
 	if g.Runs() {
 		getrf = func(ctx *rt.Ctx) {
-			if err := kern.Lu0(ctx.F64(0), p.B); err != nil && *firstErr == nil {
-				*firstErr = err
-			}
+			errs.Record(kern.Lu0(ctx.F64(0), p.B))
 		}
 		trsmRow = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
 		trsmCol = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
@@ -128,23 +126,32 @@ func graph(g *workload.Graph, p Params, firstErr *error) {
 // BuildRT implements workload.Workload.
 func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
-	bb := p.B * p.B
 	blocks := make([][]buffer.F64, p.Nb)
-	orig := make([][]buffer.F64, p.Nb)
 	for i := range blocks {
 		blocks[i] = make([]buffer.F64, p.Nb)
-		orig[i] = make([]buffer.F64, p.Nb)
 		for j := range blocks[i] {
-			blocks[i][j] = buffer.NewF64(bb)
+			blocks[i][j] = buffer.NewF64(p.B * p.B)
 			initBlock(blocks[i][j], i, j, p.B, p.Nb)
+		}
+	}
+	return build(r, p, blocks)
+}
+
+// build submits the factorization of blocks in place and returns the
+// verifier that holds the factors to a copy of the input.
+func build(r *rt.Runtime, p Params, blocks [][]buffer.F64) workload.Verifier {
+	orig := make([][]buffer.F64, p.Nb)
+	for i := range orig {
+		orig[i] = make([]buffer.F64, p.Nb)
+		for j := range orig[i] {
 			orig[i][j] = blocks[i][j].Clone().(buffer.F64)
 		}
 	}
-	var firstErr error
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, &firstErr)
+	var errs workload.FirstErr
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, &errs)
 	return func() error {
-		if firstErr != nil {
-			return firstErr
+		if err := errs.Err(); err != nil {
+			return err
 		}
 		return VerifyResidual(blocks, orig, p)
 	}

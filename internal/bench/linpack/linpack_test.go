@@ -1,12 +1,14 @@
 package linpack
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
+	"appfit/internal/core"
 	"appfit/internal/rt"
 )
 
@@ -110,5 +112,30 @@ func TestParams(t *testing.T) {
 		if p.Nb < 2 || p.B < 2 || p.P < 1 || p.Q < 1 {
 			t.Fatalf("%v: bad params %+v", s, p)
 		}
+	}
+}
+
+// TestFailedFactorUnderReplication runs a matrix whose first diagonal block
+// is zero fully replicated on two workers: both attempts of getrf(0) fail,
+// concurrently, and the verifier must report the kernel's error.
+func TestFailedFactorUnderReplication(t *testing.T) {
+	p := Params{Nb: 3, B: 4}
+	blocks := make([][]buffer.F64, p.Nb)
+	for i := range blocks {
+		blocks[i] = make([]buffer.F64, p.Nb)
+		for j := range blocks[i] {
+			blocks[i][j] = buffer.NewF64(p.B * p.B)
+			if i != 0 || j != 0 {
+				initBlock(blocks[i][j], i, j, p.B, p.Nb)
+			}
+		}
+	}
+	r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}})
+	verifyRT := build(r, p, blocks)
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyRT(); !errors.Is(err, kern.ErrNumeric) {
+		t.Fatalf("verifier returned %v, want a kern.ErrNumeric", err)
 	}
 }

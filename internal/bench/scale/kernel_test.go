@@ -8,8 +8,9 @@ import (
 	"appfit/internal/xrand"
 )
 
-// BenchmarkKernel is the loop under a cholesky task: one 32×32
-// C -= A·Bᵀ tile update (the gemm and syrk body), 0 allocs/op.
+// BenchmarkKernel is the loops under a cholesky task, 0 allocs/op: one 32×32
+// C -= A·Bᵀ tile update (the gemm and syrk body) and one 32×32 X·Lᵀ = B
+// solve (the trsm body, B restored before each solve).
 func BenchmarkKernel(b *testing.B) {
 	const n = 32
 	r := xrand.New(1)
@@ -26,6 +27,20 @@ func BenchmarkKernel(b *testing.B) {
 		b.SetBytes(3 * n * n * 8)
 		for i := 0; i < b.N; i++ {
 			kern.GemmSubTransB(z, x, y, n)
+		}
+	})
+	// A lower-triangular L with a dominant diagonal keeps X finite.
+	l := blk()
+	for j := 0; j < n; j++ {
+		l[j*n+j] = n
+	}
+	w := make([]float64, n*n)
+	b.Run("trsm-32", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(2 * n * n * 8)
+		for i := 0; i < b.N; i++ {
+			copy(w, y)
+			kern.TrsmRightLowerTrans(l, w, n)
 		}
 	})
 }

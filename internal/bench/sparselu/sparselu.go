@@ -113,9 +113,9 @@ func initBlock(b buffer.F64, i, j, n int) {
 }
 
 // graph states the factorization's task graph over the block structure
-// fill (Structure); firstErr receives the first lu0 error. Block (i, j)
+// fill (Structure); errs receives the first lu0 error. Block (i, j)
 // lives on node (i·Nb+j) mod nodes.
-func graph(g *workload.Graph, p Params, fill [][]bool, firstErr *error) {
+func graph(g *workload.Graph, p Params, fill [][]bool, errs *workload.FirstErr) {
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
@@ -123,9 +123,7 @@ func graph(g *workload.Graph, p Params, fill [][]bool, firstErr *error) {
 	var lu0, fwd, bdiv, bmod rt.TaskFunc
 	if g.Runs() {
 		lu0 = func(ctx *rt.Ctx) {
-			if err := kern.Lu0(ctx.F64(0), p.B); err != nil && *firstErr == nil {
-				*firstErr = err
-			}
+			errs.Record(kern.Lu0(ctx.F64(0), p.B))
 		}
 		fwd = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
 		bdiv = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
@@ -186,11 +184,17 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 	p := ParamsFor(s)
 	fill := Structure(p.Nb)
 	blocks, orig := matrix(p, fill)
-	var firstErr error
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &firstErr)
+	return build(r, p, fill, blocks, orig)
+}
+
+// build submits the factorization of blocks in place and returns the
+// verifier that holds the factors to orig.
+func build(r *rt.Runtime, p Params, fill [][]bool, blocks, orig [][]buffer.F64) workload.Verifier {
+	var errs workload.FirstErr
+	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &errs)
 	return func() error {
-		if firstErr != nil {
-			return firstErr
+		if err := errs.Err(); err != nil {
+			return err
 		}
 		return verify(blocks, orig, p)
 	}

@@ -1,11 +1,13 @@
 package sparselu
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
-	"appfit/internal/buffer"
+	"appfit/internal/core"
 	"appfit/internal/rt"
 )
 
@@ -97,19 +99,33 @@ func TestVerifyRejectsNaN(t *testing.T) {
 	fill := Structure(p.Nb)
 	blocks, orig := matrix(p, fill)
 	r := rt.New(rt.Config{Workers: 1})
-	var firstErr error
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &firstErr)
+	verifyRT := build(r, p, fill, blocks, orig)
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	if err := verify(blocks, orig, p); err != nil {
+	if err := verifyRT(); err != nil {
 		t.Fatalf("correct factorization rejected: %v", err)
 	}
 	blocks[1][1][6] = math.NaN()
 	if err := verify(blocks, orig, p); err == nil {
 		t.Fatal("a NaN in a factor block was accepted")
+	}
+}
+
+// TestFailedFactorUnderReplication runs a matrix whose first diagonal block
+// is zero fully replicated on two workers: both attempts of lu0(0) fail,
+// concurrently, and the verifier must report the kernel's error.
+func TestFailedFactorUnderReplication(t *testing.T) {
+	p := Params{Nb: 4, B: 4}
+	fill := Structure(p.Nb)
+	blocks, orig := matrix(p, fill)
+	clear(blocks[0][0])
+	r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}})
+	verifyRT := build(r, p, fill, blocks, orig)
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyRT(); !errors.Is(err, kern.ErrNumeric) {
+		t.Fatalf("verifier returned %v, want a kern.ErrNumeric", err)
 	}
 }

@@ -86,3 +86,26 @@ func TestJobShape(t *testing.T) {
 		t.Fatal("input bytes wrong")
 	}
 }
+
+// TestBuildRTAllocs holds a Tiny build and its drain on a warm runtime to an
+// allocation ceiling. The build makes 32 tasks over 80 accesses to 12
+// regions; the runtime graph resolves each region's buffer once, so no
+// access pays for boxing its buffer. It reads 188 (256 when every access
+// boxed); the ceiling leaves room for the race detector's sync.Pool drops.
+func TestBuildRTAllocs(t *testing.T) {
+	const ceiling = 210
+	r := rt.New(rt.Config{Workers: 2})
+	build := func() {
+		W{}.BuildRT(r, workload.Tiny)
+		r.Taskwait()
+	}
+	build() // warm the buffer pool, the queues and the region table
+	got := testing.AllocsPerRun(20, build)
+	t.Logf("%.1f allocations a build", got)
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got > ceiling {
+		t.Errorf("%.1f allocations a build, ceiling %d", got, ceiling)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"appfit/internal/buffer"
 	"appfit/internal/cluster"
@@ -90,6 +91,28 @@ func (cm CostModel) Cost(flops, bytes int64) simtime.Time {
 // Verifier checks a finished workload's numeric result.
 type Verifier func() error
 
+// FirstErr keeps the first error a build's task bodies report. Bodies run
+// concurrently — a replicated task's attempts 0 and 1 included — so it is
+// safe for concurrent use. The zero value holds no error.
+type FirstErr struct {
+	err atomic.Pointer[error]
+}
+
+// Record keeps err if it is the first non-nil error recorded.
+func (f *FirstErr) Record(err error) {
+	if err != nil {
+		f.err.CompareAndSwap(nil, &err)
+	}
+}
+
+// Err returns the first recorded error, or nil.
+func (f *FirstErr) Err() error {
+	if e := f.err.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
 // Workload is one Table-I benchmark.
 type Workload interface {
 	// Name is the benchmark's registry key (e.g. "cholesky").
@@ -152,7 +175,13 @@ type Graph struct {
 	job   jobBuilder  // the job sink's state, unused on the runtime
 	r     *rt.Runtime // the runtime sink, nil for a job graph
 	data  func(Region) buffer.Buffer
-	keys  map[Region]string // each region's runtime key, encoded once
+	regs  map[Region]rtRegion // each region's runtime key and buffer, resolved once
+}
+
+// rtRegion is a region as the runtime sees it: its key and its buffer.
+type rtRegion struct {
+	key string
+	buf buffer.Buffer
 }
 
 // NewJobGraph returns a graph that builds a job named name over a benchmark
@@ -164,9 +193,11 @@ func NewJobGraph(name string, inputBytes int64, tasks, nodes int, cm CostModel) 
 }
 
 // NewRTGraph returns a graph that submits its tasks to r, each access on the
-// buffer data returns for its region.
+// buffer data returns for its region. data must be a fixed map from region
+// to buffer for the life of the graph: the graph calls it once per region,
+// on the region's first access, and hands every later access that buffer.
 func NewRTGraph(r *rt.Runtime, data func(Region) buffer.Buffer) *Graph {
-	return &Graph{nodes: 1, r: r, data: data, keys: make(map[Region]string)}
+	return &Graph{nodes: 1, r: r, data: data, regs: make(map[Region]rtRegion)}
 }
 
 // Nodes is the node count home nodes are drawn from (1 on the runtime).
@@ -184,12 +215,12 @@ func (g *Graph) Task(label string, node int, flops, memBytes int64, body rt.Task
 	}
 	args := make([]rt.Arg, len(accs))
 	for i, a := range accs {
-		key, ok := g.keys[a.Key]
+		reg, ok := g.regs[a.Key]
 		if !ok {
-			key = fmt.Sprintf("%c[%d][%d][%d]", a.Key.Arr, a.Key.I, a.Key.J, a.Key.K)
-			g.keys[a.Key] = key
+			reg = rtRegion{fmt.Sprintf("%c[%d][%d][%d]", a.Key.Arr, a.Key.I, a.Key.J, a.Key.K), g.data(a.Key)}
+			g.regs[a.Key] = reg
 		}
-		args[i] = rt.Arg{Key: key, Mode: a.Mode, Buf: g.data(a.Key)}
+		args[i] = rt.Arg{Key: reg.key, Mode: a.Mode, Buf: reg.buf}
 	}
 	g.r.Submit(label, body, args...)
 }

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"appfit/internal/buffer"
 	"appfit/internal/cluster"
 	"appfit/internal/deps"
+	"appfit/internal/rt"
 )
 
 // The regions the builder tests access.
@@ -182,5 +184,35 @@ func TestRegionKeysAreValues(t *testing.T) {
 	i := jb.Task("same", 0, 1, 1, RAcc(Region{Arr: 'A', I: 1}, 8))
 	if deps := jb.job.Tasks[i].Deps; len(deps) != 1 || deps[0] != w {
 		t.Fatalf("a reader of A[1][0] has deps %v, want [%d]", deps, w)
+	}
+}
+
+// TestRTGraphResolvesRegionOnce: a runtime graph calls data once per
+// distinct region, however often tasks access it, and hands every access
+// the buffer that call returned.
+func TestRTGraphResolvesRegionOnce(t *testing.T) {
+	bufs := map[Region]buffer.F64{rA: buffer.NewF64(1), rB: buffer.NewF64(1), rC: buffer.NewF64(1)}
+	calls := map[Region]int{}
+	r := rt.New(rt.Config{Workers: 2})
+	g := NewRTGraph(r, func(reg Region) buffer.Buffer {
+		calls[reg]++
+		return bufs[reg]
+	})
+	incr := func(ctx *rt.Ctx) { ctx.F64(ctx.NArgs() - 1)[0]++ }
+	for range 5 {
+		g.Task("a", 0, 1, 1, incr, RWAcc(rA, 8))
+		g.Task("b", 0, 1, 1, incr, RAcc(rA, 8), RWAcc(rB, 8))
+		g.Task("c", 0, 1, 1, incr, RAcc(rA, 8), RAcc(rB, 8), RWAcc(rC, 8))
+	}
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for reg, b := range bufs {
+		if calls[reg] != 1 {
+			t.Errorf("data(%+v) called %d times, want 1", reg, calls[reg])
+		}
+		if b[0] != 5 {
+			t.Errorf("region %+v's buffer holds %g, want 5 increments", reg, b[0])
+		}
 	}
 }
