@@ -143,15 +143,17 @@ benchmark:
 # against the working tree, the first side alternating — with per-metric
 # medians, quartiles, the median ratio and the win count: how a perf claim
 # is measured (scripts/bench_pair.sh). Pick a SEED not used while writing
-# the change; S is each run's seconds.
+# the change; S is each run's seconds. GATE=1 first compares one traced
+# run per side and fails, naming each, if any exact (`=`) counter drifted.
 #
-#	make benchmark-pair REF=HEAD W=figures N=10 SEED=23
+#	make benchmark-pair REF=HEAD W=figures N=10 SEED=23 GATE=1
 REF ?= HEAD
 N ?= 10
 SEED ?= 1
 S ?= 15
+GATE ?=
 benchmark-pair:
-	sh scripts/bench_pair.sh $(REF) $(W) $(N) $(SEED) $(S)
+	sh scripts/bench_pair.sh $(if $(filter 1,$(GATE)),-gate) $(REF) $(W) $(N) $(SEED) $(S)
 
 # The end-to-end benchmark's smoke, named so `make check` shows it: every
 # workload at -quick sizes in-process, every answer checked

@@ -242,11 +242,11 @@ type sim struct {
 	// the critical path (panel factorizations before trailing updates), the
 	// lookahead priority a real dataflow runtime gives them. The queued
 	// value is the execution's core-time cost.
-	ready []simtime.Heap[simtime.Time]
+	ready []readyHeap
 	// Spare-core pool (nil when ReplicaCores == 0): replica and recovery
 	// executions queue here instead of competing with primaries.
 	freeR  []int
-	readyR []simtime.Heap[simtime.Time]
+	readyR []readyHeap
 
 	res       Result
 	remaining int
@@ -291,7 +291,7 @@ func (l *Layout) run(cfg Config) (Result, error) {
 		states:    make([]taskState, len(job.Tasks)),
 		succs:     l,
 		free:      make([]int, cfg.Nodes),
-		ready:     make([]simtime.Heap[simtime.Time], cfg.Nodes),
+		ready:     make([]readyHeap, cfg.Nodes),
 		remaining: len(job.Tasks),
 	}
 	s.eng.Handle(s.handle)
@@ -306,7 +306,7 @@ func (l *Layout) run(cfg Config) (Result, error) {
 	s.res.NodeBusy = make([]simtime.Time, cfg.Nodes)
 	if cfg.ReplicaCores > 0 {
 		s.freeR = make([]int, cfg.Nodes)
-		s.readyR = make([]simtime.Heap[simtime.Time], cfg.Nodes)
+		s.readyR = make([]readyHeap, cfg.Nodes)
 	}
 	// A task has at most two executions in flight (primary and replica, or
 	// one re-execution), so a node's tasks bound its queues. A queue rarely
@@ -319,10 +319,10 @@ func (l *Layout) run(cfg Config) (Result, error) {
 	reserve := 4 * (cfg.CoresPerNode + cfg.ReplicaCores)
 	for n, tasks := range s.succs.perNode {
 		s.free[n] = cfg.CoresPerNode
-		s.ready[n].Grow(min(shared*int(tasks), reserve))
+		s.ready[n].grow(min(shared*int(tasks), reserve))
 		if s.freeR != nil {
 			s.freeR[n] = cfg.ReplicaCores
-			s.readyR[n].Grow(min(int(tasks), reserve))
+			s.readyR[n].grow(min(int(tasks), reserve))
 		}
 	}
 	for i := range job.Tasks {
@@ -398,18 +398,18 @@ func (s *sim) enqueue(i, attempt int, cost simtime.Time) {
 	if s.spare(attempt) {
 		q = &s.readyR[node]
 	}
-	q.Push(int64(i), uint64(attempt), cost)
+	q.push(i, attempt, cost)
 	s.trySchedule(node)
 }
 
 // trySchedule starts queued executions on node while cores are free.
 func (s *sim) trySchedule(node int) {
-	for s.free[node] > 0 && s.ready[node].Len() > 0 {
+	for s.free[node] > 0 && len(s.ready[node]) > 0 {
 		s.free[node]--
 		s.start(node, &s.ready[node])
 	}
 	if s.freeR != nil {
-		for s.freeR[node] > 0 && s.readyR[node].Len() > 0 {
+		for s.freeR[node] > 0 && len(s.readyR[node]) > 0 {
 			s.freeR[node]--
 			s.start(node, &s.readyR[node])
 		}
@@ -417,9 +417,8 @@ func (s *sim) trySchedule(node int) {
 }
 
 // start pops q's first execution onto a core of node.
-func (s *sim) start(node int, q *simtime.Heap[simtime.Time]) {
-	task, minor, cost := q.Pop()
-	i, attempt := int(task), int(minor)
+func (s *sim) start(node int, q *readyHeap) {
+	i, attempt, cost := q.pop()
 	s.res.BusyTime += cost
 	if !s.spare(attempt) {
 		s.res.NodeBusy[node] += cost

@@ -7,11 +7,11 @@
 //
 // Events fire in timestamp order; ties break by insertion order, making
 // every simulation fully deterministic. An event is a small pointer-free
-// value on one typed heap (Heap), in one of two forms sharing that queue
-// and its tie order: a typed event — a Kind and two integers the engine's
-// owner dispatches in a switch (Handle, Post, PostAfter), which allocates
-// nothing — or a closure (At, After), parked in a side table while the
-// queued record carries its slot.
+// value on one radix queue (time only moves forward), in one of two forms
+// sharing that queue and its tie order: a typed event — a Kind and two
+// integers the engine's owner dispatches in a switch (Handle, Post,
+// PostAfter), which allocates nothing — or a closure (At, After), parked
+// in a side table while the queued record carries its slot.
 package simtime
 
 // Time is virtual time in nanoseconds.
@@ -29,10 +29,9 @@ type Kind uint8
 
 const kindFunc Kind = 0
 
-// event is the queued record's payload, keyed on the heap by (timestamp,
-// insertion sequence) — a strict total order, since the sequence is unique.
-// Record and key hold no pointer, so sifting moves plain words — no write
-// barriers — and the queue is invisible to the GC.
+// event is the queued record's payload. Record and timestamp hold no
+// pointer, so queueing moves plain words — no write barriers — and the
+// queue is invisible to the GC.
 type event struct {
 	a, b int32 // the owner's payload; a is the closure's slot for kindFunc
 	kind Kind
@@ -41,9 +40,7 @@ type event struct {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // not usable; construct with New.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   Heap[event]
+	queue   radixQueue // its last pop's timestamp is the clock
 	handler func(k Kind, a, b int32)
 	// Closures scheduled through At/After wait here, indexed by the slot
 	// their event carries; a fired slot is cleared (releasing the closure)
@@ -60,10 +57,10 @@ func (e *Engine) Handle(h func(k Kind, a, b int32)) { e.handler = h }
 
 // Grow makes room for n more pending events, so a run that knows its bound
 // allocates the queue once.
-func (e *Engine) Grow(n int) { e.queue.Grow(n) }
+func (e *Engine) Grow(n int) { e.queue.grow(n) }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.queue.last }
 
 // Post schedules a typed event at absolute time at: when it fires, the
 // handler receives (k, a, b). Scheduling in the past panics: that is always
@@ -80,15 +77,14 @@ func (e *Engine) PostAfter(delay Time, k Kind, a, b int32) {
 	if delay < 0 {
 		panic("simtime: negative delay")
 	}
-	e.Post(e.now+delay, k, a, b)
+	e.Post(e.Now()+delay, k, a, b)
 }
 
 func (e *Engine) push(at Time, k Kind, a, b int32) {
-	if at < e.now {
+	if at < e.Now() {
 		panic("simtime: scheduling event in the past")
 	}
-	e.seq++
-	e.queue.Push(int64(at), e.seq, event{a: a, b: b, kind: k})
+	e.queue.push(at, event{a: a, b: b, kind: k})
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
@@ -111,7 +107,7 @@ func (e *Engine) After(delay Time, fn func()) {
 	if delay < 0 {
 		panic("simtime: negative delay")
 	}
-	e.At(e.now+delay, fn)
+	e.At(e.Now()+delay, fn)
 }
 
 // Step fires the earliest pending event. It returns false if none remain.
@@ -119,8 +115,7 @@ func (e *Engine) Step() bool {
 	if e.queue.Len() == 0 {
 		return false
 	}
-	at, _, ev := e.queue.Pop()
-	e.now = Time(at)
+	ev := e.queue.pop()
 	if ev.kind != kindFunc {
 		e.handler(ev.kind, ev.a, ev.b)
 		return true
@@ -136,5 +131,5 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() Time {
 	for e.Step() {
 	}
-	return e.now
+	return e.Now()
 }

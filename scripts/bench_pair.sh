@@ -3,8 +3,8 @@
 # git ref (side A, the parent) against the working tree (side B, the
 # change), on one workload and one seed.
 #
-#	sh scripts/bench_pair.sh REF WORKLOAD PAIRS SEED [SECONDS]
-#	make benchmark-pair REF=HEAD W=figures N=10 SEED=23 [S=15]
+#	sh scripts/bench_pair.sh [-gate] REF WORKLOAD PAIRS SEED [SECONDS]
+#	make benchmark-pair REF=HEAD W=figures N=10 SEED=23 [S=15] [GATE=1]
 #
 # REF is exported with git archive into .bench_build/pair/<sha>/ — plain
 # files, no worktree metadata — and each side's benchmark and appfitd
@@ -18,9 +18,28 @@
 # parent's quartiles q1/q3, the median B/A ratio with its quartiles, how
 # many pairs B won and the one-sided sign-test p of that many wins. A run
 # with failed operations is reported and counts as a loss for its side.
+#
+# -gate first makes one traced run per side at the same seed and compares
+# the exact counters below; if any differs it names each, with both values,
+# and exits 1 before the pairs. A change that claims to keep every result
+# must leave them all where the parent has them.
 set -eu
+# The counters benchmark/README.md marks "=" (they repeat exactly for a
+# seed), and rt.dep_edges, which counts every edge the accesses declare.
+exact="cluster.runs cluster.reexecutions cluster.sdc_detected cluster.due_recovered
+cluster.messages cluster.virtual_ms_sum simnet.bytes_sent simnet.wire_bytes
+rt.tasks rt.replicated rt.sdc_detected rt.due_recovered rt.reexecutions
+rt.vote_failures rt.dep_edges ckpt.saves ckpt.restores ckpt.bytes_saved
+dist.messages dist.tasks dist.virtual_us dist.halo_virtual_us
+dist.allreduce_small_virtual_us dist.allreduce_large_virtual_us
+dist.allgatherv_virtual_us dist.cholesky_virtual_us"
+gate=0
+if [ "${1:-}" = -gate ]; then
+	gate=1
+	shift
+fi
 if [ $# -lt 4 ] || [ "$3" -lt 2 ]; then
-	echo "usage: $0 REF WORKLOAD PAIRS SEED [SECONDS] (PAIRS >= 2)" >&2
+	echo "usage: $0 [-gate] REF WORKLOAD PAIRS SEED [SECONDS] (PAIRS >= 2)" >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=$3 seed=$4 seconds=${5:-15}
@@ -45,12 +64,13 @@ done
 
 data="$pairdir/$workload-$seed.tsv"
 : >"$data"
-# run SIDE-NAME DIR PAIR: one benchmark process; appends "pair side metric
-# value" lines to $data. The parent's export sits inside this repository,
-# so git is fenced off there and its env line names no commit.
+# run SIDE-NAME DIR PAIR [TRACE [FILE]]: one benchmark process; appends
+# "pair side metric value" lines to FILE (default $data). The parent's
+# export sits inside this repository, so git is fenced off there and its
+# env line names no commit.
 run() {
 	out=$(cd "$2" && GIT_CEILING_DIRECTORIES="$pairdir" .bench_build/bin/benchmark \
-		-workload "$workload" -seed "$seed" -seconds "$seconds" -trace 0 2>"$pairdir/stderr") || {
+		-workload "$workload" -seed "$seed" -seconds "$seconds" -trace "${4:-0}" 2>"$pairdir/stderr") || {
 		cat "$pairdir/stderr" >&2
 		exit 1
 	}
@@ -65,8 +85,32 @@ run() {
 			sub(/.*"value":/, "", v)
 			print pair, side, part[2], v
 		}
-	}' >>"$data"
+	}' >>"${5:-$data}"
 }
+
+if [ "$gate" = 1 ]; then
+	traced="$pairdir/$workload-$seed.gate.tsv"
+	: >"$traced"
+	run A "$parent" 0 1 "$traced"
+	run B "$root" 0 1 "$traced"
+	awk -v exact="$exact" '{ v[$2, $3] = $4 }
+	END {
+		n = split(exact, name)
+		for (i = 1; i <= n; i++) {
+			a = ("A", name[i]) in v ? v["A", name[i]] : "absent"
+			b = ("B", name[i]) in v ? v["B", name[i]] : "absent"
+			if (a != b) {
+				printf "gate: %s drifted: A %s, B %s\n", name[i], a, b
+				bad++
+			}
+		}
+		if (bad) exit 1
+		printf "gate: all %d exact counters equal (traced runs, seed %s)\n", n, seed
+	}' seed="$seed" "$traced" || {
+		echo "gate: failed; no pairs run" >&2
+		exit 1
+	}
+fi
 
 echo "$workload, seed $seed, $pairs pairs of $seconds s: A = $ref ($(echo "$sha" | cut -c1-7)), B = working tree"
 i=1
