@@ -83,10 +83,13 @@ check-serve:
 # The communicator-isolation gate, named explicitly so `make check` always
 # runs it under -race even if the full race suite is trimmed: two Split
 # groups plus a same-members alias communicator carrying identical tags at
-# 64 ranks must never cross-match (`race` runs it too; -count=1 defeats the
-# test cache so this target always re-executes it).
+# 64 ranks must never cross-match, and three collectives of different
+# shapes under one tag on one placed communicator — whose hierarchical
+# phases share its context and tokens — must each land where they belong
+# (`race` runs both too; -count=1 defeats the test cache so this target
+# always re-executes them).
 race-comm:
-	$(GO) test -race -count=1 -run 'TestCommContextIsolation64Ranks' ./internal/dist
+	$(GO) test -race -count=1 -run 'TestCommContextIsolation64Ranks|TestMixedShapeSameTagCollectives' ./internal/dist
 
 vet:
 	$(GO) vet ./...

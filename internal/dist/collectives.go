@@ -5,16 +5,17 @@
 // purely through region accesses — there is no world-wide synchronous call.
 //
 // Every collective has one argument check and one statement of each
-// schedule it can run; the exported *Flat/*Hier/Allreduce* variants
-// validate and then run the schedule they name, and the plain names
-// (Broadcast, Allgather, Allgatherv, Allreduce) pick the
-// variant from the communicator's placement — for Allreduce, through plan.
+// schedule it can run; the plain names (Broadcast, Allgather, Allgatherv,
+// Allreduce) pick the schedule from the communicator's placement — for
+// Allreduce, through plan — and AllreduceGather/Tree/Rabenseifner validate
+// and then run the schedule they name.
 // The schedules are the classic ones of Thakur, Rabenseifner & Gropp
 // (Optimization of Collective Communication Operations in MPICH, IJHPCA
 // 2005): binomial tree, ring, recursive doubling, recursive vector halving.
 // This file holds the message plumbing they share (lane), the flat
 // schedules and the Allreduce selection; hier.go holds the leader-based
-// shapes and vector.go the counts/displacements collectives.
+// shapes, run on views of the communicator, and vector.go the
+// counts/displacements collectives.
 //
 // Two ordering mechanisms are at work:
 //
@@ -36,7 +37,8 @@
 // stay FIFO-consistent because the token serializes each member's plumbing
 // in submission order — which is why every schedule below keeps each
 // member's own submissions in a fixed order, whatever order the members
-// are visited in.
+// are visited in. The hierarchical phases share the context and the tokens
+// (hier.go), so the same rule covers them.
 package dist
 
 import (
@@ -206,7 +208,7 @@ func (c *Comm) Barrier(tag int) { //lint:unusedexport the perf ledger calls it (
 // An out-of-range root, a bufs slice of the wrong length or a nil buffer
 // in it records a World error and submits nothing.
 func (c *Comm) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
-	c.broadcast(c.hier, root, tag, name, bufs)
+	c.broadcast(c.Hierarchical(), root, tag, name, bufs)
 }
 
 // broadcast validates a Broadcast call and runs the chosen shape: hier
@@ -292,7 +294,7 @@ func (l lane) ring(b blocks) {
 // same-tag Broadcast. Both move bitwise-identical payloads in n(n−1)
 // messages; only the routing — and therefore the fabric cost — differs.
 func (c *Comm) Allgather(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	c.allgather(c.hier, tag, name, bufs)
+	c.allgather(c.Hierarchical(), tag, name, bufs)
 }
 
 // allgather validates an Allgather call and runs the chosen shape: hier
@@ -461,7 +463,7 @@ func (c *Comm) allreduce(alg allreduceAlg, tag int, name string, bufs []buffer.F
 		return
 	}
 	if alg == algAuto {
-		alg = plan(op, bufs[0].SizeBytes(), len(c.members), c.hier)
+		alg = plan(op, bufs[0].SizeBytes(), len(c.members), c.Hierarchical())
 	}
 	switch alg {
 	case algGather:
@@ -485,7 +487,7 @@ func (c *Comm) reduceAtZero(tag int, name string, bufs []buffer.F64, op ReduceOp
 		return
 	}
 	l := c.lane(ClassReduce, tag, "reduce:"+name)
-	prefix := fmt.Sprintf("%s:ar:%d:%d:", collKey, c.ctx, tag)
+	prefix := fmt.Sprintf("%s:ar:%d%s:%d:", collKey, c.ctx, c.stage, tag)
 	args := []rt.Arg{rt.Inout(name, bufs[0])}
 	for i := 1; i < len(bufs); i++ {
 		tmp := rt.Out(prefix+strconv.Itoa(i), c.w.stageF64(len(bufs[0])))
@@ -514,7 +516,7 @@ type pow2 struct {
 // stage leases an n-element receive buffer under the schedule's staging key
 // for phase/k.
 func (p *pow2) stage(phase string, k, n int) rt.Arg {
-	return rt.Out(fmt.Sprintf("%s:%s:%d:%d:%s%d", collKey, p.kind, p.c.ctx, p.tag, phase, k), p.c.w.stageF64(n))
+	return rt.Out(fmt.Sprintf("%s:%s:%d%s:%d:%s%d", collKey, p.kind, p.c.ctx, p.c.stage, p.tag, phase, k), p.c.w.stageF64(n))
 }
 
 // fold submits member i's fold of a staged receive into [lo, hi) of its

@@ -63,7 +63,10 @@ var (
 // Split derives sub-communicators. Address members with Rank, which yields
 // the per-member handle all point-to-point operations live on; collectives
 // (Barrier, Broadcast, Allgather, Allgatherv, Allreduce) are Comm methods
-// that submit every member's side at once.
+// that submit every member's side at once. Inside the package a Comm may
+// also be a view (hier.go): a subset of another's members under its
+// context and tokens, with no handles, on which the hierarchical phases
+// run.
 type Comm struct {
 	w       *World
 	ctx     uint64
@@ -74,17 +77,15 @@ type Comm struct {
 	// collectives on one communicator stay FIFO-consistent per member while
 	// collectives on sibling or parent communicators can still interleave.
 	// Each is built — its one-byte buffer boxed — once per member, not once
-	// per comm task.
+	// per comm task; a view shares its parent's.
 	toks []rt.Arg
-	// hier is set at construction when the World's topology places the
-	// members across ≥2 nodes with at least one node shared — the condition
-	// under which the collectives auto-select their hierarchical algorithms.
-	hier bool
-	// node is the cached decomposition backing the hierarchical
-	// collectives, minted lazily by nodeComms (see topology.go).
+	// stage scopes the staging regions of this communicator's collectives
+	// next to its context id: empty on a minted communicator, a phase
+	// letter on a view (see hier.go), which shares its parent's context.
+	stage string
+	// node is the members' grouping by node, built on first use (nodes).
 	nodeOnce sync.Once
-	node     *nodeDecomp
-	nodeErr  error
+	node     *nodeGroups
 }
 
 // newComm builds the group state for the given members under context id ctx.
@@ -95,7 +96,6 @@ func newComm(w *World, ctx uint64, members []*Rank) *Comm {
 		members: members,
 		handles: make([]CommRank, len(members)),
 		toks:    make([]rt.Arg, len(members)),
-		hier:    commHier(w, members),
 	}
 	tokKey := fmt.Sprintf("%s:tok:%d", collKey, ctx)
 	for i := range members {
@@ -114,8 +114,16 @@ func (c *Comm) Size() int { return len(c.members) }
 
 // Hierarchical reports whether the communicator auto-selects hierarchical
 // collectives: the World's topology places its members across at least two
-// nodes, at least one of which hosts two or more of them.
-func (c *Comm) Hierarchical() bool { return c.hier } //lint:unusedexport an Example prints it
+// nodes, at least one of which hosts two or more of them. A flat placement
+// keeps the flat algorithms, bitwise-identically to a World with no
+// topology.
+func (c *Comm) Hierarchical() bool {
+	if c.w.topo == nil || c.w.topo.Flat() {
+		return false
+	}
+	g := len(c.nodes().groups)
+	return g >= 2 && g < len(c.members)
+}
 
 // Rank returns member i's handle. An out-of-range i records
 // ErrRankOutOfRange in the World's error set (reported by Shutdown)

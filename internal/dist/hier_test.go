@@ -95,10 +95,7 @@ func TestHierarchicalFlag(t *testing.T) {
 	if !c.Hierarchical() {
 		t.Fatal("8 ranks on 2 nodes: hierarchical")
 	}
-	locals, leaders, err := nodeSplit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locals, leaders := nodeSplit(c)
 	if locals[0].Hierarchical() || leaders.Hierarchical() {
 		t.Fatal("node-local and leaders groups must be flat")
 	}
@@ -113,10 +110,8 @@ func TestSplitByNode(t *testing.T) {
 	// 7 ranks on 3 nodes (ragged tail): groups {0..2}, {3..5}, {6}.
 	w := blockWorld(t, 7, 3, false)
 	c := w.Comm()
-	locals, leaders, err := nodeSplit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx0 := w.nextCtx.Load()
+	locals, leaders := nodeSplit(c)
 	wantGroups := [][]int{{0, 1, 2}, {3, 4, 5}, {6}}
 	for g, grp := range wantGroups {
 		lc := locals[grp[0]]
@@ -132,21 +127,24 @@ func TestSplitByNode(t *testing.T) {
 	if got := worldRanks(leaders); !reflect.DeepEqual(got, []int{0, 3, 6}) {
 		t.Fatalf("leaders = %v, want [0 3 6]", got)
 	}
-	// Contexts all fresh and distinct.
-	seen := map[uint64]bool{0: true}
-	for _, cc := range []*Comm{locals[0], locals[3], locals[6], leaders} {
-		if seen[cc.ctx] {
-			t.Fatalf("context %d reused", cc.ctx)
+	// Views share the parent's context and tokens: nothing is minted.
+	if w.nextCtx.Load() != ctx0 {
+		t.Fatal("node views minted a context")
+	}
+	for _, v := range []*Comm{locals[0], locals[3], locals[6], leaders} {
+		if v.ctx != c.ctx {
+			t.Fatalf("view %v has context %d, parent %d", worldRanks(v), v.ctx, c.ctx)
 		}
-		seen[cc.ctx] = true
+		for k, m := range v.members { // c is the world: comm rank = world id
+			if &v.toks[k].Buf.(buffer.U8)[0] != &c.toks[m.id].Buf.(buffer.U8)[0] {
+				t.Fatalf("view %v member %d has its own token", worldRanks(v), m.id)
+			}
+		}
 	}
-	// A second call mints fresh contexts (MPI semantics, like Split).
-	locals2, leaders2, err := nodeSplit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locals2[0].ctx == locals[0].ctx || leaders2.ctx == leaders.ctx {
-		t.Fatal("SplitByNode must mint fresh contexts per call")
+	// The grouping is built once per communicator: a second call returns
+	// the same views.
+	if locals2, leaders2 := nodeSplit(c); locals2[0] != locals[0] || leaders2 != leaders {
+		t.Fatal("node views rebuilt on a second call")
 	}
 	if err := w.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -157,10 +155,7 @@ func TestSplitByNodeFlatWorld(t *testing.T) {
 	// Without a topology every member is its own node: singleton locals,
 	// leaders spans the whole group.
 	w := NewWorld(Config{Ranks: 3})
-	locals, leaders, err := nodeSplit(w.Comm())
-	if err != nil {
-		t.Fatal(err)
-	}
+	locals, leaders := nodeSplit(w.Comm())
 	for i, lc := range locals {
 		if lc.Size() != 1 || worldRanks(lc)[0] != i {
 			t.Fatalf("local %d = %v", i, worldRanks(lc))
@@ -568,12 +563,126 @@ func TestHierBeatsFlatVirtualTime(t *testing.T) {
 	}
 }
 
-// nodeSplit mints c's node decomposition afresh: the node-local
-// communicators indexed by parent comm rank, and the leaders communicator.
-func nodeSplit(c *Comm) (locals []*Comm, leaders *Comm, err error) {
-	d, err := c.splitByNode()
-	if err != nil {
-		return nil, nil, err
+// nodeSplit returns c's node views: each member's node-local view,
+// indexed by comm rank, and the leaders view.
+func nodeSplit(c *Comm) (locals []*Comm, leaders *Comm) {
+	d := c.nodes()
+	locals = make([]*Comm, c.Size())
+	for i, g := range d.groupOf {
+		locals[i] = d.locals[g]
 	}
-	return d.locals, d.leaders, nil
+	return locals, d.leaders
+}
+
+// TestMixedShapeSameTagCollectives submits three collectives of different
+// shapes under one tag on one placed communicator, none waiting for the
+// last: a hierarchical Broadcast rooted off node 0, an Allreduce with a
+// custom op — the flat gather plus a binomial broadcast over the whole
+// communicator, whose node-mate edges carry the same Class, Tag and Sub as
+// node 0's local fan-out — and a hierarchical Allgatherv with ragged
+// segments. Every member submits and matches its comm tasks in one order,
+// so every message lands in the receive it was meant for; odd iterations
+// run fully replicated under injected faults.
+func TestMixedShapeSameTagCollectives(t *testing.T) {
+	const ranks, perNode, tag, iters = 16, 4, 7, 30
+	const bcastLen = 64
+	sum := func(dst, src []float64) {
+		for j := range dst {
+			dst[j] += src[j]
+		}
+	}
+	counts := raggedCounts(ranks)
+	displs, total := vecLayout(counts)
+	for it := 0; it < iters; it++ {
+		w := blockWorld(t, ranks, perNode, it%2 == 1)
+		c := w.Comm()
+		if !c.Hierarchical() {
+			t.Fatal("16 ranks on 4 nodes: hierarchical")
+		}
+		root := perNode + it%(ranks-perNode)
+		bcast := make([]buffer.Buffer, ranks)
+		for i := range bcast {
+			bcast[i] = buffer.NewF64(bcastLen)
+		}
+		for k := range bcast[root].(buffer.F64) {
+			bcast[root].(buffer.F64)[k] = float64(it*1000 + k)
+		}
+		red := make([]buffer.F64, ranks)
+		contrib := make([][]float64, ranks)
+		gv := make([]buffer.F64, ranks)
+		for i := range red {
+			red[i] = buffer.F64{float64(i*it + 1)}
+			contrib[i] = make([]float64, total)
+			for k := displs[i]; k < displs[i]+counts[i]; k++ {
+				contrib[i][k] = float64(100*i + k + it)
+			}
+			gv[i] = append(buffer.F64{}, contrib[i]...)
+		}
+		c.Broadcast(root, tag, "b", bcast)
+		c.Allreduce(tag, "r", red, sum)
+		c.Allgatherv(tag, "v", gv, counts, displs)
+		if err := w.Shutdown(); err != nil {
+			t.Fatalf("iteration %d: %v", it, err)
+		}
+		wantRed := 0.0
+		for i := 0; i < ranks; i++ {
+			wantRed += float64(i*it + 1)
+		}
+		wantGV := allgathervReference(contrib, counts, displs, total)
+		for i := 0; i < ranks; i++ {
+			for k, x := range bcast[i].(buffer.F64) {
+				if x != float64(it*1000+k) {
+					t.Fatalf("iteration %d: broadcast member %d[%d] = %v", it, i, k, x)
+				}
+			}
+			if red[i][0] != wantRed {
+				t.Fatalf("iteration %d: allreduce member %d = %v, want %v", it, i, red[i][0], wantRed)
+			}
+			if !reflect.DeepEqual([]float64(gv[i]), wantGV) {
+				t.Fatalf("iteration %d: allgatherv member %d = %v, want %v", it, i, gv[i], wantGV)
+			}
+		}
+	}
+}
+
+// TestHierarchicalCollectivesMintNothing pins that the hierarchical shapes
+// run on views of the communicator itself: they draw no context id, so a
+// user Split made afterwards mints the ids it would on an unplaced World.
+func TestHierarchicalCollectivesMintNothing(t *testing.T) {
+	const ranks, perNode = 16, 4
+	split := func(w *World) []uint64 {
+		colors, keys := make([]int, ranks), identity(ranks)
+		for i := range colors {
+			colors[i] = i % 3
+		}
+		subs, err := w.Comm().Split(colors, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []uint64{subs[0].ctx, subs[1].ctx, subs[2].ctx}
+	}
+	flat := NewWorld(Config{Ranks: ranks})
+	want := split(flat)
+	if err := flat.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	w := blockWorld(t, ranks, perNode, false)
+	c := w.Comm()
+	ctx0 := w.nextCtx.Load()
+	c.Broadcast(5, 0, "b", anyBufs(f64s(ranks, 8)))
+	c.Allgather(1, blockName, allgatherBlocks(ranks, 3))
+	r := newRagged(ranks)
+	c.Allgatherv(2, "v", r.bufs, r.counts, r.displs)
+	c.AllreduceSum(3, "s", f64s(ranks, 8))
+	c.Allreduce(4, "l", f64s(ranks, 8192), OpMax)
+	if got := w.nextCtx.Load(); got != ctx0 {
+		t.Fatalf("hierarchical collectives minted %d contexts", got-ctx0)
+	}
+	if got := split(w); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Split after hierarchical collectives minted %v, want %v as on an unplaced World", got, want)
+	}
+	if err := w.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 }

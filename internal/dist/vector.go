@@ -104,7 +104,7 @@ func (c *Comm) checkVector(op string, total int, counts, displs []int) bool {
 // once, not once per consuming rank — and leaders fan the foreign segments
 // out inside their nodes.
 func (c *Comm) Allgatherv(tag int, name string, bufs []buffer.F64, counts, displs []int) {
-	c.allgatherv(c.hier, tag, name, bufs, counts, displs)
+	c.allgatherv(c.Hierarchical(), tag, name, bufs, counts, displs)
 }
 
 // allgatherv validates an Allgatherv call and runs the chosen shape: hier
@@ -121,16 +121,13 @@ func (c *Comm) allgatherv(hier bool, tag int, name string, bufs []buffer.F64, co
 		c.lane(ClassGatherv, tag, "allgatherv:"+name).ring(b)
 		return
 	}
-	d := c.decomp()
-	if d == nil {
-		return
-	}
+	d := c.nodes()
 	// Phase 1 — inside each node, every member's segment reaches its
 	// node-mates over shared memory: one local broadcast per segment, rooted
 	// at the owner's local rank.
-	for _, grp := range d.groups {
+	for g, grp := range d.groups {
 		for jl, pj := range grp {
-			d.locals[pj].bcast(jl, tag, name, b.column(grp, pj))
+			d.locals[g].bcast(jl, tag, name, b.column(grp, pj))
 		}
 	}
 	d.exchange(tag, b)
