@@ -131,8 +131,8 @@ func main() {
 	}
 	fmt.Printf("faults          SDC detected %d / recovered %d; DUE recovered %d; unprotected SDC %d DUE %d\n",
 		st.SDCDetected, st.SDCRecovered, st.DUERecovered, st.UnprotectedSDC, st.UnprotectedDUE)
-	fmt.Printf("checkpoints     %d saves, %.2f MB total, peak %.2f MB\n",
-		st.Checkpoint.Saves, float64(st.Checkpoint.BytesSaved)/1e6, float64(st.Checkpoint.PeakLive)/1e6)
+	fmt.Printf("checkpoints     %d saves, %.2f MB of inputs, %d restores\n",
+		st.Checkpoint.Saves, float64(st.Checkpoint.BytesSaved)/1e6, st.Checkpoint.Restores)
 	fmt.Printf("buffer pool     %d leases, %d reused a returned buffer (%.1f%%)\n",
 		st.Pool.Leases, st.Pool.Hits, 100*float64(st.Pool.Hits)/float64(max(st.Pool.Leases, 1)))
 	fmt.Printf("verification    %v\n", errString(verr))

@@ -214,8 +214,8 @@ func worldRun() {
 			st.Replicated, st.Reexecutions, st.SDCRecovered, st.DUERecovered)
 	}
 	// One pool line per World: the ranks share the World's buffer pool, so
-	// payloads and every rank's checkpoints and replica copies are counted
-	// once, by the World. The second World starts on the first one's buffers.
+	// payloads and every rank's attempt copies are counted once, by the
+	// World. The second World starts on the first one's buffers.
 	for _, x := range []struct {
 		name string
 		w    *dist.World

@@ -72,8 +72,8 @@ func main() {
 			h.Local[rk][0])
 	}
 	// The ranks share the World's one buffer pool, so its traffic — message
-	// payloads and every rank's checkpoints and replica copies — is the
-	// World's to report, once.
+	// payloads and every rank's attempt copies — is the World's to report,
+	// once.
 	pool := w.Stats().Pool
 	fmt.Printf("world pool: %d leases, %d reused a returned buffer (%.1f%%)\n",
 		pool.Leases, pool.Hits, 100*float64(pool.Hits)/float64(max(pool.Leases, 1)))

@@ -14,7 +14,7 @@ import (
 // BenchmarkRtReplicate is the replication engine's record on the real
 // runtime. allocs/op and B/op are the gated units: every copy the Figure-2
 // engine makes is a lease from the runtime's buffer.Pool, so B/op has no
-// term in the bytes a task checkpoints, clones or re-executes on, and what
+// term in the bytes a task's attempts copy, and what
 // allocs/op counts is Submit, deps and sched — the cost an unreplicated
 // task pays too — plus the replica's goroutine.
 //

@@ -87,25 +87,26 @@ func TestNilArgs(t *testing.T) {
 	}
 }
 
+// live is the number of s's leases not yet returned.
+func live(s *Store) uint64 {
+	st := s.pool.Stats()
+	return st.Leases - st.Returns
+}
+
 func TestReleaseAndAccounting(t *testing.T) {
 	s := NewStore(1)
-	s.Save(1, []buffer.Buffer{buffer.NewF64(100)}) // 800 bytes
-	s.Save(2, []buffer.Buffer{buffer.NewF64(50)})  // 400 bytes
-	st := s.Stats()
-	if st.BytesSaved != 1200 || st.BytesLive != 1200 || st.PeakLive != 1200 {
-		t.Fatalf("stats = %+v", st)
+	s.Save(1, []buffer.Buffer{buffer.NewF64(100)})
+	s.Save(2, []buffer.Buffer{buffer.NewF64(50), buffer.NewF64(50)})
+	if n := live(s); n != 3 || len(s.chks) != 2 {
+		t.Fatalf("%d leases live in %d checkpoints, want 3 in 2", n, len(s.chks))
 	}
-	s.Release(1)
-	st = s.Stats()
-	if st.BytesLive != 400 || st.PeakLive != 1200 {
-		t.Fatalf("after release: %+v", st)
+	s.Release(2)
+	if n := live(s); n != 1 || len(s.chks) != 1 {
+		t.Fatalf("after release: %d leases live in %d checkpoints, want 1 in 1", n, len(s.chks))
 	}
-	if len(s.chks) != 1 {
-		t.Fatalf("live = %d", len(s.chks))
-	}
-	s.Release(1) // double release is a no-op
-	if s.Stats().BytesLive != 400 {
-		t.Fatal("double release changed accounting")
+	s.Release(2) // double release is a no-op
+	if live(s) != 1 {
+		t.Fatal("double release returned a lease")
 	}
 	s.Release(42) // absent id is a no-op
 }
@@ -123,22 +124,18 @@ func TestResaveReplaces(t *testing.T) {
 	if dst[0] != 2 {
 		t.Fatalf("restored %v, want re-saved value 2", dst[0])
 	}
-	if st := s.Stats(); st.BytesLive != 8 {
-		t.Fatalf("live bytes = %d after replace", st.BytesLive)
+	if n := live(s); n != 1 {
+		t.Fatalf("%d leases live after replace, want 1", n)
 	}
 }
 
 func TestMultipleCopies(t *testing.T) {
 	s := NewStore(3)
-	s.Save(1, []buffer.Buffer{buffer.NewF64(10)}) // 80 bytes × 3
-	st := s.Stats()
-	if st.Copies != 3 {
-		t.Fatalf("copies = %d", st.Copies)
+	s.Save(1, []buffer.Buffer{buffer.NewF64(10), nil})
+	if n := live(s); n != 3 || len(s.chks[1].bufs) != 6 {
+		t.Fatalf("%d leases live in %d slots, want 3 in 6 (3 copies)", n, len(s.chks[1].bufs))
 	}
-	if st.BytesLive != 240 {
-		t.Fatalf("live = %d, want 240 (3 copies)", st.BytesLive)
-	}
-	if NewStore(0).Stats().Copies != 1 {
+	if NewStore(0).copies != 1 {
 		t.Fatal("copies must clamp to 1")
 	}
 }
@@ -165,12 +162,11 @@ func TestRestoreCountsAndConcurrency(t *testing.T) {
 		}(uint64(i + 1))
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Saves != n || st.Restores != n {
-		t.Fatalf("saves=%d restores=%d", st.Saves, st.Restores)
+	if st := s.pool.Stats(); st.Leases != n || st.Returns != n {
+		t.Fatalf("pool %+v, want %d leases, all returned", st, n)
 	}
-	if st.BytesLive != 0 || len(s.chks) != 0 {
-		t.Fatalf("leaked checkpoints: live=%d bytes=%d", len(s.chks), st.BytesLive)
+	if len(s.chks) != 0 {
+		t.Fatalf("leaked %d checkpoints", len(s.chks))
 	}
 }
 
@@ -178,9 +174,9 @@ func TestRestoreCountsAndConcurrency(t *testing.T) {
 // and goes back to it — at Release, and when a second Save replaces the
 // first — and a recycled buffer restores its new contents, not its old.
 func TestCheckpointsAreLeases(t *testing.T) {
-	pool := buffer.NewPool()
+	s := NewStore(2)
+	pool := s.pool
 	pool.Poison()
-	s := NewStoreOn(pool, 2)
 	first := []buffer.Buffer{buffer.F64{1, 2}, nil, buffer.U8{3}}
 	s.Save(1, first)
 	if st := pool.Stats(); st.Leases != 4 || st.Returns != 0 {
@@ -204,9 +200,6 @@ func TestCheckpointsAreLeases(t *testing.T) {
 	st := pool.Stats()
 	if st.Leases != st.Returns || st.Hits != 4 {
 		t.Fatalf("after Release: %+v, want balance and 4 hits", st)
-	}
-	if got := s.Stats(); got.BytesLive != 0 || got.BytesSaved != 3*2*17 {
-		t.Fatalf("accounting %+v", got)
 	}
 }
 

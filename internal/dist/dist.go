@@ -66,7 +66,7 @@ type Config struct {
 // pool is the one place a World's short-lived memory comes from: message
 // payloads (leased by the send task, returned by the receive task),
 // collective staging (stageF64, returned at Shutdown) and every rank's
-// engine copies — checkpoints, replica clones, re-execution sets — through
+// engine copies — each replicated attempt's writable arguments — through
 // rt.NewOn. It belongs to the process, not to a World, because Worlds are
 // short: a loop that builds a World per iteration finds the buffers of the
 // previous one, where a per-World pool would die cold each time. Safe

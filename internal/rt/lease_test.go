@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"appfit/internal/buffer"
-	"appfit/internal/ckpt"
 	"appfit/internal/core"
 	"appfit/internal/fault"
 	"appfit/internal/trace"
@@ -24,16 +23,13 @@ func wantBalanced(t *testing.T, r *Runtime, n uint64) {
 	if st.Leases != n {
 		t.Fatalf("pool leased %d buffers, want %d", st.Leases, n)
 	}
-	if live := r.Stats().Checkpoint.BytesLive; live != 0 {
-		t.Fatalf("%d checkpoint bytes still live", live)
-	}
 }
 
 // TestLeaseBalance drives one replicated task — In("S"), Inout("A"),
 // Out("D") — down every path of the Figure-2 engine and checks the books:
-// the result is right, and every lease (checkpoint copies of S and A, the
-// two first attempts' private A and D, all three per re-execution) went back
-// to the pool exactly once.
+// the result is right, and every lease (a private A and D for each attempt,
+// re-executions included; S is only read, so every attempt reads the real
+// one) went back to the pool exactly once.
 func TestLeaseBalance(t *testing.T) {
 	script := fault.NewScript
 	persistentSDC := script()
@@ -86,32 +82,11 @@ func TestLeaseBalance(t *testing.T) {
 			if got := r.Stats().Reexecutions; got != c.reexec {
 				t.Fatalf("%d re-executions, want %d", got, c.reexec)
 			}
-			fill := uint64(2) // nothing to checkpoint; a private S for each attempt
-			axpy := 2 + 4 + 3*c.reexec
+			fill := uint64(2) // a private S for each attempt
+			axpy := 2 * (2 + c.reexec)
 			wantBalanced(t, r, fill+axpy)
 		})
 	}
-}
-
-// TestLeaseBalanceFailingRestore: a checkpoint gone missing makes Restore
-// fail; the engine reports it and still returns everything it leased.
-func TestLeaseBalanceFailingRestore(t *testing.T) {
-	inj := fault.NewScript().Set(1, 0, fault.SDC).SetBit(1, 0, 5)
-	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj})
-	a := buffer.F64{1, 2}
-	r.Submit("incr", func(ctx *Ctx) {
-		if ctx.Attempt() == 0 {
-			r.store.Release(ctx.TaskID()) // safe memory loses the checkpoint
-		}
-		incrTask(1)(ctx)
-	}, Inout("A", a))
-	if err := r.Shutdown(); !errors.Is(err, ckpt.ErrRestore) {
-		t.Fatalf("Shutdown = %v, want a restore error", err)
-	}
-	if a[0] != 2 || a[1] != 3 {
-		t.Fatalf("a = %v", a)
-	}
-	wantBalanced(t, r, 1+2+1)
 }
 
 // TestLeaseBalanceStorm is TestSeededFaultStorm's storm with the books
@@ -135,7 +110,7 @@ func TestLeaseBalanceStorm(t *testing.T) {
 	if st.Reexecutions == 0 {
 		t.Fatal("storm injected nothing — test is vacuous")
 	}
-	wantBalanced(t, r, 3*n+st.Reexecutions)
+	wantBalanced(t, r, 2*n+st.Reexecutions)
 	if st.Pool.Hits == 0 {
 		t.Fatal("200 same-shape tasks never reused a buffer")
 	}
@@ -245,10 +220,10 @@ func TestNewOnSharesOnePool(t *testing.T) {
 			t.Fatalf("round %d: Stats = %+v, want 10 replicated tasks and no pool traffic of its own", round, st)
 		}
 		st := shared.Stats()
-		if st.Leases != uint64(30*round) || st.Returns != st.Leases {
-			t.Fatalf("round %d: shared pool = %+v, want %d leases, all returned", round, st, 30*round)
+		if st.Leases != uint64(20*round) || st.Returns != st.Leases {
+			t.Fatalf("round %d: shared pool = %+v, want %d leases, all returned", round, st, 20*round)
 		}
-		if round == 2 && st.Hits < 30 {
+		if round == 2 && st.Hits < 20 {
 			t.Fatalf("the second runtime found the pool cold: %+v", st)
 		}
 	}

@@ -4,12 +4,15 @@
 // runtime infers dependencies, executes ready tasks on a worker pool, and —
 // when the configured selection heuristic chooses a task — replicates it:
 //
-//  1. the task's inputs are checkpointed to safe memory;
+//  1. the task's inputs are checkpointed: every attempt writes private
+//     copies, and the dependence graph lets no other task write the task's
+//     arguments before it completes, so the real buffers themselves keep
+//     the inputs bitwise until the result is adopted;
 //  2. a duplicate task descriptor is created and scheduled;
 //  3. the original and the replica execute in parallel and their outputs
 //     are compared at the end (the only synchronization point);
-//  4. on mismatch (SDC detected) the initial state is restored from the
-//     checkpoint and the task re-executes;
+//  4. on mismatch (SDC detected) the task re-executes on fresh copies of its
+//     writable arguments, taken from that checkpoint;
 //  5. a majority vote over the three results selects the task's output.
 //
 // Crashes (DUEs) are absorbed by the surviving replica or by re-execution
@@ -207,20 +210,17 @@ type Stats struct {
 	// declare, counting those whose predecessor had already completed: a
 	// property of the program, not of its timing.
 	DepEdges int
-	// Checkpoint is the checkpoint store's accounting.
+	// Checkpoint counts Figure 2's checkpoints and restores.
 	Checkpoint ckpt.Stats
-	// Pool is the traffic of the buffer pool every checkpoint, replica
-	// clone and re-execution set is leased from: Hits/Leases is the share
-	// of engine copies that reused a buffer instead of allocating one. A
-	// runtime started on someone else's pool (NewOn) leaves it zero.
+	// Pool is the traffic of the buffer pool every attempt's private copies
+	// are leased from: Hits/Leases is the share of engine copies that
+	// reused a buffer instead of allocating one. A runtime started on
+	// someone else's pool (NewOn) leaves it zero.
 	Pool buffer.PoolStats
 }
 
 // Add accumulates other into s, for aggregating counters across runtimes
-// (e.g. the ranks of a dist.World). Counters, times and byte totals sum;
-// Checkpoint.PeakLive and Copies take the maximum — a sum of peaks observed
-// at different times is not a peak, so the aggregate reports the largest
-// single-runtime peak (concurrent peaks are not tracked across runtimes).
+// (e.g. the ranks of a dist.World): counters, times and byte totals sum.
 func (s *Stats) Add(other Stats) {
 	s.Submitted += other.Submitted
 	s.Completed += other.Completed
@@ -239,13 +239,6 @@ func (s *Stats) Add(other Stats) {
 	s.Checkpoint.Saves += other.Checkpoint.Saves
 	s.Checkpoint.Restores += other.Checkpoint.Restores
 	s.Checkpoint.BytesSaved += other.Checkpoint.BytesSaved
-	s.Checkpoint.BytesLive += other.Checkpoint.BytesLive
-	if other.Checkpoint.PeakLive > s.Checkpoint.PeakLive {
-		s.Checkpoint.PeakLive = other.Checkpoint.PeakLive
-	}
-	if other.Checkpoint.Copies > s.Checkpoint.Copies {
-		s.Checkpoint.Copies = other.Checkpoint.Copies
-	}
 	s.Pool.Leases += other.Pool.Leases
 	s.Pool.Hits += other.Pool.Hits
 	s.Pool.Returns += other.Pool.Returns
@@ -298,12 +291,11 @@ type Runtime struct {
 	// acc is the access list Submit hands the graph, rebuilt in place per
 	// task: Submit is single-goroutine, like the graph's Register.
 	acc []deps.Access
-	// bufs is where every engine copy comes from: store leases checkpoints
-	// from it, executeReplicated the attempt sets. borrowed marks a pool
-	// handed to NewOn, whose traffic its owner reports.
+	// bufs is where every engine copy comes from: executeReplicated leases
+	// the attempt sets from it. borrowed marks a pool handed to NewOn, whose
+	// traffic its owner reports.
 	bufs     *buffer.Pool
 	borrowed bool
-	store    *ckpt.Store
 	est      *fit.Estimator
 
 	nextID atomic.Uint64
@@ -332,6 +324,8 @@ type Runtime struct {
 	sdcDetected, sdcRecovered, dueRecovered  atomic.Uint64
 	unprotSDC, unprotDUE, voteFails, reexecs atomic.Uint64
 	taskNs, replNs, redundantNs              atomic.Int64
+	// checkpointed sums the replicated tasks' read-argument bytes.
+	checkpointed atomic.Int64
 }
 
 // poisonLeases makes every new Runtime's pool scribble over the buffers it
@@ -351,9 +345,9 @@ func New(cfg Config) *Runtime {
 }
 
 // NewOn is New on a buffer pool the caller owns and may share between
-// runtimes — a dist.World runs every rank on one, so a checkpoint in one
-// rank reuses the buffer a replica clone in another just returned, and a
-// World started after this one finds the pool warm. The owner reports the
+// runtimes — a dist.World runs every rank on one, so an attempt in one rank
+// reuses the buffer an attempt in another just returned, and a World
+// started after this one finds the pool warm. The owner reports the
 // pool's traffic: Stats().Pool of a runtime started here stays zero, so
 // summing the runtimes of one pool counts no lease twice.
 func NewOn(bufs *buffer.Pool, cfg Config) *Runtime { return start(bufs, true, cfg) }
@@ -365,7 +359,6 @@ func start(bufs *buffer.Pool, borrowed bool, cfg Config) *Runtime {
 		pool:     sched.NewQueue[*task](cfg.Workers),
 		bufs:     bufs,
 		borrowed: borrowed,
-		store:    ckpt.NewStoreOn(bufs, 1),
 		est:      fit.NewEstimator(cfg.Rates),
 	}
 	r.inflightCv = sync.NewCond(&r.inflightMu)
@@ -466,8 +459,12 @@ func (r *Runtime) Stats() Stats {
 		ReplicatedTimeNs: r.replNs.Load(),
 		RedundantTimeNs:  r.redundantNs.Load(),
 		DepEdges:         r.graph.DerivedEdges(),
-		Checkpoint:       r.store.Stats(),
-		Pool:             pool,
+		Checkpoint: ckpt.Stats{
+			Saves:      r.replicated.Load(),
+			Restores:   r.reexecs.Load(),
+			BytesSaved: r.checkpointed.Load(),
+		},
+		Pool: pool,
 	}
 }
 
@@ -512,11 +509,12 @@ type attemptResult struct {
 // replicated task allocates none of it. A worker takes one for the length
 // of executeReplicated and nothing in it outlives that call.
 type replScratch struct {
-	// The task's access plan, derived once: reads are the argument indices
-	// the checkpoint covers, writes the ones compared, corrupted by an
-	// injected fault and adopted. Arguments without a buffer (pure ordering
-	// tokens) are in neither.
-	reads, writes []int
+	// The task's access plan, derived once: writes are the argument indices
+	// each attempt copies, the ones compared, corrupted by an injected fault
+	// and adopted; readBytes is the size of the ones the checkpoint covers.
+	// Arguments without a buffer (pure ordering tokens) are in neither.
+	writes    []int
+	readBytes int64
 	// arena backs every per-attempt buffer slice (see carve).
 	arena []buffer.Buffer
 	// results are the output sets of the attempts that did not crash.
@@ -546,13 +544,13 @@ func (s *replScratch) carve(n int) []buffer.Buffer {
 
 // plan derives the access plan of args.
 func (s *replScratch) plan(args []Arg) {
-	s.reads, s.writes = s.reads[:0], s.writes[:0]
+	s.writes, s.readBytes = s.writes[:0], 0
 	for i, a := range args {
 		if a.Buf == nil {
 			continue
 		}
 		if a.Mode.Reads() {
-			s.reads = append(s.reads, i)
+			s.readBytes += a.Buf.SizeBytes()
 		}
 		if a.Mode.Writes() {
 			s.writes = append(s.writes, i)
@@ -561,13 +559,13 @@ func (s *replScratch) plan(args []Arg) {
 }
 
 // attemptSet carves one attempt's buffers: bufs is what the body sees — a
-// leased copy of every argument the task writes (of every argument at all
-// when all is set), the real buffer otherwise — and outs its writable
-// subset, in plan order.
-func (r *Runtime) attemptSet(t *task, s *replScratch, all bool) (bufs, outs []buffer.Buffer) {
+// leased copy of every argument the task writes, taken from the real buffer,
+// and the real buffer itself otherwise — and outs its writable subset, in
+// plan order.
+func (r *Runtime) attemptSet(t *task, s *replScratch) (bufs, outs []buffer.Buffer) {
 	bufs = s.carve(len(t.args))
 	for i, a := range t.args {
-		if a.Buf != nil && (all || a.Mode.Writes()) {
+		if a.Buf != nil && a.Mode.Writes() {
 			bufs[i] = r.bufs.Lease(a.Buf)
 			s.leased = append(s.leased, bufs[i])
 		} else {
@@ -776,30 +774,23 @@ func (r *Runtime) event(rec *trace.Record, evs ...trace.Event) {
 	}
 }
 
-// executeReplicated implements Figure 2. Every copy it makes — the
-// checkpoint, both first attempts' writable arguments, a full private set
-// per re-execution — is a lease from r.bufs, and all of them go back when it
-// returns.
+// executeReplicated implements Figure 2. Every copy it makes — each
+// attempt's writable arguments — is a lease from r.bufs, and all of them go
+// back when it returns.
 func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	s := r.getScratch(t)
 	defer r.putScratch(s)
 
-	// Step 1: checkpoint the inputs.
-	inputs := s.carve(len(s.reads))
-	for k, i := range s.reads {
-		inputs[k] = t.args[i].Buf
-	}
-	r.store.Save(t.id, inputs)
+	// Step 1: checkpoint the inputs. The real buffers are the checkpoint: no
+	// attempt writes them before adopt, and the dependence graph lets no
+	// other task write them before this one completes.
+	r.checkpointed.Add(s.readBytes)
 	r.event(rec, trace.Checkpointed)
-	defer r.store.Release(t.id)
 
 	// Step 2: duplicate descriptor; both attempts get private writable
-	// buffers so the real buffers keep the pristine inputs during
-	// execution (the in-memory equivalent of executing from the
-	// checkpointed state). Read-only arguments are shared: both executions
-	// only read them.
-	primaryBufs, primaryOuts := r.attemptSet(t, s, false)
-	replicaBufs, replicaOuts := r.attemptSet(t, s, false)
+	// buffers, and share the read-only ones, which they only read.
+	primaryBufs, primaryOuts := r.attemptSet(t, s)
+	replicaBufs, replicaOuts := r.attemptSet(t, s)
 	r.event(rec, trace.ReplicaCreated)
 
 	s.replica.Add(1)
@@ -873,19 +864,11 @@ func (r *Runtime) observe(rule *vote.Recovery, s *replScratch, rec *trace.Record
 	}
 }
 
-// reexecute restores the task's inputs from its checkpoint into a fresh,
-// fully private buffer set and runs one more attempt. Every argument is
-// leased as a copy of the real one (read-only ones included) so the restore
-// never writes to a buffer another in-flight task may be reading.
+// reexecute restores the task's initial state from its checkpoint — a fresh
+// attempt set, copied from the still pristine real buffers — and runs one
+// more attempt on it.
 func (r *Runtime) reexecute(t *task, s *replScratch, w, attempt int, rec *trace.Record) (attemptResult, []buffer.Buffer) {
-	bufs, outs := r.attemptSet(t, s, true)
-	dst := s.carve(len(s.reads))
-	for k, i := range s.reads {
-		dst[k] = bufs[i]
-	}
-	if err := r.store.Restore(t.id, dst); err != nil {
-		r.setErr(fmt.Errorf("rt: task %d restore: %w", t.id, err))
-	}
+	bufs, outs := r.attemptSet(t, s)
 	r.event(rec, trace.Restored, trace.Reexecuted)
 	r.reexecs.Add(1)
 	res := r.runAttempt(t, &s.ctx[0], bufs, outs, attempt, w)
