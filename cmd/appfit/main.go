@@ -19,6 +19,7 @@ import (
 	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
 	"appfit/internal/core"
+	"appfit/internal/experiments"
 	"appfit/internal/fault"
 	"appfit/internal/fit"
 	"appfit/internal/rt"
@@ -71,16 +72,9 @@ func main() {
 	}
 
 	// Dry pass: task count and application FIT at 1× rates.
-	tr := trace.New()
-	dry := rt.New(rt.Config{Workers: *workers, Rates: base, RatesSet: true, Tracer: tr})
-	_ = w.BuildRT(dry, scale)
-	if err := dry.Shutdown(); err != nil {
+	n, appFIT, _, err := experiments.DryRun(w, scale, *workers, base)
+	if err != nil {
 		fatal(err)
-	}
-	n := tr.Len()
-	appFIT := 0.0
-	for _, rec := range tr.Records() {
-		appFIT += rec.FITDue + rec.FITSdc
 	}
 	thr := *threshold
 	if thr == 0 {

@@ -243,7 +243,7 @@ func verify(tiles, orig [][]buffer.F64, p Params) error {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	g := workload.NewJobGraph(w.Name(), p.Tasks(), nodes, cm)
 	graph(g, p, nil)
 	return g.Job()
 }

@@ -206,7 +206,7 @@ func verify(P []buffer.C128, input []complex128, p Params) error {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 4*p.Nb(), nodes, cm)
+	g := workload.NewJobGraph(w.Name(), 4*p.Nb(), nodes, cm)
 	graph(g, p)
 	return g.Job()
 }

@@ -232,7 +232,7 @@ func VerifyResidual(blocks, orig [][]buffer.F64, p Params) error {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, nodes, cm)
+	g := workload.NewJobGraph(w.Name(), p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, nodes, cm)
 	graph(g, p, nil)
 	return g.Job()
 }

@@ -151,7 +151,7 @@ func verify(A, B, C []buffer.F64, p Params, rows int) error {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 2*p.Nb*p.Nb+p.Tasks(), nodes, cm)
+	g := workload.NewJobGraph(w.Name(), 2*p.Nb*p.Nb+p.Tasks(), nodes, cm)
 	graph(g, p)
 	return g.Job()
 }

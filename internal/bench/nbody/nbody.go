@@ -263,7 +263,7 @@ func verify(pos []buffer.F64, p Params) error {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Steps*(p.Nb()*p.Nb()+2*p.Nb()), nodes, cm)
+	g := workload.NewJobGraph(w.Name(), p.Steps*(p.Nb()*p.Nb()+2*p.Nb()), nodes, cm)
 	graph(g, p)
 	return g.Job()
 }

@@ -557,24 +557,25 @@ func BenchmarkCholeskyFlatVsHier(b *testing.B) {
 }
 
 // BenchmarkWorldScale runs the mixed-traffic World at 64/128/256 ranks over
-// the sharded Direct and the Sim fabric (Marenostrum cost model). One op is
-// a whole World lifetime: construction, traffic, drain, shutdown.
+// the sharded Direct and the Sim fabric (Marenostrum cost model, one rank
+// per node). One op is a whole World lifetime: construction, traffic,
+// drain, shutdown.
 func BenchmarkWorldScale(b *testing.B) {
-	transports := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"direct", func() dist.Transport { return dist.NewDirect() }},
-		{"sim", func() dist.Transport { return dist.NewSim(simnet.Marenostrum()) }},
-	}
-	for _, tr := range transports {
+	for _, name := range []string{"direct", "sim"} {
 		for _, ranks := range []int{64, 128, 256} {
-			tr, ranks := tr, ranks
-			b.Run(fmt.Sprintf("%s/ranks=%d", tr.name, ranks), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(b *testing.B) {
+				mk := func() dist.Transport { return dist.NewDirect() }
+				if name == "sim" {
+					topo, err := simnet.BlockTopology(ranks, 1, simnet.Marenostrum(), simnet.Marenostrum())
+					if err != nil {
+						b.Fatal(err)
+					}
+					mk = func() dist.Transport { return dist.NewSimTopology(topo) }
+				}
 				b.ReportAllocs()
 				var msgs uint64
 				for i := 0; i < b.N; i++ {
-					msgs = worldTraffic(b, ranks, tr.mk)
+					msgs = worldTraffic(b, ranks, mk)
 				}
 				b.ReportMetric(float64(msgs), "msgs/world")
 			})

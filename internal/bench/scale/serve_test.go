@@ -28,20 +28,25 @@ func BenchmarkServe(b *testing.B) {
 	pool := sweepBatch(b)
 
 	b.Run("tenants=2", func(b *testing.B) {
-		eng := sweep.New(sweep.Options{})
-		if _, err := eng.RunBatch(context.Background(), pool); err != nil {
-			b.Fatal(err)
-		}
 		srv, err := serve.New(serve.Options{
 			Tenants: []serve.TenantConfig{
 				{Name: "heavy", Weight: 3, QueueCap: 1 << 20},
 				{Name: "light", Weight: 1, QueueCap: 1 << 20},
 			},
-			Engine:  eng,
 			Workers: runtime.GOMAXPROCS(0),
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+		// Warm the server's cache with the whole pool before timing.
+		warm, err := srv.Submit(context.Background(), "heavy", pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range warm {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
 		}
 
 		const submitters = 8

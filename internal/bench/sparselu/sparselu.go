@@ -255,7 +255,7 @@ func verify(blocks, orig [][]buffer.F64, p Params) error {
 // fill pattern, so the job's task list is not pre-sized.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), 0, nodes, cm)
+	g := workload.NewJobGraph(w.Name(), 0, nodes, cm)
 	graph(g, p, Structure(p.Nb), nil)
 	return g.Job()
 }

@@ -162,7 +162,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 // BuildJob implements workload.Workload.
 func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
 	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), w.InputBytes(s), p.Tasks(), nodes, cm)
+	g := workload.NewJobGraph(w.Name(), p.Tasks(), nodes, cm)
 	graph(g, p)
 	return g.Job()
 }

@@ -88,7 +88,7 @@ func TestTaskMatchesReference(t *testing.T) {
 	modes := []deps.Mode{deps.In, deps.Out, deps.Inout}
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		got, want := newJobBuilder("q", r.Intn(8), 0, DefaultCostModel()), newReferenceBuilder("q", DefaultCostModel())
+		got, want := newJobBuilder("q", r.Intn(8), DefaultCostModel()), newReferenceBuilder("q", DefaultCostModel())
 		keys := 1 + r.Intn(6)
 		for i, n := 0, 1+r.Intn(60); i < n; i++ {
 			accs := make([]Acc, r.Intn(5))

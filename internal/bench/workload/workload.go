@@ -123,8 +123,8 @@ type Workload interface {
 	Description() string
 	// PaperSize is Table I's problem/block size text.
 	PaperSize() string
-	// InputBytes is the benchmark input footprint at the given scale,
-	// the quantity thresholds derive from.
+	// InputBytes is the benchmark input footprint at the given scale, the
+	// size Table I prints.
 	InputBytes(s Scale) int64
 	// BuildRT allocates the benchmark's data, emits its Graph to the real
 	// runtime and returns a verifier to call after Taskwait.
@@ -184,12 +184,11 @@ type rtRegion struct {
 	buf buffer.Buffer
 }
 
-// NewJobGraph returns a graph that builds a job named name over a benchmark
-// input of inputBytes (the footprint thresholds derive from), spread over
+// NewJobGraph returns a graph that builds a job named name, spread over
 // nodes nodes with work priced by cm. tasks pre-sizes the task list (0 when
 // the benchmark cannot tell).
-func NewJobGraph(name string, inputBytes int64, tasks, nodes int, cm CostModel) *Graph {
-	return &Graph{nodes: nodes, job: newJobBuilder(name, tasks, inputBytes, cm)}
+func NewJobGraph(name string, tasks, nodes int, cm CostModel) *Graph {
+	return &Graph{nodes: nodes, job: newJobBuilder(name, tasks, cm)}
 }
 
 // NewRTGraph returns a graph that submits its tasks to r, each access on the
@@ -254,12 +253,11 @@ type pred struct {
 }
 
 // newJobBuilder returns a builder for a named job of about tasks tasks (0
-// when the caller does not know; the hint only pre-sizes storage) over a
-// benchmark input of inputBytes (the footprint thresholds derive from).
-func newJobBuilder(name string, tasks int, inputBytes int64, cm CostModel) jobBuilder {
+// when the caller does not know; the hint only pre-sizes storage).
+func newJobBuilder(name string, tasks int, cm CostModel) jobBuilder {
 	return jobBuilder{
 		cm:      cm,
-		job:     cluster.Job{Name: name, InputBytes: inputBytes, Tasks: make([]cluster.Task, 0, tasks)},
+		job:     cluster.Job{Name: name, Tasks: make([]cluster.Task, 0, tasks)},
 		regions: make(map[Region]int32),
 	}
 }

@@ -59,13 +59,13 @@ func TestAccConstructors(t *testing.T) {
 }
 
 func TestJobBuilderEdges(t *testing.T) {
-	jb := newJobBuilder("t", 0, 123, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	w := jb.Task("w", 0, 10, 10, WAcc(rA, 64))
 	r1 := jb.Task("r1", 1, 10, 10, RAcc(rA, 64))
 	r2 := jb.Task("r2", 1, 10, 10, RAcc(rA, 64))
 	w2 := jb.Task("w2", 0, 10, 10, WAcc(rA, 64))
 	job := jb.job
-	if job.InputBytes != 123 || job.Name != "t" {
+	if job.Name != "t" {
 		t.Fatal("metadata lost")
 	}
 	// RAW: readers depend on writer with payload.
@@ -95,7 +95,7 @@ func TestJobBuilderEdges(t *testing.T) {
 }
 
 func TestJobBuilderWAW(t *testing.T) {
-	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	a := jb.Task("a", 0, 1, 1, WAcc(rX, 32))
 	b := jb.Task("b", 0, 1, 1, WAcc(rX, 32))
 	job := jb.job
@@ -105,7 +105,7 @@ func TestJobBuilderWAW(t *testing.T) {
 }
 
 func TestJobBuilderInoutChain(t *testing.T) {
-	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	prev := -1
 	for i := 0; i < 5; i++ {
 		idx := jb.Task("u", 0, 1, 1, RWAcc(rX, 16))
@@ -120,7 +120,7 @@ func TestJobBuilderInoutChain(t *testing.T) {
 }
 
 func TestJobBuilderArgBytes(t *testing.T) {
-	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	jb.Task("m", 0, 1, 1, RAcc(rA, 100), RWAcc(rB, 28))
 	if jb.job.Tasks[0].ArgBytes != 128 {
 		t.Fatalf("arg bytes %d", jb.job.Tasks[0].ArgBytes)
@@ -128,7 +128,7 @@ func TestJobBuilderArgBytes(t *testing.T) {
 }
 
 func TestJobBuilderProducesRunnableJob(t *testing.T) {
-	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	jb.Task("a", 0, 100, 0, WAcc(rX, 8))
 	jb.Task("b", 1, 100, 0, RAcc(rX, 8), WAcc(rY, 8))
 	jb.Task("c", 0, 100, 0, RAcc(rY, 8))
@@ -150,7 +150,7 @@ func TestJobBuilderProducesRunnableJob(t *testing.T) {
 // (a served request is rebuilt from its spec on every submission).
 func TestJobBuilderDeterministic(t *testing.T) {
 	build := func() cluster.Job {
-		jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+		jb := newJobBuilder("t", 0, DefaultCostModel())
 		// Fan-in with several predecessors, so a map-ordered emit would
 		// permute Deps between builds.
 		a := jb.Task("a", 0, 10, 0, WAcc(rA, 8))
@@ -174,7 +174,7 @@ func TestJobBuilderDeterministic(t *testing.T) {
 // when every field is equal — a writer of A[1][0] orders only later
 // accesses of A[1][0], never A[0][1], A[1][0][1] or B[1][0].
 func TestRegionKeysAreValues(t *testing.T) {
-	jb := newJobBuilder("t", 0, 0, DefaultCostModel())
+	jb := newJobBuilder("t", 0, DefaultCostModel())
 	w := jb.Task("w", 0, 1, 1, WAcc(Region{Arr: 'A', I: 1}, 8))
 	for _, r := range []Region{{Arr: 'A', J: 1}, {Arr: 'A', I: 1, K: 1}, {Arr: 'B', I: 1}} {
 		if i := jb.Task("other", 0, 1, 1, RAcc(r, 8)); len(jb.job.Tasks[i].Deps) != 0 {

@@ -50,8 +50,6 @@ type Task struct {
 type Job struct {
 	Name  string
 	Tasks []Task
-	// InputBytes is the benchmark input footprint (threshold derivation).
-	InputBytes int64
 }
 
 // ErrJob is the sentinel wrapped by every Validate rejection, so callers
@@ -94,9 +92,6 @@ type Config struct {
 	// Nodes and CoresPerNode shape the machine (defaults 1 and 1; with a
 	// Topo, Nodes defaults to Topo.Ranks()).
 	Nodes, CoresPerNode int
-	// Net is the interconnect model (default simnet.Marenostrum()), used
-	// when Topo is nil: every node pair is its own link — the flat fabric.
-	Net simnet.Config
 	// Topo places the simulated nodes on physical machines: cross-node
 	// dependency payloads between co-located nodes are charged the
 	// topology's intra-node model on their own link, node-crossing ones the
@@ -104,8 +99,10 @@ type Config struct {
 	// simnet.Topology the dist layer's Sim transport and hierarchical
 	// collectives consume, so both execution engines price communication
 	// from one source of truth. Topo must place at least Nodes ranks
-	// (Run returns a wrapped simnet.ErrTopology otherwise); nil keeps the
-	// flat Net model.
+	// (Run returns a wrapped simnet.ErrTopology otherwise). nil is the flat
+	// fabric: every node pair its own simnet.Marenostrum() link. Any other
+	// flat fabric is a one-rank-per-node topology,
+	// simnet.BlockTopology(n, 1, cfg, cfg).
 	Topo *simnet.Topology
 	// ReplicaCores adds a per-node pool of spare cores that replica
 	// executions (and recovery re-executions) run on, the paper's
@@ -124,11 +121,10 @@ type Config struct {
 }
 
 // Normalized returns the config with every defaulted field resolved to the
-// value Run will actually use (machine shape, network model, injector,
-// attempt cap). Run normalizes internally; callers that derive
-// content-addressed identity from a Config (internal/sweep's results
-// cache) normalize first so that a zero field and its explicit default
-// digest identically.
+// value Run will actually use (machine shape, injector, attempt cap). Run
+// normalizes internally; callers that derive content-addressed identity
+// from a Config (internal/sweep's results cache) normalize first so that a
+// zero field and its explicit default digest identically.
 func (c Config) Normalized() Config {
 	if c.Nodes < 1 {
 		c.Nodes = 1
@@ -138,9 +134,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.CoresPerNode < 1 {
 		c.CoresPerNode = 1
-	}
-	if c.Net == (simnet.Config{}) {
-		c.Net = simnet.Marenostrum()
 	}
 	if c.Injector == nil {
 		c.Injector = &fault.NoFaults{}
@@ -183,9 +176,6 @@ type Result struct {
 	Messages  uint64
 	BytesSent int64
 	WireBytes int64
-	// NodeBusy[n] is node n's summed primary-core occupancy; utilization
-	// analyses divide by Makespan × CoresPerNode.
-	NodeBusy []simtime.Time
 }
 
 // OverheadPct returns the percentage makespan increase over base.
@@ -279,9 +269,6 @@ func (l *Layout) run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("cluster: %d-rank topology under %d nodes: %w",
 			cfg.Topo.Ranks(), cfg.Nodes, simnet.ErrTopology)
 	}
-	if err := cfg.Net.Validate(); err != nil {
-		return Result{}, fmt.Errorf("cluster: %w", err)
-	}
 	// All mutable state is per-run scratch, sized once from the job and the
 	// machine; nothing below allocates per task or per event.
 	s := &sim{
@@ -301,9 +288,8 @@ func (l *Layout) run(cfg Config) (Result, error) {
 	if cfg.Topo != nil {
 		s.net = simnet.NewWithTopology(s.eng, cfg.Topo)
 	} else {
-		s.net = simnet.New(s.eng, cfg.Net)
+		s.net = simnet.New(s.eng, simnet.Marenostrum())
 	}
-	s.res.NodeBusy = make([]simtime.Time, cfg.Nodes)
 	if cfg.ReplicaCores > 0 {
 		s.freeR = make([]int, cfg.Nodes)
 		s.readyR = make([]readyHeap, cfg.Nodes)
@@ -406,23 +392,20 @@ func (s *sim) enqueue(i, attempt int, cost simtime.Time) {
 func (s *sim) trySchedule(node int) {
 	for s.free[node] > 0 && len(s.ready[node]) > 0 {
 		s.free[node]--
-		s.start(node, &s.ready[node])
+		s.start(&s.ready[node])
 	}
 	if s.freeR != nil {
 		for s.freeR[node] > 0 && len(s.readyR[node]) > 0 {
 			s.freeR[node]--
-			s.start(node, &s.readyR[node])
+			s.start(&s.readyR[node])
 		}
 	}
 }
 
-// start pops q's first execution onto a core of node.
-func (s *sim) start(node int, q *readyHeap) {
+// start pops q's first execution onto a core its caller freed.
+func (s *sim) start(q *readyHeap) {
 	i, attempt, cost := q.pop()
 	s.res.BusyTime += cost
-	if !s.spare(attempt) {
-		s.res.NodeBusy[node] += cost
-	}
 	if attempt == 0 {
 		s.res.PrimaryTime += s.job.Tasks[i].Cost
 	} else {

@@ -192,12 +192,17 @@ func TestTaskStateSize(t *testing.T) {
 }
 
 func TestCrossNodeDependencyPaysNetwork(t *testing.T) {
+	// A flat fabric other than Marenostrum is a one-rank-per-node topology.
 	net := simnet.Config{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
+	topo, err := simnet.BlockTopology(2, 1, net, net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := Job{Tasks: []Task{
 		{Node: 0, Cost: 1000},
 		{Node: 1, Cost: 1000, Deps: []int{0}, DepBytes: []int64{1000}},
 	}}
-	res, err := Run(job, Config{Nodes: 2, CoresPerNode: 1, Net: net})
+	res, err := Run(job, Config{Nodes: 2, CoresPerNode: 1, Topo: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +344,19 @@ func TestUtilizationAndImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Makespan != 200 || !reflect.DeepEqual(res.NodeBusy, []simtime.Time{200, 200}) {
-		t.Fatalf("balanced: makespan %d, node busy %v; want 200, [200 200]", res.Makespan, res.NodeBusy)
+	if res.Makespan != 200 || res.BusyTime != 400 {
+		t.Fatalf("balanced: makespan %d, busy %d; want 200, 400", res.Makespan, res.BusyTime)
 	}
-	// Skewed placement: node 0 does everything, node 1 idles.
-	skew := Job{Tasks: []Task{{Node: 0, Cost: 100}, {Node: 0, Cost: 100}}}
-	res, err = Run(skew, Config{Nodes: 2, CoresPerNode: 1})
+	// Skewed placement: tasks are pinned to their home node, so node 0
+	// runs all four in turn while node 1 idles.
+	for i := range job.Tasks {
+		job.Tasks[i].Node = 0
+	}
+	res, err = Run(job, Config{Nodes: 2, CoresPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.NodeBusy, []simtime.Time{200, 0}) {
-		t.Fatalf("skewed: node busy %v, want [200 0]", res.NodeBusy)
+	if res.Makespan != 400 || res.BusyTime != 400 {
+		t.Fatalf("skewed: makespan %d, busy %d; want 400, 400", res.Makespan, res.BusyTime)
 	}
 }

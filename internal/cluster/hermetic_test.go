@@ -13,7 +13,7 @@ import (
 // hermeticJob builds a two-node DAG with cross-node payloads, enough
 // structure to exercise replication, recovery and the network.
 func hermeticJob() Job {
-	j := Job{Name: "hermetic", InputBytes: 1 << 16}
+	j := Job{Name: "hermetic"}
 	for i := 0; i < 64; i++ {
 		t := Task{
 			Label:    "k",

@@ -71,15 +71,12 @@ func TestTopologyValidationAtRun(t *testing.T) {
 	if _, err := Run(fanJob(1, 100), Config{Nodes: 4, Topo: topo}); !errors.Is(err, simnet.ErrTopology) {
 		t.Fatalf("undersized topology: %v", err)
 	}
-	if _, err := Run(fanJob(1, 100), Config{Nodes: 1, Net: simnet.Config{LatencySec: -1, BandwidthBytesPerSec: 1}}); !errors.Is(err, simnet.ErrConfig) {
-		t.Fatalf("invalid net config: %v", err)
-	}
 }
 
 func TestFlatTopologyReproducesFlatRunBitwise(t *testing.T) {
 	// The degenerate one-node-per-rank topology must reproduce the flat
 	// configuration's entire Result, faults and recovery included.
-	net := simnet.Config{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
+	net := simnet.Marenostrum()
 	topo, err := simnet.BlockTopology(4, 1, net, net)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +89,7 @@ func TestFlatTopologyReproducesFlatRunBitwise(t *testing.T) {
 	}}
 	mk := func(topo *simnet.Topology) Config {
 		return Config{
-			Nodes: 4, CoresPerNode: 2, Net: net, Topo: topo,
+			Nodes: 4, CoresPerNode: 2, Topo: topo,
 			Replicated: All(len(job.Tasks)),
 			Injector:   fault.NewFixedRate(11, 0.1, 0.1),
 		}

@@ -143,17 +143,14 @@ func NewWorld(cfg Config) *World {
 			w.topo = topo
 		}
 	}
-	// A placed transport must also cover the world: otherwise its meter
-	// would index the placement out of range on the first cross-rank send —
-	// a panic on a worker goroutine, not a reportable error. Record the
+	// A Sim transport must also cover the world: otherwise its meter would
+	// index the placement out of range on the first cross-rank send — a
+	// panic on a worker goroutine, not a reportable error. Record the
 	// mismatch and fall back to an unpriced Direct transport instead.
-	type placed interface{ Topology() *simnet.Topology }
-	if pt, ok := tr.(placed); ok {
-		if tt := pt.Topology(); tt != nil && tt.Ranks() < n {
-			w.addErr(fmt.Errorf("dist: %d-rank transport topology under a %d-rank world (messages flow unpriced): %w",
-				tt.Ranks(), n, ErrTopology))
-			w.tr = NewDirect()
-		}
+	if sim, ok := tr.(*Sim); ok && sim.Topology().Ranks() < n {
+		w.addErr(fmt.Errorf("dist: %d-rank transport topology under a %d-rank world (messages flow unpriced): %w",
+			sim.Topology().Ranks(), n, ErrTopology))
+		w.tr = NewDirect()
 	}
 	for i := range w.ranks {
 		var rc rt.Config
@@ -165,10 +162,6 @@ func NewWorld(cfg Config) *World {
 	w.world = newComm(w, 0, w.ranks)
 	return w
 }
-
-// Topology returns the placement the World's communicators select
-// algorithms by, nil for a flat World.
-func (w *World) Topology() *simnet.Topology { return w.topo }
 
 // nodeOf returns world rank id's node: its topology node, or itself when
 // the World is flat.

@@ -45,7 +45,7 @@ func TestWorldTopologyTooSmall(t *testing.T) {
 	if !errors.Is(worldErr(w), ErrTopology) {
 		t.Fatalf("Err = %v, want ErrTopology", worldErr(w))
 	}
-	if w.Topology() != nil {
+	if w.topo != nil {
 		t.Fatal("undersized topology must be ignored")
 	}
 	if w.Comm().Hierarchical() {
@@ -61,8 +61,8 @@ func TestWorldTopologyLargerIsFine(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(Config{Ranks: 32, Topology: topo})
-	if w.Topology() != topo || !w.Comm().Hierarchical() {
-		t.Fatalf("topology dropped: %v hier=%v", w.Topology(), w.Comm().Hierarchical())
+	if w.topo != topo || !w.Comm().Hierarchical() {
+		t.Fatalf("topology dropped: %v hier=%v", w.topo, w.Comm().Hierarchical())
 	}
 	if err := w.Shutdown(); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,9 @@ import (
 // Match is priced by the inter-node model and serialized on the directed
 // (srcNode, dstNode) pair — every rank pair funneling through one cable
 // queues on it, so the virtual clock finally distinguishes a good placement
-// from a terrible one. NewSim keeps the old flat pricing: every rank its
-// own node, one Config for every link.
+// from a terrible one. A flat fabric is the one-rank-per-node topology
+// (simnet.BlockTopology(ranks, 1, cfg, cfg)): every rank its own node, one
+// Config for every link.
 //
 // Communicators are invisible here by design: Match.Src/Dst are always
 // world rank ids whatever Comm the traffic belongs to, so the link charged
@@ -47,14 +48,6 @@ type Sim struct {
 	prof *place.Profile
 }
 
-// NewSim returns a simnet-backed transport with the given flat interconnect
-// cost model (simnet.Marenostrum() for the paper's fabric class): every
-// rank is its own node, any rank id prices. An invalid cfg panics with a
-// wrapped simnet.ErrConfig — validate with cfg.Validate() at the boundary.
-func NewSim(cfg simnet.Config) *Sim {
-	return &Sim{direct: NewDirect(), meter: simnet.NewFlatMeter(cfg)}
-}
-
 // NewSimTopology returns a placement-aware simnet transport: messages are
 // priced and serialized by topo's intra/inter models and physical links.
 // topo must be non-nil (the simnet.Topology constructors validate); a World
@@ -66,8 +59,7 @@ func NewSimTopology(topo *simnet.Topology) *Sim {
 	return &Sim{direct: NewDirect(), meter: simnet.NewMeter(topo)}
 }
 
-// Topology returns the placement the transport prices by, nil for the flat
-// NewSim transport.
+// Topology returns the placement the transport prices by.
 func (s *Sim) Topology() *simnet.Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,8 +114,8 @@ func (s *Sim) BytesSent() int64 {
 	return s.meter.BytesSent()
 }
 
-// WireBytes returns the payload bytes that crossed node boundaries (always
-// everything for a flat NewSim transport).
+// WireBytes returns the payload bytes that crossed node boundaries (every
+// non-self payload on a one-rank-per-node topology).
 func (s *Sim) WireBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -69,7 +69,11 @@ func TestSimTransportChargesTheFabric(t *testing.T) {
 	const k = 8
 	const n = 1 << 10
 	cfg := simnet.Marenostrum()
-	sim := NewSim(cfg)
+	topo, err := simnet.BlockTopology(2, 1, cfg, cfg) // the flat fabric
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSimTopology(topo)
 	w := NewWorld(Config{Ranks: 2, Transport: sim})
 	a := buffer.NewF64(n)
 	d := buffer.NewF64(n)

@@ -177,11 +177,11 @@ func Fig3(scale workload.Scale, workers, repeats int) ([]Fig3Row, string, error)
 // fig3One runs the dry pass (per-task FITs at 1× → threshold and N) and the
 // two App_FIT passes for one benchmark.
 func fig3One(w workload.Workload, scale workload.Scale, workers, repeats int) (Fig3Row, error) {
-	n, threshold, vOK, err := dryRun(w, scale, workers)
+	n, threshold, verify, err := DryRun(w, scale, workers, fit.Roadrunner())
 	if err != nil {
 		return Fig3Row{}, err
 	}
-	row := Fig3Row{Bench: w.Name(), Tasks: n, Threshold: threshold, VerifyOK: vOK}
+	row := Fig3Row{Bench: w.Name(), Tasks: n, Threshold: threshold, VerifyOK: verify() == nil}
 	run := func(k float64) (pctTasks, pctTime, achieved float64) {
 		var pts, ptm []float64
 		var ach float64
@@ -218,19 +218,21 @@ func runRT(w workload.Workload, scale workload.Scale, cfg rt.Config) (*rt.Runtim
 	return r, verify() == nil, nil
 }
 
-// dryRun runs w unreplicated at 1× rates on workers workers and returns its
-// task count, the App_FIT threshold (the application's FIT at 1× rates,
-// summed in task-id order) and whether the result verified.
-func dryRun(w workload.Workload, scale workload.Scale, workers int) (n int, threshold float64, verified bool, err error) {
+// DryRun runs w unreplicated under rates on workers workers and returns its
+// task count, the application's FIT under rates (summed in task-id order;
+// at 1× rates it is the App_FIT threshold that keeps today's reliability)
+// and the run's verifier, for a caller that wants the check.
+func DryRun(w workload.Workload, scale workload.Scale, workers int, rates fit.Rates) (n int, appFIT float64, verify workload.Verifier, err error) {
 	tr := trace.New()
-	_, verified, err = runRT(w, scale, rt.Config{Workers: workers, Rates: fit.Roadrunner(), RatesSet: true, Tracer: tr})
-	if err != nil {
-		return 0, 0, false, err
+	r := rt.New(rt.Config{Workers: workers, Rates: rates, RatesSet: true, Tracer: tr})
+	verify = w.BuildRT(r, scale)
+	if err := r.Shutdown(); err != nil {
+		return 0, 0, nil, err
 	}
 	for _, rec := range tr.Records() {
-		threshold += rec.FITDue + rec.FITSdc
+		appFIT += rec.FITDue + rec.FITSdc
 	}
-	return tr.Len(), threshold, verified, nil
+	return tr.Len(), appFIT, verify, nil
 }
 
 // Fig4Row is one benchmark's complete-replication overhead (Figure 4).

@@ -107,14 +107,19 @@ func PlacementTable(ranks, perNode, vecLen int, seed uint64) ([]PlacementRow, st
 	return rows, t.String() + "\nsame recorded traffic per workload: only the rank→node assignment differs\n", nil
 }
 
-// capture records the traffic profile of program on a flat ranks-rank
-// World. Profiles are placement-independent — they record who talks to
-// whom, which the placements under test then price.
+// capture records the traffic profile of program on a ranks-rank World,
+// one rank per node. Profiles are placement-independent — they record who
+// talks to whom, whatever the meter charges, which the placements under
+// test then price.
 func capture(ranks int, program func(*dist.Comm) error) (*place.Profile, error) {
-	sim := dist.NewSim(simnet.Marenostrum())
+	topo, err := simnet.BlockTopology(ranks, 1, simnet.Marenostrum(), simnet.Marenostrum())
+	if err != nil {
+		return nil, err
+	}
+	sim := dist.NewSimTopology(topo)
 	prof := place.NewProfile(ranks)
 	sim.Record(prof)
-	_, _, err := onFabric(sim, dist.Config{Ranks: ranks}, program)
+	_, _, err = onFabric(sim, dist.Config{Ranks: ranks}, program)
 	return prof, err
 }
 

@@ -43,7 +43,7 @@ func Reliability(benchName string, scale workload.Scale, runs int, boost float64
 	if runs < 1 {
 		runs = 20
 	}
-	n, threshold, _, err := dryRun(w, scale, 2)
+	n, threshold, _, err := DryRun(w, scale, 2, fit.Roadrunner())
 	if err != nil {
 		return nil, "", err
 	}

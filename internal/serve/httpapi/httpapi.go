@@ -77,16 +77,22 @@ var jobs = &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes
 	return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
 }}
 
+// memoTasks bounds the summed task count of the jobs the memo holds: a
+// client sweeping nodes over medium linpacks (~300 000 tasks each) would
+// otherwise pin gigabytes.
+const memoTasks = 1 << 22
+
 // jobMemo is the prepared-job memo. A job builds outside the mutex, so a
 // cold build holds up only its own request, never another request's
 // lookup; two requests for one cold job may both build it, and the first
 // build stored is the one both get.
 type jobMemo struct {
 	mu sync.Mutex
-	// m holds at most 256 jobs: the key space is tiny (registered benches
-	// × three scales × node counts), but a cap keeps a client sweeping
-	// nodes from growing it without bound. // guarded by mu
+	// m holds jobs of tasks tasks in all; a job that would take the sum
+	// past limit (memoTasks when 0) resets it. // guarded by mu
 	m     map[jobKey]*sweep.Prepared
+	tasks int // guarded by mu
+	limit int
 	build func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared
 }
 
@@ -114,10 +120,15 @@ func (c *jobMemo) get(benchName string, scale workload.Scale, nodes int) (*sweep
 	if first, ok := c.m[key]; ok {
 		return first, nil
 	}
-	if c.m == nil || len(c.m) >= 256 {
-		c.m = make(map[jobKey]*sweep.Prepared)
+	n, limit := len(p.Job().Tasks), c.limit
+	if limit == 0 {
+		limit = memoTasks
+	}
+	if c.m == nil || c.tasks+n > limit {
+		c.m, c.tasks = make(map[jobKey]*sweep.Prepared), 0
 	}
 	c.m[key] = p
+	c.tasks += n
 	return p, nil
 }
 

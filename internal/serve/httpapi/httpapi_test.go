@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
 	"appfit/internal/serve"
 	"appfit/internal/sweep"
@@ -212,6 +213,42 @@ func TestColdBuildDoesNotStallHits(t *testing.T) {
 	built := <-cold
 	if again, err := memo.get("stream", workload.Tiny, 2); err != nil || built == nil || again != built {
 		t.Fatalf("the finished build was not stored: %p then %p (%v)", built, again, err)
+	}
+}
+
+// TestJobMemoBoundsTasks: the memo is bounded by the tasks it holds, not
+// by entries. A job that would take the sum past the limit resets it, and
+// a hit never builds.
+func TestJobMemoBoundsTasks(t *testing.T) {
+	builds := 0
+	memo := &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
+		builds++
+		return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
+	}}
+	small, err := memo.get("stream", workload.Tiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := bench.ByName("cholesky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := len(w.BuildJob(workload.Small, 1, workload.DefaultCostModel()).Tasks)
+	memo.limit = len(small.Job().Tasks) + large - 1
+	if p, _ := memo.get("stream", workload.Tiny, 1); p != small || builds != 1 {
+		t.Fatalf("a hit built: %d builds", builds)
+	}
+	if _, err := memo.get("cholesky", workload.Small, 1); err != nil || builds != 2 {
+		t.Fatalf("cold job: %d builds (%v)", builds, err)
+	}
+	if len(memo.m) != 1 || memo.tasks != large {
+		t.Fatalf("the large job left %d jobs of %d tasks, want it alone (%d)", len(memo.m), memo.tasks, large)
+	}
+	if _, err := memo.get("cholesky", workload.Small, 1); err != nil || builds != 2 {
+		t.Fatalf("a hit built: %d builds (%v)", builds, err)
+	}
+	if _, err := memo.get("stream", workload.Tiny, 1); err != nil || builds != 3 {
+		t.Fatalf("the evicted job did not rebuild: %d builds (%v)", builds, err)
 	}
 }
 

@@ -125,10 +125,7 @@ func (c TenantConfig) normalized() (TenantConfig, error) {
 type Options struct {
 	// Tenants declares the tenant set; at least one is required.
 	Tenants []TenantConfig
-	// Engine is the sweep engine to serve; nil builds one from
-	// EngineOptions so a Server can be free-standing.
-	Engine *sweep.Engine
-	// EngineOptions shapes the engine when Engine is nil.
+	// EngineOptions shapes the sweep engine the Server builds and serves.
 	EngineOptions sweep.Options
 	// Workers is the number of service workers dispatching from the queues
 	// into the engine; 0 means the engine's worker-pool width.
@@ -200,10 +197,6 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants configured: %w", ErrConfig)
 	}
-	eng := opts.Engine
-	if eng == nil {
-		eng = sweep.New(opts.EngineOptions)
-	}
 	quantum := opts.Quantum
 	if quantum <= 0 {
 		quantum = 64
@@ -211,6 +204,7 @@ func New(opts Options) (*Server, error) {
 	if quantum > maxShare {
 		return nil, fmt.Errorf("serve: quantum %d above %d: %w", quantum, maxShare, ErrConfig)
 	}
+	eng := sweep.New(opts.EngineOptions)
 	s := &Server{
 		eng:       eng,
 		exec:      engineExec{eng},

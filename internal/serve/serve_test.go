@@ -322,9 +322,8 @@ func TestFairnessSoak10x(t *testing.T) {
 	backlog := map[string]int{"heavy": heavyBacklog, "light1": lightBacklog, "light2": lightBacklog, "light3": lightBacklog}
 	total := heavyBacklog + 3*lightBacklog
 
-	eng := sweep.New(sweep.Options{Workers: 2})
 	s := newTestServer(t, Options{
-		Engine: eng,
+		EngineOptions: sweep.Options{Workers: 2},
 		Tenants: []TenantConfig{
 			{Name: "heavy", Weight: weights["heavy"], QueueCap: heavyBacklog},
 			{Name: "light1", Weight: weights["light1"], QueueCap: lightBacklog},

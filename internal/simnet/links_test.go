@@ -37,7 +37,11 @@ func TestSelfSendContract(t *testing.T) {
 		run  func(pre, bytes int64) (accounts, simtime.Time)
 	}{
 		{"meter/flat", func(pre, bytes int64) (accounts, simtime.Time) {
-			m := NewFlatMeter(cfg)
+			flat, err := BlockTopology(4, 1, cfg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMeter(flat)
 			m.Charge(0, 2, pre)
 			return m, m.Charge(1, 1, bytes)
 		}},

@@ -18,10 +18,10 @@ import "appfit/internal/simtime"
 //
 // Links and pricing follow the exact physical model of the event-driven
 // Network — both engines share one links state (see Topology.Route), so
-// they cannot diverge. Same-rank sends are free. A flat meter
-// (NewFlatMeter, every rank its own node) prices every rank-pair link with
-// its single Config — the old behavior — and every non-self payload counts
-// as wire traffic, because a flat placement has no "inside a node".
+// they cannot diverge. Same-rank sends are free. A flat fabric is the
+// one-rank-per-node topology (BlockTopology(ranks, 1, cfg, cfg)): every
+// rank-pair link is priced by its one Config, and every non-self payload
+// counts as wire traffic, because such a placement has no "inside a node".
 //
 // Meter is not safe for concurrent use; callers serialize (the Sim
 // transport holds its own lock).
@@ -37,16 +37,6 @@ func NewMeter(topo *Topology) *Meter {
 		panic("simnet: NewMeter with nil topology")
 	}
 	return &Meter{links: newLinks(topo, Config{})}
-}
-
-// NewFlatMeter returns an idle meter over the degenerate one-rank-per-node
-// placement: every (src, dst) rank pair is its own link priced by cfg, for
-// any rank ids. An invalid cfg panics with a wrapped ErrConfig.
-func NewFlatMeter(cfg Config) *Meter {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Meter{links: newLinks(nil, cfg)}
 }
 
 // Charge accounts one src→dst transfer of bytes and returns the virtual

@@ -145,9 +145,10 @@ func (t *Topology) Route(src, dst int) (cfg Config, link [2]int, wire bool) {
 }
 
 // links is the busy-tracking state shared by the two pricing engines
-// (Network and Meter): the placement, the flat fallback model, one
-// serialization table per link kind, and wire accounting — so routing and
-// accounting cannot diverge between the event-driven simulator and the
+// (Network and Meter): the placement, the one model of a flat Network
+// (New; a Meter always has a placement, a flat one one rank per node),
+// one serialization table per link kind, and wire accounting — so routing
+// and accounting cannot diverge between the event-driven simulator and the
 // transport meter. Not safe for concurrent use; owners serialize.
 //
 // Self-send contract (shared by both engines, locked by
@@ -160,7 +161,7 @@ func (t *Topology) Route(src, dst int) (cfg Config, link [2]int, wire bool) {
 // immediate in virtual time, independent of whatever makespan other
 // traffic has accumulated.
 type links struct {
-	topo *Topology               // nil means flat: every rank its own node
+	topo *Topology               // nil only on a flat Network: every rank its own node
 	flat Config                  // used only when topo == nil
 	busy map[[2]int]simtime.Time // rank-pair links (flat + intra-node)
 	wire map[[2]int]simtime.Time // node-pair links (inter-node)
@@ -197,7 +198,7 @@ func (l *links) route(src, dst int, bytes int64) (Config, map[[2]int]simtime.Tim
 	return cfg, table, link
 }
 
-// Topology returns the placement, nil when flat.
+// Topology returns the placement, nil for a flat Network.
 func (l *links) Topology() *Topology { return l.topo }
 
 // Messages returns the number of payloads accounted so far.

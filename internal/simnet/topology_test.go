@@ -255,8 +255,13 @@ func TestMeterChargesAndOverlaps(t *testing.T) {
 }
 
 func TestFlatMeter(t *testing.T) {
+	// A flat meter is one over the one-rank-per-node topology.
 	cfg := Config{LatencySec: 0, BandwidthBytesPerSec: 1e9}
-	m := NewFlatMeter(cfg)
+	topo, err := BlockTopology(3, 1, cfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMeter(topo)
 	one := cfg.TransferTime(1000)
 	if got := m.Charge(0, 1, 1000); got != one {
 		t.Fatalf("first charge ends at %d, want %d", got, one)
@@ -267,17 +272,7 @@ func TestFlatMeter(t *testing.T) {
 	if got := m.Charge(0, 2, 1000); got != one {
 		t.Fatalf("distinct links must overlap: %d, want %d", got, one)
 	}
-	if m.Topology() != nil {
-		t.Fatal("flat meter has no topology")
-	}
 	if m.WireBytes() != 3000 {
 		t.Fatalf("flat meter wire bytes = %d, want all 3000", m.WireBytes())
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewFlatMeter with an invalid Config must panic")
-		}
-	}()
-	NewFlatMeter(Config{})
 }

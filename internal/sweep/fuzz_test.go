@@ -125,7 +125,7 @@ func decodeRequest(data []byte) (cluster.Job, cluster.Config) {
 		}
 		tasks = append(tasks, t)
 	}
-	job := cluster.Job{Name: "fuzz", Tasks: tasks, InputBytes: int64(next())}
+	job := cluster.Job{Name: "fuzz", Tasks: tasks}
 	cfg := cluster.Config{
 		Nodes:        1 + int(next()%4),
 		CoresPerNode: 1 + int(next()%4),

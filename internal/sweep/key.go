@@ -1,9 +1,10 @@
 // Canonical content-addressed request keys. A key is a SHA-256 digest over
 // a byte encoding of everything that determines a deterministic request's
-// result — the job structure (task costs, dependencies, argument sizes, by
-// value, never by pointer identity), the full normalized cluster.Config
-// including placement topology and fault-injector state — and nothing
-// else.
+// result — the job's name and structure (task costs, dependencies,
+// argument sizes, by value, never by pointer identity), the full
+// normalized cluster.Config including placement topology and
+// fault-injector state — and nothing else. A nil topology is always the
+// Marenostrum flat fabric, so it encodes as no link model at all.
 //
 // The encoding is canonical by construction:
 //
@@ -137,7 +138,6 @@ func (r Request) key() (key [32]byte, ok bool) {
 	b := make([]byte, 0, flushAt+256)
 	b = append(b, 'R', '1', 'J') // request kind + encoding version
 	b = appendString(b, r.Job.Name)
-	b = appendI64(b, r.Job.InputBytes)
 	b = append(b, td[:]...)
 	b = appendConfig(h, b, cfg, keyer)
 	h.Write(b)
@@ -202,7 +202,6 @@ func appendConfig(h hash.Hash, b []byte, cfg cluster.Config, keyer fault.Keyer) 
 	b = append(b, 'C')
 	b = appendI64(b, int64(cfg.Nodes))
 	b = appendI64(b, int64(cfg.CoresPerNode))
-	b = appendNet(b, cfg.Net)
 	b = appendTopology(b, cfg.Topo)
 	b = appendI64(b, int64(cfg.ReplicaCores))
 	// Replicated: encode the sorted indices of replicated tasks, so nil,

@@ -40,14 +40,14 @@ func TestPreparedKeyMatchesRunKey(t *testing.T) {
 // encoding and changes this constant; any other deliberate encoding change
 // bumps the 'R','1','J' version and this constant together.
 func TestRunKeyGolden(t *testing.T) {
-	job := cluster.Job{Name: "golden", InputBytes: 4096, Tasks: []cluster.Task{
+	job := cluster.Job{Name: "golden", Tasks: []cluster.Task{
 		{Label: "potrf", Cost: 1000, ArgBytes: 512},
 		{Label: "trsm", Node: 1, Cost: 2000, ArgBytes: 512, OutBytes: 256, Deps: []int{0}},
 		{Label: "gemm", Cost: 3000, ArgBytes: 1024, Deps: []int{1, 0}, DepBytes: []int64{64, 128}},
 	}}
 	cfg := cluster.Config{Nodes: 2, CoresPerNode: 4, ReplicaCores: 2,
 		Replicated: []bool{true, false, true}, Injector: fault.NewFixedRate(42, 1e-3, 2e-3)}
-	const want = "25b9f1fc942711e0ac4f2b5b9fe78b53750ac6d84fe6c75c5ffb441c4ce657ad"
+	const want = "ad42f1a62d9f3ed4a8ca2840405fe619a22f4ed3c551b5696c6f993314a1f6e7"
 	bare, _ := RunKey(job, cfg)
 	prepared, _ := Prepare(job).Request(cfg).key()
 	if got := hex.EncodeToString(bare[:]); got != want {

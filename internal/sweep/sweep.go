@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"appfit/internal/cluster"
-	"appfit/internal/simtime"
 )
 
 // ErrRequest is the sentinel wrapped by every RequestError, so drivers can
@@ -231,7 +230,7 @@ func (e *Engine) Stats() Stats {
 // do executes fn once per key across all concurrent callers, memoizing the
 // result: cache hit → stored value; identical request in flight → wait and
 // share; otherwise run fn and store. The returned flags report which path
-// answered. fn's result must be immutable or cloned by the caller.
+// answered. A cluster.Result is a value, so the cache hands out copies.
 //
 // ctx governs only the waiting: a coalesced waiter whose ctx expires
 // detaches with ctx.Err() while the shared in-flight execution keeps
@@ -335,13 +334,7 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 		e.uncacheable.Add(1)
 		res, err = recovered(req.run)
 	} else {
-		var v cluster.Result
-		var hit, coal bool
-		v, err, hit, coal = e.do(ctx, key, req.run)
-		m.CacheHit, m.Coalesced = hit, coal
-		if err == nil {
-			res = cloneResult(v)
-		}
+		res, err, m.CacheHit, m.Coalesced = e.do(ctx, key, req.run)
 	}
 	if !m.CacheHit {
 		m.Sim = e.now().Sub(simStart)
@@ -353,15 +346,6 @@ func (e *Engine) runOne(ctx context.Context, idx int, req Request, enqueued time
 			Nodes: cfg.Nodes, Cores: cfg.CoresPerNode, Err: err}
 	}
 	return Response{Result: res, Err: err, Metrics: m}
-}
-
-// cloneResult deep-copies the result's mutable slice so cached entries can
-// never be corrupted through a caller's hands.
-func cloneResult(r cluster.Result) cluster.Result {
-	if r.NodeBusy != nil {
-		r.NodeBusy = append([]simtime.Time(nil), r.NodeBusy...)
-	}
-	return r
 }
 
 // RunRequest executes one request under ctx: an already-expired ctx fails

@@ -125,9 +125,11 @@ func TestWarmCacheHits(t *testing.T) {
 	}
 }
 
-// TestCacheHitCannotBeCorrupted: mutating a returned result's NodeBusy
-// slice must not poison the cache for the next caller.
-func TestCacheHitCannotBeCorrupted(t *testing.T) {
+// TestCachedResultIsAValue: the cache stores a cluster.Result and hands
+// out copies of it, which is only safe while a Result holds no reference
+// into shared state. The == below stops compiling if a slice or map field
+// comes back.
+func TestCachedResultIsAValue(t *testing.T) {
 	job := testJob(t, "stream", 1)
 	cfg := cluster.Config{Nodes: 1, CoresPerNode: 4}
 	eng := New(Options{})
@@ -135,13 +137,14 @@ func TestCacheHitCannotBeCorrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.NodeBusy[0] = -1
+	want := first
+	first.Makespan = -1
 	second, err := simulate(eng, job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.NodeBusy[0] == -1 {
-		t.Fatal("cache entry corrupted through a caller's result")
+	if second != want {
+		t.Fatalf("cache hit %+v, want the first answer %+v", second, want)
 	}
 	if eng.Stats().Hits != 1 {
 		t.Fatalf("hits %d, want 1", eng.Stats().Hits)

@@ -22,7 +22,9 @@
 # -gate first makes one traced run per side at the same seed and compares
 # the exact counters below; if any differs it names each, with both values,
 # and exits 1 before the pairs. A change that claims to keep every result
-# must leave them all where the parent has them.
+# must leave them all where the parent has them. The gate also prints both
+# sides' go.allocs_per_op and go.alloc_kb_per_op with their B/A ratio, and
+# fails when B exceeds A by more than 5 %.
 set -eu
 # The counters benchmark/README.md marks "=" (they repeat exactly for a
 # seed), and rt.dep_edges, which counts every edge the accesses declare.
@@ -104,8 +106,23 @@ if [ "$gate" = 1 ]; then
 				bad++
 			}
 		}
+		if (!bad) printf "gate: all %d exact counters equal (traced runs, seed %s)\n", n, seed
+		n = split("go.allocs_per_op go.alloc_kb_per_op", name)
+		for (i = 1; i <= n; i++) {
+			if (!(("A", name[i]) in v) || !(("B", name[i]) in v)) {
+				printf "gate: %s absent: A %s, B %s\n", name[i], v["A", name[i]], v["B", name[i]]
+				bad++
+				continue
+			}
+			a = v["A", name[i]]; b = v["B", name[i]]
+			r = a > 0 ? b / a : 1
+			printf "gate: %s A %s, B %s, B/A %.3f\n", name[i], a, b, r
+			if (b > 1.05 * a) {
+				printf "gate: %s grew more than 5 %%\n", name[i]
+				bad++
+			}
+		}
 		if (bad) exit 1
-		printf "gate: all %d exact counters equal (traced runs, seed %s)\n", n, seed
 	}' seed="$seed" "$traced" || {
 		echo "gate: failed; no pairs run" >&2
 		exit 1
