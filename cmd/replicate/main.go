@@ -65,10 +65,9 @@ func main() {
 
 	// The sweep batch: per node count a fault-free base run and a
 	// complete-replication run, in table-row order.
-	cm := workload.DefaultCostModel()
 	var reqs []sweep.Request
 	for _, nodes := range nodeCounts {
-		p := sweep.Prepare(w.BuildJob(scale, nodes, cm))
+		p := bench.Prepared(w, scale, nodes)
 		cfg := cluster.Config{Nodes: nodes, CoresPerNode: *cores}
 		if *rate > 0 {
 			cfg.Injector = fault.NewFixedRate(*seed, *rate/2, *rate/2)

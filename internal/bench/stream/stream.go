@@ -79,25 +79,30 @@ func expected(iters int) (a, b, c float64) {
 	return a, b, c
 }
 
-// The four kernels' task bodies; the last argument is the one written.
+// The four kernels' task bodies; the last argument is the one written. The
+// inputs are sliced to the output's length first, so the loops run without
+// bounds checks.
 func copyBody(ctx *rt.Ctx) { copy(ctx.F64(1), ctx.F64(0)) }
 
 func scaleBody(ctx *rt.Ctx) {
-	src, dst := ctx.F64(0), ctx.F64(1)
+	dst := ctx.F64(1)
+	src := ctx.F64(0)[:len(dst)]
 	for j := range dst {
 		dst[j] = scalar * src[j]
 	}
 }
 
 func addBody(ctx *rt.Ctx) {
-	x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
+	dst := ctx.F64(2)
+	x, y := ctx.F64(0)[:len(dst)], ctx.F64(1)[:len(dst)]
 	for j := range dst {
 		dst[j] = x[j] + y[j]
 	}
 }
 
 func triadBody(ctx *rt.Ctx) {
-	x, y, dst := ctx.F64(0), ctx.F64(1), ctx.F64(2)
+	dst := ctx.F64(2)
+	x, y := ctx.F64(0)[:len(dst)], ctx.F64(1)[:len(dst)]
 	for j := range dst {
 		dst[j] = x[j] + scalar*y[j]
 	}

@@ -42,7 +42,6 @@ var ErrCriteria = errors.New("experiments: acceptance criterion failed")
 // input footprints at the given scale.
 func Table1(scale workload.Scale) string {
 	t := stats.NewTable("benchmark", "class", "description", "paper size", "tasks@"+scale.String(), "input MB")
-	cm := workload.DefaultCostModel()
 	for _, w := range bench.All() {
 		class := "shared-memory"
 		nodes := 1
@@ -50,9 +49,8 @@ func Table1(scale workload.Scale) string {
 			class = "distributed"
 			nodes = 4
 		}
-		job := w.BuildJob(scale, nodes, cm)
 		t.AddRow(w.Name(), class, w.Description(), w.PaperSize(),
-			len(job.Tasks), float64(w.InputBytes(scale))/1e6)
+			len(prepared(w, scale, nodes).Job().Tasks), float64(w.InputBytes(scale))/1e6)
 	}
 	return t.String()
 }
@@ -259,7 +257,6 @@ func fig4Requests(p Params) ([]sweep.Request, error) {
 }
 
 func fig4Batch(workers int, scale workload.Scale, ws []workload.Workload) []sweep.Request {
-	cm := workload.DefaultCostModel()
 	type built struct {
 		nodes int
 		p     *sweep.Prepared
@@ -270,7 +267,7 @@ func fig4Batch(workers int, scale workload.Scale, ws []workload.Workload) []swee
 		if ws[i].Distributed() {
 			nodes = 64
 		}
-		p := sweep.Prepare(ws[i].BuildJob(scale, nodes, cm))
+		p := prepared(ws[i], scale, nodes)
 		return built{nodes, p, SelectAppFIT(p.Job(), 10)}
 	})
 	var reqs []sweep.Request
@@ -285,6 +282,11 @@ func fig4Batch(workers int, scale workload.Scale, ws []workload.Workload) []swee
 	}
 	return reqs
 }
+
+// prepared is where the figures get their jobs: the process-wide memo, so
+// a job Figures 4, 5 and 6 share, or a later run of any figure, is built
+// once. A test swaps in a private memo to count the builds.
+var prepared = bench.Prepared
 
 // buildAll runs build(0..n-1) as independent work items on workers
 // goroutines and returns the results in index order. A figure's jobs are
@@ -421,7 +423,6 @@ var (
 )
 
 func (s scaling) requests(p Params) ([]sweep.Request, error) {
-	cm := workload.DefaultCostModel()
 	ws := s.benches()
 	var nodes []int // one DAG per (benchmark, node count), for every rate and core count
 	for _, m := range s.machines {
@@ -430,7 +431,7 @@ func (s scaling) requests(p Params) ([]sweep.Request, error) {
 		}
 	}
 	jobs := buildAll(p.builders, len(ws)*len(nodes), func(i int) *sweep.Prepared {
-		return sweep.Prepare(ws[i/len(nodes)].BuildJob(p.Scale, nodes[i%len(nodes)], cm))
+		return prepared(ws[i/len(nodes)], p.Scale, nodes[i%len(nodes)])
 	})
 	var reqs []sweep.Request
 	for wi := range ws {
@@ -499,23 +500,24 @@ type AblationRow struct {
 	WithinBudget   bool
 }
 
-// jobOf builds the named benchmark's one-node simulator job.
-func jobOf(benchName string, scale workload.Scale) (cluster.Job, error) {
+// jobOf is the named benchmark's one-node prepared simulator job.
+func jobOf(benchName string, scale workload.Scale) (*sweep.Prepared, error) {
 	w, err := bench.ByName(benchName)
 	if err != nil {
-		return cluster.Job{}, err
+		return nil, err
 	}
-	return w.BuildJob(scale, 1, workload.DefaultCostModel()), nil
+	return prepared(w, scale, 1), nil
 }
 
 // Ablation compares App_FIT with its revocable variant, the offline knapsack
 // oracle, random selection and the trivial policies, all at 10× rates on
 // the given benchmark's simulator job (program-order decisions).
 func Ablation(benchName string, scale workload.Scale) ([]AblationRow, string, error) {
-	job, err := jobOf(benchName, scale)
+	p, err := jobOf(benchName, scale)
 	if err != nil {
 		return nil, "", err
 	}
+	job := p.Job()
 	n, one, ten := len(job.Tasks), fitAt(job, 1), fitAt(job, 10)
 	threshold := totalFIT(n, one)
 	row := func(policy string, reps int, unprot, budget float64) AblationRow {
@@ -567,11 +569,10 @@ func SpareCoreSweep(eng *sweep.Engine, benchName string, scale workload.Scale) (
 var spareCoreCounts = []int{2, 4, 8, 16, 32}
 
 func spareRequests(p Params) ([]sweep.Request, error) {
-	job, err := jobOf(p.Bench, p.Scale)
+	prep, err := jobOf(p.Bench, p.Scale)
 	if err != nil {
 		return nil, err
 	}
-	prep := sweep.Prepare(job)
 	var reqs []sweep.Request
 	for _, c := range spareCoreCounts {
 		reqs = append(reqs,
@@ -598,10 +599,11 @@ func spareCores(_ Params, resps []sweep.Response) ([]cluster.Result, string) {
 // this sweep is the sensitivity analysis that locates any reported
 // replication fraction — including the headline 53% — on the curve.
 func ThresholdSweep(benchName string, scale workload.Scale) (string, error) {
-	job, err := jobOf(benchName, scale)
+	p, err := jobOf(benchName, scale)
 	if err != nil {
 		return "", err
 	}
+	job := p.Job()
 	n, ten := len(job.Tasks), fitAt(job, 10)
 	appFIT, tasks := totalFIT(n, fitAt(job, 1)), collect(n, ten)
 	t := stats.NewTable("threshold multiplier", "tasks replicated %", "oracle %", "unprotected/threshold")

@@ -42,7 +42,6 @@ var fig4RTBenches = []string{"stream", "pingpong", "cholesky"}
 // job. Wall clock, so recorded and not gated.
 func Fig4RT(scale workload.Scale, workers, repeats int) ([]Fig4RTRow, string, error) {
 	repeats = max(repeats, 1)
-	cm := workload.DefaultCostModel()
 	var rows []Fig4RTRow
 	for _, name := range fig4RTBenches {
 		w, err := bench.ByName(name)
@@ -70,15 +69,15 @@ func Fig4RT(scale workload.Scale, workers, repeats int) ([]Fig4RTRow, string, er
 		row.PlainMs, row.ReplMs = stats.Percentile(ms[0], 50), stats.Percentile(ms[1], 50)
 		row.MeasuredPct = 100 * (row.ReplMs - row.PlainMs) / row.PlainMs
 
-		job := w.BuildJob(scale, 1, cm)
+		p := prepared(w, scale, 1)
 		var sim [3]cluster.Result // unreplicated; replicated without and with spare cores
 		for k, cfg := range []cluster.Config{
 			{},
-			{Replicated: cluster.All(len(job.Tasks))},
-			{Replicated: cluster.All(len(job.Tasks)), ReplicaCores: workers},
+			{Replicated: p.AllReplicated()},
+			{Replicated: p.AllReplicated(), ReplicaCores: workers},
 		} {
 			cfg.Nodes, cfg.CoresPerNode = 1, workers
-			if sim[k], err = cluster.Run(job, cfg); err != nil {
+			if sim[k], err = cluster.Run(p.Job(), cfg); err != nil {
 				return nil, "", fmt.Errorf("experiments: fig4rt: simulate %s: %w", name, err)
 			}
 		}

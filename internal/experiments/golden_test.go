@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"appfit/internal/bench"
+	"appfit/internal/bench/workload"
 	"appfit/internal/sweep"
 )
 
@@ -114,6 +118,44 @@ func TestRegistryNamesUnique(t *testing.T) {
 	}
 	if _, ok := Lookup("all"); ok {
 		t.Fatal(`"all" is cmd/experiments' word for the whole registry`)
+	}
+}
+
+// TestFiguresBuildEachJobOnce counts the job builds of Figures 4, 5 and 6
+// and the spare-core sweep at Small, as the benchmark's figures round runs
+// them, through a private memo: the first pass builds each of the 25
+// distinct (benchmark, nodes) jobs once, not the 35 its figures ask for, and
+// a second pass on a fresh engine builds none and prints the same tables.
+func TestFiguresBuildEachJobOnce(t *testing.T) {
+	var builds atomic.Int64
+	memo := &bench.JobMemo{Build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
+		builds.Add(1)
+		return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
+	}}
+	defer func(real func(workload.Workload, workload.Scale, int) *sweep.Prepared) { prepared = real }(prepared)
+	prepared = memo.Get
+	var first []string
+	for pass, want := range []int64{25, 0} {
+		builds.Store(0)
+		eng := sweep.New(sweep.Options{})
+		_, fig4, err4 := Fig4(eng, workload.Small)
+		_, fig5, err5 := Fig5(eng, workload.Small)
+		_, fig6, err6 := Fig6(eng, workload.Small)
+		spare, errS := SpareCoreSweep(eng, "cholesky", workload.Small)
+		for _, err := range []error{err4, err5, err6, errS} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := builds.Load(); got != want {
+			t.Errorf("pass %d built %d jobs, want %d", pass, got, want)
+		}
+		tables := []string{fig4, fig5, fig6, spare}
+		if first == nil {
+			first = tables
+		} else if !slices.Equal(tables, first) {
+			t.Errorf("pass %d printed other tables than pass 0", pass)
+		}
 	}
 }
 

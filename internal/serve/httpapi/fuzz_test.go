@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"appfit/internal/bench"
 	"appfit/internal/bench/workload"
 	"appfit/internal/sweep"
 )
@@ -34,10 +35,11 @@ func FuzzJobSpec(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	defer func(real *jobMemo) { jobs = real }(jobs)
-	jobs = &jobMemo{build: func(w workload.Workload, _ workload.Scale, nodes int) *sweep.Prepared {
+	defer func(real func(workload.Workload, workload.Scale, int) *sweep.Prepared) { jobs = real }(jobs)
+	tiny := &bench.JobMemo{Build: func(w workload.Workload, _ workload.Scale, nodes int) *sweep.Prepared {
 		return sweep.Prepare(w.BuildJob(workload.Tiny, nodes, workload.DefaultCostModel()))
 	}}
+	jobs = tiny.Get
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec JobSpec
 		if json.Unmarshal(body, &spec) != nil {

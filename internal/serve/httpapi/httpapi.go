@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"appfit/internal/bench"
@@ -65,72 +64,11 @@ const (
 	MaxBatch = 1024
 )
 
-// jobs memoizes prepared jobs by (bench, scale, nodes): a JobSpec's job is
-// fully determined by those three fields (seed, rate and cores shape only
-// the cluster.Config), and the builders are deterministic, so rebuilding
-// and re-hashing a several-thousand-task DAG per request would just burn
-// the serving CPU — at stream/small a build costs more than the simulation
-// it feeds. A sweep.Prepared is immutable and shared: every request for the
-// job derives its cache key from the one stored digest and simulates on
-// the one layout.
-var jobs = &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
-	return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
-}}
-
-// memoTasks bounds the summed task count of the jobs the memo holds: a
-// client sweeping nodes over medium linpacks (~300 000 tasks each) would
-// otherwise pin gigabytes.
-const memoTasks = 1 << 22
-
-// jobMemo is the prepared-job memo. A job builds outside the mutex, so a
-// cold build holds up only its own request, never another request's
-// lookup; two requests for one cold job may both build it, and the first
-// build stored is the one both get.
-type jobMemo struct {
-	mu sync.Mutex
-	// m holds jobs of tasks tasks in all; a job that would take the sum
-	// past limit (memoTasks when 0) resets it. // guarded by mu
-	m     map[jobKey]*sweep.Prepared
-	tasks int // guarded by mu
-	limit int
-	build func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared
-}
-
-type jobKey struct {
-	bench string
-	scale workload.Scale
-	nodes int
-}
-
-func (c *jobMemo) get(benchName string, scale workload.Scale, nodes int) (*sweep.Prepared, error) {
-	key := jobKey{bench: benchName, scale: scale, nodes: nodes}
-	c.mu.Lock()
-	p, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	w, err := bench.ByName(benchName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSpec, err)
-	}
-	p = c.build(w, scale, nodes)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if first, ok := c.m[key]; ok {
-		return first, nil
-	}
-	n, limit := len(p.Job().Tasks), c.limit
-	if limit == 0 {
-		limit = memoTasks
-	}
-	if c.m == nil || c.tasks+n > limit {
-		c.m, c.tasks = make(map[jobKey]*sweep.Prepared), 0
-	}
-	c.m[key] = p
-	c.tasks += n
-	return p, nil
-}
+// jobs resolves a spec's job through the process-wide prepared-job memo
+// (bench.Prepared): a JobSpec's job is fully determined by its bench, scale
+// and nodes, so every request for one job shares its build, digest and
+// layout. FuzzJobSpec swaps in a memo that builds every job at Tiny.
+var jobs = bench.Prepared
 
 // ErrSpec is the sentinel wrapped by every JobSpec rejection (unknown
 // scale or bench, out-of-range rate, nodes or cores) and every malformed
@@ -169,10 +107,11 @@ func (s JobSpec) Request() (sweep.Request, error) {
 	if !(s.Rate >= 0 && s.Rate < 1) {
 		return sweep.Request{}, fmt.Errorf("httpapi: fault rate %g outside [0, 1): %w", s.Rate, ErrSpec)
 	}
-	p, err := jobs.get(s.Bench, scale, nodes)
+	w, err := bench.ByName(s.Bench)
 	if err != nil {
-		return sweep.Request{}, err
+		return sweep.Request{}, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
+	p := jobs(w, scale, nodes)
 	cfg := cluster.Config{Nodes: nodes, CoresPerNode: cores}
 	if s.Rate > 0 {
 		seed := s.Seed

@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"appfit/internal/bench"
-	"appfit/internal/bench/workload"
 	"appfit/internal/serve"
 	"appfit/internal/sweep"
 )
@@ -171,84 +169,6 @@ func TestSpecBoundsAreInclusive(t *testing.T) {
 		if _, err := bad.Request(); !errors.Is(err, ErrSpec) {
 			t.Errorf("%+v: error %v, want ErrSpec", bad, err)
 		}
-	}
-}
-
-// TestColdBuildDoesNotStallHits: while one job's build is blocked, a
-// request for an already-built job returns at once; once the blocked build
-// finishes, it is stored and shared.
-func TestColdBuildDoesNotStallHits(t *testing.T) {
-	building, release := make(chan struct{}), make(chan struct{})
-	memo := &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
-		if nodes == 2 {
-			close(building)
-			<-release
-		}
-		return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
-	}}
-	hot, err := memo.get("stream", workload.Tiny, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := make(chan *sweep.Prepared, 1)
-	go func() {
-		p, _ := memo.get("stream", workload.Tiny, 2)
-		cold <- p
-	}()
-	<-building
-	hit := make(chan *sweep.Prepared, 1)
-	go func() {
-		p, _ := memo.get("stream", workload.Tiny, 1)
-		hit <- p
-	}()
-	select {
-	case p := <-hit:
-		if p != hot {
-			t.Fatal("a hit returned a different job")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a cache hit waited on another job's build")
-	}
-	close(release)
-	built := <-cold
-	if again, err := memo.get("stream", workload.Tiny, 2); err != nil || built == nil || again != built {
-		t.Fatalf("the finished build was not stored: %p then %p (%v)", built, again, err)
-	}
-}
-
-// TestJobMemoBoundsTasks: the memo is bounded by the tasks it holds, not
-// by entries. A job that would take the sum past the limit resets it, and
-// a hit never builds.
-func TestJobMemoBoundsTasks(t *testing.T) {
-	builds := 0
-	memo := &jobMemo{build: func(w workload.Workload, scale workload.Scale, nodes int) *sweep.Prepared {
-		builds++
-		return sweep.Prepare(w.BuildJob(scale, nodes, workload.DefaultCostModel()))
-	}}
-	small, err := memo.get("stream", workload.Tiny, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := bench.ByName("cholesky")
-	if err != nil {
-		t.Fatal(err)
-	}
-	large := len(w.BuildJob(workload.Small, 1, workload.DefaultCostModel()).Tasks)
-	memo.limit = len(small.Job().Tasks) + large - 1
-	if p, _ := memo.get("stream", workload.Tiny, 1); p != small || builds != 1 {
-		t.Fatalf("a hit built: %d builds", builds)
-	}
-	if _, err := memo.get("cholesky", workload.Small, 1); err != nil || builds != 2 {
-		t.Fatalf("cold job: %d builds (%v)", builds, err)
-	}
-	if len(memo.m) != 1 || memo.tasks != large {
-		t.Fatalf("the large job left %d jobs of %d tasks, want it alone (%d)", len(memo.m), memo.tasks, large)
-	}
-	if _, err := memo.get("cholesky", workload.Small, 1); err != nil || builds != 2 {
-		t.Fatalf("a hit built: %d builds (%v)", builds, err)
-	}
-	if _, err := memo.get("stream", workload.Tiny, 1); err != nil || builds != 3 {
-		t.Fatalf("the evicted job did not rebuild: %d builds (%v)", builds, err)
 	}
 }
 

@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"appfit/internal/bench"
+	"appfit/internal/bench/cholesky"
+	"appfit/internal/bench/fft"
+	"appfit/internal/bench/nbody"
+	"appfit/internal/bench/perlin"
+	"appfit/internal/bench/stream"
 	"appfit/internal/bench/workload"
 	"appfit/internal/cluster"
 	"appfit/internal/fault"
@@ -19,12 +23,20 @@ func simulate(eng *Engine, job cluster.Job, cfg cluster.Config) (cluster.Result,
 	return resp.Result, resp.Err
 }
 
+// testWorkloads are the Table-I benchmarks the engine tests build. They are
+// named here rather than looked up in the bench registry, which imports
+// this package for its prepared-job memo.
+var testWorkloads = map[string]workload.Workload{
+	"cholesky": cholesky.New(), "fft": fft.New(), "nbody": nbody.New(),
+	"perlin": perlin.New(), "stream": stream.New(),
+}
+
 // testJob builds a small real workload DAG for nodes nodes.
 func testJob(t testing.TB, name string, nodes int) cluster.Job {
 	t.Helper()
-	w, err := bench.ByName(name)
-	if err != nil {
-		t.Fatal(err)
+	w, ok := testWorkloads[name]
+	if !ok {
+		t.Fatalf("no test workload %q", name)
 	}
 	return w.BuildJob(workload.Tiny, nodes, workload.DefaultCostModel())
 }
