@@ -46,7 +46,7 @@ func main() {
 }
 
 func virtualScaling() {
-	w := nbody.New()
+	w := nbody.Workload
 	cm := workload.DefaultCostModel()
 	const coresPerNode = 16
 

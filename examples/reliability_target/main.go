@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	w := cholesky.New()
+	w := cholesky.Workload
 	scale := workload.Tiny
 	base := fit.Roadrunner()
 

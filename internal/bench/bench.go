@@ -1,12 +1,13 @@
 // Package bench is the Table-I benchmark registry: the five shared-memory
-// and four distributed task-parallel workloads the paper evaluates, behind
-// the common workload.Workload interface. Experiments iterate over All() or
-// the SharedMemory()/DistributedSet() subsets.
+// and four distributed task-parallel workloads the paper evaluates, one
+// workload.Workload value each. Experiments iterate over All() or the
+// SharedMemory()/DistributedSet() subsets.
 package bench
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"appfit/internal/bench/cholesky"
 	"appfit/internal/bench/fft"
@@ -20,26 +21,27 @@ import (
 	"appfit/internal/bench/workload"
 )
 
+// all is Table I in order: shared-memory first, then distributed.
+var all = [...]workload.Workload{
+	sparselu.Workload,
+	cholesky.Workload,
+	fft.Workload,
+	perlin.Workload,
+	stream.Workload,
+	nbody.Workload,
+	matmul.Workload,
+	pingpong.Workload,
+	linpack.Workload,
+}
+
 // All returns every benchmark in Table I order: shared-memory first, then
 // distributed.
-func All() []workload.Workload {
-	return []workload.Workload{
-		sparselu.New(),
-		cholesky.New(),
-		fft.New(),
-		perlin.New(),
-		stream.New(),
-		nbody.New(),
-		matmul.New(),
-		pingpong.New(),
-		linpack.New(),
-	}
-}
+func All() []workload.Workload { return slices.Clone(all[:]) }
 
 // SharedMemory returns the five shared-memory benchmarks.
 func SharedMemory() []workload.Workload {
 	var out []workload.Workload
-	for _, w := range All() {
+	for _, w := range all {
 		if !w.Distributed() {
 			out = append(out, w)
 		}
@@ -50,7 +52,7 @@ func SharedMemory() []workload.Workload {
 // DistributedSet returns the four distributed benchmarks.
 func DistributedSet() []workload.Workload {
 	var out []workload.Workload
-	for _, w := range All() {
+	for _, w := range all {
 		if w.Distributed() {
 			out = append(out, w)
 		}
@@ -64,14 +66,14 @@ var ErrUnknownBench = errors.New("bench: unknown benchmark")
 
 // ByName returns the named benchmark or an error listing valid names.
 func ByName(name string) (workload.Workload, error) {
-	for _, w := range All() {
+	for _, w := range all {
 		if w.Name() == name {
 			return w, nil
 		}
 	}
-	names := make([]string, 0, 9)
-	for _, w := range All() {
+	names := make([]string, 0, len(all))
+	for _, w := range all {
 		names = append(names, w.Name())
 	}
-	return nil, fmt.Errorf("bench: unknown benchmark %q (have %v): %w", name, names, ErrUnknownBench)
+	return workload.Workload{}, fmt.Errorf("bench: unknown benchmark %q (have %v): %w", name, names, ErrUnknownBench)
 }

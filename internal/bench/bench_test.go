@@ -28,6 +28,8 @@ func TestRegistry(t *testing.T) {
 	if len(SharedMemory()) != 5 || len(DistributedSet()) != 4 {
 		t.Fatalf("shared/distributed split wrong: %d/%d", len(SharedMemory()), len(DistributedSet()))
 	}
+	// Every value's Spec is complete: a nil func panics below (Tasks may
+	// be nil; TestBuildJobSizeHints holds the hints).
 	seen := map[string]bool{}
 	for _, w := range all {
 		if w.Name() == "" || seen[w.Name()] {
@@ -43,12 +45,36 @@ func TestRegistry(t *testing.T) {
 		if w.InputBytes(workload.Small) < w.InputBytes(workload.Tiny) {
 			t.Fatalf("%s: scales not monotone", w.Name())
 		}
+		if len(w.BuildJob(workload.Tiny, 1, workload.DefaultCostModel()).Tasks) == 0 {
+			t.Fatalf("%s: the graph emits no task", w.Name())
+		}
+		r := rt.New(rt.Config{Workers: 1})
+		verify := w.BuildRT(r, workload.Tiny)
+		if err := r.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if err := verify(); err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
 	}
 	if _, err := ByName("cholesky"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name must error")
+	}
+}
+
+// TestByNameAllocs: appfitd looks up every job spec's benchmark by name, so
+// a lookup scans the registry's table and allocates nothing.
+func TestByNameAllocs(t *testing.T) {
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("stream"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("ByName makes %.1f allocations a lookup, want 0", got)
 	}
 }
 
@@ -207,7 +233,7 @@ func TestBuiltJobsGolden(t *testing.T) {
 }
 
 // TestBuildJobSizeHints: every builder that knows its task count passes it
-// to NewJobBuilder exactly — the task list never regrows and carries no
+// to NewJobGraph exactly — the task list never regrows and carries no
 // slack. sparselu's count depends on its fill pattern and passes no hint.
 func TestBuildJobSizeHints(t *testing.T) {
 	for _, w := range All() {

@@ -13,7 +13,6 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
@@ -23,49 +22,35 @@ type Params struct {
 	Nb, B int
 }
 
-// ParamsFor returns parameters at a scale.
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{Nb: 4, B: 8}
-	case workload.Medium:
-		return Params{Nb: 32, B: 64}
-	default:
-		return Params{Nb: 12, B: 32}
-	}
+// sizes holds the parameters per scale.
+var sizes = [...]Params{
+	workload.Tiny:   {Nb: 4, B: 8},
+	workload.Small:  {Nb: 12, B: 32},
+	workload.Medium: {Nb: 32, B: 64},
 }
 
-// Tasks returns the kernel task count: potrf Nb, trsm Nb(Nb-1)/2, syrk
+// tasks returns the kernel task count: potrf Nb, trsm Nb(Nb-1)/2, syrk
 // Nb(Nb-1)/2, gemm Nb(Nb-1)(Nb-2)/6.
-func (p Params) Tasks() int {
+func (p Params) tasks() int {
 	n := p.Nb
 	return n + n*(n-1)/2 + n*(n-1)/2 + n*(n-1)*(n-2)/6
 }
 
-// W is the Cholesky workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "cholesky" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return false }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "Cholesky factorization" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Matrix size 16384x16384 doubles and block size 512x512" }
-
-// InputBytes implements workload.Workload.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	n := int64(p.Nb) * int64(p.B)
-	return n * n * 8
-}
+// Workload is the Cholesky benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "cholesky",
+	Description: "Cholesky factorization",
+	PaperSize:   "Matrix size 16384x16384 doubles and block size 512x512",
+	InputBytes: func(s workload.Scale) int64 {
+		n := int64(sizes[s].Nb) * int64(sizes[s].B)
+		return n * n * 8
+	},
+	Tasks: func(s workload.Scale) int { return sizes[s].tasks() },
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data: func(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+		return data(sizes[s], spd(sizes[s]))
+	},
+})
 
 // SPD returns the deterministic lower-triangular tile array of an SPD matrix
 // the benchmark factorizes — a random symmetric matrix plus a strong
@@ -165,18 +150,16 @@ func FactorSerial(tiles [][]buffer.F64, p Params) error {
 	return nil
 }
 
-// graph states the factorization's task graph; errs receives the first
-// potrf error. Tile (i, j) lives on node (i+j) mod nodes.
-func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
+// graph states the factorization's task graph; a failed potrf is recorded
+// in g. Tile (i, j) lives on node (i+j) mod nodes.
+func graph(g *workload.Graph, p Params) {
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i + j) % g.Nodes() }
 	var potrf, trsm, syrk, gemm rt.TaskFunc
 	if g.Runs() {
-		potrf = func(ctx *rt.Ctx) {
-			errs.Record(kern.Potrf(ctx.F64(0), p.B))
-		}
+		potrf = func(ctx *rt.Ctx) { g.Record(kern.Potrf(ctx.F64(0), p.B)) }
 		trsm = func(ctx *rt.Ctx) { kern.TrsmRightLowerTrans(ctx.F64(0), ctx.F64(1), p.B) }
 		syrk = func(ctx *rt.Ctx) { kern.SyrkSub(ctx.F64(1), ctx.F64(0), p.B) }
 		gemm = func(ctx *rt.Ctx) { kern.GemmSubTransB(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
@@ -199,24 +182,12 @@ func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
-	return build(r, p, spd(p))
-}
-
-// build submits the factorization of a copy of orig, which it only reads,
-// and returns the verifier that holds the factors to it.
-func build(r *rt.Runtime, p Params, orig [][]buffer.F64) workload.Verifier {
+// data maps the factorization onto a copy of orig, which it only reads, and
+// returns the check that holds the factors to orig.
+func data(p Params, orig [][]buffer.F64) (func(workload.Region) buffer.Buffer, workload.Verifier) {
 	tiles := clone2d(orig)
-	var errs workload.FirstErr
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return tiles[reg.I][reg.J] }), p, &errs)
-	return func() error {
-		if err := errs.Err(); err != nil {
-			return err
-		}
-		return verify(tiles, orig, p)
-	}
+	return func(reg workload.Region) buffer.Buffer { return tiles[reg.I][reg.J] },
+		func() error { return verify(tiles, orig, p) }
 }
 
 // verify reconstructs L·Lᵀ tile-wise from the factored tiles and compares it
@@ -238,12 +209,4 @@ func verify(tiles, orig [][]buffer.F64, p Params) error {
 		}
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), p.Tasks(), nodes, cm)
-	graph(g, p, nil)
-	return g.Job()
 }

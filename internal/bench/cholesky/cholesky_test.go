@@ -33,8 +33,8 @@ func TestTaskCountFormula(t *testing.T) {
 				}
 			}
 		}
-		if p.Tasks() != count {
-			t.Fatalf("Nb=%d: formula %d, enumerated %d", nb, p.Tasks(), count)
+		if p.tasks() != count {
+			t.Fatalf("Nb=%d: formula %d, enumerated %d", nb, p.tasks(), count)
 		}
 	}
 }
@@ -84,8 +84,8 @@ func TestSPDKnownValues(t *testing.T) {
 		p    Params
 		want string
 	}{
-		{ParamsFor(workload.Tiny), "abba6c8b168de611ef6b149b34457569422131d877dddf113d3d3dc6622f3390"},
-		{ParamsFor(workload.Small), "153dea2c97e467a5421a9c7f4cccecfbcebffdd2eaa164b7addf44801f60cb14"},
+		{sizes[workload.Tiny], "abba6c8b168de611ef6b149b34457569422131d877dddf113d3d3dc6622f3390"},
+		{sizes[workload.Small], "153dea2c97e467a5421a9c7f4cccecfbcebffdd2eaa164b7addf44801f60cb14"},
 		{Params{Nb: 16, B: 16}, "2eeb08950c0cc4850becae0f068fa45d593da026ed20a87bdd5d146fa9b2cfd0"},
 		{Params{Nb: 8, B: 8}, "8933f6334c4e2706c3e3a1b186b2f89cd8743adc8e4fcd7141334a7587c30019"},
 	} {
@@ -96,10 +96,10 @@ func TestSPDKnownValues(t *testing.T) {
 }
 
 func TestJobShape(t *testing.T) {
-	p := ParamsFor(workload.Tiny)
-	job := W{}.BuildJob(workload.Tiny, 1, workload.DefaultCostModel())
-	if len(job.Tasks) != p.Tasks() {
-		t.Fatalf("job %d tasks, want %d", len(job.Tasks), p.Tasks())
+	p := sizes[workload.Tiny]
+	job := Workload.BuildJob(workload.Tiny, 1, workload.DefaultCostModel())
+	if len(job.Tasks) != p.tasks() {
+		t.Fatalf("job %d tasks, want %d", len(job.Tasks), p.tasks())
 	}
 	// The first task is the first potrf (a root); the last gemm/syrk of
 	// the final iteration depends on earlier work.
@@ -152,7 +152,7 @@ func TestFailedFactorUnderReplication(t *testing.T) {
 // by a caller scribbling on SPD's copy, not by a factorization on the
 // runtime — and concurrent SPD and BuildRT calls share it without a race.
 func TestSPDMemoIsolation(t *testing.T) {
-	p := ParamsFor(workload.Tiny)
+	p := sizes[workload.Tiny]
 	want := digest(spd(p))
 	mine := SPD(p)
 	for _, row := range mine {
@@ -168,7 +168,7 @@ func TestSPDMemoIsolation(t *testing.T) {
 	}
 
 	r := rt.New(rt.Config{Workers: 2})
-	verifyRT := W{}.BuildRT(r, workload.Tiny)
+	verifyRT := Workload.BuildRT(r, workload.Tiny)
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSPDMemoIsolation(t *testing.T) {
 				return
 			}
 			r := rt.New(rt.Config{Workers: 1})
-			verifyRT := W{}.BuildRT(r, workload.Tiny)
+			verifyRT := Workload.BuildRT(r, workload.Tiny)
 			if err := r.Shutdown(); err != nil {
 				t.Error(err)
 			} else if err := verifyRT(); err != nil {
@@ -203,4 +203,15 @@ func TestSPDMemoIsolation(t *testing.T) {
 	if got := digest(spd(p)); got != want {
 		t.Fatalf("memo after concurrent builds: digest %s, want %s", got, want)
 	}
+}
+
+// build runs the factorization of a copy of orig at p through the shared
+// runtime build and returns its verifier.
+func build(r *rt.Runtime, p Params, orig [][]buffer.F64) workload.Verifier {
+	return workload.New(workload.Spec{
+		Graph: func(g *workload.Graph, _ workload.Scale) { graph(g, p) },
+		Data: func(workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+			return data(p, orig)
+		},
+	}).BuildRT(r, workload.Tiny)
 }

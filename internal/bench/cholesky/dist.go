@@ -19,7 +19,7 @@
 // broadcast plumbing is comm tasks, never replicated, never corrupted.
 //
 // This lives in package cholesky rather than package workload because
-// workload is imported from here for the serial Workload interface — the
+// workload is imported from here for the serial Workload value — the
 // distributed builder needs the serial SPD seeding and kernels, so putting
 // it beside them avoids an import cycle.
 package cholesky

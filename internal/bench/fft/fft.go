@@ -14,7 +14,6 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
@@ -28,43 +27,28 @@ type Params struct {
 // Nb returns the panel count.
 func (p Params) Nb() int { return p.N / p.R }
 
-// ParamsFor returns parameters at a scale.
+// ParamsFor returns the parameters at a scale.
 func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{N: 64, R: 16}
-	case workload.Medium:
-		return Params{N: 2048, R: 64}
-	default:
-		return Params{N: 512, R: 32}
-	}
+	return [...]Params{
+		workload.Tiny:   {N: 64, R: 16},
+		workload.Small:  {N: 512, R: 32},
+		workload.Medium: {N: 2048, R: 64},
+	}[s]
 }
 
-// W is the FFT workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "fft" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return false }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "Fast Fourier Transform" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string {
-	return "Matrix size 16384x16384 complex doubles, block size 16384x128"
-}
-
-// InputBytes implements workload.Workload.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	return int64(p.N) * int64(p.N) * 16
-}
+// Workload is the FFT benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "fft",
+	Description: "Fast Fourier Transform",
+	PaperSize:   "Matrix size 16384x16384 complex doubles, block size 16384x128",
+	InputBytes: func(s workload.Scale) int64 {
+		p := ParamsFor(s)
+		return int64(p.N) * int64(p.N) * 16
+	},
+	Tasks: func(s workload.Scale) int { return 4 * ParamsFor(s).Nb() },
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, ParamsFor(s)) },
+	Data:  data,
+})
 
 // fftRows transforms each of the R rows (length N) of panel p in place.
 func fftRows(panel []complex128, rows, n int) {
@@ -85,9 +69,9 @@ func transposeInto(dst []complex128, srcs [][]complex128, dstIdx, rows, n int) {
 	}
 }
 
-// Reference computes the 2-D FFT serially with the identical panel
+// reference computes the 2-D FFT serially with the identical panel
 // algorithm, for bit-comparable verification.
-func Reference(data []complex128, p Params) []complex128 {
+func reference(data []complex128, p Params) []complex128 {
 	n, rows, nb := p.N, p.R, p.Nb()
 	panels := make([][]complex128, nb)
 	for i := range panels {
@@ -164,8 +148,8 @@ func graph(g *workload.Graph, p Params) {
 	stage("transpose-back", 'P', 'Q')
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
+// data draws the seeded input into the panels of P; Q starts zeroed.
+func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
 	p := ParamsFor(s)
 	n, rows, nb := p.N, p.R, p.Nb()
 	input := make([]complex128, n*n)
@@ -180,18 +164,17 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		copy(P[i], input[i*rows*n:(i+1)*rows*n])
 		Q[i] = buffer.NewC128(rows * n)
 	}
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
+	return func(reg workload.Region) buffer.Buffer {
 		if reg.Arr == 'P' {
 			return P[reg.I]
 		}
 		return Q[reg.I]
-	}), p)
-	return func() error { return verify(P, input, p) }
+	}, func() error { return verify(P, input, p) }
 }
 
-// verify compares every panel of P with the serial Reference of input.
+// verify compares every panel of P with the serial reference of input.
 func verify(P []buffer.C128, input []complex128, p Params) error {
-	want := Reference(input, p)
+	want := reference(input, p)
 	size := p.R * p.N
 	for i := range P {
 		for k, got := range P[i] {
@@ -201,12 +184,4 @@ func verify(P []buffer.C128, input []complex128, p Params) error {
 		}
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), 4*p.Nb(), nodes, cm)
-	graph(g, p)
-	return g.Job()
 }

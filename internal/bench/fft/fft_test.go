@@ -68,7 +68,7 @@ func TestReferenceMatchesDirect2D(t *testing.T) {
 	for i := range data {
 		data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	got := Reference(data, p)
+	got := reference(data, p)
 
 	// Direct: FFT rows, then FFT columns in place.
 	direct := append([]complex128(nil), data...)
@@ -94,7 +94,7 @@ func TestReferenceMatchesDirect2D(t *testing.T) {
 
 func TestInputBytes(t *testing.T) {
 	p := ParamsFor(workload.Tiny)
-	if got := (W{}).InputBytes(workload.Tiny); got != int64(p.N)*int64(p.N)*16 {
+	if got := Workload.InputBytes(workload.Tiny); got != int64(p.N)*int64(p.N)*16 {
 		t.Fatalf("input bytes %d", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestVerifyRejectsNaN(t *testing.T) {
 	for i := range input {
 		input[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	ref := Reference(input, p)
+	ref := reference(input, p)
 	size := p.R * p.N
 	P := make([]buffer.C128, p.Nb())
 	for i := range P {

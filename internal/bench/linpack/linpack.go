@@ -15,56 +15,55 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
 
-// Params sizes the workload: an Nb×Nb grid of B×B blocks on a P×Q process
+// params sizes the workload: an Nb×Nb grid of B×B blocks on a P×Q process
 // grid.
-type Params struct {
+type params struct {
 	Nb, B, P, Q int
 }
 
-// ParamsFor returns parameters at a scale (the paper uses an 8×8 grid).
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{Nb: 4, B: 8, P: 2, Q: 2}
-	case workload.Medium:
-		// Parallelism of blocked LU is ~Nb²/9 tasks on average; Nb = 96
-		// keeps the paper's largest machine (1024 cores) busy. The paper's
-		// own HPL run has Nb = 512.
-		return Params{Nb: 96, B: 24, P: 8, Q: 8}
-	default:
-		return Params{Nb: 12, B: 32, P: 4, Q: 4}
-	}
+// sizes holds the parameters per scale (the paper uses an 8×8 grid).
+var sizes = [...]params{
+	workload.Tiny:  {Nb: 4, B: 8, P: 2, Q: 2},
+	workload.Small: {Nb: 12, B: 32, P: 4, Q: 4},
+	// Parallelism of blocked LU is ~Nb²/9 tasks on average; Nb = 96 keeps
+	// the paper's largest machine (1024 cores) busy. The paper's own HPL
+	// run has Nb = 512.
+	workload.Medium: {Nb: 96, B: 24, P: 8, Q: 8},
 }
 
-// W is the Linpack workload.
-type W struct{}
+// tasks returns the task count: getrf Nb, the two panel solves Nb(Nb-1),
+// gemm Σk² for k < Nb.
+func (p params) tasks() int { return p.Nb + p.Nb*(p.Nb-1) + (p.Nb-1)*p.Nb*(2*p.Nb-1)/6 }
 
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "linpack" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return true }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "HPL Linpack" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Matrix size 131072 doubles, block size 256, 8x8 grid" }
-
-// InputBytes implements workload.Workload.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	n := int64(p.Nb) * int64(p.B)
-	return n * n * 8
-}
+// Workload is the Linpack benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "linpack",
+	Description: "HPL Linpack",
+	PaperSize:   "Matrix size 131072 doubles, block size 256, 8x8 grid",
+	Distributed: true,
+	InputBytes: func(s workload.Scale) int64 {
+		n := int64(sizes[s].Nb) * int64(sizes[s].B)
+		return n * n * 8
+	},
+	Tasks: func(s workload.Scale) int { return sizes[s].tasks() },
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data: func(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+		p := sizes[s]
+		blocks := make([][]buffer.F64, p.Nb)
+		for i := range blocks {
+			blocks[i] = make([]buffer.F64, p.Nb)
+			for j := range blocks[i] {
+				blocks[i][j] = buffer.NewF64(p.B * p.B)
+				initBlock(blocks[i][j], i, j, p.B, p.Nb)
+			}
+		}
+		return data(p, blocks)
+	},
+})
 
 func initBlock(b buffer.F64, i, j, n, nb int) {
 	r := xrand.New(xrand.Combine(0x11A9, uint64(i), uint64(j)))
@@ -78,11 +77,11 @@ func initBlock(b buffer.F64, i, j, n, nb int) {
 	}
 }
 
-// graph states the factorization's task graph; errs receives the first
-// getrf error. Block (i, j) lives on grid process (i mod P', j mod Q'), the
+// graph states the factorization's task graph; a failed getrf is recorded
+// in g. Block (i, j) lives on grid process (i mod P', j mod Q'), the
 // grid chosen per machine size as HPL does: the most square P'×Q' = nodes
 // factorization (the paper's 8×8 grid is the 64-node case).
-func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
+func graph(g *workload.Graph, p params) {
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
@@ -96,9 +95,7 @@ func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
 	owner := func(i, j int) int { return (i%gp)*gq + (j % gq) }
 	var getrf, trsmRow, trsmCol, gemm rt.TaskFunc
 	if g.Runs() {
-		getrf = func(ctx *rt.Ctx) {
-			errs.Record(kern.Lu0(ctx.F64(0), p.B))
-		}
+		getrf = func(ctx *rt.Ctx) { g.Record(kern.Lu0(ctx.F64(0), p.B)) }
 		trsmRow = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
 		trsmCol = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
 		gemm = func(ctx *rt.Ctx) { kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
@@ -123,23 +120,9 @@ func graph(g *workload.Graph, p Params, errs *workload.FirstErr) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
-	blocks := make([][]buffer.F64, p.Nb)
-	for i := range blocks {
-		blocks[i] = make([]buffer.F64, p.Nb)
-		for j := range blocks[i] {
-			blocks[i][j] = buffer.NewF64(p.B * p.B)
-			initBlock(blocks[i][j], i, j, p.B, p.Nb)
-		}
-	}
-	return build(r, p, blocks)
-}
-
-// build submits the factorization of blocks in place and returns the
-// verifier that holds the factors to a copy of the input.
-func build(r *rt.Runtime, p Params, blocks [][]buffer.F64) workload.Verifier {
+// data maps the factorization onto blocks, in place, and returns the check
+// that holds the factors to a copy of the input.
+func data(p params, blocks [][]buffer.F64) (func(workload.Region) buffer.Buffer, workload.Verifier) {
 	orig := make([][]buffer.F64, p.Nb)
 	for i := range orig {
 		orig[i] = make([]buffer.F64, p.Nb)
@@ -147,24 +130,18 @@ func build(r *rt.Runtime, p Params, blocks [][]buffer.F64) workload.Verifier {
 			orig[i][j] = blocks[i][j].Clone().(buffer.F64)
 		}
 	}
-	var errs workload.FirstErr
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, &errs)
-	return func() error {
-		if err := errs.Err(); err != nil {
-			return err
-		}
-		return VerifyResidual(blocks, orig, p)
-	}
+	return func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] },
+		func() error { return verifyResidual(blocks, orig, p) }
 }
 
 // ErrResidual is the sentinel wrapped when the scaled residual exceeds
 // the acceptance threshold.
 var ErrResidual = errors.New("linpack: residual too large")
 
-// VerifyResidual performs the HPL check: with b = A·1s, solve L·U·x = b
+// verifyResidual performs the HPL check: with b = A·1s, solve L·U·x = b
 // using the computed factors and require the scaled residual
 // ||A·x − b||∞ / (||A||_F · n) to be tiny.
-func VerifyResidual(blocks, orig [][]buffer.F64, p Params) error {
+func verifyResidual(blocks, orig [][]buffer.F64, p params) error {
 	n := p.Nb * p.B
 	// Assemble dense A and the factors' action serially.
 	a := make([]float64, n*n)
@@ -227,12 +204,4 @@ func VerifyResidual(blocks, orig [][]buffer.F64, p Params) error {
 		return fmt.Errorf("linpack: scaled residual %g too large: %w", scaled, ErrResidual)
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), p.Nb+p.Nb*(p.Nb-1)+(p.Nb-1)*p.Nb*(2*p.Nb-1)/6, nodes, cm)
-	graph(g, p, nil)
-	return g.Job()
 }

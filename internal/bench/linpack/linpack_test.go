@@ -16,7 +16,7 @@ func TestGridChoicePerMachine(t *testing.T) {
 	// Owners must cover every node for the machine sizes the Figure 6
 	// sweep uses.
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32, 64} {
-		job := W{}.BuildJob(workload.Tiny, nodes, workload.DefaultCostModel())
+		job := Workload.BuildJob(workload.Tiny, nodes, workload.DefaultCostModel())
 		owned := map[int]bool{}
 		for _, task := range job.Tasks {
 			if task.Node < 0 || task.Node >= nodes {
@@ -33,9 +33,9 @@ func TestGridChoicePerMachine(t *testing.T) {
 func TestResidualVerifierCatchesWrongFactors(t *testing.T) {
 	// Run the factorization, then corrupt one factor block: the HPL
 	// residual check must fail.
-	p := ParamsFor(workload.Tiny)
+	p := sizes[workload.Tiny]
 	r := rt.New(rt.Config{Workers: 2})
-	w := W{}
+	w := Workload
 	verify := w.BuildRT(r, workload.Tiny)
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -44,21 +44,21 @@ func TestResidualVerifierCatchesWrongFactors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p
-	// Direct check of VerifyResidual's sensitivity on a tiny instance.
-	pp := Params{Nb: 2, B: 4}
+	// Direct check of verifyResidual's sensitivity on a tiny instance.
+	pp := params{Nb: 2, B: 4}
 	blocks, orig := serialFactors(t, pp)
-	if err := VerifyResidual(blocks, orig, pp); err != nil {
+	if err := verifyResidual(blocks, orig, pp); err != nil {
 		t.Fatalf("clean factorization rejected: %v", err)
 	}
 	blocks[1][0][3] += 0.5
-	if err := VerifyResidual(blocks, orig, pp); err == nil {
+	if err := verifyResidual(blocks, orig, pp); err == nil {
 		t.Fatal("corrupted factor accepted")
 	}
 }
 
 // serialFactors builds a pp-sized matrix and factors it serially with the
 // workload's kernels, returning the factors and the original blocks.
-func serialFactors(t *testing.T, pp Params) (blocks, orig [][]buffer.F64) {
+func serialFactors(t *testing.T, pp params) (blocks, orig [][]buffer.F64) {
 	t.Helper()
 	bb := pp.B * pp.B
 	blocks = make([][]buffer.F64, pp.Nb)
@@ -95,20 +95,20 @@ func serialFactors(t *testing.T, pp Params) (blocks, orig [][]buffer.F64) {
 // TestVerifyResidualRejectsNaN puts one NaN in a correct factorization: the
 // residual check must fail rather than let the NaN through the max.
 func TestVerifyResidualRejectsNaN(t *testing.T) {
-	pp := Params{Nb: 2, B: 4}
+	pp := params{Nb: 2, B: 4}
 	blocks, orig := serialFactors(t, pp)
-	if err := VerifyResidual(blocks, orig, pp); err != nil {
+	if err := verifyResidual(blocks, orig, pp); err != nil {
 		t.Fatalf("clean factorization rejected: %v", err)
 	}
 	blocks[0][1][6] = math.NaN()
-	if err := VerifyResidual(blocks, orig, pp); err == nil {
+	if err := verifyResidual(blocks, orig, pp); err == nil {
 		t.Fatal("a NaN in a factor block was accepted")
 	}
 }
 
 func TestParams(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.Nb < 2 || p.B < 2 || p.P < 1 || p.Q < 1 {
 			t.Fatalf("%v: bad params %+v", s, p)
 		}
@@ -119,7 +119,7 @@ func TestParams(t *testing.T) {
 // is zero fully replicated on two workers: both attempts of getrf(0) fail,
 // concurrently, and the verifier must report the kernel's error.
 func TestFailedFactorUnderReplication(t *testing.T) {
-	p := Params{Nb: 3, B: 4}
+	p := params{Nb: 3, B: 4}
 	blocks := make([][]buffer.F64, p.Nb)
 	for i := range blocks {
 		blocks[i] = make([]buffer.F64, p.Nb)
@@ -138,4 +138,15 @@ func TestFailedFactorUnderReplication(t *testing.T) {
 	if err := verifyRT(); !errors.Is(err, kern.ErrNumeric) {
 		t.Fatalf("verifier returned %v, want a kern.ErrNumeric", err)
 	}
+}
+
+// build runs the factorization of blocks at p, in place, through the shared
+// runtime build and returns its verifier.
+func build(r *rt.Runtime, p params, blocks [][]buffer.F64) workload.Verifier {
+	return workload.New(workload.Spec{
+		Graph: func(g *workload.Graph, _ workload.Scale) { graph(g, p) },
+		Data: func(workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+			return data(p, blocks)
+		},
+	}).BuildRT(r, workload.Tiny)
 }

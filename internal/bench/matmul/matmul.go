@@ -13,57 +13,42 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
 
-// Params sizes the workload: matrices are (Nb·B)² doubles in Nb×Nb blocks
+// params sizes the workload: matrices are (Nb·B)² doubles in Nb×Nb blocks
 // of B×B.
-type Params struct {
+type params struct {
 	Nb, B int
 }
 
-// ParamsFor returns parameters at a scale. Medium's 32³ = 32768 gemm tasks
+// sizes holds the parameters per scale. Medium's 32³ = 32768 gemm tasks
 // sit in the paper's fine-task band.
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{Nb: 3, B: 8}
-	case workload.Medium:
-		return Params{Nb: 32, B: 64}
-	default:
-		return Params{Nb: 8, B: 32}
-	}
+var sizes = [...]params{
+	workload.Tiny:   {Nb: 3, B: 8},
+	workload.Small:  {Nb: 8, B: 32},
+	workload.Medium: {Nb: 32, B: 64},
 }
 
-// Tasks returns the gemm task count (excluding init tasks).
-func (p Params) Tasks() int { return p.Nb * p.Nb * p.Nb }
+// tasks returns the gemm task count (excluding init tasks).
+func (p params) tasks() int { return p.Nb * p.Nb * p.Nb }
 
-// W is the matmul workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "matmul" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return true }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "Matrix Multiplication using CBLAS" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Matrix size 9216x9216 doubles and block size 1024x1024" }
-
-// InputBytes implements workload.Workload: A and B.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	n := int64(p.Nb) * int64(p.B)
-	return 2 * n * n * 8
-}
+// Workload is the matmul benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "matmul",
+	Description: "Matrix Multiplication using CBLAS",
+	PaperSize:   "Matrix size 9216x9216 doubles and block size 1024x1024",
+	Distributed: true,
+	// A and B.
+	InputBytes: func(s workload.Scale) int64 {
+		n := int64(sizes[s].Nb) * int64(sizes[s].B)
+		return 2 * n * n * 8
+	},
+	Tasks: func(s workload.Scale) int { return 2*sizes[s].Nb*sizes[s].Nb + sizes[s].tasks() },
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data:  data,
+})
 
 func fillBlock(b buffer.F64, seed uint64) {
 	r := xrand.New(seed)
@@ -77,7 +62,7 @@ func fillBlock(b buffer.F64, seed uint64) {
 // A[i][k]·B[k][j] into C[i][j]. Blocks are owned block-cyclically; a gemm
 // runs on the owner of its C block and pulls A/B blocks over the network
 // when remote.
-func graph(g *workload.Graph, p Params) {
+func graph(g *workload.Graph, p params) {
 	blockBytes := int64(p.B) * int64(p.B) * 8
 	key := func(m rune, i, j int) workload.Region { return workload.Region{Arr: m, I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i*p.Nb + j) % g.Nodes() }
@@ -106,9 +91,9 @@ func graph(g *workload.Graph, p Params) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
+// data allocates A, B and C zeroed: init tasks fill A and B.
+func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+	p := sizes[s]
 	bb := p.B * p.B
 	mk := func() []buffer.F64 {
 		m := make([]buffer.F64, p.Nb*p.Nb)
@@ -118,22 +103,17 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		return m
 	}
 	mats := [3][]buffer.F64{mk(), mk(), mk()}
-	A, B, C := mats[0], mats[1], mats[2]
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
-		return mats[reg.Arr-'A'][int(reg.I)*p.Nb+int(reg.J)]
-	}), p)
-	return func() error {
-		// Full verification at Tiny scale, one block row otherwise.
-		rows := p.Nb
-		if s != workload.Tiny {
-			rows = 1
-		}
-		return verify(A, B, C, p, rows)
+	// Full verification at Tiny scale, one block row otherwise.
+	rows := 1
+	if s == workload.Tiny {
+		rows = p.Nb
 	}
+	return func(reg workload.Region) buffer.Buffer { return mats[reg.Arr-'A'][int(reg.I)*p.Nb+int(reg.J)] },
+		func() error { return verify(mats[0], mats[1], mats[2], p, rows) }
 }
 
 // verify checks the first rows block rows of C against a serial A·B.
-func verify(A, B, C []buffer.F64, p Params, rows int) error {
+func verify(A, B, C []buffer.F64, p params, rows int) error {
 	for i := 0; i < rows; i++ {
 		for j := 0; j < p.Nb; j++ {
 			want := make([]float64, p.B*p.B)
@@ -146,12 +126,4 @@ func verify(A, B, C []buffer.F64, p Params, rows int) error {
 		}
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), 2*p.Nb*p.Nb+p.Tasks(), nodes, cm)
-	graph(g, p)
-	return g.Job()
 }

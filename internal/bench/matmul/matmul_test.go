@@ -11,25 +11,25 @@ import (
 
 func TestParams(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.Nb < 2 || p.B < 2 {
 			t.Fatalf("%v: degenerate %+v", s, p)
 		}
-		if p.Tasks() != p.Nb*p.Nb*p.Nb {
+		if p.tasks() != p.Nb*p.Nb*p.Nb {
 			t.Fatal("task count formula")
 		}
 	}
-	if n := ParamsFor(workload.Medium).Tasks(); n < 25000 || n > 48000 {
+	if n := sizes[workload.Medium].tasks(); n < 25000 || n > 48000 {
 		t.Fatalf("medium gemm count %d outside the paper's 25K-48K band", n)
 	}
 }
 
 func TestJobStructure(t *testing.T) {
-	p := ParamsFor(workload.Tiny)
-	job := W{}.BuildJob(workload.Tiny, 4, workload.DefaultCostModel())
+	p := sizes[workload.Tiny]
+	job := Workload.BuildJob(workload.Tiny, 4, workload.DefaultCostModel())
 	wantInits := 2 * p.Nb * p.Nb
-	if len(job.Tasks) != wantInits+p.Tasks() {
-		t.Fatalf("job has %d tasks, want %d init + %d gemm", len(job.Tasks), wantInits, p.Tasks())
+	if len(job.Tasks) != wantInits+p.tasks() {
+		t.Fatalf("job has %d tasks, want %d init + %d gemm", len(job.Tasks), wantInits, p.tasks())
 	}
 	// k-chains: gemm(i,j,k) for k>0 must depend on gemm(i,j,k-1) through
 	// the inout C block; verify chains exist (every late gemm has ≥1 dep).
@@ -51,9 +51,9 @@ func TestJobStructure(t *testing.T) {
 }
 
 func TestInputBytes(t *testing.T) {
-	p := ParamsFor(workload.Tiny)
+	p := sizes[workload.Tiny]
 	n := int64(p.Nb) * int64(p.B)
-	if got := (W{}).InputBytes(workload.Tiny); got != 2*n*n*8 {
+	if got := Workload.InputBytes(workload.Tiny); got != 2*n*n*8 {
 		t.Fatalf("input bytes %d", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestInputBytes(t *testing.T) {
 // TestVerifyRejectsNaN feeds the verifier a correct product with one NaN in
 // it; the tolerance check must fail rather than skip the NaN.
 func TestVerifyRejectsNaN(t *testing.T) {
-	p := Params{Nb: 2, B: 4}
+	p := params{Nb: 2, B: 4}
 	var mats [3][]buffer.F64
 	for m := range mats {
 		mats[m] = make([]buffer.F64, p.Nb*p.Nb)

@@ -16,7 +16,6 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
@@ -33,42 +32,31 @@ type Params struct {
 }
 
 // Nb returns the block count.
-func (p Params) Nb() int { return p.N / p.B }
+func (p Params) nb() int { return p.N / p.B }
 
-// ParamsFor returns parameters at a scale. Medium's 32² = 1024 force tasks
-// per step keep 1024 cores busy (the paper's largest machine).
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{N: 64, B: 16, Steps: 2}
-	case workload.Medium:
-		return Params{N: 16384, B: 512, Steps: 5}
-	default:
-		return Params{N: 2048, B: 256, Steps: 4}
-	}
+// sizes holds the parameters per scale. Medium's 32² = 1024 force tasks per
+// step keep 1024 cores busy (the paper's largest machine).
+var sizes = [...]Params{
+	workload.Tiny:   {N: 64, B: 16, Steps: 2},
+	workload.Small:  {N: 2048, B: 256, Steps: 4},
+	workload.Medium: {N: 16384, B: 512, Steps: 5},
 }
 
-// W is the N-body workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "nbody" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return true }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "Interaction between N bodies" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Array size 65536 bodies, block size depends on #nodes" }
-
-// InputBytes implements workload.Workload: positions + velocities, 3 doubles
-// each.
-func (W) InputBytes(s workload.Scale) int64 { return int64(ParamsFor(s).N) * 6 * 8 }
+// Workload is the N-body benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "nbody",
+	Description: "Interaction between N bodies",
+	PaperSize:   "Array size 65536 bodies, block size depends on #nodes",
+	Distributed: true,
+	// Positions + velocities, 3 doubles each.
+	InputBytes: func(s workload.Scale) int64 { return int64(sizes[s].N) * 6 * 8 },
+	Tasks: func(s workload.Scale) int {
+		p := sizes[s]
+		return p.Steps * (p.nb()*p.nb() + 2*p.nb())
+	},
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data:  data,
+})
 
 // InitBlock fills the position block deterministically on a perturbed
 // lattice; velocities start at zero.
@@ -127,7 +115,7 @@ func Integrate(pos, vel, acc []float64, b int) {
 // Reference runs the identical blocked algorithm serially (same floating-
 // point evaluation order as the task version).
 func Reference(p Params) []float64 {
-	nb, b := p.Nb(), p.B
+	nb, b := p.nb(), p.B
 	pos := make([][]float64, nb)
 	vel := make([][]float64, nb)
 	for i := 0; i < nb; i++ {
@@ -171,7 +159,7 @@ func Reference(p Params) []float64 {
 // than the block count still fill up — the "block size depends on #nodes"
 // flexibility Table I notes.
 func graph(g *workload.Graph, p Params) {
-	nb, b := p.Nb(), int64(p.B)
+	nb, b := p.nb(), int64(p.B)
 	blockBytes := 3 * b * 8
 	key := func(arr rune, i, j int) workload.Region { return workload.Region{Arr: arr, I: int32(i), J: int32(j)} }
 	var selfForce, force, reduce, integrate rt.TaskFunc
@@ -214,10 +202,10 @@ func graph(g *workload.Graph, p Params) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
-	nb, b := p.Nb(), p.B
+// data lays out the bodies' blocks on their lattice, at rest.
+func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+	p := sizes[s]
+	nb, b := p.nb(), p.B
 	pos := make([]buffer.F64, nb)
 	vel := make([]buffer.F64, nb)
 	acc := make([]buffer.F64, nb)
@@ -232,7 +220,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			pacc[i][j] = buffer.NewF64(3 * b)
 		}
 	}
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer {
+	return func(reg workload.Region) buffer.Buffer {
 		switch reg.Arr {
 		case 'p':
 			return pos[reg.I]
@@ -242,8 +230,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			return acc[reg.I]
 		}
 		return pacc[reg.I][reg.J]
-	}), p)
-	return func() error { return verify(pos, p) }
+	}, func() error { return verify(pos, p) }
 }
 
 // verify compares every block's positions with the serial Reference.
@@ -258,12 +245,4 @@ func verify(pos []buffer.F64, p Params) error {
 		}
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), p.Steps*(p.Nb()*p.Nb()+2*p.Nb()), nodes, cm)
-	graph(g, p)
-	return g.Job()
 }

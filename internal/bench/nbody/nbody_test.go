@@ -116,7 +116,7 @@ func TestReferenceStable(t *testing.T) {
 
 func TestParamsDivisibility(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.N%p.B != 0 || p.Steps < 1 {
 			t.Fatalf("%v: bad params %+v", s, p)
 		}
@@ -128,7 +128,7 @@ func TestParamsDivisibility(t *testing.T) {
 func TestVerifyRejectsNaN(t *testing.T) {
 	p := Params{N: 32, B: 8, Steps: 2}
 	ref := Reference(p)
-	pos := make([]buffer.F64, p.Nb())
+	pos := make([]buffer.F64, p.nb())
 	for i := range pos {
 		pos[i] = append(buffer.F64(nil), ref[i*3*p.B:(i+1)*3*p.B]...)
 	}

@@ -11,12 +11,11 @@ import (
 
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 )
 
-// Params sizes the workload.
-type Params struct {
+// params sizes the workload.
+type params struct {
 	// Pixels is the total pixel count (the image is Pixels wide, 1 row
 	// per frame with the frame index as the y/time axis).
 	Pixels int
@@ -28,21 +27,16 @@ type Params struct {
 	Octaves int
 }
 
-// ParamsFor returns parameters at a scale; Medium reaches the paper's
-// 25K-48K task band (64 blocks × 400 frames = 25.6K tasks).
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{Pixels: 512, B: 128, Frames: 3, Octaves: 3}
-	case workload.Medium:
-		return Params{Pixels: 131072, B: 2048, Frames: 400, Octaves: 4}
-	default:
-		return Params{Pixels: 65536, B: 2048, Frames: 100, Octaves: 4}
-	}
+// sizes holds the parameters per scale; Medium reaches the paper's 25K-48K
+// task band (64 blocks × 400 frames = 25.6K tasks).
+var sizes = [...]params{
+	workload.Tiny:   {Pixels: 512, B: 128, Frames: 3, Octaves: 3},
+	workload.Small:  {Pixels: 65536, B: 2048, Frames: 100, Octaves: 4},
+	workload.Medium: {Pixels: 131072, B: 2048, Frames: 400, Octaves: 4},
 }
 
-// Tasks returns the task count.
-func (p Params) Tasks() int { return p.Pixels / p.B * p.Frames }
+// tasks returns the task count.
+func (p params) tasks() int { return p.Pixels / p.B * p.Frames }
 
 // permutation is Ken Perlin's reference permutation table.
 var permutation = [256]uint8{
@@ -83,8 +77,8 @@ func grad(hash int, x, y float64) float64 {
 	}
 }
 
-// Noise2 evaluates classic 2-D Perlin noise at (x, y), in [-1, 1].
-func Noise2(x, y float64) float64 {
+// noise2 evaluates classic 2-D Perlin noise at (x, y), in [-1, 1].
+func noise2(x, y float64) float64 {
 	xi, yi := int(math.Floor(x))&255, int(math.Floor(y))&255
 	xf, yf := x-math.Floor(x), y-math.Floor(y)
 	u, v := fade(xf), fade(yf)
@@ -97,11 +91,11 @@ func Noise2(x, y float64) float64 {
 	return lerp(v, x1, x2)
 }
 
-// Octaves sums o octaves of noise with persistence 0.5.
-func Octaves(x, y float64, o int) float64 {
+// octaveNoise sums o octaves of noise with persistence 0.5.
+func octaveNoise(x, y float64, o int) float64 {
 	sum, amp, freq, norm := 0.0, 1.0, 1.0, 0.0
 	for i := 0; i < o; i++ {
-		sum += amp * Noise2(x*freq, y*freq)
+		sum += amp * noise2(x*freq, y*freq)
 		norm += amp
 		amp *= 0.5
 		freq *= 2
@@ -109,44 +103,32 @@ func Octaves(x, y float64, o int) float64 {
 	return sum / norm
 }
 
-// RenderBlock fills dst with 8-bit noise for pixels [off, off+len(dst)) of
+// renderBlock fills dst with 8-bit noise for pixels [off, off+len(dst)) of
 // the given frame. It is the task body shared by the runtime build and the
 // serial reference.
-func RenderBlock(dst []uint8, off, frame, octaves int) {
+func renderBlock(dst []uint8, off, frame, octaves int) {
 	const freq = 1.0 / 64
 	y := float64(frame) * 0.37
 	for i := range dst {
-		n := Octaves(float64(off+i)*freq, y, octaves)
+		n := octaveNoise(float64(off+i)*freq, y, octaves)
 		dst[i] = uint8((n + 1) * 127.5)
 	}
 }
 
-// W is the Perlin workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "perlin" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return false }
-
-// Description implements workload.Workload.
-func (W) Description() string {
-	return "Noise generation to improve realism in motion pictures"
-}
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Array of pixels with size of 65536, block size 2048" }
-
-// InputBytes implements workload.Workload.
-func (W) InputBytes(s workload.Scale) int64 { return int64(ParamsFor(s).Pixels) }
+// Workload is the Perlin benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "perlin",
+	Description: "Noise generation to improve realism in motion pictures",
+	PaperSize:   "Array of pixels with size of 65536, block size 2048",
+	InputBytes:  func(s workload.Scale) int64 { return int64(sizes[s].Pixels) },
+	Tasks:       func(s workload.Scale) int { return sizes[s].tasks() },
+	Graph:       func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data:        data,
+})
 
 // graph states the animation's task graph: per frame, one task rendering
 // each pixel block. Block i lives on node i mod nodes.
-func graph(g *workload.Graph, p Params) {
+func graph(g *workload.Graph, p params) {
 	// ~40 flops per pixel per octave in the noise kernel.
 	flops := int64(p.B) * int64(p.Octaves) * 40
 	for f := 0; f < p.Frames; f++ {
@@ -154,7 +136,7 @@ func graph(g *workload.Graph, p Params) {
 			var render rt.TaskFunc
 			if g.Runs() {
 				off, frame := i*p.B, f
-				render = func(ctx *rt.Ctx) { RenderBlock(ctx.U8(0), off, frame, p.Octaves) }
+				render = func(ctx *rt.Ctx) { renderBlock(ctx.U8(0), off, frame, p.Octaves) }
 			}
 			g.Task("perlin", i%g.Nodes(), flops, int64(p.B), render,
 				workload.WAcc(workload.Region{Arr: 'p', I: int32(i)}, int64(p.B)))
@@ -162,21 +144,20 @@ func graph(g *workload.Graph, p Params) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
+// data allocates the pixel blocks.
+func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+	p := sizes[s]
 	nb := p.Pixels / p.B
 	blocks := make([]buffer.U8, nb)
 	for i := range blocks {
 		blocks[i] = buffer.NewU8(p.B)
 	}
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I] }), p)
-	return func() error {
+	return func(reg workload.Region) buffer.Buffer { return blocks[reg.I] }, func() error {
 		// The surviving state is the last frame; compare bitwise with a
 		// serial re-render (noise is deterministic).
 		want := make([]uint8, p.B)
 		for i := 0; i < nb; i++ {
-			RenderBlock(want, i*p.B, p.Frames-1, p.Octaves)
+			renderBlock(want, i*p.B, p.Frames-1, p.Octaves)
 			for j := range want {
 				if blocks[i][j] != want[j] {
 					return fmt.Errorf("perlin: block %d pixel %d = %d, want %d",
@@ -186,12 +167,4 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		}
 		return nil
 	}
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), p.Tasks(), nodes, cm)
-	graph(g, p)
-	return g.Job()
 }

@@ -12,7 +12,7 @@ func TestNoiseRange(t *testing.T) {
 	f := func(xi, yi uint16) bool {
 		x := float64(xi) / 97.0
 		y := float64(yi) / 89.0
-		n := Noise2(x, y)
+		n := noise2(x, y)
 		return n >= -1.0001 && n <= 1.0001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -21,7 +21,7 @@ func TestNoiseRange(t *testing.T) {
 }
 
 func TestNoiseDeterministic(t *testing.T) {
-	if Noise2(3.7, 1.2) != Noise2(3.7, 1.2) {
+	if noise2(3.7, 1.2) != noise2(3.7, 1.2) {
 		t.Fatal("noise must be a pure function")
 	}
 }
@@ -30,7 +30,7 @@ func TestNoiseZeroAtLatticePoints(t *testing.T) {
 	// Classic Perlin noise vanishes at integer lattice points.
 	for x := 0; x < 8; x++ {
 		for y := 0; y < 8; y++ {
-			if v := Noise2(float64(x), float64(y)); v != 0 {
+			if v := noise2(float64(x), float64(y)); v != 0 {
 				t.Fatalf("noise(%d,%d) = %g, want 0", x, y, v)
 			}
 		}
@@ -42,7 +42,7 @@ func TestNoiseContinuity(t *testing.T) {
 	const h = 1e-4
 	for i := 0; i < 100; i++ {
 		x := 0.13*float64(i) + 0.5
-		d := math.Abs(Noise2(x+h, 2.5) - Noise2(x, 2.5))
+		d := math.Abs(noise2(x+h, 2.5) - noise2(x, 2.5))
 		if d > 0.01 {
 			t.Fatalf("noise jump %g at x=%g", d, x)
 		}
@@ -51,7 +51,7 @@ func TestNoiseContinuity(t *testing.T) {
 
 func TestOctavesNormalized(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		v := Octaves(float64(i)*0.113, 7.7, 4)
+		v := octaveNoise(float64(i)*0.113, 7.7, 4)
 		if v < -1.0001 || v > 1.0001 {
 			t.Fatalf("octave noise out of range: %g", v)
 		}
@@ -61,14 +61,14 @@ func TestOctavesNormalized(t *testing.T) {
 func TestRenderBlockDeterministic(t *testing.T) {
 	a := make([]uint8, 256)
 	b := make([]uint8, 256)
-	RenderBlock(a, 512, 3, 4)
-	RenderBlock(b, 512, 3, 4)
+	renderBlock(a, 512, 3, 4)
+	renderBlock(b, 512, 3, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("render must be deterministic")
 		}
 	}
-	RenderBlock(b, 512, 4, 4)
+	renderBlock(b, 512, 4, 4)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -82,12 +82,12 @@ func TestRenderBlockDeterministic(t *testing.T) {
 
 func TestParamsAndTasks(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.Pixels%p.B != 0 {
 			t.Fatalf("%v: pixels %% block != 0", s)
 		}
 	}
-	if n := ParamsFor(workload.Medium).Tasks(); n < 25000 || n > 48000 {
+	if n := sizes[workload.Medium].tasks(); n < 25000 || n > 48000 {
 		t.Fatalf("medium task count %d outside 25K-48K", n)
 	}
 }

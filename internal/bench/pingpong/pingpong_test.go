@@ -13,15 +13,15 @@ func TestExpectedClosedForm(t *testing.T) {
 	for iters := 1; iters <= 10; iters++ {
 		for rk := 0; rk < 4; rk++ {
 			want := 0.5 + float64(iters)
-			if got := Expected(rk, iters); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("Expected(%d,%d) = %g, want %g", rk, iters, got, want)
+			if got := expected(rk, iters); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("expected(%d,%d) = %g, want %g", rk, iters, got, want)
 			}
 		}
 	}
 }
 
 func TestExpectedZeroIters(t *testing.T) {
-	if Expected(0, 0) != 0 || Expected(1, 0) != 1 {
+	if expected(0, 0) != 0 || expected(1, 0) != 1 {
 		t.Fatal("initial values wrong")
 	}
 }
@@ -29,7 +29,7 @@ func TestExpectedZeroIters(t *testing.T) {
 func TestCombine(t *testing.T) {
 	mine := []float64{0, 2}
 	theirs := []float64{2, 0}
-	Combine(mine, theirs)
+	combine(mine, theirs)
 	if mine[0] != 2 || mine[1] != 2 {
 		t.Fatalf("combine = %v", mine)
 	}
@@ -37,7 +37,7 @@ func TestCombine(t *testing.T) {
 
 func TestParams(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.Ranks%2 != 0 {
 			t.Fatalf("%v: ranks must be even", s)
 		}
@@ -45,7 +45,7 @@ func TestParams(t *testing.T) {
 			t.Fatalf("%v: N %% B != 0", s)
 		}
 	}
-	if n := ParamsFor(workload.Medium).Tasks(); n < 10000 {
+	if n := sizes[workload.Medium].tasks(); n < 10000 {
 		t.Fatalf("medium task count %d too small for a fine-task benchmark", n)
 	}
 }
@@ -53,7 +53,7 @@ func TestParams(t *testing.T) {
 func TestJobPairsCrossNodes(t *testing.T) {
 	// With ≥2 nodes, rank pairs (2p, 2p+1) land on different nodes so
 	// every iteration pays a transfer.
-	job := W{}.BuildJob(workload.Tiny, 2, workload.DefaultCostModel())
+	job := Workload.BuildJob(workload.Tiny, 2, workload.DefaultCostModel())
 	crossEdges := 0
 	for _, task := range job.Tasks {
 		for k, d := range task.Deps {

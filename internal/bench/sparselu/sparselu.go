@@ -14,48 +14,42 @@ import (
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 	"appfit/internal/xrand"
 )
 
-// Params sizes the workload: an Nb×Nb grid of B×B blocks.
-type Params struct {
+// params sizes the workload: an Nb×Nb grid of B×B blocks.
+type params struct {
 	Nb, B int
 }
 
-// ParamsFor returns parameters at a scale.
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{Nb: 4, B: 8}
-	case workload.Medium:
-		return Params{Nb: 32, B: 50}
-	default:
-		return Params{Nb: 12, B: 25}
-	}
+// sizes holds the parameters per scale.
+var sizes = [...]params{
+	workload.Tiny:   {Nb: 4, B: 8},
+	workload.Small:  {Nb: 12, B: 25},
+	workload.Medium: {Nb: 32, B: 50},
 }
 
-// Present reports whether block (i, j) exists in the initial sparse
+// present reports whether block (i, j) exists in the initial sparse
 // structure: the diagonal always does, off-diagonals follow a deterministic
 // pseudo-random pattern with ~60% density (the BSC benchmark uses a similar
 // generator-driven pattern).
-func Present(i, j int) bool {
+func present(i, j int) bool {
 	if i == j {
 		return true
 	}
 	return xrand.Combine(0x5917, uint64(i), uint64(j))%100 < 60
 }
 
-// Structure returns the block presence matrix after symbolic factorization:
+// structure returns the block presence matrix after symbolic factorization:
 // fill[i][j] is true if block (i, j) is non-empty at any point during the
 // factorization (original or fill-in).
-func Structure(nb int) [][]bool {
+func structure(nb int) [][]bool {
 	fill := make([][]bool, nb)
 	for i := range fill {
 		fill[i] = make([]bool, nb)
 		for j := range fill[i] {
-			fill[i][j] = Present(i, j)
+			fill[i][j] = present(i, j)
 		}
 	}
 	for k := 0; k < nb; k++ {
@@ -73,30 +67,23 @@ func Structure(nb int) [][]bool {
 	return fill
 }
 
-// W is the SparseLU workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "sparselu" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return false }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "LU decomposition" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Matrix size 12800x12800 doubles, block size 200x200" }
-
-// InputBytes implements workload.Workload.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	n := int64(p.Nb) * int64(p.B)
-	return n * n * 8
-}
+// Workload is the SparseLU benchmark. Its task count depends on the fill
+// pattern, so a job's task list is not pre-sized.
+var Workload = workload.New(workload.Spec{
+	Name:        "sparselu",
+	Description: "LU decomposition",
+	PaperSize:   "Matrix size 12800x12800 doubles, block size 200x200",
+	InputBytes: func(s workload.Scale) int64 {
+		n := int64(sizes[s].Nb) * int64(sizes[s].B)
+		return n * n * 8
+	},
+	Graph: func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data: func(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+		p := sizes[s]
+		blocks, orig := matrix(p, structure(p.Nb))
+		return data(p, blocks, orig)
+	},
+})
 
 // initBlock fills a present block with deterministic values; diagonal blocks
 // are made diagonally dominant so pivot-free LU stays stable.
@@ -113,18 +100,17 @@ func initBlock(b buffer.F64, i, j, n int) {
 }
 
 // graph states the factorization's task graph over the block structure
-// fill (Structure); errs receives the first lu0 error. Block (i, j)
-// lives on node (i·Nb+j) mod nodes.
-func graph(g *workload.Graph, p Params, fill [][]bool, errs *workload.FirstErr) {
+// (structure); a failed lu0 is recorded in g. Block (i, j) lives on node
+// (i·Nb+j) mod nodes.
+func graph(g *workload.Graph, p params) {
+	fill := structure(p.Nb)
 	b := int64(p.B)
 	blockBytes := b * b * 8
 	key := func(i, j int) workload.Region { return workload.Region{Arr: 'A', I: int32(i), J: int32(j)} }
 	owner := func(i, j int) int { return (i*p.Nb + j) % g.Nodes() }
 	var lu0, fwd, bdiv, bmod rt.TaskFunc
 	if g.Runs() {
-		lu0 = func(ctx *rt.Ctx) {
-			errs.Record(kern.Lu0(ctx.F64(0), p.B))
-		}
+		lu0 = func(ctx *rt.Ctx) { g.Record(kern.Lu0(ctx.F64(0), p.B)) }
 		fwd = func(ctx *rt.Ctx) { kern.Fwd(ctx.F64(0), ctx.F64(1), p.B) }
 		bdiv = func(ctx *rt.Ctx) { kern.Bdiv(ctx.F64(0), ctx.F64(1), p.B) }
 		bmod = func(ctx *rt.Ctx) { kern.GemmSub(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B) }
@@ -160,7 +146,7 @@ func graph(g *workload.Graph, p Params, fill [][]bool, errs *workload.FirstErr) 
 
 // matrix allocates the blocks of the fill structure, initialises the present
 // ones, and returns them with a copy of the original matrix.
-func matrix(p Params, fill [][]bool) (blocks, orig [][]buffer.F64) {
+func matrix(p params, fill [][]bool) (blocks, orig [][]buffer.F64) {
 	blocks = make([][]buffer.F64, p.Nb)
 	orig = make([][]buffer.F64, p.Nb)
 	for i := range blocks {
@@ -169,7 +155,7 @@ func matrix(p Params, fill [][]bool) (blocks, orig [][]buffer.F64) {
 		for j := range blocks[i] {
 			if fill[i][j] {
 				blocks[i][j] = buffer.NewF64(p.B * p.B)
-				if Present(i, j) {
+				if present(i, j) {
 					initBlock(blocks[i][j], i, j, p.B)
 				}
 				orig[i][j] = blocks[i][j].Clone().(buffer.F64)
@@ -179,30 +165,16 @@ func matrix(p Params, fill [][]bool) (blocks, orig [][]buffer.F64) {
 	return blocks, orig
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
-	fill := Structure(p.Nb)
-	blocks, orig := matrix(p, fill)
-	return build(r, p, fill, blocks, orig)
-}
-
-// build submits the factorization of blocks in place and returns the
-// verifier that holds the factors to orig.
-func build(r *rt.Runtime, p Params, fill [][]bool, blocks, orig [][]buffer.F64) workload.Verifier {
-	var errs workload.FirstErr
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] }), p, fill, &errs)
-	return func() error {
-		if err := errs.Err(); err != nil {
-			return err
-		}
-		return verify(blocks, orig, p)
-	}
+// data maps the factorization onto blocks, in place, and returns the check
+// that holds the factors to orig.
+func data(p params, blocks, orig [][]buffer.F64) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+	return func(reg workload.Region) buffer.Buffer { return blocks[reg.I][reg.J] },
+		func() error { return verify(blocks, orig, p) }
 }
 
 // verify checks L·U == A₀ block-wise from the factored blocks and the
 // original orig (absent blocks are nil and stand for zero).
-func verify(blocks, orig [][]buffer.F64, p Params) error {
+func verify(blocks, orig [][]buffer.F64, p params) error {
 	for i := 0; i < p.Nb; i++ {
 		for j := 0; j < p.Nb; j++ {
 			rec := make([]float64, p.B*p.B)
@@ -249,13 +221,4 @@ func verify(blocks, orig [][]buffer.F64, p Params) error {
 		}
 	}
 	return nil
-}
-
-// BuildJob implements workload.Workload. Its task count depends on the
-// fill pattern, so the job's task list is not pre-sized.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), 0, nodes, cm)
-	graph(g, p, Structure(p.Nb), nil)
-	return g.Job()
 }

@@ -7,31 +7,32 @@ import (
 
 	"appfit/internal/bench/kern"
 	"appfit/internal/bench/workload"
+	"appfit/internal/buffer"
 	"appfit/internal/core"
 	"appfit/internal/rt"
 )
 
 func TestPresentDeterministicAndDiagonal(t *testing.T) {
 	for i := 0; i < 32; i++ {
-		if !Present(i, i) {
+		if !present(i, i) {
 			t.Fatalf("diagonal block (%d,%d) must be present", i, i)
 		}
 	}
-	if Present(3, 7) != Present(3, 7) {
+	if present(3, 7) != present(3, 7) {
 		t.Fatal("presence must be deterministic")
 	}
 }
 
 func TestPresentDensity(t *testing.T) {
-	n, present := 64, 0
+	n, count := 64, 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && Present(i, j) {
-				present++
+			if i != j && present(i, j) {
+				count++
 			}
 		}
 	}
-	density := float64(present) / float64(n*n-n)
+	density := float64(count) / float64(n*n-n)
 	if density < 0.5 || density > 0.7 {
 		t.Fatalf("off-diagonal density %.2f, want ~0.6", density)
 	}
@@ -39,11 +40,11 @@ func TestPresentDensity(t *testing.T) {
 
 func TestStructureIncludesFillIn(t *testing.T) {
 	nb := 16
-	fill := Structure(nb)
+	fill := structure(nb)
 	// Fill superset of initial pattern.
 	for i := 0; i < nb; i++ {
 		for j := 0; j < nb; j++ {
-			if Present(i, j) && !fill[i][j] {
+			if present(i, j) && !fill[i][j] {
 				t.Fatalf("fill lost original block (%d,%d)", i, j)
 			}
 		}
@@ -53,7 +54,7 @@ func TestStructureIncludesFillIn(t *testing.T) {
 	extra := 0
 	for i := 0; i < nb; i++ {
 		for j := 0; j < nb; j++ {
-			if fill[i][j] && !Present(i, j) {
+			if fill[i][j] && !present(i, j) {
 				extra++
 			}
 		}
@@ -67,7 +68,7 @@ func TestStructureClosedUnderUpdate(t *testing.T) {
 	// After symbolic factorization, every bmod (i,k)×(k,j) with both
 	// operands filled must land on a filled block.
 	nb := 12
-	fill := Structure(nb)
+	fill := structure(nb)
 	for k := 0; k < nb; k++ {
 		for i := k + 1; i < nb; i++ {
 			if !fill[i][k] {
@@ -84,7 +85,7 @@ func TestStructureClosedUnderUpdate(t *testing.T) {
 
 func TestParams(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.Nb < 2 || p.B < 2 {
 			t.Fatalf("%v: degenerate params %+v", s, p)
 		}
@@ -95,8 +96,8 @@ func TestParams(t *testing.T) {
 // verifier the factors with one NaN in them; the residual check must fail
 // rather than skip the NaN.
 func TestVerifyRejectsNaN(t *testing.T) {
-	p := Params{Nb: 4, B: 4}
-	fill := Structure(p.Nb)
+	p := params{Nb: 4, B: 4}
+	fill := structure(p.Nb)
 	blocks, orig := matrix(p, fill)
 	r := rt.New(rt.Config{Workers: 1})
 	verifyRT := build(r, p, fill, blocks, orig)
@@ -116,8 +117,8 @@ func TestVerifyRejectsNaN(t *testing.T) {
 // is zero fully replicated on two workers: both attempts of lu0(0) fail,
 // concurrently, and the verifier must report the kernel's error.
 func TestFailedFactorUnderReplication(t *testing.T) {
-	p := Params{Nb: 4, B: 4}
-	fill := Structure(p.Nb)
+	p := params{Nb: 4, B: 4}
+	fill := structure(p.Nb)
 	blocks, orig := matrix(p, fill)
 	clear(blocks[0][0])
 	r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}})
@@ -128,4 +129,16 @@ func TestFailedFactorUnderReplication(t *testing.T) {
 	if err := verifyRT(); !errors.Is(err, kern.ErrNumeric) {
 		t.Fatalf("verifier returned %v, want a kern.ErrNumeric", err)
 	}
+}
+
+// build runs the factorization of blocks at p, in place, through the shared
+// runtime build and returns its verifier. The fill structure is
+// structure(p.Nb), which graph derives itself.
+func build(r *rt.Runtime, p params, _ [][]bool, blocks, orig [][]buffer.F64) workload.Verifier {
+	return workload.New(workload.Spec{
+		Graph: func(g *workload.Graph, _ workload.Scale) { graph(g, p) },
+		Data: func(workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+			return data(p, blocks, orig)
+		},
+	}).BuildRT(r, workload.Tiny)
 }

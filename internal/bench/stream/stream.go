@@ -10,14 +10,13 @@ import (
 
 	"appfit/internal/bench/workload"
 	"appfit/internal/buffer"
-	"appfit/internal/cluster"
 	"appfit/internal/rt"
 )
 
 const scalar = 3.0
 
-// Params sizes the workload.
-type Params struct {
+// params sizes the workload.
+type params struct {
 	// N is the total array length (doubles per array).
 	N int
 	// B is the block length.
@@ -26,45 +25,28 @@ type Params struct {
 	Iters int
 }
 
-// ParamsFor returns the parameters at a scale. Small yields ~3.2K tasks,
-// Medium ~25.6K (the paper's "25K-48K finer tasks" band).
-func ParamsFor(s workload.Scale) Params {
-	switch s {
-	case workload.Tiny:
-		return Params{N: 256, B: 64, Iters: 2}
-	case workload.Medium:
-		return Params{N: 1 << 20, B: 32768, Iters: 200}
-	default:
-		return Params{N: 1 << 15, B: 2048, Iters: 50}
-	}
+// sizes holds the parameters per scale. Small yields ~3.2K tasks, Medium
+// ~25.6K (the paper's "25K-48K finer tasks" band).
+var sizes = [...]params{
+	workload.Tiny:   {N: 256, B: 64, Iters: 2},
+	workload.Small:  {N: 1 << 15, B: 2048, Iters: 50},
+	workload.Medium: {N: 1 << 20, B: 32768, Iters: 200},
 }
 
-// Tasks returns the task count at the given parameters.
-func (p Params) Tasks() int { return p.N / p.B * 4 * p.Iters }
+// tasks returns the task count at the given parameters.
+func (p params) tasks() int { return p.N / p.B * 4 * p.Iters }
 
-// W is the stream workload.
-type W struct{}
-
-// New returns the workload.
-func New() workload.Workload { return W{} }
-
-// Name implements workload.Workload.
-func (W) Name() string { return "stream" }
-
-// Distributed implements workload.Workload.
-func (W) Distributed() bool { return false }
-
-// Description implements workload.Workload.
-func (W) Description() string { return "Linear operations among arrays" }
-
-// PaperSize implements workload.Workload.
-func (W) PaperSize() string { return "Array size 2048x2048 (doubles), block size 32768" }
-
-// InputBytes implements workload.Workload: three arrays of N doubles.
-func (W) InputBytes(s workload.Scale) int64 {
-	p := ParamsFor(s)
-	return 3 * int64(p.N) * 8
-}
+// Workload is the stream benchmark.
+var Workload = workload.New(workload.Spec{
+	Name:        "stream",
+	Description: "Linear operations among arrays",
+	PaperSize:   "Array size 2048x2048 (doubles), block size 32768",
+	// Three arrays of N doubles.
+	InputBytes: func(s workload.Scale) int64 { return 3 * int64(sizes[s].N) * 8 },
+	Tasks:      func(s workload.Scale) int { return sizes[s].tasks() },
+	Graph:      func(g *workload.Graph, s workload.Scale) { graph(g, sizes[s]) },
+	Data:       data,
+})
 
 // expected returns the analytically-known element values after iters
 // iterations (every element of each array stays uniform).
@@ -111,7 +93,7 @@ func triadBody(ctx *rt.Ctx) {
 // graph states the iterations' task graph: per iteration copy, scale, add
 // and triad over every block. Blocks are spread over nodes block-cyclically
 // so the same graph serves single-node (Figure 5) and multi-node sweeps.
-func graph(g *workload.Graph, p Params) {
+func graph(g *workload.Graph, p params) {
 	nb := p.N / p.B
 	bb := int64(p.B) * 8
 	key := func(arr rune, i int) workload.Region { return workload.Region{Arr: arr, I: int32(i)} }
@@ -135,9 +117,9 @@ func graph(g *workload.Graph, p Params) {
 	}
 }
 
-// BuildRT implements workload.Workload.
-func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
-	p := ParamsFor(s)
+// data allocates the three arrays, a = 1, b = 2 and c = 0 everywhere.
+func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verifier) {
+	p := sizes[s]
 	nb := p.N / p.B
 	arrs := [3][]buffer.F64{make([]buffer.F64, nb), make([]buffer.F64, nb), make([]buffer.F64, nb)} // a, b, c
 	as, bs, cs := arrs[0], arrs[1], arrs[2]
@@ -149,8 +131,7 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 			as[i][j], bs[i][j], cs[i][j] = 1, 2, 0
 		}
 	}
-	graph(workload.NewRTGraph(r, func(reg workload.Region) buffer.Buffer { return arrs[reg.Arr-'a'][reg.I] }), p)
-	return func() error {
+	return func(reg workload.Region) buffer.Buffer { return arrs[reg.Arr-'a'][reg.I] }, func() error {
 		wa, wb, wc := expected(p.Iters)
 		for i := 0; i < nb; i++ {
 			for j := 0; j < p.B; j++ {
@@ -162,12 +143,4 @@ func (W) BuildRT(r *rt.Runtime, s workload.Scale) workload.Verifier {
 		}
 		return nil
 	}
-}
-
-// BuildJob implements workload.Workload.
-func (w W) BuildJob(s workload.Scale, nodes int, cm workload.CostModel) cluster.Job {
-	p := ParamsFor(s)
-	g := workload.NewJobGraph(w.Name(), p.Tasks(), nodes, cm)
-	graph(g, p)
-	return g.Job()
 }

@@ -9,11 +9,11 @@ import (
 
 func TestParamsDivisibility(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
-		p := ParamsFor(s)
+		p := sizes[s]
 		if p.N%p.B != 0 {
 			t.Fatalf("%v: N %% B != 0", s)
 		}
-		if p.Tasks() != p.N/p.B*4*p.Iters {
+		if p.tasks() != p.N/p.B*4*p.Iters {
 			t.Fatalf("%v: task count formula broken", s)
 		}
 	}
@@ -21,7 +21,7 @@ func TestParamsDivisibility(t *testing.T) {
 
 func TestMediumHitsPaperTaskBand(t *testing.T) {
 	// §V-A1: stream is one of the 25K-48K fine-task benchmarks.
-	n := ParamsFor(workload.Medium).Tasks()
+	n := sizes[workload.Medium].tasks()
 	if n < 25000 || n > 48000 {
 		t.Fatalf("medium task count %d outside the paper's 25K-48K band", n)
 	}
@@ -42,7 +42,7 @@ func TestExpectedRecurrence(t *testing.T) {
 
 func TestVerifierCatchesCorruption(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 2})
-	w := W{}
+	w := Workload
 	verify := w.BuildRT(r, workload.Tiny)
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -66,10 +66,10 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 }
 
 func TestJobShape(t *testing.T) {
-	p := ParamsFor(workload.Tiny)
-	job := W{}.BuildJob(workload.Tiny, 1, workload.DefaultCostModel())
-	if len(job.Tasks) != p.Tasks() {
-		t.Fatalf("job has %d tasks, want %d", len(job.Tasks), p.Tasks())
+	p := sizes[workload.Tiny]
+	job := Workload.BuildJob(workload.Tiny, 1, workload.DefaultCostModel())
+	if len(job.Tasks) != p.tasks() {
+		t.Fatalf("job has %d tasks, want %d", len(job.Tasks), p.tasks())
 	}
 	// Kernel chain: the triad of iteration i depends (transitively) on
 	// the copy of iteration i; spot-check that later tasks have deps.
@@ -79,10 +79,10 @@ func TestJobShape(t *testing.T) {
 			withDeps++
 		}
 	}
-	if withDeps < p.Tasks()/2 {
-		t.Fatalf("suspiciously few dependent tasks: %d of %d", withDeps, p.Tasks())
+	if withDeps < p.tasks()/2 {
+		t.Fatalf("suspiciously few dependent tasks: %d of %d", withDeps, p.tasks())
 	}
-	if (W{}).InputBytes(workload.Tiny) != 3*int64(p.N)*8 {
+	if Workload.InputBytes(workload.Tiny) != 3*int64(p.N)*8 {
 		t.Fatal("input bytes wrong")
 	}
 }
@@ -96,7 +96,7 @@ func TestBuildRTAllocs(t *testing.T) {
 	const ceiling = 210
 	r := rt.New(rt.Config{Workers: 2})
 	build := func() {
-		W{}.BuildRT(r, workload.Tiny)
+		Workload.BuildRT(r, workload.Tiny)
 		r.Taskwait()
 	}
 	build() // warm the buffer pool, the queues and the region table

@@ -1,9 +1,10 @@
 // Package workload defines the common framework the nine Table-I benchmarks
 // are written against: a cost model mapping kernel flop/byte counts to
 // virtual time, a scale ladder (tiny test sizes up to paper-sized inputs),
-// and the Graph a benchmark states its task stream in, once. The same
-// stream of labelled tasks with declared in/out/inout region accesses either
-// runs on the real runtime (internal/rt) or becomes a cluster.Job for the
+// the Graph a benchmark states its task stream in, once, and the Workload
+// each benchmark is one value of, built from a Spec. The same stream of
+// labelled tasks with declared in/out/inout region accesses either runs on
+// the real runtime (internal/rt) or becomes a cluster.Job for the
 // virtual-time simulator, so both engines execute the same DAG.
 package workload
 
@@ -91,47 +92,76 @@ func (cm CostModel) Cost(flops, bytes int64) simtime.Time {
 // Verifier checks a finished workload's numeric result.
 type Verifier func() error
 
-// FirstErr keeps the first error a build's task bodies report. Bodies run
-// concurrently — a replicated task's attempts 0 and 1 included — so it is
-// safe for concurrent use. The zero value holds no error.
-type FirstErr struct {
-	err atomic.Pointer[error]
-}
-
-// Record keeps err if it is the first non-nil error recorded.
-func (f *FirstErr) Record(err error) {
-	if err != nil {
-		f.err.CompareAndSwap(nil, &err)
-	}
-}
-
-// Err returns the first recorded error, or nil.
-func (f *FirstErr) Err() error {
-	if e := f.err.Load(); e != nil {
-		return *e
-	}
-	return nil
-}
-
-// Workload is one Table-I benchmark.
-type Workload interface {
+// Spec states one Table-I benchmark: its row of the table and the two parts
+// that differ between benchmarks, its task graph and its data.
+type Spec struct {
 	// Name is the benchmark's registry key (e.g. "cholesky").
-	Name() string
+	Name string
+	// Description is the Table I summary line, PaperSize its problem/block
+	// size text.
+	Description, PaperSize string
 	// Distributed reports whether the paper ran it across nodes.
-	Distributed() bool
-	// Description is the Table I summary line.
-	Description() string
-	// PaperSize is Table I's problem/block size text.
-	PaperSize() string
-	// InputBytes is the benchmark input footprint at the given scale, the
-	// size Table I prints.
-	InputBytes(s Scale) int64
-	// BuildRT allocates the benchmark's data, emits its Graph to the real
-	// runtime and returns a verifier to call after Taskwait.
-	BuildRT(r *rt.Runtime, s Scale) Verifier
-	// BuildJob emits the same Graph, with no data and no task bodies, as a
-	// cluster-simulator job spread over the given node count.
-	BuildJob(s Scale, nodes int, cm CostModel) cluster.Job
+	Distributed bool
+	// InputBytes is the input footprint at a scale, the size Table I prints.
+	InputBytes func(Scale) int64
+	// Tasks is the task count at a scale, which pre-sizes a job's task
+	// list; nil when only emitting the graph tells.
+	Tasks func(Scale) int
+	// Graph states the benchmark's task graph at a scale.
+	Graph func(*Graph, Scale)
+	// Data allocates and initialises the benchmark's data at a scale: the
+	// fixed map from region to buffer a runtime graph hands its tasks, and
+	// the check of the result to run after Taskwait.
+	Data func(Scale) (func(Region) buffer.Buffer, Verifier)
+}
+
+// Workload is one Table-I benchmark. It holds its Spec behind a pointer, so
+// a registry of benchmarks is a table of words.
+type Workload struct{ s *Spec }
+
+// New returns the benchmark s states.
+func New(s Spec) Workload { return Workload{&s} }
+
+// Name is the benchmark's registry key.
+func (w Workload) Name() string { return w.s.Name }
+
+// Distributed reports whether the paper ran the benchmark across nodes.
+func (w Workload) Distributed() bool { return w.s.Distributed }
+
+// Description is the Table I summary line.
+func (w Workload) Description() string { return w.s.Description }
+
+// PaperSize is Table I's problem/block size text.
+func (w Workload) PaperSize() string { return w.s.PaperSize }
+
+// InputBytes is the benchmark input footprint at the given scale.
+func (w Workload) InputBytes(s Scale) int64 { return w.s.InputBytes(s) }
+
+// BuildRT allocates the benchmark's data, emits its Graph to the real
+// runtime and returns a verifier to call after Taskwait: the first error a
+// task body recorded, or else the data's check.
+func (w Workload) BuildRT(r *rt.Runtime, s Scale) Verifier {
+	data, check := w.s.Data(s)
+	g := NewRTGraph(r, data)
+	w.s.Graph(g, s)
+	return func() error {
+		if err := g.recorded(); err != nil {
+			return err
+		}
+		return check()
+	}
+}
+
+// BuildJob emits the same Graph, with no data and no task bodies, as a
+// cluster-simulator job spread over the given node count.
+func (w Workload) BuildJob(s Scale, nodes int, cm CostModel) cluster.Job {
+	tasks := 0
+	if w.s.Tasks != nil {
+		tasks = w.s.Tasks(s)
+	}
+	g := NewJobGraph(w.s.Name, tasks, nodes, cm)
+	w.s.Graph(g, s)
+	return g.Job()
 }
 
 // Region names one block of a benchmark's data: an array tag and up to
@@ -169,13 +199,15 @@ func RWAcc(key Region, bytes int64) Acc { return Acc{Key: key, Mode: deps.Inout,
 //     The home node and the work are the simulator's and are ignored.
 //
 // A benchmark creates its task bodies only when Runs reports true, so a job
-// build allocates nothing for the runtime.
+// build allocates nothing for the runtime. A body reports a kernel's failure
+// with Record.
 type Graph struct {
 	nodes int
 	job   jobBuilder  // the job sink's state, unused on the runtime
 	r     *rt.Runtime // the runtime sink, nil for a job graph
 	data  func(Region) buffer.Buffer
-	regs  map[Region]rtRegion // each region's runtime key and buffer, resolved once
+	regs  map[Region]rtRegion   // each region's runtime key and buffer, resolved once
+	err   atomic.Pointer[error] // the first error a body recorded
 }
 
 // rtRegion is a region as the runtime sees it: its key and its buffer.
@@ -188,7 +220,9 @@ type rtRegion struct {
 // nodes nodes with work priced by cm. tasks pre-sizes the task list (0 when
 // the benchmark cannot tell).
 func NewJobGraph(name string, tasks, nodes int, cm CostModel) *Graph {
-	return &Graph{nodes: nodes, job: newJobBuilder(name, tasks, cm)}
+	g := &Graph{nodes: nodes, job: newJobBuilder(name, tasks, cm)}
+	g.job.preds, g.job.accIdx = g.job.predBuf[:0], g.job.accBuf[:0]
+	return g
 }
 
 // NewRTGraph returns a graph that submits its tasks to r, each access on the
@@ -224,6 +258,23 @@ func (g *Graph) Task(label string, node int, flops, memBytes int64, body rt.Task
 	g.r.Submit(label, body, args...)
 }
 
+// Record keeps err if it is the first non-nil error a task body reports.
+// Bodies run concurrently — a replicated task's attempts 0 and 1 included —
+// so Record is safe for concurrent use.
+func (g *Graph) Record(err error) {
+	if err != nil {
+		g.err.CompareAndSwap(nil, &err)
+	}
+}
+
+// recorded returns the first error a body recorded, or nil.
+func (g *Graph) recorded() error {
+	if e := g.err.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
 // Job returns a job graph's accumulated job.
 func (g *Graph) Job() cluster.Job { return g.job.job }
 
@@ -243,6 +294,12 @@ type jobBuilder struct {
 	readers [][]int
 	preds   []pred  // the task being added's predecessors; scratch reused across tasks
 	accIdx  []int32 // the task being added's accesses' region numbers; scratch reused across tasks
+
+	// A job graph starts preds and accIdx on these, inside its own
+	// allocation, so only a task of more than eight accesses or
+	// predecessors grows them.
+	predBuf [8]pred
+	accBuf  [8]int32
 }
 
 // pred is one predecessor of the task being added and the largest payload

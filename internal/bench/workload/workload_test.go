@@ -7,6 +7,7 @@ import (
 
 	"appfit/internal/buffer"
 	"appfit/internal/cluster"
+	"appfit/internal/core"
 	"appfit/internal/deps"
 	"appfit/internal/rt"
 )
@@ -214,5 +215,57 @@ func TestRTGraphResolvesRegionOnce(t *testing.T) {
 		if b[0] != 5 {
 			t.Errorf("region %+v's buffer holds %g, want 5 increments", reg, b[0])
 		}
+	}
+}
+
+// TestBuildRTReportsRecordedError drives the shared runtime build with a
+// stub Spec whose bodies record an error, on every attempt of every task,
+// replicated. The verifier returns the first recorded error without running
+// the data's check. With nothing recorded, it returns the check's result.
+func TestBuildRTReportsRecordedError(t *testing.T) {
+	errKernel, errCheck := errors.New("kernel failed"), errors.New("check failed")
+	for _, c := range []struct {
+		name            string
+		recorded, check error
+		want            error
+		wantChecked     bool
+	}{
+		{"recorded", errKernel, errCheck, errKernel, false},
+		{"clean", nil, nil, nil, true},
+		{"check", nil, errCheck, errCheck, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checked := false
+			w := New(Spec{
+				Name: "stub",
+				Graph: func(g *Graph, _ Scale) {
+					var body rt.TaskFunc
+					if g.Runs() {
+						body = func(*rt.Ctx) { g.Record(c.recorded) }
+					}
+					for range 4 {
+						g.Task("k", 0, 1, 8, body, RWAcc(rA, 8))
+					}
+				},
+				Data: func(Scale) (func(Region) buffer.Buffer, Verifier) {
+					buf := buffer.NewF64(1)
+					return func(Region) buffer.Buffer { return buf }, func() error {
+						checked = true
+						return c.check
+					}
+				},
+			})
+			r := rt.New(rt.Config{Workers: 2, Selector: core.ReplicateAll{}})
+			verify := w.BuildRT(r, Tiny)
+			if err := r.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if err := verify(); err != c.want {
+				t.Fatalf("verifier returned %v, want %v", err, c.want)
+			}
+			if checked != c.wantChecked {
+				t.Fatalf("data check ran: %v, want %v", checked, c.wantChecked)
+			}
+		})
 	}
 }

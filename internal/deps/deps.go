@@ -26,6 +26,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"appfit/internal/xrand"
 )
 
 // Mode declares how a task accesses a region.
@@ -273,19 +275,10 @@ type Tracker struct {
 // NewTracker returns an empty Tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// mix64 finalizes an integer hash (splitmix64's finalizer) so dense task ids
-// spread over the node shards instead of marching through them in order.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
+// nodeShard is id's stripe: dense task ids are hashed so they spread over
+// the shards instead of marching through them in order.
 func (t *Tracker) nodeShard(id uint64) *nodeShard {
-	return &t.nodes[mix64(id)&(nodeShards-1)]
+	return &t.nodes[xrand.Mix64(id)&(nodeShards-1)]
 }
 
 // Register adds task id (must be nonzero and never used before) with its

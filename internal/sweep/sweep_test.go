@@ -27,8 +27,8 @@ func simulate(eng *Engine, job cluster.Job, cfg cluster.Config) (cluster.Result,
 // named here rather than looked up in the bench registry, which imports
 // this package for its prepared-job memo.
 var testWorkloads = map[string]workload.Workload{
-	"cholesky": cholesky.New(), "fft": fft.New(), "nbody": nbody.New(),
-	"perlin": perlin.New(), "stream": stream.New(),
+	"cholesky": cholesky.Workload, "fft": fft.Workload, "nbody": nbody.Workload,
+	"perlin": perlin.Workload, "stream": stream.Workload,
 }
 
 // testJob builds a small real workload DAG for nodes nodes.

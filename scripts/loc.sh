@@ -18,11 +18,13 @@ git ls-files --cached --others --exclude-standard -- '*.go' |
 		pkg[dir] += n; total += n
 		if (file !~ /^benchmark\//) product += n
 		if (file ~ /^internal\/dist\/(collectives|hier|vector)\.go$/) coll += n
+		if (file ~ /^internal\/bench\//) bench += n
 	}
 	END {
 		for (d in pkg) printf "%7d  %s\n", pkg[d], d | "sort -k2"
 		close("sort -k2")
 		printf "%7d  internal/dist collectives.go + hier.go + vector.go\n", coll
+		printf "%7d  internal/bench and its subpackages\n", bench
 		printf "%7d  product (outside benchmark/)\n", product
 		printf "%7d  total\n", total
 	}'
