@@ -1,12 +1,12 @@
-# Repo checks. `make check` is the tier-1 gate plus vet, example builds and a
-# one-iteration pass over the scale and root figure benchmarks so they
+# Repo checks. `make check` is the tier-1 gate plus vet, command builds and
+# a one-iteration pass over the scale and root figure benchmarks so they
 # cannot rot.
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-examples run-examples check-figures check-sweep check-serve check-lint fuzz-smoke loc
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-cmds check-figures check-sweep check-serve check-lint fuzz-smoke loc
 
-check: vet check-lint race race-comm build-examples check-figures check-sweep check-serve bench-build benchmark-smoke
+check: vet check-lint race race-comm build-cmds check-figures check-sweep check-serve bench-build benchmark-smoke
 
 # Figures gate: every deterministic table cmd/experiments prints (the
 # registry entries marked Golden) is regenerated in one sweep batch at the
@@ -170,13 +170,6 @@ benchmark-smoke:
 loc:
 	sh scripts/loc.sh
 
-# Compile every example and command entry point; catches facade drift that
-# package tests cannot see.
-build-examples:
-	$(GO) build -o /dev/null ./examples/... ./cmd/...
-
-# Run the fast examples end to end (the demos print their own evidence).
-run-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/hybrid_pingpong
-	$(GO) run ./examples/distributed_nbody
+# Compile and link every command entry point.
+build-cmds:
+	$(GO) build -o /dev/null ./cmd/...

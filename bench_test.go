@@ -163,10 +163,10 @@ func BenchmarkAblationStaleness(b *testing.B) {
 }
 
 // BenchmarkHaloWorld drives the reusable workload halo exchange (the
-// pattern behind examples/hybrid_pingpong and the paper's Figure 6
-// communication shape) on a real distributed World end to end — build,
-// drain, verify against the serial reference — so the figure's traffic can
-// be produced by real dist execution, not only the cluster simulator.
+// paper's Figure 6 communication shape) on a real distributed World end to
+// end — build, drain, verify against the serial reference — so the
+// figure's traffic can be produced by real dist execution, not only the
+// cluster simulator.
 func BenchmarkHaloWorld(b *testing.B) {
 	for _, ranks := range []int{4, 8} {
 		ranks := ranks

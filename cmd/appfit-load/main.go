@@ -72,7 +72,7 @@ func main() {
 	nodes := flag.Int("nodes", 1, "simulated nodes per request")
 	cores := flag.Int("cores", 16, "cores per node")
 	rate := flag.Float64("rate", 0, "per-execution fault probability")
-	seed := flag.Uint64("seed", 42, "fault injection seed")
+	seed := flag.Uint64("seed", 42, "fault injection seed (nonzero: every request carries a fault rate)")
 	vary := flag.Bool("vary", true,
 		"vary the fault seed per request so requests are distinct jobs, not one cached result")
 	batch := flag.Int("batch", 1, "requests per submission (a deeper batch keeps the tenant's queue backlogged)")
@@ -90,6 +90,9 @@ func main() {
 	}
 	if *batch < 1 {
 		fatal(fmt.Errorf("-batch %d: want at least 1", *batch))
+	}
+	if *seed == 0 {
+		fatal(errors.New("-seed 0: appfitd refuses a fault rate without a seed"))
 	}
 	totalConc := 0
 	for _, t := range tenants {

@@ -19,20 +19,20 @@ import (
 	"appfit/internal/xrand"
 )
 
-// params sizes the workload: an Nb×Nb grid of B×B blocks on a P×Q process
-// grid.
+// params sizes the workload: an Nb×Nb grid of B×B blocks. The process grid
+// the blocks live on follows the machine size (graph).
 type params struct {
-	Nb, B, P, Q int
+	Nb, B int
 }
 
-// sizes holds the parameters per scale (the paper uses an 8×8 grid).
+// sizes holds the parameters per scale.
 var sizes = [...]params{
-	workload.Tiny:  {Nb: 4, B: 8, P: 2, Q: 2},
-	workload.Small: {Nb: 12, B: 32, P: 4, Q: 4},
+	workload.Tiny:  {Nb: 4, B: 8},
+	workload.Small: {Nb: 12, B: 32},
 	// Parallelism of blocked LU is ~Nb²/9 tasks on average; Nb = 96 keeps
 	// the paper's largest machine (1024 cores) busy. The paper's own HPL
 	// run has Nb = 512.
-	workload.Medium: {Nb: 96, B: 24, P: 8, Q: 8},
+	workload.Medium: {Nb: 96, B: 24},
 }
 
 // tasks returns the task count: getrf Nb, the two panel solves Nb(Nb-1),

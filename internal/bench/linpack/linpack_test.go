@@ -109,7 +109,7 @@ func TestVerifyResidualRejectsNaN(t *testing.T) {
 func TestParams(t *testing.T) {
 	for _, s := range []workload.Scale{workload.Tiny, workload.Small, workload.Medium} {
 		p := sizes[s]
-		if p.Nb < 2 || p.B < 2 || p.P < 1 || p.Q < 1 {
+		if p.Nb < 2 || p.B < 2 {
 			t.Fatalf("%v: bad params %+v", s, p)
 		}
 	}

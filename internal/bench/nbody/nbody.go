@@ -25,18 +25,18 @@ const (
 	eps = 1e-3
 )
 
-// Params sizes the workload: N bodies in Nb = N/B blocks.
-type Params struct {
+// params sizes the workload: N bodies in Nb = N/B blocks.
+type params struct {
 	N, B  int
 	Steps int
 }
 
-// Nb returns the block count.
-func (p Params) nb() int { return p.N / p.B }
+// nb returns the block count.
+func (p params) nb() int { return p.N / p.B }
 
 // sizes holds the parameters per scale. Medium's 32² = 1024 force tasks per
 // step keep 1024 cores busy (the paper's largest machine).
-var sizes = [...]Params{
+var sizes = [...]params{
 	workload.Tiny:   {N: 64, B: 16, Steps: 2},
 	workload.Small:  {N: 2048, B: 256, Steps: 4},
 	workload.Medium: {N: 16384, B: 512, Steps: 5},
@@ -58,9 +58,9 @@ var Workload = workload.New(workload.Spec{
 	Data:  data,
 })
 
-// InitBlock fills the position block deterministically on a perturbed
+// initBlock fills the position block deterministically on a perturbed
 // lattice; velocities start at zero.
-func InitBlock(pos []float64, block, b int) {
+func initBlock(pos []float64, block, b int) {
 	r := xrand.New(xrand.Combine(0xB0D7, uint64(block)))
 	for k := 0; k < b; k++ {
 		id := block*b + k
@@ -70,9 +70,9 @@ func InitBlock(pos []float64, block, b int) {
 	}
 }
 
-// PartialForces writes into dst the accelerations that the bodies of posJ
+// partialForces writes into dst the accelerations that the bodies of posJ
 // exert on the bodies of posI (overwriting dst). posI and posJ may alias.
-func PartialForces(dst, posI, posJ []float64, bI, bJ int) {
+func partialForces(dst, posI, posJ []float64, bI, bJ int) {
 	for a := 0; a < bI; a++ {
 		ax, ay, az := 0.0, 0.0, 0.0
 		x, y, z := posI[3*a], posI[3*a+1], posI[3*a+2]
@@ -92,8 +92,8 @@ func PartialForces(dst, posI, posJ []float64, bI, bJ int) {
 	}
 }
 
-// Reduce sums the per-pair partials (in j order) into acc, overwriting it.
-func Reduce(acc []float64, partials [][]float64) {
+// reduce sums the per-pair partials (in j order) into acc, overwriting it.
+func reduce(acc []float64, partials [][]float64) {
 	for k := range acc {
 		acc[k] = 0
 	}
@@ -104,24 +104,24 @@ func Reduce(acc []float64, partials [][]float64) {
 	}
 }
 
-// Integrate advances one block by one explicit Euler step.
-func Integrate(pos, vel, acc []float64, b int) {
+// integrate advances one block by one explicit Euler step.
+func integrate(pos, vel, acc []float64, b int) {
 	for k := 0; k < 3*b; k++ {
 		vel[k] += acc[k] * dt
 		pos[k] += vel[k] * dt
 	}
 }
 
-// Reference runs the identical blocked algorithm serially (same floating-
+// reference runs the identical blocked algorithm serially (same floating-
 // point evaluation order as the task version).
-func Reference(p Params) []float64 {
+func reference(p params) []float64 {
 	nb, b := p.nb(), p.B
 	pos := make([][]float64, nb)
 	vel := make([][]float64, nb)
 	for i := 0; i < nb; i++ {
 		pos[i] = make([]float64, 3*b)
 		vel[i] = make([]float64, 3*b)
-		InitBlock(pos[i], i, b)
+		initBlock(pos[i], i, b)
 	}
 	partials := make([][]float64, nb)
 	for j := range partials {
@@ -133,12 +133,12 @@ func Reference(p Params) []float64 {
 		newVel := make([][]float64, nb)
 		for i := 0; i < nb; i++ {
 			for j := 0; j < nb; j++ {
-				PartialForces(partials[j], pos[i], pos[j], b, b)
+				partialForces(partials[j], pos[i], pos[j], b, b)
 			}
-			Reduce(acc, partials)
+			reduce(acc, partials)
 			np := append([]float64(nil), pos[i]...)
 			nv := append([]float64(nil), vel[i]...)
-			Integrate(np, nv, acc, b)
+			integrate(np, nv, acc, b)
 			newPos[i], newVel[i] = np, nv
 		}
 		pos, vel = newPos, newVel
@@ -158,33 +158,33 @@ func Reference(p Params) []float64 {
 // (they read two position blocks wherever those live), so machines larger
 // than the block count still fill up — the "block size depends on #nodes"
 // flexibility Table I notes.
-func graph(g *workload.Graph, p Params) {
+func graph(g *workload.Graph, p params) {
 	nb, b := p.nb(), int64(p.B)
 	blockBytes := 3 * b * 8
 	key := func(arr rune, i, j int) workload.Region { return workload.Region{Arr: arr, I: int32(i), J: int32(j)} }
-	var selfForce, force, reduce, integrate rt.TaskFunc
+	var selfForceFn, forceFn, reduceFn, integrateFn rt.TaskFunc
 	if g.Runs() {
-		selfForce = func(ctx *rt.Ctx) { PartialForces(ctx.F64(1), ctx.F64(0), ctx.F64(0), p.B, p.B) }
-		force = func(ctx *rt.Ctx) { PartialForces(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B, p.B) }
-		reduce = func(ctx *rt.Ctx) {
+		selfForceFn = func(ctx *rt.Ctx) { partialForces(ctx.F64(1), ctx.F64(0), ctx.F64(0), p.B, p.B) }
+		forceFn = func(ctx *rt.Ctx) { partialForces(ctx.F64(2), ctx.F64(0), ctx.F64(1), p.B, p.B) }
+		reduceFn = func(ctx *rt.Ctx) {
 			parts := make([][]float64, nb)
 			for j := range parts {
 				parts[j] = ctx.F64(j + 1)
 			}
-			Reduce(ctx.F64(0), parts)
+			reduce(ctx.F64(0), parts)
 		}
-		integrate = func(ctx *rt.Ctx) { Integrate(ctx.F64(0), ctx.F64(1), ctx.F64(2), p.B) }
+		integrateFn = func(ctx *rt.Ctx) { integrate(ctx.F64(0), ctx.F64(1), ctx.F64(2), p.B) }
 	}
 	var accs []workload.Acc
 	for step := 0; step < p.Steps; step++ {
 		for i := 0; i < nb; i++ {
 			for j := 0; j < nb; j++ {
 				if i == j {
-					g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 2*blockBytes, selfForce,
+					g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 2*blockBytes, selfForceFn,
 						workload.RAcc(key('p', i, 0), blockBytes), workload.WAcc(key('q', i, i), blockBytes))
 					continue
 				}
-				g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 3*blockBytes, force,
+				g.Task("force", (i*nb+j)%g.Nodes(), 20*b*b, 3*blockBytes, forceFn,
 					workload.RAcc(key('p', i, 0), blockBytes), workload.RAcc(key('p', j, 0), blockBytes),
 					workload.WAcc(key('q', i, j), blockBytes))
 			}
@@ -194,8 +194,8 @@ func graph(g *workload.Graph, p Params) {
 			for j := 0; j < nb; j++ {
 				accs = append(accs, workload.RAcc(key('q', i, j), blockBytes))
 			}
-			g.Task("reduce", i%g.Nodes(), 3*b*int64(nb), blockBytes*int64(nb), reduce, accs...)
-			g.Task("integrate", i%g.Nodes(), 6*b, 3*blockBytes, integrate,
+			g.Task("reduce", i%g.Nodes(), 3*b*int64(nb), blockBytes*int64(nb), reduceFn, accs...)
+			g.Task("integrate", i%g.Nodes(), 6*b, 3*blockBytes, integrateFn,
 				workload.RWAcc(key('p', i, 0), blockBytes), workload.RWAcc(key('v', i, 0), blockBytes),
 				workload.RAcc(key('a', i, 0), blockBytes))
 		}
@@ -214,7 +214,7 @@ func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verif
 		pos[i] = buffer.NewF64(3 * b)
 		vel[i] = buffer.NewF64(3 * b)
 		acc[i] = buffer.NewF64(3 * b)
-		InitBlock(pos[i], i, b)
+		initBlock(pos[i], i, b)
 		pacc[i] = make([]buffer.F64, nb)
 		for j := 0; j < nb; j++ {
 			pacc[i][j] = buffer.NewF64(3 * b)
@@ -233,9 +233,9 @@ func data(s workload.Scale) (func(workload.Region) buffer.Buffer, workload.Verif
 	}, func() error { return verify(pos, p) }
 }
 
-// verify compares every block's positions with the serial Reference.
-func verify(pos []buffer.F64, p Params) error {
-	want := Reference(p)
+// verify compares every block's positions with the serial reference.
+func verify(pos []buffer.F64, p params) error {
+	want := reference(p)
 	for i := range pos {
 		for k, got := range pos[i] {
 			exp := want[i*3*p.B+k]

@@ -11,14 +11,14 @@ import (
 func TestInitBlockDeterministic(t *testing.T) {
 	a := make([]float64, 3*16)
 	b := make([]float64, 3*16)
-	InitBlock(a, 2, 16)
-	InitBlock(b, 2, 16)
+	initBlock(a, 2, 16)
+	initBlock(b, 2, 16)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("init must be deterministic")
 		}
 	}
-	InitBlock(b, 3, 16)
+	initBlock(b, 3, 16)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -37,12 +37,12 @@ func TestPartialForcesNewtonThirdLaw(t *testing.T) {
 	const b = 8
 	pi := make([]float64, 3*b)
 	pj := make([]float64, 3*b)
-	InitBlock(pi, 0, b)
-	InitBlock(pj, 1, b)
+	initBlock(pi, 0, b)
+	initBlock(pj, 1, b)
 	fij := make([]float64, 3*b)
 	fji := make([]float64, 3*b)
-	PartialForces(fij, pi, pj, b, b)
-	PartialForces(fji, pj, pi, b, b)
+	partialForces(fij, pi, pj, b, b)
+	partialForces(fji, pj, pi, b, b)
 	for d := 0; d < 3; d++ {
 		var si, sj float64
 		for k := 0; k < b; k++ {
@@ -58,9 +58,9 @@ func TestPartialForcesNewtonThirdLaw(t *testing.T) {
 func TestSelfBlockForcesFinite(t *testing.T) {
 	const b = 8
 	p := make([]float64, 3*b)
-	InitBlock(p, 0, b)
+	initBlock(p, 0, b)
 	f := make([]float64, 3*b)
-	PartialForces(f, p, p, b, b)
+	partialForces(f, p, p, b, b)
 	for i, v := range f {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("self-interaction produced %g at %d (softening broken)", v, i)
@@ -70,12 +70,12 @@ func TestSelfBlockForcesFinite(t *testing.T) {
 
 func TestReduceSumsInOrder(t *testing.T) {
 	acc := make([]float64, 3)
-	Reduce(acc, [][]float64{{1, 2, 3}, {10, 20, 30}})
+	reduce(acc, [][]float64{{1, 2, 3}, {10, 20, 30}})
 	if acc[0] != 11 || acc[1] != 22 || acc[2] != 33 {
 		t.Fatalf("reduce = %v", acc)
 	}
-	// Reduce must overwrite, not accumulate across calls.
-	Reduce(acc, [][]float64{{1, 1, 1}})
+	// reduce must overwrite, not accumulate across calls.
+	reduce(acc, [][]float64{{1, 1, 1}})
 	if acc[0] != 1 {
 		t.Fatalf("reduce did not reset: %v", acc)
 	}
@@ -85,7 +85,7 @@ func TestIntegrateMovesBodies(t *testing.T) {
 	pos := []float64{0, 0, 0}
 	vel := []float64{1, 0, 0}
 	acc := []float64{0, 1, 0}
-	Integrate(pos, vel, acc, 1)
+	integrate(pos, vel, acc, 1)
 	if pos[0] == 0 {
 		t.Fatal("x should advance with velocity")
 	}
@@ -95,8 +95,8 @@ func TestIntegrateMovesBodies(t *testing.T) {
 }
 
 func TestReferenceStable(t *testing.T) {
-	p := Params{N: 32, B: 8, Steps: 3}
-	out := Reference(p)
+	p := params{N: 32, B: 8, Steps: 3}
+	out := reference(p)
 	if len(out) != 3*p.N {
 		t.Fatalf("reference length %d", len(out))
 	}
@@ -106,7 +106,7 @@ func TestReferenceStable(t *testing.T) {
 		}
 	}
 	// Determinism.
-	out2 := Reference(p)
+	out2 := reference(p)
 	for i := range out {
 		if out[i] != out2[i] {
 			t.Fatal("reference not deterministic")
@@ -126,8 +126,8 @@ func TestParamsDivisibility(t *testing.T) {
 // TestVerifyRejectsNaN feeds the verifier the reference positions with one
 // NaN in them; the tolerance check must fail rather than skip the NaN.
 func TestVerifyRejectsNaN(t *testing.T) {
-	p := Params{N: 32, B: 8, Steps: 2}
-	ref := Reference(p)
+	p := params{N: 32, B: 8, Steps: 2}
+	ref := reference(p)
 	pos := make([]buffer.F64, p.nb())
 	for i := range pos {
 		pos[i] = append(buffer.F64(nil), ref[i*3*p.B:(i+1)*3*p.B]...)

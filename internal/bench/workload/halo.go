@@ -30,8 +30,7 @@ func (cfg HaloConfig) withDefaults() HaloConfig {
 	return cfg
 }
 
-// Halo is the reusable pair-halo-exchange pattern lifted from
-// examples/hybrid_pingpong (the ROADMAP item): the members of a
+// Halo is the reusable pair-halo-exchange pattern: the members of a
 // communicator pair up (comm rank xor 1) and every iteration each member
 // relaxes its local block toward the partner state received last iteration
 // — an ordinary compute task the selector may replicate and the injector

@@ -116,15 +116,13 @@ type Config struct {
 	// paper's scalability runs use fixed per-task rates
 	// (fault.NewFixedRate).
 	Injector fault.Injector
-	// MaxAttempts caps executions per task (default 8).
-	MaxAttempts int
 }
 
 // Normalized returns the config with every defaulted field resolved to the
-// value Run will actually use (machine shape, injector, attempt cap). Run
-// normalizes internally; callers that derive content-addressed identity
-// from a Config (internal/sweep's results cache) normalize first so that a
-// zero field and its explicit default digest identically.
+// value Run will actually use (machine shape, injector). Run normalizes
+// internally; callers that derive content-addressed identity from a Config
+// (internal/sweep's results cache) normalize first so that a zero field and
+// its explicit default digest identically.
 func (c Config) Normalized() Config {
 	if c.Nodes < 1 {
 		c.Nodes = 1
@@ -137,9 +135,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.Injector == nil {
 		c.Injector = &fault.NoFaults{}
-	}
-	if c.MaxAttempts < 3 {
-		c.MaxAttempts = 8
 	}
 	return c
 }
@@ -249,10 +244,10 @@ func (s *sim) spare(attempt int) bool {
 
 // Run simulates the job on the configured machine and returns the result.
 // An invalid DAG returns an error wrapping ErrJob. Fault exhaustion marks
-// the task done after MaxAttempts (counted in Reexecutions), where the
-// runtime's bounded recovery reports a failed vote. Run lays the job out
-// for the run; a caller simulating one job under many configs lays it out
-// once (NewLayout) and runs the Layout.
+// the task done after vote.MaxAttempts attempts (counted in Reexecutions),
+// where the runtime's bounded recovery reports a failed vote. Run lays the
+// job out for the run; a caller simulating one job under many configs lays
+// it out once (NewLayout) and runs the Layout.
 func Run(job Job, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
 	l, err := NewLayout(job, cfg.Nodes)
@@ -450,7 +445,7 @@ func (s *sim) execDone(task, attempt int) {
 // executions have been compared is adopted, given up on or re-executed.
 func (s *sim) compared(task int) {
 	st := &s.states[task]
-	switch st.rule.Decide(s.cfg.MaxAttempts) {
+	switch st.rule.Decide(vote.MaxAttempts) {
 	case vote.Adopt:
 		if st.rule.Crashed() {
 			s.res.DUERecovered++

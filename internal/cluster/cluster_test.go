@@ -172,13 +172,14 @@ func TestMaxAttemptsBoundsRecovery(t *testing.T) {
 		inj.Set(1, a, fault.DUE)
 	}
 	job := Job{Tasks: []Task{{Node: 0, Cost: 100}}}
-	res, err := Run(job, Config{Nodes: 1, CoresPerNode: 2, Replicated: All(1), Injector: inj, MaxAttempts: 5})
+	res, err := Run(job, Config{Nodes: 1, CoresPerNode: 2, Replicated: All(1), Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 initial + 3 re-executions = 5 attempts, then the task is forced
-	// through (the runtime reports the error; the simulator charges time).
-	if res.Reexecutions != 3 {
+	// 2 initial + 6 re-executions = vote.MaxAttempts, then the task is
+	// forced through (the runtime reports the error; the simulator charges
+	// time).
+	if res.Reexecutions != 6 {
 		t.Fatalf("reexecs %d", res.Reexecutions)
 	}
 }

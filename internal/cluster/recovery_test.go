@@ -12,6 +12,7 @@ import (
 	"appfit/internal/fit"
 	"appfit/internal/rt"
 	"appfit/internal/simtime"
+	"appfit/internal/vote"
 	"appfit/internal/xrand"
 )
 
@@ -27,13 +28,15 @@ func (replicateIDs) Observe(fit.Task, bool)   {}
 // fault script runs through rt (real buffers, real comparisons) and
 // through Run, and the two must count the same replications, detections,
 // recoveries and re-executions. Each SDC flips its own bit (the attempt
-// index) of a MaxAttempts-bit output, so no two corrupted results
-// coincide; rt would rightly adopt two that did (DESIGN.md §3).
+// index) of a vote.MaxAttempts-bit output, so no two corrupted results
+// coincide; rt would rightly adopt two that did (DESIGN.md §3). Some tasks
+// must exhaust the attempt budget, so both engines' give-up paths are
+// compared too.
 func TestRecoveryMatchesRuntime(t *testing.T) {
+	giveUps := 0
 	check := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 1 + r.Intn(40)
-		maxAttempts := 3 + r.Intn(6)
 		job := cluster.Job{Name: "differential"}
 		sel := replicateIDs{}
 		inj := fault.NewScript()
@@ -48,7 +51,7 @@ func TestRecoveryMatchesRuntime(t *testing.T) {
 			}
 			job.Tasks = append(job.Tasks, task)
 			sel[id] = r.Intn(2) == 0
-			outcomes := make([]byte, maxAttempts)
+			outcomes := make([]byte, vote.MaxAttempts)
 			for a := range outcomes {
 				outcomes[a] = 'C'
 				switch r.Intn(4) {
@@ -68,16 +71,17 @@ func TestRecoveryMatchesRuntime(t *testing.T) {
 		for i := range repl {
 			repl[i] = sel[uint64(i+1)]
 		}
-		sim, err := cluster.Run(job, cluster.Config{CoresPerNode: 2, Replicated: repl, Injector: inj, MaxAttempts: maxAttempts})
+		sim, err := cluster.Run(job, cluster.Config{CoresPerNode: 2, Replicated: repl, Injector: inj})
 		if err != nil {
 			t.Error(err)
 			return false
 		}
-		got := runOnRuntime(job, sel, inj, maxAttempts)
+		got, voteFailures := runOnRuntime(job, sel, inj)
+		giveUps += voteFailures
 		want := [4]int{sim.Replicated, sim.SDCDetected, sim.DUERecovered, sim.Reexecutions}
 		if got != want {
-			t.Errorf("seed %#x, MaxAttempts %d, replicated task:outcomes %v: rt counts (replicated, SDC detected, DUE recovered, re-executions) %v, cluster %v",
-				seed, maxAttempts, faulted, got, want)
+			t.Errorf("seed %#x, replicated task:outcomes %v: rt counts (replicated, SDC detected, DUE recovered, re-executions) %v, cluster %v",
+				seed, faulted, got, want)
 			return false
 		}
 		return true
@@ -85,13 +89,17 @@ func TestRecoveryMatchesRuntime(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+	if giveUps == 0 {
+		t.Fatal("no task exhausted its attempts: the give-up path went unchecked")
+	}
 }
 
 // runOnRuntime submits job to a one-worker rt, each task an Inout on its
 // own one-byte region plus an In on each dependency's, and returns its
-// replicated, SDC-detected, DUE-recovered and re-execution counts.
-func runOnRuntime(job cluster.Job, sel replicateIDs, inj fault.Injector, maxAttempts int) [4]int {
-	run := rt.New(rt.Config{Workers: 1, Selector: sel, Injector: inj, MaxAttempts: maxAttempts})
+// replicated, SDC-detected, DUE-recovered and re-execution counts and its
+// vote failures.
+func runOnRuntime(job cluster.Job, sel replicateIDs, inj fault.Injector) ([4]int, int) {
+	run := rt.New(rt.Config{Workers: 1, Selector: sel, Injector: inj})
 	bufs := make([]buffer.U8, len(job.Tasks))
 	for i, task := range job.Tasks {
 		bufs[i] = buffer.NewU8(1)
@@ -109,5 +117,5 @@ func runOnRuntime(job cluster.Job, sel replicateIDs, inj fault.Injector, maxAtte
 	}
 	_ = run.Shutdown() // an exhausted vote is an error here and a counted give-up in Run
 	st := run.Stats()
-	return [4]int{int(st.Replicated), int(st.SDCDetected), int(st.DUERecovered), int(st.Reexecutions)}
+	return [4]int{int(st.Replicated), int(st.SDCDetected), int(st.DUERecovered), int(st.Reexecutions)}, int(st.VoteFailures)
 }

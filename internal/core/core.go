@@ -117,9 +117,6 @@ func (a *AppFIT) CurrentFIT() float64 {
 	return a.current
 }
 
-// Threshold returns the configured threshold.
-func (a *AppFIT) Threshold() float64 { return a.threshold }
-
 // MaxExcess returns the worst overshoot of current_fit above the prorated
 // budget observed at any completion; ≤ 0 means the contract held, which the
 // reservation in Decide guarantees at any worker count.

@@ -50,14 +50,15 @@ func TestAppFITUniformTenX(t *testing.T) {
 	// reliability): the heuristic must replicate ~90% of tasks.
 	const n = 1000
 	const f = 1.0
-	a := NewAppFIT(n*f/10, n)
+	const thr = n * f / 10
+	a := NewAppFIT(thr, n)
 	dec := runSequential(a, uniformTasks(n, f))
 	frac := fractionReplicated(dec)
 	if math.Abs(frac-0.9) > 0.011 {
 		t.Fatalf("replicated %.3f, want ~0.9", frac)
 	}
-	if a.CurrentFIT() > a.Threshold()+1e-9 {
-		t.Fatalf("unprotected FIT %g exceeds threshold %g", a.CurrentFIT(), a.Threshold())
+	if a.CurrentFIT() > thr+1e-9 {
+		t.Fatalf("unprotected FIT %g exceeds threshold %g", a.CurrentFIT(), float64(thr))
 	}
 }
 
@@ -147,7 +148,7 @@ func TestAppFITSkewedNeedsFewerReplicas(t *testing.T) {
 	if frac > 0.5 {
 		t.Fatalf("skewed workload replicated %.2f of tasks; expected far less than 0.9", frac)
 	}
-	if a.CurrentFIT() > a.Threshold()+1e-9 {
+	if a.CurrentFIT() > total/10+1e-9 {
 		t.Fatal("threshold violated")
 	}
 }

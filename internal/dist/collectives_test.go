@@ -23,12 +23,12 @@ func TestBarrierOrdersAllRanks(t *testing.T) {
 	for rk := 0; rk < ranks; rk++ {
 		tok[rk] = buffer.NewF64(1)
 		rk := rk
-		w.Rank(rk).Runtime().Submit("arrive", func(ctx *rt.Ctx) {
+		w.Comm().Rank(rk).Runtime().Submit("arrive", func(ctx *rt.Ctx) {
 			time.Sleep(time.Duration(rk) * 2 * time.Millisecond)
 			flags[rk].Store(true)
 		}, rt.Inout("x", tok[rk]))
 		w.Comm().Rank(rk).Barrier(1, rt.Inout("x", tok[rk]))
-		w.Rank(rk).Runtime().Submit("check", func(ctx *rt.Ctx) {
+		w.Comm().Rank(rk).Runtime().Submit("check", func(ctx *rt.Ctx) {
 			n := int32(0)
 			for i := range flags {
 				if flags[i].Load() {
@@ -76,7 +76,7 @@ func TestBroadcastFromEveryRoot(t *testing.T) {
 			bufs[i] = buffer.NewF64(4)
 		}
 		// The root's value is produced by a task the broadcast must wait for.
-		w.Rank(root).Runtime().Submit("produce", func(ctx *rt.Ctx) {
+		w.Comm().Rank(root).Runtime().Submit("produce", func(ctx *rt.Ctx) {
 			x := ctx.F64(0)
 			for i := range x {
 				x[i] = float64(100*root + i)
@@ -143,7 +143,7 @@ func TestAllgatherRing(t *testing.T) {
 			bufs[i][j] = buffer.NewF64(blockLen)
 		}
 		i := i
-		w.Rank(i).Runtime().Submit("produce", func(ctx *rt.Ctx) {
+		w.Comm().Rank(i).Runtime().Submit("produce", func(ctx *rt.Ctx) {
 			x := ctx.F64(0)
 			for k := range x {
 				x[k] = float64(100*i + k)

@@ -172,18 +172,6 @@ func (w *World) nodeOf(id int) int {
 	return w.topo.NodeOf(id)
 }
 
-// Rank returns rank i, for per-rank runtime access (submit compute tasks,
-// read stats). An out-of-range i records ErrRankOutOfRange in the World's
-// error set (reported by Shutdown) and returns nil instead of
-// panicking.
-func (w *World) Rank(i int) *Rank {
-	if i < 0 || i >= len(w.ranks) {
-		w.addErr(fmt.Errorf("dist: World.Rank(%d) of %d ranks: %w", i, len(w.ranks), ErrRankOutOfRange))
-		return nil
-	}
-	return w.ranks[i]
-}
-
 // MessagesSent returns the number of messages sent so far across all ranks:
 // each executed send task counts exactly once, however the task's rank
 // replicates its compute — comm tasks are never replicated.
@@ -324,12 +312,6 @@ func (w *World) addErr(err error) {
 	w.errs = append(w.errs, err)
 	w.errMu.Unlock()
 }
-
-// Runtime returns the rank's dataflow runtime, for submitting compute tasks.
-func (r *Rank) Runtime() *rt.Runtime { return r.rt }
-
-// Stats returns the rank's runtime counters.
-func (r *Rank) Stats() rt.Stats { return r.rt.Stats() }
 
 // commSend submits a comm task that, when its dependencies resolve, leases
 // a copy of args[payload] from the pool (noPayload if payload < 0) and hands

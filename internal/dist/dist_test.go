@@ -37,12 +37,12 @@ func TestSendSnapshotsAtExecution(t *testing.T) {
 	w := NewWorld(Config{Ranks: 2})
 	a := buffer.NewF64(1)
 	dst := buffer.NewF64(1)
-	w.Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 7 },
+	w.Comm().Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 7 },
 		rt.Out("a", a))
 	w.Comm().Rank(0).Send(1, 0, "a", a)
 	// This write is ordered after the send's In access; it must not leak
 	// into the message even though it may run long before the Recv matches.
-	w.Rank(0).Runtime().Submit("clobber", func(ctx *rt.Ctx) { ctx.F64(0)[0] = -1 },
+	w.Comm().Rank(0).Runtime().Submit("clobber", func(ctx *rt.Ctx) { ctx.F64(0)[0] = -1 },
 		rt.Out("a", a))
 	w.Comm().Rank(1).Recv(0, 0, "d", dst)
 	if err := w.Shutdown(); err != nil {
@@ -63,12 +63,12 @@ func TestRendezvousFIFOOrdering(t *testing.T) {
 	res := buffer.NewF64(k)
 	for i := 0; i < k; i++ {
 		v := float64(i)
-		w.Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) { ctx.F64(0)[0] = v },
+		w.Comm().Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) { ctx.F64(0)[0] = v },
 			rt.Out("a", a))
 		w.Comm().Rank(0).Send(1, 0, "a", a)
 		w.Comm().Rank(1).Recv(0, 0, "d", d)
 		i := i
-		w.Rank(1).Runtime().Submit("log", func(ctx *rt.Ctx) { ctx.F64(1)[i] = ctx.F64(0)[0] },
+		w.Comm().Rank(1).Runtime().Submit("log", func(ctx *rt.Ctx) { ctx.F64(1)[i] = ctx.F64(0)[0] },
 			rt.In("d", d), rt.Inout("res", res))
 	}
 	if err := w.Shutdown(); err != nil {
@@ -131,7 +131,7 @@ func TestCommNeverReplicatedNorInjected(t *testing.T) {
 	remote := []buffer.F64{buffer.NewF64(8), buffer.NewF64(8)}
 	for it := 0; it < iters; it++ {
 		for rk := 0; rk < 2; rk++ {
-			w.Rank(rk).Runtime().Submit("inc", func(ctx *rt.Ctx) {
+			w.Comm().Rank(rk).Runtime().Submit("inc", func(ctx *rt.Ctx) {
 				x := ctx.F64(0)
 				for i := range x {
 					x[i]++
@@ -148,7 +148,7 @@ func TestCommNeverReplicatedNorInjected(t *testing.T) {
 		t.Fatalf("MessagesSent = %d, want %d (a replicated or re-executed comm task would inflate this)", got, 2*iters)
 	}
 	for rk := 0; rk < 2; rk++ {
-		st := w.Rank(rk).Stats()
+		st := w.Comm().Rank(rk).Runtime().Stats()
 		if st.Replicated != iters {
 			t.Fatalf("rank %d replicated %d tasks, want exactly the %d compute tasks", rk, st.Replicated, iters)
 		}
@@ -201,10 +201,10 @@ func TestShutdownPropagatesRankError(t *testing.T) {
 	}})
 	var n atomic.Int64
 	b := buffer.NewF64(1)
-	w.Rank(1).Runtime().Submit("nondet", func(ctx *rt.Ctx) {
+	w.Comm().Rank(1).Runtime().Submit("nondet", func(ctx *rt.Ctx) {
 		ctx.F64(0)[0] = float64(n.Add(1))
 	}, rt.Inout("x", b))
-	w.Rank(0).Runtime().Submit("fine", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 1 },
+	w.Comm().Rank(0).Runtime().Submit("fine", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 1 },
 		rt.Out("y", buffer.NewF64(1)))
 	err := w.Shutdown()
 	if err == nil {
@@ -279,7 +279,7 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatalf("Size = %d, want 1", len(w.ranks))
 	}
 	b := buffer.NewF64(1)
-	w.Rank(0).Runtime().Submit("t", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 1 }, rt.Out("a", b))
+	w.Comm().Rank(0).Runtime().Submit("t", func(ctx *rt.Ctx) { ctx.F64(0)[0] = 1 }, rt.Out("a", b))
 	if err := w.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestHaloExchangeMatchesSerial(t *testing.T) {
 		for rk := 0; rk < ranks; rk++ {
 			left := (rk + ranks - 1) % ranks
 			right := (rk + 1) % ranks
-			w.Rank(rk).Runtime().Submit("pack", func(ctx *rt.Ctx) {
+			w.Comm().Rank(rk).Runtime().Submit("pack", func(ctx *rt.Ctx) {
 				ctx.F64(1)[0] = ctx.F64(0)[0]
 				ctx.F64(2)[0] = ctx.F64(0)[n-1]
 			}, rt.In("v", v[rk]), rt.Out("bl", bl[rk]), rt.Out("br", br[rk]))
@@ -349,7 +349,7 @@ func TestHaloExchangeMatchesSerial(t *testing.T) {
 			w.Comm().Rank(rk).Send(right, it, "br", br[rk])
 			w.Comm().Rank(rk).Recv(left, it, "gl", gl[rk])
 			w.Comm().Rank(rk).Recv(right, it, "gr", gr[rk])
-			w.Rank(rk).Runtime().Submit("stencil", func(ctx *rt.Ctx) {
+			w.Comm().Rank(rk).Runtime().Submit("stencil", func(ctx *rt.Ctx) {
 				x := ctx.F64(0)
 				l0 := ctx.F64(1)[0]
 				r0 := ctx.F64(2)[0]

@@ -178,7 +178,7 @@ func TestBroadcastHierEveryRoot(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = buffer.NewF64(4)
 		}
-		w.Rank(root).Runtime().Submit("produce", func(ctx *rt.Ctx) {
+		w.Comm().Rank(root).Runtime().Submit("produce", func(ctx *rt.Ctx) {
 			x := ctx.F64(0)
 			for i := range x {
 				x[i] = float64(100*root + i)
@@ -219,7 +219,7 @@ func TestAllgatherHier(t *testing.T) {
 			bufs[i][j] = buffer.NewF64(blockLen)
 		}
 		i := i
-		w.Rank(i).Runtime().Submit("produce", func(ctx *rt.Ctx) {
+		w.Comm().Rank(i).Runtime().Submit("produce", func(ctx *rt.Ctx) {
 			x := ctx.F64(0)
 			for k := range x {
 				x[k] = float64(100*i + k)

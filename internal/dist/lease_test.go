@@ -98,20 +98,20 @@ func TestSendSnapshotSurvivesOverwrite(t *testing.T) {
 	got := buffer.NewF64(k)
 	for i := 0; i < k; i++ {
 		v := float64(i + 1)
-		w.Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) {
+		w.Comm().Rank(0).Runtime().Submit("set", func(ctx *rt.Ctx) {
 			for j := range ctx.F64(0) {
 				ctx.F64(0)[j] = v
 			}
 		}, rt.Inout("a", a))
 		w.Comm().Rank(0).Send(1, 0, "a", a)
-		w.Rank(0).Runtime().Submit("clobber", func(ctx *rt.Ctx) {
+		w.Comm().Rank(0).Runtime().Submit("clobber", func(ctx *rt.Ctx) {
 			for j := range ctx.F64(0) {
 				ctx.F64(0)[j] = -v
 			}
 		}, rt.Inout("a", a))
 		w.Comm().Rank(1).Recv(0, 0, "d", d)
 		i := i
-		w.Rank(1).Runtime().Submit("check", func(ctx *rt.Ctx) {
+		w.Comm().Rank(1).Runtime().Submit("check", func(ctx *rt.Ctx) {
 			for _, x := range ctx.F64(0) {
 				if x != v {
 					ctx.F64(1)[i] = x
@@ -155,7 +155,7 @@ func TestWorldStatsCountPoolOnce(t *testing.T) {
 		t.Fatalf("%d leases cannot cover %d payloads", got.Leases, w.MessagesSent())
 	}
 	for i := 0; i < len(w.ranks); i++ {
-		if st := w.Rank(i).Stats().Pool; st != (buffer.PoolStats{}) {
+		if st := w.Comm().Rank(i).Runtime().Stats().Pool; st != (buffer.PoolStats{}) {
 			t.Fatalf("rank %d reports the shared pool's traffic itself: %+v", i, st)
 		}
 	}
@@ -191,8 +191,8 @@ func TestMessageAllocationCeiling(t *testing.T) {
 			if i%64 == 63 {
 				// Drain, so the graphs' own tables stay the size of a batch
 				// and their growth is not billed to the messages.
-				w.Rank(0).Runtime().Taskwait()
-				w.Rank(1).Runtime().Taskwait()
+				w.Comm().Rank(0).Runtime().Taskwait()
+				w.Comm().Rank(1).Runtime().Taskwait()
 			}
 		}
 		if err := w.Shutdown(); err != nil {

@@ -295,7 +295,7 @@ func TestWorldGoroutineCeiling(t *testing.T) {
 		own := buffer.F64{float64(i)}
 		red[i][0] = float64(i)
 		c.Rank(i).Recv((i+1)%n, 0, "halo", halo[i])
-		w.Rank(i).Runtime().Submit("gate", func(*rt.Ctx) {
+		w.Comm().Rank(i).Runtime().Submit("gate", func(*rt.Ctx) {
 			gated.Add(1)
 			<-open
 		}, rt.Out("own", own))

@@ -80,7 +80,7 @@ func TestSimTransportChargesTheFabric(t *testing.T) {
 	sum := buffer.NewF64(1)
 	for i := 0; i < k; i++ {
 		v := float64(i + 1)
-		w.Rank(0).Runtime().Submit("fill", func(ctx *rt.Ctx) {
+		w.Comm().Rank(0).Runtime().Submit("fill", func(ctx *rt.Ctx) {
 			x := ctx.F64(0)
 			for j := range x {
 				x[j] = v
@@ -88,7 +88,7 @@ func TestSimTransportChargesTheFabric(t *testing.T) {
 		}, rt.Out("a", a))
 		w.Comm().Rank(0).Send(1, i, "a", a)
 		w.Comm().Rank(1).Recv(0, i, "d", d)
-		w.Rank(1).Runtime().Submit("acc", func(ctx *rt.Ctx) {
+		w.Comm().Rank(1).Runtime().Submit("acc", func(ctx *rt.Ctx) {
 			ctx.F64(1)[0] += ctx.F64(0)[0]
 		}, rt.In("d", d), rt.Inout("sum", sum))
 	}

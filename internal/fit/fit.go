@@ -63,12 +63,6 @@ func (r Rates) TaskFIT(argBytes int64) (due, sdc float64) {
 	return r.DUEPer32GB * f, r.SDCPer32GB * f
 }
 
-// TotalFIT returns λF + λSDC for a footprint of argBytes.
-func (r Rates) TotalFIT(argBytes int64) float64 {
-	due, sdc := r.TaskFIT(argBytes)
-	return due + sdc
-}
-
 // FailureProb converts a FIT rate and an exposure duration in hours into a
 // failure probability, assuming a Poisson process: p = 1 - exp(-λt) with λ in
 // failures/hour. For the tiny rates involved this is ≈ fitRate*1e-9*hours.

@@ -52,12 +52,18 @@ func TestTaskFITLinearity(t *testing.T) {
 	}
 }
 
+// totalFIT returns λF + λSDC for a footprint of argBytes.
+func totalFIT(r Rates, argBytes int64) float64 {
+	due, sdc := r.TaskFIT(argBytes)
+	return due + sdc
+}
+
 func TestTaskFITAdditivity(t *testing.T) {
 	// λ of a task is the sum of its arguments' λ: splitting a footprint in
 	// two must preserve the total.
 	r := Roadrunner()
-	whole := r.TotalFIT(1 << 20)
-	parts := r.TotalFIT(1<<19) + r.TotalFIT(1<<19)
+	whole := totalFIT(r, 1<<20)
+	parts := totalFIT(r, 1<<19) + totalFIT(r, 1<<19)
 	if !almostEq(whole, parts, 1e-12) {
 		t.Fatalf("additivity violated: %g vs %g", whole, parts)
 	}
@@ -113,8 +119,8 @@ func TestThresholdScenario(t *testing.T) {
 	// heuristic must protect ~90% of FIT mass.
 	base := Roadrunner()
 	input := int64(64 * 1024 * 1024)
-	thr := base.TotalFIT(input)
-	if scaled := base.Scale(10).TotalFIT(input); !almostEq(scaled, 10*thr, 1e-12) {
+	thr := totalFIT(base, input)
+	if scaled := totalFIT(base.Scale(10), input); !almostEq(scaled, 10*thr, 1e-12) {
 		t.Fatalf("scaled benchmark FIT %g != 10×threshold %g", scaled, thr)
 	}
 }

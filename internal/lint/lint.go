@@ -10,7 +10,7 @@
 //   - lockedfield: fields annotated `// guarded by <mu>` are only touched
 //     under that mutex (the Profile.Entries lazy-cache pattern);
 //   - wraperr: errors crossing internal/ package boundaries are sentinels
-//     or %w-wraps, so errors.Is works over the facade and the wire;
+//     or %w-wraps, so errors.Is works across packages and over the wire;
 //   - unusedexport: exported internal/ code has a non-test caller, so code
 //     only tests reach is deleted rather than kept.
 //

@@ -4,8 +4,8 @@
 // internal/ directory, that no non-test file of the module references.
 // The declaring package's own files count as callers, but a declaration's
 // references to itself do not (a recursive call, a type's own receivers).
-// Every loaded package is a caller, so benchmark/, cmd/, examples/ and the
-// root facade keep what they use alive; test files are never loaded.
+// Every loaded package is a caller, so benchmark/ and cmd/ keep what they
+// use alive; test files, doctests included, are never loaded.
 //
 // Exempt without a waiver: a method that an interface declared in the
 // module or its imports (or error) names, when the receiver type or its

@@ -4,8 +4,8 @@
 // a named error type, a propagated error, or an fmt.Errorf that wraps one
 // via %w. Ad-hoc `errors.New(...)` and `fmt.Errorf` without %w returned at
 // a boundary break errors.Is/errors.As for every caller — including the
-// appfit facade and the HTTP wire, which map admission and request errors
-// back to sentinels client-side.
+// HTTP wire, which maps admission and request errors back to sentinels
+// client-side.
 //
 // The check is intra-procedural: it looks only at return statements of
 // exported functions (and exported methods on exported types) and flags
@@ -15,9 +15,8 @@
 // through unflagged. A deliberate opaque error is waived with
 // `//lint:wraperr <reason>`.
 //
-// Scope: packages under appfit/internal/ (and appfit itself, the facade),
-// or any package whose files carry an `//appfit:wraperr` directive (how
-// testdata opts in).
+// Scope: packages under appfit/internal/, or any package whose files
+// carry an `//appfit:wraperr` directive (how testdata opts in).
 package wraperr
 
 import (
@@ -61,7 +60,7 @@ func run(pass *analysis.Pass) error {
 // inScope reports whether the package is bound by the convention.
 func inScope(pass *analysis.Pass) bool {
 	path := pass.Pkg.Path()
-	if path == "appfit" || strings.HasPrefix(path, "appfit/internal/") {
+	if strings.HasPrefix(path, "appfit/internal/") {
 		return true
 	}
 	for _, f := range pass.Files {

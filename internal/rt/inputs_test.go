@@ -48,9 +48,6 @@ const (
 	nCases
 )
 
-// maxAttemptsForInputs is the attempt budget of the replicated runs.
-const maxAttemptsForInputs = 5
-
 func newInputDAG(seed uint64) inputDAG {
 	rng := xrand.New(seed)
 	d := inputDAG{faults: fault.NewScript(), failing: map[uint64]bool{}}
@@ -96,7 +93,7 @@ func newInputDAG(seed uint64) inputDAG {
 			d.faults.Set(id, rng.Intn(2), fault.DUE)
 			d.reexecs++
 		case caseVoteFailure:
-			for att := 0; att < maxAttemptsForInputs; att++ {
+			for att := 0; att < vote.MaxAttempts; att++ {
 				d.faults.Set(id, att, fault.SDC).SetBit(id, att, int64(att))
 			}
 			d.failing[id] = true
@@ -144,7 +141,7 @@ func (d inputDAG) run(replicated bool) ([]buffer.Buffer, map[[2]uint64]uint64, S
 	seen := map[[2]uint64]uint64{}
 	cfg := Config{Workers: 1}
 	if replicated {
-		cfg = Config{Workers: 3, Selector: core.ReplicateAll{}, Injector: d.faults, MaxAttempts: maxAttemptsForInputs}
+		cfg = Config{Workers: 3, Selector: core.ReplicateAll{}, Injector: d.faults}
 	}
 	r := New(cfg)
 	for _, spec := range d.tasks {
@@ -218,7 +215,7 @@ func TestEveryAttemptSeesTheSameInputs(t *testing.T) {
 		// reported is the earliest.
 		for id := uint64(1); id <= uint64(len(d.tasks)); id++ {
 			want, ran := serial[[2]uint64{id, 0}], 0
-			for att := uint64(0); att < maxAttemptsForInputs; att++ {
+			for att := uint64(0); att < vote.MaxAttempts; att++ {
 				h, ok := seen[[2]uint64{id, att}]
 				if !ok {
 					continue

@@ -33,13 +33,12 @@ func wantBalanced(t *testing.T, r *Runtime, n uint64) {
 func TestLeaseBalance(t *testing.T) {
 	script := fault.NewScript
 	persistentSDC := script()
-	for att := 0; att < 5; att++ {
+	for att := 0; att < vote.MaxAttempts; att++ {
 		persistentSDC.Set(2, att, fault.SDC).SetBit(2, att, int64(att))
 	}
 	for _, c := range []struct {
 		name   string
 		inj    fault.Injector
-		cfg    Config // Selector and Injector are filled in
 		reexec uint64
 		fails  bool // Shutdown reports an error; the real buffers keep their inputs
 	}{
@@ -50,13 +49,11 @@ func TestLeaseBalance(t *testing.T) {
 		{name: "DUE in primary", inj: script().Set(2, 0, fault.DUE), reexec: 1},
 		{name: "DUE in replica", inj: script().Set(2, 1, fault.DUE), reexec: 1},
 		{name: "double DUE", inj: script().Set(2, 0, fault.DUE).Set(2, 1, fault.DUE), reexec: 2},
-		{name: "vote failure", inj: persistentSDC, cfg: Config{MaxAttempts: 5}, reexec: 3, fails: true},
+		{name: "vote failure", inj: persistentSDC, reexec: 6, fails: true},
 		{name: "SDC in replica bit 9", inj: script().Set(2, 1, fault.SDC).SetBit(2, 1, 9), reexec: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.cfg
-			cfg.Workers, cfg.Selector, cfg.Injector = 2, core.ReplicateAll{}, c.inj
-			r := New(cfg)
+			r := New(Config{Workers: 2, Selector: core.ReplicateAll{}, Injector: c.inj})
 			src, acc, dst := buffer.F64{1, 2, 3}, buffer.F64{10, 20, 30}, buffer.NewF64(3)
 			r.Submit("fill", func(ctx *Ctx) { copy(ctx.F64(0), []float64{1, 2, 3}) }, Out("S", src))
 			r.Submit("axpy", func(ctx *Ctx) {

@@ -157,9 +157,6 @@ type Config struct {
 	Injector fault.Injector
 	// Tracer, if non-nil, records per-task events.
 	Tracer *trace.Tracer
-	// MaxAttempts caps executions per task including recovery re-runs
-	// (default 8).
-	MaxAttempts int
 }
 
 func (c Config) withDefaults() Config {
@@ -174,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Injector == nil {
 		c.Injector = &fault.NoFaults{}
-	}
-	if c.MaxAttempts < 3 {
-		c.MaxAttempts = 8
 	}
 	return c
 }
@@ -814,7 +808,7 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	r.observe(&rule, s, rec, primaryRes.crashed, primaryOuts)
 	r.observe(&rule, s, rec, replicaRes.crashed, replicaOuts)
 	for {
-		switch rule.Decide(r.cfg.MaxAttempts) {
+		switch rule.Decide(vote.MaxAttempts) {
 		case vote.Adopt:
 			if rule.Detected() {
 				r.event(rec, trace.Voted)

@@ -296,7 +296,7 @@ func TestPersistentSDCExhaustsVote(t *testing.T) {
 		inj.Set(1, att, fault.SDC).SetBit(1, att, int64(att))
 	}
 	a := buffer.F64{1, 2}
-	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj, MaxAttempts: 5})
+	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj})
 	r.Submit("incr", incrTask(1), Inout("A", a))
 	err := r.Shutdown()
 	if err == nil {
@@ -372,7 +372,7 @@ func TestPersistentDUEExhaustsAttempts(t *testing.T) {
 		inj.Set(1, att, fault.DUE)
 	}
 	a := buffer.F64{1}
-	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj, MaxAttempts: 4})
+	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj})
 	r.Submit("incr", incrTask(1), Inout("A", a))
 	if err := r.Shutdown(); err == nil {
 		t.Fatal("expected exhaustion error")
@@ -488,8 +488,8 @@ func TestAppFITIntegration(t *testing.T) {
 	argElems := 4096
 	taskBytes := int64(argElems) * 8
 	rates := fit.Roadrunner().Scale(10)
-	totalFIT := rates.TotalFIT(taskBytes * n)
-	thr := totalFIT / 10
+	due, sdc := rates.TaskFIT(taskBytes * n)
+	thr := (due + sdc) / 10
 	sel := core.NewAppFIT(thr, n)
 	r := New(Config{Workers: 4, Selector: sel, Rates: rates, RatesSet: true})
 	bufs := make([]buffer.F64, n)

@@ -14,7 +14,7 @@ import (
 // FuzzJobSpec drives the handler's per-spec path — decode a JobSpec, then
 // resolve it (JobSpec.Request) — with arbitrary bytes: it must never
 // panic, every rejection must wrap ErrSpec, and every accepted request
-// must be inside the bounds. The seeds sit on the bounds' edges; the batch
+// must be inside the bounds and, if it injects faults, seeded. The seeds sit on the bounds' edges; the batch
 // bound is held by TestSpecBoundsAreInclusive, since a seed long enough to
 // reach it stalls the fuzzer's minimizer. Accepted specs build their job
 // at Tiny scale whatever they name: the target prices validation and the
@@ -27,7 +27,8 @@ func FuzzJobSpec(f *testing.F) {
 		fmt.Sprintf(`{"bench":"linpack","nodes":%d}`, MaxNodes+1),
 		fmt.Sprintf(`{"bench":"linpack","cores":%d}`, MaxCores+1),
 		`{"bench":"fft","nodes":-1,"cores":-1}`,
-		`{"bench":"fft","rate":0.9999999}`,
+		`{"bench":"fft","rate":0.9999999,"seed":1}`,
+		`{"bench":"fft","rate":0.01}`,
 		`{"bench":"fft","rate":1}`,
 		`{"bench":"fft","rate":-1e-300}`,
 		`{"bench":"nope","scale":"galactic"}`,
@@ -54,6 +55,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if c := req.Config; c.Nodes < 1 || c.Nodes > MaxNodes || c.CoresPerNode < 1 || c.CoresPerNode > MaxCores {
 			t.Fatalf("%s: accepted %d nodes × %d cores", body, c.Nodes, c.CoresPerNode)
+		}
+		if spec.Rate > 0 && spec.Seed == 0 {
+			t.Fatalf("%s: accepted a fault rate without a seed", body)
 		}
 	})
 }

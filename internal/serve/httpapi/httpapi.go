@@ -40,8 +40,9 @@ import (
 
 // JobSpec names one simulation request: a registered benchmark at a
 // workload scale on a machine shape, with optional fault injection and
-// complete replication. The zero fields default like cmd/replicate's
-// flags: nodes 1, cores 16, seed 42.
+// complete replication. An empty scale is tiny; zero nodes and cores
+// default like cmd/replicate's flags, to 1 and 16. A spec with a fault
+// rate must name a nonzero seed.
 type JobSpec struct {
 	Bench string  `json:"bench"`
 	Scale string  `json:"scale,omitempty"`
@@ -71,8 +72,9 @@ const (
 var jobs = bench.Prepared
 
 // ErrSpec is the sentinel wrapped by every JobSpec rejection (unknown
-// scale or bench, out-of-range rate, nodes or cores) and every malformed
-// batch, so servers can map it to a 400 without matching message text.
+// scale or bench, out-of-range rate, nodes or cores, a rate without a
+// seed) and every malformed batch, so servers can map it to a 400 without
+// matching message text.
 var ErrSpec = errors.New("httpapi: invalid job spec")
 
 // ErrStatus is the sentinel wrapped by client-side failures carrying a
@@ -81,16 +83,12 @@ var ErrStatus = errors.New("httpapi: unexpected response status")
 
 // Request builds the sweep request the spec names.
 func (s JobSpec) Request() (sweep.Request, error) {
-	var scale workload.Scale
-	switch s.Scale {
-	case "", "tiny":
-		scale = workload.Tiny
-	case "small":
-		scale = workload.Small
-	case "medium":
-		scale = workload.Medium
-	default:
-		return sweep.Request{}, fmt.Errorf("httpapi: unknown scale %q: %w", s.Scale, ErrSpec)
+	scale := workload.Tiny
+	if s.Scale != "" {
+		var err error
+		if scale, err = workload.ParseScale(s.Scale); err != nil {
+			return sweep.Request{}, fmt.Errorf("httpapi: %w: %w", err, ErrSpec)
+		}
 	}
 	if s.Nodes < 0 || s.Nodes > MaxNodes || s.Cores < 0 || s.Cores > MaxCores {
 		return sweep.Request{}, fmt.Errorf("httpapi: %d nodes × %d cores outside [0, %d] × [0, %d]: %w",
@@ -107,6 +105,9 @@ func (s JobSpec) Request() (sweep.Request, error) {
 	if !(s.Rate >= 0 && s.Rate < 1) {
 		return sweep.Request{}, fmt.Errorf("httpapi: fault rate %g outside [0, 1): %w", s.Rate, ErrSpec)
 	}
+	if s.Rate > 0 && s.Seed == 0 {
+		return sweep.Request{}, fmt.Errorf("httpapi: fault rate %g without a seed: %w", s.Rate, ErrSpec)
+	}
 	w, err := bench.ByName(s.Bench)
 	if err != nil {
 		return sweep.Request{}, fmt.Errorf("%w: %w", ErrSpec, err)
@@ -114,11 +115,7 @@ func (s JobSpec) Request() (sweep.Request, error) {
 	p := jobs(w, scale, nodes)
 	cfg := cluster.Config{Nodes: nodes, CoresPerNode: cores}
 	if s.Rate > 0 {
-		seed := s.Seed
-		if seed == 0 {
-			seed = 42
-		}
-		cfg.Injector = fault.NewFixedRate(seed, s.Rate/2, s.Rate/2)
+		cfg.Injector = fault.NewFixedRate(s.Seed, s.Rate/2, s.Rate/2)
 	}
 	if s.Replicate {
 		cfg.Replicated = p.AllReplicated()

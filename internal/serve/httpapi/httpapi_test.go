@@ -45,7 +45,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 	s, c := newTestServer(t)
 	specs := []JobSpec{
 		{Bench: "stream"},
-		{Bench: "nbody", Scale: "tiny", Nodes: 2, Rate: 1e-3, Replicate: true},
+		{Bench: "nbody", Scale: "tiny", Nodes: 2, Rate: 1e-3, Seed: 42, Replicate: true},
 	}
 	resp, err := c.Submit(context.Background(), "alpha", specs)
 	if err != nil {
@@ -130,6 +130,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown bench", []JobSpec{{Bench: "no-such-bench"}}, "no-such-bench"},
 		{"unknown scale", []JobSpec{{Bench: "stream", Scale: "galactic"}}, "galactic"},
 		{"bad rate", []JobSpec{{Bench: "stream", Rate: 1.5}}, "fault rate"},
+		{"rate without seed", []JobSpec{{Bench: "stream", Rate: 1e-3}}, "without a seed"},
 		{"too many nodes", []JobSpec{{Bench: "stream", Nodes: MaxNodes + 1}}, "nodes"},
 		{"negative nodes", []JobSpec{{Bench: "stream", Nodes: -1}}, "nodes"},
 		{"too many cores", []JobSpec{{Bench: "stream", Cores: MaxCores + 1}}, "cores"},

@@ -221,9 +221,7 @@ func appendConfig(h hash.Hash, b []byte, cfg cluster.Config, keyer fault.Keyer) 
 			}
 		}
 	}
-	b = keyer.AppendKey(b)
-	b = appendI64(b, int64(cfg.MaxAttempts))
-	return b
+	return keyer.AppendKey(b)
 }
 
 func appendNet(b []byte, n simnet.Config) []byte {

@@ -44,7 +44,6 @@ func genJobConfig(r *rand.Rand) (cluster.Job, cluster.Config) {
 		Nodes:        nodes,
 		CoresPerNode: 1 + r.Intn(16),
 		ReplicaCores: r.Intn(4),
-		MaxAttempts:  3 + r.Intn(5),
 		Injector:     fault.NewFixedRate(r.Uint64(), r.Float64()/100, r.Float64()/100),
 	}
 	if r.Intn(2) == 0 {
@@ -201,11 +200,6 @@ func TestRunKeySensitive(t *testing.T) {
 			c := cfg
 			c.Replicated = cluster.All(len(job.Tasks))
 			c.Replicated[0] = false
-			return job, c
-		},
-		"max attempts": func() (cluster.Job, cluster.Config) {
-			c := cfg
-			c.MaxAttempts = cfg.MaxAttempts + 1
 			return job, c
 		},
 	}

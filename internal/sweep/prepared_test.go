@@ -47,7 +47,7 @@ func TestRunKeyGolden(t *testing.T) {
 	}}
 	cfg := cluster.Config{Nodes: 2, CoresPerNode: 4, ReplicaCores: 2,
 		Replicated: []bool{true, false, true}, Injector: fault.NewFixedRate(42, 1e-3, 2e-3)}
-	const want = "ad42f1a62d9f3ed4a8ca2840405fe619a22f4ed3c551b5696c6f993314a1f6e7"
+	const want = "46f51fe2a22ba50fa4b13a4fbe6437d5b9922d63379585f96ed6bed32aa05cad"
 	bare, _ := RunKey(job, cfg)
 	prepared, _ := Prepare(job).Request(cfg).key()
 	if got := hex.EncodeToString(bare[:]); got != want {

@@ -15,6 +15,11 @@ const (
 	GiveUp
 )
 
+// MaxAttempts caps the executions of one replicated task, its primary and
+// replica included: both engines give up after this many without two
+// survivors agreeing.
+const MaxAttempts = 8
+
 // Recovery is Figure 2's recovery rule for one replicated task, the one
 // place adopt, re-execute and give up are decided: rt feeds it real buffer
 // comparisons, cluster its simulated fault outcomes. It sees only what
