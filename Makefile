@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-cmds check-figures check-sweep check-serve check-lint fuzz-smoke loc
+.PHONY: check vet build test race race-comm race-sim bench bench-figures bench-scale bench-build bench-compare benchmark benchmark-pair benchmark-smoke build-cmds check-figures check-sweep check-serve check-lint fuzz-smoke loc
 
-check: vet check-lint race race-comm build-cmds check-figures check-sweep check-serve bench-build benchmark-smoke
+check: vet check-lint race race-comm race-sim build-cmds check-figures check-sweep check-serve bench-build benchmark-smoke
 
 # Figures gate: every deterministic table cmd/experiments prints (the
 # registry entries marked Golden) is regenerated in one sweep batch at the
@@ -90,6 +90,15 @@ check-serve:
 # always re-executes them).
 race-comm:
 	$(GO) test -race -count=1 -run 'TestCommContextIsolation64Ranks|TestMixedShapeSameTagCollectives' ./internal/dist
+
+# The pooled-scratch gate, named so `make check` always runs it under
+# -race: one Layout reused back to back and from two goroutines at once,
+# a prepared job's one Layout shared by concurrent sweep batches, and a
+# batch against the serial runs. Every run takes its scratch from its
+# Layout's pool, so a scratch shared between two runs at once is a race
+# here even where the results agree (-count=1 defeats the test cache).
+race-sim:
+	$(GO) test -race -count=1 -run 'TestLayoutReuseMatchesFreshRun|TestPreparedLayoutSharedAcrossBatches|TestRunBatchMatchesSerial' ./internal/cluster ./internal/sweep
 
 vet:
 	$(GO) vet ./...

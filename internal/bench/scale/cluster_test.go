@@ -28,7 +28,7 @@ func chainJob10k() cluster.Job {
 
 // BenchmarkClusterRun is the simulator core's record: one cluster.Run of a
 // completely replicated job per iteration. allocs/op is the gated unit — a
-// Run allocates its per-run scratch and nothing per task or event, so the
+// Run allocates its layout and scratch and nothing per task or event, so the
 // three rows sit at a few dozen whatever tasks/run says — and vus/op pins
 // the makespan each row computes.
 //
@@ -42,8 +42,10 @@ func chainJob10k() cluster.Job {
 //
 // Each row has a -prepared twin that runs a cluster.Layout built once
 // outside the loop — what the sweep engine does for a Prepared job — so
-// the pair prices laying a job out (time, bytes and allocations) apart
-// from simulating it; vus/op must be equal within a pair.
+// the pair prices laying a job out and building its scratch (time, bytes
+// and allocations) apart from simulating it. A Layout reuses its scratch,
+// so the -prepared rows read 0 allocs/op; vus/op must be equal within a
+// pair.
 func BenchmarkClusterRun(b *testing.B) {
 	build := func(name string, nodes int) cluster.Job {
 		w, err := bench.ByName(name)

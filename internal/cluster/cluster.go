@@ -228,8 +228,8 @@ type sim struct {
 	// lookahead priority a real dataflow runtime gives them. The queued
 	// value is the execution's core-time cost.
 	ready []readyHeap
-	// Spare-core pool (nil when ReplicaCores == 0): replica and recovery
-	// executions queue here instead of competing with primaries.
+	// Spare-core pool, in play when cfg.ReplicaCores > 0: replica and
+	// recovery executions queue here instead of competing with primaries.
 	freeR  []int
 	readyR []readyHeap
 
@@ -239,87 +239,101 @@ type sim struct {
 
 // spare reports whether an attempt runs on the spare-core pool.
 func (s *sim) spare(attempt int) bool {
-	return s.freeR != nil && attempt > 0
+	return s.cfg.ReplicaCores > 0 && attempt > 0
 }
 
 // Run simulates the job on the configured machine and returns the result.
 // An invalid DAG returns an error wrapping ErrJob. Fault exhaustion marks
 // the task done after vote.MaxAttempts attempts (counted in Reexecutions),
 // where the runtime's bounded recovery reports a failed vote. Run lays the
-// job out for the run; a caller simulating one job under many configs lays
-// it out once (NewLayout) and runs the Layout.
+// job out and builds the run's scratch afresh; a caller simulating one job
+// under many configs lays it out once (NewLayout) and runs the Layout,
+// which reuses its scratch.
 func Run(job Job, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
 	l, err := NewLayout(job, cfg.Nodes)
 	if err != nil {
 		return Result{}, err
 	}
-	return l.run(cfg)
+	return l.newSim().run(cfg)
 }
 
-// run simulates l's job under cfg, normalized for l's node count.
-func (l *Layout) run(cfg Config) (Result, error) {
-	job := l.job
+// newSim builds a run scratch for l's job: every mutable slice is sized
+// here from the job and the machine, so the runs it serves allocate
+// nothing per task or per event, and a reused scratch nothing at all.
+func (l *Layout) newSim() *sim {
+	nodes := len(l.perNode)
+	s := &sim{
+		job:    l.job,
+		eng:    simtime.New(),
+		states: make([]taskState, len(l.job.Tasks)),
+		succs:  l,
+		free:   make([]int, nodes),
+		ready:  make([]readyHeap, nodes),
+		freeR:  make([]int, nodes),
+		readyR: make([]readyHeap, nodes),
+	}
+	s.eng.Handle(s.handle)
+	s.net = simnet.New(s.eng, simnet.Marenostrum())
+	return s
+}
+
+// run resets s for cfg, normalized for s's layout, and simulates it. The
+// reset is total: whatever state an earlier run left, s starts as newSim
+// built it. Before returning, run drops every reference to cfg, so a
+// pooled scratch keeps nothing of its caller's alive.
+func (s *sim) run(cfg Config) (Result, error) {
 	if cfg.Topo != nil && cfg.Topo.Ranks() < cfg.Nodes {
 		return Result{}, fmt.Errorf("cluster: %d-rank topology under %d nodes: %w",
 			cfg.Topo.Ranks(), cfg.Nodes, simnet.ErrTopology)
 	}
-	// All mutable state is per-run scratch, sized once from the job and the
-	// machine; nothing below allocates per task or per event.
-	s := &sim{
-		job:       job,
-		cfg:       cfg,
-		eng:       simtime.New(),
-		states:    make([]taskState, len(job.Tasks)),
-		succs:     l,
-		free:      make([]int, cfg.Nodes),
-		ready:     make([]readyHeap, cfg.Nodes),
-		remaining: len(job.Tasks),
+	s.reset(cfg)
+	for i := range s.job.Tasks {
+		if s.states[i].depsLeft = int32(len(s.job.Tasks[i].Deps)); s.states[i].depsLeft == 0 {
+			s.launch(i)
+		}
 	}
-	s.eng.Handle(s.handle)
+	s.eng.Run()
+	s.res.Messages = s.net.Messages()
+	s.res.BytesSent = s.net.BytesSent()
+	s.res.WireBytes = s.net.WireBytes()
+	s.res.Makespan = s.eng.Now()
+	s.cfg = Config{}
+	s.net.Reset(nil)
+	if s.remaining != 0 {
+		return Result{}, fmt.Errorf("cluster: %d tasks never completed (DAG cycle or scheduler bug): %w", s.remaining, ErrStalled)
+	}
+	return s.res, nil
+}
+
+// reset readies s to simulate cfg from time 0.
+func (s *sim) reset(cfg Config) {
+	s.cfg = cfg
+	s.eng.Reset()
+	s.net.Reset(cfg.Topo)
+	clear(s.states)
+	s.res = Result{}
+	s.remaining = len(s.job.Tasks)
 	// At most one event per busy core is pending, plus compares and
 	// deliveries in flight; the queue grows past this only on the latter.
-	s.eng.Grow(min(len(job.Tasks), cfg.Nodes*(cfg.CoresPerNode+cfg.ReplicaCores)))
-	if cfg.Topo != nil {
-		s.net = simnet.NewWithTopology(s.eng, cfg.Topo)
-	} else {
-		s.net = simnet.New(s.eng, simnet.Marenostrum())
-	}
-	if cfg.ReplicaCores > 0 {
-		s.freeR = make([]int, cfg.Nodes)
-		s.readyR = make([]readyHeap, cfg.Nodes)
-	}
+	s.eng.Grow(min(len(s.job.Tasks), cfg.Nodes*(cfg.CoresPerNode+cfg.ReplicaCores)))
 	// A task has at most two executions in flight (primary and replica, or
 	// one re-execution), so a node's tasks bound its queues. A queue rarely
 	// holds more than a few executions per core, though, so reserve that
 	// and let a wide DAG's burst grow the slice.
 	shared := 1
-	if s.freeR == nil && cfg.Replicated != nil {
+	if cfg.ReplicaCores == 0 && cfg.Replicated != nil {
 		shared = 2
 	}
 	reserve := 4 * (cfg.CoresPerNode + cfg.ReplicaCores)
 	for n, tasks := range s.succs.perNode {
-		s.free[n] = cfg.CoresPerNode
+		s.free[n], s.freeR[n] = cfg.CoresPerNode, cfg.ReplicaCores
+		s.ready[n], s.readyR[n] = s.ready[n][:0], s.readyR[n][:0]
 		s.ready[n].grow(min(shared*int(tasks), reserve))
-		if s.freeR != nil {
-			s.freeR[n] = cfg.ReplicaCores
+		if cfg.ReplicaCores > 0 {
 			s.readyR[n].grow(min(int(tasks), reserve))
 		}
 	}
-	for i := range job.Tasks {
-		if s.states[i].depsLeft = int32(len(job.Tasks[i].Deps)); s.states[i].depsLeft == 0 {
-			s.launch(i)
-		}
-	}
-	s.eng.Run()
-	if s.remaining != 0 {
-		return Result{}, fmt.Errorf("cluster: %d tasks never completed (DAG cycle or scheduler bug): %w", s.remaining, ErrStalled)
-	}
-	s.res.Messages = s.net.Messages()
-	s.res.BytesSent = s.net.BytesSent()
-	s.res.WireBytes = s.net.WireBytes()
-	s.res.Makespan = s.eng.Now()
-	return s.res, nil
 }
 
 func (s *sim) handle(k simtime.Kind, a, b int32) {
@@ -389,7 +403,7 @@ func (s *sim) trySchedule(node int) {
 		s.free[node]--
 		s.start(&s.ready[node])
 	}
-	if s.freeR != nil {
+	if s.cfg.ReplicaCores > 0 {
 		for s.freeR[node] > 0 && len(s.readyR[node]) > 0 {
 			s.freeR[node]--
 			s.start(&s.readyR[node])

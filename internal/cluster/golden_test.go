@@ -29,7 +29,41 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/run_golden.txt f
 // and is finer than any makespan or counter gate: a change to event tie
 // order, scheduling priority or link pricing moves some line of it.
 // Regenerate with -update only for a deliberate model change.
+//
+// A second pass runs the same configs on one Layout per job, so every
+// Layout simulates all its configs back to back on reused scratch, and
+// diffs them against the same file.
 func TestRunGolden(t *testing.T) {
+	got := runGolden(t, func(job cluster.Job, _ int) func(cluster.Config) (cluster.Result, error) {
+		return func(cfg cluster.Config) (cluster.Result, error) { return cluster.Run(job, cfg) }
+	})
+	path := filepath.Join("testdata", "run_golden.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffGolden(t, "cluster.Run", got, want)
+	diffGolden(t, "one Layout per job", runGolden(t, func(job cluster.Job, nodes int) func(cluster.Config) (cluster.Result, error) {
+		l, err := cluster.NewLayout(job, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.Run
+	}), want)
+}
+
+// runGolden prints the golden's configs as simulated by the runner that
+// prepare returns for each job.
+func runGolden(t *testing.T, prepare func(job cluster.Job, nodes int) func(cluster.Config) (cluster.Result, error)) []byte {
 	var got bytes.Buffer
 	cm := workload.DefaultCostModel()
 	for _, w := range bench.All() {
@@ -40,6 +74,7 @@ func TestRunGolden(t *testing.T) {
 		for _, scale := range []workload.Scale{workload.Tiny, workload.Small} {
 			for _, nodes := range nodeCounts {
 				job := w.BuildJob(scale, nodes, cm)
+				run := prepare(job, nodes)
 				topos := []*simnet.Topology{nil}
 				if nodes > 1 {
 					placed, err := simnet.MarenostrumTopology(nodes, 4)
@@ -71,7 +106,7 @@ func TestRunGolden(t *testing.T) {
 									if rate > 0 {
 										cfg.Injector = fault.NewFixedRate(7, rate, rate)
 									}
-									res, err := cluster.Run(job, cfg)
+									res, err := run(cfg)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -85,27 +120,19 @@ func TestRunGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "run_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	return got.Bytes()
+}
+
+// diffGolden fails at the first line where got differs from want.
+func diffGolden(t *testing.T, pass string, got, want []byte) {
+	t.Helper()
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("result drifted at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s: result drifted at line %d:\n got  %s\n want %s", pass, i+1, gl[i], wl[i])
 		}
 	}
 	if len(gl) != len(wl) {
-		t.Fatalf("golden drifted: %d lines, golden has %d", len(gl), len(wl))
+		t.Fatalf("%s: golden drifted: %d lines, golden has %d", pass, len(gl), len(wl))
 	}
 }

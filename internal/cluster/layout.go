@@ -1,5 +1,7 @@
 package cluster
 
+import "sync"
+
 // layout is a job's successor adjacency laid out flat, once: the edges
 // grouped by producer, and each producer's group ordered as the simulator
 // consumes it when the producer finishes — first the edges to consumers on
@@ -9,9 +11,12 @@ package cluster
 // equal-destination remote edges is a segment: the unit of delivery (a
 // producer's data travels to each consuming node once).
 //
-// A Layout depends on the job and the machine size alone, never writes to
-// the job, and is never written after NewLayout: one Layout is shared
-// read-only by any number of concurrent Runs.
+// A Layout depends on the job and the machine size alone and never writes
+// to the job; one Layout is shared by any number of concurrent Runs. Its
+// one mutable part is a sync.Pool of run scratch (task states, core counts,
+// ready queues, an event engine and a network, each sized for the job), so
+// a warmed Run allocates nothing. A run that returns puts its scratch back;
+// one that panics drops it.
 type Layout struct {
 	job   Job
 	edges []succEdge
@@ -20,6 +25,7 @@ type Layout struct {
 	start, remote []int32
 	// perNode[n] counts the tasks pinned to node n.
 	perNode []int32
+	scratch sync.Pool // of *sim, built by newSim
 }
 
 type succEdge struct {
@@ -46,7 +52,13 @@ func (l *Layout) Run(cfg Config) (Result, error) {
 	if cfg.Nodes != len(l.perNode) {
 		return Run(l.job, cfg)
 	}
-	return l.run(cfg)
+	s, _ := l.scratch.Get().(*sim)
+	if s == nil {
+		s = l.newSim()
+	}
+	res, err := s.run(cfg)
+	l.scratch.Put(s)
+	return res, err
 }
 
 // newLayout builds job's layout for a nodes-node machine; job must have

@@ -61,7 +61,7 @@ func TestSelfSendContract(t *testing.T) {
 		}},
 		{"network/topo", func(pre, bytes int64) (accounts, simtime.Time) {
 			eng := simtime.New()
-			n := NewWithTopology(eng, topoOf())
+			n := placedNetwork(eng, topoOf())
 			n.Send(0, 2, pre, func() {})
 			var at simtime.Time = -1
 			n.Send(1, 1, bytes, func() { at = eng.Now() })

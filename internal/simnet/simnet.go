@@ -51,9 +51,10 @@ type Network struct {
 }
 
 // New returns a flat Network using eng's clock: every (src, dst) pair is
-// its own link priced by cfg. An invalid cfg panics with a wrapped
-// ErrConfig — like scheduling an event in the past, it is always a
-// programmer error (validate with Config.Validate at the boundary).
+// its own link priced by cfg; Reset places it on a Topology. An invalid cfg
+// panics with a wrapped ErrConfig — like scheduling an event in the past,
+// it is always a programmer error (validate with Config.Validate at the
+// boundary).
 func New(eng *simtime.Engine, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -61,14 +62,17 @@ func New(eng *simtime.Engine, cfg Config) *Network {
 	return &Network{eng: eng, links: newLinks(nil, cfg)}
 }
 
-// NewWithTopology returns a placement-aware Network: transfers are priced
-// and serialized by topo (see Network). topo must be non-nil and is assumed
-// well-formed (the Topology constructors validate).
-func NewWithTopology(eng *simtime.Engine, topo *Topology) *Network {
-	if topo == nil {
-		panic("simnet: NewWithTopology with nil topology")
+// Reset idles n for a new run placed on topo (well-formed: the Topology
+// constructors validate), or on New's flat fabric when topo is nil: every
+// link free, every counter zero, the link tables' memory kept.
+func (n *Network) Reset(topo *Topology) {
+	if topo != nil && n.wire == nil {
+		n.wire = make(map[[2]int]simtime.Time)
 	}
-	return &Network{eng: eng, links: newLinks(topo, Config{})}
+	clear(n.busy)
+	clear(n.wire)
+	n.topo = topo
+	n.messages, n.bytesSent, n.wireBytes = 0, 0, 0
 }
 
 // Send schedules the delivery of a message of bytes from src to dst and

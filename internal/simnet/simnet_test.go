@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 
 	"appfit/internal/simtime"
@@ -110,5 +111,47 @@ func TestTransferIsSendWithoutTheEvent(t *testing.T) {
 	}
 	if n.Messages() != 3 || n.BytesSent() != 2500 || n.WireBytes() != 2000 {
 		t.Fatalf("accounting: %d messages, %d bytes, %d on the wire", n.Messages(), n.BytesSent(), n.WireBytes())
+	}
+}
+
+// TestResetMatchesNew: a Network reset after traffic — busy links, counted
+// messages — prices and counts a fresh run as a new Network does, on its
+// flat fabric and on a placement it switches to and back from.
+func TestResetMatchesNew(t *testing.T) {
+	topo, err := MarenostrumTopology(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		ends       []simtime.Time
+		msgs       uint64
+		sent, wire int64
+	}
+	traffic := func(eng *simtime.Engine, n *Network) run {
+		var r run
+		for _, p := range [][3]int64{{0, 1, 1000}, {0, 2, 5000}, {1, 3, 5000}, {0, 1, 10}, {2, 2, 7}} {
+			r.ends = append(r.ends, n.Transfer(int(p[0]), int(p[1]), p[2]))
+		}
+		eng.Run()
+		r.msgs, r.sent, r.wire = n.Messages(), n.BytesSent(), n.WireBytes()
+		return r
+	}
+	fresh := func(topo *Topology) run {
+		eng := simtime.New()
+		n := New(eng, Marenostrum())
+		if topo != nil {
+			n = placedNetwork(eng, topo)
+		}
+		return traffic(eng, n)
+	}
+	eng := simtime.New()
+	n := New(eng, Marenostrum())
+	traffic(eng, n)
+	for _, tp := range []*Topology{topo, nil, topo} {
+		eng.Reset()
+		n.Reset(tp)
+		if got, want := traffic(eng, n), fresh(tp); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reset to %v: %+v, a new Network %+v", tp, got, want)
+		}
 	}
 }

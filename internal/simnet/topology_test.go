@@ -140,6 +140,13 @@ func TestNewTopologyCopiesPlacement(t *testing.T) {
 	}
 }
 
+// placedNetwork returns a Network on eng's clock placed on topo.
+func placedNetwork(eng *simtime.Engine, topo *Topology) *Network {
+	n := New(eng, Marenostrum())
+	n.Reset(topo)
+	return n
+}
+
 func TestNetworkTopologyPricing(t *testing.T) {
 	intra := Config{LatencySec: 0, BandwidthBytesPerSec: 1e9}
 	inter := Config{LatencySec: 0, BandwidthBytesPerSec: 1e8} // 10× slower
@@ -148,7 +155,7 @@ func TestNetworkTopologyPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := simtime.New()
-	n := NewWithTopology(eng, topo)
+	n := placedNetwork(eng, topo)
 	var dIntra, dInter simtime.Time
 	n.Send(0, 1, 1000, func() { dIntra = eng.Now() }) // same node
 	n.Send(0, 2, 1000, func() { dInter = eng.Now() }) // crosses the wire
@@ -173,7 +180,7 @@ func TestNetworkWireSerializesPerNodePair(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := simtime.New()
-	n := NewWithTopology(eng, topo)
+	n := placedNetwork(eng, topo)
 	one := inter.TransferTime(1000)
 	var d1, d2 simtime.Time
 	n.Send(0, 2, 1000, func() { d1 = eng.Now() })
@@ -184,7 +191,7 @@ func TestNetworkWireSerializesPerNodePair(t *testing.T) {
 	}
 
 	eng2 := simtime.New()
-	n2 := NewWithTopology(eng2, topo)
+	n2 := placedNetwork(eng2, topo)
 	var p1, p2 simtime.Time
 	n2.Send(0, 1, 1000, func() { p1 = eng2.Now() })
 	n2.Send(1, 0, 1000, func() { p2 = eng2.Now() }) // distinct rank pairs, same node
@@ -213,7 +220,7 @@ func TestFlatTopologyNetworkMatchesFlatNetwork(t *testing.T) {
 	}
 	engA, engB := simtime.New(), simtime.New()
 	a := run(New(engA, cfg), engA)
-	b := run(NewWithTopology(engB, topo), engB)
+	b := run(placedNetwork(engB, topo), engB)
 	if len(a) != len(b) {
 		t.Fatalf("delivery counts differ: %v vs %v", a, b)
 	}

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,47 @@ func TestClosureSlotsReusedAndReleased(t *testing.T) {
 	nop := func() {}
 	if n := testing.AllocsPerRun(100, func() { e.After(1, nop); e.Step() }); n != 0 {
 		t.Fatalf("steady-state After+Step allocates %v times", n)
+	}
+}
+
+// TestResetMatchesNew: an engine reset mid-run — typed events and closures
+// pending, the clock past 0 — fires a fresh schedule at the times and in
+// the order a new engine does, holds no closure, and reallocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	drive := func(e *Engine) (fired []Time) {
+		e.Handle(func(k Kind, a, b int32) { fired = append(fired, e.Now()+Time(k)) })
+		for i := int32(0); i < 40; i++ {
+			e.Post(Time(i%7)*100, Kind(1+i%3), i, 0)
+			e.At(Time(i%5)*90, func() { fired = append(fired, -e.Now()) })
+		}
+		e.Run()
+		return fired
+	}
+	want := drive(New())
+	e := New()
+	e.Handle(func(Kind, int32, int32) {})
+	for i := 0; i < 40; i++ {
+		e.Post(Time(1000+i), 1, 0, 0)
+		e.At(Time(2000+i), func() {})
+	}
+	for e.Now() < 1020 {
+		e.Step()
+	}
+	e.Reset()
+	held := slices.ContainsFunc(e.fns[:cap(e.fns)], func(fn func()) bool { return fn != nil })
+	if e.Now() != 0 || e.queue.Len() != 0 || len(e.fns) != 0 || held {
+		t.Fatalf("after Reset: now %d, %d pending, %d closure slots, a closure held: %t", e.Now(), e.queue.Len(), len(e.fns), held)
+	}
+	if got := drive(e); !slices.Equal(got, want) {
+		t.Fatalf("reset engine fired %v, a new one %v", got, want)
+	}
+	e.Handle(func(Kind, int32, int32) {})
+	if n := testing.AllocsPerRun(10, func() {
+		e.Reset()
+		e.Post(5, 1, 0, 0)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("Reset and a rerun allocate %v times", n)
 	}
 }
 

@@ -68,8 +68,9 @@ type Prepared struct {
 	digest [sha256.Size]byte
 	all    []bool
 	// lay is the job's cluster.Layout, built by the first run (for that
-	// run's node count) and then shared read-only by every run; nil if the
-	// job failed validation for that node count.
+	// run's node count) and then shared by every run, each on scratch from
+	// the Layout's pool; nil if the job failed validation for that node
+	// count.
 	layOnce sync.Once
 	lay     *cluster.Layout
 }
