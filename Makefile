@@ -14,16 +14,12 @@ check: vet check-lint race race-comm race-sim build-cmds check-figures check-swe
 # byte for byte, and EXPERIMENTS.md's "Paper figures" table must equal the
 # one generated from the registry. After a deliberate change, rewrite both
 # with `go test ./internal/experiments -run 'TestFiguresGolden|TestExperimentsTableFromRegistry' -update`.
-# Two tables also carry acceptance criteria, which fail the gate with
-# experiments.ErrCriteria before any diff. The placement table requires the
-# optimizer to recover at least the block placement's makespan from a
-# random start on the 64-rank × 16/node halo profile. The kernels table
-# requires three things. Rabenseifner must strictly beat the tree allreduce
-# in virtual time and wire volume on large vectors. The distributed cholesky
-# must factorize bitwise-equal to the serial reference under injected
-# faults, with hierarchical broadcasts strictly cutting inter-node wire
-# volume. And the placement optimizer must strictly beat the seeded random
-# start on the recorded cholesky traffic.
+# The kernels table also carries acceptance criteria, which fail the gate
+# with experiments.ErrCriteria before any diff. Rabenseifner must strictly
+# beat the tree allreduce in virtual time and wire volume on large vectors.
+# And the distributed cholesky must factorize bitwise-equal to the serial
+# reference under injected faults, with hierarchical broadcasts strictly
+# cutting inter-node wire volume.
 check-figures:
 	$(GO) test -count=1 -run 'TestFiguresGolden|TestExperimentsTableFromRegistry' ./internal/experiments
 

@@ -16,9 +16,9 @@
 // Gated units and their thresholds come from -gates, default
 // "ns/op=25,vus/op=1,p99/op=25,+req/s=25,allocs/op=10,B/op=15": wall time absorbs
 // scheduler noise with a wide margin, while vus/op — the Sim transport's
-// virtual link-occupancy makespan, the headline metric of the topology and
-// placement work — is deterministic for a fixed algorithm, so even a
-// small regression there is a real routing change, not noise. allocs/op
+// virtual link-occupancy makespan, the headline metric of the topology
+// work — is deterministic for a fixed algorithm, so even a small
+// regression there is a real routing change, not noise. allocs/op
 // repeats to within a few percent on a fixed code path, so 10% is a real
 // change too (a cache hit that starts touching its task list again shows
 // here first). B/op is as deterministic where buffers are pooled or sized

@@ -6,7 +6,7 @@
 //
 // Names: table1, fig1–fig6, fig4rt (Figure 4 measured on the real runtime),
 // ablation, sweep, sparecores and reliability (on -bench), and the
-// distributed topology, placement and kernels tables; `all` is every one.
+// distributed topology and kernels tables; `all` is every one.
 //
 // Flags: -scale tiny|small|medium, -workers N, -repeats N, -bench name, plus
 // the sweep engine's -parallel (simulation workers) and -cache

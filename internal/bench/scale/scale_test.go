@@ -18,11 +18,9 @@ import (
 	"appfit/internal/buffer"
 	"appfit/internal/deps"
 	"appfit/internal/dist"
-	"appfit/internal/place"
 	"appfit/internal/rt"
 	"appfit/internal/sched"
 	"appfit/internal/simnet"
-	"appfit/internal/xrand"
 )
 
 // ---- deps: registration and completion ----
@@ -580,109 +578,5 @@ func BenchmarkWorldScale(b *testing.B) {
 				b.ReportMetric(float64(msgs), "msgs/world")
 			})
 		}
-	}
-}
-
-// ---- place: optimizer cost and optimized-vs-block makespans ----
-
-// placementProfile builds the deterministic synthetic traffic matrix the
-// placement benchmarks search over: the pair halo exchange (partner =
-// rank xor 1, 8 rounds of 32 KiB) or the nbody ring (63 successor blocks
-// of 2 KiB), both at 64 ranks — the experiment table's workloads without
-// the cost of spinning up a World per iteration.
-func placementProfile(kind string, ranks int) *place.Profile {
-	p := place.NewProfile(ranks)
-	switch kind {
-	case "halo":
-		for r := 0; r < ranks; r++ {
-			p.AddN(r, r^1, 32768, 8)
-		}
-	case "ring":
-		for r := 0; r < ranks; r++ {
-			p.AddN(r, (r+1)%ranks, 2048, uint64(ranks-1))
-		}
-	}
-	return p
-}
-
-// scatterAssign is the seeded random start: block slots shuffled, so
-// occupancy stays exactly perNode and the search is placement-only.
-func scatterAssign(ranks, perNode int, seed uint64) []int {
-	nodeOf := make([]int, ranks)
-	for r := range nodeOf {
-		nodeOf[r] = r / perNode
-	}
-	xrand.New(seed).Shuffle(ranks, func(i, j int) {
-		nodeOf[i], nodeOf[j] = nodeOf[j], nodeOf[i]
-	})
-	return nodeOf
-}
-
-func scatterTopology(b *testing.B, ranks, perNode int, seed uint64) *simnet.Topology {
-	topo, err := simnet.NewTopology(scatterAssign(ranks, perNode, seed), simnet.MemoryBus(), simnet.Marenostrum())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return topo
-}
-
-// BenchmarkPlacementOptimize prices the optimizer itself: one op is a
-// full search (greedy seed + 256-eval local search, incrementally priced)
-// from a seeded random placement at the paper's 64 ranks, 16 per node.
-// ns/op is the optimizer's cost — the number that says whether
-// auto-placement is cheap enough to run before every job — and vus/op is
-// the virtual makespan of the placement it found, guarded against the
-// committed baseline so the search can never silently get worse;
-// blockvus/op is the block placement's makespan on the same profile for
-// reference.
-func BenchmarkPlacementOptimize(b *testing.B) {
-	const ranks, perNode = 64, 16
-	for _, kind := range []string{"halo", "ring"} {
-		b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
-			b.ReportAllocs()
-			prof := placementProfile(kind, ranks)
-			start := scatterTopology(b, ranks, perNode, 1)
-			block, err := simnet.BlockTopology(ranks, perNode, simnet.MemoryBus(), simnet.Marenostrum())
-			if err != nil {
-				b.Fatal(err)
-			}
-			blockEval, err := place.Evaluate(prof, block)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var got place.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err = place.Optimize(prof, start, place.Options{PerNode: perNode, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if got.Eval.Makespan > got.Input.Makespan {
-				b.Fatalf("optimized %v worse than input %v", got.Eval.Makespan, got.Input.Makespan)
-			}
-			b.ReportMetric(got.Eval.Makespan.Seconds()*1e6, "vus/op")
-			b.ReportMetric(blockEval.Makespan.Seconds()*1e6, "blockvus/op")
-		})
-	}
-}
-
-// BenchmarkPlacementEvaluate is one full pricing of a profile — what each
-// of a search's baseline candidates costs.
-func BenchmarkPlacementEvaluate(b *testing.B) {
-	const ranks, perNode = 64, 16
-	for _, kind := range []string{"halo", "ring"} {
-		b.Run(fmt.Sprintf("%s/ranks=%d", kind, ranks), func(b *testing.B) {
-			b.ReportAllocs()
-			prof := placementProfile(kind, ranks)
-			topo := scatterTopology(b, ranks, perNode, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := place.Evaluate(prof, topo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

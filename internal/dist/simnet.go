@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"appfit/internal/buffer"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/simtime"
 )
@@ -43,9 +42,6 @@ type Sim struct {
 	mu sync.Mutex
 	// meter prices every message on the virtual fabric. // guarded by mu
 	meter *simnet.Meter
-	// prof is the attached placement profile, nil when not recording.
-	// // guarded by mu
-	prof *place.Profile
 }
 
 // NewSimTopology returns a placement-aware simnet transport: messages are
@@ -66,28 +62,12 @@ func (s *Sim) Topology() *simnet.Topology {
 	return s.meter.Topology()
 }
 
-// Record attaches a placement profile: every subsequent message is also
-// recorded as a (world Src, world Dst, bytes) sample into p, the traffic
-// matrix internal/place optimizes rank→node assignments against. The
-// profile must cover at least the World's ranks (place.Profile.Add panics
-// on out-of-range ids, like the meter would index out of range). A nil p
-// detaches. Recording shares the transport's lock, so it is safe to attach
-// mid-run; the captured profile is whatever traffic flowed while attached.
-func (s *Sim) Record(p *place.Profile) {
-	s.mu.Lock()
-	s.prof = p
-	s.mu.Unlock()
-}
-
 // Send implements Transport: the payload is charged its transfer time on
-// the physical (Src, Dst) link in virtual time (and recorded into the
-// attached profile, if any), then delivered to the matcher.
+// the physical (Src, Dst) link in virtual time, then delivered to the
+// matcher.
 func (s *Sim) Send(m Match, payload buffer.Buffer) {
 	s.mu.Lock()
 	s.meter.Charge(m.Src, m.Dst, payload.SizeBytes())
-	if s.prof != nil {
-		s.prof.Add(m.Src, m.Dst, payload.SizeBytes())
-	}
 	s.mu.Unlock()
 	s.direct.Send(m, payload)
 }

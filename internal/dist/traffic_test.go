@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
 
 	"appfit/internal/buffer"
-	"appfit/internal/place"
 	"appfit/internal/simnet"
 )
 
@@ -102,6 +104,50 @@ var trafficCases = []trafficCase{
 	}},
 }
 
+// flowKey is one (world src, world dst, payload bytes) message shape.
+type flowKey struct {
+	src, dst int
+	bytes    int64
+}
+
+// recorder is a Sim that also counts every message it charges by shape.
+type recorder struct {
+	*Sim
+	mu     sync.Mutex
+	counts map[flowKey]uint64 // guarded by mu
+}
+
+func (r *recorder) Send(m Match, payload buffer.Buffer) {
+	r.mu.Lock()
+	r.counts[flowKey{m.Src, m.Dst, payload.SizeBytes()}]++
+	r.mu.Unlock()
+	r.Sim.Send(m, payload)
+}
+
+// writeMatrix prints one line per recorded shape, ordered by (src, dst,
+// bytes), with its count.
+func (r *recorder) writeMatrix(w io.Writer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keys := make([]flowKey, 0, len(r.counts))
+	for k := range r.counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		if a.dst != b.dst {
+			return a.dst < b.dst
+		}
+		return a.bytes < b.bytes
+	})
+	for _, k := range keys {
+		fmt.Fprintf(w, "\t%d>%d %dB x%d\n", k.src, k.dst, k.bytes, r.counts[k])
+	}
+}
+
 // TestTrafficMatrixGolden pins what every collective × algorithm puts on
 // the fabric — the multiset of (world src, world dst, payload bytes)
 // messages, which is all a collective's virtual cost depends on (the
@@ -119,9 +165,7 @@ func TestTrafficMatrixGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range trafficCases {
-			sim := NewSimTopology(topo)
-			prof := place.NewProfile(sh.ranks)
-			sim.Record(prof)
+			sim := &recorder{Sim: NewSimTopology(topo), counts: map[flowKey]uint64{}}
 			w := NewWorld(Config{Ranks: sh.ranks, Transport: sim, Topology: topo})
 			tc.run(w.Comm())
 			if err := w.Shutdown(); err != nil {
@@ -130,9 +174,7 @@ func TestTrafficMatrixGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s ranks=%d per_node=%d messages=%d bytes=%d wire_bytes=%d virtual_ns=%d tasks=%d\n",
 				tc.name, sh.ranks, sh.perNode, w.MessagesSent(), sim.BytesSent(), sim.WireBytes(),
 				int64(sim.Now()), w.Stats().Completed)
-			for _, e := range prof.Entries() {
-				fmt.Fprintf(&got, "\t%d>%d %dB x%d\n", e.Src, e.Dst, e.Bytes, e.Count)
-			}
+			sim.writeMatrix(&got)
 		}
 	}
 	path := filepath.Join("testdata", "traffic_golden.txt")

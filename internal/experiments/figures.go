@@ -92,9 +92,7 @@ var Registry = []Figure{
 		}},
 	{Name: "topology", Title: "Topology: flat vs hierarchical collectives (64 ranks, 16/node)", Golden: true,
 		reduce: func(Params, []sweep.Response) (string, error) { return dropRows(TopologyTable(64, 16, 4096)) }},
-	{Name: "placement", Title: "Placement search: random vs block vs optimized (64 ranks, 16/node)", Golden: true,
-		reduce: func(Params, []sweep.Response) (string, error) { return dropRows(PlacementTable(64, 16, 4096, 1)) }},
-	{Name: "kernels", Title: "Distributed kernels: tree vs Rabenseifner, cholesky flat vs hier, placement (64 ranks, 16/node)", Golden: true,
+	{Name: "kernels", Title: "Distributed kernels: tree vs Rabenseifner, cholesky flat vs hier (64 ranks, 16/node)", Golden: true,
 		reduce: func(Params, []sweep.Response) (string, error) { return KernelsTable(64, 16, 32768, 1) }},
 }
 

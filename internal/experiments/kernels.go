@@ -8,13 +8,12 @@ import (
 	"appfit/internal/core"
 	"appfit/internal/dist"
 	"appfit/internal/fault"
-	"appfit/internal/place"
 	"appfit/internal/rt"
 	"appfit/internal/simnet"
 	"appfit/internal/stats"
 )
 
-// KernelsTable is the distributed-kernel experiment, three sections in one
+// KernelsTable is the distributed-kernel experiment, two sections in one
 // table that `make check-figures` gates, in virtual µs (the Sim
 // transport's link-occupancy makespan) and wire MB (the payload volume the
 // meter charged; for placed fabrics, the volume crossing node boundaries):
@@ -28,10 +27,9 @@ import (
 //     kernels replicated under injected SDC and DUE. Gates: both variants
 //     factorize bitwise-equal to the serial reference, and the hierarchical
 //     broadcasts strictly cut inter-node wire volume.
-//  3. Placement search over the recorded cholesky traffic: the optimizer,
-//     started from a seeded random assignment, must strictly beat that
-//     random placement's makespan. All three sections are deterministic —
-//     virtual clocks and seeded searches, no wall-clock anywhere.
+//
+// Both sections are deterministic — virtual clocks and seeded faults, no
+// wall-clock anywhere.
 func KernelsTable(ranks, perNode, vecLen int, seed uint64) (string, error) {
 	t := stats.NewTable("experiment", "variant", "ranks", "virtual µs", "wire MB")
 	add := func(experiment, variant string, us, wire float64) { t.AddRow(experiment, variant, ranks, us, wire) }
@@ -76,15 +74,9 @@ func KernelsTable(ranks, perNode, vecLen int, seed uint64) (string, error) {
 	}
 
 	// Section 2: distributed cholesky flat vs hierarchical on the placed
-	// fabric, with replicated tile kernels under injected faults. The flat
-	// run also records the traffic profile section 3 optimizes.
-	prof := place.NewProfile(ranks)
+	// fabric, with replicated tile kernels under injected faults.
 	var cholUS, cholWire [2]float64
 	for v, placed := range []bool{false, true} {
-		sim := dist.NewSimTopology(topo)
-		if !placed {
-			sim.Record(prof)
-		}
 		cfg := dist.Config{
 			Ranks: ranks,
 			RT: func(rank int) rt.Config {
@@ -99,7 +91,7 @@ func KernelsTable(ranks, perNode, vecLen int, seed uint64) (string, error) {
 			cfg.Topology = topo
 		}
 		var d *chol.Dist
-		cholUS[v], cholWire[v], err = onFabric(sim, cfg, func(c *dist.Comm) (err error) {
+		cholUS[v], cholWire[v], err = onFabric(dist.NewSimTopology(topo), cfg, func(c *dist.Comm) (err error) {
 			d, err = chol.BuildDist(c, chol.DistConfig{Nb: 16, B: 16})
 			return err
 		})
@@ -117,18 +109,5 @@ func KernelsTable(ranks, perNode, vecLen int, seed uint64) (string, error) {
 			cholWire[1], cholWire[0], ErrCriteria)
 	}
 
-	// Section 3: placement search over the recorded cholesky traffic, from
-	// a seeded random start.
-	random, res, err := searchFromRandom(prof, ranks, perNode, seed)
-	if err != nil {
-		return "", err
-	}
-	add("cholesky placement", "random", random.Makespan.Seconds()*1e6, float64(random.WireBytes)/1e6)
-	add("cholesky placement", "optimized", res.Eval.Makespan.Seconds()*1e6, float64(res.Eval.WireBytes)/1e6)
-	if res.Eval.Makespan >= random.Makespan {
-		return "", fmt.Errorf("experiments: kernels: optimized placement %.1f µs must strictly beat the random start %.1f µs: %w",
-			res.Eval.Makespan.Seconds()*1e6, random.Makespan.Seconds()*1e6, ErrCriteria)
-	}
-
-	return t.String() + "\nvirtual clocks and seeded searches only: every number is deterministic\n", nil
+	return t.String() + "\nvirtual clocks only: every number is deterministic\n", nil
 }

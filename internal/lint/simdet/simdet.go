@@ -36,7 +36,6 @@ var Analyzer = &analysis.Analyzer{
 var DefaultPackages = []string{
 	"appfit/internal/simnet",
 	"appfit/internal/dist",
-	"appfit/internal/place",
 	"appfit/internal/sweep",
 	"appfit/internal/cluster",
 }

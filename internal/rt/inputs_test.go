@@ -152,9 +152,9 @@ func (d inputDAG) run(replicated bool) ([]buffer.Buffer, map[[2]uint64]uint64, S
 		r.Submit("t", func(ctx *Ctx) {
 			h := inputDigest(ctx)
 			mu.Lock()
-			seen[[2]uint64{ctx.TaskID(), uint64(ctx.Attempt())}] = h
+			seen[[2]uint64{ctx.t.id, uint64(ctx.attempt)}] = h
 			mu.Unlock()
-			if !replicated && d.failing[ctx.TaskID()] {
+			if !replicated && d.failing[ctx.t.id] {
 				return
 			}
 			// Outputs depend on every input and differ per argument and

@@ -237,7 +237,7 @@ func TestBodyScratchKeepsNoBuffer(t *testing.T) {
 	var own bodyScratch
 	var rec trace.Record
 	task := &task{id: 1, fn: func(*Ctx) {}, args: []Arg{In("x", buffer.NewF64(1)), Out("y", buffer.NewF64(1))}, comm: true}
-	r.executeUnprotected(task, 0, &own, &rec)
+	r.executeUnprotected(task, &own, &rec)
 	if own.ctx.bufs != nil || cap(own.bufs) < 2 || own.bufs[:2][0] != nil || own.bufs[:2][1] != nil {
 		t.Fatalf("scratch still holds its last body's buffers: %+v", own)
 	}

@@ -73,9 +73,10 @@ func Inout(key string, b buffer.Buffer) Arg { return Arg{Key: key, Mode: deps.In
 // tasks are never replicated): a detached comm task may write them until it
 // releases its Event.
 type Ctx struct {
-	bufs    []buffer.Buffer
+	bufs []buffer.Buffer
+	// attempt is the execution attempt index: 0 primary, 1 replica, ≥2
+	// re-executions.
 	attempt int
-	worker  int
 	r       *Runtime
 	t       *task
 }
@@ -94,17 +95,6 @@ func (c *Ctx) C128(i int) buffer.C128 { return c.bufs[i].(buffer.C128) }
 
 // U8 returns argument i as a byte slice buffer.
 func (c *Ctx) U8(i int) buffer.U8 { return c.bufs[i].(buffer.U8) }
-
-// Attempt returns the execution attempt index (0 primary, 1 replica, ≥2
-// re-executions). Task bodies normally ignore it; tests use it.
-func (c *Ctx) Attempt() int { return c.attempt } //lint:unusedexport task-body API, reached through appfit.Ctx
-
-// Worker returns the executing worker index, in [0, Config.Workers)
-// (replica executions report the primary's worker).
-func (c *Ctx) Worker() int { return c.worker } //lint:unusedexport task-body API, reached through appfit.Ctx
-
-// TaskID returns the runtime-assigned id of the task instance.
-func (c *Ctx) TaskID() uint64 { return c.t.id } //lint:unusedexport task-body API, reached through appfit.Ctx
 
 // Detach makes the task's completion wait for an external event as well as
 // for its body: the task completes — its successors are released, Taskwait
@@ -606,7 +596,7 @@ func (r *Runtime) putScratch(s *replScratch) {
 // writable subset), drawing a fault outcome. A DUE crashes the attempt
 // (partial writes may remain in the attempt's private buffers); an SDC
 // completes and then silently flips one bit of one writable buffer.
-func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, attempt, w int) attemptResult {
+func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, attempt int) attemptResult {
 	outcome := r.cfg.Injector.Draw(t.id, attempt, t.pDUE, t.pSDC)
 	start := time.Now()
 	if outcome == fault.DUE {
@@ -621,7 +611,7 @@ func (r *Runtime) runAttempt(t *task, ctx *Ctx, bufs, outs []buffer.Buffer, atte
 		}
 		return attemptResult{crashed: true, dur: time.Since(start)}
 	}
-	*ctx = Ctx{bufs: bufs, attempt: attempt, worker: w, r: r, t: t}
+	*ctx = Ctx{bufs: bufs, attempt: attempt, r: r, t: t}
 	t.fn(ctx)
 	if outcome == fault.SDC {
 		r.corrupt(t, attempt, outs)
@@ -676,9 +666,9 @@ func (r *Runtime) execute(t *task, w int, own *bodyScratch) {
 	}
 	if replicate {
 		r.replicated.Add(1)
-		r.executeReplicated(t, w, &rec)
+		r.executeReplicated(t, &rec)
 	} else {
-		r.executeUnprotected(t, w, own, &rec)
+		r.executeUnprotected(t, own, &rec)
 	}
 	rec.Replicated = replicate
 	if !t.comm {
@@ -728,7 +718,7 @@ func (r *Runtime) complete(t *task, w int, own *bodyScratch) {
 // re-runs the body so downstream tasks still get data (the event count is
 // the experiment's measure of unprotected risk). An SDC here silently
 // corrupts the real output — it propagates, exactly the threat model.
-func (r *Runtime) executeUnprotected(t *task, w int, own *bodyScratch, rec *trace.Record) {
+func (r *Runtime) executeUnprotected(t *task, own *bodyScratch, rec *trace.Record) {
 	bufs := own.bufs[:0]
 	for _, a := range t.args {
 		bufs = append(bufs, a.Buf)
@@ -738,7 +728,7 @@ func (r *Runtime) executeUnprotected(t *task, w int, own *bodyScratch, rec *trac
 		outcome = r.cfg.Injector.Draw(t.id, 0, t.pDUE, t.pSDC)
 	}
 	start := time.Now()
-	own.ctx = Ctx{bufs: bufs, attempt: 0, worker: w, r: r, t: t}
+	own.ctx = Ctx{bufs: bufs, attempt: 0, r: r, t: t}
 	t.fn(&own.ctx)
 	rec.Duration = time.Since(start)
 	rec.Attempts = 1
@@ -771,7 +761,7 @@ func (r *Runtime) event(rec *trace.Record, evs ...trace.Event) {
 // executeReplicated implements Figure 2. Every copy it makes — each
 // attempt's writable arguments — is a lease from r.bufs, and all of them go
 // back when it returns.
-func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
+func (r *Runtime) executeReplicated(t *task, rec *trace.Record) {
 	s := r.getScratch(t)
 	defer r.putScratch(s)
 
@@ -790,9 +780,9 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	s.replica.Add(1)
 	go func() { // the replica runs on a spare core
 		defer s.replica.Done()
-		s.replicaRes = r.runAttempt(t, &s.ctx[1], replicaBufs, replicaOuts, 1, w)
+		s.replicaRes = r.runAttempt(t, &s.ctx[1], replicaBufs, replicaOuts, 1)
 	}()
-	primaryRes := r.runAttempt(t, &s.ctx[0], primaryBufs, primaryOuts, 0, w)
+	primaryRes := r.runAttempt(t, &s.ctx[0], primaryBufs, primaryOuts, 0)
 	s.replica.Wait()
 	replicaRes := s.replicaRes
 
@@ -831,7 +821,7 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 			r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
 			return
 		}
-		res, outs := r.reexecute(t, s, w, rule.Attempts(), rec)
+		res, outs := r.reexecute(t, s, rule.Attempts(), rec)
 		r.observe(&rule, s, rec, res.crashed, outs)
 	}
 }
@@ -861,11 +851,11 @@ func (r *Runtime) observe(rule *vote.Recovery, s *replScratch, rec *trace.Record
 // reexecute restores the task's initial state from its checkpoint — a fresh
 // attempt set, copied from the still pristine real buffers — and runs one
 // more attempt on it.
-func (r *Runtime) reexecute(t *task, s *replScratch, w, attempt int, rec *trace.Record) (attemptResult, []buffer.Buffer) {
+func (r *Runtime) reexecute(t *task, s *replScratch, attempt int, rec *trace.Record) (attemptResult, []buffer.Buffer) {
 	bufs, outs := r.attemptSet(t, s)
 	r.event(rec, trace.Restored, trace.Reexecuted)
 	r.reexecs.Add(1)
-	res := r.runAttempt(t, &s.ctx[0], bufs, outs, attempt, w)
+	res := r.runAttempt(t, &s.ctx[0], bufs, outs, attempt)
 	rec.ReexecDur += res.dur
 	rec.Attempts++
 	return res, outs

@@ -514,14 +514,13 @@ func TestCtxAccessors(t *testing.T) {
 	r := New(Config{Workers: 1})
 	c128 := buffer.NewC128(2)
 	u8 := buffer.NewU8(2)
-	var gotWorker, gotAttempt int
+	var gotAttempt int
 	var gotID uint64
 	var gotN int
 	id := r.Submit("t", func(c *Ctx) {
 		gotN = c.NArgs()
-		gotWorker = c.Worker()
-		gotAttempt = c.Attempt()
-		gotID = c.TaskID()
+		gotAttempt = c.attempt
+		gotID = c.t.id
 		c.C128(0)[0] = 1 + 2i
 		c.U8(1)[0] = 7
 		_ = c.Buf(0)
@@ -529,8 +528,8 @@ func TestCtxAccessors(t *testing.T) {
 	if err := r.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if gotN != 2 || gotAttempt != 0 || gotWorker != 0 || gotID != id {
-		t.Fatalf("ctx accessors: n=%d attempt=%d worker=%d id=%d", gotN, gotAttempt, gotWorker, gotID)
+	if gotN != 2 || gotAttempt != 0 || gotID != id {
+		t.Fatalf("ctx accessors: n=%d attempt=%d id=%d", gotN, gotAttempt, gotID)
 	}
 	if c128[0] != 1+2i || u8[0] != 7 {
 		t.Fatal("typed writes lost")

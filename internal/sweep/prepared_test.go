@@ -200,8 +200,8 @@ func TestPreparedRunMatchesClusterRun(t *testing.T) {
 		edited.Job.Tasks = append([]cluster.Task(nil), job.Tasks...)
 		edited.Job.Tasks[r.Intn(len(job.Tasks))].Cost += 7
 		reqs = append(reqs, edited)
-		r.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-		for _, req := range reqs {
+		for _, k := range r.Perm(len(reqs)) {
+			req := reqs[k]
 			got, gotErr := req.run()
 			want, wantErr := cluster.Run(req.Job, req.Config)
 			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {

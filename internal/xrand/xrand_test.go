@@ -189,23 +189,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(77)
-	xs := []int{1, 2, 2, 3, 3, 3, 4}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, x := range xs {
-		sum2 += x
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
